@@ -90,6 +90,10 @@ class FabricHarness {
   /// `make` must be copyable: the harness keeps it as the probe factory
   /// so the lint memory check (and lint_report()) can construct fresh
   /// program instances and measure their reserve_memory declarations.
+  /// It must also be callable concurrently: on a fabric of at least
+  /// lint::kParallelMinPes PEs with ExecutionOptions::threads > 1, the
+  /// memory check probes PE rows on several threads at once. Every
+  /// shipped factory reads only const captures.
   template <typename Program, typename MakeFn>
   ProgramGrid<Program> load(MakeFn&& make) {
     ProgramGrid<Program> grid;

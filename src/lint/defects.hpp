@@ -17,8 +17,11 @@
 
 namespace fvf::lint {
 
-/// One broken fixture. `lint()` constructs the defective fabric from
-/// scratch and runs the verifier over it.
+/// Receives a fixture's loaded fabric and the options it is linted with.
+using FixtureVisitor =
+    std::function<Report(const wse::Fabric&, const Options&)>;
+
+/// One broken fixture.
 struct Defect {
   /// Slug of the seeded defect; equals check_name(expected).
   std::string_view name;
@@ -26,7 +29,12 @@ struct Defect {
   Check expected;
   /// What is broken, for CLI output and test failure messages.
   std::string_view description;
-  std::function<Report()> lint;
+  /// Constructs the defective fabric from scratch and returns what
+  /// `visit` reports on it (tests inspect the fabric itself this way).
+  std::function<Report(const FixtureVisitor&)> load;
+
+  /// Lints the fixture: load(lint::run).
+  [[nodiscard]] Report lint() const { return load(run); }
 };
 
 /// The full corpus, one entry per diagnostic class, in Check enum order.

@@ -5,34 +5,20 @@
 #include <utility>
 
 #include "common/assert.hpp"
-#include "lint/color_graph.hpp"
+#include "common/thread_pool.hpp"
+#include "lint/routing_index.hpp"
 #include "wse/program.hpp"
-#include "wse/route.hpp"
-#include "wse/router.hpp"
 
 namespace fvf::lint {
 
 namespace {
 
-using detail::ColorGraph;
+using detail::ColorRoutes;
+using detail::long_dir_name;
+using detail::RoutingIndex;
+using detail::SenderWalk;
 using wse::Color;
 using wse::Dir;
-
-[[nodiscard]] std::string_view long_dir_name(Dir d) noexcept {
-  switch (d) {
-    case Dir::North: return "North";
-    case Dir::East: return "East";
-    case Dir::South: return "South";
-    case Dir::West: return "West";
-    case Dir::Ramp: return "Ramp";
-  }
-  return "?";
-}
-
-[[nodiscard]] usize pe_index(const wse::Fabric& fabric, Coord2 pe) noexcept {
-  return static_cast<usize>(pe.y) * static_cast<usize>(fabric.width()) +
-         static_cast<usize>(pe.x);
-}
 
 [[nodiscard]] std::string default_label(Color color) {
   std::ostringstream os;
@@ -40,80 +26,51 @@ using wse::Dir;
   return os.str();
 }
 
-/// Whether some switch position of `pe` delivers `input` to the Ramp.
-[[nodiscard]] bool delivers_to_ramp(const ColorGraph& graph, Coord2 pe,
-                                    Dir input) {
-  bool delivers = false;
-  graph.each_output(pe, input, [&](Dir out) {
-    if (out == Dir::Ramp) {
-      delivers = true;
-    }
-  });
-  return delivers;
-}
-
-/// Union-graph BFS from one sender's Ramp injection point. Invokes
-/// `visit(node)` for every reachable routing node — including the
-/// injection node itself, where blocks park when the active position has
-/// no Ramp rule — and `deliver(pe)` once per PE whose Ramp the traffic
-/// can reach.
-template <typename VisitFn, typename DeliverFn>
-void walk_from_sender(const ColorGraph& graph, Coord2 sender, VisitFn&& visit,
-                      DeliverFn&& deliver) {
-  std::vector<usize> frontier;
-  std::vector<bool> visited(graph.node_count(), false);
-  std::vector<bool> delivered(
-      static_cast<usize>(graph.width()) * static_cast<usize>(graph.height()),
-      false);
-  const usize start = graph.node(sender, Dir::Ramp);
-  visited[start] = true;
-  visit(start);
-  frontier.push_back(start);
-  while (!frontier.empty()) {
-    const usize n = frontier.back();
-    frontier.pop_back();
-    const Coord2 pe = graph.pe_of(n);
-    graph.each_output(pe, graph.input_of(n), [&](Dir out) {
-      if (out == Dir::Ramp) {
-        const usize p =
-            static_cast<usize>(pe.y) * static_cast<usize>(graph.width()) +
-            static_cast<usize>(pe.x);
-        if (!delivered[p]) {
-          delivered[p] = true;
-          deliver(pe);
-        }
-        return;
-      }
-      const Coord2 off = wse::dir_offset(out);
-      const Coord2 target{pe.x + off.x, pe.y + off.y};
-      if (!graph.on_fabric(target)) {
-        return;
-      }
-      const usize t = graph.node(target, wse::opposite(out));
-      if (!visited[t]) {
-        visited[t] = true;
-        visit(t);
-        frontier.push_back(t);
-      }
-    });
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Buffer-bound analysis
 // ---------------------------------------------------------------------------
 
-/// Sum of declared in-flight block bounds this program carries on `color`
-/// (data and control declarations both park in the same per-PE buffer).
-[[nodiscard]] u64 declared_in_flight(const wse::PeProgram& program,
-                                     Color color) {
-  u64 blocks = 0;
-  for (const wse::SendDeclaration& send : program.send_declarations()) {
-    if (send.color == color) {
-      blocks += send.in_flight;
+/// Worst-case parked blocks of one color: (node, blocks) for every node
+/// with a nonzero count, ascending by node.
+using NodeBlocks = std::vector<std::pair<usize, u64>>;
+
+[[nodiscard]] NodeBlocks color_occupancy(const RoutingIndex& index,
+                                         Color color) {
+  const ColorRoutes routes = index.routes(color);
+  // Fast path: a color with no parkable (PE, input) node can never
+  // occupy a router input buffer, whatever its traffic.
+  bool any_parkable = false;
+  for (usize n = 0; n < index.node_count() && !any_parkable; ++n) {
+    any_parkable = detail::parkable(routes[n]);
+  }
+  if (!any_parkable) {
+    return {};
+  }
+  std::vector<u64> node_blocks(index.node_count(), 0);
+  SenderWalk walk(index);
+  for (usize p = 0; p < index.pe_count(); ++p) {
+    const u64 in_flight = index.in_flight(p, color);
+    if (in_flight == 0) {
+      continue;
+    }
+    // Every parkable node this sender's traffic can occupy may hold its
+    // whole in-flight window at once in the worst case.
+    walk.run(
+        routes, index.pe_at(p),
+        [&](usize n) {
+          if (detail::parkable(routes[n])) {
+            node_blocks[n] += in_flight;
+          }
+        },
+        [](Coord2) {});
+  }
+  NodeBlocks occupied;
+  for (usize n = 0; n < node_blocks.size(); ++n) {
+    if (node_blocks[n] != 0) {
+      occupied.emplace_back(n, node_blocks[n]);
     }
   }
-  return blocks;
+  return occupied;
 }
 
 // ---------------------------------------------------------------------------
@@ -138,39 +95,16 @@ void walk_from_sender(const ColorGraph& graph, Coord2 sender, VisitFn&& visit,
 /// schedule can escape.
 class WaitForGraph {
  public:
-  WaitForGraph(const wse::Fabric& fabric, std::vector<Color> colors)
-      : fabric_(fabric), colors_(std::move(colors)) {
-    graphs_.reserve(colors_.size());
+  WaitForGraph(const RoutingIndex& index, std::vector<Color> colors)
+      : index_(index),
+        colors_(std::move(colors)),
+        pe_count_(index.pe_count()),
+        routing_nodes_(index.node_count()) {
     slot_of_.fill(kNoSlot);
+    routes_.reserve(colors_.size());
     for (usize slot = 0; slot < colors_.size(); ++slot) {
-      graphs_.emplace_back(fabric_, colors_[slot]);
+      routes_.push_back(index_.routes(colors_[slot]));
       slot_of_[colors_[slot].id()] = slot;
-    }
-    pe_count_ = static_cast<usize>(fabric_.pe_count());
-    routing_nodes_ = pe_count_ * wse::kLinkCount;
-    deps_at_.resize(pe_count_);
-    sends_at_.resize(pe_count_, 0);
-    for (i32 y = 0; y < fabric_.height(); ++y) {
-      for (i32 x = 0; x < fabric_.width(); ++x) {
-        const wse::PeProgram* program = fabric_.pe(x, y).program();
-        if (program == nullptr) {
-          continue;
-        }
-        const usize p = pe_index(fabric_, Coord2{x, y});
-        for (const wse::ChannelDependency& dep :
-             program->channel_dependencies()) {
-          if (slot_of_[dep.prerequisite.id()] != kNoSlot &&
-              slot_of_[dep.dependent.id()] != kNoSlot) {
-            deps_at_[p].push_back(dep);
-          }
-        }
-        for (const wse::SendDeclaration& send : program->send_declarations()) {
-          const usize slot = slot_of_[send.color.id()];
-          if (slot != kNoSlot) {
-            sends_at_[p] |= u32{1} << slot;
-          }
-        }
-      }
     }
   }
 
@@ -183,13 +117,9 @@ class WaitForGraph {
   }
   [[nodiscard]] Coord2 pe_of(usize n) const {
     if (is_obligation(n)) {
-      const usize local = (n - colors_.size() * routing_nodes_) % pe_count_;
-      return Coord2{static_cast<i32>(local % static_cast<usize>(
-                                                 fabric_.width())),
-                    static_cast<i32>(local / static_cast<usize>(
-                                                 fabric_.width()))};
+      return index_.pe_at((n - colors_.size() * routing_nodes_) % pe_count_);
     }
-    return graphs_[n / routing_nodes_].pe_of(n % routing_nodes_);
+    return index_.pe_of(n % routing_nodes_);
   }
   [[nodiscard]] Color color_of(usize n) const {
     if (is_obligation(n)) {
@@ -202,99 +132,89 @@ class WaitForGraph {
     return colors_.size() * routing_nodes_ + slot * pe_count_ + pe;
   }
   [[nodiscard]] usize routing_node(usize slot, Coord2 pe, Dir input) const {
-    return slot * routing_nodes_ + graphs_[slot].node(pe, input);
+    return slot * routing_nodes_ + index_.node(pe, input);
   }
 
-  [[nodiscard]] std::vector<usize> successors(usize n) const {
-    std::vector<usize> out;
+  /// Appends the nodes `n` waits on to `out`.
+  void successors(usize n, std::vector<usize>& out) const {
     if (is_obligation(n)) {
       const Coord2 pe = pe_of(n);
       const Color color = color_of(n);
-      const usize p = pe_index(fabric_, pe);
-      for (const wse::ChannelDependency& dep : deps_at_[p]) {
-        if (dep.dependent != color) {
+      for (const wse::ChannelDependency& dep :
+           index_.dependencies(index_.pe_index(pe))) {
+        const usize slot = slot_of_[dep.prerequisite.id()];
+        if (dep.dependent != color || slot == kNoSlot) {
           continue;
         }
-        const usize slot = slot_of_[dep.prerequisite.id()];
-        const ColorGraph& graph = graphs_[slot];
         // The send waits for deliveries of the prerequisite, which can
         // only arrive through a link input some position delivers to the
         // Ramp (a PE never waits on its own injection).
         for (usize in = 0; in < wse::kLinkCount; ++in) {
           const Dir input = static_cast<Dir>(in);
-          if (input != Dir::Ramp && delivers_to_ramp(graph, pe, input)) {
+          if (input != Dir::Ramp &&
+              detail::has_output(routes_[slot][index_.node(pe, input)],
+                                 Dir::Ramp)) {
             out.push_back(routing_node(slot, pe, input));
           }
         }
       }
-      return out;
+      return;
     }
     const usize slot = n / routing_nodes_;
-    const ColorGraph& graph = graphs_[slot];
-    const Coord2 pe = graph.pe_of(n % routing_nodes_);
-    const Dir input = graph.input_of(n % routing_nodes_);
+    const usize local = n % routing_nodes_;
+    const Coord2 pe = index_.pe_of(local);
+    const Dir input = RoutingIndex::input_of(local);
     if (input == Dir::Ramp) {
       // Injected here: the block exists once the PE's own send runs.
-      const usize p = pe_index(fabric_, pe);
-      if ((sends_at_[p] & (u32{1} << slot)) != 0) {
+      const usize p = local / wse::kLinkCount;
+      if (((index_.data_sends(p) | index_.control_sends(p)) &
+           detail::color_bit(colors_[slot])) != 0) {
         out.push_back(obligation_node(slot, p));
       }
-      return out;
+      return;
     }
     // Arrived over a link: the block was forwarded by the upstream
     // neighbour, through any of its inputs whose rules output toward us.
     const Coord2 off = wse::dir_offset(input);
     const Coord2 src{pe.x + off.x, pe.y + off.y};
-    if (!graph.on_fabric(src)) {
-      return out;
+    if (!index_.on_fabric(src)) {
+      return;
     }
     const Dir toward_us = wse::opposite(input);
     for (usize in = 0; in < wse::kLinkCount; ++in) {
       const Dir src_in = static_cast<Dir>(in);
-      bool forwards = false;
-      graph.each_output(src, src_in, [&](Dir o) {
-        if (o == toward_us) {
-          forwards = true;
-        }
-      });
-      if (forwards) {
+      if (detail::has_output(routes_[slot][index_.node(src, src_in)],
+                             toward_us)) {
         out.push_back(routing_node(slot, src, src_in));
       }
     }
-    return out;
   }
 
   [[nodiscard]] const std::vector<Color>& colors() const noexcept {
     return colors_;
-  }
-  [[nodiscard]] const std::vector<wse::ChannelDependency>& deps_at(
-      usize pe) const noexcept {
-    return deps_at_[pe];
-  }
-  [[nodiscard]] bool any_dependency() const noexcept {
-    return std::any_of(deps_at_.begin(), deps_at_.end(),
-                       [](const auto& d) { return !d.empty(); });
   }
   [[nodiscard]] usize pe_count() const noexcept { return pe_count_; }
 
  private:
   static constexpr usize kNoSlot = static_cast<usize>(-1);
 
-  const wse::Fabric& fabric_;
+  const RoutingIndex& index_;
   std::vector<Color> colors_;
-  std::vector<ColorGraph> graphs_;
+  std::vector<ColorRoutes> routes_;
   std::array<usize, Color::kMaxColors> slot_of_{};
   usize pe_count_ = 0;
   usize routing_nodes_ = 0;
-  std::vector<std::vector<wse::ChannelDependency>> deps_at_;
-  std::vector<u32> sends_at_;
 };
 
 class FlowLinter {
  public:
-  FlowLinter(const wse::Fabric& fabric, const FlowOptions& options,
-             std::vector<Diagnostic>& out)
-      : fabric_(fabric), options_(options), out_(out) {}
+  FlowLinter(const RoutingIndex& index, const FlowOptions& options,
+             std::vector<Diagnostic>& out, ThreadPool& pool)
+      : index_(index),
+        fabric_(index.fabric()),
+        options_(options),
+        out_(out),
+        pool_(pool) {}
 
   void run() {
     check_buffer_bounds();
@@ -327,8 +247,8 @@ class FlowLinter {
   }
 
   void check_buffer_bounds() {
-    const BufferAnalysis analysis =
-        analyze_buffer_occupancy(fabric_, options_.skip_colors);
+    const BufferAnalysis analysis = detail::analyze_buffer_occupancy(
+        index_, options_.skip_colors, pool_);
     const u32 depth = options_.router_buffer_depth != 0
                           ? options_.router_buffer_depth
                           : fabric_.execution().router_buffer_depth;
@@ -380,19 +300,12 @@ class FlowLinter {
     // cannot sit on a wait cycle (single-color routing cycles are the
     // routing-cycle check's finding, and are skipped here).
     std::array<bool, Color::kMaxColors> interesting{};
-    for (i32 y = 0; y < fabric_.height(); ++y) {
-      for (i32 x = 0; x < fabric_.width(); ++x) {
-        const wse::PeProgram* program = fabric_.pe(x, y).program();
-        if (program == nullptr) {
-          continue;
-        }
-        for (const wse::ChannelDependency& dep :
-             program->channel_dependencies()) {
-          if (!options_.skip_colors[dep.prerequisite.id()] &&
-              !options_.skip_colors[dep.dependent.id()]) {
-            interesting[dep.prerequisite.id()] = true;
-            interesting[dep.dependent.id()] = true;
-          }
+    for (usize p = 0; p < index_.pe_count(); ++p) {
+      for (const wse::ChannelDependency& dep : index_.dependencies(p)) {
+        if (!options_.skip_colors[dep.prerequisite.id()] &&
+            !options_.skip_colors[dep.dependent.id()]) {
+          interesting[dep.prerequisite.id()] = true;
+          interesting[dep.dependent.id()] = true;
         }
       }
     }
@@ -405,39 +318,49 @@ class FlowLinter {
     if (colors.empty()) {
       return;
     }
-    const WaitForGraph wait(fabric_, std::move(colors));
+    const WaitForGraph wait(index_, std::move(colors));
 
     enum class Mark : u8 { White, Gray, Black };
     std::vector<Mark> mark(wait.node_total(), Mark::White);
+    // Successor lists share one stack-shaped pool: a frame's successors
+    // are successors[begin, end), and popping the frame truncates the
+    // pool back to `begin`.
     struct Frame {
       usize node = 0;
-      std::vector<usize> succ;
+      usize begin = 0;
       usize next = 0;
+      usize end = 0;
     };
     std::vector<Frame> stack;
+    std::vector<usize> successors;
+    const auto push_frame = [&](usize node) {
+      mark[node] = Mark::Gray;
+      const usize begin = successors.size();
+      wait.successors(node, successors);
+      stack.push_back(Frame{node, begin, begin, successors.size()});
+    };
     for (usize slot = 0; slot < wait.colors().size(); ++slot) {
       for (usize p = 0; p < wait.pe_count(); ++p) {
         const usize root = wait.obligation_node(slot, p);
         if (mark[root] != Mark::White) {
           continue;
         }
-        mark[root] = Mark::Gray;
-        stack.push_back(Frame{root, wait.successors(root)});
+        push_frame(root);
         while (!stack.empty()) {
           Frame& frame = stack.back();
-          if (frame.next >= frame.succ.size()) {
+          if (frame.next >= frame.end) {
             mark[frame.node] = Mark::Black;
+            successors.resize(frame.begin);
             stack.pop_back();
             continue;
           }
-          const usize target = frame.succ[frame.next++];
+          const usize target = successors[frame.next++];
           if (mark[target] == Mark::Gray) {
             report_deadlock(wait, stack, target);
             return;  // one cycle is enough to localize the knot
           }
           if (mark[target] == Mark::White) {
-            mark[target] = Mark::Gray;
-            stack.push_back(Frame{target, wait.successors(target)});
+            push_frame(target);
           }
         }
       }
@@ -517,28 +440,16 @@ class FlowLinter {
     };
     std::vector<Fold> folds;
     std::array<bool, Color::kMaxColors> fold_colors{};
-    for (i32 y = 0; y < fabric_.height(); ++y) {
-      for (i32 x = 0; x < fabric_.width(); ++x) {
-        const wse::PeProgram* program = fabric_.pe(x, y).program();
-        if (program == nullptr) {
-          continue;
+    for (const detail::DeclaredFold& declared : index_.folds()) {
+      Fold fold{index_.pe_at(declared.pe), declared.declaration.label, {}};
+      for (const Color c : declared.declaration.colors) {
+        if (!options_.skip_colors[c.id()]) {
+          fold.colors.push_back(c);
+          fold_colors[c.id()] = true;
         }
-        for (const wse::ReductionDeclaration& red :
-             program->reduction_declarations()) {
-          if (!red.folds_in_arrival_order) {
-            continue;
-          }
-          Fold fold{Coord2{x, y}, red.label, {}};
-          for (const Color c : red.colors) {
-            if (!options_.skip_colors[c.id()]) {
-              fold.colors.push_back(c);
-              fold_colors[c.id()] = true;
-            }
-          }
-          if (!fold.colors.empty()) {
-            folds.push_back(std::move(fold));
-          }
-        }
+      }
+      if (!fold.colors.empty()) {
+        folds.push_back(std::move(fold));
       }
     }
     if (folds.empty()) {
@@ -547,52 +458,45 @@ class FlowLinter {
 
     // Per color: how many declared data senders can reach each PE's Ramp
     // over the union graph, with the first two recorded for the message.
-    const usize pe_count = static_cast<usize>(fabric_.pe_count());
+    // Each color is one pool task; its senders walk in raster order.
+    const usize pe_count = index_.pe_count();
     constexpr usize kSampleSenders = 2;
     struct Reach {
       std::vector<u32> sources;
       std::vector<std::array<Coord2, kSampleSenders>> sample;
     };
-    std::array<Reach, Color::kMaxColors> reach_by_color;
+    std::vector<Color> reach_colors;
     for (u8 c = 0; c < Color::kMaxColors; ++c) {
-      if (!fold_colors[c]) {
-        continue;
-      }
-      const Color color{c};
-      Reach& reach = reach_by_color[c];
-      reach.sources.assign(pe_count, 0);
-      reach.sample.assign(pe_count, {});
-      const ColorGraph graph(fabric_, color);
-      for (i32 y = 0; y < fabric_.height(); ++y) {
-        for (i32 x = 0; x < fabric_.width(); ++x) {
-          const wse::PeProgram* program = fabric_.pe(x, y).program();
-          if (program == nullptr) {
-            continue;
-          }
-          const std::vector<wse::SendDeclaration> sends =
-              program->send_declarations();
-          const bool sends_data =
-              std::any_of(sends.begin(), sends.end(),
-                          [&](const wse::SendDeclaration& s) {
-                            return s.color == color && !s.control;
-                          });
-          if (!sends_data) {
-            continue;
-          }
-          const Coord2 sender{x, y};
-          walk_from_sender(graph, sender, [](usize) {}, [&](Coord2 pe) {
-            const usize p = pe_index(fabric_, pe);
-            if (reach.sources[p] < kSampleSenders) {
-              reach.sample[p][reach.sources[p]] = sender;
-            }
-            ++reach.sources[p];
-          });
-        }
+      if (fold_colors[c]) {
+        reach_colors.push_back(Color{c});
       }
     }
+    std::array<Reach, Color::kMaxColors> reach_by_color;
+    pool_.run_indexed(static_cast<i64>(reach_colors.size()), [&](i64 i) {
+      const Color color = reach_colors[static_cast<usize>(i)];
+      Reach& reach = reach_by_color[color.id()];
+      reach.sources.assign(pe_count, 0);
+      reach.sample.assign(pe_count, {});
+      const ColorRoutes routes = index_.routes(color);
+      const u32 bit = detail::color_bit(color);
+      SenderWalk walk(index_);
+      for (usize s = 0; s < pe_count; ++s) {
+        if ((index_.data_sends(s) & bit) == 0) {
+          continue;
+        }
+        const Coord2 sender = index_.pe_at(s);
+        walk.run(routes, sender, [](usize) {}, [&](Coord2 pe) {
+          const usize p = index_.pe_index(pe);
+          if (reach.sources[p] < kSampleSenders) {
+            reach.sample[p][reach.sources[p]] = sender;
+          }
+          ++reach.sources[p];
+        });
+      }
+    });
 
     for (const Fold& fold : folds) {
-      const usize p = pe_index(fabric_, fold.pe);
+      const usize p = index_.pe_index(fold.pe);
       u64 sources = 0;
       std::vector<Coord2> samples;
       for (const Color c : fold.colors) {
@@ -633,85 +537,41 @@ class FlowLinter {
     }
   }
 
+  const RoutingIndex& index_;
   const wse::Fabric& fabric_;
   const FlowOptions& options_;
   std::vector<Diagnostic>& out_;
+  ThreadPool& pool_;
 };
 
 }  // namespace
 
+namespace detail {
+
 BufferAnalysis analyze_buffer_occupancy(
-    const wse::Fabric& fabric,
-    const std::array<bool, Color::kMaxColors>& skip_colors) {
-  const usize pe_count = static_cast<usize>(fabric.pe_count());
+    const RoutingIndex& index,
+    const std::array<bool, Color::kMaxColors>& skip_colors,
+    ThreadPool& pool) {
+  std::vector<Color> colors;
+  for (const Color color : index.colors()) {
+    if (!skip_colors[color.id()]) {
+      colors.push_back(color);
+    }
+  }
+  std::vector<NodeBlocks> per_color(colors.size());
+  pool.run_indexed(static_cast<i64>(colors.size()), [&](i64 i) {
+    const auto slot = static_cast<usize>(i);
+    per_color[slot] = color_occupancy(index, colors[slot]);
+  });
+  const usize pe_count = index.pe_count();
   std::vector<u64> total(pe_count, 0);
   std::vector<std::vector<ParkContribution>> contributions(pe_count);
-  // Scratch accumulator over routing nodes, reused across colors.
-  std::vector<u64> node_blocks;
-  for (u8 c = 0; c < Color::kMaxColors; ++c) {
-    if (skip_colors[c]) {
-      continue;
-    }
-    const Color color{c};
-    const ColorGraph graph(fabric, color);
-    // Fast path: a color with no parkable (PE, input) node can never
-    // occupy a router input buffer, whatever its traffic.
-    std::vector<bool> parkable(graph.node_count(), false);
-    bool any_parkable = false;
-    for (i32 y = 0; y < fabric.height(); ++y) {
-      for (i32 x = 0; x < fabric.width(); ++x) {
-        const Coord2 pe{x, y};
-        if (!graph.config(pe).configured()) {
-          continue;
-        }
-        for (usize in = 0; in < wse::kLinkCount; ++in) {
-          if (graph.parkable(pe, static_cast<Dir>(in))) {
-            parkable[graph.node(pe, static_cast<Dir>(in))] = true;
-            any_parkable = true;
-          }
-        }
-      }
-    }
-    if (!any_parkable) {
-      continue;
-    }
-    node_blocks.assign(graph.node_count(), 0);
-    bool any_blocks = false;
-    for (i32 y = 0; y < fabric.height(); ++y) {
-      for (i32 x = 0; x < fabric.width(); ++x) {
-        const wse::PeProgram* program = fabric.pe(x, y).program();
-        if (program == nullptr) {
-          continue;
-        }
-        const u64 in_flight = declared_in_flight(*program, color);
-        if (in_flight == 0) {
-          continue;
-        }
-        // Every parkable node this sender's traffic can occupy may hold
-        // its whole in-flight window at once in the worst case.
-        walk_from_sender(
-            graph, Coord2{x, y},
-            [&](usize n) {
-              if (parkable[n]) {
-                node_blocks[n] += in_flight;
-                any_blocks = true;
-              }
-            },
-            [](Coord2) {});
-      }
-    }
-    if (!any_blocks) {
-      continue;
-    }
-    for (usize n = 0; n < node_blocks.size(); ++n) {
-      if (node_blocks[n] == 0) {
-        continue;
-      }
-      const Coord2 pe = graph.pe_of(n);
-      const usize p = pe_index(fabric, pe);
-      total[p] += node_blocks[n];
+  for (usize slot = 0; slot < colors.size(); ++slot) {
+    for (const auto& [n, blocks] : per_color[slot]) {
+      const usize p = n / wse::kLinkCount;
+      total[p] += blocks;
       contributions[p].push_back(
-          ParkContribution{color, graph.input_of(n), node_blocks[n]});
+          ParkContribution{colors[slot], RoutingIndex::input_of(n), blocks});
     }
   }
   BufferAnalysis analysis;
@@ -721,19 +581,32 @@ BufferAnalysis analyze_buffer_occupancy(
     }
     analysis.minimal_depth = std::max(analysis.minimal_depth, total[p]);
     analysis.per_pe.push_back(
-        PeOccupancy{Coord2{static_cast<i32>(p % static_cast<usize>(
-                               fabric.width())),
-                           static_cast<i32>(p / static_cast<usize>(
-                               fabric.width()))},
-                    total[p], std::move(contributions[p])});
+        PeOccupancy{index.pe_at(p), total[p], std::move(contributions[p])});
   }
   return analysis;
 }
 
+void run_flow_checks(const RoutingIndex& index, const FlowOptions& options,
+                     std::vector<Diagnostic>& out, ThreadPool& pool) {
+  FlowLinter linter(index, options, out, pool);
+  linter.run();
+}
+
+}  // namespace detail
+
+BufferAnalysis analyze_buffer_occupancy(
+    const wse::Fabric& fabric,
+    const std::array<bool, Color::kMaxColors>& skip_colors) {
+  ThreadPool pool(detail::lint_threads(fabric));
+  const detail::RoutingIndex index(fabric, pool);
+  return detail::analyze_buffer_occupancy(index, skip_colors, pool);
+}
+
 void run_flow_checks(const wse::Fabric& fabric, const FlowOptions& options,
                      std::vector<Diagnostic>& out) {
-  FlowLinter linter(fabric, options, out);
-  linter.run();
+  ThreadPool pool(detail::lint_threads(fabric));
+  const detail::RoutingIndex index(fabric, pool);
+  detail::run_flow_checks(index, options, out, pool);
 }
 
 }  // namespace fvf::lint

@@ -85,10 +85,11 @@ class FixtureProgram final : public wse::PeProgram {
 };
 
 /// Builds a width x height fabric whose PE programs come from `spec_of`,
-/// loads it, and lints it. The probe factory re-invokes `spec_of`, so the
-/// memory check sees the same declarations the loaded programs made.
+/// loads it, and hands it to `visit`. The probe factory re-invokes
+/// `spec_of`, so the memory check sees the same declarations the loaded
+/// programs made.
 [[nodiscard]] Report lint_fixture(
-    i32 width, i32 height,
+    const FixtureVisitor& visit, i32 width, i32 height,
     const std::function<FixtureSpec(Coord2)>& spec_of,
     const std::function<void(Options&)>& tweak = nullptr) {
   wse::Fabric fabric(width, height);
@@ -102,15 +103,16 @@ class FixtureProgram final : public wse::PeProgram {
   if (tweak != nullptr) {
     tweak(options);
   }
-  return run(fabric, options);
+  return visit(fabric, options);
 }
 
-/// Compiles a (deliberately broken) StencilSpec and lints the generated
-/// program on a width x height fabric — the corpus path for defects that
-/// exist at the spec level. Programs are loaded kernel-less: lint only
-/// inspects structure, never runs physics.
+/// Compiles a (deliberately broken) StencilSpec and hands the generated
+/// program, loaded on a width x height fabric, to `visit` — the corpus
+/// path for defects that exist at the spec level. Programs are loaded
+/// kernel-less: lint only inspects structure, never runs physics.
 [[nodiscard]] Report lint_spec_fixture(
-    spec::StencilSpec broken, i32 width, i32 height, i32 nz,
+    const FixtureVisitor& visit, spec::StencilSpec broken, i32 width,
+    i32 height, i32 nz,
     const std::function<void(Options&)>& tweak = nullptr) {
   const spec::CompiledSpec compiled = spec::compile(std::move(broken));
   wse::Fabric fabric(width, height);
@@ -127,7 +129,7 @@ class FixtureProgram final : public wse::PeProgram {
   if (tweak != nullptr) {
     tweak(options);
   }
-  return run(fabric, options);
+  return visit(fabric, options);
 }
 
 [[nodiscard]] ColorConfig single(SwitchPosition pos) {
@@ -138,9 +140,9 @@ class FixtureProgram final : public wse::PeProgram {
 
 /// unclaimed-color: a router configures kColor, but the claim oracle says
 /// no component owns it.
-[[nodiscard]] Report lint_unclaimed_color() {
+[[nodiscard]] Report lint_unclaimed_color(const FixtureVisitor& visit) {
   return lint_fixture(
-      1, 1,
+      visit, 1, 1,
       [](Coord2) {
         FixtureSpec spec;
         spec.configure = [](wse::Router& router) {
@@ -158,8 +160,8 @@ class FixtureProgram final : public wse::PeProgram {
 
 /// switch-reconfigured: two components both install kColor on the same
 /// router; the second silently replaces the first's position table.
-[[nodiscard]] Report lint_switch_reconfigured() {
-  return lint_fixture(1, 1, [](Coord2) {
+[[nodiscard]] Report lint_switch_reconfigured(const FixtureVisitor& visit) {
+  return lint_fixture(visit, 1, 1, [](Coord2) {
     FixtureSpec spec;
     spec.configure = [](wse::Router& router) {
       router.configure(kColor, single(position(Dir::Ramp, {Dir::East})));
@@ -171,8 +173,8 @@ class FixtureProgram final : public wse::PeProgram {
 
 /// routing-cycle: a 2x2 ring (0,0) -E-> (1,0) -N-> (1,1) -W-> (0,1) -S->
 /// back to (0,0). A wavelet injected at (0,0) circulates forever.
-[[nodiscard]] Report lint_routing_cycle() {
-  return lint_fixture(2, 2, [](Coord2 coord) {
+[[nodiscard]] Report lint_routing_cycle(const FixtureVisitor& visit) {
+  return lint_fixture(visit, 2, 2, [](Coord2 coord) {
     FixtureSpec spec;
     if (coord.x == 0 && coord.y == 0) {
       spec.sends = {{kColor, false}};
@@ -201,8 +203,8 @@ class FixtureProgram final : public wse::PeProgram {
 /// dead-end: a 1x3 pipeline whose last PE only configures Ramp -> East;
 /// blocks forwarded by the middle PE arrive on its West input, which no
 /// switch position accepts — they would wait in the input buffer forever.
-[[nodiscard]] Report lint_dead_end() {
-  return lint_fixture(3, 1, [](Coord2 coord) {
+[[nodiscard]] Report lint_dead_end(const FixtureVisitor& visit) {
+  return lint_fixture(visit, 3, 1, [](Coord2 coord) {
     FixtureSpec spec;
     if (coord.x == 0) {
       spec.sends = {{kColor, false}};
@@ -225,8 +227,8 @@ class FixtureProgram final : public wse::PeProgram {
 /// unrouted-send: the program declares a send on kColor, but no switch
 /// position of that color accepts the Ramp — injected wavelets would
 /// never leave the PE.
-[[nodiscard]] Report lint_unrouted_send() {
-  return lint_fixture(2, 1, [](Coord2 coord) {
+[[nodiscard]] Report lint_unrouted_send(const FixtureVisitor& visit) {
+  return lint_fixture(visit, 2, 1, [](Coord2 coord) {
     FixtureSpec spec;
     if (coord.x == 0) {
       spec.sends = {{kColor, false}};
@@ -241,7 +243,7 @@ class FixtureProgram final : public wse::PeProgram {
 /// unhandled-delivery: a compiled switch-protocol spec whose East data
 /// handler is dropped (DefectInjection) — traffic is still routed and
 /// declared, so exactly the delivery check fires, at the downstream PE.
-[[nodiscard]] Report lint_unhandled_delivery() {
+[[nodiscard]] Report lint_unhandled_delivery(const FixtureVisitor& visit) {
   spec::StencilSpec broken;
   broken.name = "unhandled-delivery fixture";
   broken.exchange = spec::ExchangeKind::SwitchProtocol;
@@ -253,17 +255,17 @@ class FixtureProgram final : public wse::PeProgram {
       {"diagonal recv buffers", spec::FieldRole::DiagonalRecv, 8, 0},
   };
   broken.defects.drop_east_data_handler = true;
-  return lint_spec_fixture(std::move(broken), 2, 1, 1);
+  return lint_spec_fixture(visit, std::move(broken), 2, 1, 1);
 }
 
 /// memory-over-budget: a compiled spec declaring a 64 KiB field against
 /// the 48 KiB WSE-2 PE budget.
-[[nodiscard]] Report lint_memory_over_budget() {
+[[nodiscard]] Report lint_memory_over_budget(const FixtureVisitor& visit) {
   spec::StencilSpec broken;
   broken.name = "memory-over-budget fixture";
   broken.exchange = spec::ExchangeKind::None;
   broken.fields = {{"fixture payload", spec::FieldRole::State, 16384, 0}};
-  return lint_spec_fixture(std::move(broken), 1, 1, 1,
+  return lint_spec_fixture(visit, std::move(broken), 1, 1, 1,
                            [](Options& options) {
                              options.memory_budget =
                                  wse::PeMemory::kDefaultBudget;
@@ -272,12 +274,12 @@ class FixtureProgram final : public wse::PeProgram {
 
 /// memory-near-limit: 47 KiB of the 48 KiB budget — legal, but within
 /// the default 90% warning fraction.
-[[nodiscard]] Report lint_memory_near_limit() {
+[[nodiscard]] Report lint_memory_near_limit(const FixtureVisitor& visit) {
   spec::StencilSpec broken;
   broken.name = "memory-near-limit fixture";
   broken.exchange = spec::ExchangeKind::None;
   broken.fields = {{"fixture payload", spec::FieldRole::State, 12032, 0}};
-  return lint_spec_fixture(std::move(broken), 1, 1, 1,
+  return lint_spec_fixture(visit, std::move(broken), 1, 1, 1,
                            [](Options& options) {
                              options.memory_budget =
                                  wse::PeMemory::kDefaultBudget;
@@ -288,8 +290,9 @@ class FixtureProgram final : public wse::PeProgram {
 /// color whose receiving switch only accepts West in one of its two
 /// positions — with the switch parked on the other position, all 96 blocks
 /// queue in the West input buffer, past the default depth of 64.
-[[nodiscard]] Report lint_buffer_overflow_possible() {
-  return lint_fixture(2, 1, [](Coord2 coord) {
+[[nodiscard]] Report lint_buffer_overflow_possible(
+    const FixtureVisitor& visit) {
+  return lint_fixture(visit, 2, 1, [](Coord2 coord) {
     FixtureSpec spec;
     if (coord.x == 0) {
       spec.sends = {{kColor, false, 96}};
@@ -314,8 +317,8 @@ class FixtureProgram final : public wse::PeProgram {
 constexpr Color kEastbound{0};
 constexpr Color kWestbound{1};
 
-[[nodiscard]] Report lint_cross_color_deadlock() {
-  return lint_fixture(2, 1, [](Coord2 coord) {
+[[nodiscard]] Report lint_cross_color_deadlock(const FixtureVisitor& visit) {
+  return lint_fixture(visit, 2, 1, [](Coord2 coord) {
     FixtureSpec spec;
     if (coord.x == 0) {
       spec.sends = {{kEastbound, false}};
@@ -344,8 +347,9 @@ constexpr Color kWestbound{1};
 /// arrival order while both neighbors send toward it — the routing plan
 /// does not pin which block lands first, so the f32 result is
 /// interleaving-dependent.
-[[nodiscard]] Report lint_order_sensitive_reduction() {
-  return lint_fixture(3, 1, [](Coord2 coord) {
+[[nodiscard]] Report lint_order_sensitive_reduction(
+    const FixtureVisitor& visit) {
+  return lint_fixture(visit, 3, 1, [](Coord2 coord) {
     FixtureSpec spec;
     if (coord.x == 0) {
       spec.sends = {{kColor, false}};

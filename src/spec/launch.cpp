@@ -19,6 +19,9 @@ u64 shape_key(const CompiledSpec& compiled, Coord2 extents, i32 nz,
   mix(static_cast<u64>(extents.y));
   mix(static_cast<u64>(nz));
   mix(options.pe_memory_budget);
+  // The buffer-bound verdict compares against the router depth: a pass at
+  // depth 64 says nothing about depth 1.
+  mix(options.execution.router_buffer_depth);
   mix(reliability_enabled ? 1u : 0u);
   return h;
 }

@@ -9,6 +9,7 @@
 //   FVF_UPDATE_GOLDEN=1 ./build/tests/lint_test
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
@@ -17,15 +18,21 @@
 #include <vector>
 
 #include "common/assert.hpp"
+#include "common/thread_pool.hpp"
 #include "core/cg_program.hpp"
 #include "core/launcher.hpp"
 #include "core/linear_stencil.hpp"
+#include "core/tpfa_program.hpp"
 #include "core/transport_program.hpp"
 #include "core/wave_program.hpp"
 #include "dataflow/fabric_harness.hpp"
 #include "lint/defects.hpp"
 #include "lint/lint.hpp"
+#include "lint/routing_index.hpp"
 #include "physics/problem.hpp"
+#include "spec/compile.hpp"
+#include "spec/heat.hpp"
+#include "spec/program.hpp"
 #include "tools/fvf_lint_cli.hpp"
 #include "wse/program.hpp"
 #include "wse/route.hpp"
@@ -255,6 +262,220 @@ TEST(LintShippedProgramsTest, WaveLintsClean) {
       core::load_dataflow_wave(stencil, pulse, core::DataflowWaveOptions{});
   const Report report = load.harness->lint_report();
   EXPECT_TRUE(report.clean()) << report.describe();
+}
+
+// --- the routing index -------------------------------------------------------
+
+/// Every (PE, color, input) word of the routing index must agree with a
+/// direct walk of the router's switch positions: the accepts, parkable and
+/// configured bits, and the distinct outputs in first-occurrence order.
+void expect_index_matches(const wse::Fabric& fabric, const std::string& what) {
+  ThreadPool pool(1);
+  const detail::RoutingIndex index(fabric, pool);
+  for (u8 c = 0; c < wse::Color::kMaxColors; ++c) {
+    const wse::Color color{c};
+    const detail::ColorRoutes routes = index.routes(color);
+    bool anywhere = false;
+    for (i32 y = 0; y < fabric.height(); ++y) {
+      for (i32 x = 0; x < fabric.width(); ++x) {
+        const wse::ColorConfig& config = fabric.router(x, y).config(color);
+        anywhere = anywhere || config.configured();
+        for (usize in = 0; in < wse::kLinkCount; ++in) {
+          const auto input = static_cast<wse::Dir>(in);
+          usize accepting = 0;
+          std::vector<wse::Dir> outputs;
+          for (const wse::SwitchPosition& pos : config.positions()) {
+            if (const wse::RouteRule* rule = pos.find(input)) {
+              ++accepting;
+              for (const wse::Dir out : rule->outputs) {
+                if (std::find(outputs.begin(), outputs.end(), out) ==
+                    outputs.end()) {
+                  outputs.push_back(out);
+                }
+              }
+            }
+          }
+          const usize positions = config.position_count();
+          const u32 word = routes[index.node(Coord2{x, y}, input)];
+          std::vector<wse::Dir> indexed;
+          detail::each_output(word,
+                              [&](wse::Dir out) { indexed.push_back(out); });
+          const bool matches =
+              detail::accepts(word) == (accepting > 0) &&
+              detail::parkable(word) ==
+                  (positions > 1 && accepting > 0 && accepting < positions) &&
+              detail::configured(word) == config.configured() &&
+              indexed == outputs;
+          ASSERT_TRUE(matches)
+              << what << ": color " << static_cast<int>(c) << " PE(" << x
+              << ',' << y << ") input " << wse::dir_name(input);
+        }
+      }
+    }
+    EXPECT_EQ(routes.configured_anywhere(), anywhere)
+        << what << ": color " << static_cast<int>(c);
+  }
+}
+
+TEST(LintIndexTest, WordsMatchADirectWalkOfTheSwitchPositions) {
+  const physics::FlowProblem problem = small_problem();
+  const Extents3 ext = problem.extents();
+  const core::LinearStencil stencil =
+      core::build_linear_stencil(problem, 86400.0);
+  Array3<f32> ones(ext);
+  ones.fill(1.0f);
+  Array3<f32> zeros(ext);
+  zeros.fill(0.0f);
+  {
+    const core::TpfaLoad load =
+        core::load_dataflow_tpfa(problem, core::DataflowOptions{});
+    expect_index_matches(load.harness->fabric(), "tpfa");
+  }
+  // IMPES launches the cg and transport programs below on its fabric.
+  for (const bool reliability : {false, true}) {
+    const std::string suffix = reliability ? " with reliability" : "";
+    core::DataflowCgOptions cg;
+    cg.reliability.enabled = reliability;
+    const core::CgLoad cg_load = core::load_dataflow_cg(stencil, ones, cg);
+    expect_index_matches(cg_load.harness->fabric(), "cg" + suffix);
+
+    core::DataflowTransportOptions transport;
+    transport.kernel.window_seconds = 60.0;
+    transport.kernel.pore_volume = 1.0f;
+    transport.reliability.enabled = reliability;
+    const core::TransportLoad transport_load = core::load_dataflow_transport(
+        problem, zeros, problem.initial_pressure(), zeros, transport);
+    expect_index_matches(transport_load.harness->fabric(),
+                         "transport" + suffix);
+
+    core::DataflowWaveOptions wave;
+    wave.reliability.enabled = reliability;
+    const core::WaveLoad wave_load = core::load_dataflow_wave(
+        stencil, core::gaussian_pulse(ext, 1.0, 2.0), wave);
+    expect_index_matches(wave_load.harness->fabric(), "wave" + suffix);
+
+    spec::DataflowHeatOptions heat;
+    heat.reliability.enabled = reliability;
+    const Array3<f32> field = spec::heat_initial_field(ext, 7);
+    const spec::HeatLoad heat_load = spec::load_dataflow_heat(field, heat);
+    expect_index_matches(heat_load.harness->fabric(), "heat" + suffix);
+  }
+  for (const Defect& defect : defect_corpus()) {
+    (void)defect.load([&](const wse::Fabric& fabric, const Options&) {
+      expect_index_matches(fabric, std::string(defect.name));
+      return Report{};
+    });
+  }
+}
+
+/// Everything a tool reads off a report: the rendered text plus the typed
+/// fields fvf_lint --json prints.
+std::string rendered(const Report& report) {
+  std::ostringstream os;
+  os << report.describe();
+  for (const Diagnostic& d : report.diagnostics) {
+    os << check_name(d.check) << ' ' << static_cast<int>(d.severity) << ' '
+       << d.pe.x << ',' << d.pe.y << ' '
+       << (d.color.has_value() ? static_cast<int>(d.color->id()) : -1) << ' '
+       << (d.bound.has_value() ? std::to_string(*d.bound) : "-") << '\n';
+  }
+  return os.str();
+}
+
+TEST(LintParallelTest, ReportIsIdenticalForEveryThreadCount) {
+  // 64 x 64 PEs reaches kParallelMinPes, so threads > 1 lint in parallel.
+  constexpr i32 kSide = 64;
+  static_assert(i64{kSide} * kSide >= kParallelMinPes);
+  physics::ProblemSpec problem_spec;
+  problem_spec.extents = Extents3{kSide, kSide, 2};
+  problem_spec.spacing = mesh::Spacing3{25.0, 25.0, 4.0};
+  problem_spec.geomodel = physics::GeomodelKind::Lognormal;
+  problem_spec.seed = 7;
+  const physics::FlowProblem problem(problem_spec);
+  const core::LinearStencil stencil =
+      core::build_linear_stencil(problem, 86400.0);
+  Array3<f32> ones(problem.extents());
+  ones.fill(1.0f);
+  const wse::ProgramFactory tpfa_probe =
+      [&problem](Coord2 coord,
+                 Coord2 size) -> std::unique_ptr<wse::PeProgram> {
+    return std::make_unique<core::TpfaPeProgram>(
+        coord, size, problem.extents(), core::TpfaKernelOptions{},
+        problem.fluid(), core::extract_column(problem, coord.x, coord.y));
+  };
+
+  // The unhandled-delivery corpus spec, at wafer-like scale: one finding
+  // per PE with a West neighbour.
+  spec::StencilSpec broken;
+  broken.name = "unhandled-delivery at scale";
+  broken.exchange = spec::ExchangeKind::SwitchProtocol;
+  broken.shape = spec::StencilShape::FivePoint;
+  broken.block_words_per_cell = 2;
+  broken.rounds = 1;
+  broken.fields = {
+      {"cardinal recv buffers", spec::FieldRole::CardinalRecv, 8, 0},
+      {"diagonal recv buffers", spec::FieldRole::DiagonalRecv, 8, 0},
+  };
+  broken.defects.drop_east_data_handler = true;
+  const spec::CompiledSpec compiled = spec::compile(std::move(broken));
+  const wse::ProgramFactory defective =
+      [&compiled](Coord2 coord,
+                  Coord2 size) -> std::unique_ptr<wse::PeProgram> {
+    return std::make_unique<spec::SpecPeProgram>(
+        coord, size, 1, compiled, spec::SpecPeProgram::LaunchBindings{},
+        nullptr);
+  };
+
+  std::vector<std::string> tpfa;
+  std::vector<std::string> tight;
+  std::vector<std::string> cg;
+  std::vector<std::string> unhandled;
+  for (const i32 threads : {1, 2, 4}) {
+    core::DataflowOptions tpfa_options;
+    tpfa_options.execution.threads = threads;
+    const core::TpfaLoad tpfa_load =
+        core::load_dataflow_tpfa(problem, tpfa_options);
+    const Report clean = tpfa_load.harness->lint_report();
+    EXPECT_TRUE(clean.clean()) << clean.describe();
+    tpfa.push_back(rendered(clean));
+
+    // The same fabric against a 1-block router buffer and a 1 KiB budget:
+    // a buffer-overflow finding, then one memory finding per PE, merged
+    // in raster order.
+    Options tight_options;
+    tight_options.router_buffer_depth = 1;
+    tight_options.memory_budget = 1024;
+    tight_options.probe_factory = tpfa_probe;
+    const Report tight_report =
+        run(tpfa_load.harness->fabric(), tight_options);
+    EXPECT_EQ(tight_report.error_count(), 1u + kSide * kSide);
+    tight.push_back(rendered(tight_report));
+
+    core::DataflowCgOptions cg_options;
+    cg_options.execution.threads = threads;
+    const core::CgLoad cg_load =
+        core::load_dataflow_cg(stencil, ones, cg_options);
+    const Report cg_report = cg_load.harness->lint_report();
+    EXPECT_TRUE(cg_report.clean()) << cg_report.describe();
+    cg.push_back(rendered(cg_report));
+
+    wse::ExecutionOptions exec;
+    exec.threads = threads;
+    wse::Fabric fabric(kSide, kSide, {}, wse::PeMemory::kDefaultBudget, exec);
+    fabric.load(defective);
+    Options options;
+    options.probe_factory = defective;
+    const Report report = run(fabric, options);
+    ASSERT_GT(report.error_count(), 1u);
+    EXPECT_EQ(report.diagnostics.front().check, Check::UnhandledDelivery);
+    unhandled.push_back(rendered(report));
+  }
+  for (usize i = 1; i < tpfa.size(); ++i) {
+    EXPECT_EQ(tpfa[i], tpfa[0]);
+    EXPECT_EQ(tight[i], tight[0]);
+    EXPECT_EQ(cg[i], cg[0]);
+    EXPECT_EQ(unhandled[i], unhandled[0]);
+  }
 }
 
 // --- the fvf_lint CLI, in-process -------------------------------------------

@@ -7,6 +7,7 @@
 // deadline expiry points, and shed victims are exact — no sleeps, no
 // racing.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -160,8 +161,13 @@ TEST(ServeDeadlineTest, CancelsImpesCleanlyBetweenWindows) {
 class ServeCheckpointTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // One directory per test and process: ctest runs the tests of this
+    // fixture concurrently, and a shared directory let one test's
+    // remove_all delete the other's checkpoints mid-run.
+    const std::string test =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
     dir_ = std::filesystem::temp_directory_path() /
-           "fluxwse_serve_ckpt_test";
+           ("fluxwse_serve_ckpt_" + test + "_" + std::to_string(::getpid()));
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
   }

@@ -226,6 +226,25 @@ TEST(SpecLintGateTest, DefectiveCompiledProgramFailsStrictLoad) {
                ContractViolation);
 }
 
+TEST(SpecLintGateTest, MemoizedPassDoesNotCoverAShallowerRouterBuffer) {
+  // The buffer-bound verdict depends on the router depth, so a clean
+  // strict pass at the default depth must not let a depth-1 load of the
+  // same shape skip lint: that load would drop blocks mid-run.
+  const physics::FlowProblem problem =
+      physics::make_benchmark_problem(Extents3{8, 8, 4}, 7);
+  EXPECT_NO_THROW((void)core::load_dataflow_tpfa(problem, {}));
+  core::DataflowOptions shallow;
+  shallow.execution.router_buffer_depth = 1;
+  try {
+    (void)core::load_dataflow_tpfa(problem, shallow);
+    FAIL() << "a depth-1 load must be linted, and rejected, at load time";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("[buffer-overflow-possible]"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // --- serve executor: bounded LRU caches --------------------------------------
 
 TEST(ServeCacheTest, EvictsLeastRecentlyUsedDeterministically) {
