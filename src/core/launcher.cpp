@@ -18,56 +18,46 @@ PeColumnData extract_column(const physics::FlowProblem& problem, i32 x,
   const mesh::CartesianMesh& m = problem.mesh();
   const Array3<f32>& p0 = problem.initial_pressure();
   const mesh::TransmissibilityField& trans = problem.transmissibility();
-  const usize n = static_cast<usize>(ext.nz);
 
-  PeColumnData data;
-  data.pressure.resize(n);
-  data.elevation.resize(n);
+  PeColumnData data(ext.nz);
+  const std::span<f32> pressure = data.column(PeColumnData::kPressure);
+  const std::span<f32> elevation = data.column(PeColumnData::kElevation);
   for (i32 z = 0; z < ext.nz; ++z) {
-    data.pressure[static_cast<usize>(z)] = p0(x, y, z);
-    data.elevation[static_cast<usize>(z)] =
-        static_cast<f32>(m.elevation(x, y, z));
+    pressure[static_cast<usize>(z)] = p0(x, y, z);
+    elevation[static_cast<usize>(z)] = static_cast<f32>(m.elevation(x, y, z));
   }
 
   for (const mesh::Face f : mesh::kAllFaces) {
-    auto& col = data.trans[static_cast<usize>(f)];
-    col.resize(n);
+    const std::span<f32> col =
+        data.column(PeColumnData::kTrans + static_cast<usize>(f));
     for (i32 z = 0; z < ext.nz; ++z) {
       col[static_cast<usize>(z)] = trans.at(x, y, z, f);
     }
   }
 
-  // Static neighbor geometry (elevation columns), exchanged once at setup.
-  const auto fill_neighbor_elevation = [&](std::vector<f32>& out, i32 nx_,
-                                           i32 ny_) {
-    out.resize(n);
+  // Static neighbor geometry (elevation columns), exchanged once at setup;
+  // columns of missing neighbors stay zero.
+  const auto fill_neighbor_elevation = [&](usize column, mesh::Face face) {
+    const Coord3 off = mesh::face_offset(face);
+    const i32 nx_ = x + off.x;
+    const i32 ny_ = y + off.y;
+    if (nx_ < 0 || nx_ >= ext.nx || ny_ < 0 || ny_ >= ext.ny) {
+      return;
+    }
+    const std::span<f32> out = data.column(column);
     for (i32 z = 0; z < ext.nz; ++z) {
       out[static_cast<usize>(z)] = static_cast<f32>(m.elevation(nx_, ny_, z));
     }
   };
   for (const wse::Color c : kCardinalColors) {
-    const mesh::Face face = cardinal_face(c);
-    const Coord3 off = mesh::face_offset(face);
-    const i32 nx_ = x + off.x;
-    const i32 ny_ = y + off.y;
-    if (nx_ >= 0 && nx_ < ext.nx && ny_ >= 0 && ny_ < ext.ny) {
-      fill_neighbor_elevation(data.elevation_cardinal[cardinal_index(c)], nx_,
-                              ny_);
-    } else {
-      data.elevation_cardinal[cardinal_index(c)].assign(n, 0.0f);
-    }
+    fill_neighbor_elevation(
+        PeColumnData::kElevationCardinal + cardinal_index(c),
+        cardinal_face(c));
   }
   for (const wse::Color c : kDiagonalColors) {
-    const mesh::Face face = diagonal_face(c);
-    const Coord3 off = mesh::face_offset(face);
-    const i32 nx_ = x + off.x;
-    const i32 ny_ = y + off.y;
-    if (nx_ >= 0 && nx_ < ext.nx && ny_ >= 0 && ny_ < ext.ny) {
-      fill_neighbor_elevation(data.elevation_diagonal[diagonal_index(c)], nx_,
-                              ny_);
-    } else {
-      data.elevation_diagonal[diagonal_index(c)].assign(n, 0.0f);
-    }
+    fill_neighbor_elevation(
+        PeColumnData::kElevationDiagonal + diagonal_index(c),
+        diagonal_face(c));
   }
   return data;
 }
@@ -84,24 +74,27 @@ TpfaLoad load_dataflow_tpfa(const physics::FlowProblem& problem,
   // Compile the declarative spec and verify the lowered program: every
   // compiled launch passes strict lint before the fabric runs (memoized
   // per program shape, so replayed scenarios only pay it once).
-  const spec::CompiledSpec compiled = spec::compile(make_tpfa_spec(kernel));
+  // One compile per launch, shared by every PE's program.
+  const auto compiled = std::make_shared<const spec::CompiledSpec>(
+      spec::compile(make_tpfa_spec(kernel)));
   const Coord2 extents{ext.nx, ext.ny};
   const HarnessOptions effective = spec::verified_options(
-      compiled, extents, ext.nz, options, /*reliability_enabled=*/false);
+      *compiled, extents, ext.nz, options, /*reliability_enabled=*/false);
 
   TpfaLoad load;
   load.harness = std::make_unique<FabricHarness>(extents, effective);
-  compiled.claim_colors(load.harness->colors(), /*reliability=*/false);
+  compiled->claim_colors(load.harness->colors(), /*reliability=*/false);
 
   // Everything local is captured by value: the probe factory the harness
   // keeps must stay valid after this function returns.
   load.grid = load.harness->load<TpfaPeProgram>(
-      [&problem, ext, kernel, fluid](Coord2 coord, Coord2 fabric_size) {
+      [&problem, ext, kernel, fluid, compiled](Coord2 coord,
+                                               Coord2 fabric_size) {
         return std::make_unique<TpfaPeProgram>(
             coord, fabric_size, ext, kernel, fluid,
-            extract_column(problem, coord.x, coord.y));
+            extract_column(problem, coord.x, coord.y), compiled);
       });
-  spec::record_verified(compiled, extents, ext.nz, effective,
+  spec::record_verified(*compiled, extents, ext.nz, effective,
                         /*reliability_enabled=*/false);
   return load;
 }

@@ -23,6 +23,9 @@ using wse::PeApi;
 /// completion) lives in the spec engine; this kernel computes fluxes on
 /// the blocks the engine hands it, in the exact DSD-op order of the
 /// original hand-written program (Table 4 derives from these calls).
+///
+/// All of the kernel's columns live in one buffer: the extracted
+/// PeColumnData columns first, then the working columns below.
 class TpfaKernel final : public spec::StencilKernel {
  public:
   TpfaKernel(Coord2 coord, Extents3 mesh_extents, TpfaKernelOptions options,
@@ -32,46 +35,35 @@ class TpfaKernel final : public spec::StencilKernel {
         options_(options),
         fluid_(fluid),
         nz_(mesh_extents.nz) {
-    FVF_REQUIRE(static_cast<i32>(data.pressure.size()) == nz_);
-    FVF_REQUIRE(static_cast<i32>(data.elevation.size()) == nz_);
+    FVF_REQUIRE(data.nz() == nz_);
 
     const physics::KernelConstants constants =
         physics::make_kernel_constants(fluid_);
     gravity_f32_ = 2.0f * constants.half_g;
     inv_mu_f32_ = constants.inv_mu;
 
-    p_ = std::move(data.pressure);
-    z_self_ = std::move(data.elevation);
-    rho_.assign(static_cast<usize>(nz_), 0.0f);
-    r_.assign(static_cast<usize>(nz_), 0.0f);
-    z_cardinal_ = std::move(data.elevation_cardinal);
-    z_diagonal_ = std::move(data.elevation_diagonal);
-    trans_ = std::move(data.trans);
-    for (const auto& t : trans_) {
-      FVF_REQUIRE(static_cast<i32>(t.size()) == nz_);
-    }
-
     const usize scratch_count = options_.reuse_buffers ? 4 : 13;
-    scratch_.resize(scratch_count);
-    for (auto& s : scratch_) {
-      s.assign(static_cast<usize>(nz_), 0.0f);
-    }
-    zflux_.assign(static_cast<usize>(nz_), 0.0f);
+    columns_ = std::move(data).release();
+    columns_.resize((kScratch + scratch_count) * static_cast<usize>(nz_),
+                    0.0f);
 
     // Face -> neighbor-elevation column lookup (static geometry).
-    z_nb_of_face_.fill(nullptr);
     for (const wse::Color c : kCardinalColors) {
       z_nb_of_face_[static_cast<usize>(cardinal_face(c))] =
-          &z_cardinal_[cardinal_index(c)];
+          static_cast<u8>(PeColumnData::kElevationCardinal + cardinal_index(c));
     }
     for (const wse::Color c : kDiagonalColors) {
       z_nb_of_face_[static_cast<usize>(diagonal_face(c))] =
-          &z_diagonal_[diagonal_index(c)];
+          static_cast<u8>(PeColumnData::kElevationDiagonal + diagonal_index(c));
     }
   }
 
-  [[nodiscard]] std::span<const f32> residual() const noexcept { return r_; }
-  [[nodiscard]] std::span<const f32> pressure() const noexcept { return p_; }
+  [[nodiscard]] std::span<const f32> residual() const noexcept {
+    return column(kResidual);
+  }
+  [[nodiscard]] std::span<const f32> pressure() const noexcept {
+    return column(PeColumnData::kPressure);
+  }
 
   void local_compute(PeApi& api, i32 round) override {
     if (!options_.compute_enabled) {
@@ -79,6 +71,8 @@ class TpfaKernel final : public spec::StencilKernel {
     }
     api.set_phase(obs::Phase::LocalCompute);
     const usize n = static_cast<usize>(nz_);
+    const std::span<f32> p = column(PeColumnData::kPressure);
+    const std::span<f32> rho = column(kDensity);
 
     // Pressure advance between applications of Algorithm 1 (matches
     // mesh::advance_pressure on the global array element-for-element).
@@ -86,7 +80,7 @@ class TpfaKernel final : public spec::StencilKernel {
       for (usize z = 0; z < n; ++z) {
         const i64 linear =
             mesh_extents_.linear(coord_.x, coord_.y, static_cast<i32>(z));
-        p_[z] += mesh::pressure_bump(linear, round - 1);
+        p[z] += mesh::pressure_bump(linear, round - 1);
       }
       api.transcendental_ops(n);
       api.scalar_ops(2 * n);
@@ -95,16 +89,16 @@ class TpfaKernel final : public spec::StencilKernel {
     // EOS pass (Eq. 5). Accounted outside the Table 4 instruction
     // classes, as in the paper.
     for (usize z = 0; z < n; ++z) {
-      rho_[z] = fluid_.density_f32(p_[z]);
+      rho[z] = fluid_.density_f32(p[z]);
     }
     api.transcendental_ops(n);
     api.scalar_ops(3 * n);
 
-    api.zeros(Dsd::of(r_));
+    api.zeros(dsd(kResidual));
   }
 
   [[nodiscard]] SendHalves send_halves() const override {
-    return {p_, rho_};
+    return {column(PeColumnData::kPressure), column(kDensity)};
   }
 
   void process_block(PeApi& api, mesh::Face face, Dsd block) override {
@@ -118,9 +112,10 @@ class TpfaKernel final : public spec::StencilKernel {
     const Dsd rho_nb = block.window(nz_, nz_);
     api.set_phase(obs::Phase::LocalCompute);
     compute_face_flux(api, p_nb, rho_nb,
-                      Dsd::of(*z_nb_of_face_[static_cast<usize>(face)]),
-                      Dsd::of(trans_[static_cast<usize>(face)]), Dsd::of(p_),
-                      Dsd::of(rho_), Dsd::of(z_self_), p_nb);
+                      dsd(z_nb_of_face_[static_cast<usize>(face)]),
+                      dsd(PeColumnData::kTrans + static_cast<usize>(face)),
+                      dsd(PeColumnData::kPressure), dsd(kDensity),
+                      dsd(PeColumnData::kElevation), p_nb);
   }
 
   void finalize_round(PeApi& api, const FaceBlocks& blocks) override {
@@ -132,18 +127,18 @@ class TpfaKernel final : public spec::StencilKernel {
     // the serial reference's inner loop does, so the residual is
     // bit-identical. Vertical faces are computed here (they are local and
     // cheap); all communicated faces were computed on arrival.
-    const Dsd r = Dsd::of(r_);
+    const Dsd r = dsd(kResidual);
     const i32 m = nz_ - 1;
     for (const mesh::Face face : mesh::kAllFaces) {
       if (mesh::is_vertical(face)) {
         if (nz_ <= 1) {
           continue;
         }
-        const Dsd p = Dsd::of(p_);
-        const Dsd rho = Dsd::of(rho_);
-        const Dsd z = Dsd::of(z_self_);
-        const Dsd t = Dsd::of(trans_[static_cast<usize>(face)]);
-        const Dsd flux = Dsd::of(zflux_).window(0, m);
+        const Dsd p = dsd(PeColumnData::kPressure);
+        const Dsd rho = dsd(kDensity);
+        const Dsd z = dsd(PeColumnData::kElevation);
+        const Dsd t = dsd(PeColumnData::kTrans + static_cast<usize>(face));
+        const Dsd flux = dsd(kVerticalFlux).window(0, m);
         if (face == mesh::Face::ZMinus) {
           // Cells 1..nz-1, neighbor below.
           compute_face_flux(api, p.window(0, m), rho.window(0, m),
@@ -167,8 +162,24 @@ class TpfaKernel final : public spec::StencilKernel {
   }
 
  private:
+  // Working columns, after the PeColumnData::kColumns extracted ones.
+  static constexpr usize kDensity = PeColumnData::kColumns;
+  static constexpr usize kResidual = kDensity + 1;
+  static constexpr usize kVerticalFlux = kResidual + 1;
+  static constexpr usize kScratch = kVerticalFlux + 1;
+
+  [[nodiscard]] std::span<f32> column(usize index) noexcept {
+    const auto n = static_cast<usize>(nz_);
+    return std::span<f32>(columns_).subspan(index * n, n);
+  }
+  [[nodiscard]] std::span<const f32> column(usize index) const noexcept {
+    const auto n = static_cast<usize>(nz_);
+    return std::span<const f32>(columns_).subspan(index * n, n);
+  }
+  [[nodiscard]] Dsd dsd(usize index) noexcept { return Dsd::of(column(index)); }
+
   [[nodiscard]] Dsd scratch(usize slot, i32 length) noexcept {
-    return Dsd::of(scratch_[slot]).window(0, length);
+    return dsd(kScratch + slot).window(0, length);
   }
 
   /// The TPFA face kernel over a column window: computes the flux column
@@ -232,17 +243,9 @@ class TpfaKernel final : public spec::StencilKernel {
   f32 inv_mu_f32_ = 0.0f;
   i32 nz_ = 0;
 
-  std::vector<f32> p_;
-  std::vector<f32> rho_;
-  std::vector<f32> r_;
-  std::vector<f32> z_self_;
-  std::array<std::vector<f32>, 4> z_cardinal_;
-  std::array<std::vector<f32>, 4> z_diagonal_;
-  std::array<std::vector<f32>, mesh::kFaceCount> trans_;
+  std::vector<f32> columns_;
   /// Face -> neighbor elevation column (static geometry lookup).
-  std::array<std::vector<f32>*, mesh::kFaceCount> z_nb_of_face_{};
-  std::vector<std::vector<f32>> scratch_;
-  std::vector<f32> zflux_;  ///< vertical-face flux column
+  std::array<u8, mesh::kFaceCount> z_nb_of_face_{};
 };
 
 spec::StencilSpec make_tpfa_spec(const TpfaKernelOptions& options) {
@@ -275,14 +278,57 @@ spec::StencilSpec make_tpfa_spec(const TpfaKernelOptions& options) {
   return s;
 }
 
+PeColumnData::PeColumnData(i32 nz)
+    : nz_(nz), columns_(kColumns * static_cast<usize>(nz), 0.0f) {
+  FVF_REQUIRE(nz >= 1);
+}
+
+std::span<f32> PeColumnData::column(usize index) noexcept {
+  const auto n = static_cast<usize>(nz_);
+  return std::span<f32>(columns_).subspan(index * n, n);
+}
+
+std::span<const f32> PeColumnData::column(usize index) const noexcept {
+  const auto n = static_cast<usize>(nz_);
+  return std::span<const f32>(columns_).subspan(index * n, n);
+}
+
+namespace {
+
+/// The compiled TPFA spec for `options`, reusing this thread's last
+/// compile when the options match.
+std::shared_ptr<const spec::CompiledSpec> tpfa_spec_for(
+    const TpfaKernelOptions& options) {
+  thread_local TpfaKernelOptions last;
+  thread_local std::shared_ptr<const spec::CompiledSpec> compiled;
+  if (compiled == nullptr || options.iterations != last.iterations ||
+      options.compute_enabled != last.compute_enabled ||
+      options.reuse_buffers != last.reuse_buffers ||
+      options.diagonals_enabled != last.diagonals_enabled) {
+    compiled = std::make_shared<const spec::CompiledSpec>(
+        spec::compile(make_tpfa_spec(options)));
+    last = options;
+  }
+  return compiled;
+}
+
+}  // namespace
+
 TpfaPeProgram::TpfaPeProgram(Coord2 coord, Coord2 fabric_size,
                              Extents3 mesh_extents, TpfaKernelOptions options,
-                             physics::FluidProperties fluid, PeColumnData data)
-    : SpecPeProgram(coord, fabric_size, mesh_extents.nz,
-                    spec::compile(make_tpfa_spec(options)), {},
+                             physics::FluidProperties fluid, PeColumnData data,
+                             std::shared_ptr<const spec::CompiledSpec> compiled)
+    : SpecPeProgram(coord, fabric_size, mesh_extents.nz, std::move(compiled),
+                    {},
                     std::make_unique<TpfaKernel>(coord, mesh_extents, options,
                                                  fluid, std::move(data))),
       physics_(static_cast<TpfaKernel*>(kernel())) {}
+
+TpfaPeProgram::TpfaPeProgram(Coord2 coord, Coord2 fabric_size,
+                             Extents3 mesh_extents, TpfaKernelOptions options,
+                             physics::FluidProperties fluid, PeColumnData data)
+    : TpfaPeProgram(coord, fabric_size, mesh_extents, options, fluid,
+                    std::move(data), tpfa_spec_for(options)) {}
 
 std::span<const f32> TpfaPeProgram::residual() const noexcept {
   return physics_->residual();

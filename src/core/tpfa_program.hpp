@@ -26,6 +26,8 @@
 #pragma once
 
 #include <array>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -51,17 +53,55 @@ struct TpfaKernelOptions {
   bool diagonals_enabled = true;
 };
 
-/// Host-side per-PE column data extracted from the global problem.
-struct PeColumnData {
-  std::vector<f32> pressure;        ///< initial p, length Nz
-  std::vector<f32> elevation;       ///< own cell-centre elevations, Nz
-  /// Neighbor elevation columns, static geometry loaded at setup.
-  /// Cardinal slots indexed by cardinal_index(color), diagonal slots by
-  /// diagonal_index(color); empty when the neighbor does not exist.
-  std::array<std::vector<f32>, 4> elevation_cardinal;
-  std::array<std::vector<f32>, 4> elevation_diagonal;
-  /// Per-face transmissibility columns (zero where no neighbor).
-  std::array<std::vector<f32>, mesh::kFaceCount> trans;
+/// Host-side per-PE column data extracted from the global problem: twenty
+/// Nz-length columns in one buffer, which the TPFA kernel adopts as the
+/// head of its own column storage.
+class PeColumnData {
+ public:
+  /// Column order in the buffer.
+  static constexpr usize kPressure = 0;   ///< initial p
+  static constexpr usize kElevation = 1;  ///< own cell-centre elevations
+  /// Neighbor elevation columns (static geometry loaded at setup), plus
+  /// cardinal_index(color) / diagonal_index(color); zero where the
+  /// neighbor does not exist.
+  static constexpr usize kElevationCardinal = 2;
+  static constexpr usize kElevationDiagonal = 6;
+  /// Per-face transmissibility columns, plus the face index (zero where
+  /// no neighbor).
+  static constexpr usize kTrans = 10;
+  static constexpr usize kColumns = kTrans + mesh::kFaceCount;
+
+  /// Zero-filled columns of depth `nz`.
+  explicit PeColumnData(i32 nz);
+
+  [[nodiscard]] i32 nz() const noexcept { return nz_; }
+  [[nodiscard]] std::span<f32> column(usize index) noexcept;
+  [[nodiscard]] std::span<const f32> column(usize index) const noexcept;
+
+  [[nodiscard]] std::span<const f32> pressure() const noexcept {
+    return column(kPressure);
+  }
+  [[nodiscard]] std::span<const f32> elevation() const noexcept {
+    return column(kElevation);
+  }
+  [[nodiscard]] std::span<const f32> elevation_cardinal(
+      usize index) const noexcept {
+    return column(kElevationCardinal + index);
+  }
+  [[nodiscard]] std::span<const f32> elevation_diagonal(
+      usize index) const noexcept {
+    return column(kElevationDiagonal + index);
+  }
+  [[nodiscard]] std::span<const f32> trans(mesh::Face face) const noexcept {
+    return column(kTrans + static_cast<usize>(face));
+  }
+
+  /// Hands the buffer over; the data is empty afterwards.
+  [[nodiscard]] std::vector<f32> release() && { return std::move(columns_); }
+
+ private:
+  i32 nz_;
+  std::vector<f32> columns_;
 };
 
 /// The declarative description of the TPFA program: the Figure 6
@@ -79,6 +119,15 @@ class TpfaKernel;
 /// constructor and accessors (tests and benches construct it directly).
 class TpfaPeProgram final : public spec::SpecPeProgram {
  public:
+  /// `compiled` must be spec::compile(make_tpfa_spec(options)); a launch
+  /// compiles it once and shares it with every PE.
+  TpfaPeProgram(Coord2 coord, Coord2 fabric_size, Extents3 mesh_extents,
+                TpfaKernelOptions options, physics::FluidProperties fluid,
+                PeColumnData data,
+                std::shared_ptr<const spec::CompiledSpec> compiled);
+  /// Compiles the spec itself, once per thread and options value (the
+  /// last compile is reused), so building one program per PE this way
+  /// does not compile per PE either.
   TpfaPeProgram(Coord2 coord, Coord2 fabric_size, Extents3 mesh_extents,
                 TpfaKernelOptions options, physics::FluidProperties fluid,
                 PeColumnData data);

@@ -219,13 +219,14 @@ spec::StencilSpec make_transport_spec(const TransportKernelOptions&) {
   return s;
 }
 
-TransportPeProgram::TransportPeProgram(Coord2 coord, Coord2 fabric_size,
-                                       i32 nz, TransportKernelOptions options,
+TransportPeProgram::TransportPeProgram(
+    Coord2 coord, Coord2 fabric_size, i32 nz,
+    std::shared_ptr<const spec::CompiledSpec> compiled,
+    TransportKernelOptions options,
                                        wse::AllReduceColors reduce_colors,
                                        PeTransportData data,
                                        HaloReliabilityOptions reliability)
-    : SpecPeProgram(coord, fabric_size, nz,
-                    spec::compile(make_transport_spec(options)),
+    : SpecPeProgram(coord, fabric_size, nz, std::move(compiled),
                     spec::SpecPeProgram::LaunchBindings{reduce_colors,
                                                         reliability},
                     std::make_unique<TransportKernel>(nz, options,
@@ -264,16 +265,16 @@ TransportLoad load_dataflow_transport(const physics::FlowProblem& problem,
   // Compile the declarative spec and verify the lowered program: every
   // compiled launch passes strict lint before the fabric runs (memoized
   // per program shape, so replayed scenarios only pay it once).
-  const spec::CompiledSpec compiled =
-      spec::compile(make_transport_spec(options.kernel));
+  const auto compiled = std::make_shared<const spec::CompiledSpec>(
+      spec::compile(make_transport_spec(options.kernel)));
   const Coord2 extents{ext.nx, ext.ny};
   const HarnessOptions effective = spec::verified_options(
-      compiled, extents, ext.nz, options, reliability.enabled);
+      *compiled, extents, ext.nz, options, reliability.enabled);
 
   TransportLoad load;
   load.harness = std::make_unique<FabricHarness>(extents, effective);
   const spec::CompiledSpec::Claims claims =
-      compiled.claim_colors(load.harness->colors(), reliability.enabled);
+      compiled->claim_colors(load.harness->colors(), reliability.enabled);
   FVF_REQUIRE(claims.reduce.has_value());
   const wse::AllReduceColors reduce_colors = *claims.reduce;
 
@@ -282,14 +283,23 @@ TransportLoad load_dataflow_transport(const physics::FlowProblem& problem,
   const TransportKernelOptions kernel = options.kernel;
   load.grid = load.harness->load<TransportPeProgram>(
       [&problem, &saturation, &pressure, &well_rate, ext, kernel,
-       reduce_colors, reliability](Coord2 coord, Coord2 fabric_size) {
+       reduce_colors, reliability, compiled](Coord2 coord,
+                                             Coord2 fabric_size) {
         // Geometry via the shared column extractor, dynamic fields by hand.
-        PeColumnData geometry = extract_column(problem, coord.x, coord.y);
+        const PeColumnData geometry =
+            extract_column(problem, coord.x, coord.y);
+        const auto copy = [](std::span<const f32> column) {
+          return std::vector<f32>(column.begin(), column.end());
+        };
         PeTransportData data;
-        data.elevation = std::move(geometry.elevation);
-        data.elevation_cardinal = std::move(geometry.elevation_cardinal);
-        data.elevation_diagonal = std::move(geometry.elevation_diagonal);
-        data.trans = std::move(geometry.trans);
+        data.elevation = copy(geometry.elevation());
+        for (usize i = 0; i < 4; ++i) {
+          data.elevation_cardinal[i] = copy(geometry.elevation_cardinal(i));
+          data.elevation_diagonal[i] = copy(geometry.elevation_diagonal(i));
+        }
+        for (const mesh::Face face : mesh::kAllFaces) {
+          data.trans[static_cast<usize>(face)] = copy(geometry.trans(face));
+        }
         const usize n = static_cast<usize>(ext.nz);
         data.saturation.resize(n);
         data.pressure.resize(n);
@@ -302,10 +312,10 @@ TransportLoad load_dataflow_transport(const physics::FlowProblem& problem,
               well_rate(coord.x, coord.y, z);
         }
         return std::make_unique<TransportPeProgram>(
-            coord, fabric_size, ext.nz, kernel, reduce_colors,
+            coord, fabric_size, ext.nz, compiled, kernel, reduce_colors,
             std::move(data), reliability);
       });
-  spec::record_verified(compiled, extents, ext.nz, effective,
+  spec::record_verified(*compiled, extents, ext.nz, effective,
                         reliability.enabled);
   return load;
 }

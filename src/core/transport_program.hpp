@@ -115,7 +115,10 @@ class TransportKernel;
 /// compiled-spec engine keeping the historical constructor and accessors.
 class TransportPeProgram final : public spec::SpecPeProgram {
  public:
+  /// `compiled` must be spec::compile(make_transport_spec(options)),
+  /// shared by every PE of the launch.
   TransportPeProgram(Coord2 coord, Coord2 fabric_size, i32 nz,
+                     std::shared_ptr<const spec::CompiledSpec> compiled,
                      TransportKernelOptions options,
                      wse::AllReduceColors reduce_colors, PeTransportData data,
                      dataflow::HaloReliabilityOptions reliability = {});

@@ -91,9 +91,10 @@ class FabricHarness {
   /// so the lint memory check (and lint_report()) can construct fresh
   /// program instances and measure their reserve_memory declarations.
   /// It must also be callable concurrently: on a fabric of at least
-  /// lint::kParallelMinPes PEs with ExecutionOptions::threads > 1, the
-  /// memory check probes PE rows on several threads at once. Every
-  /// shipped factory reads only const captures.
+  /// wse::kParallelMinPes PEs with ExecutionOptions::threads > 1, the
+  /// load itself builds PE rows on several threads at once, and so does
+  /// the lint memory check. Every shipped factory reads only const
+  /// captures.
   template <typename Program, typename MakeFn>
   ProgramGrid<Program> load(MakeFn&& make) {
     ProgramGrid<Program> grid;

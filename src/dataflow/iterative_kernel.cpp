@@ -1,18 +1,19 @@
 #include "dataflow/iterative_kernel.hpp"
 
-#include <utility>
-
 namespace fvf::dataflow {
 
 IterativeKernelProgram::IterativeKernelProgram(Coord2 coord,
                                               Coord2 fabric_size)
     : coord_(coord), fabric_size_(fabric_size) {}
 
+IterativeKernelProgram::~IterativeKernelProgram() = default;
+
 void IterativeKernelProgram::use_halo_exchange(
     i32 block_length, HaloReliabilityOptions reliability) {
-  FVF_REQUIRE_MSG(!exchange_.has_value(),
+  FVF_REQUIRE_MSG(exchange_ == nullptr,
                   "use_halo_exchange called twice on one program");
-  exchange_.emplace(coord_, fabric_size_, block_length, reliability);
+  exchange_ = std::make_unique<HaloExchange>(coord_, fabric_size_,
+                                             block_length, reliability);
   exchange_->set_handlers(
       [this](wse::PeApi& api, mesh::Face face, wse::Dsd block) {
         on_halo_block(api, face, block);
@@ -22,37 +23,33 @@ void IterativeKernelProgram::use_halo_exchange(
 
 void IterativeKernelProgram::use_allreduce(wse::AllReduceColors colors,
                                            i32 length, wse::ReduceOp op) {
-  FVF_REQUIRE_MSG(!allreduce_.has_value(),
+  FVF_REQUIRE_MSG(allreduce_ == nullptr,
                   "use_allreduce called twice on one program");
-  allreduce_.emplace(colors, coord_, fabric_size_, length, op);
+  allreduce_ = std::make_unique<wse::AllReduceSum>(colors, coord_,
+                                                   fabric_size_, length, op);
 }
 
-void IterativeKernelProgram::bind_data(wse::Color color, DataHandler handler,
-                                       obs::Phase phase) {
-  FVF_REQUIRE(handler != nullptr);
-  FVF_REQUIRE_MSG(data_handlers_[color.id()] == nullptr,
+void IterativeKernelProgram::bind_data(wse::Color color, obs::Phase phase) {
+  FVF_REQUIRE_MSG(!bound(bound_data_, color),
                   "data color " << static_cast<int>(color.id())
                                 << " bound twice");
-  data_handlers_[color.id()] = std::move(handler);
-  color_phase_[color.id()] = phase;
+  bound_data_ |= 1u << color.id();
+  data_phase_[color.id()] = phase;
 }
 
-void IterativeKernelProgram::bind_control(wse::Color color,
-                                          ControlHandler handler,
-                                          obs::Phase phase) {
-  FVF_REQUIRE(handler != nullptr);
-  FVF_REQUIRE_MSG(control_handlers_[color.id()] == nullptr,
+void IterativeKernelProgram::bind_control(wse::Color color, obs::Phase phase) {
+  FVF_REQUIRE_MSG(!bound(bound_control_, color),
                   "control color " << static_cast<int>(color.id())
                                    << " bound twice");
-  control_handlers_[color.id()] = std::move(handler);
-  color_phase_[color.id()] = phase;
+  bound_control_ |= 1u << color.id();
+  control_phase_[color.id()] = phase;
 }
 
 void IterativeKernelProgram::configure_router(wse::Router& router) {
-  if (exchange_.has_value()) {
+  if (exchange_ != nullptr) {
     exchange_->configure_router(router);
   }
-  if (allreduce_.has_value()) {
+  if (allreduce_ != nullptr) {
     allreduce_->configure_router(router);
   }
   configure_routes(router);
@@ -66,15 +63,15 @@ void IterativeKernelProgram::on_start(wse::PeApi& api) {
 void IterativeKernelProgram::on_data(wse::PeApi& api, wse::Color color,
                                      wse::Dir from,
                                      std::span<const u32> data) {
-  if (data_handlers_[color.id()] != nullptr) {
-    data_handlers_[color.id()](api, color, from, data);
+  if (bound(bound_data_, color)) {
+    on_bound_data(api, color, from, data);
     return;
   }
-  if (allreduce_.has_value() && allreduce_->owns(color)) {
+  if (allreduce_ != nullptr && allreduce_->owns(color)) {
     allreduce_->on_data(api, color, from, data);
     return;
   }
-  if (exchange_.has_value()) {
+  if (exchange_ != nullptr) {
     if (is_nack_color(color)) {
       exchange_->on_nack(api, color, from, data);
       return;
@@ -97,12 +94,12 @@ void IterativeKernelProgram::on_data(wse::PeApi& api, wse::Color color,
 
 void IterativeKernelProgram::on_control(wse::PeApi& api, wse::Color color,
                                         wse::Dir from) {
-  FVF_REQUIRE_MSG(control_handlers_[color.id()] != nullptr,
+  FVF_REQUIRE_MSG(bound(bound_control_, color),
                   "PE(" << coord_.x << ',' << coord_.y
                         << ") received a control wavelet on color "
                         << static_cast<int>(color.id())
                         << " with no handler bound to it");
-  control_handlers_[color.id()](api, color, from);
+  on_bound_control(api, color, from);
 }
 
 obs::Phase IterativeKernelProgram::task_phase(wse::Color color, bool control,
@@ -111,15 +108,17 @@ obs::Phase IterativeKernelProgram::task_phase(wse::Color color, bool control,
     // Timers belong to the halo exchange's retransmit watchdog.
     return obs::Phase::Reliability;
   }
-  const bool bound = control ? control_handlers_[color.id()] != nullptr
-                             : data_handlers_[color.id()] != nullptr;
-  if (bound) {
-    return color_phase_[color.id()];
+  if (control) {
+    if (bound(bound_control_, color)) {
+      return control_phase_[color.id()];
+    }
+  } else if (bound(bound_data_, color)) {
+    return data_phase_[color.id()];
   }
-  if (allreduce_.has_value() && allreduce_->owns(color)) {
+  if (allreduce_ != nullptr && allreduce_->owns(color)) {
     return obs::Phase::AllReduce;
   }
-  if (exchange_.has_value()) {
+  if (exchange_ != nullptr) {
     if (is_nack_color(color)) {
       return obs::Phase::Reliability;
     }
@@ -133,15 +132,15 @@ obs::Phase IterativeKernelProgram::task_phase(wse::Color color, bool control,
 bool IterativeKernelProgram::handles_color(wse::Color color,
                                            bool control) const {
   if (control) {
-    return control_handlers_[color.id()] != nullptr;
+    return bound(bound_control_, color);
   }
-  if (data_handlers_[color.id()] != nullptr) {
+  if (bound(bound_data_, color)) {
     return true;
   }
-  if (allreduce_.has_value() && allreduce_->owns(color)) {
+  if (allreduce_ != nullptr && allreduce_->owns(color)) {
     return true;
   }
-  if (exchange_.has_value()) {
+  if (exchange_ != nullptr) {
     if (is_nack_color(color)) {
       return exchange_->reliability().enabled;
     }
@@ -155,12 +154,12 @@ bool IterativeKernelProgram::handles_color(wse::Color color,
 std::vector<wse::SendDeclaration> IterativeKernelProgram::send_declarations()
     const {
   std::vector<wse::SendDeclaration> sends = program_send_declarations();
-  if (exchange_.has_value()) {
+  if (exchange_ != nullptr) {
     const std::vector<wse::SendDeclaration> ex =
         exchange_->send_declarations();
     sends.insert(sends.end(), ex.begin(), ex.end());
   }
-  if (allreduce_.has_value()) {
+  if (allreduce_ != nullptr) {
     const std::vector<wse::SendDeclaration> ar =
         allreduce_->send_declarations();
     sends.insert(sends.end(), ar.begin(), ar.end());
@@ -176,16 +175,16 @@ IterativeKernelProgram::program_send_declarations() const {
 std::vector<wse::ChannelDependency>
 IterativeKernelProgram::channel_dependencies() const {
   std::vector<wse::ChannelDependency> deps = program_channel_dependencies();
-  if (exchange_.has_value()) {
+  if (exchange_ != nullptr) {
     const std::vector<wse::ChannelDependency> ex =
         exchange_->channel_dependencies();
     deps.insert(deps.end(), ex.begin(), ex.end());
   }
-  if (allreduce_.has_value()) {
+  if (allreduce_ != nullptr) {
     const std::vector<wse::ChannelDependency> ar =
         allreduce_->channel_dependencies();
     deps.insert(deps.end(), ar.begin(), ar.end());
-    if (exchange_.has_value()) {
+    if (exchange_ != nullptr) {
       // Phase-structure bridge: the all-reduce contribution runs from
       // on_halo_complete (or later compute), so every tree send waits
       // for each halo arrival of the round. Halo sends of the *next*
@@ -205,7 +204,7 @@ std::vector<wse::ReductionDeclaration>
 IterativeKernelProgram::reduction_declarations() const {
   std::vector<wse::ReductionDeclaration> reductions =
       program_reduction_declarations();
-  if (allreduce_.has_value()) {
+  if (allreduce_ != nullptr) {
     const std::vector<wse::ReductionDeclaration> ar =
         allreduce_->reduction_declarations();
     reductions.insert(reductions.end(), ar.begin(), ar.end());
@@ -224,7 +223,7 @@ IterativeKernelProgram::program_reduction_declarations() const {
 }
 
 void IterativeKernelProgram::on_timer(wse::PeApi& api, u32 tag) {
-  FVF_REQUIRE_MSG(exchange_.has_value(),
+  FVF_REQUIRE_MSG(exchange_ != nullptr,
                   "timer fired on a program without a halo exchange");
   exchange_->on_timer(api, tag);
 }
@@ -243,5 +242,19 @@ void IterativeKernelProgram::on_halo_complete(wse::PeApi&) {
 }
 
 void IterativeKernelProgram::configure_routes(wse::Router&) {}
+
+void IterativeKernelProgram::on_bound_data(wse::PeApi&, wse::Color color,
+                                           wse::Dir, std::span<const u32>) {
+  FVF_REQUIRE_MSG(false, "program bound data color "
+                             << static_cast<int>(color.id())
+                             << " but does not override on_bound_data");
+}
+
+void IterativeKernelProgram::on_bound_control(wse::PeApi&, wse::Color color,
+                                              wse::Dir) {
+  FVF_REQUIRE_MSG(false, "program bound control color "
+                             << static_cast<int>(color.id())
+                             << " but does not override on_bound_control");
+}
 
 }  // namespace fvf::dataflow

@@ -15,18 +15,17 @@
 ///     on_halo_complete hooks;
 ///   - an attached wse::AllReduceSum (use_allreduce) receives its four
 ///     tree colors;
-///   - explicitly bound colors (bind_data / bind_control) go to their
-///     handlers — this is how the TPFA program keeps its Figure 6
-///     switch-protocol exchange verbatim while still living on the
-///     runtime;
+///   - explicitly bound colors (bind_data / bind_control) go to the
+///     on_bound_data / on_bound_control hooks — this is how the TPFA
+///     program keeps its Figure 6 switch-protocol exchange verbatim while
+///     still living on the runtime;
 ///   - anything else raises a contract violation naming the color.
 ///
 /// Derived programs implement physics + phase hooks only.
 #pragma once
 
 #include <array>
-#include <functional>
-#include <optional>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -50,15 +49,16 @@ class IterativeKernelProgram : public wse::PeProgram {
   void on_timer(wse::PeApi& api, u32 tag) final;
 
   /// Phase classification for the per-phase cycle profiler, mirroring the
-  /// dispatch precedence of on_data: bound handlers carry the phase they
-  /// were bound with, AllReduce colors are AllReduce, halo-exchange
-  /// colors are Halo, NACK blocks and watchdog timers are Reliability.
+  /// dispatch precedence of on_data: bound colors carry the phase they
+  /// were bound with for that kind (data or control), AllReduce colors
+  /// are AllReduce, halo-exchange colors are Halo, NACK blocks and
+  /// watchdog timers are Reliability.
   [[nodiscard]] obs::Phase task_phase(wse::Color color, bool control,
                                       bool timer) const noexcept final;
 
   /// Static handler coverage for fvf::lint, mirroring the dispatch
   /// precedence of on_data / on_control exactly: a delivery is handled iff
-  /// dispatch would find a bound handler or an attached component for it.
+  /// dispatch would find a bound color or an attached component for it.
   [[nodiscard]] bool handles_color(wse::Color color,
                                    bool control) const final;
 
@@ -80,12 +80,8 @@ class IterativeKernelProgram : public wse::PeProgram {
   reduction_declarations() const final;
 
  protected:
-  using DataHandler = std::function<void(wse::PeApi&, wse::Color, wse::Dir,
-                                         std::span<const u32>)>;
-  using ControlHandler =
-      std::function<void(wse::PeApi&, wse::Color, wse::Dir)>;
-
   IterativeKernelProgram(Coord2 coord, Coord2 fabric_size);
+  ~IterativeKernelProgram() override;
 
   // --- component attachment (call from the derived constructor) ---------
   /// Attaches the shared 10-neighbor halo exchange on the canonical
@@ -99,21 +95,22 @@ class IterativeKernelProgram : public wse::PeProgram {
   void use_allreduce(wse::AllReduceColors colors, i32 length,
                      wse::ReduceOp op = wse::ReduceOp::Sum);
 
-  /// Declarative per-color dispatch for program-owned colors. Bound
-  /// handlers take precedence over attached components. `phase` tags the
-  /// tasks the color activates for the cycle profiler (handlers can still
-  /// retag mid-task via PeApi::set_phase).
-  void bind_data(wse::Color color, DataHandler handler,
+  /// Declarative per-color dispatch for program-owned colors: deliveries
+  /// of a bound color go to on_bound_data / on_bound_control, ahead of
+  /// any attached component. `phase` tags the tasks that kind of delivery
+  /// activates for the cycle profiler (handlers can still retag mid-task
+  /// via PeApi::set_phase); data and control keep separate tags.
+  void bind_data(wse::Color color,
                  obs::Phase phase = obs::Phase::LocalCompute);
-  void bind_control(wse::Color color, ControlHandler handler,
+  void bind_control(wse::Color color,
                     obs::Phase phase = obs::Phase::LocalCompute);
 
   [[nodiscard]] HaloExchange& exchange() {
-    FVF_REQUIRE(exchange_.has_value());
+    FVF_REQUIRE(exchange_ != nullptr);
     return *exchange_;
   }
   [[nodiscard]] wse::AllReduceSum& allreduce() {
-    FVF_REQUIRE(allreduce_.has_value());
+    FVF_REQUIRE(allreduce_ != nullptr);
     return *allreduce_;
   }
   [[nodiscard]] Coord2 coord() const noexcept { return coord_; }
@@ -147,16 +144,30 @@ class IterativeKernelProgram : public wse::PeProgram {
   /// Installs routes for program-owned colors (bound via bind_data /
   /// bind_control); attached components install their own routes first.
   virtual void configure_routes(wse::Router& router);
+  /// A data block arrived on a color bound with bind_data.
+  virtual void on_bound_data(wse::PeApi& api, wse::Color color, wse::Dir from,
+                             std::span<const u32> data);
+  /// A control wavelet arrived on a color bound with bind_control.
+  virtual void on_bound_control(wse::PeApi& api, wse::Color color,
+                                wse::Dir from);
 
  private:
+  [[nodiscard]] static bool bound(u32 mask, wse::Color color) noexcept {
+    return (mask & (1u << color.id())) != 0;
+  }
+
   Coord2 coord_;
   Coord2 fabric_size_;
-  std::optional<HaloExchange> exchange_;
-  std::optional<wse::AllReduceSum> allreduce_;
-  std::array<DataHandler, wse::Color::kMaxColors> data_handlers_{};
-  std::array<ControlHandler, wse::Color::kMaxColors> control_handlers_{};
-  /// Profiler tag per bound color (set by bind_data / bind_control).
-  std::array<obs::Phase, wse::Color::kMaxColors> color_phase_{};
+  /// Attached components, held by pointer: programs that attach neither
+  /// (the switch-protocol TPFA) pay one null pointer each.
+  std::unique_ptr<HaloExchange> exchange_;
+  std::unique_ptr<wse::AllReduceSum> allreduce_;
+  /// Colors bound with bind_data / bind_control, one bit per color id.
+  u32 bound_data_ = 0;
+  u32 bound_control_ = 0;
+  /// Profiler tag per bound color, one array per kind.
+  std::array<obs::Phase, wse::Color::kMaxColors> data_phase_{};
+  std::array<obs::Phase, wse::Color::kMaxColors> control_phase_{};
 };
 
 }  // namespace fvf::dataflow

@@ -597,14 +597,14 @@ void run_flow_checks(const RoutingIndex& index, const FlowOptions& options,
 BufferAnalysis analyze_buffer_occupancy(
     const wse::Fabric& fabric,
     const std::array<bool, Color::kMaxColors>& skip_colors) {
-  ThreadPool pool(detail::lint_threads(fabric));
+  ThreadPool pool(fabric.host_threads());
   const detail::RoutingIndex index(fabric, pool);
   return detail::analyze_buffer_occupancy(index, skip_colors, pool);
 }
 
 void run_flow_checks(const wse::Fabric& fabric, const FlowOptions& options,
                      std::vector<Diagnostic>& out) {
-  ThreadPool pool(detail::lint_threads(fabric));
+  ThreadPool pool(fabric.host_threads());
   const detail::RoutingIndex index(fabric, pool);
   detail::run_flow_checks(index, options, out, pool);
 }

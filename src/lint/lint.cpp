@@ -47,7 +47,7 @@ class Linter {
         !options_.check_flow && !check_memory) {
       return std::move(report_);  // Level::Off: the claim audit alone
     }
-    ThreadPool pool(detail::lint_threads(fabric_));
+    ThreadPool pool(fabric_.host_threads());
     std::optional<RoutingIndex> index;
     if (options_.check_routing || options_.check_flow) {
       index.emplace(fabric_, pool);

@@ -109,16 +109,12 @@ struct Diagnostic {
   std::optional<u64> bound;
 };
 
-/// PE count from which lint::run spreads its per-color checks, flow walks
-/// and memory probes over the linted fabric's ExecutionOptions::threads.
-/// Smaller fabrics lint on the calling thread, where starting threads
-/// costs more than it saves. The report is identical either way.
-inline constexpr i64 kParallelMinPes = 4096;
-
 /// Lint configuration. The callbacks decouple fvf::lint from the dataflow
 /// layer above it: the ColorPlan supplies claim/naming context without a
-/// library dependency in that direction. On a fabric of kParallelMinPes
-/// PEs or more, with ExecutionOptions::threads > 1, the callbacks may be
+/// library dependency in that direction. lint::run spreads its per-color
+/// checks, flow walks and memory probes over the linted fabric's
+/// host_threads() (ExecutionOptions::threads from wse::kParallelMinPes
+/// PEs up; the report is identical either way), so the callbacks may be
 /// invoked from several threads at once and must be safe to call
 /// concurrently.
 struct Options {

@@ -11,30 +11,31 @@ namespace fvf::lint::detail {
 namespace {
 
 using wse::Color;
-using wse::Dir;
 
-/// Packs the kLinkCount node words of one configured (color, PE).
+/// Packs the kLinkCount node words of one configured (color, PE): the
+/// union over the config's packed switch positions, outputs in
+/// first-occurrence order.
 void pack_words(const wse::ColorConfig& config, u32* words) {
-  const std::vector<wse::SwitchPosition>& positions = config.positions();
+  const usize positions = config.position_count();
   for (usize in = 0; in < wse::kLinkCount; ++in) {
-    const Dir input = static_cast<Dir>(in);
     u32 word = kConfiguredBit;
     usize accepting = 0;
     u32 count = 0;
     u32 seen = 0;
-    for (const wse::SwitchPosition& pos : positions) {
-      const wse::RouteRule* rule = pos.find(input);
-      if (rule == nullptr) {
+    for (usize p = 0; p < positions; ++p) {
+      const u32 rule = config.packed_row(p)[in];
+      if (rule == 0) {
         continue;
       }
       ++accepting;
-      for (const Dir out : rule->outputs) {
-        const u32 bit = 1u << static_cast<u32>(out);
+      for (u32 i = 0; i < wse::route_output_count(rule); ++i) {
+        const auto out = static_cast<u32>(wse::route_output(rule, i));
+        const u32 bit = 1u << out;
         if ((seen & bit) != 0) {
           continue;
         }
         seen |= bit;
-        word |= static_cast<u32>(out) << (kOutputShift + 3 * count);
+        word |= out << (kOutputShift + 3 * count);
         ++count;
       }
     }
@@ -42,8 +43,7 @@ void pack_words(const wse::ColorConfig& config, u32* words) {
     if (accepting > 0) {
       word |= kAcceptsBit;
     }
-    if (positions.size() >= 2 && accepting >= 1 &&
-        accepting < positions.size()) {
+    if (positions >= 2 && accepting >= 1 && accepting < positions) {
       word |= kParkableBit;
     }
     words[in] = word;
@@ -51,11 +51,6 @@ void pack_words(const wse::ColorConfig& config, u32* words) {
 }
 
 }  // namespace
-
-i32 lint_threads(const wse::Fabric& fabric) noexcept {
-  return fabric.pe_count() >= kParallelMinPes ? fabric.execution().threads
-                                               : 1;
-}
 
 RoutingIndex::RoutingIndex(const wse::Fabric& fabric, ThreadPool& pool)
     : fabric_(fabric), pe_count_(static_cast<usize>(fabric.pe_count())) {

@@ -294,10 +294,6 @@ class SenderWalk {
   u32 epoch_ = 0;
 };
 
-/// Threads lint runs on for `fabric`: its ExecutionOptions::threads from
-/// kParallelMinPes PEs up, otherwise 1 (the calling thread alone).
-[[nodiscard]] i32 lint_threads(const wse::Fabric& fabric) noexcept;
-
 // Flow-analysis entry points over a built index (flow.cpp); the per-color
 // walks run as tasks on `pool`.
 [[nodiscard]] BufferAnalysis analyze_buffer_occupancy(

@@ -16,8 +16,9 @@
 
 namespace fvf::spec {
 
-/// A validated, launch-ready spec. Copyable: every PE program carries
-/// one, and the launch helpers hash it to memoize strict-lint passes.
+/// A validated, launch-ready spec. Every PE program of a launch shares
+/// one (through a shared_ptr), and the launch helpers hash it to memoize
+/// strict-lint passes.
 class CompiledSpec {
  public:
   /// Colors handed back to the launcher after claiming.

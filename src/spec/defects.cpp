@@ -114,10 +114,11 @@ class FixtureProgram final : public wse::PeProgram {
     const FixtureVisitor& visit, spec::StencilSpec broken, i32 width,
     i32 height, i32 nz,
     const std::function<void(Options&)>& tweak = nullptr) {
-  const spec::CompiledSpec compiled = spec::compile(std::move(broken));
+  const auto compiled = std::make_shared<const spec::CompiledSpec>(
+      spec::compile(std::move(broken)));
   wse::Fabric fabric(width, height);
   const wse::ProgramFactory factory =
-      [&compiled, nz](Coord2 coord,
+      [compiled, nz](Coord2 coord,
                       Coord2 fabric_size) -> std::unique_ptr<wse::PeProgram> {
     return std::make_unique<spec::SpecPeProgram>(
         coord, fabric_size, nz, compiled,

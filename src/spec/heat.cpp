@@ -115,10 +115,11 @@ StencilSpec make_heat_spec(const HeatKernelOptions&) {
 }
 
 HeatPeProgram::HeatPeProgram(Coord2 coord, Coord2 fabric_size, i32 nz,
+                             std::shared_ptr<const CompiledSpec> compiled,
                              HeatKernelOptions options,
                              std::vector<f32> column,
                              dataflow::HaloReliabilityOptions reliability)
-    : SpecPeProgram(coord, fabric_size, nz, compile(make_heat_spec(options)),
+    : SpecPeProgram(coord, fabric_size, nz, std::move(compiled),
                     SpecPeProgram::LaunchBindings{{}, reliability},
                     std::make_unique<HeatKernel>(nz, options,
                                                  std::move(column))),
@@ -145,28 +146,30 @@ HeatLoad load_dataflow_heat(const Array3<f32>& field,
 
   // Compile the declarative spec and verify the lowered program (strict
   // lint, memoized per program shape).
-  const CompiledSpec compiled = compile(make_heat_spec(options.kernel));
+  const auto compiled =
+      std::make_shared<const CompiledSpec>(compile(make_heat_spec(options.kernel)));
   const Coord2 extents{ext.nx, ext.ny};
   const dataflow::HarnessOptions effective = verified_options(
-      compiled, extents, ext.nz, options, reliability.enabled);
+      *compiled, extents, ext.nz, options, reliability.enabled);
 
   HeatLoad load;
   load.harness =
       std::make_unique<dataflow::FabricHarness>(extents, effective);
-  compiled.claim_colors(load.harness->colors(), reliability.enabled);
+  compiled->claim_colors(load.harness->colors(), reliability.enabled);
 
   const HeatKernelOptions kernel = options.kernel;
   load.grid = load.harness->load<HeatPeProgram>(
-      [&field, ext, kernel, reliability](Coord2 coord, Coord2 fabric_size) {
+      [&field, ext, kernel, reliability, compiled](Coord2 coord,
+                                                   Coord2 fabric_size) {
         std::vector<f32> column(static_cast<usize>(ext.nz));
         for (i32 z = 0; z < ext.nz; ++z) {
           column[static_cast<usize>(z)] = field(coord.x, coord.y, z);
         }
         return std::make_unique<HeatPeProgram>(coord, fabric_size, ext.nz,
-                                               kernel, std::move(column),
-                                               reliability);
+                                               compiled, kernel,
+                                               std::move(column), reliability);
       });
-  record_verified(compiled, extents, ext.nz, effective, reliability.enabled);
+  record_verified(*compiled, extents, ext.nz, effective, reliability.enabled);
   return load;
 }
 

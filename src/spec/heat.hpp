@@ -52,7 +52,10 @@ class HeatKernel;
 /// The per-PE heat program: a thin facade over the compiled-spec engine.
 class HeatPeProgram final : public SpecPeProgram {
  public:
+  /// `compiled` must be compile(make_heat_spec(options)), shared by
+  /// every PE of the launch.
   HeatPeProgram(Coord2 coord, Coord2 fabric_size, i32 nz,
+                std::shared_ptr<const CompiledSpec> compiled,
                 HeatKernelOptions options, std::vector<f32> column,
                 dataflow::HaloReliabilityOptions reliability = {});
 

@@ -62,28 +62,25 @@ RoundAction StencilKernel::on_reduced(PeApi&, f32) {
 }
 
 SpecPeProgram::SpecPeProgram(Coord2 coord, Coord2 fabric_size, i32 nz,
-                             CompiledSpec compiled, LaunchBindings bindings,
+                             std::shared_ptr<const CompiledSpec> compiled,
+                             LaunchBindings bindings,
                              std::unique_ptr<StencilKernel> kernel)
     : IterativeKernelProgram(coord, fabric_size),
       compiled_(std::move(compiled)),
       kernel_(std::move(kernel)),
-      nz_(nz),
-      nine_point_(compiled_.nine_point()) {
+      nz_(nz) {
+  FVF_REQUIRE(compiled_ != nullptr);
   FVF_REQUIRE(nz_ >= 1);
-  block_len_ = compiled_.block_words() * nz_;
-  const StencilSpec& spec = compiled_.spec();
+  nine_point_ = compiled_->nine_point();
+  block_len_ = compiled_->block_words() * nz_;
+  const StencilSpec& spec = compiled_->spec();
 
   switch (spec.exchange) {
     case ExchangeKind::None:
       break;
 
     case ExchangeKind::SwitchProtocol: {
-      for (auto& buf : card_buf_) {
-        buf.assign(static_cast<usize>(block_len_), 0.0f);
-      }
-      for (auto& buf : diag_buf_) {
-        buf.assign(static_cast<usize>(block_len_), 0.0f);
-      }
+      recv_.assign(8 * static_cast<usize>(block_len_), 0.0f);
 
       // Communication roles (Figure 6): even PEs along a color's movement
       // axis — and edge PEs with no upstream — send in phase 1; the rest
@@ -117,30 +114,13 @@ SpecPeProgram::SpecPeProgram(Coord2 coord, Coord2 fabric_size, i32 nz,
       // themselves when they hand a drained block to the kernel.
       for (const Color c : kCardinalColors) {
         if (!(spec.defects.drop_east_data_handler && c == kEastData)) {
-          bind_data(
-              c,
-              [this](PeApi& api, Color color, Dir from,
-                     std::span<const u32> block) {
-                handle_cardinal(api, color, from, block);
-              },
-              obs::Phase::Halo);
+          bind_data(c, obs::Phase::Halo);
         }
-        bind_control(
-            c,
-            [this](PeApi& api, Color color, Dir) {
-              handle_control(api, color);
-            },
-            obs::Phase::Halo);
+        bind_control(c, obs::Phase::Halo);
       }
       if (nine_point_) {
         for (const Color c : kDiagonalColors) {
-          bind_data(
-              c,
-              [this](PeApi& api, Color color, Dir from,
-                     std::span<const u32> block) {
-                handle_diagonal(api, color, from, block);
-              },
-              obs::Phase::Halo);
+          bind_data(c, obs::Phase::Halo);
         }
       }
       break;
@@ -165,15 +145,38 @@ SpecPeProgram::SpecPeProgram(Coord2 coord, Coord2 fabric_size, i32 nz,
 
 StencilKernel& SpecPeProgram::require_kernel() const {
   FVF_REQUIRE_MSG(kernel_ != nullptr,
-                  "spec '" << compiled_.name()
+                  "spec '" << compiled_->name()
                            << "': program was loaded without a kernel and "
                               "can be linted but not run");
   return *kernel_;
 }
 
+std::span<f32> SpecPeProgram::card_buf(Color color) noexcept {
+  const auto len = static_cast<usize>(block_len_);
+  return std::span<f32>(recv_).subspan(cardinal_index(color) * len, len);
+}
+
+std::span<f32> SpecPeProgram::diag_buf(Color color) noexcept {
+  const auto len = static_cast<usize>(block_len_);
+  return std::span<f32>(recv_).subspan((4 + diagonal_index(color)) * len, len);
+}
+
+void SpecPeProgram::on_bound_data(PeApi& api, Color color, Dir from,
+                                  std::span<const u32> data) {
+  if (is_cardinal_color(color)) {
+    handle_cardinal(api, color, from, data);
+  } else {
+    handle_diagonal(api, color, from, data);
+  }
+}
+
+void SpecPeProgram::on_bound_control(PeApi& api, Color color, Dir) {
+  handle_control(api, color);
+}
+
 void SpecPeProgram::reserve_memory(wse::PeMemory& mem) {
   const usize n = static_cast<usize>(nz_);
-  for (const FieldSpec& field : compiled_.spec().fields) {
+  for (const FieldSpec& field : compiled_->spec().fields) {
     if (field.role == FieldRole::Code) {
       mem.reserve(field.bytes, field.name);
     } else {
@@ -184,7 +187,7 @@ void SpecPeProgram::reserve_memory(wse::PeMemory& mem) {
 }
 
 void SpecPeProgram::configure_routes(wse::Router& router) {
-  if (compiled_.spec().exchange != ExchangeKind::SwitchProtocol) {
+  if (compiled_->spec().exchange != ExchangeKind::SwitchProtocol) {
     return;  // None: no colors; StaticHalo: the component owns its routes.
   }
   // Cardinal colors: the Figure 6 two-position switch protocol.
@@ -218,7 +221,7 @@ void SpecPeProgram::configure_routes(wse::Router& router) {
 
 std::vector<wse::SendDeclaration> SpecPeProgram::program_send_declarations()
     const {
-  if (compiled_.spec().exchange != ExchangeKind::SwitchProtocol) {
+  if (compiled_->spec().exchange != ExchangeKind::SwitchProtocol) {
     return {};
   }
   // Figure 6: every PE sends one block plus the role-flipping control
@@ -237,7 +240,7 @@ std::vector<wse::SendDeclaration> SpecPeProgram::program_send_declarations()
 
 std::vector<wse::ChannelDependency>
 SpecPeProgram::program_channel_dependencies() const {
-  if (compiled_.spec().exchange != ExchangeKind::SwitchProtocol) {
+  if (compiled_->spec().exchange != ExchangeKind::SwitchProtocol) {
     return {};  // StaticHalo orderings come from the attached components.
   }
   std::vector<wse::ChannelDependency> deps;
@@ -262,7 +265,7 @@ SpecPeProgram::program_channel_dependencies() const {
 }
 
 std::string SpecPeProgram::describe_channel(Color color) const {
-  const StencilSpec& spec = compiled_.spec();
+  const StencilSpec& spec = compiled_->spec();
   if (spec.exchange == ExchangeKind::None) {
     return {};
   }
@@ -299,7 +302,7 @@ std::string SpecPeProgram::describe_channel(Color color) const {
 }
 
 void SpecPeProgram::begin(PeApi& api) {
-  switch (compiled_.spec().exchange) {
+  switch (compiled_->spec().exchange) {
     case ExchangeKind::None:
       require_kernel().local_compute(api, 0);
       api.signal_done();
@@ -360,7 +363,7 @@ void SpecPeProgram::process_cardinal(PeApi& api, Color color) {
   CardinalState& cs = card_[cardinal_index(color)];
   FVF_ASSERT(cs.buffered && cs.processed == round_);
   require_kernel().process_block(api, cardinal_face(color),
-                                 Dsd::of(card_buf_[cardinal_index(color)]));
+                                 Dsd::of(card_buf(color)));
   ++cs.processed;
   cs.buffered = false;
   ++cards_processed_this_round_;
@@ -370,7 +373,7 @@ void SpecPeProgram::process_diagonal(PeApi& api, Color color) {
   DiagonalState& ds = diag_[diagonal_index(color)];
   FVF_ASSERT(ds.buffered && ds.processed == round_);
   require_kernel().process_block(api, diagonal_face(color),
-                                 Dsd::of(diag_buf_[diagonal_index(color)]));
+                                 Dsd::of(diag_buf(color)));
   ++ds.processed;
   ds.buffered = false;
   ++diags_processed_this_round_;
@@ -380,14 +383,12 @@ void SpecPeProgram::finalize_round(PeApi& api) {
   StencilKernel::FaceBlocks blocks;
   for (const Color c : kCardinalColors) {
     if (card_[cardinal_index(c)].has_upstream) {
-      blocks[static_cast<usize>(cardinal_face(c))] =
-          Dsd::of(card_buf_[cardinal_index(c)]);
+      blocks[static_cast<usize>(cardinal_face(c))] = Dsd::of(card_buf(c));
     }
   }
   for (const Color c : kDiagonalColors) {
     if (diag_[diagonal_index(c)].expected) {
-      blocks[static_cast<usize>(diagonal_face(c))] =
-          Dsd::of(diag_buf_[diagonal_index(c)]);
+      blocks[static_cast<usize>(diagonal_face(c))] = Dsd::of(diag_buf(c));
     }
   }
   require_kernel().finalize_round(api, blocks);
@@ -406,7 +407,7 @@ void SpecPeProgram::handle_cardinal(PeApi& api, Color color, Dir from,
                   "neighbor ran more than 1 iteration ahead");
 
   // Drain the wavelets into PE memory (the FMOVs/cell of Table 4).
-  std::vector<f32>& buf = card_buf_[cardinal_index(color)];
+  const std::span<f32> buf = card_buf(color);
   api.fmovs(Dsd::of(buf), FabricDsd::of(data));
   cs.buffered = true;
 
@@ -438,7 +439,7 @@ void SpecPeProgram::handle_diagonal(PeApi& api, Color color, Dir from,
   FVF_REQUIRE_MSG(tag <= round_ + 1,
                   "corner ran more than 1 iteration ahead");
 
-  std::vector<f32>& buf = diag_buf_[diagonal_index(color)];
+  const std::span<f32> buf = diag_buf(color);
   api.fmovs(Dsd::of(buf), FabricDsd::of(data));
   ds.buffered = true;
 
@@ -476,13 +477,13 @@ void SpecPeProgram::check_completion(PeApi& api) {
     }
     return true;
   };
-  while (round_ < compiled_.spec().rounds &&
+  while (round_ < compiled_->spec().rounds &&
          cards_processed_this_round_ == expected_cards_ &&
          diags_processed_this_round_ == expected_diags_ &&
          all_sends_done()) {
     finalize_round(api);
     ++round_;
-    if (round_ == compiled_.spec().rounds) {
+    if (round_ == compiled_->spec().rounds) {
       api.signal_done();
       return;
     }
@@ -515,8 +516,8 @@ void SpecPeProgram::apply_action(PeApi& api, RoundAction action) {
 void SpecPeProgram::on_halo_complete(PeApi& api) {
   const RoundOutcome outcome = require_kernel().on_round_complete(api);
   if (outcome.action == RoundAction::Reduce) {
-    FVF_REQUIRE_MSG(compiled_.spec().reduction.has_value(),
-                    "spec '" << compiled_.name()
+    FVF_REQUIRE_MSG(compiled_->spec().reduction.has_value(),
+                    "spec '" << compiled_->name()
                              << "': kernel requested a reduction but the "
                                 "spec declares no reduction phase");
     const std::array<f32, 1> contrib{outcome.contribution};

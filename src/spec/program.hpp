@@ -29,14 +29,15 @@ class SpecPeProgram : public dataflow::IterativeKernelProgram {
     dataflow::HaloReliabilityOptions reliability{};
   };
 
-  /// `kernel` may be null only for programs that are linted but never
-  /// run (the defect corpus fixtures).
+  /// `compiled` is shared by every PE of a load (one compile per
+  /// launch, not per PE). `kernel` may be null only for programs that are
+  /// linted but never run (the defect corpus fixtures).
   SpecPeProgram(Coord2 coord, Coord2 fabric_size, i32 nz,
-                CompiledSpec compiled, LaunchBindings bindings,
-                std::unique_ptr<StencilKernel> kernel);
+                std::shared_ptr<const CompiledSpec> compiled,
+                LaunchBindings bindings, std::unique_ptr<StencilKernel> kernel);
 
   [[nodiscard]] const CompiledSpec& compiled() const noexcept {
-    return compiled_;
+    return *compiled_;
   }
   [[nodiscard]] i32 completed_rounds() const noexcept { return round_; }
 
@@ -82,6 +83,12 @@ class SpecPeProgram : public dataflow::IterativeKernelProgram {
   void on_halo_block(wse::PeApi& api, mesh::Face face,
                      wse::Dsd block) override;
   void on_halo_complete(wse::PeApi& api) override;
+  /// Switch-protocol dispatch: cardinal and diagonal data blocks, and the
+  /// cardinal control wavelets.
+  void on_bound_data(wse::PeApi& api, wse::Color color, wse::Dir from,
+                     std::span<const u32> data) override;
+  void on_bound_control(wse::PeApi& api, wse::Color color,
+                        wse::Dir from) override;
 
   // Switch-protocol machinery (Figure 6 port).
   void handle_cardinal(wse::PeApi& api, wse::Color color, wse::Dir from,
@@ -102,7 +109,11 @@ class SpecPeProgram : public dataflow::IterativeKernelProgram {
 
   [[nodiscard]] StencilKernel& require_kernel() const;
 
-  CompiledSpec compiled_;
+  /// Switch-protocol receive buffer of a cardinal or diagonal color.
+  [[nodiscard]] std::span<f32> card_buf(wse::Color color) noexcept;
+  [[nodiscard]] std::span<f32> diag_buf(wse::Color color) noexcept;
+
+  std::shared_ptr<const CompiledSpec> compiled_;
   std::unique_ptr<StencilKernel> kernel_;
   /// Launch-time color/reliability bindings kept for describe_channel.
   std::optional<wse::AllReduceColors> reduce_colors_;
@@ -111,9 +122,9 @@ class SpecPeProgram : public dataflow::IterativeKernelProgram {
   i32 block_len_ = 0;  ///< block_words_per_cell * nz
   bool nine_point_ = false;
 
-  // Switch-protocol receive buffers and per-color state.
-  std::array<std::vector<f32>, 4> card_buf_;
-  std::array<std::vector<f32>, 4> diag_buf_;
+  // Switch-protocol receive buffers (four cardinal, then four diagonal
+  // blocks in one allocation) and per-color state.
+  std::vector<f32> recv_;
   i32 round_ = 0;
   i32 cards_processed_this_round_ = 0;
   i32 diags_processed_this_round_ = 0;

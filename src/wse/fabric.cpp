@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <exception>
 #include <iterator>
 #include <limits>
 #include <sstream>
@@ -515,7 +516,34 @@ Fabric::Fabric(i32 width, i32 height, FabricTimings timings,
   }
 }
 
-Fabric::~Fabric() = default;
+Fabric::~Fabric() {
+  // A loaded PE's host state is mostly its program: free it by row on
+  // the threads that built it.
+  for_each_row([this](i32 y) {
+    for (i32 x = 0; x < width_; ++x) {
+      Pe& p = pes_[static_cast<usize>(index(x, y))];
+      p.program_.reset();
+      p.memory_ = PeMemory(p.memory_.budget());
+    }
+  });
+}
+
+void Fabric::for_each_row(const std::function<void(i32)>& row_fn) const {
+  std::vector<std::exception_ptr> failures(static_cast<usize>(height_));
+  ThreadPool pool(host_threads());
+  pool.run_indexed(height_, [&](i64 row) {
+    try {
+      row_fn(static_cast<i32>(row));
+    } catch (...) {
+      failures[static_cast<usize>(row)] = std::current_exception();
+    }
+  });
+  for (const std::exception_ptr& failure : failures) {
+    if (failure != nullptr) {
+      std::rethrow_exception(failure);
+    }
+  }
+}
 
 Pe& Fabric::pe(i32 x, i32 y) {
   FVF_REQUIRE(x >= 0 && x < width_ && y >= 0 && y < height_);
@@ -539,14 +567,15 @@ const Router& Fabric::router(i32 x, i32 y) const {
 
 void Fabric::load(const ProgramFactory& factory) {
   FVF_REQUIRE(factory != nullptr);
-  for (i32 y = 0; y < height_; ++y) {
+  // Each row writes only its own PEs and routers.
+  for_each_row([&](i32 y) {
     for (i32 x = 0; x < width_; ++x) {
       Pe& p = pe(x, y);
       p.program_ = factory(Coord2{x, y}, Coord2{width_, height_});
       FVF_REQUIRE(p.program_ != nullptr);
       p.program_->configure_router(router(x, y));
     }
-  }
+  });
 }
 
 void Fabric::push_event(detail::Tile& tile, i64 birth, Event& event) {
@@ -792,10 +821,10 @@ void Fabric::process_event(detail::Tile& tile, Event& event) {
   // check or absorbed at the wafer boundary.
   bool token = event.fault_token;
   // Decode the packed rule: output links in configuration order.
-  const usize out_count = (packed >> 1) & 0x7u;
+  const usize out_count = route_output_count(packed);
   Dir outputs[kLinkCount];
   for (usize i = 0; i < out_count; ++i) {
-    outputs[i] = static_cast<Dir>((packed >> (4 + 3 * i)) & 0x7u);
+    outputs[i] = route_output(packed, static_cast<u32>(i));
   }
   // The last output that reads payload bytes (Ramp delivery or an
   // in-bounds fabric link): the handle is *moved* there instead of

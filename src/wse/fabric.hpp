@@ -34,6 +34,7 @@
 /// values. See docs/ARCHITECTURE.md "Event engine internals".
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -124,6 +125,13 @@ class Pe {
   u64 phase_spans_dropped_ = 0;
 };
 
+/// PE count from which per-PE host set-up work spreads over
+/// ExecutionOptions::threads: Fabric::load and ~Fabric build and free one
+/// fabric row per task, and fvf::lint runs its checks on the same threads.
+/// Smaller fabrics use the calling thread alone, where starting threads
+/// costs more than it saves. Results are identical either way.
+inline constexpr i64 kParallelMinPes = 4096;
+
 /// Execution options toggling the paper's Section 5.3 optimizations
 /// (for the ablation benches). Defaults = the optimized configuration.
 struct ExecutionOptions {
@@ -136,8 +144,9 @@ struct ExecutionOptions {
   /// Host worker threads driving the event engine. 1 (the default) runs
   /// the classic serial loop; N > 1 shards the fabric into up to N
   /// row-strip tiles stepped under a conservative time-window barrier.
-  /// Results are bit-identical for every value (see the determinism note
-  /// at the top of this file).
+  /// From kParallelMinPes PEs up, load, teardown and fvf::lint use the
+  /// same threads. Results are bit-identical for every value (see the
+  /// determinism note at the top of this file).
   i32 threads = 1;
   /// Fault-injection scenario (see wse/fault.hpp). The default all-zero
   /// rates disable the model entirely: runs are bit-identical to an
@@ -342,13 +351,23 @@ class Fabric {
   }
   [[nodiscard]] const FabricTimings& timings() const noexcept { return timings_; }
   [[nodiscard]] const ExecutionOptions& execution() const noexcept { return exec_; }
+  /// Threads for per-PE host set-up work on this fabric (load, teardown,
+  /// fvf::lint): ExecutionOptions::threads from kParallelMinPes PEs up,
+  /// otherwise 1.
+  [[nodiscard]] i32 host_threads() const noexcept {
+    return pe_count() >= kParallelMinPes ? exec_.threads : 1;
+  }
 
   [[nodiscard]] Pe& pe(i32 x, i32 y);
   [[nodiscard]] const Pe& pe(i32 x, i32 y) const;
   [[nodiscard]] Router& router(i32 x, i32 y);
   [[nodiscard]] const Router& router(i32 x, i32 y) const;
 
-  /// Instantiates a program on every PE and installs router configs.
+  /// Instantiates a program on every PE and installs router configs, one
+  /// fabric row per task on host_threads() threads: the factory may be
+  /// called concurrently for PEs of different rows. If it throws, the
+  /// first failure in raster order is rethrown (the PEs already loaded
+  /// stay owned by the fabric).
   void load(const ProgramFactory& factory);
 
   /// Installs an event tracer (pass nullptr to disable). With a serial
@@ -440,6 +459,10 @@ class Fabric {
   void run_tile(detail::Tile& tile, f64 window_end, u64 event_cap);
   RunReport finish_run(std::vector<detail::Tile>& tiles, bool budget_hit,
                        u64 max_events);
+
+  /// Runs `row_fn(y)` for every fabric row on host_threads() threads,
+  /// then rethrows the first failure in row order.
+  void for_each_row(const std::function<void(i32)>& row_fn) const;
 
   [[nodiscard]] i64 index(i32 x, i32 y) const noexcept {
     return static_cast<i64>(y) * width_ + x;

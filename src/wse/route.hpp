@@ -10,7 +10,6 @@
 #pragma once
 
 #include <array>
-#include <optional>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -34,6 +33,15 @@ struct RouteRule {
 inline constexpr u32 kRouteExistsBit = 1u;
 inline constexpr u32 kRouteMultiPositionBit = 1u << 19;
 
+/// Output fan-out count of a packed route entry.
+[[nodiscard]] constexpr u32 route_output_count(u32 packed) noexcept {
+  return (packed >> 1) & 7u;
+}
+/// Output `i` of a packed route entry, in configuration order.
+[[nodiscard]] constexpr Dir route_output(u32 packed, u32 i) noexcept {
+  return static_cast<Dir>((packed >> (4 + 3 * i)) & 7u);
+}
+
 /// One switch position: a set of routing rules active simultaneously.
 /// Rules must have distinct inputs.
 struct SwitchPosition {
@@ -50,92 +58,101 @@ struct SwitchPosition {
 };
 
 /// Full per-color configuration: up to kMaxPositions switch positions and
-/// the index of the current one.
+/// the index of the current one. The positions are kept only in the
+/// packed route-entry format above, kLinkCount words per position, inline:
+/// the engine's route mirror copies a position's words, and fvf::lint
+/// reads them directly, so a configured color costs no heap at all.
 class ColorConfig {
  public:
   static constexpr usize kMaxPositions = 4;
 
   ColorConfig() = default;
 
-  explicit ColorConfig(std::vector<SwitchPosition> positions)
-      : positions_(std::move(positions)) {
-    FVF_REQUIRE(!positions_.empty());
-    FVF_REQUIRE(positions_.size() <= kMaxPositions);
-    for (const SwitchPosition& pos : positions_) {
-      for (usize i = 0; i < pos.rules.size(); ++i) {
-        for (usize j = i + 1; j < pos.rules.size(); ++j) {
-          FVF_REQUIRE_MSG(pos.rules[i].input != pos.rules[j].input,
-                          "duplicate input link in switch position");
-        }
-      }
-    }
-    // Pack every position's rules once, at configure time: a control
-    // wavelet advancing the switch then refreshes the engine's flat
-    // route table with a 5-word copy instead of re-walking the rule
-    // vectors (the advance is on the event hot path for multi-position
-    // colors).
-    packed_.assign(positions_.size() * static_cast<usize>(kLinkCount), 0);
-    const u32 multi = positions_.size() > 1 ? kRouteMultiPositionBit : 0u;
-    for (usize p = 0; p < positions_.size(); ++p) {
-      for (const RouteRule& rule : positions_[p].rules) {
-        FVF_REQUIRE(rule.outputs.size() <= static_cast<usize>(kLinkCount));
-        u32 packed = kRouteExistsBit |
-                     (static_cast<u32>(rule.outputs.size()) << 1) | multi;
+  /// Packs `positions` once, at configure time: a control wavelet
+  /// advancing the switch then refreshes the engine's flat route table
+  /// with a kLinkCount-word copy instead of re-walking rule vectors (the
+  /// advance is on the event hot path for multi-position colors).
+  explicit ColorConfig(const std::vector<SwitchPosition>& positions) {
+    FVF_REQUIRE(!positions.empty());
+    FVF_REQUIRE(positions.size() <= kMaxPositions);
+    count_ = static_cast<u8>(positions.size());
+    const u32 multi = positions.size() > 1 ? kRouteMultiPositionBit : 0u;
+    for (usize p = 0; p < positions.size(); ++p) {
+      for (const RouteRule& rule : positions[p].rules) {
+        u32& word = packed_[p * kLinkCount + static_cast<usize>(rule.input)];
+        // Every packed rule has its exists bit set, so a non-zero slot
+        // means an earlier rule of this position took the input.
+        FVF_REQUIRE_MSG(word == 0, "duplicate input link in switch position");
+        FVF_REQUIRE(rule.outputs.size() <= kLinkCount);
+        word = kRouteExistsBit | (static_cast<u32>(rule.outputs.size()) << 1) |
+               multi;
         u32 shift = 4;
         for (const Dir out : rule.outputs) {
-          packed |= static_cast<u32>(out) << shift;
+          word |= static_cast<u32>(out) << shift;
           shift += 3;
         }
-        packed_[p * static_cast<usize>(kLinkCount) +
-                static_cast<usize>(rule.input)] = packed;
       }
     }
   }
 
-  [[nodiscard]] bool configured() const noexcept { return !positions_.empty(); }
+  [[nodiscard]] bool configured() const noexcept { return count_ != 0; }
 
-  [[nodiscard]] usize position_count() const noexcept {
-    return positions_.size();
-  }
-
-  /// All switch positions, for static inspection: fvf::lint's routing
-  /// graph is the union over every position (the switch state at an
-  /// arbitrary run point is dynamic, so the conservative reachability
-  /// model must consider each position's rules).
-  [[nodiscard]] const std::vector<SwitchPosition>& positions() const noexcept {
-    return positions_;
-  }
+  [[nodiscard]] usize position_count() const noexcept { return count_; }
   [[nodiscard]] usize current_position() const noexcept { return current_; }
 
-  /// Routing rule for wavelets entering through `input` under the current
-  /// position, or nullptr if the color does not accept that input now.
-  [[nodiscard]] const RouteRule* route(Dir input) const noexcept {
-    if (positions_.empty()) {
-      return nullptr;
-    }
-    return positions_[current_].find(input);
+  /// Packed routing rule for wavelets entering through `input` under the
+  /// current position; 0 if the color does not accept that input now.
+  [[nodiscard]] u32 route(Dir input) const noexcept {
+    return packed_row()[static_cast<usize>(input)];
   }
 
   /// Advances the switch to the next position (wraps around). Invoked by
   /// control wavelets as they traverse the router.
   void advance() noexcept {
-    if (!positions_.empty()) {
-      current_ = (current_ + 1) % positions_.size();
+    if (count_ != 0) {
+      current_ = static_cast<u8>((current_ + 1) % count_);
     }
   }
 
   void reset_position() noexcept { current_ = 0; }
 
-  /// The current position's packed route entries (kLinkCount words, one
-  /// per input link). Only valid when configured().
+  /// Packed route entries of switch position `position` (kLinkCount
+  /// words, one per input link). fvf::lint's routing graph is the union
+  /// over every position: the switch state at an arbitrary run point is
+  /// dynamic, so the conservative reachability model considers each
+  /// position's rules.
+  [[nodiscard]] const u32* packed_row(usize position) const noexcept {
+    return packed_.data() + position * kLinkCount;
+  }
+  /// The current position's packed route entries.
   [[nodiscard]] const u32* packed_row() const noexcept {
-    return packed_.data() + current_ * static_cast<usize>(kLinkCount);
+    return packed_row(current_);
+  }
+
+  /// The switch positions unpacked again, for inspection: each position's
+  /// rules in input-link order, outputs in configuration order.
+  [[nodiscard]] std::vector<SwitchPosition> decoded_positions() const {
+    std::vector<SwitchPosition> positions(count_);
+    for (usize p = 0; p < count_; ++p) {
+      for (usize in = 0; in < kLinkCount; ++in) {
+        const u32 word = packed_row(p)[in];
+        if (word == 0) {
+          continue;
+        }
+        RouteRule rule{static_cast<Dir>(in), {}};
+        for (u32 i = 0; i < route_output_count(word); ++i) {
+          rule.outputs.push_back(route_output(word, i));
+        }
+        positions[p].rules.push_back(std::move(rule));
+      }
+    }
+    return positions;
   }
 
  private:
-  std::vector<SwitchPosition> positions_;
-  std::vector<u32> packed_;
-  usize current_ = 0;
+  std::array<u32, kMaxPositions * kLinkCount> packed_{};
+  u8 count_ = 0;
+  u8 current_ = 0;
 };
 
 /// Convenience builders for the common single-rule configurations.

@@ -35,9 +35,9 @@ class Router {
     return configs_[color.id()];
   }
 
-  /// Resolves the routing rule for a wavelet of `color` entering through
-  /// `input` under the color's current switch position.
-  [[nodiscard]] const RouteRule* route(Color color, Dir input) const noexcept {
+  /// Resolves the packed routing rule for a wavelet of `color` entering
+  /// through `input` under the color's current switch position (0 = none).
+  [[nodiscard]] u32 route(Color color, Dir input) const noexcept {
     return configs_[color.id()].route(input);
   }
 
@@ -77,8 +77,8 @@ class Router {
  private:
   // Traffic counters first: the event hot path bumps count_output and
   // count_color on every routed block, and with the low-id data colors
-  // both land in the object's first cache line. The config vectors are
-  // only walked on the cold paths (table build, backpressure, errors).
+  // both land in the object's first cache line. The packed configs are
+  // only read on the cold paths (table build, backpressure, errors).
   std::array<u64, kLinkCount> traffic_out_{};
   u64 blocks_dropped_ = 0;
   u64 birth_seq_ = 0;

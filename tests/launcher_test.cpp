@@ -27,12 +27,12 @@ physics::FlowProblem make_problem(i32 nx, i32 ny, i32 nz, u64 seed = 42) {
 TEST(ExtractColumnTest, PressureAndTransmissibilityColumns) {
   const physics::FlowProblem problem = make_problem(4, 3, 5);
   const PeColumnData data = extract_column(problem, 2, 1);
-  ASSERT_EQ(data.pressure.size(), 5u);
+  ASSERT_EQ(data.pressure().size(), 5u);
   for (i32 z = 0; z < 5; ++z) {
-    EXPECT_EQ(data.pressure[static_cast<usize>(z)],
+    EXPECT_EQ(data.pressure()[static_cast<usize>(z)],
               problem.initial_pressure()(2, 1, z));
     for (const mesh::Face f : mesh::kAllFaces) {
-      EXPECT_EQ(data.trans[static_cast<usize>(f)][static_cast<usize>(z)],
+      EXPECT_EQ(data.trans(f)[static_cast<usize>(z)],
                 problem.transmissibility().at(2, 1, z, f));
     }
   }
@@ -42,12 +42,12 @@ TEST(ExtractColumnTest, ElevationIncludesTopography) {
   const physics::FlowProblem problem = make_problem(5, 5, 3);
   const PeColumnData data = extract_column(problem, 2, 2);
   for (i32 z = 0; z < 3; ++z) {
-    EXPECT_FLOAT_EQ(data.elevation[static_cast<usize>(z)],
+    EXPECT_FLOAT_EQ(data.elevation()[static_cast<usize>(z)],
                     static_cast<f32>(problem.mesh().elevation(2, 2, z)));
   }
   // Centre column sits on the dome crest: higher than a corner column.
   const PeColumnData corner = extract_column(problem, 0, 0);
-  EXPECT_GT(data.elevation[0], corner.elevation[0]);
+  EXPECT_GT(data.elevation()[0], corner.elevation()[0]);
 }
 
 TEST(ExtractColumnTest, NeighborElevationColumnsMatchNeighbors) {
@@ -56,7 +56,8 @@ TEST(ExtractColumnTest, NeighborElevationColumnsMatchNeighbors) {
   for (const wse::Color c : kCardinalColors) {
     const mesh::Face face = cardinal_face(c);
     const Coord3 off = mesh::face_offset(face);
-    const auto& col = data.elevation_cardinal[cardinal_index(c)];
+    const std::span<const f32> col =
+        data.elevation_cardinal(cardinal_index(c));
     ASSERT_EQ(col.size(), 3u);
     for (i32 z = 0; z < 3; ++z) {
       EXPECT_FLOAT_EQ(col[static_cast<usize>(z)],

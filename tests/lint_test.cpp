@@ -266,9 +266,32 @@ TEST(LintShippedProgramsTest, WaveLintsClean) {
 
 // --- the routing index -------------------------------------------------------
 
+/// A configured color's positions, decoded from the packed words, must
+/// pack back to exactly the same words: the packed form loses nothing of
+/// what the program's builder passed in (wse_fabric_test checks the
+/// decoder against builder inputs directly).
+bool round_trips(const wse::ColorConfig& config) {
+  if (!config.configured()) {
+    return true;
+  }
+  const wse::ColorConfig again(config.decoded_positions());
+  if (again.position_count() != config.position_count()) {
+    return false;
+  }
+  for (usize p = 0; p < config.position_count(); ++p) {
+    if (!std::equal(config.packed_row(p),
+                    config.packed_row(p) + wse::kLinkCount,
+                    again.packed_row(p))) {
+      return false;
+    }
+  }
+  return true;
+}
+
 /// Every (PE, color, input) word of the routing index must agree with a
-/// direct walk of the router's switch positions: the accepts, parkable and
-/// configured bits, and the distinct outputs in first-occurrence order.
+/// direct walk of the router's decoded switch positions: the accepts,
+/// parkable and configured bits, and the distinct outputs in
+/// first-occurrence order.
 void expect_index_matches(const wse::Fabric& fabric, const std::string& what) {
   ThreadPool pool(1);
   const detail::RoutingIndex index(fabric, pool);
@@ -280,11 +303,16 @@ void expect_index_matches(const wse::Fabric& fabric, const std::string& what) {
       for (i32 x = 0; x < fabric.width(); ++x) {
         const wse::ColorConfig& config = fabric.router(x, y).config(color);
         anywhere = anywhere || config.configured();
+        ASSERT_TRUE(round_trips(config))
+            << what << ": color " << static_cast<int>(c) << " PE(" << x << ','
+            << y << ")";
+        const std::vector<wse::SwitchPosition> decoded =
+            config.decoded_positions();
         for (usize in = 0; in < wse::kLinkCount; ++in) {
           const auto input = static_cast<wse::Dir>(in);
           usize accepting = 0;
           std::vector<wse::Dir> outputs;
-          for (const wse::SwitchPosition& pos : config.positions()) {
+          for (const wse::SwitchPosition& pos : decoded) {
             if (const wse::RouteRule* rule = pos.find(input)) {
               ++accepting;
               for (const wse::Dir out : rule->outputs) {
@@ -385,7 +413,7 @@ std::string rendered(const Report& report) {
 TEST(LintParallelTest, ReportIsIdenticalForEveryThreadCount) {
   // 64 x 64 PEs reaches kParallelMinPes, so threads > 1 lint in parallel.
   constexpr i32 kSide = 64;
-  static_assert(i64{kSide} * kSide >= kParallelMinPes);
+  static_assert(i64{kSide} * kSide >= wse::kParallelMinPes);
   physics::ProblemSpec problem_spec;
   problem_spec.extents = Extents3{kSide, kSide, 2};
   problem_spec.spacing = mesh::Spacing3{25.0, 25.0, 4.0};
@@ -417,9 +445,10 @@ TEST(LintParallelTest, ReportIsIdenticalForEveryThreadCount) {
       {"diagonal recv buffers", spec::FieldRole::DiagonalRecv, 8, 0},
   };
   broken.defects.drop_east_data_handler = true;
-  const spec::CompiledSpec compiled = spec::compile(std::move(broken));
+  const auto compiled = std::make_shared<const spec::CompiledSpec>(
+      spec::compile(std::move(broken)));
   const wse::ProgramFactory defective =
-      [&compiled](Coord2 coord,
+      [compiled](Coord2 coord,
                   Coord2 size) -> std::unique_ptr<wse::PeProgram> {
     return std::make_unique<spec::SpecPeProgram>(
         coord, size, 1, compiled, spec::SpecPeProgram::LaunchBindings{},

@@ -211,13 +211,14 @@ TEST(SpecLintGateTest, DefectiveCompiledProgramFailsStrictLoad) {
   spec::StencilSpec broken = valid_switch_spec();
   broken.name = "defective";
   broken.defects.drop_east_data_handler = true;
-  const spec::CompiledSpec compiled = spec::compile(std::move(broken));
+  const auto compiled = std::make_shared<const spec::CompiledSpec>(
+      spec::compile(std::move(broken)));
 
   dataflow::HarnessOptions options;
   options.lint = lint::Level::Strict;
   dataflow::FabricHarness harness(Coord2{2, 1}, options);
-  compiled.claim_colors(harness.colors(), /*reliability=*/false);
-  const auto factory = [&compiled](Coord2 coord, Coord2 fabric_size) {
+  compiled->claim_colors(harness.colors(), /*reliability=*/false);
+  const auto factory = [compiled](Coord2 coord, Coord2 fabric_size) {
     return std::make_unique<spec::SpecPeProgram>(
         coord, fabric_size, 1, compiled,
         spec::SpecPeProgram::LaunchBindings{}, nullptr);

@@ -74,11 +74,51 @@ TEST(ColorConfigTest, AdvanceWrapsAround) {
 TEST(ColorConfigTest, RouteResolvesCurrentPositionOnly) {
   ColorConfig config({position(Dir::Ramp, {Dir::East}),
                       position(Dir::West, {Dir::Ramp})});
-  EXPECT_NE(config.route(Dir::Ramp), nullptr);
-  EXPECT_EQ(config.route(Dir::West), nullptr);
+  EXPECT_NE(config.route(Dir::Ramp), 0u);
+  EXPECT_EQ(config.route(Dir::West), 0u);
   config.advance();
-  EXPECT_EQ(config.route(Dir::Ramp), nullptr);
-  EXPECT_NE(config.route(Dir::West), nullptr);
+  EXPECT_EQ(config.route(Dir::Ramp), 0u);
+  EXPECT_NE(config.route(Dir::West), 0u);
+}
+
+bool same_positions(const std::vector<SwitchPosition>& a,
+                    const std::vector<SwitchPosition>& b) {
+  if (a.size() != b.size()) {
+    return false;
+  }
+  for (usize p = 0; p < a.size(); ++p) {
+    if (a[p].rules.size() != b[p].rules.size()) {
+      return false;
+    }
+    for (usize r = 0; r < a[p].rules.size(); ++r) {
+      if (a[p].rules[r].input != b[p].rules[r].input ||
+          a[p].rules[r].outputs != b[p].rules[r].outputs) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+TEST(ColorConfigTest, DecodedPositionsEqualTheBuilderInput) {
+  // Rules listed in input-link order (the decoder's order), with fan-out,
+  // an empty position and the full four positions.
+  const std::vector<std::vector<SwitchPosition>> inputs = {
+      {position(Dir::Ramp, {Dir::East})},
+      {position({RouteRule{Dir::North, {Dir::Ramp, Dir::South}},
+                 RouteRule{Dir::West, {Dir::Ramp}},
+                 RouteRule{Dir::Ramp, {Dir::North, Dir::East, Dir::South,
+                                       Dir::West}}}),
+       position(Dir::East, {Dir::West})},
+      {position(Dir::Ramp, {Dir::East}), SwitchPosition{},
+       position(Dir::West, {Dir::Ramp}),
+       position(Dir::South, {Dir::North, Dir::Ramp})},
+  };
+  for (const std::vector<SwitchPosition>& input : inputs) {
+    const ColorConfig config(input);
+    EXPECT_EQ(config.position_count(), input.size());
+    EXPECT_TRUE(same_positions(config.decoded_positions(), input));
+  }
 }
 
 TEST(ColorConfigTest, RejectsDuplicateInputs) {

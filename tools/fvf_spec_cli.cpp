@@ -85,7 +85,8 @@ int dump_plan(const spec::KernelInfo& kernel, std::ostream& out) {
 /// runs the full linter (claim audit, routing, handlers, memory).
 int lint_spec(const spec::KernelInfo& kernel, const CliParser& cli,
               std::ostream& out) {
-  const spec::CompiledSpec compiled = kernel.compile_spec();
+  const auto compiled =
+      std::make_shared<const spec::CompiledSpec>(kernel.compile_spec());
   const bool reliability = cli.has("reliability");
   const i32 nx = static_cast<i32>(cli.get_int("nx", 4));
   const i32 ny = static_cast<i32>(cli.get_int("ny", 3));
@@ -95,14 +96,14 @@ int lint_spec(const spec::KernelInfo& kernel, const CliParser& cli,
 
   auto plan = std::make_shared<dataflow::ColorPlan>();
   const spec::CompiledSpec::Claims claims =
-      compiled.claim_colors(*plan, reliability);
+      compiled->claim_colors(*plan, reliability);
   spec::SpecPeProgram::LaunchBindings bindings;
   bindings.reduce = claims.reduce;
   bindings.reliability.enabled = reliability;
 
   wse::Fabric fabric(nx, ny);
   const wse::ProgramFactory factory =
-      [&compiled, nz, bindings](
+      [compiled, nz, bindings](
           Coord2 coord, Coord2 fabric_size) -> std::unique_ptr<wse::PeProgram> {
     return std::make_unique<spec::SpecPeProgram>(coord, fabric_size, nz,
                                                  compiled, bindings, nullptr);
@@ -116,7 +117,7 @@ int lint_spec(const spec::KernelInfo& kernel, const CliParser& cli,
   options.color_map = [plan] { return plan->describe(); };
   const lint::Report report = lint::run(fabric, options);
 
-  out << "spec '" << compiled.name() << "' on " << nx << 'x' << ny
+  out << "spec '" << compiled->name() << "' on " << nx << 'x' << ny
       << " fabric (nz=" << nz << "): ";
   if (report.clean()) {
     out << "clean\n";
