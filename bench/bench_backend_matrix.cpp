@@ -1,5 +1,5 @@
-// Cross-backend comparison matrix: every kernel in the spec::registry
-// runs end-to-end on both backends through the fvf::api field-equation
+// Cross-backend comparison matrix: every kernel of the api::kernels()
+// table runs end-to-end on both backends through the fvf::api field-equation
 // entry point — the per-program generalization of bench_table1's
 // TPFA-only WSE-vs-GPU row.
 //
@@ -13,8 +13,6 @@
 
 #include "api/api.hpp"
 #include "bench/bench_common.hpp"
-#include "core/kernel_registry.hpp"
-#include "spec/registry.hpp"
 
 namespace fvf::bench {
 namespace {
@@ -34,47 +32,26 @@ f64 max_rel_diff(const Array3<f32>& a, const Array3<f32>& b) {
   return max_diff;
 }
 
-/// CI-affordable per-kernel work counts (the per-kernel defaults are
-/// sized for scenario serving, not a bench matrix over 12 runs).
-i32 bench_iterations(const std::string& kernel) {
-  if (kernel == "tpfa") {
-    return 2;
-  }
-  if (kernel == "cg") {
-    return 200;  // cap; converges much earlier at bench scale
-  }
-  if (kernel == "transport") {
-    return 1;
-  }
-  if (kernel == "wave") {
-    return 8;
-  }
-  if (kernel == "impes") {
-    return 2;
-  }
-  return 10;  // heat
-}
-
 int run(int argc, const char** argv) {
   const CliParser cli(argc, argv);
   BenchJsonWriter json("backend_matrix", cli);
-  core::register_builtin_kernels();
 
-  print_header("Cross-backend matrix: registry kernels on wse vs gpusim");
+  print_header("Cross-backend matrix: every table kernel on wse vs gpusim");
   TextTable table({"kernel", "wse dev [s]", "gpusim dev [s]", "gpu kernels",
                    "max rel diff", "parity"});
 
   int failures = 0;
-  for (const spec::KernelInfo& kernel : spec::registered_kernels()) {
+  for (const api::Kernel& kernel : api::kernels()) {
+    const std::string name(kernel.name);
     api::FieldEquationSpec spec;
-    spec.kernel = kernel.name;
+    spec.kernel = name;
     spec.nx = static_cast<i32>(cli.get_int("nx", 8));
     spec.ny = static_cast<i32>(cli.get_int("ny", 8));
     spec.nz = static_cast<i32>(cli.get_int("nz", 6));
     spec.seed = static_cast<u64>(cli.get_int("seed", 42));
-    spec.iterations = bench_iterations(kernel.name);
-    spec.dt = (kernel.name == "transport" || kernel.name == "impes") ? 900.0
-                                                                     : 3600.0;
+    // Iterations and dt take the table defaults (0), except IMPES: two
+    // windows instead of three keep the 12-run matrix CI-affordable.
+    spec.iterations = name == "impes" ? 2 : 0;
 
     const api::FieldEquationResult wse =
         api::run_field_equation(spec, api::Backend::Wse);
@@ -90,15 +67,15 @@ int run(int argc, const char** argv) {
     const bool ok = bitwise || rel < 1e-3;
     failures += ok ? 0 : 1;
 
-    table.add_row({kernel.name, format_fixed(wse.device_seconds, 6),
+    table.add_row({name, format_fixed(wse.device_seconds, 6),
                    format_fixed(gpu.device_seconds, 6),
                    std::to_string(gpu.gpu.kernels_launched),
                    format_fixed(rel, 9),
                    bitwise ? "bitwise" : (ok ? "tolerance" : "FAIL")});
 
-    json.add_case(kernel.name + "_wse", wse.fabric);
+    json.add_case(name + "_wse", wse.fabric);
     json.add_metric("work", static_cast<f64>(wse.work));
-    BenchJsonCase& gpu_case = json.add_case(kernel.name + "_gpusim");
+    BenchJsonCase& gpu_case = json.add_case(name + "_gpusim");
     gpu_case.device_seconds = gpu.device_seconds;
     json.add_metric("work", static_cast<f64>(gpu.work));
     json.add_metric("gpu_kernels_launched",

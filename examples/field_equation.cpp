@@ -1,13 +1,13 @@
 // field_equation — the cross-backend field-equation API in one CLI.
 //
-// Runs any kernel from the registry on either backend through
+// Runs any kernel of the api::kernels() table on either backend through
 // fvf::api::run_field_equation and prints the shared timing surface, or
 // runs it on BOTH backends and reports the parity of the results:
 //
 //   ./field_equation --kernel heat --backend gpusim [--nx 8 --ny 8 --nz 4]
 //   ./field_equation --kernel cg --backend both [--iterations 200]
 //
-// --kernel resolves against the spec::registry and --backend against the
+// --kernel resolves against the kernel table and --backend against the
 // api backend inventory; unknown values fail loudly with the real lists.
 #include <cmath>
 #include <iostream>
@@ -15,8 +15,6 @@
 #include "api/api.hpp"
 #include "common/cli.hpp"
 #include "common/table.hpp"
-#include "core/kernel_registry.hpp"
-#include "spec/registry.hpp"
 
 namespace {
 
@@ -42,7 +40,6 @@ api::FieldEquationResult run_one(const api::FieldEquationSpec& spec,
 int main(int argc, const char** argv) {
   try {
     const CliParser cli(argc, argv);
-    core::register_builtin_kernels();
 
     api::FieldEquationSpec spec;
     spec.kernel = cli.get_string("kernel", "tpfa");
@@ -56,8 +53,8 @@ int main(int argc, const char** argv) {
     spec.threads = static_cast<i32>(cli.get_int("threads", 1));
 
     const std::string backend_flag = cli.get_string("backend", "both");
-    std::cout << "kernel '" << spec.kernel << "' (registry: "
-              << spec::kernel_name_list() << ")\n";
+    std::cout << "kernel '" << spec.kernel << "' (kernels: "
+              << api::kernel_name_list() << ")\n";
 
     if (backend_flag != "both") {
       // Unknown values throw here, listing the registered backends.

@@ -1,338 +1,20 @@
 #include "api/api.hpp"
 
-#include <bit>
-
-#include "baseline/baseline.hpp"
 #include "common/assert.hpp"
-#include "common/timer.hpp"
-#include "core/fabric_impes.hpp"
-#include "core/kernel_registry.hpp"
-#include "core/launcher.hpp"
-#include "core/linear_stencil.hpp"
-#include "gpusim/occupancy.hpp"
-#include "spec/registry.hpp"
 
 namespace fvf::api {
 
-namespace {
-
-u64 fnv1a_mix(u64 hash, u64 value) noexcept {
-  for (int byte = 0; byte < 8; ++byte) {
-    hash ^= (value >> (8 * byte)) & 0xffULL;
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
-/// The canonical problems of the scenarios: IMPES runs the homogeneous
-/// injection geomodel of the demos, every other kernel the log-normal
-/// benchmark problem — identical to fvf::serve's problem cache.
-[[nodiscard]] physics::FlowProblem make_problem(
-    const FieldEquationSpec& spec) {
-  const Extents3 ext{spec.nx, spec.ny, spec.nz};
-  if (spec.kernel == "impes") {
-    physics::ProblemSpec problem_spec;
-    problem_spec.extents = ext;
-    problem_spec.spacing = mesh::Spacing3{10.0, 10.0, 2.0};
-    problem_spec.geomodel = physics::GeomodelKind::Homogeneous;
-    problem_spec.seed = spec.seed;
-    return physics::FlowProblem(problem_spec);
-  }
-  return physics::make_benchmark_problem(ext, spec.seed);
-}
-
-/// The shared linear-system setup of the CG and wave scenarios.
-struct LinearSetup {
-  core::ScaledSystem scaled;
-  Array3<f32> scaled_rhs;
-};
-
-[[nodiscard]] LinearSetup make_linear_setup(
-    const physics::FlowProblem& problem, f64 dt) {
-  const core::LinearStencil stencil = core::build_linear_stencil(problem, dt);
-  LinearSetup setup;
-  const core::ManufacturedSystem manufactured =
-      core::manufacture_solution(stencil);
-  setup.scaled = core::jacobi_scale(stencil);
-  setup.scaled_rhs = core::scale_rhs(setup.scaled, manufactured.rhs);
-  return setup;
-}
-
-void tag_gpu(FieldEquationResult& result, const gpusim::GpuRunInfo& info) {
-  result.gpu = info;
-  result.device_seconds = info.device_seconds;
-  result.host_seconds = info.host_seconds;
-}
-
-void tag_fabric(FieldEquationResult& result, const dataflow::RunInfo& info,
-                f64 host_seconds) {
-  result.fabric = info;
-  result.device_seconds = info.device_seconds;
-  result.host_seconds = host_seconds;
-}
-
-void require_ok(const dataflow::RunInfo& info, const char* kernel) {
-  FVF_REQUIRE_MSG(info.errors.empty(), "fabric " << kernel << " failed: "
-                                                 << info.errors.front());
-}
-
-// ---------------------------------------------------------------- tpfa --
-
-void run_tpfa(const FieldEquationSpec& spec, Backend backend,
-              FieldEquationResult& result) {
-  const physics::FlowProblem problem = make_problem(spec);
-  if (backend == Backend::Wse) {
-    WallTimer timer;
-    core::DataflowOptions options;
-    options.iterations = spec.iterations;
-    options.execution.threads = spec.threads;
-    const core::DataflowResult run = core::run_dataflow_tpfa(problem, options);
-    require_ok(run, "tpfa");
-    tag_fabric(result, run, timer.seconds());
-    result.field = run.residual;
-    result.result_digest = digest_field(kDigestSeed, run.residual);
-    result.result_digest = digest_field(result.result_digest, run.pressure);
-  } else {
-    // TPFA on the GPU is the paper's hand-written CUDA baseline, which
-    // shares its per-cell flux arithmetic with the serial oracle.
-    baseline::BaselineOptions options;
-    options.iterations = spec.iterations;
-    const baseline::BaselineResult run =
-        baseline::run_cuda_baseline(problem, options);
-    gpusim::GpuRunInfo info;
-    info.device_seconds = run.device_seconds;
-    info.host_seconds = run.host_seconds;
-    info.kernels_launched = run.kernels_launched;
-    info.cells_processed = run.cells_processed;
-    info.occupancy =
-        gpusim::estimate_occupancy(gpusim::BlockDim{}).theoretical_occupancy;
-    tag_gpu(result, info);
-    result.field = run.residual;
-    result.result_digest = digest_field(kDigestSeed, run.residual);
-    result.result_digest = digest_field(result.result_digest, run.pressure);
-  }
-  result.work = spec.iterations;
-}
-
-// ------------------------------------------------------------------ cg --
-
-void run_cg(const FieldEquationSpec& spec, Backend backend,
-            FieldEquationResult& result) {
-  const physics::FlowProblem problem = make_problem(spec);
-  const LinearSetup setup = make_linear_setup(problem, spec.dt);
-  Array3<f32> solution;
-  if (backend == Backend::Wse) {
-    WallTimer timer;
-    core::DataflowCgOptions options;
-    options.kernel.max_iterations = spec.iterations;
-    options.kernel.relative_tolerance = static_cast<f32>(spec.tol);
-    options.execution.threads = spec.threads;
-    const core::DataflowCgResult run =
-        core::run_dataflow_cg(setup.scaled.stencil, setup.scaled_rhs, options);
-    require_ok(run, "cg");
-    tag_fabric(result, run, timer.seconds());
-    solution = core::unscale_solution(setup.scaled, run.solution);
-    result.work = run.iterations;
-    result.converged = run.converged;
-    result.summary.emplace_back("initial_residual_norm",
-                                run.initial_residual_norm);
-    result.summary.emplace_back("final_residual_norm",
-                                run.final_residual_norm);
-  } else {
-    gpusim::GpuCgOptions options;
-    options.kernel.max_iterations = spec.iterations;
-    options.kernel.relative_tolerance = static_cast<f32>(spec.tol);
-    const gpusim::GpuCgResult run =
-        gpusim::run_gpu_cg(setup.scaled.stencil, setup.scaled_rhs, options);
-    tag_gpu(result, run.info);
-    solution = core::unscale_solution(setup.scaled, run.solution);
-    result.work = run.iterations;
-    result.converged = run.converged;
-    result.summary.emplace_back("initial_residual_norm",
-                                run.initial_residual_norm);
-    result.summary.emplace_back("final_residual_norm",
-                                run.final_residual_norm);
-  }
-  result.field = std::move(solution);
-  result.result_digest = digest_field(kDigestSeed, result.field);
-}
-
-// ----------------------------------------------------------- transport --
-
-void run_transport(const FieldEquationSpec& spec, Backend backend,
-                   FieldEquationResult& result) {
-  const physics::FlowProblem problem = make_problem(spec);
-  const Extents3 ext = problem.extents();
-  const Array3<f32> saturation = transport_initial_saturation(ext);
-  const Array3<f32> wells = transport_well_rate(ext);
-  const f32 pore_volume =
-      static_cast<f32>(problem.mesh().cell_volume() * 0.2);
-  if (backend == Backend::Wse) {
-    WallTimer timer;
-    core::DataflowTransportOptions options;
-    options.kernel.window_seconds = spec.dt;
-    options.kernel.pore_volume = pore_volume;
-    options.execution.threads = spec.threads;
-    const core::DataflowTransportResult run = core::run_dataflow_transport(
-        problem, saturation, problem.initial_pressure(), wells, options);
-    require_ok(run, "transport");
-    tag_fabric(result, run, timer.seconds());
-    result.field = run.saturation;
-    result.work = run.substeps;
-    result.summary.emplace_back("advanced_seconds", run.advanced_seconds);
-  } else {
-    gpusim::GpuTransportOptions options;
-    options.kernel.window_seconds = spec.dt;
-    options.kernel.pore_volume = pore_volume;
-    const gpusim::GpuTransportResult run = gpusim::run_gpu_transport(
-        problem, saturation, problem.initial_pressure(), wells, options);
-    tag_gpu(result, run.info);
-    result.field = run.saturation;
-    result.work = run.substeps;
-    result.summary.emplace_back("advanced_seconds", run.advanced_seconds);
-  }
-  result.result_digest = digest_field(kDigestSeed, result.field);
-}
-
-// ---------------------------------------------------------------- wave --
-
-void run_wave(const FieldEquationSpec& spec, Backend backend,
-              FieldEquationResult& result) {
-  const physics::FlowProblem problem = make_problem(spec);
-  const LinearSetup setup = make_linear_setup(problem, spec.dt);
-  const Array3<f32> pulse =
-      core::gaussian_pulse(Extents3{spec.nx, spec.ny, spec.nz}, 1.0, 2.0);
-  if (backend == Backend::Wse) {
-    WallTimer timer;
-    core::DataflowWaveOptions options;
-    options.kernel.timesteps = spec.iterations;
-    options.kernel.kappa = 0.4f;
-    options.execution.threads = spec.threads;
-    const core::DataflowWaveResult run =
-        core::run_dataflow_wave(setup.scaled.stencil, pulse, options);
-    require_ok(run, "wave");
-    tag_fabric(result, run, timer.seconds());
-    result.field = run.field;
-  } else {
-    gpusim::GpuWaveOptions options;
-    options.kernel.timesteps = spec.iterations;
-    options.kernel.kappa = 0.4f;
-    const gpusim::GpuWaveResult run =
-        gpusim::run_gpu_wave(setup.scaled.stencil, pulse, options);
-    tag_gpu(result, run.info);
-    result.field = run.field;
-  }
-  result.work = spec.iterations;
-  result.result_digest = digest_field(kDigestSeed, result.field);
-}
-
-// ---------------------------------------------------------------- heat --
-
-void run_heat(const FieldEquationSpec& spec, Backend backend,
-              FieldEquationResult& result) {
-  const Array3<f32> initial = spec::heat_initial_field(
-      Extents3{spec.nx, spec.ny, spec.nz}, spec.seed);
-  if (backend == Backend::Wse) {
-    WallTimer timer;
-    spec::DataflowHeatOptions options;
-    options.kernel.steps = spec.iterations;
-    options.execution.threads = spec.threads;
-    const spec::DataflowHeatResult run =
-        spec::run_dataflow_heat(initial, options);
-    require_ok(run, "heat");
-    tag_fabric(result, run, timer.seconds());
-    result.field = run.field;
-    result.work = run.steps_completed;
-  } else {
-    gpusim::GpuHeatOptions options;
-    options.kernel.steps = spec.iterations;
-    const gpusim::GpuHeatResult run = gpusim::run_gpu_heat(initial, options);
-    tag_gpu(result, run.info);
-    result.field = run.field;
-    result.work = run.steps_completed;
-  }
-  result.result_digest = digest_field(kDigestSeed, result.field);
-}
-
-// --------------------------------------------------------------- impes --
-
-void run_impes(const FieldEquationSpec& spec, Backend backend,
-               FieldEquationResult& result) {
-  const physics::FlowProblem problem = make_problem(spec);
-  const Coord3 well{spec.nx / 2, spec.ny / 2, 0};
-  f64 cg_iterations = 0.0;
-  f64 substeps = 0.0;
-  Array3<f32> saturation;
-  Array3<f32> pressure;
-  if (backend == Backend::Wse) {
-    WallTimer timer;
-    core::FabricImpesOptions options;
-    options.execution.threads = spec.threads;
-    core::FabricImpesSimulator sim(problem, options);
-    sim.add_well(well, 2e-4);
-    dataflow::RunInfo total;
-    for (i32 window = 0; window < spec.iterations; ++window) {
-      const core::FabricImpesWindow report = sim.advance_window(spec.dt);
-      dataflow::accumulate(total, report.fabric);
-      cg_iterations += report.cg_iterations;
-      substeps += report.transport_substeps;
-      result.converged = result.converged && report.cg_converged;
-    }
-    tag_fabric(result, total, timer.seconds());
-    saturation = sim.saturation();
-    pressure = sim.pressure();
-  } else {
-    Array3<f32> wells(problem.extents(), 0.0f);
-    wells(well.x, well.y, well.z) = static_cast<f32>(2e-4);
-    const gpusim::GpuImpesResult run = gpusim::run_gpu_impes(
-        problem, wells, spec.dt, spec.iterations, gpusim::GpuImpesOptions{});
-    tag_gpu(result, run.info);
-    for (const gpusim::GpuImpesWindow& window : run.windows) {
-      cg_iterations += window.cg_iterations;
-      substeps += window.transport_substeps;
-      result.converged = result.converged && window.cg_converged;
-    }
-    saturation = run.saturation;
-    pressure = run.pressure;
-  }
-  result.work = spec.iterations;
-  result.field = std::move(saturation);
-  result.result_digest = digest_field(kDigestSeed, result.field);
-  result.result_digest = digest_field(result.result_digest, pressure);
-  result.summary.emplace_back("cg_iterations", cg_iterations);
-  result.summary.emplace_back("transport_substeps", substeps);
-}
-
-}  // namespace
-
 FieldEquationSpec resolve_spec(const FieldEquationSpec& spec) {
-  core::register_builtin_kernels();
-  const spec::KernelInfo info = spec::find_kernel(spec.kernel);
-  FVF_REQUIRE_MSG(!info.name.empty(),
+  const Kernel* kernel = find_kernel(spec.kernel);
+  FVF_REQUIRE_MSG(kernel != nullptr,
                   "unknown kernel '" << spec.kernel << "' (registered kernels: "
-                                     << spec::kernel_name_list() << ")");
+                                     << kernel_name_list() << ")");
   FieldEquationSpec resolved = spec;
   if (resolved.iterations == 0) {
-    if (resolved.kernel == "tpfa") {
-      resolved.iterations = 2;
-    } else if (resolved.kernel == "cg") {
-      resolved.iterations = 200;
-    } else if (resolved.kernel == "transport") {
-      resolved.iterations = 1;
-    } else if (resolved.kernel == "wave") {
-      resolved.iterations = 8;
-    } else if (resolved.kernel == "impes") {
-      resolved.iterations = 3;
-    } else if (resolved.kernel == "heat") {
-      resolved.iterations = 10;
-    } else {
-      resolved.iterations = 1;
-    }
+    resolved.iterations = kernel->default_iterations;
   }
   if (resolved.dt == 0.0) {
-    resolved.dt = (resolved.kernel == "transport" || resolved.kernel == "impes")
-                      ? 900.0
-                      : 3600.0;
+    resolved.dt = kernel->default_dt;
   }
   FVF_REQUIRE_MSG(resolved.nx > 0 && resolved.ny > 0 && resolved.nz > 0,
                   "field-equation extents must be positive ("
@@ -348,54 +30,13 @@ FieldEquationSpec resolve_spec(const FieldEquationSpec& spec) {
 FieldEquationResult run_field_equation(const FieldEquationSpec& raw,
                                        Backend backend) {
   const FieldEquationSpec spec = resolve_spec(raw);
-  FieldEquationResult result;
-  result.backend = backend;
-  result.kernel = spec.kernel;
-  if (spec.kernel == "tpfa") {
-    run_tpfa(spec, backend, result);
-  } else if (spec.kernel == "cg") {
-    run_cg(spec, backend, result);
-  } else if (spec.kernel == "transport") {
-    run_transport(spec, backend, result);
-  } else if (spec.kernel == "wave") {
-    run_wave(spec, backend, result);
-  } else if (spec.kernel == "impes") {
-    run_impes(spec, backend, result);
-  } else if (spec.kernel == "heat") {
-    run_heat(spec, backend, result);
-  } else {
-    // resolve_spec accepted the name, so a registry kernel without a
-    // field-equation scenario is a wiring bug, not a user error.
-    FVF_REQUIRE_MSG(false, "kernel '" << spec.kernel
-                                      << "' has no field-equation dispatch");
-  }
+  const Kernel& kernel = *find_kernel(spec.kernel);
+  FieldEquationResult result =
+      kernel.run(spec, backend, fresh_context(kernel, spec));
+  FVF_REQUIRE_MSG(result.fabric.errors.empty(),
+                  "fabric " << spec.kernel
+                            << " failed: " << result.fabric.errors.front());
   return result;
-}
-
-Array3<f32> transport_initial_saturation(Extents3 ext) {
-  Array3<f32> saturation(ext, 0.0f);
-  saturation(ext.nx / 2, ext.ny / 2, 0) = 0.6f;
-  if (ext.ny / 2 > 0) {
-    saturation(ext.nx / 2, ext.ny / 2 - 1, ext.nz > 1 ? 1 : 0) = 0.3f;
-  }
-  return saturation;
-}
-
-Array3<f32> transport_well_rate(Extents3 ext) {
-  Array3<f32> wells(ext, 0.0f);
-  wells(ext.nx / 2, ext.ny / 2, 0) = 1e-4f;
-  return wells;
-}
-
-u64 digest_field(u64 hash, const Array3<f32>& field) noexcept {
-  const Extents3 ext = field.extents();
-  hash = fnv1a_mix(hash, static_cast<u64>(ext.nx));
-  hash = fnv1a_mix(hash, static_cast<u64>(ext.ny));
-  hash = fnv1a_mix(hash, static_cast<u64>(ext.nz));
-  for (const f32 value : field.flat()) {
-    hash = fnv1a_mix(hash, std::bit_cast<u32>(value));
-  }
-  return hash;
 }
 
 }  // namespace fvf::api

@@ -1,18 +1,18 @@
 /// \file api.hpp
 /// \brief The scenario-level field-equation entry point: one call runs
-///        any kernel from the spec::registry on either backend and
+///        any kernel of the api::kernels() table on either backend and
 ///        returns a backend-tagged result with the shared timing surface.
 ///
-/// `run_field_equation` builds the *canonical scenario* of the named
-/// kernel — the same deterministic inputs fvf::serve constructs for a
-/// request with the same (extents, seed, iterations, dt, tol) — and
-/// dispatches it to the simulated wafer-scale engine (core::/spec::
-/// dataflow programs) or the executing simulated GPU (gpusim:: kernels,
-/// baseline:: for TPFA). Because both backends consume identical inputs
-/// and share the physics (core::transport_face, spec::heat_face_weight,
-/// core::build_impes_pressure_system), their results agree bitwise for
-/// the order-insensitive kernels (tpfa, transport, heat) and to
-/// reduction tolerance for the f32-sum kernels (cg, wave, impes).
+/// `run_field_equation` runs the *canonical scenario* of the named
+/// kernel through its table entry — the same entry fvf::serve runs for a
+/// request with the same (extents, seed, iterations, dt, tol) — on the
+/// simulated wafer-scale engine (core::/spec:: dataflow programs) or the
+/// executing simulated GPU (gpusim:: kernels, baseline:: for TPFA).
+/// Because both backends consume identical inputs and share the physics
+/// (core::transport_face, spec::heat_face_weight,
+/// core::build_impes_pressure_system), their results agree bitwise for the
+/// order-insensitive kernels (tpfa, transport, heat) and to reduction
+/// tolerance for the f32-sum kernels (cg, wave, impes).
 #pragma once
 
 #include <string>
@@ -20,18 +20,20 @@
 #include <vector>
 
 #include "api/backend.hpp"
+#include "api/kernels.hpp"
 #include "common/array3d.hpp"
 #include "dataflow/run_info.hpp"
 #include "gpusim/kernels.hpp"
 
 namespace fvf::api {
 
-/// One field-equation scenario: a kernel name from the spec::registry
-/// plus the content fields that determine its result bit-for-bit. The
-/// 0 sentinels resolve to the same per-kernel defaults fvf::serve uses,
-/// so a defaulted spec and an explicit one are the same scenario.
+/// One field-equation scenario: a kernel name from the api::kernels()
+/// table plus the content fields that determine its result bit-for-bit.
+/// The 0 sentinels resolve to the table's per-kernel defaults, which
+/// fvf::serve uses too, so a defaulted spec and an explicit one are the
+/// same scenario.
 struct FieldEquationSpec {
-  std::string kernel = "tpfa";  ///< resolved against spec::registry
+  std::string kernel{kernels().front().name};  ///< an api::kernels() name
   i32 nx = 6;
   i32 ny = 6;
   i32 nz = 4;
@@ -44,11 +46,9 @@ struct FieldEquationSpec {
   i32 threads = 1;
 };
 
-/// Returns `spec` with the 0 sentinels replaced by the per-kernel
-/// defaults (TPFA 2 iterations, CG 200, transport 1 window, wave 8
-/// steps, IMPES 3 windows, heat 10 steps; dt 900 s for transport/IMPES
-/// windows, 3600 s otherwise). Throws on an unknown kernel name, listing
-/// the registry inventory.
+/// Returns `spec` with the 0 sentinels replaced by the kernel's table
+/// defaults (Kernel::default_iterations, Kernel::default_dt). Throws on
+/// an unknown kernel name, listing the table.
 [[nodiscard]] FieldEquationSpec resolve_spec(const FieldEquationSpec& spec);
 
 /// A backend-tagged field-equation result with the shared RunInfo/timing
@@ -72,7 +72,8 @@ struct FieldEquationResult {
   /// digest fvf::serve publishes, so cross-backend and cross-layer
   /// results are comparable by one number.
   u64 result_digest = 0;
-  /// Kernel-specific scalars (iterations, residual norms, substeps...).
+  /// Kernel-specific scalars (iterations, residual norms, substeps...);
+  /// the same set on both backends and in fvf::serve's responses.
   std::vector<std::pair<std::string, f64>> summary;
   /// Full fabric accounting (populated when backend == Wse).
   dataflow::RunInfo fabric{};
@@ -80,28 +81,11 @@ struct FieldEquationResult {
   gpusim::GpuRunInfo gpu{};
 };
 
-/// Runs the named kernel's canonical scenario on `backend`. Throws
-/// ContractViolation on an unknown kernel (listing the registry) and
-/// propagates kernel failures (non-convergence, fabric errors) as
-/// exceptions from the underlying program.
+/// Runs the named kernel's canonical scenario on `backend` from fresh
+/// inputs. Throws ContractViolation on an unknown kernel (listing the
+/// table) and on a fabric error; a solve that did not converge comes
+/// back with `converged` false.
 [[nodiscard]] FieldEquationResult run_field_equation(
     const FieldEquationSpec& spec, Backend backend);
-
-// --- canonical scenario inputs -------------------------------------------
-// Shared with fvf::serve so a request and an api call with the same
-// content fields run bit-identical scenarios.
-
-/// The transport scenario's initial saturation patch (centre cells).
-[[nodiscard]] Array3<f32> transport_initial_saturation(Extents3 extents);
-
-/// The transport scenario's centre injector (1e-4 at the top centre).
-[[nodiscard]] Array3<f32> transport_well_rate(Extents3 extents);
-
-/// FNV-1a 64 over a field's extents and payload bit patterns, chained
-/// onto `hash` (bit-compatible with serve::digest_field).
-[[nodiscard]] u64 digest_field(u64 hash, const Array3<f32>& field) noexcept;
-
-/// The digest chain seed every scenario digest starts from.
-inline constexpr u64 kDigestSeed = 0xcbf29ce484222325ULL;
 
 }  // namespace fvf::api

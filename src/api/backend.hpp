@@ -14,7 +14,7 @@
 
 namespace fvf::api {
 
-/// An execution backend every registry kernel runs on end to end.
+/// An execution backend every table kernel runs on end to end.
 enum class Backend : u8 { Wse = 0, Gpusim = 1 };
 
 inline constexpr usize kBackendCount = 2;

@@ -1,0 +1,469 @@
+#include "api/kernels.hpp"
+
+#include <bit>
+#include <sstream>
+
+#include "api/api.hpp"
+#include "baseline/baseline.hpp"
+#include "common/assert.hpp"
+#include "common/hash.hpp"
+#include "common/timer.hpp"
+#include "core/fabric_impes.hpp"
+#include "core/launcher.hpp"
+#include "core/tpfa_program.hpp"
+#include "core/transport_program.hpp"
+#include "core/wave_program.hpp"
+#include "gpusim/occupancy.hpp"
+#include "spec/heat.hpp"
+
+namespace fvf::api {
+
+namespace {
+
+/// FNV-1a 64 over a field's extents and payload bit patterns, chained
+/// onto `hash`. A scenario's result digest chains its result fields from
+/// kFnv1aSeed in a fixed order.
+[[nodiscard]] u64 digest_field(u64 hash, const Array3<f32>& field) noexcept {
+  const Extents3 ext = field.extents();
+  hash = fnv1a_mix(hash, static_cast<u64>(ext.nx));
+  hash = fnv1a_mix(hash, static_cast<u64>(ext.ny));
+  hash = fnv1a_mix(hash, static_cast<u64>(ext.nz));
+  for (const f32 value : field.flat()) {
+    hash = fnv1a_mix(hash, std::bit_cast<u32>(value));
+  }
+  return hash;
+}
+
+/// Copies the caller's fabric launch options into a program's
+/// HarnessOptions-derived options struct.
+template <typename Options>
+[[nodiscard]] Options fabric_options(const RunContext& context) {
+  Options options;
+  static_cast<dataflow::HarnessOptions&>(options) = context.harness;
+  return options;
+}
+
+[[nodiscard]] FieldEquationResult fabric_result(const FieldEquationSpec& spec,
+                                                const dataflow::RunInfo& info,
+                                                f64 host_seconds) {
+  FieldEquationResult result;
+  result.backend = Backend::Wse;
+  result.kernel = spec.kernel;
+  result.fabric = info;
+  result.device_seconds = info.device_seconds;
+  result.host_seconds = host_seconds;
+  return result;
+}
+
+[[nodiscard]] FieldEquationResult gpu_result(const FieldEquationSpec& spec,
+                                             const gpusim::GpuRunInfo& info) {
+  FieldEquationResult result;
+  result.backend = Backend::Gpusim;
+  result.kernel = spec.kernel;
+  result.gpu = info;
+  result.device_seconds = info.device_seconds;
+  result.host_seconds = info.host_seconds;
+  return result;
+}
+
+[[nodiscard]] Extents3 extents_of(const FieldEquationSpec& spec) {
+  return Extents3{spec.nx, spec.ny, spec.nz};
+}
+
+// ---------------------------------------------------------------- tpfa --
+
+FieldEquationResult run_tpfa(const FieldEquationSpec& spec, Backend backend,
+                             const RunContext& context) {
+  const std::shared_ptr<const physics::FlowProblem> problem =
+      context.problem();
+  FieldEquationResult result;
+  if (backend == Backend::Wse) {
+    auto options = fabric_options<core::DataflowOptions>(context);
+    options.iterations = spec.iterations;
+    const WallTimer timer;
+    const core::DataflowResult run = core::run_dataflow_tpfa(*problem, options);
+    result = fabric_result(spec, run, timer.seconds());
+    result.field = run.residual;
+    result.result_digest = digest_field(kFnv1aSeed, run.residual);
+    result.result_digest = digest_field(result.result_digest, run.pressure);
+  } else {
+    // TPFA on the GPU is the paper's hand-written CUDA baseline, which
+    // shares its per-cell flux arithmetic with the serial oracle.
+    baseline::BaselineOptions options;
+    options.iterations = spec.iterations;
+    const baseline::BaselineResult run =
+        baseline::run_cuda_baseline(*problem, options);
+    gpusim::GpuRunInfo info;
+    info.device_seconds = run.device_seconds;
+    info.host_seconds = run.host_seconds;
+    info.kernels_launched = run.kernels_launched;
+    info.cells_processed = run.cells_processed;
+    info.occupancy =
+        gpusim::estimate_occupancy(gpusim::BlockDim{}).theoretical_occupancy;
+    result = gpu_result(spec, info);
+    result.field = run.residual;
+    result.result_digest = digest_field(kFnv1aSeed, run.residual);
+    result.result_digest = digest_field(result.result_digest, run.pressure);
+  }
+  result.work = spec.iterations;
+  return result;
+}
+
+// ------------------------------------------------------------------ cg --
+
+FieldEquationResult run_cg(const FieldEquationSpec& spec, Backend backend,
+                           const RunContext& context) {
+  const std::shared_ptr<const LinearSystem> system = context.system();
+  core::CgKernelOptions kernel;
+  kernel.max_iterations = spec.iterations;
+  kernel.relative_tolerance = static_cast<f32>(spec.tol);
+  FieldEquationResult result;
+  Array3<f32> scaled_solution;
+  f64 initial_norm = 0.0;
+  f64 final_norm = 0.0;
+  if (backend == Backend::Wse) {
+    auto options = fabric_options<core::DataflowCgOptions>(context);
+    options.kernel = kernel;
+    const WallTimer timer;
+    core::DataflowCgResult run = core::run_dataflow_cg(
+        system->scaled.stencil, system->scaled_rhs, options);
+    result = fabric_result(spec, run, timer.seconds());
+    scaled_solution = std::move(run.solution);
+    result.work = run.iterations;
+    result.converged = run.converged;
+    initial_norm = run.initial_residual_norm;
+    final_norm = run.final_residual_norm;
+  } else {
+    gpusim::GpuCgOptions options;
+    options.kernel = kernel;
+    gpusim::GpuCgResult run = gpusim::run_gpu_cg(
+        system->scaled.stencil, system->scaled_rhs, options);
+    result = gpu_result(spec, run.info);
+    scaled_solution = std::move(run.solution);
+    result.work = run.iterations;
+    result.converged = run.converged;
+    initial_norm = run.initial_residual_norm;
+    final_norm = run.final_residual_norm;
+  }
+  result.field = core::unscale_solution(system->scaled, scaled_solution);
+  result.result_digest = digest_field(kFnv1aSeed, result.field);
+  result.summary = {{"iterations", static_cast<f64>(result.work)},
+                    {"converged", result.converged ? 1.0 : 0.0},
+                    {"initial_residual_norm", initial_norm},
+                    {"final_residual_norm", final_norm}};
+  return result;
+}
+
+// ----------------------------------------------------------- transport --
+
+FieldEquationResult run_transport(const FieldEquationSpec& spec,
+                                  Backend backend, const RunContext& context) {
+  const std::shared_ptr<const physics::FlowProblem> problem =
+      context.problem();
+  const Extents3 ext = problem->extents();
+  const Array3<f32> saturation = transport_initial_saturation(ext);
+  const Array3<f32> wells = transport_well_rate(ext);
+  core::TransportKernelOptions kernel;
+  kernel.window_seconds = spec.dt;
+  kernel.pore_volume = static_cast<f32>(problem->mesh().cell_volume() * 0.2);
+  FieldEquationResult result;
+  f64 advanced_seconds = 0.0;
+  if (backend == Backend::Wse) {
+    auto options = fabric_options<core::DataflowTransportOptions>(context);
+    options.kernel = kernel;
+    const WallTimer timer;
+    core::DataflowTransportResult run = core::run_dataflow_transport(
+        *problem, saturation, problem->initial_pressure(), wells, options);
+    result = fabric_result(spec, run, timer.seconds());
+    result.field = std::move(run.saturation);
+    result.work = run.substeps;
+    advanced_seconds = run.advanced_seconds;
+  } else {
+    gpusim::GpuTransportOptions options;
+    options.kernel = kernel;
+    gpusim::GpuTransportResult run = gpusim::run_gpu_transport(
+        *problem, saturation, problem->initial_pressure(), wells, options);
+    result = gpu_result(spec, run.info);
+    result.field = std::move(run.saturation);
+    result.work = run.substeps;
+    advanced_seconds = run.advanced_seconds;
+  }
+  result.result_digest = digest_field(kFnv1aSeed, result.field);
+  result.summary = {{"substeps", static_cast<f64>(result.work)},
+                    {"advanced_seconds", advanced_seconds}};
+  return result;
+}
+
+// ---------------------------------------------------------------- wave --
+
+FieldEquationResult run_wave(const FieldEquationSpec& spec, Backend backend,
+                             const RunContext& context) {
+  const std::shared_ptr<const LinearSystem> system = context.system();
+  const Array3<f32> pulse = core::gaussian_pulse(extents_of(spec), 1.0, 2.0);
+  core::WaveKernelOptions kernel;
+  kernel.timesteps = spec.iterations;
+  kernel.kappa = 0.4f;
+  FieldEquationResult result;
+  if (backend == Backend::Wse) {
+    auto options = fabric_options<core::DataflowWaveOptions>(context);
+    options.kernel = kernel;
+    const WallTimer timer;
+    core::DataflowWaveResult run =
+        core::run_dataflow_wave(system->scaled.stencil, pulse, options);
+    result = fabric_result(spec, run, timer.seconds());
+    result.field = std::move(run.field);
+  } else {
+    gpusim::GpuWaveOptions options;
+    options.kernel = kernel;
+    gpusim::GpuWaveResult run =
+        gpusim::run_gpu_wave(system->scaled.stencil, pulse, options);
+    result = gpu_result(spec, run.info);
+    result.field = std::move(run.field);
+  }
+  result.work = spec.iterations;
+  result.result_digest = digest_field(kFnv1aSeed, result.field);
+  return result;
+}
+
+// --------------------------------------------------------------- impes --
+
+FieldEquationResult run_impes(const FieldEquationSpec& spec, Backend backend,
+                              const RunContext& context) {
+  const std::shared_ptr<const physics::FlowProblem> problem =
+      context.problem();
+  const Coord3 well{spec.nx / 2, spec.ny / 2, 0};
+  constexpr f64 kWellRate = 2e-4;
+  FieldEquationResult result;
+  i64 cg_iterations = 0;
+  i64 substeps = 0;
+  bool converged = true;
+  Array3<f32> pressure;
+  f64 co2_in_place = 0.0;
+  if (backend == Backend::Wse) {
+    core::FabricImpesOptions options;
+    options.execution = context.harness.execution;
+    options.lint = context.harness.lint;
+    const WallTimer timer;
+    core::FabricImpesSimulator sim(*problem, options);
+    sim.add_well(well, kWellRate);
+    ImpesWindowState state{sim};
+    while (!context.impes_window || context.impes_window(state)) {
+      if (state.windows_done == spec.iterations) {
+        break;
+      }
+      const core::FabricImpesWindow report = sim.advance_window(spec.dt);
+      dataflow::accumulate(state.fabric, report.fabric);
+      state.cg_iterations += report.cg_iterations;
+      state.transport_substeps += report.transport_substeps;
+      converged = converged && report.cg_converged;
+      ++state.windows_done;
+    }
+    result = fabric_result(spec, state.fabric, timer.seconds());
+    if (state.windows_done < spec.iterations) {
+      result.work = state.windows_done;
+      return result;  // stopped by the hook; the caller reports it
+    }
+    cg_iterations = state.cg_iterations;
+    substeps = state.transport_substeps;
+    result.field = sim.saturation();
+    pressure = sim.pressure();
+    co2_in_place = sim.co2_in_place();
+  } else {
+    Array3<f32> wells(problem->extents(), 0.0f);
+    wells(well.x, well.y, well.z) = static_cast<f32>(kWellRate);
+    const gpusim::GpuImpesOptions options;
+    gpusim::GpuImpesResult run = gpusim::run_gpu_impes(
+        *problem, wells, spec.dt, spec.iterations, options);
+    result = gpu_result(spec, run.info);
+    for (const gpusim::GpuImpesWindow& window : run.windows) {
+      cg_iterations += window.cg_iterations;
+      substeps += window.transport_substeps;
+      converged = converged && window.cg_converged;
+    }
+    co2_in_place =
+        core::co2_in_place(*problem, options.porosity, run.saturation);
+    result.field = std::move(run.saturation);
+    pressure = std::move(run.pressure);
+  }
+  result.work = spec.iterations;
+  result.converged = converged;
+  result.result_digest = digest_field(kFnv1aSeed, result.field);
+  result.result_digest = digest_field(result.result_digest, pressure);
+  result.summary = {{"windows", static_cast<f64>(spec.iterations)},
+                    {"cg_iterations", static_cast<f64>(cg_iterations)},
+                    {"transport_substeps", static_cast<f64>(substeps)},
+                    {"co2_in_place", co2_in_place}};
+  return result;
+}
+
+// ---------------------------------------------------------------- heat --
+
+FieldEquationResult run_heat(const FieldEquationSpec& spec, Backend backend,
+                             const RunContext& context) {
+  // Heat needs no FlowProblem: the initial field is a deterministic
+  // function of (extents, seed).
+  const Array3<f32> initial =
+      spec::heat_initial_field(extents_of(spec), spec.seed);
+  FieldEquationResult result;
+  if (backend == Backend::Wse) {
+    auto options = fabric_options<spec::DataflowHeatOptions>(context);
+    options.kernel.steps = spec.iterations;
+    const WallTimer timer;
+    spec::DataflowHeatResult run = spec::run_dataflow_heat(initial, options);
+    result = fabric_result(spec, run, timer.seconds());
+    result.field = std::move(run.field);
+    result.work = run.steps_completed;
+  } else {
+    gpusim::GpuHeatOptions options;
+    options.kernel.steps = spec.iterations;
+    gpusim::GpuHeatResult run = gpusim::run_gpu_heat(initial, options);
+    result = gpu_result(spec, run.info);
+    result.field = std::move(run.field);
+    result.work = run.steps_completed;
+  }
+  result.result_digest = digest_field(kFnv1aSeed, result.field);
+  result.summary = {{"steps", static_cast<f64>(result.work)}};
+  return result;
+}
+
+// --------------------------------------------------------------- table --
+
+constexpr Kernel kTable[] = {
+    {.name = "tpfa",
+     .summary = "two-point flux pressure iteration (switch-protocol exchange)",
+     .compile_spec = [] { return spec::compile(core::make_tpfa_spec({})); },
+     .default_iterations = 2,
+     .run = run_tpfa},
+    {.name = "cg",
+     .summary = "conjugate-gradient pressure solve (legacy path)",
+     .default_iterations = 200,
+     .must_converge = true,
+     .run = run_cg},
+    {.name = "transport",
+     .summary = "explicit saturation transport with CFL dt min-reduce",
+     .compile_spec =
+         [] { return spec::compile(core::make_transport_spec({})); },
+     .default_iterations = 1,
+     .default_dt = 900.0,
+     .run = run_transport},
+    {.name = "wave",
+     .summary = "second-order acoustic wave kernel (legacy path)",
+     .default_iterations = 8,
+     .run = run_wave},
+    {.name = "impes",
+     .summary = "IMPES pressure/transport loop (legacy path)",
+     .default_iterations = 3,
+     .default_dt = 900.0,
+     .problem = CanonicalProblem::Injection,
+     .run = run_impes},
+    {.name = "heat",
+     .summary = "2D heat diffusion, 9-point stencil (spec-only)",
+     .compile_spec = [] { return spec::compile(spec::make_heat_spec({})); },
+     .default_iterations = 10,
+     .problem = CanonicalProblem::None,
+     .run = run_heat},
+};
+
+}  // namespace
+
+std::span<const Kernel> kernels() noexcept { return kTable; }
+
+const Kernel* find_kernel(std::string_view name) noexcept {
+  for (const Kernel& kernel : kTable) {
+    if (kernel.name == name) {
+      return &kernel;
+    }
+  }
+  return nullptr;
+}
+
+std::string kernel_name_list(std::string_view separator) {
+  std::string list;
+  for (const Kernel& kernel : kTable) {
+    if (!list.empty()) {
+      list += separator;
+    }
+    list += kernel.name;
+  }
+  return list;
+}
+
+physics::FlowProblem canonical_problem(const Kernel& kernel, Extents3 extents,
+                                       u64 seed) {
+  FVF_REQUIRE_MSG(kernel.problem != CanonicalProblem::None,
+                  "kernel '" << kernel.name << "' runs without a FlowProblem");
+  if (kernel.problem == CanonicalProblem::Injection) {
+    physics::ProblemSpec spec;
+    spec.extents = extents;
+    spec.spacing = mesh::Spacing3{10.0, 10.0, 2.0};
+    spec.geomodel = physics::GeomodelKind::Homogeneous;
+    spec.seed = seed;
+    return physics::FlowProblem(spec);
+  }
+  return physics::make_benchmark_problem(extents, seed);
+}
+
+Array3<f32> transport_initial_saturation(Extents3 ext) {
+  Array3<f32> saturation(ext, 0.0f);
+  saturation(ext.nx / 2, ext.ny / 2, 0) = 0.6f;
+  if (ext.ny / 2 > 0) {
+    saturation(ext.nx / 2, ext.ny / 2 - 1, ext.nz > 1 ? 1 : 0) = 0.3f;
+  }
+  return saturation;
+}
+
+Array3<f32> transport_well_rate(Extents3 ext) {
+  Array3<f32> wells(ext, 0.0f);
+  wells(ext.nx / 2, ext.ny / 2, 0) = 1e-4f;
+  return wells;
+}
+
+LinearSystem linear_system(const physics::FlowProblem& problem, f64 dt) {
+  const core::LinearStencil stencil = core::build_linear_stencil(problem, dt);
+  const core::ManufacturedSystem manufactured =
+      core::manufacture_solution(stencil);
+  LinearSystem system;
+  system.scaled = core::jacobi_scale(stencil);
+  system.scaled_rhs = core::scale_rhs(system.scaled, manufactured.rhs);
+  return system;
+}
+
+RunContext fresh_context(const Kernel& kernel, const FieldEquationSpec& spec) {
+  RunContext context;
+  context.harness.execution.threads = spec.threads;
+  const Extents3 extents = extents_of(spec);
+  const u64 seed = spec.seed;
+  context.problem = [&kernel, extents, seed] {
+    return std::make_shared<const physics::FlowProblem>(
+        canonical_problem(kernel, extents, seed));
+  };
+  context.system = [problem = context.problem, dt = spec.dt] {
+    return std::make_shared<const LinearSystem>(linear_system(*problem(), dt));
+  };
+  return context;
+}
+
+std::string run_failure(const Kernel& kernel, const FieldEquationSpec& spec,
+                        const FieldEquationResult& result) {
+  if (!result.fabric.errors.empty()) {
+    return result.fabric.errors.front();
+  }
+  if (!kernel.must_converge || result.converged) {
+    return {};
+  }
+  f64 initial_norm = 0.0;
+  f64 final_norm = 0.0;
+  for (const auto& [name, value] : result.summary) {
+    if (name == "initial_residual_norm") {
+      initial_norm = value;
+    } else if (name == "final_residual_norm") {
+      final_norm = value;
+    }
+  }
+  std::ostringstream os;
+  os << "CG did not converge within " << spec.iterations
+     << " iterations (||r||/||r0|| = " << final_norm / initial_norm << ")";
+  return os.str();
+}
+
+}  // namespace fvf::api

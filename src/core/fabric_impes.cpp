@@ -38,10 +38,15 @@ void FabricImpesSimulator::restore_state(const Array3<f32>& saturation,
 }
 
 f64 FabricImpesSimulator::co2_in_place() const {
-  const f64 pore_volume = problem_.mesh().cell_volume() * options_.porosity;
+  return core::co2_in_place(problem_, options_.porosity, saturation_);
+}
+
+f64 co2_in_place(const physics::FlowProblem& problem, f64 porosity,
+                 const Array3<f32>& saturation) {
+  const f64 pore_volume = problem.mesh().cell_volume() * porosity;
   f64 total = 0.0;
-  for (i64 i = 0; i < saturation_.size(); ++i) {
-    total += static_cast<f64>(saturation_[i]) * pore_volume;
+  for (i64 i = 0; i < saturation.size(); ++i) {
+    total += static_cast<f64>(saturation[i]) * pore_volume;
   }
   return total;
 }

@@ -111,4 +111,9 @@ class FabricImpesSimulator {
   Array3<f32> well_rate_;
 };
 
+/// Non-wetting phase volume in place [m^3] of `saturation` on `problem`'s
+/// mesh — shared by the fabric and gpusim IMPES drivers' reports.
+[[nodiscard]] f64 co2_in_place(const physics::FlowProblem& problem,
+                               f64 porosity, const Array3<f32>& saturation);
+
 }  // namespace fvf::core

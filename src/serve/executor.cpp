@@ -7,51 +7,51 @@
 #include <sstream>
 
 #include "api/api.hpp"
-#include "common/assert.hpp"
-#include "core/cg_program.hpp"
+#include "common/hash.hpp"
 #include "core/fabric_impes.hpp"
-#include "core/launcher.hpp"
-#include "core/linear_stencil.hpp"
-#include "core/transport_program.hpp"
-#include "core/wave_program.hpp"
 #include "io/checkpoint.hpp"
-#include "spec/heat.hpp"
 #include "wse/fault.hpp"
 
 namespace fvf::serve {
 
-/// The cached linear-system setup shared by the CG and wave scenarios:
-/// stencil assembly, manufactured solution, and Jacobi scaling are all
-/// deterministic functions of (problem, dt).
-struct CgSetup {
-  core::ScaledSystem scaled;
-  Array3<f32> scaled_rhs;
-  core::ManufacturedSystem manufactured;
-};
-
 namespace {
 
-constexpr u64 kDigestSeed = 0xcbf29ce484222325ULL;
-
-/// Applies the request's execution knobs to any HarnessOptions-derived
-/// program options struct: the canonical fault scenario of the demos
-/// (uniform rates, bit flips restricted to the retransmit-protected halo
-/// colors) plus the thread count, which never changes results.
-void apply_execution(dataflow::HarnessOptions& options,
-                     const ScenarioRequest& request, lint::Level lint) {
+/// The request's fabric launch options: the canonical fault scenario of
+/// the demos (uniform rates, bit flips restricted to the
+/// retransmit-protected halo colors) plus the thread count, which never
+/// changes results.
+dataflow::HarnessOptions harness_options(const ScenarioRequest& request,
+                                         lint::Level lint) {
+  dataflow::HarnessOptions options;
   options.execution.threads = request.threads;
   options.execution.fault =
       wse::FaultConfig::uniform(request.fault_seed, request.fault_rate);
   options.execution.fault.flip_color_mask = 0x00FFu;
   options.lint = lint;
+  return options;
 }
 
-/// Content key of the problem cache. IMPES scenarios use the
-/// homogeneous injection geomodel of the demo; the single-kernel
-/// scenarios share the canonical log-normal benchmark problem.
+/// The request's content fields as the table's FieldEquationSpec.
+api::FieldEquationSpec field_equation(const ScenarioRequest& request) {
+  api::FieldEquationSpec spec;
+  spec.kernel = std::string(request.program->name);
+  spec.nx = request.nx;
+  spec.ny = request.ny;
+  spec.nz = request.nz;
+  spec.seed = request.seed;
+  spec.iterations = request.iterations;
+  spec.dt = request.dt;
+  spec.tol = request.tol;
+  spec.threads = request.threads;
+  return spec;
+}
+
+/// Content key of the problem cache: the kernel's canonical problem
+/// kind, extents and seed.
 u64 problem_key(const ScenarioRequest& request) {
-  const bool impes = request.program == ProgramKind::Impes;
-  u64 key = fnv1a(impes ? "problem/impes" : "problem/benchmark");
+  const bool injection =
+      request.program->problem == api::CanonicalProblem::Injection;
+  u64 key = fnv1a(injection ? "problem/impes" : "problem/benchmark");
   key = fnv1a_mix(key, static_cast<u64>(request.nx));
   key = fnv1a_mix(key, static_cast<u64>(request.ny));
   key = fnv1a_mix(key, static_cast<u64>(request.nz));
@@ -66,8 +66,7 @@ u64 setup_key(const ScenarioRequest& request) {
 }
 
 u64 lint_key(const ScenarioRequest& request) {
-  u64 key = fnv1a("lint");
-  key = fnv1a_mix(key, static_cast<u64>(request.program));
+  u64 key = fnv1a(request.program->name, fnv1a("lint"));
   key = fnv1a_mix(key, static_cast<u64>(request.nx));
   key = fnv1a_mix(key, static_cast<u64>(request.ny));
   key = fnv1a_mix(key, static_cast<u64>(request.nz));
@@ -89,6 +88,55 @@ CheckpointPaths checkpoint_paths(const std::string& dir, u64 hash) {
   const std::string base = dir + "/" + stem;
   return CheckpointPaths{base + ".meta", base + "_saturation.fvf",
                          base + "_pressure.fvf"};
+}
+
+/// Restores `state` from a complete checkpoint of exactly this scenario;
+/// returns false (leaving `state` untouched) when there is none.
+bool resume(const CheckpointPaths& paths, const std::string& canonical,
+            api::ImpesWindowState& state) {
+  std::ifstream meta_in(paths.meta);
+  if (!meta_in.good()) {
+    return false;
+  }
+  std::ostringstream text;
+  text << meta_in.rdbuf();
+  const std::string meta = text.str();
+  // The meta file embeds the canonical content so a hash collision (or a
+  // stale directory) can never resume the wrong scenario.
+  if (meta.find("canonical=" + canonical + "\n") == std::string::npos) {
+    return false;
+  }
+  const dataflow::RunInfo done = parse_run_info(meta);
+  state.sim.restore_state(io::load_field(paths.saturation),
+                          io::load_field(paths.pressure));
+  state.fabric = done;
+  std::istringstream scalars(meta);
+  std::string line;
+  while (std::getline(scalars, line)) {
+    if (line.rfind("windows_done=", 0) == 0) {
+      state.windows_done = static_cast<i32>(std::stol(line.substr(13)));
+    } else if (line.rfind("cg_iterations_total=", 0) == 0) {
+      state.cg_iterations = std::stol(line.substr(20));
+    } else if (line.rfind("transport_substeps_total=", 0) == 0) {
+      state.transport_substeps = std::stol(line.substr(25));
+    }
+  }
+  return true;
+}
+
+void save(const std::string& dir, const CheckpointPaths& paths,
+          const std::string& canonical, const api::ImpesWindowState& state) {
+  std::filesystem::create_directories(dir);
+  io::save_field(paths.saturation, state.sim.saturation());
+  io::save_field(paths.pressure, state.sim.pressure());
+  // Meta goes last: a checkpoint without its meta file is invisible to
+  // resume, so a crash mid-save can never resume partial state.
+  std::ofstream meta_out(paths.meta, std::ios::binary | std::ios::trunc);
+  meta_out << "canonical=" << canonical << '\n'
+           << "windows_done=" << state.windows_done << '\n'
+           << "cg_iterations_total=" << state.cg_iterations << '\n'
+           << "transport_substeps_total=" << state.transport_substeps << '\n'
+           << serialize_run_info(state.fabric);
 }
 
 }  // namespace
@@ -117,31 +165,16 @@ ExecutorStats ScenarioExecutor::stats() const {
 std::shared_ptr<const physics::FlowProblem> ScenarioExecutor::problem_for(
     const ScenarioRequest& request) {
   return problems_.get_or_build(problem_key(request), [&request] {
-    if (request.program == ProgramKind::Impes) {
-      physics::ProblemSpec spec;
-      spec.extents = Extents3{request.nx, request.ny, request.nz};
-      spec.spacing = mesh::Spacing3{10.0, 10.0, 2.0};
-      spec.geomodel = physics::GeomodelKind::Homogeneous;
-      spec.seed = request.seed;
-      return physics::FlowProblem(spec);
-    }
-    return physics::make_benchmark_problem(
-        Extents3{request.nx, request.ny, request.nz}, request.seed);
+    return api::canonical_problem(
+        *request.program, Extents3{request.nx, request.ny, request.nz},
+        request.seed);
   });
 }
 
-std::shared_ptr<const CgSetup> ScenarioExecutor::setup_for(
+std::shared_ptr<const api::LinearSystem> ScenarioExecutor::setup_for(
     const ScenarioRequest& request) {
   return setups_.get_or_build(setup_key(request), [this, &request] {
-    const std::shared_ptr<const physics::FlowProblem> problem =
-        problem_for(request);
-    const core::LinearStencil stencil =
-        core::build_linear_stencil(*problem, request.dt);
-    CgSetup setup;
-    setup.manufactured = core::manufacture_solution(stencil);
-    setup.scaled = core::jacobi_scale(stencil);
-    setup.scaled_rhs = core::scale_rhs(setup.scaled, setup.manufactured.rhs);
-    return setup;
+    return api::linear_system(*problem_for(request), request.dt);
   });
 }
 
@@ -170,34 +203,45 @@ ScenarioResponse ScenarioExecutor::execute(const ScenarioRequest& raw,
     const ScenarioRequest request = resolve_defaults(raw);
     response.scenario_hash = scenario_hash(request);
     simulations_.fetch_add(1);
-    if (request.backend == BackendChoice::Gpusim) {
-      run_gpusim(request, response);
+    const bool wse = request.backend != BackendChoice::Gpusim;
+    const api::FieldEquationSpec spec = field_equation(request);
+    // gpusim runs build fresh inputs, as run_field_equation does: the
+    // caches hold fabric inputs only, so gpusim traffic does not grow
+    // them (caching both raised the serve benchmark's peak RSS by 7%).
+    api::RunContext inputs = api::fresh_context(*request.program, spec);
+    if (wse) {
+      inputs.harness = harness_options(request, effective_lint(request));
+      inputs.problem = [this, &request] { return problem_for(request); };
+      inputs.system = [this, &request] { return setup_for(request); };
+      inputs.impes_window = impes_windows(request, context, response);
+    }
+    const api::FieldEquationResult result = request.program->run(
+        spec, wse ? api::Backend::Wse : api::Backend::Gpusim, inputs);
+    if (response.status == RequestStatus::DeadlineExpired) {
+      response.info = result.fabric;
+      return response;
+    }
+    response.result_digest = result.result_digest;
+    response.summary = result.summary;
+    if (wse) {
+      response.info = result.fabric;
     } else {
-      switch (request.program) {
-        case ProgramKind::Tpfa:
-          run_tpfa(request, response);
-          break;
-        case ProgramKind::Cg:
-          run_cg(request, response);
-          break;
-        case ProgramKind::Transport:
-          run_transport(request, response);
-          break;
-        case ProgramKind::Wave:
-          run_wave(request, response);
-          break;
-        case ProgramKind::Impes:
-          run_impes(request, response, context);
-          break;
-        case ProgramKind::Heat:
-          run_heat(request, response);
-          break;
-      }
-      if (response.status == RequestStatus::Ok) {
-        // Lint verifies fabric programs; a gpusim run proves nothing
-        // about the fabric shape, so only wse runs record a pass.
-        record_lint_pass(request);
-      }
+      // The shared timing surface: the analytic GPU timeline stands in
+      // for the fabric clock in the response's RunInfo.
+      response.info.device_seconds = result.device_seconds;
+      response.summary.emplace_back("work", static_cast<f64>(result.work));
+      response.summary.emplace_back(
+          "gpu_kernels_launched",
+          static_cast<f64>(result.gpu.kernels_launched));
+      response.summary.emplace_back("gpu_occupancy", result.gpu.occupancy);
+    }
+    response.error = api::run_failure(*request.program, spec, result);
+    if (!response.error.empty()) {
+      response.status = RequestStatus::Failed;
+    } else if (wse) {
+      // Lint verifies fabric programs; a gpusim run proves nothing
+      // about the fabric shape, so only wse runs record a pass.
+      record_lint_pass(request);
     }
   } catch (const std::exception& error) {
     response.status = RequestStatus::Failed;
@@ -206,275 +250,58 @@ ScenarioResponse ScenarioExecutor::execute(const ScenarioRequest& raw,
   return response;
 }
 
-void ScenarioExecutor::run_tpfa(const ScenarioRequest& request,
-                                ScenarioResponse& response) {
-  const std::shared_ptr<const physics::FlowProblem> problem =
-      problem_for(request);
-  core::DataflowOptions options;
-  options.iterations = request.iterations;
-  apply_execution(options, request, effective_lint(request));
-  const core::DataflowResult result = core::run_dataflow_tpfa(*problem, options);
-  response.info = result;
-  u64 digest = digest_field(kDigestSeed, result.residual);
-  digest = digest_field(digest, result.pressure);
-  response.result_digest = digest;
-  if (!result.ok()) {
-    response.status = RequestStatus::Failed;
-    response.error = result.errors.front();
-  }
-}
-
-void ScenarioExecutor::run_cg(const ScenarioRequest& request,
-                              ScenarioResponse& response) {
-  const std::shared_ptr<const CgSetup> setup = setup_for(request);
-  core::DataflowCgOptions options;
-  options.kernel.max_iterations = request.iterations;
-  options.kernel.relative_tolerance = static_cast<f32>(request.tol);
-  apply_execution(options, request, effective_lint(request));
-  const core::DataflowCgResult result =
-      core::run_dataflow_cg(setup->scaled.stencil, setup->scaled_rhs, options);
-  response.info = result;
-  const Array3<f32> solution =
-      core::unscale_solution(setup->scaled, result.solution);
-  response.result_digest = digest_field(kDigestSeed, solution);
-  response.summary.emplace_back("iterations", static_cast<f64>(result.iterations));
-  response.summary.emplace_back("converged", result.converged ? 1.0 : 0.0);
-  response.summary.emplace_back("initial_residual_norm",
-                                result.initial_residual_norm);
-  response.summary.emplace_back("final_residual_norm",
-                                result.final_residual_norm);
-  if (!result.ok()) {
-    response.status = RequestStatus::Failed;
-    response.error = result.errors.front();
-  } else if (!result.converged) {
-    response.status = RequestStatus::Failed;
-    std::ostringstream os;
-    os << "CG did not converge within " << request.iterations
-       << " iterations (||r||/||r0|| = "
-       << result.final_residual_norm / result.initial_residual_norm << ")";
-    response.error = os.str();
-  }
-}
-
-void ScenarioExecutor::run_transport(const ScenarioRequest& request,
-                                     ScenarioResponse& response) {
-  const std::shared_ptr<const physics::FlowProblem> problem =
-      problem_for(request);
-  const Extents3 ext = problem->extents();
-
-  // The canonical transport scenario: the initial saturation patch and
-  // a centre injector over the problem's own initial pressure field.
-  Array3<f32> saturation(ext, 0.0f);
-  saturation(ext.nx / 2, ext.ny / 2, 0) = 0.6f;
-  if (ext.ny / 2 > 0) {
-    saturation(ext.nx / 2, ext.ny / 2 - 1, ext.nz > 1 ? 1 : 0) = 0.3f;
-  }
-  Array3<f32> wells(ext, 0.0f);
-  wells(ext.nx / 2, ext.ny / 2, 0) = 1e-4f;
-
-  core::DataflowTransportOptions options;
-  options.kernel.window_seconds = request.dt;
-  options.kernel.pore_volume =
-      static_cast<f32>(problem->mesh().cell_volume() * 0.2);
-  apply_execution(options, request, effective_lint(request));
-  const core::DataflowTransportResult result = core::run_dataflow_transport(
-      *problem, saturation, problem->initial_pressure(), wells, options);
-  response.info = result;
-  response.result_digest = digest_field(kDigestSeed, result.saturation);
-  response.summary.emplace_back("substeps", static_cast<f64>(result.substeps));
-  response.summary.emplace_back("advanced_seconds", result.advanced_seconds);
-  if (!result.ok()) {
-    response.status = RequestStatus::Failed;
-    response.error = result.errors.front();
-  }
-}
-
-void ScenarioExecutor::run_wave(const ScenarioRequest& request,
-                                ScenarioResponse& response) {
-  const std::shared_ptr<const CgSetup> setup = setup_for(request);
-  const Array3<f32> pulse = core::gaussian_pulse(
-      Extents3{request.nx, request.ny, request.nz}, 1.0, 2.0);
-  core::DataflowWaveOptions options;
-  options.kernel.timesteps = request.iterations;
-  options.kernel.kappa = 0.4f;
-  apply_execution(options, request, effective_lint(request));
-  const core::DataflowWaveResult result =
-      core::run_dataflow_wave(setup->scaled.stencil, pulse, options);
-  response.info = result;
-  response.result_digest = digest_field(kDigestSeed, result.field);
-  if (!result.ok()) {
-    response.status = RequestStatus::Failed;
-    response.error = result.errors.front();
-  }
-}
-
-void ScenarioExecutor::run_heat(const ScenarioRequest& request,
-                                ScenarioResponse& response) {
-  // Heat needs no FlowProblem: the initial field is a deterministic
-  // function of (extents, seed), so the scenario hash still keys the
-  // result bit-for-bit.
-  const Array3<f32> initial = spec::heat_initial_field(
-      Extents3{request.nx, request.ny, request.nz}, request.seed);
-  spec::DataflowHeatOptions options;
-  options.kernel.steps = request.iterations;
-  apply_execution(options, request, effective_lint(request));
-  const spec::DataflowHeatResult result =
-      spec::run_dataflow_heat(initial, options);
-  response.info = result;
-  response.result_digest = digest_field(kDigestSeed, result.field);
-  response.summary.emplace_back("steps",
-                                static_cast<f64>(result.steps_completed));
-  if (!result.ok()) {
-    response.status = RequestStatus::Failed;
-    response.error = result.errors.front();
-  }
-}
-
-void ScenarioExecutor::run_gpusim(const ScenarioRequest& request,
-                                  ScenarioResponse& response) {
-  api::FieldEquationSpec spec;
-  spec.kernel = std::string(program_name(request.program));
-  spec.nx = request.nx;
-  spec.ny = request.ny;
-  spec.nz = request.nz;
-  spec.seed = request.seed;
-  spec.iterations = request.iterations;
-  spec.dt = request.dt;
-  spec.tol = request.tol;
-  const api::FieldEquationResult result =
-      api::run_field_equation(spec, api::Backend::Gpusim);
-  // The shared timing surface: the analytic GPU timeline stands in for
-  // the fabric clock in the response's RunInfo.
-  response.info.device_seconds = result.device_seconds;
-  response.result_digest = result.result_digest;
-  response.summary = result.summary;
-  response.summary.emplace_back("work", static_cast<f64>(result.work));
-  response.summary.emplace_back(
-      "gpu_kernels_launched", static_cast<f64>(result.gpu.kernels_launched));
-  response.summary.emplace_back("gpu_occupancy", result.gpu.occupancy);
-  if (request.program == ProgramKind::Cg && !result.converged) {
-    response.status = RequestStatus::Failed;
-    std::ostringstream os;
-    os << "CG did not converge within " << request.iterations
-       << " iterations on the gpusim backend";
-    response.error = os.str();
-  }
-}
-
-void ScenarioExecutor::run_impes(const ScenarioRequest& request,
-                                 ScenarioResponse& response,
-                                 const ExecutionContext& context) {
-  const std::shared_ptr<const physics::FlowProblem> problem =
-      problem_for(request);
-  core::FabricImpesOptions options;
-  options.execution.threads = request.threads;
-  options.execution.fault =
-      wse::FaultConfig::uniform(request.fault_seed, request.fault_rate);
-  options.execution.fault.flip_color_mask = 0x00FFu;
-  options.lint = effective_lint(request);
-
-  core::FabricImpesSimulator sim(*problem, options);
-  sim.add_well(Coord3{request.nx / 2, request.ny / 2, 0}, 2e-4);
-
-  const bool checkpointing =
-      request.checkpoint_every > 0 && !context.checkpoint_dir.empty();
+std::function<bool(api::ImpesWindowState&)> ScenarioExecutor::impes_windows(
+    const ScenarioRequest& request, const ExecutionContext& context,
+    ScenarioResponse& response) {
+  const i32 windows = request.iterations;
+  const i32 every = request.checkpoint_every;
+  const bool checkpointing = every > 0 && !context.checkpoint_dir.empty();
   const CheckpointPaths paths =
-      checkpoint_paths(context.checkpoint_dir, response.scenario_hash);
-
-  i32 windows_done = 0;
-  dataflow::RunInfo total;
-  i64 cg_iterations = 0;
-  i64 substeps = 0;
-
-  if (checkpointing) {
-    // Resume when a complete checkpoint of this exact scenario exists.
-    std::ifstream meta_in(paths.meta);
-    if (meta_in.good()) {
-      std::ostringstream text;
-      text << meta_in.rdbuf();
-      const std::string meta = text.str();
-      // The meta file embeds the canonical content so a hash collision
-      // (or a stale directory) can never resume the wrong scenario.
-      const std::string canonical_line =
-          "canonical=" + canonical_content(request) + "\n";
-      if (meta.find(canonical_line) != std::string::npos) {
-        const dataflow::RunInfo done = parse_run_info(meta);
-        sim.restore_state(io::load_field(paths.saturation),
-                          io::load_field(paths.pressure));
-        total = done;
-        std::istringstream scalars(meta);
-        std::string line;
-        while (std::getline(scalars, line)) {
-          if (line.rfind("windows_done=", 0) == 0) {
-            windows_done = static_cast<i32>(std::stol(line.substr(13)));
-          } else if (line.rfind("cg_iterations_total=", 0) == 0) {
-            cg_iterations = std::stol(line.substr(20));
-          } else if (line.rfind("transport_substeps_total=", 0) == 0) {
-            substeps = std::stol(line.substr(25));
-          }
-        }
+      checkpointing
+          ? checkpoint_paths(context.checkpoint_dir, response.scenario_hash)
+          : CheckpointPaths{};
+  const std::string canonical =
+      checkpointing ? canonical_content(request) : std::string();
+  return [this, windows, every, checkpointing, paths, canonical, &context,
+          &response](api::ImpesWindowState& state) {
+    const i32 done = state.windows_done;
+    if (done == 0) {
+      if (checkpointing && resume(paths, canonical, state)) {
         response.resumed = true;
         resumes_.fetch_add(1);
       }
+      return true;
     }
-  }
-
-  for (i32 window = windows_done; window < request.iterations; ++window) {
-    if (window > windows_done && context.expired && context.expired()) {
+    if (done == windows) {
+      if (checkpointing) {
+        // The job is complete; a finished scenario must not leave a
+        // stale resume point behind.
+        std::remove(paths.meta.c_str());
+        std::remove(paths.saturation.c_str());
+        std::remove(paths.pressure.c_str());
+      }
+      return true;
+    }
+    if (checkpointing && done % every == 0) {
+      save(context.checkpoint_dir, paths, canonical, state);
+      checkpoints_saved_.fetch_add(1);
+    }
+    // Checked between windows only: a launch is never interrupted, so a
+    // cancelled job leaves no partial state.
+    if (context.expired && context.expired()) {
       std::ostringstream os;
-      os << "deadline exceeded after " << window << "/" << request.iterations
+      os << "deadline exceeded after " << done << "/" << windows
          << " windows";
       if (checkpointing) {
-        os << " (checkpoint covers the first "
-           << (window / request.checkpoint_every) * request.checkpoint_every
+        os << " (checkpoint covers the first " << (done / every) * every
            << ")";
       }
       response.status = RequestStatus::DeadlineExpired;
       response.error = os.str();
-      response.info = total;
-      return;
+      return false;
     }
-    const core::FabricImpesWindow report = sim.advance_window(request.dt);
-    dataflow::accumulate(total, report.fabric);
-    cg_iterations += report.cg_iterations;
-    substeps += report.transport_substeps;
-    const i32 done = window + 1;
-    if (checkpointing && done < request.iterations &&
-        done % request.checkpoint_every == 0) {
-      std::filesystem::create_directories(context.checkpoint_dir);
-      io::save_field(paths.saturation, sim.saturation());
-      io::save_field(paths.pressure, sim.pressure());
-      // Meta goes last: a checkpoint without its meta file is invisible
-      // to resume, so a crash mid-save can never resume partial state.
-      std::ofstream meta_out(paths.meta, std::ios::binary | std::ios::trunc);
-      meta_out << "canonical=" << canonical_content(request) << '\n'
-               << "windows_done=" << done << '\n'
-               << "cg_iterations_total=" << cg_iterations << '\n'
-               << "transport_substeps_total=" << substeps << '\n'
-               << serialize_run_info(total);
-      checkpoints_saved_.fetch_add(1);
-    }
-  }
-
-  if (checkpointing) {
-    // The job is complete; a finished scenario must not leave a stale
-    // resume point behind.
-    std::remove(paths.meta.c_str());
-    std::remove(paths.saturation.c_str());
-    std::remove(paths.pressure.c_str());
-  }
-
-  response.info = total;
-  u64 digest = digest_field(kDigestSeed, sim.saturation());
-  digest = digest_field(digest, sim.pressure());
-  response.result_digest = digest;
-  response.summary.emplace_back("windows",
-                                static_cast<f64>(request.iterations));
-  response.summary.emplace_back("cg_iterations",
-                                static_cast<f64>(cg_iterations));
-  response.summary.emplace_back("transport_substeps",
-                                static_cast<f64>(substeps));
-  response.summary.emplace_back("co2_in_place", sim.co2_in_place());
+    return true;
+  };
 }
 
 }  // namespace fvf::serve

@@ -1,6 +1,6 @@
 /// \file executor.hpp
-/// \brief Maps a parsed scenario request onto one of the six fabric
-///        programs, sharing the expensive setup across requests.
+/// \brief Runs a parsed scenario request through its api::kernels()
+///        entry, sharing the expensive setup across requests.
 ///
 /// Three content-hash cache layers sit between a request and the event
 /// engine:
@@ -25,6 +25,7 @@
 #include <memory>
 #include <string>
 
+#include "api/kernels.hpp"
 #include "physics/problem.hpp"
 #include "serve/cache.hpp"
 #include "serve/request.hpp"
@@ -54,8 +55,6 @@ struct ExecutorStats {
   u64 resumes = 0;
 };
 
-struct CgSetup;
-
 class ScenarioExecutor {
  public:
   /// Default LRU capacity of each cache layer (entries). Generous: a
@@ -70,33 +69,28 @@ class ScenarioExecutor {
   ScenarioExecutor(const ScenarioExecutor&) = delete;
   ScenarioExecutor& operator=(const ScenarioExecutor&) = delete;
 
-  /// Runs the scenario and returns the response. Failures (lint strict,
-  /// fabric errors, non-convergence) come back as status Failed with the
-  /// reason recorded — execute never throws on a bad scenario. A
-  /// mid-run deadline expiry returns DeadlineExpired with the
-  /// accounting accumulated so far.
+  /// Runs the scenario through its kernel table entry and returns the
+  /// response. Failures (lint strict, fabric errors, non-convergence)
+  /// come back as status Failed with the reason recorded — execute never
+  /// throws on a bad scenario. A mid-run deadline expiry returns
+  /// DeadlineExpired with the accounting accumulated so far.
   [[nodiscard]] ScenarioResponse execute(const ScenarioRequest& request,
                                          const ExecutionContext& context);
 
   [[nodiscard]] ExecutorStats stats() const;
 
  private:
-  void run_tpfa(const ScenarioRequest& request, ScenarioResponse& response);
-  void run_cg(const ScenarioRequest& request, ScenarioResponse& response);
-  void run_transport(const ScenarioRequest& request,
-                     ScenarioResponse& response);
-  void run_wave(const ScenarioRequest& request, ScenarioResponse& response);
-  void run_impes(const ScenarioRequest& request, ScenarioResponse& response,
-                 const ExecutionContext& context);
-  void run_heat(const ScenarioRequest& request, ScenarioResponse& response);
-  /// Every program on the executing gpusim backend, via the
-  /// fvf::api field-equation entry point (identical canonical scenario
-  /// inputs, so digests are comparable across backends).
-  void run_gpusim(const ScenarioRequest& request, ScenarioResponse& response);
+  /// The serve side of the fabric IMPES window loop: resumes from,
+  /// saves and finally removes checkpoints, and stops at a window
+  /// boundary once the deadline expired, marking `response`
+  /// DeadlineExpired.
+  [[nodiscard]] std::function<bool(api::ImpesWindowState&)> impes_windows(
+      const ScenarioRequest& request, const ExecutionContext& context,
+      ScenarioResponse& response);
 
   [[nodiscard]] std::shared_ptr<const physics::FlowProblem> problem_for(
       const ScenarioRequest& request);
-  [[nodiscard]] std::shared_ptr<const CgSetup> setup_for(
+  [[nodiscard]] std::shared_ptr<const api::LinearSystem> setup_for(
       const ScenarioRequest& request);
 
   /// The lint level the run should use: the request's level on first
@@ -106,7 +100,7 @@ class ScenarioExecutor {
   void record_lint_pass(const ScenarioRequest& request);
 
   HashCache<physics::FlowProblem> problems_;
-  HashCache<CgSetup> setups_;
+  HashCache<api::LinearSystem> setups_;
   HashCache<bool> lint_passes_;
   std::atomic<u64> simulations_{0};
   std::atomic<u64> checkpoints_saved_{0};

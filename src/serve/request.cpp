@@ -1,32 +1,17 @@
 #include "serve/request.hpp"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "api/backend.hpp"
 #include "common/assert.hpp"
+#include "common/hash.hpp"
 
 namespace fvf::serve {
-
-std::string_view program_name(ProgramKind kind) noexcept {
-  switch (kind) {
-    case ProgramKind::Tpfa:
-      return "tpfa";
-    case ProgramKind::Cg:
-      return "cg";
-    case ProgramKind::Transport:
-      return "transport";
-    case ProgramKind::Wave:
-      return "wave";
-    case ProgramKind::Impes:
-      return "impes";
-    case ProgramKind::Heat:
-      return "heat";
-  }
-  return "?";
-}
 
 std::string_view backend_choice_name(BackendChoice backend) noexcept {
   switch (backend) {
@@ -88,6 +73,22 @@ i64 parse_i64(const std::string& key, const std::string& value) {
   return static_cast<i64>(parsed);
 }
 
+i32 parse_i32(const std::string& key, const std::string& value) {
+  const i64 parsed = parse_i64(key, value);
+  FVF_REQUIRE_MSG(parsed >= std::numeric_limits<i32>::min() &&
+                      parsed <= std::numeric_limits<i32>::max(),
+                  "request field '" << key << "' = " << value
+                                    << " is out of the 32-bit range");
+  return static_cast<i32>(parsed);
+}
+
+u64 parse_u64(const std::string& key, const std::string& value) {
+  const i64 parsed = parse_i64(key, value);
+  FVF_REQUIRE_MSG(parsed >= 0, "request field '" << key << "' = " << value
+                                                 << " must not be negative");
+  return static_cast<u64>(parsed);
+}
+
 f64 parse_f64(const std::string& key, const std::string& value) {
   errno = 0;
   char* end = nullptr;
@@ -95,21 +96,18 @@ f64 parse_f64(const std::string& key, const std::string& value) {
   FVF_REQUIRE_MSG(end != value.c_str() && *end == '\0' && errno == 0,
                   "request field '" << key << "' has non-numeric value '"
                                     << value << "'");
+  FVF_REQUIRE_MSG(std::isfinite(parsed), "request field '"
+                                             << key << "' = " << value
+                                             << " must be finite");
   return parsed;
 }
 
-ProgramKind parse_program(const std::string& value) {
-  for (u8 p = 0; p < kProgramCount; ++p) {
-    const ProgramKind kind = static_cast<ProgramKind>(p);
-    if (value == program_name(kind)) {
-      return kind;
-    }
-  }
-  FVF_REQUIRE_MSG(false,
-                  "unknown program '"
-                      << value
-                      << "' (expected tpfa|cg|transport|wave|impes|heat)");
-  return ProgramKind::Tpfa;  // unreachable
+const api::Kernel* parse_program(const std::string& value) {
+  const api::Kernel* kernel = api::find_kernel(value);
+  FVF_REQUIRE_MSG(kernel != nullptr, "unknown program '"
+                                         << value << "' (expected "
+                                         << api::kernel_name_list() << ")");
+  return kernel;
 }
 
 Priority parse_priority(const std::string& value) {
@@ -168,30 +166,12 @@ std::string canonical_f64(f64 value) {
   return buffer;
 }
 
-/// Per-program defaults for the work-count and timestep fields, applied
-/// after parsing so the canonical content never contains a 0 sentinel.
+/// The program's table defaults for the work-count and timestep fields,
+/// applied after parsing so the canonical content never contains a 0
+/// sentinel.
 void apply_defaults(ScenarioRequest& request) {
   if (request.iterations == 0) {
-    switch (request.program) {
-      case ProgramKind::Tpfa:
-        request.iterations = 2;
-        break;
-      case ProgramKind::Cg:
-        request.iterations = 200;
-        break;
-      case ProgramKind::Transport:
-        request.iterations = 1;
-        break;
-      case ProgramKind::Wave:
-        request.iterations = 8;
-        break;
-      case ProgramKind::Impes:
-        request.iterations = 3;
-        break;
-      case ProgramKind::Heat:
-        request.iterations = 10;
-        break;
-    }
+    request.iterations = request.program->default_iterations;
   }
   if (request.backend == BackendChoice::Auto) {
     // Deterministic routing: background work runs on the executing GPU
@@ -201,20 +181,7 @@ void apply_defaults(ScenarioRequest& request) {
                           : BackendChoice::Wse;
   }
   if (request.dt == 0.0) {
-    switch (request.program) {
-      case ProgramKind::Tpfa:
-      case ProgramKind::Heat:
-        request.dt = 3600.0;  // unused by the kernel, fixed for the hash
-        break;
-      case ProgramKind::Cg:
-      case ProgramKind::Wave:
-        request.dt = 3600.0;
-        break;
-      case ProgramKind::Transport:
-      case ProgramKind::Impes:
-        request.dt = 900.0;
-        break;
-    }
+    request.dt = request.program->default_dt;
   }
 }
 
@@ -245,7 +212,7 @@ void validate(const ScenarioRequest& request) {
 
 ScenarioRequest parse_request(std::string_view line) {
   ScenarioRequest request;
-  request.iterations = 0;  // 0 = resolve the per-program default below
+  request.iterations = 0;  // 0 = resolve the program default below
   request.dt = 0.0;
 
   std::string text(line);
@@ -272,33 +239,33 @@ ScenarioRequest parse_request(std::string_view line) {
     } else if (key == "backend") {
       request.backend = parse_backend_choice(value);
     } else if (key == "nx") {
-      request.nx = static_cast<i32>(parse_i64(key, value));
+      request.nx = parse_i32(key, value);
     } else if (key == "ny") {
-      request.ny = static_cast<i32>(parse_i64(key, value));
+      request.ny = parse_i32(key, value);
     } else if (key == "nz") {
-      request.nz = static_cast<i32>(parse_i64(key, value));
+      request.nz = parse_i32(key, value);
     } else if (key == "seed") {
-      request.seed = static_cast<u64>(parse_i64(key, value));
+      request.seed = parse_u64(key, value);
     } else if (key == "iterations") {
-      request.iterations = static_cast<i32>(parse_i64(key, value));
+      request.iterations = parse_i32(key, value);
     } else if (key == "dt") {
       request.dt = parse_f64(key, value);
     } else if (key == "tol") {
       request.tol = parse_f64(key, value);
     } else if (key == "fault_seed") {
-      request.fault_seed = static_cast<u64>(parse_i64(key, value));
+      request.fault_seed = parse_u64(key, value);
     } else if (key == "fault_rate") {
       request.fault_rate = parse_f64(key, value);
     } else if (key == "threads") {
-      request.threads = static_cast<i32>(parse_i64(key, value));
+      request.threads = parse_i32(key, value);
     } else if (key == "lint") {
       request.lint = parse_lint(value);
     } else if (key == "priority") {
       request.priority = parse_priority(value);
     } else if (key == "deadline_ms") {
-      request.deadline_ms = static_cast<u64>(parse_i64(key, value));
+      request.deadline_ms = parse_u64(key, value);
     } else if (key == "checkpoint_every") {
-      request.checkpoint_every = static_cast<i32>(parse_i64(key, value));
+      request.checkpoint_every = parse_i32(key, value);
     } else {
       FVF_REQUIRE_MSG(false, "unknown request field '" << key << "'");
     }
@@ -330,23 +297,6 @@ std::string canonical_content(const ScenarioRequest& request) {
      << " program=" << program_name(defaulted.program)
      << " seed=" << defaulted.seed << " tol=" << canonical_f64(defaulted.tol);
   return os.str();
-}
-
-u64 fnv1a(std::string_view bytes) noexcept {
-  u64 hash = 0xcbf29ce484222325ULL;
-  for (const char c : bytes) {
-    hash ^= static_cast<u8>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
-u64 fnv1a_mix(u64 hash, u64 value) noexcept {
-  for (int byte = 0; byte < 8; ++byte) {
-    hash ^= (value >> (8 * byte)) & 0xffULL;
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
 }
 
 u64 scenario_hash(const ScenarioRequest& request) {

@@ -3,8 +3,8 @@
 ///        schema, field canonicalization, and the content hash that keys
 ///        every cache layer.
 ///
-/// A scenario request names one of the five fabric programs plus the
-/// inputs that determine its result bit-for-bit: mesh extents, geomodel
+/// A scenario request names one of the six api::kernels() programs plus
+/// the inputs that determine its result bit-for-bit: mesh extents, geomodel
 /// seed, iteration/window counts, timestep, tolerance, and the fault
 /// scenario. Because the simulator is deterministic (and bit-identical
 /// for every --threads value), that tuple is a perfect memoization key —
@@ -18,17 +18,17 @@
 #include <string_view>
 #include <vector>
 
+#include "api/kernels.hpp"
 #include "common/types.hpp"
 #include "lint/lint.hpp"
 
 namespace fvf::serve {
 
-/// Which fabric program the scenario runs.
-enum class ProgramKind : u8 { Tpfa, Cg, Transport, Wave, Impes, Heat };
-
-inline constexpr usize kProgramCount = 6;
-
-[[nodiscard]] std::string_view program_name(ProgramKind kind) noexcept;
+/// The table name of a request's program.
+[[nodiscard]] inline std::string_view program_name(
+    const api::Kernel* program) noexcept {
+  return program->name;
+}
 
 /// Admission priority class. Lower enum value = more important. When the
 /// bounded queue overflows the service sheds from the lowest class first
@@ -54,7 +54,8 @@ enum class BackendChoice : u8 { Auto = 0, Wse = 1, Gpusim = 2 };
 /// seed, iterations, dt, tol, fault_seed, fault_rate. Scheduling fields
 /// (not hashed): threads, lint, priority, deadline_ms, checkpoint_every.
 struct ScenarioRequest {
-  ProgramKind program = ProgramKind::Tpfa;
+  /// The api::kernels() entry the scenario runs; never null.
+  const api::Kernel* program = &api::kernels().front();
 
   // --- content: what the simulation computes -------------------------------
   i32 nx = 6;
@@ -64,10 +65,10 @@ struct ScenarioRequest {
   u64 seed = 42;
   /// Program-specific work count: TPFA iterations, CG max iterations,
   /// wave timesteps, transport windows (always 1), IMPES windows.
-  i32 iterations = 0;  ///< 0 = per-program default (see parse_request)
+  i32 iterations = 0;  ///< 0 = Kernel::default_iterations
   /// Timestep / window seconds: CG+wave stencil dt, transport/IMPES
   /// window length.
-  f64 dt = 0.0;  ///< 0 = per-program default
+  f64 dt = 0.0;  ///< 0 = Kernel::default_dt
   /// CG relative tolerance (ignored by the other programs).
   f64 tol = 1e-5;
   /// Fault scenario (wse::FaultConfig::uniform(fault_seed, fault_rate)).
@@ -108,7 +109,7 @@ struct ScenarioRequest {
 /// out-of-range field.
 [[nodiscard]] ScenarioRequest parse_request(std::string_view line);
 
-/// Returns the request with the per-program iteration/dt defaults
+/// Returns the request with the program's table iteration/dt defaults
 /// resolved (0 sentinels replaced), after validating every field. The
 /// executor and the canonical hash both operate on resolved requests so
 /// an explicit "iterations=200" and a defaulted CG request are the same
@@ -123,12 +124,5 @@ struct ScenarioRequest {
 
 /// FNV-1a 64-bit over canonical_content().
 [[nodiscard]] u64 scenario_hash(const ScenarioRequest& request);
-
-/// FNV-1a 64-bit over arbitrary bytes (the hash every serve cache key
-/// derives from).
-[[nodiscard]] u64 fnv1a(std::string_view bytes) noexcept;
-
-/// Mixes `value` into an existing FNV-1a state (for composite keys).
-[[nodiscard]] u64 fnv1a_mix(u64 hash, u64 value) noexcept;
 
 }  // namespace fvf::serve

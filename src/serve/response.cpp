@@ -8,7 +8,7 @@
 #include <sstream>
 
 #include "common/assert.hpp"
-#include "serve/request.hpp"
+#include "common/hash.hpp"
 
 namespace fvf::serve {
 
@@ -171,7 +171,7 @@ std::string serialize_run_info(const dataflow::RunInfo& info) {
   }
   // Per-PE attribution folds into a digest: byte-identity is what the
   // serialization is for, not reconstruction of every PE's split.
-  u64 pe_digest = 0xcbf29ce484222325ULL;
+  u64 pe_digest = kFnv1aSeed;
   for (const obs::PhaseCycles& pe : info.pe_phase_cycles) {
     for (const f64 cycles : pe.cycles) {
       pe_digest = fnv1a_mix(pe_digest, std::bit_cast<u64>(cycles));
@@ -260,21 +260,6 @@ std::string serialize_response(const ScenarioResponse& response) {
   }
   os << serialize_run_info(response.info);
   return os.str();
-}
-
-u64 digest_f32(u64 hash, std::span<const f32> values) noexcept {
-  for (const f32 value : values) {
-    hash = fnv1a_mix(hash, std::bit_cast<u32>(value));
-  }
-  return hash;
-}
-
-u64 digest_field(u64 hash, const Array3<f32>& field) noexcept {
-  const Extents3 ext = field.extents();
-  hash = fnv1a_mix(hash, static_cast<u64>(ext.nx));
-  hash = fnv1a_mix(hash, static_cast<u64>(ext.ny));
-  hash = fnv1a_mix(hash, static_cast<u64>(ext.nz));
-  return digest_f32(hash, field.flat());
 }
 
 }  // namespace fvf::serve

@@ -3,30 +3,11 @@
 #include <sstream>
 
 #include "common/assert.hpp"
+#include "common/hash.hpp"
 
 namespace fvf::spec {
 
 namespace {
-
-/// FNV-1a, matching the canonical-hash convention used elsewhere.
-constexpr u64 kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr u64 kFnvPrime = 0x100000001b3ULL;
-
-u64 fnv1a(u64 h, std::string_view s) {
-  for (const char c : s) {
-    h ^= static_cast<u8>(c);
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-u64 fnv1a_mix(u64 h, u64 v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xFFu;
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 [[noreturn]] void compile_error(const StencilSpec& spec,
                                 const std::string& detail) {
@@ -274,8 +255,7 @@ CompiledSpec compile(StencilSpec spec) {
   validate(spec);
 
   CompiledSpec compiled;
-  u64 digest = kFnvOffset;
-  digest = fnv1a(digest, spec.name);
+  u64 digest = fnv1a(spec.name);
   digest = fnv1a_mix(digest, static_cast<u64>(spec.exchange));
   digest = fnv1a_mix(digest, static_cast<u64>(spec.shape));
   digest = fnv1a_mix(digest, static_cast<u64>(spec.block_words_per_cell));
@@ -288,7 +268,7 @@ CompiledSpec compile(StencilSpec spec) {
   digest = fnv1a_mix(digest, spec.reduction ? 1u : 0u);
   digest = fnv1a_mix(digest, spec.defects.drop_east_data_handler ? 1u : 0u);
   for (const FieldSpec& field : spec.fields) {
-    digest = fnv1a(digest, field.name);
+    digest = fnv1a(field.name, digest);
     digest = fnv1a_mix(digest, static_cast<u64>(field.role));
     digest = fnv1a_mix(digest, static_cast<u64>(field.words_per_cell));
     digest = fnv1a_mix(digest, field.bytes);

@@ -6,11 +6,12 @@
 
 #include <bit>
 #include <cmath>
+#include <string>
+#include <string_view>
 
 #include "api/api.hpp"
 #include "api/backend.hpp"
 #include "common/assert.hpp"
-#include "core/kernel_registry.hpp"
 #include "core/linear_stencil.hpp"
 #include "core/transport_program.hpp"
 #include "core/wave_program.hpp"
@@ -21,7 +22,6 @@
 #include "serve/request.hpp"
 #include "serve/service.hpp"
 #include "spec/heat.hpp"
-#include "spec/registry.hpp"
 
 namespace fvf {
 namespace {
@@ -294,32 +294,19 @@ TEST(GpusimOracleTest, WaveMatchesRasterOracleBitwise) {
 
 /// Kernels whose gpusim result must equal the fabric result bitwise
 /// (per-cell-independent updates and order-insensitive reductions).
-bool bitwise_kernel(const std::string& kernel) {
+bool bitwise_kernel(std::string_view kernel) {
   return kernel == "tpfa" || kernel == "transport" || kernel == "heat";
 }
 
-i32 parity_iterations(const std::string& kernel) {
-  if (kernel == "tpfa") return 2;
-  if (kernel == "cg") return 120;
-  if (kernel == "transport") return 1;
-  if (kernel == "wave") return 4;
-  if (kernel == "impes") return 2;
-  return 5;  // heat
-}
-
 TEST(FieldEquationApiTest, EveryRegistryKernelRunsOnBothBackends) {
-  core::register_builtin_kernels();
   i32 kernels_checked = 0;
-  for (const spec::KernelInfo& kernel : spec::registered_kernels()) {
+  for (const api::Kernel& kernel : api::kernels()) {
+    // Iterations and dt take the table defaults.
     api::FieldEquationSpec spec;
     spec.kernel = kernel.name;
     spec.nx = 6;
     spec.ny = 6;
     spec.nz = 3;
-    spec.iterations = parity_iterations(kernel.name);
-    spec.dt = (kernel.name == "transport" || kernel.name == "impes")
-                  ? 900.0
-                  : 3600.0;
 
     const api::FieldEquationResult wse =
         api::run_field_equation(spec, api::Backend::Wse);
@@ -328,6 +315,8 @@ TEST(FieldEquationApiTest, EveryRegistryKernelRunsOnBothBackends) {
 
     EXPECT_EQ(wse.backend, api::Backend::Wse);
     EXPECT_EQ(gpu.backend, api::Backend::Gpusim);
+    EXPECT_EQ(wse.kernel, kernel.name);
+    EXPECT_EQ(gpu.kernel, kernel.name);
     ASSERT_EQ(wse.field.extents(), gpu.field.extents()) << kernel.name;
     EXPECT_NE(wse.result_digest, 0u) << kernel.name;
     EXPECT_NE(gpu.result_digest, 0u) << kernel.name;
@@ -350,7 +339,6 @@ TEST(FieldEquationApiTest, EveryRegistryKernelRunsOnBothBackends) {
 }
 
 TEST(FieldEquationApiTest, ResultsAreDeterministicPerBackend) {
-  core::register_builtin_kernels();
   api::FieldEquationSpec spec;
   spec.kernel = "cg";
   spec.nx = 6;
@@ -369,7 +357,6 @@ TEST(FieldEquationApiTest, ResultsAreDeterministicPerBackend) {
 }
 
 TEST(FieldEquationApiTest, UnknownKernelFailsLoudlyWithInventory) {
-  core::register_builtin_kernels();
   api::FieldEquationSpec spec;
   spec.kernel = "maxwell";
   try {
@@ -467,6 +454,43 @@ TEST(ServeBackendTest, MemoNeverCrossesBackendsAndResultsAgree) {
   // Heat is order-insensitive, so the two backends publish the same
   // result digest even though they are distinct memo entries.
   EXPECT_EQ(a.result_digest, g.result_digest);
+}
+
+TEST(ServeBackendTest, ServeAndApiRunTheSameScenario) {
+  // Both front ends run a kernel through its one table entry, so a
+  // request and an api call with the same content fields must publish
+  // the same result, and on the fabric the same makespan.
+  serve::ServiceOptions options;
+  options.workers = 0;
+  serve::ScenarioService service(options);
+  for (const api::Kernel& kernel : api::kernels()) {
+    for (const api::Backend backend :
+         {api::Backend::Wse, api::Backend::Gpusim}) {
+      const std::string line =
+          "program=" + std::string(kernel.name) +
+          " nx=5 ny=4 nz=3 seed=11 backend=" +
+          std::string(api::backend_name(backend));
+      const auto future = service.submit_line(line);
+      service.drain();
+      const serve::ScenarioResponse& response = future.get();
+      ASSERT_TRUE(response.ok()) << line << ": " << response.error;
+
+      api::FieldEquationSpec spec;
+      spec.kernel = kernel.name;
+      spec.nx = 5;
+      spec.ny = 4;
+      spec.nz = 3;
+      spec.seed = 11;
+      const api::FieldEquationResult result =
+          api::run_field_equation(spec, backend);
+      EXPECT_EQ(response.result_digest, result.result_digest) << line;
+      if (backend == api::Backend::Wse) {
+        EXPECT_EQ(response.info.makespan_cycles,
+                  result.fabric.makespan_cycles)
+            << line;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -590,7 +590,7 @@ TEST(LintCliTest, ShippedProgramsExitZero) {
   const CliRun run = run_cli({"--program", "all", "--nx", "3", "--ny", "3",
                               "--nz", "2"});
   EXPECT_EQ(run.code, 0) << run.out << run.err;
-  // All six registry kernels must lint clean under the default strict
+  // All six table kernels must lint clean under the default strict
   // level — including the flow analyses (buffer bounds, wait-for,
   // determinism), which run as part of the full report.
   for (const char* name :

@@ -93,6 +93,19 @@ TEST(ScenarioHashTest, MalformedRequestsThrow) {
   EXPECT_THROW((void)parse_request("program=cg nx=-2"), ContractViolation);
   EXPECT_THROW((void)parse_request("program=cg tol=banana"),
                ContractViolation);
+  // Out-of-range values are rejected, never wrapped into another
+  // scenario: an i32 field beyond 32 bits, a negative u64 field, and
+  // non-finite floats.
+  EXPECT_THROW((void)parse_request("program=cg nx=4294967300 ny=4 nz=2"),
+               ContractViolation);
+  EXPECT_THROW((void)parse_request("program=impes deadline_ms=-5"),
+               ContractViolation);
+  EXPECT_THROW((void)parse_request("program=cg seed=-1"), ContractViolation);
+  EXPECT_THROW((void)parse_request("program=transport dt=inf"),
+               ContractViolation);
+  EXPECT_THROW((void)parse_request("program=cg tol=inf"), ContractViolation);
+  EXPECT_THROW((void)parse_request("program=cg fault_rate=nan"),
+               ContractViolation);
 }
 
 // --- memoization: cached == cold, bit for bit ------------------------------

@@ -5,9 +5,10 @@
 #include <string>
 #include <vector>
 
+#include "api/kernels.hpp"
+#include "common/assert.hpp"
 #include "common/cli.hpp"
 #include "core/cg_program.hpp"
-#include "core/kernel_registry.hpp"
 #include "core/launcher.hpp"
 #include "core/linear_stencil.hpp"
 #include "core/transport_program.hpp"
@@ -17,7 +18,6 @@
 #include "lint/lint.hpp"
 #include "physics/problem.hpp"
 #include "spec/heat.hpp"
-#include "spec/registry.hpp"
 
 namespace fvf::tools {
 
@@ -282,10 +282,9 @@ int fvf_lint_cli(int argc, const char* const* argv, std::ostream& out,
       return 2;
     }
 
-    core::register_builtin_kernels();
     std::vector<std::string> known;
-    for (const spec::KernelInfo& kernel : spec::registered_kernels()) {
-      known.push_back(kernel.name);
+    for (const api::Kernel& kernel : api::kernels()) {
+      known.emplace_back(kernel.name);
     }
     constexpr std::string_view kAll[] = {"all"};
     const std::string program =
@@ -316,10 +315,12 @@ int fvf_lint_cli(int argc, const char* const* argv, std::ostream& out,
         job.report = lint_transport(fx, reliability);
       } else if (name == "wave") {
         job.report = lint_wave(fx, reliability);
+      } else if (name == "impes") {
+        job.report = lint_impes(fx, reliability);
       } else if (name == "heat") {
         job.report = lint_heat(fx, reliability);
       } else {
-        job.report = lint_impes(fx, reliability);
+        FVF_REQUIRE_MSG(false, "kernel '" << name << "' has no lint fixture");
       }
       jobs.push_back(std::move(job));
     }

@@ -6,14 +6,13 @@
 #include <string>
 #include <vector>
 
+#include "api/kernels.hpp"
 #include "common/assert.hpp"
 #include "common/cli.hpp"
-#include "core/kernel_registry.hpp"
 #include "dataflow/color_plan.hpp"
 #include "dataflow/harness_cli.hpp"
 #include "lint/lint.hpp"
 #include "spec/program.hpp"
-#include "spec/registry.hpp"
 #include "wse/fabric.hpp"
 #include "wse/memory.hpp"
 
@@ -29,40 +28,40 @@ constexpr const char* kUsage =
 
 int list_kernels(std::ostream& out) {
   out << "registered kernels:\n";
-  for (const spec::KernelInfo& kernel : spec::registered_kernels()) {
+  for (const api::Kernel& kernel : api::kernels()) {
     out << "  " << std::left << std::setw(10) << kernel.name
-        << (kernel.compiled ? "[spec]   " : "[legacy] ") << kernel.summary
-        << "\n";
+        << (kernel.compile_spec != nullptr ? "[spec]   " : "[legacy] ")
+        << kernel.summary << "\n";
   }
   return 0;
 }
 
-/// Resolves --program against the registry and requires the spec path.
-[[nodiscard]] spec::KernelInfo require_compiled(const CliParser& cli,
-                                                std::ostream& err,
-                                                bool& failed) {
+/// Resolves --program against the kernel table; null (after reporting to
+/// `err`) when the kernel has no spec to lower.
+[[nodiscard]] const api::Kernel* require_compiled(const CliParser& cli,
+                                                  std::ostream& err) {
   std::vector<std::string> known;
-  for (const spec::KernelInfo& kernel : spec::registered_kernels()) {
-    known.push_back(kernel.name);
+  for (const api::Kernel& kernel : api::kernels()) {
+    known.emplace_back(kernel.name);
   }
   const std::string name = dataflow::parse_program_flag(cli, "", known);
-  spec::KernelInfo kernel = spec::find_kernel(name);
-  if (!kernel.compiled || kernel.compile_spec == nullptr) {
+  const api::Kernel* kernel = api::find_kernel(name);
+  if (kernel->compile_spec == nullptr) {
     err << "fvf_spec: '" << name
         << "' uses the legacy hand-written path; no spec to lower "
            "(spec kernels:";
-    for (const spec::KernelInfo& k : spec::registered_kernels()) {
-      if (k.compiled) {
+    for (const api::Kernel& k : api::kernels()) {
+      if (k.compile_spec != nullptr) {
         err << ' ' << k.name;
       }
     }
     err << ")\n";
-    failed = true;
+    return nullptr;
   }
   return kernel;
 }
 
-int dump_plan(const spec::KernelInfo& kernel, std::ostream& out) {
+int dump_plan(const api::Kernel& kernel, std::ostream& out) {
   const spec::CompiledSpec compiled = kernel.compile_spec();
   out << compiled.describe();
 
@@ -83,7 +82,7 @@ int dump_plan(const spec::KernelInfo& kernel, std::ostream& out) {
 /// Static verification from the spec alone: claims the colors on a fresh
 /// plan, loads a kernel-less generated program onto a small fabric, and
 /// runs the full linter (claim audit, routing, handlers, memory).
-int lint_spec(const spec::KernelInfo& kernel, const CliParser& cli,
+int lint_spec(const api::Kernel& kernel, const CliParser& cli,
               std::ostream& out) {
   const auto compiled =
       std::make_shared<const spec::CompiledSpec>(kernel.compile_spec());
@@ -135,7 +134,6 @@ int fvf_spec_cli(int argc, const char* const* argv, std::ostream& out,
                  std::ostream& err) {
   try {
     const CliParser cli(argc, argv);
-    core::register_builtin_kernels();
     if (cli.has("help")) {
       out << kUsage;
       return 0;
@@ -144,13 +142,12 @@ int fvf_spec_cli(int argc, const char* const* argv, std::ostream& out,
       return list_kernels(out);
     }
     if (cli.has("dump-plan") || cli.has("lint")) {
-      bool failed = false;
-      const spec::KernelInfo kernel = require_compiled(cli, err, failed);
-      if (failed) {
+      const api::Kernel* kernel = require_compiled(cli, err);
+      if (kernel == nullptr) {
         return 2;
       }
-      return cli.has("dump-plan") ? dump_plan(kernel, out)
-                                  : lint_spec(kernel, cli, out);
+      return cli.has("dump-plan") ? dump_plan(*kernel, out)
+                                  : lint_spec(*kernel, cli, out);
     }
     err << kUsage;
     return 2;
