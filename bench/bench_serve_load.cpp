@@ -72,24 +72,29 @@ int main(int argc, const char** argv) {
   const std::vector<std::string> pool = scenario_pool();
   serve::ServiceOptions options;
   options.workers = threads;
-  options.queue_capacity = total_requests + pool.size();  // never shed here
+  options.queue_capacity = total_requests + 2 * pool.size();  // never shed
   serve::ScenarioService service(options);
 
   const auto started = std::chrono::steady_clock::now();
   std::vector<std::shared_future<serve::ScenarioResponse>> futures;
   futures.reserve(total_requests);
-  // First pass: every unique scenario once (the cold runs). Wait for
-  // them before replaying so the repeat phase is deterministically
-  // composed of memo hits — the sidecar's latency sample mix (15 cold
-  // latencies + N instant hits) must not depend on host timing.
+  // First pass: every unique scenario once (the cold runs), on both
+  // backends — priority=background routes a request to gpusim, and the
+  // backend is part of the scenario hash. Wait for them before replaying
+  // so the repeat phase is deterministically composed of memo hits — the
+  // sidecar's latency sample mix (2 x 15 cold latencies + N instant
+  // hits) must not depend on host timing.
   for (const std::string& line : pool) {
     futures.push_back(service.submit_line(line));
+    futures.push_back(service.submit_line(line + " priority=background"));
   }
+  const usize unique_scenarios = futures.size();
   for (const auto& future : futures) {
     future.wait();
   }
-  // Seeded repeats with varied scheduling fields (threads and priority
-  // never enter the scenario hash, so all of these are memo hits).
+  // Seeded repeats with varied scheduling fields. Threads never enter the
+  // scenario hash, and priority only through the backend it routes to,
+  // which the first pass warmed: all of these are memo hits.
   Xoshiro256 rng(20260809);
   static constexpr const char* kScheduling[] = {
       "", " threads=2", " threads=4 priority=interactive",
@@ -117,7 +122,7 @@ int main(int argc, const char** argv) {
   const serve::ServiceStats stats = service.stats();
 
   std::cout << "replayed " << futures.size() << " requests over "
-            << pool.size() << " unique scenarios in " << wall_seconds
+            << unique_scenarios << " unique scenarios in " << wall_seconds
             << " s\n  cache hit rate " << stats.memo.hit_rate()
             << ", cold simulations " << stats.executor.simulations
             << ", p50 " << stats.latency_p50_ms << " ms, p99 "
@@ -129,7 +134,7 @@ int main(int argc, const char** argv) {
   replay.device_seconds = total_device_seconds;
   json.add_metric("requests", static_cast<f64>(futures.size()));
   json.add_metric("responses_ok", static_cast<f64>(ok));
-  json.add_metric("unique_scenarios", static_cast<f64>(pool.size()));
+  json.add_metric("unique_scenarios", static_cast<f64>(unique_scenarios));
   json.add_metric("cache_hits", static_cast<f64>(stats.memo.hits));
   json.add_metric("cache_misses", static_cast<f64>(stats.memo.misses));
   json.add_metric("cache_hit_rate", stats.memo.hit_rate());
@@ -146,8 +151,9 @@ int main(int argc, const char** argv) {
   json.add_metric("setup_cache_misses",
                   static_cast<f64>(stats.executor.setups.misses));
   // Host-time metrics: one-direction gates only (machine-sensitive).
-  // The all-request percentiles are memo-dominated (deterministically 0
-  // at this hit rate); the cold percentiles track real execution cost.
+  // The all-request p50 is memo-dominated (deterministically 0); the
+  // p99 falls among the 30 cold runs (1.5% of 2000 requests), as do the
+  // cold percentiles, which track real execution cost.
   json.add_metric("max_p50_latency_ms", stats.latency_p50_ms);
   json.add_metric("max_p99_latency_ms", stats.latency_p99_ms);
   json.add_metric("max_cold_p50_latency_ms", stats.cold_latency_p50_ms);

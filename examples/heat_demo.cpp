@@ -1,6 +1,6 @@
 // 2D heat diffusion on the simulated wafer-scale engine — the first
-// kernel authored purely as a `fvf::spec` stencil program (no legacy
-// hand-written counterpart). A pseudo-random initial field diffuses
+// kernel authored purely as a `fvf::spec` stencil program rather than
+// ported from a hand-written one. A pseudo-random initial field diffuses
 // under an explicit 9-point Jacobi update; every step runs one
 // static-halo exchange with all eight XY neighbors, generated entirely
 // from the declarative spec by `spec::compile`.

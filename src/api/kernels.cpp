@@ -8,6 +8,7 @@
 #include "common/assert.hpp"
 #include "common/hash.hpp"
 #include "common/timer.hpp"
+#include "core/cg_program.hpp"
 #include "core/fabric_impes.hpp"
 #include "core/launcher.hpp"
 #include "core/tpfa_program.hpp"
@@ -328,37 +329,48 @@ FieldEquationResult run_heat(const FieldEquationSpec& spec, Backend backend,
 
 // --------------------------------------------------------------- table --
 
+constexpr SpecFactory kTpfaSpecs[] = {[] { return core::make_tpfa_spec({}); }};
+constexpr SpecFactory kCgSpecs[] = {core::make_cg_spec};
+constexpr SpecFactory kTransportSpecs[] = {
+    [] { return core::make_transport_spec({}); }};
+constexpr SpecFactory kWaveSpecs[] = {core::make_wave_spec};
+constexpr SpecFactory kImpesSpecs[] = {
+    core::make_cg_spec, [] { return core::make_transport_spec({}); }};
+constexpr SpecFactory kHeatSpecs[] = {[] { return spec::make_heat_spec({}); }};
+
 constexpr Kernel kTable[] = {
     {.name = "tpfa",
      .summary = "two-point flux pressure iteration (switch-protocol exchange)",
-     .compile_spec = [] { return spec::compile(core::make_tpfa_spec({})); },
+     .specs = kTpfaSpecs,
      .default_iterations = 2,
      .run = run_tpfa},
     {.name = "cg",
-     .summary = "conjugate-gradient pressure solve (legacy path)",
+     .summary = "conjugate-gradient pressure solve with chained dot products",
+     .specs = kCgSpecs,
      .default_iterations = 200,
      .must_converge = true,
      .run = run_cg},
     {.name = "transport",
      .summary = "explicit saturation transport with CFL dt min-reduce",
-     .compile_spec =
-         [] { return spec::compile(core::make_transport_spec({})); },
+     .specs = kTransportSpecs,
      .default_iterations = 1,
      .default_dt = 900.0,
      .run = run_transport},
     {.name = "wave",
-     .summary = "second-order acoustic wave kernel (legacy path)",
+     .summary = "second-order acoustic wave kernel (leapfrog)",
+     .specs = kWaveSpecs,
      .default_iterations = 8,
      .run = run_wave},
     {.name = "impes",
-     .summary = "IMPES pressure/transport loop (legacy path)",
+     .summary = "IMPES loop: a CG pressure solve, then a transport window",
+     .specs = kImpesSpecs,
      .default_iterations = 3,
      .default_dt = 900.0,
      .problem = CanonicalProblem::Injection,
      .run = run_impes},
     {.name = "heat",
-     .summary = "2D heat diffusion, 9-point stencil (spec-only)",
-     .compile_spec = [] { return spec::compile(spec::make_heat_spec({})); },
+     .summary = "2D heat diffusion, 9-point stencil",
+     .specs = kHeatSpecs,
      .default_iterations = 10,
      .problem = CanonicalProblem::None,
      .run = run_heat},

@@ -22,7 +22,7 @@
 #include "core/linear_stencil.hpp"
 #include "dataflow/run_info.hpp"
 #include "physics/problem.hpp"
-#include "spec/compile.hpp"
+#include "spec/stencil_spec.hpp"
 
 namespace fvf::core {
 class FabricImpesSimulator;
@@ -79,13 +79,16 @@ struct RunContext {
   std::function<bool(ImpesWindowState&)> impes_window;
 };
 
+/// Builds one spec at default options.
+using SpecFactory = spec::StencilSpec (*)();
+
 /// One kernel of the table.
 struct Kernel {
   std::string_view name;
   std::string_view summary;
-  /// Builds the default-options CompiledSpec; null for the hand-written
-  /// legacy programs (CG, wave, IMPES).
-  spec::CompiledSpec (*compile_spec)() = nullptr;
+  /// The specs the kernel's fabric run launches, in launch order, each
+  /// at default options (IMPES: cg, then transport).
+  std::span<const SpecFactory> specs;
   /// Defaults of the FieldEquationSpec / request 0 sentinels. Kernels
   /// that ignore dt (tpfa, heat) keep 3600 s so the hashed content stays
   /// fixed.

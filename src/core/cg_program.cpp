@@ -2,236 +2,204 @@
 
 #include <cmath>
 #include <memory>
+#include <vector>
 
 #include "common/assert.hpp"
 
 namespace fvf::core {
 
-using namespace dataflow;
-
 namespace {
 
+using spec::RoundAction;
+using spec::RoundOutcome;
 using wse::Dsd;
 using wse::PeApi;
 
+/// The physics half of the CG program: the operator apply around each
+/// halo round, and the vector updates between the chained reductions.
+class CgKernel final : public spec::StencilKernel {
+ public:
+  CgKernel(CgKernelOptions options, std::vector<f32> rhs, PeStencil stencil)
+      : options_(options), b_(std::move(rhs)), stencil_(std::move(stencil)) {
+    FVF_REQUIRE(!b_.empty());
+    const usize n = b_.size();
+    x_.assign(n, 0.0f);
+    r_.assign(n, 0.0f);
+    d_.assign(n, 0.0f);
+    q_.assign(n, 0.0f);
+    scratch_.assign(n, 0.0f);
+  }
+
+  [[nodiscard]] std::span<const f32> solution() const noexcept { return x_; }
+  [[nodiscard]] i32 iterations() const noexcept { return iterations_; }
+  [[nodiscard]] bool converged() const noexcept { return converged_; }
+  [[nodiscard]] f64 initial_residual_norm2() const noexcept { return rho0_; }
+  [[nodiscard]] f64 final_residual_norm2() const noexcept { return rho_last_; }
+
+  [[nodiscard]] RoundOutcome start(PeApi& api) override {
+    // x = 0, r = b, d = r; then reduce r'r before the first exchange.
+    r_ = b_;
+    d_ = r_;
+    api.scalar_ops(2 * b_.size());
+    return RoundOutcome{RoundAction::Reduce, local_dot(api, r_, r_)};
+  }
+
+  [[nodiscard]] std::span<const f32> begin_round(PeApi& api) override {
+    // q = diag .* d plus the vertical couplings; the neighbor terms
+    // arrive as the search-direction column is exchanged.
+    stencil_.apply_local(api, q_, d_);
+    return d_;
+  }
+
+  void on_block(PeApi& api, mesh::Face face, Dsd d_nb) override {
+    stencil_.apply_face(api, q_, face, d_nb);
+  }
+
+  [[nodiscard]] RoundOutcome on_round_complete(PeApi& api) override {
+    pending_ = Pending::DotDq;
+    return RoundOutcome{RoundAction::Reduce, local_dot(api, d_, q_)};
+  }
+
+  [[nodiscard]] RoundOutcome on_reduced(PeApi& api, f32 global) override {
+    switch (pending_) {
+      case Pending::InitialRho:
+        rho_ = global;
+        rho0_ = global;
+        rho_last_ = global;
+        if (rho0_ <= 0.0 || options_.max_iterations == 0) {
+          converged_ = rho0_ <= 0.0;
+          return RoundOutcome{RoundAction::Done};
+        }
+        return RoundOutcome{RoundAction::Continue};
+      case Pending::DotDq:
+        return after_dot_dq(api, global);
+      case Pending::Rho:
+        return after_rho(api, global);
+    }
+    return RoundOutcome{RoundAction::Done};
+  }
+
+ private:
+  /// Which reduction the next on_reduced answers.
+  enum class Pending : u8 { InitialRho, DotDq, Rho };
+
+  [[nodiscard]] RoundOutcome after_dot_dq(PeApi& api, f32 global) {
+    FVF_REQUIRE_MSG(global != 0.0f, "CG breakdown: d'Ad == 0");
+    const f32 alpha = rho_ / global;
+    // x += alpha d ; r -= alpha q
+    api.fmuls(Dsd::of(scratch_), Dsd::of(d_), alpha);
+    api.fadds(Dsd::of(x_), Dsd::of(x_), Dsd::of(scratch_));
+    api.fmuls(Dsd::of(scratch_), Dsd::of(q_), alpha);
+    api.fsubs(Dsd::of(r_), Dsd::of(r_), Dsd::of(scratch_));
+    pending_ = Pending::Rho;
+    return RoundOutcome{RoundAction::Reduce, local_dot(api, r_, r_)};
+  }
+
+  [[nodiscard]] RoundOutcome after_rho(PeApi& api, f32 global) {
+    ++iterations_;
+    rho_last_ = global;
+    const f32 tol2 = options_.relative_tolerance * options_.relative_tolerance;
+    const bool stop = global <= tol2 * static_cast<f32>(rho0_) ||
+                      iterations_ >= options_.max_iterations;
+    if (stop) {
+      converged_ = global <= tol2 * static_cast<f32>(rho0_);
+      return RoundOutcome{RoundAction::Done};
+    }
+    const f32 beta = global / rho_;
+    rho_ = global;
+    // d = r + beta d
+    api.fmuls(Dsd::of(d_), Dsd::of(d_), beta);
+    api.fadds(Dsd::of(d_), Dsd::of(d_), Dsd::of(r_));
+    return RoundOutcome{RoundAction::Continue};
+  }
+
+  [[nodiscard]] static f32 local_dot(PeApi& api, std::span<const f32> a,
+                                     std::span<const f32> b) {
+    f32 sum = 0.0f;
+    for (usize i = 0; i < a.size(); ++i) {
+      sum += a[i] * b[i];
+    }
+    api.scalar_ops(2 * a.size());
+    return sum;
+  }
+
+  CgKernelOptions options_;
+  std::vector<f32> b_;
+  PeStencil stencil_;
+  std::vector<f32> x_;
+  std::vector<f32> r_;
+  std::vector<f32> d_;
+  std::vector<f32> q_;
+  std::vector<f32> scratch_;
+
+  Pending pending_ = Pending::InitialRho;
+  f32 rho_ = 0.0f;
+  f64 rho0_ = 0.0;
+  f64 rho_last_ = 0.0;
+  i32 iterations_ = 0;
+  bool converged_ = false;
+};
+
 }  // namespace
 
-CgPeProgram::CgPeProgram(Coord2 coord, Coord2 fabric_size, i32 nz,
-                         CgKernelOptions options,
-                         wse::AllReduceColors reduce_colors, PeCgData data,
-                         HaloReliabilityOptions reliability)
-    : IterativeKernelProgram(coord, fabric_size),
-      nz_(nz),
-      options_(options) {
-  FVF_REQUIRE(nz > 0);
-  FVF_REQUIRE(static_cast<i32>(data.rhs.size()) == nz);
-  b_ = std::move(data.rhs);
-  offdiag_ = std::move(data.offdiag);
-  diag_ = std::move(data.diag);
-  for (const auto& c : offdiag_) {
-    FVF_REQUIRE(static_cast<i32>(c.size()) == nz);
-  }
-  FVF_REQUIRE(static_cast<i32>(diag_.size()) == nz);
-
-  const usize n = static_cast<usize>(nz);
-  x_.assign(n, 0.0f);
-  r_.assign(n, 0.0f);
-  d_.assign(n, 0.0f);
-  q_.assign(n, 0.0f);
-  scratch_.assign(n, 0.0f);
-
-  // Halo exchange of the search direction + global dot-product trees
-  // (static pass-through routes; no switch protocol — the CG exchange is
-  // symmetric every round, so the Figure 6 role alternation brings
-  // nothing here).
-  use_halo_exchange(nz, reliability);
-  use_allreduce(reduce_colors, 1);
-}
-
-void CgPeProgram::reserve_memory(wse::PeMemory& mem) {
-  const usize n = static_cast<usize>(nz_) * sizeof(f32);
-  mem.reserve(6 * n, "b/x/r/d/q/scratch");
-  mem.reserve(mesh::kFaceCount * n, "stencil coefficients");
-  mem.reserve(n, "diagonal shift");
-  mem.reserve(8 * n, "halo buffers");
-  mem.reserve(4096, "code+runtime");
-}
-
-f32 CgPeProgram::local_dot(PeApi& api, std::span<const f32> a,
-                           std::span<const f32> b) {
-  FVF_REQUIRE(a.size() == b.size());
-  f32 sum = 0.0f;
-  for (usize i = 0; i < a.size(); ++i) {
-    sum += a[i] * b[i];
-  }
-  api.scalar_ops(2 * a.size());
-  return sum;
-}
-
-void CgPeProgram::begin(PeApi& api) {
-  // x = 0, r = b, d = r.
-  r_ = b_;
-  d_ = r_;
-  api.scalar_ops(2 * static_cast<usize>(nz_));
-
-  const f32 rho_local = local_dot(api, r_, r_);
-  const std::array<f32, 1> contrib{rho_local};
-  allreduce().contribute(api, contrib,
-                         [this](PeApi& a, std::span<const f32> g) {
-    rho_ = g[0];
-    rho0_ = g[0];
-    rho_last_ = g[0];
-    if (rho0_ <= 0.0 || options_.max_iterations == 0) {
-      converged_ = rho0_ <= 0.0;
-      done_ = true;
-      a.signal_done();
-      return;
-    }
-    start_exchange(a);
-  });
-}
-
-void CgPeProgram::start_exchange(PeApi& api) {
-  // q = diag .* d, then the two local vertical face terms.
-  api.fmuls(Dsd::of(q_), Dsd::of(diag_), Dsd::of(d_));
-  if (nz_ > 1) {
-    const i32 m = nz_ - 1;
-    const Dsd d = Dsd::of(d_);
-    const Dsd q = Dsd::of(q_);
-    // z+ term for cells 0..nz-2: q += C_z+ * d_{K+1}.
-    api.fmacs(
-        q.window(0, m),
-        Dsd::of(offdiag_[static_cast<usize>(mesh::Face::ZPlus)]).window(0, m),
-        d.window(1, m), q.window(0, m));
-    // z- term for cells 1..nz-1: q += C_z- * d_{K-1}.
-    api.fmacs(
-        q.window(1, m),
-        Dsd::of(offdiag_[static_cast<usize>(mesh::Face::ZMinus)]).window(1, m),
-        d.window(0, m), q.window(1, m));
-  }
-
-  // Broadcast the search-direction column to the four cardinal
-  // neighbors; the per-block hook accumulates q += C_f d_nb and the
-  // round hook continues with the dot products.
-  exchange().begin_round(api, d_);
-}
-
-void CgPeProgram::on_halo_block(PeApi& api, mesh::Face face, Dsd d_nb) {
-  // q += C_f * d_nb
-  api.fmacs(Dsd::of(q_), Dsd::of(offdiag_[static_cast<usize>(face)]), d_nb,
-            Dsd::of(q_));
-}
-
-void CgPeProgram::on_halo_complete(PeApi& api) {
-  const f32 dot_dq = local_dot(api, d_, q_);
-  const std::array<f32, 1> contrib{dot_dq};
-  allreduce().contribute(api, contrib,
-                         [this](PeApi& a, std::span<const f32> g) {
-                           on_dot_dq(a, g[0]);
-                         });
-}
-
-void CgPeProgram::on_dot_dq(PeApi& api, f32 global) {
-  FVF_REQUIRE_MSG(global != 0.0f, "CG breakdown: d'Ad == 0");
-  const f32 alpha = rho_ / global;
-  // x += alpha d ; r -= alpha q
-  api.fmuls(Dsd::of(scratch_), Dsd::of(d_), alpha);
-  api.fadds(Dsd::of(x_), Dsd::of(x_), Dsd::of(scratch_));
-  api.fmuls(Dsd::of(scratch_), Dsd::of(q_), alpha);
-  api.fsubs(Dsd::of(r_), Dsd::of(r_), Dsd::of(scratch_));
-
-  const f32 rr = local_dot(api, r_, r_);
-  const std::array<f32, 1> contrib{rr};
-  allreduce().contribute(api, contrib,
-                         [this](PeApi& a, std::span<const f32> g) {
-                           on_rho(a, g[0]);
-                         });
-}
-
-void CgPeProgram::on_rho(PeApi& api, f32 global) {
-  ++iterations_;
-  rho_last_ = global;
-  const f32 tol2 = options_.relative_tolerance * options_.relative_tolerance;
-  const bool stop = global <= tol2 * static_cast<f32>(rho0_) ||
-                    iterations_ >= options_.max_iterations;
-  if (stop) {
-    converged_ = global <= tol2 * static_cast<f32>(rho0_);
-    done_ = true;
-    api.signal_done();
-    return;
-  }
-  const f32 beta = global / rho_;
-  rho_ = global;
-  // d = r + beta d
-  api.fmuls(Dsd::of(d_), Dsd::of(d_), beta);
-  api.fadds(Dsd::of(d_), Dsd::of(d_), Dsd::of(r_));
-  start_exchange(api);
+spec::StencilSpec make_cg_spec() {
+  spec::StencilSpec s;
+  s.name = "cg";
+  s.exchange = spec::ExchangeKind::StaticHalo;
+  s.shape = spec::StencilShape::NinePoint;
+  s.block_words_per_cell = 1;  // [d]
+  s.claims.cardinal = "cg halo exchange";
+  s.claims.diagonal = "cg halo diagonal forwards";
+  s.claims.allreduce = "cg dot-product all-reduce";
+  s.claims.nack = "cg halo retransmit";
+  s.reduction = spec::ReductionSpec{wse::ReduceOp::Sum, 1};
+  s.fields = {
+      {"b/x/r/d/q/scratch", spec::FieldRole::State, 6, 0},
+      {"stencil coefficients", spec::FieldRole::State,
+       static_cast<i32>(mesh::kFaceCount), 0},
+      {"diagonal shift", spec::FieldRole::State, 1, 0},
+      {"halo buffers", spec::FieldRole::HaloRecv, 8, 0},
+      {"code+runtime", spec::FieldRole::Code, 0, 4096},
+  };
+  return s;
 }
 
 CgLoad load_dataflow_cg(const LinearStencil& stencil, const Array3<f32>& rhs,
                         const DataflowCgOptions& options) {
   const Extents3 ext = stencil.extents;
   FVF_REQUIRE(rhs.extents() == ext);
-
-  HaloReliabilityOptions reliability = options.reliability;
-  if (options.execution.fault.bit_flip_rate > 0.0) {
-    // Bit flips make the fabric drop corrupted blocks; the implicit-FIFO
-    // halo protocol cannot survive a drop, so the ack/retransmit layer
-    // is mandatory for such scenarios.
-    reliability.enabled = true;
-  }
-
-  CgLoad load;
-  load.harness =
-      std::make_unique<FabricHarness>(Coord2{ext.nx, ext.ny}, options);
-  load.harness->colors().claim_cardinal("cg halo exchange");
-  load.harness->colors().claim_diagonal("cg halo diagonal forwards");
-  const wse::AllReduceColors reduce_colors =
-      load.harness->colors().claim_allreduce("cg dot-product all-reduce");
-  if (reliability.enabled) {
-    load.harness->colors().claim_nack("cg halo retransmit");
-  }
-
   // Locals are captured by value: the probe factory the harness keeps
   // must stay valid after this function returns.
   const CgKernelOptions kernel = options.kernel;
-  load.grid = load.harness->load<CgPeProgram>(
-      [&stencil, &rhs, ext, kernel, reduce_colors,
-       reliability](Coord2 coord, Coord2 fabric_size) {
-        PeCgData data;
-        data.rhs.resize(static_cast<usize>(ext.nz));
-        data.diag.resize(static_cast<usize>(ext.nz));
+  return spec::load(
+      make_cg_spec(), Coord2{ext.nx, ext.ny}, ext.nz, options,
+      options.reliability,
+      [&stencil, &rhs, ext, kernel](Coord2 coord, Coord2 fabric_size,
+                                    const auto& compiled,
+                                    const auto& bindings) {
+        std::vector<f32> b(static_cast<usize>(ext.nz));
         for (i32 z = 0; z < ext.nz; ++z) {
-          data.rhs[static_cast<usize>(z)] = rhs(coord.x, coord.y, z);
-          data.diag[static_cast<usize>(z)] = stencil.diag(coord.x, coord.y, z);
+          b[static_cast<usize>(z)] = rhs(coord.x, coord.y, z);
         }
-        for (const mesh::Face f : mesh::kAllFaces) {
-          auto& col = data.offdiag[static_cast<usize>(f)];
-          col.resize(static_cast<usize>(ext.nz));
-          for (i32 z = 0; z < ext.nz; ++z) {
-            col[static_cast<usize>(z)] =
-                stencil.offdiag[static_cast<usize>(f)](coord.x, coord.y, z);
-          }
-        }
-        return std::make_unique<CgPeProgram>(coord, fabric_size, ext.nz,
-                                             kernel, reduce_colors,
-                                             std::move(data), reliability);
+        return std::make_unique<spec::SpecPeProgram>(
+            coord, fabric_size, ext.nz, compiled, bindings,
+            std::make_unique<CgKernel>(kernel, std::move(b),
+                                       PeStencil(stencil, coord)));
       });
-  return load;
 }
 
 DataflowCgResult run_dataflow_cg(const LinearStencil& stencil,
                                  const Array3<f32>& rhs,
                                  const DataflowCgOptions& options) {
-  const Extents3 ext = stencil.extents;
   const CgLoad load = load_dataflow_cg(stencil, rhs, options);
 
   DataflowCgResult result;
-  static_cast<RunInfo&>(result) = load.harness->run();
-  result.solution = Array3<f32>(ext);
-  load.grid.gather(result.solution,
-                   [](const CgPeProgram& p) { return p.solution(); });
-  const CgPeProgram& probe = load.grid.at(0, 0);
+  static_cast<dataflow::RunInfo&>(result) = load.harness->run();
+  result.solution = Array3<f32>(stencil.extents);
+  load.grid.gather(result.solution, [](const spec::SpecPeProgram& p) {
+    return p.kernel_as<CgKernel>().solution();
+  });
+  const CgKernel& probe = load.grid.at(0, 0).kernel_as<CgKernel>();
   result.iterations = probe.iterations();
   result.converged = probe.converged();
   result.initial_residual_norm = std::sqrt(probe.initial_residual_norm2());

@@ -13,16 +13,17 @@
 /// Every PE takes the identical alpha/beta/stop decisions because they
 /// all receive the same reduced scalars, so the distributed iteration is
 /// deterministic and terminates uniformly.
+///
+/// The program is a `fvf::spec` stencil program: `make_cg_spec` declares
+/// the static-halo exchange of the search direction, the Sum reduction
+/// and the per-PE memory layout, and the (file-local) CG kernel chains
+/// its reductions — r'r before the first exchange, then d'q and r'r
+/// after every round.
 #pragma once
-
-#include <array>
-#include <memory>
-#include <vector>
 
 #include "common/array3d.hpp"
 #include "core/linear_stencil.hpp"
-#include "dataflow/fabric_harness.hpp"
-#include "dataflow/iterative_kernel.hpp"
+#include "spec/launch.hpp"
 
 namespace fvf::core {
 
@@ -32,67 +33,17 @@ struct CgKernelOptions {
   f32 relative_tolerance = 1e-5f;
 };
 
-/// Per-PE column data for the CG program.
-struct PeCgData {
-  std::vector<f32> rhs;                                    ///< b, length Nz
-  std::array<std::vector<f32>, mesh::kFaceCount> offdiag;  ///< per-face
-  std::vector<f32> diag;                                   ///< diagonal
-};
-
-/// The per-PE CG program. The all-reduce tree colors come from the launch
-/// pipeline's ColorPlan claim.
-class CgPeProgram final : public dataflow::IterativeKernelProgram {
- public:
-  CgPeProgram(Coord2 coord, Coord2 fabric_size, i32 nz,
-              CgKernelOptions options, wse::AllReduceColors reduce_colors,
-              PeCgData data, dataflow::HaloReliabilityOptions reliability = {});
-
-  [[nodiscard]] std::span<const f32> solution() const noexcept { return x_; }
-  [[nodiscard]] i32 iterations() const noexcept { return iterations_; }
-  [[nodiscard]] bool converged() const noexcept { return converged_; }
-  [[nodiscard]] f64 initial_residual_norm2() const noexcept { return rho0_; }
-  [[nodiscard]] f64 final_residual_norm2() const noexcept { return rho_last_; }
-
- private:
-  // IterativeKernelProgram phase hooks.
-  void reserve_memory(wse::PeMemory& mem) override;
-  void begin(wse::PeApi& api) override;
-  void on_halo_block(wse::PeApi& api, mesh::Face face, wse::Dsd d_nb) override;
-  void on_halo_complete(wse::PeApi& api) override;
-
-  void start_exchange(wse::PeApi& api);
-  void on_dot_dq(wse::PeApi& api, f32 global);
-  void on_rho(wse::PeApi& api, f32 global);
-  [[nodiscard]] f32 local_dot(wse::PeApi& api, std::span<const f32> a,
-                              std::span<const f32> b);
-
-  i32 nz_;
-  CgKernelOptions options_;
-
-  // CG vectors (per-PE columns).
-  std::vector<f32> b_;
-  std::vector<f32> x_;
-  std::vector<f32> r_;
-  std::vector<f32> d_;
-  std::vector<f32> q_;
-  std::vector<f32> scratch_;
-  std::array<std::vector<f32>, mesh::kFaceCount> offdiag_;
-  std::vector<f32> diag_;
-
-  f32 rho_ = 0.0f;
-  f64 rho0_ = 0.0;
-  f64 rho_last_ = 0.0;
-  i32 iterations_ = 0;
-  bool converged_ = false;
-  bool done_ = false;
-};
+/// The declarative description of the CG program: the static-halo
+/// exchange of the search direction, the dot-product Sum reduction, and
+/// the complete ordered per-PE memory layout.
+[[nodiscard]] spec::StencilSpec make_cg_spec();
 
 /// Launch options for a fabric CG solve.
 struct DataflowCgOptions : dataflow::HarnessOptions {
   CgKernelOptions kernel{};
-  /// Halo ack/retransmit layer. Auto-enabled by run_dataflow_cg when the
-  /// fault scenario can drop blocks (bit_flip_rate > 0), since the
-  /// implicit-FIFO protocol cannot survive drops.
+  /// Halo ack/retransmit layer. Auto-enabled when the fault scenario can
+  /// drop blocks (bit_flip_rate > 0), since the implicit-FIFO protocol
+  /// cannot survive drops.
   dataflow::HaloReliabilityOptions reliability{};
 };
 
@@ -105,12 +56,9 @@ struct DataflowCgResult : dataflow::RunInfo {
   f64 final_residual_norm = 0.0;
 };
 
-/// A loaded-but-not-run CG launch (see core/launcher.hpp::TpfaLoad). The
-/// referenced stencil and rhs must outlive the load.
-struct CgLoad {
-  std::unique_ptr<dataflow::FabricHarness> harness;
-  dataflow::ProgramGrid<CgPeProgram> grid;
-};
+/// A loaded-but-not-run CG launch. The referenced stencil and rhs must
+/// outlive the load.
+using CgLoad = spec::Load<>;
 
 /// Claims the CG colors and loads the per-PE programs without running the
 /// event engine — the fvf_lint entry point, and the first half of

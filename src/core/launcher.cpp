@@ -4,8 +4,6 @@
 
 #include "common/assert.hpp"
 #include "physics/residual.hpp"
-#include "spec/compile.hpp"
-#include "spec/launch.hpp"
 
 namespace fvf::core {
 
@@ -71,32 +69,16 @@ TpfaLoad load_dataflow_tpfa(const physics::FlowProblem& problem,
   kernel.iterations = options.iterations;
   const physics::FluidProperties fluid = problem.fluid();
 
-  // Compile the declarative spec and verify the lowered program: every
-  // compiled launch passes strict lint before the fabric runs (memoized
-  // per program shape, so replayed scenarios only pay it once).
-  // One compile per launch, shared by every PE's program.
-  const auto compiled = std::make_shared<const spec::CompiledSpec>(
-      spec::compile(make_tpfa_spec(kernel)));
-  const Coord2 extents{ext.nx, ext.ny};
-  const HarnessOptions effective = spec::verified_options(
-      *compiled, extents, ext.nz, options, /*reliability_enabled=*/false);
-
-  TpfaLoad load;
-  load.harness = std::make_unique<FabricHarness>(extents, effective);
-  compiled->claim_colors(load.harness->colors(), /*reliability=*/false);
-
   // Everything local is captured by value: the probe factory the harness
   // keeps must stay valid after this function returns.
-  load.grid = load.harness->load<TpfaPeProgram>(
-      [&problem, ext, kernel, fluid, compiled](Coord2 coord,
-                                               Coord2 fabric_size) {
+  return spec::load<TpfaPeProgram>(
+      make_tpfa_spec(kernel), Coord2{ext.nx, ext.ny}, ext.nz, options, {},
+      [&problem, ext, kernel, fluid](Coord2 coord, Coord2 fabric_size,
+                                     const auto& compiled, const auto&) {
         return std::make_unique<TpfaPeProgram>(
             coord, fabric_size, ext, kernel, fluid,
             extract_column(problem, coord.x, coord.y), compiled);
       });
-  spec::record_verified(*compiled, extents, ext.nz, effective,
-                        /*reliability_enabled=*/false);
-  return load;
 }
 
 DataflowResult run_dataflow_tpfa(const physics::FlowProblem& problem,

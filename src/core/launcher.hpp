@@ -8,8 +8,8 @@
 
 #include "common/array3d.hpp"
 #include "core/tpfa_program.hpp"
-#include "dataflow/fabric_harness.hpp"
 #include "physics/problem.hpp"
+#include "spec/launch.hpp"
 
 namespace fvf::core {
 
@@ -38,10 +38,7 @@ struct DataflowResult : dataflow::RunInfo {
 /// actual run) plus the typed program grid for gathering results. The
 /// referenced FlowProblem must outlive the load (the lint probe factory
 /// extracts columns from it on demand).
-struct TpfaLoad {
-  std::unique_ptr<dataflow::FabricHarness> harness;
-  dataflow::ProgramGrid<TpfaPeProgram> grid;
-};
+using TpfaLoad = spec::Load<TpfaPeProgram>;
 
 /// Claims the TPFA colors and loads the per-PE programs without running
 /// the event engine — the fvf_lint entry point, and the first half of

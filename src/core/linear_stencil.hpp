@@ -15,10 +15,17 @@
 #pragma once
 
 #include <array>
+#include <span>
+#include <vector>
 
 #include "common/array3d.hpp"
 #include "mesh/stencil.hpp"
 #include "physics/problem.hpp"
+#include "wse/dsd.hpp"
+
+namespace fvf::wse {
+class PeApi;
+}  // namespace fvf::wse
 
 namespace fvf::core {
 
@@ -38,6 +45,26 @@ struct LinearStencil {
   /// Symmetry defect max |offdiag(K,f) - offdiag(L,opp f)|; 0 for a
   /// valid operator.
   [[nodiscard]] f64 max_asymmetry() const;
+};
+
+/// One PE's column of a LinearStencil — its ten coefficient columns and
+/// its diagonal, as the fabric CG and wave kernels hold them in PE memory
+/// — and the matrix-free apply q = A x they are used for, split at the
+/// halo exchange.
+class PeStencil {
+ public:
+  PeStencil(const LinearStencil& stencil, Coord2 coord);
+
+  /// q = diag .* x plus the two vertical couplings: the part of A x that
+  /// needs no neighbor column.
+  void apply_local(wse::PeApi& api, std::span<f32> q, std::span<f32> x);
+  /// q += C_face .* x_nb for one arrived neighbor column.
+  void apply_face(wse::PeApi& api, std::span<f32> q, mesh::Face face,
+                  wse::Dsd x_nb);
+
+ private:
+  std::array<std::vector<f32>, mesh::kFaceCount> offdiag_;
+  std::vector<f32> diag_;
 };
 
 /// Builds the linearized operator from a flow problem.

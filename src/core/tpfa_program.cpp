@@ -322,7 +322,7 @@ TpfaPeProgram::TpfaPeProgram(Coord2 coord, Coord2 fabric_size,
                     {},
                     std::make_unique<TpfaKernel>(coord, mesh_extents, options,
                                                  fluid, std::move(data))),
-      physics_(static_cast<TpfaKernel*>(kernel())) {}
+      physics_(&kernel_as<TpfaKernel>()) {}
 
 TpfaPeProgram::TpfaPeProgram(Coord2 coord, Coord2 fabric_size,
                              Extents3 mesh_extents, TpfaKernelOptions options,

@@ -151,7 +151,7 @@ class TpfaPeProgram final : public spec::SpecPeProgram {
   static constexpr usize kCodeFootprintBytes = 6800;
 
  private:
-  TpfaKernel* physics_;  ///< borrowed from the engine-owned kernel
+  const TpfaKernel* physics_;  ///< borrowed from the engine-owned kernel
 };
 
 }  // namespace fvf::core

@@ -1,15 +1,16 @@
 #include "core/transport_program.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <optional>
+#include <vector>
 
 #include "common/assert.hpp"
 #include "core/launcher.hpp"
 #include "physics/residual.hpp"
-#include "spec/compile.hpp"
-#include "spec/launch.hpp"
 
 namespace fvf::core {
 
@@ -20,7 +21,16 @@ namespace {
 using wse::Dsd;
 using wse::PeApi;
 
-}  // namespace
+/// Per-PE column data.
+struct PeTransportData {
+  std::vector<f32> saturation;  ///< S, length Nz (updated)
+  std::vector<f32> pressure;    ///< p, length Nz (fixed for the window)
+  std::vector<f32> elevation;   ///< own cell-centre elevations
+  std::array<std::vector<f32>, 4> elevation_cardinal;
+  std::array<std::vector<f32>, 4> elevation_diagonal;
+  std::array<std::vector<f32>, mesh::kFaceCount> trans;
+  std::vector<f32> well_rate;   ///< injected volume rate per cell [m^3/s]
+};
 
 /// The physics half of the transport program: per-round flux assembly,
 /// CFL bound, and the saturation update. All communication (halo rounds,
@@ -148,8 +158,8 @@ class TransportKernel final : public spec::StencilKernel {
     return spec::RoundOutcome{spec::RoundAction::Reduce, dt_local};
   }
 
-  [[nodiscard]] spec::RoundAction on_reduced(PeApi& api,
-                                             f32 global_dt) override {
+  [[nodiscard]] spec::RoundOutcome on_reduced(PeApi& api,
+                                              f32 global_dt) override {
     const f32 remaining =
         static_cast<f32>(options_.window_seconds - time_);
     f32 dt = std::min(global_dt, remaining);
@@ -167,9 +177,9 @@ class TransportKernel final : public spec::StencilKernel {
     ++substeps_;
     if (time_ >= options_.window_seconds * (1.0 - 1e-12) ||
         substeps_ >= options_.max_substeps) {
-      return spec::RoundAction::Done;
+      return spec::RoundOutcome{spec::RoundAction::Done};
     }
-    return spec::RoundAction::Continue;
+    return spec::RoundOutcome{spec::RoundAction::Continue};
   }
 
  private:
@@ -196,6 +206,8 @@ class TransportKernel final : public spec::StencilKernel {
   i32 substeps_ = 0;
 };
 
+}  // namespace
+
 spec::StencilSpec make_transport_spec(const TransportKernelOptions&) {
   spec::StencilSpec s;
   s.name = "transport";
@@ -219,32 +231,6 @@ spec::StencilSpec make_transport_spec(const TransportKernelOptions&) {
   return s;
 }
 
-TransportPeProgram::TransportPeProgram(
-    Coord2 coord, Coord2 fabric_size, i32 nz,
-    std::shared_ptr<const spec::CompiledSpec> compiled,
-    TransportKernelOptions options,
-                                       wse::AllReduceColors reduce_colors,
-                                       PeTransportData data,
-                                       HaloReliabilityOptions reliability)
-    : SpecPeProgram(coord, fabric_size, nz, std::move(compiled),
-                    spec::SpecPeProgram::LaunchBindings{reduce_colors,
-                                                        reliability},
-                    std::make_unique<TransportKernel>(nz, options,
-                                                      std::move(data))),
-      physics_(static_cast<TransportKernel*>(kernel())) {}
-
-std::span<const f32> TransportPeProgram::saturation() const noexcept {
-  return physics_->saturation();
-}
-
-i32 TransportPeProgram::substeps() const noexcept {
-  return physics_->substeps();
-}
-
-f64 TransportPeProgram::advanced_seconds() const noexcept {
-  return physics_->advanced_seconds();
-}
-
 TransportLoad load_dataflow_transport(const physics::FlowProblem& problem,
                                       const Array3<f32>& saturation,
                                       const Array3<f32>& pressure,
@@ -255,36 +241,15 @@ TransportLoad load_dataflow_transport(const physics::FlowProblem& problem,
   FVF_REQUIRE(pressure.extents() == ext);
   FVF_REQUIRE(well_rate.extents() == ext);
 
-  HaloReliabilityOptions reliability = options.reliability;
-  if (options.execution.fault.bit_flip_rate > 0.0) {
-    // Dropped blocks break the implicit-FIFO halo protocol; the
-    // ack/retransmit layer is mandatory under such fault scenarios.
-    reliability.enabled = true;
-  }
-
-  // Compile the declarative spec and verify the lowered program: every
-  // compiled launch passes strict lint before the fabric runs (memoized
-  // per program shape, so replayed scenarios only pay it once).
-  const auto compiled = std::make_shared<const spec::CompiledSpec>(
-      spec::compile(make_transport_spec(options.kernel)));
-  const Coord2 extents{ext.nx, ext.ny};
-  const HarnessOptions effective = spec::verified_options(
-      *compiled, extents, ext.nz, options, reliability.enabled);
-
-  TransportLoad load;
-  load.harness = std::make_unique<FabricHarness>(extents, effective);
-  const spec::CompiledSpec::Claims claims =
-      compiled->claim_colors(load.harness->colors(), reliability.enabled);
-  FVF_REQUIRE(claims.reduce.has_value());
-  const wse::AllReduceColors reduce_colors = *claims.reduce;
-
   // Locals are captured by value: the probe factory the harness keeps
   // must stay valid after this function returns.
   const TransportKernelOptions kernel = options.kernel;
-  load.grid = load.harness->load<TransportPeProgram>(
-      [&problem, &saturation, &pressure, &well_rate, ext, kernel,
-       reduce_colors, reliability, compiled](Coord2 coord,
-                                             Coord2 fabric_size) {
+  return spec::load(
+      make_transport_spec(kernel), Coord2{ext.nx, ext.ny}, ext.nz, options,
+      options.reliability,
+      [&problem, &saturation, &pressure, &well_rate, ext, kernel](
+          Coord2 coord, Coord2 fabric_size, const auto& compiled,
+          const auto& bindings) {
         // Geometry via the shared column extractor, dynamic fields by hand.
         const PeColumnData geometry =
             extract_column(problem, coord.x, coord.y);
@@ -311,29 +276,28 @@ TransportLoad load_dataflow_transport(const physics::FlowProblem& problem,
           data.well_rate[static_cast<usize>(z)] =
               well_rate(coord.x, coord.y, z);
         }
-        return std::make_unique<TransportPeProgram>(
-            coord, fabric_size, ext.nz, compiled, kernel, reduce_colors,
-            std::move(data), reliability);
+        return std::make_unique<spec::SpecPeProgram>(
+            coord, fabric_size, ext.nz, compiled, bindings,
+            std::make_unique<TransportKernel>(ext.nz, kernel,
+                                              std::move(data)));
       });
-  spec::record_verified(*compiled, extents, ext.nz, effective,
-                        reliability.enabled);
-  return load;
 }
 
 DataflowTransportResult run_dataflow_transport(
     const physics::FlowProblem& problem, const Array3<f32>& saturation,
     const Array3<f32>& pressure, const Array3<f32>& well_rate,
     const DataflowTransportOptions& options) {
-  const Extents3 ext = problem.extents();
   const TransportLoad load = load_dataflow_transport(
       problem, saturation, pressure, well_rate, options);
 
   DataflowTransportResult result;
   static_cast<RunInfo&>(result) = load.harness->run();
-  result.saturation = Array3<f32>(ext);
-  load.grid.gather(result.saturation,
-                   [](const TransportPeProgram& p) { return p.saturation(); });
-  const TransportPeProgram& probe = load.grid.at(0, 0);
+  result.saturation = Array3<f32>(problem.extents());
+  load.grid.gather(result.saturation, [](const spec::SpecPeProgram& p) {
+    return p.kernel_as<TransportKernel>().saturation();
+  });
+  const TransportKernel& probe =
+      load.grid.at(0, 0).kernel_as<TransportKernel>();
   result.substeps = probe.substeps();
   result.advanced_seconds = probe.advanced_seconds();
   return result;

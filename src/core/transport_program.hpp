@@ -26,16 +26,11 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cmath>
-#include <memory>
-#include <optional>
-#include <vector>
 
 #include "common/array3d.hpp"
-#include "dataflow/fabric_harness.hpp"
 #include "physics/problem.hpp"
-#include "spec/program.hpp"
+#include "spec/launch.hpp"
 
 namespace fvf::core {
 
@@ -91,51 +86,17 @@ struct TransportKernelOptions {
   f32 pore_volume = 0.0;     ///< phi * V per cell (uniform mesh)
 };
 
-/// Per-PE column data.
-struct PeTransportData {
-  std::vector<f32> saturation;  ///< S, length Nz (updated)
-  std::vector<f32> pressure;    ///< p, length Nz (fixed for the window)
-  std::vector<f32> elevation;   ///< own cell-centre elevations
-  std::array<std::vector<f32>, 4> elevation_cardinal;
-  std::array<std::vector<f32>, 4> elevation_diagonal;
-  std::array<std::vector<f32>, mesh::kFaceCount> trans;
-  std::vector<f32> well_rate;   ///< injected volume rate per cell [m^3/s]
-};
-
 /// The declarative description of the transport program: the [S | p]
 /// static-halo exchange, the fabric-wide dt MIN-reduction, and the
 /// complete ordered per-PE memory layout.
 [[nodiscard]] spec::StencilSpec make_transport_spec(
     const TransportKernelOptions& options);
 
-class TransportKernel;
-
-/// The per-PE transport program. The dt min-reduce tree colors come from
-/// the launch pipeline's ColorPlan claim. A thin facade over the
-/// compiled-spec engine keeping the historical constructor and accessors.
-class TransportPeProgram final : public spec::SpecPeProgram {
- public:
-  /// `compiled` must be spec::compile(make_transport_spec(options)),
-  /// shared by every PE of the launch.
-  TransportPeProgram(Coord2 coord, Coord2 fabric_size, i32 nz,
-                     std::shared_ptr<const spec::CompiledSpec> compiled,
-                     TransportKernelOptions options,
-                     wse::AllReduceColors reduce_colors, PeTransportData data,
-                     dataflow::HaloReliabilityOptions reliability = {});
-
-  [[nodiscard]] std::span<const f32> saturation() const noexcept;
-  [[nodiscard]] i32 substeps() const noexcept;
-  [[nodiscard]] f64 advanced_seconds() const noexcept;
-
- private:
-  TransportKernel* physics_;  ///< borrowed from the engine-owned kernel
-};
-
 /// Launch options.
 struct DataflowTransportOptions : dataflow::HarnessOptions {
   TransportKernelOptions kernel{};
-  /// Halo ack/retransmit layer. Auto-enabled by run_dataflow_transport
-  /// when the fault scenario can drop blocks (bit_flip_rate > 0).
+  /// Halo ack/retransmit layer. Auto-enabled when the fault scenario can
+  /// drop blocks (bit_flip_rate > 0).
   dataflow::HaloReliabilityOptions reliability{};
 };
 
@@ -147,13 +108,9 @@ struct DataflowTransportResult : dataflow::RunInfo {
   f64 advanced_seconds = 0.0;
 };
 
-/// A loaded-but-not-run transport launch (see
-/// core/launcher.hpp::TpfaLoad). The referenced problem and field arrays
-/// must outlive the load.
-struct TransportLoad {
-  std::unique_ptr<dataflow::FabricHarness> harness;
-  dataflow::ProgramGrid<TransportPeProgram> grid;
-};
+/// A loaded-but-not-run transport launch. The referenced problem and
+/// field arrays must outlive the load.
+using TransportLoad = spec::Load<>;
 
 /// Claims the transport colors and loads the per-PE programs without
 /// running the event engine — the fvf_lint entry point, and the first

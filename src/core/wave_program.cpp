@@ -2,96 +2,91 @@
 
 #include <cmath>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "common/assert.hpp"
 
 namespace fvf::core {
 
-using namespace dataflow;
-
 namespace {
 
+using spec::RoundAction;
+using spec::RoundOutcome;
 using wse::Dsd;
 using wse::PeApi;
 
+/// The physics half of the wave program: the operator apply around each
+/// halo round and the leapfrog update after it.
+class WaveKernel final : public spec::StencilKernel {
+ public:
+  WaveKernel(WaveKernelOptions options, std::vector<f32> u0,
+             PeStencil stencil)
+      : options_(options),
+        u_prev_(u0),
+        u_cur_(std::move(u0)),
+        q_(u_cur_.size(), 0.0f),
+        stencil_(std::move(stencil)) {
+    FVF_REQUIRE(options.timesteps >= 1);
+    FVF_REQUIRE(!u_cur_.empty());
+  }
+
+  [[nodiscard]] std::span<const f32> field() const noexcept { return u_cur_; }
+
+  [[nodiscard]] std::span<const f32> begin_round(PeApi& api) override {
+    // q = diag .* u + vertical couplings (all local memory).
+    stencil_.apply_local(api, q_, u_cur_);
+    return u_cur_;
+  }
+
+  void on_block(PeApi& api, mesh::Face face, Dsd u_nb) override {
+    stencil_.apply_face(api, q_, face, u_nb);
+  }
+
+  [[nodiscard]] RoundOutcome on_round_complete(PeApi& api) override {
+    // Leapfrog update: u_next = 2 u - u_prev - kappa q, written into the
+    // (dead) u_prev column, then rotate the time levels.
+    const Dsd u = Dsd::of(u_cur_);
+    const Dsd prev = Dsd::of(u_prev_);
+    const Dsd q = Dsd::of(q_);
+    api.fmuls(q, q, -options_.kappa);  // q <- -kappa (A u)
+    api.fnegs(prev, prev);             // prev <- -u_prev
+    api.fadds(prev, prev, q);          // prev <- -u_prev - kappa A u
+    api.fmacs(prev, u, 2.0f, prev);    // prev <- 2u - u_prev - kappa A u
+    std::swap(u_prev_, u_cur_);
+    ++step_;
+    return RoundOutcome{step_ == options_.timesteps ? RoundAction::Done
+                                                    : RoundAction::Continue};
+  }
+
+ private:
+  WaveKernelOptions options_;
+  std::vector<f32> u_prev_;
+  std::vector<f32> u_cur_;
+  std::vector<f32> q_;  ///< A u^t accumulator
+  PeStencil stencil_;
+  i32 step_ = 0;
+};
+
 }  // namespace
 
-WavePeProgram::WavePeProgram(Coord2 coord, Coord2 fabric_size, i32 nz,
-                             WaveKernelOptions options, PeWaveData data,
-                             HaloReliabilityOptions reliability)
-    : IterativeKernelProgram(coord, fabric_size),
-      nz_(nz),
-      options_(options) {
-  FVF_REQUIRE(nz > 0);
-  FVF_REQUIRE(options.timesteps >= 1);
-  FVF_REQUIRE(static_cast<i32>(data.u0.size()) == nz);
-  FVF_REQUIRE(static_cast<i32>(data.u_prev.size()) == nz);
-  u_cur_ = std::move(data.u0);
-  u_prev_ = std::move(data.u_prev);
-  offdiag_ = std::move(data.offdiag);
-  diag_ = std::move(data.diag);
-  for (const auto& c : offdiag_) {
-    FVF_REQUIRE(static_cast<i32>(c.size()) == nz);
-  }
-  FVF_REQUIRE(static_cast<i32>(diag_.size()) == nz);
-
-  const usize n = static_cast<usize>(nz);
-  q_.assign(n, 0.0f);
-  use_halo_exchange(nz, reliability);
-}
-
-void WavePeProgram::reserve_memory(wse::PeMemory& mem) {
-  const usize n = static_cast<usize>(nz_) * sizeof(f32);
-  mem.reserve(3 * n, "u_prev/u_cur/q");
-  mem.reserve((mesh::kFaceCount + 1) * n, "stencil columns");
-  mem.reserve(8 * n, "halo buffers");
-  mem.reserve(4096, "code+runtime");
-}
-
-void WavePeProgram::begin(PeApi& api) { start_step(api); }
-
-void WavePeProgram::start_step(PeApi& api) {
-  // q = diag .* u + vertical couplings (all local memory).
-  api.fmuls(Dsd::of(q_), Dsd::of(diag_), Dsd::of(u_cur_));
-  if (nz_ > 1) {
-    const i32 m = nz_ - 1;
-    const Dsd u = Dsd::of(u_cur_);
-    const Dsd q = Dsd::of(q_);
-    api.fmacs(
-        q.window(0, m),
-        Dsd::of(offdiag_[static_cast<usize>(mesh::Face::ZPlus)]).window(0, m),
-        u.window(1, m), q.window(0, m));
-    api.fmacs(
-        q.window(1, m),
-        Dsd::of(offdiag_[static_cast<usize>(mesh::Face::ZMinus)]).window(1, m),
-        u.window(0, m), q.window(1, m));
-  }
-
-  exchange().begin_round(api, u_cur_);
-}
-
-void WavePeProgram::on_halo_block(PeApi& api, mesh::Face face, Dsd u_nb) {
-  api.fmacs(Dsd::of(q_), Dsd::of(offdiag_[static_cast<usize>(face)]), u_nb,
-            Dsd::of(q_));
-}
-
-void WavePeProgram::on_halo_complete(PeApi& api) {
-  // Leapfrog update: u_next = 2 u - u_prev - kappa q, written into the
-  // (dead) u_prev column, then rotate the time levels.
-  const Dsd u = Dsd::of(u_cur_);
-  const Dsd prev = Dsd::of(u_prev_);
-  const Dsd q = Dsd::of(q_);
-  api.fmuls(q, q, -options_.kappa);  // q <- -kappa (A u)
-  api.fnegs(prev, prev);             // prev <- -u_prev
-  api.fadds(prev, prev, q);          // prev <- -u_prev - kappa A u
-  api.fmacs(prev, u, 2.0f, prev);    // prev <- 2u - u_prev - kappa A u
-  std::swap(u_prev_, u_cur_);
-  ++step_;
-  if (step_ == options_.timesteps) {
-    api.signal_done();
-    return;
-  }
-  start_step(api);
+spec::StencilSpec make_wave_spec() {
+  spec::StencilSpec s;
+  s.name = "wave";
+  s.exchange = spec::ExchangeKind::StaticHalo;
+  s.shape = spec::StencilShape::NinePoint;
+  s.block_words_per_cell = 1;  // [u]
+  s.claims.cardinal = "wave halo exchange";
+  s.claims.diagonal = "wave halo diagonal forwards";
+  s.claims.nack = "wave halo retransmit";
+  s.fields = {
+      {"u_prev/u_cur/q", spec::FieldRole::State, 3, 0},
+      {"stencil columns", spec::FieldRole::State,
+       static_cast<i32>(mesh::kFaceCount) + 1, 0},
+      {"halo buffers", spec::FieldRole::HaloRecv, 8, 0},
+      {"code+runtime", spec::FieldRole::Code, 0, 4096},
+  };
+  return s;
 }
 
 WaveLoad load_dataflow_wave(const LinearStencil& stencil,
@@ -99,64 +94,38 @@ WaveLoad load_dataflow_wave(const LinearStencil& stencil,
                             const DataflowWaveOptions& options) {
   const Extents3 ext = stencil.extents;
   FVF_REQUIRE(initial.extents() == ext);
-
-  HaloReliabilityOptions reliability = options.reliability;
-  if (options.execution.fault.bit_flip_rate > 0.0) {
-    // Dropped blocks break the implicit-FIFO halo protocol; the
-    // ack/retransmit layer is mandatory under such fault scenarios.
-    reliability.enabled = true;
-  }
-
-  WaveLoad load;
-  load.harness =
-      std::make_unique<FabricHarness>(Coord2{ext.nx, ext.ny}, options);
-  load.harness->colors().claim_cardinal("wave halo exchange");
-  load.harness->colors().claim_diagonal("wave halo diagonal forwards");
-  if (reliability.enabled) {
-    load.harness->colors().claim_nack("wave halo retransmit");
-  }
-
   // Locals are captured by value: the probe factory the harness keeps
   // must stay valid after this function returns.
   const WaveKernelOptions kernel = options.kernel;
-  load.grid = load.harness->load<WavePeProgram>(
-      [&stencil, &initial, ext, kernel,
-       reliability](Coord2 coord, Coord2 fabric_size) {
-        PeWaveData data;
-        data.u0.resize(static_cast<usize>(ext.nz));
-        data.u_prev.resize(static_cast<usize>(ext.nz));
-        data.diag.resize(static_cast<usize>(ext.nz));
+  return spec::load(
+      make_wave_spec(), Coord2{ext.nx, ext.ny}, ext.nz, options,
+      options.reliability,
+      [&stencil, &initial, ext, kernel](Coord2 coord, Coord2 fabric_size,
+                                        const auto& compiled,
+                                        const auto& bindings) {
+        // A standing start: u at t-1 equals the initial field.
+        std::vector<f32> u0(static_cast<usize>(ext.nz));
         for (i32 z = 0; z < ext.nz; ++z) {
-          data.u0[static_cast<usize>(z)] = initial(coord.x, coord.y, z);
-          data.u_prev[static_cast<usize>(z)] = initial(coord.x, coord.y, z);
-          data.diag[static_cast<usize>(z)] = stencil.diag(coord.x, coord.y, z);
+          u0[static_cast<usize>(z)] = initial(coord.x, coord.y, z);
         }
-        for (const mesh::Face f : mesh::kAllFaces) {
-          auto& col = data.offdiag[static_cast<usize>(f)];
-          col.resize(static_cast<usize>(ext.nz));
-          for (i32 z = 0; z < ext.nz; ++z) {
-            col[static_cast<usize>(z)] =
-                stencil.offdiag[static_cast<usize>(f)](coord.x, coord.y, z);
-          }
-        }
-        return std::make_unique<WavePeProgram>(coord, fabric_size, ext.nz,
-                                               kernel, std::move(data),
-                                               reliability);
+        return std::make_unique<spec::SpecPeProgram>(
+            coord, fabric_size, ext.nz, compiled, bindings,
+            std::make_unique<WaveKernel>(kernel, std::move(u0),
+                                         PeStencil(stencil, coord)));
       });
-  return load;
 }
 
 DataflowWaveResult run_dataflow_wave(const LinearStencil& stencil,
                                      const Array3<f32>& initial,
                                      const DataflowWaveOptions& options) {
-  const Extents3 ext = stencil.extents;
   const WaveLoad load = load_dataflow_wave(stencil, initial, options);
 
   DataflowWaveResult result;
-  static_cast<RunInfo&>(result) = load.harness->run();
-  result.field = Array3<f32>(ext);
-  load.grid.gather(result.field,
-                   [](const WavePeProgram& p) { return p.field(); });
+  static_cast<dataflow::RunInfo&>(result) = load.harness->run();
+  result.field = Array3<f32>(stencil.extents);
+  load.grid.gather(result.field, [](const spec::SpecPeProgram& p) {
+    return p.kernel_as<WaveKernel>().field();
+  });
   return result;
 }
 

@@ -14,16 +14,16 @@
 /// whose spatial operator A is any 11-point LinearStencil (including the
 /// four X-Y diagonal couplings), applied each step through the same
 /// cardinal + diagonal halo exchange as the TPFA flux kernel.
+///
+/// The program is a `fvf::spec` stencil program: `make_wave_spec`
+/// declares the static-halo exchange of u^t and the per-PE memory layout,
+/// and the (file-local) wave kernel owns both time levels and rotates
+/// them after every round.
 #pragma once
-
-#include <array>
-#include <memory>
-#include <vector>
 
 #include "common/array3d.hpp"
 #include "core/linear_stencil.hpp"
-#include "dataflow/fabric_harness.hpp"
-#include "dataflow/iterative_kernel.hpp"
+#include "spec/launch.hpp"
 
 namespace fvf::core {
 
@@ -33,49 +33,16 @@ struct WaveKernelOptions {
   f32 kappa = 1.0f;  ///< dt^2 c^2 scaling of the spatial operator
 };
 
-/// Per-PE column data for the wave program.
-struct PeWaveData {
-  std::vector<f32> u0;       ///< initial field, length Nz
-  std::vector<f32> u_prev;   ///< field at t-1 (u0 for a standing start)
-  std::array<std::vector<f32>, mesh::kFaceCount> offdiag;
-  std::vector<f32> diag;
-};
-
-/// The per-PE leapfrog program.
-class WavePeProgram final : public dataflow::IterativeKernelProgram {
- public:
-  WavePeProgram(Coord2 coord, Coord2 fabric_size, i32 nz,
-                WaveKernelOptions options, PeWaveData data,
-                dataflow::HaloReliabilityOptions reliability = {});
-
-  [[nodiscard]] std::span<const f32> field() const noexcept { return u_cur_; }
-  [[nodiscard]] i32 completed_steps() const noexcept { return step_; }
-
- private:
-  // IterativeKernelProgram phase hooks.
-  void reserve_memory(wse::PeMemory& mem) override;
-  void begin(wse::PeApi& api) override;
-  void on_halo_block(wse::PeApi& api, mesh::Face face, wse::Dsd u_nb) override;
-  void on_halo_complete(wse::PeApi& api) override;
-
-  void start_step(wse::PeApi& api);
-
-  i32 nz_;
-  WaveKernelOptions options_;
-
-  std::vector<f32> u_prev_;
-  std::vector<f32> u_cur_;
-  std::vector<f32> q_;  ///< A u^t accumulator
-  std::array<std::vector<f32>, mesh::kFaceCount> offdiag_;
-  std::vector<f32> diag_;
-  i32 step_ = 0;
-};
+/// The declarative description of the wave program: the static-halo
+/// exchange of u^t (no reduction) and the complete ordered per-PE memory
+/// layout.
+[[nodiscard]] spec::StencilSpec make_wave_spec();
 
 /// Launch options.
 struct DataflowWaveOptions : dataflow::HarnessOptions {
   WaveKernelOptions kernel{};
-  /// Halo ack/retransmit layer. Auto-enabled by run_dataflow_wave when
-  /// the fault scenario can drop blocks (bit_flip_rate > 0).
+  /// Halo ack/retransmit layer. Auto-enabled when the fault scenario can
+  /// drop blocks (bit_flip_rate > 0).
   dataflow::HaloReliabilityOptions reliability{};
 };
 
@@ -84,12 +51,9 @@ struct DataflowWaveResult : dataflow::RunInfo {
   Array3<f32> field;  ///< u at the final timestep
 };
 
-/// A loaded-but-not-run wave launch (see core/launcher.hpp::TpfaLoad).
-/// The referenced stencil and initial field must outlive the load.
-struct WaveLoad {
-  std::unique_ptr<dataflow::FabricHarness> harness;
-  dataflow::ProgramGrid<WavePeProgram> grid;
-};
+/// A loaded-but-not-run wave launch. The referenced stencil and initial
+/// field must outlive the load.
+using WaveLoad = spec::Load<>;
 
 /// Claims the wave colors and loads the per-PE programs without running
 /// the event engine — the fvf_lint entry point, and the first half of

@@ -2,12 +2,14 @@
 /// \brief Layer 3 of the fvf::dataflow runtime: the shared per-PE phase
 ///        machine every dataflow program iterates through.
 ///
-/// All five programs (TPFA, CG, transport, wave, IMPES' two kernels)
-/// follow the same shape: reserve PE memory, begin a phase, exchange halo
-/// columns with the ten XY neighbors, do local compute as blocks arrive,
-/// optionally agree on a global scalar via AllReduce, then advance or
-/// finish. IterativeKernelProgram owns the wse::PeProgram entry points
-/// and performs declarative per-color dispatch:
+/// Every fabric kernel (TPFA, CG, transport, wave, heat; IMPES launches
+/// CG then transport) follows the same shape: reserve PE memory, begin a
+/// phase, exchange halo columns with the ten XY neighbors, do local
+/// compute as blocks arrive, optionally agree on a global scalar via
+/// AllReduce, then advance or finish. All of them run as the one
+/// generated subclass, spec::SpecPeProgram. IterativeKernelProgram owns
+/// the wse::PeProgram entry points and performs declarative per-color
+/// dispatch:
 ///
 ///   - an attached HaloExchange (use_halo_exchange) receives its
 ///     cardinal/diagonal blocks, NACK retransmit requests, and watchdog

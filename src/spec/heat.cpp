@@ -1,9 +1,8 @@
 #include "spec/heat.hpp"
 
 #include <algorithm>
-
-#include "spec/compile.hpp"
-#include "spec/launch.hpp"
+#include <memory>
+#include <vector>
 
 namespace fvf::spec {
 
@@ -22,8 +21,6 @@ inline u64 hash_cell(u64 seed, u64 index) {
   x ^= x >> 31;
   return x;
 }
-
-}  // namespace
 
 /// The physics half of the heat program: one Jacobi update per round.
 class HeatKernel final : public StencilKernel {
@@ -97,6 +94,8 @@ class HeatKernel final : public StencilKernel {
   i32 steps_done_ = 0;
 };
 
+}  // namespace
+
 StencilSpec make_heat_spec(const HeatKernelOptions&) {
   StencilSpec s;
   s.name = "heat";
@@ -114,76 +113,38 @@ StencilSpec make_heat_spec(const HeatKernelOptions&) {
   return s;
 }
 
-HeatPeProgram::HeatPeProgram(Coord2 coord, Coord2 fabric_size, i32 nz,
-                             std::shared_ptr<const CompiledSpec> compiled,
-                             HeatKernelOptions options,
-                             std::vector<f32> column,
-                             dataflow::HaloReliabilityOptions reliability)
-    : SpecPeProgram(coord, fabric_size, nz, std::move(compiled),
-                    SpecPeProgram::LaunchBindings{{}, reliability},
-                    std::make_unique<HeatKernel>(nz, options,
-                                                 std::move(column))),
-      physics_(static_cast<HeatKernel*>(kernel())) {}
-
-std::span<const f32> HeatPeProgram::field() const noexcept {
-  return physics_->field();
-}
-
-i32 HeatPeProgram::steps_completed() const noexcept {
-  return physics_->steps_completed();
-}
-
 HeatLoad load_dataflow_heat(const Array3<f32>& field,
                             const DataflowHeatOptions& options) {
   const Extents3 ext = field.extents();
-
-  dataflow::HaloReliabilityOptions reliability = options.reliability;
-  if (options.execution.fault.bit_flip_rate > 0.0) {
-    // Dropped blocks break the implicit-FIFO halo protocol; the
-    // ack/retransmit layer is mandatory under such fault scenarios.
-    reliability.enabled = true;
-  }
-
-  // Compile the declarative spec and verify the lowered program (strict
-  // lint, memoized per program shape).
-  const auto compiled =
-      std::make_shared<const CompiledSpec>(compile(make_heat_spec(options.kernel)));
-  const Coord2 extents{ext.nx, ext.ny};
-  const dataflow::HarnessOptions effective = verified_options(
-      *compiled, extents, ext.nz, options, reliability.enabled);
-
-  HeatLoad load;
-  load.harness =
-      std::make_unique<dataflow::FabricHarness>(extents, effective);
-  compiled->claim_colors(load.harness->colors(), reliability.enabled);
-
   const HeatKernelOptions kernel = options.kernel;
-  load.grid = load.harness->load<HeatPeProgram>(
-      [&field, ext, kernel, reliability, compiled](Coord2 coord,
-                                                   Coord2 fabric_size) {
-        std::vector<f32> column(static_cast<usize>(ext.nz));
-        for (i32 z = 0; z < ext.nz; ++z) {
-          column[static_cast<usize>(z)] = field(coord.x, coord.y, z);
-        }
-        return std::make_unique<HeatPeProgram>(coord, fabric_size, ext.nz,
-                                               compiled, kernel,
-                                               std::move(column), reliability);
-      });
-  record_verified(*compiled, extents, ext.nz, effective, reliability.enabled);
-  return load;
+  return load(make_heat_spec(kernel), Coord2{ext.nx, ext.ny}, ext.nz, options,
+              options.reliability,
+              [&field, ext, kernel](Coord2 coord, Coord2 fabric_size,
+                                    const auto& compiled,
+                                    const auto& bindings) {
+                std::vector<f32> column(static_cast<usize>(ext.nz));
+                for (i32 z = 0; z < ext.nz; ++z) {
+                  column[static_cast<usize>(z)] = field(coord.x, coord.y, z);
+                }
+                return std::make_unique<SpecPeProgram>(
+                    coord, fabric_size, ext.nz, compiled, bindings,
+                    std::make_unique<HeatKernel>(ext.nz, kernel,
+                                                 std::move(column)));
+              });
 }
 
 DataflowHeatResult run_dataflow_heat(const Array3<f32>& field,
                                      const DataflowHeatOptions& options) {
-  const Extents3 ext = field.extents();
   const HeatLoad load = load_dataflow_heat(field, options);
 
   DataflowHeatResult result;
   static_cast<dataflow::RunInfo&>(result) = load.harness->run();
-  result.field = Array3<f32>(ext);
-  load.grid.gather(result.field,
-                   [](const HeatPeProgram& p) { return p.field(); });
-  result.steps_completed = load.grid.at(0, 0).steps_completed();
+  result.field = Array3<f32>(field.extents());
+  load.grid.gather(result.field, [](const SpecPeProgram& p) {
+    return p.kernel_as<HeatKernel>().field();
+  });
+  result.steps_completed =
+      load.grid.at(0, 0).kernel_as<HeatKernel>().steps_completed();
   return result;
 }
 

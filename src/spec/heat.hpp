@@ -1,7 +1,7 @@
 /// \file heat.hpp
 /// \brief 2D heat diffusion with a 9-point stencil — the first kernel
-///        authored directly as a `fvf::spec` program, with no legacy
-///        hand-written counterpart.
+///        authored directly as a `fvf::spec` program rather than ported
+///        from a hand-written one.
 ///
 /// Each PE owns one Z column of a scalar field u. Per step, every PE
 /// exchanges its u column with all eight XY neighbors (static halo) and
@@ -16,12 +16,8 @@
 /// operation-for-operation for bitwise validation.
 #pragma once
 
-#include <memory>
-#include <vector>
-
 #include "common/array3d.hpp"
-#include "dataflow/fabric_harness.hpp"
-#include "spec/program.hpp"
+#include "spec/launch.hpp"
 
 namespace fvf::spec {
 
@@ -47,26 +43,6 @@ inline constexpr f32 kHeatDiagonalWeight = 1.0f / 6.0f;
 /// The declarative description of the heat program.
 [[nodiscard]] StencilSpec make_heat_spec(const HeatKernelOptions& options);
 
-class HeatKernel;
-
-/// The per-PE heat program: a thin facade over the compiled-spec engine.
-class HeatPeProgram final : public SpecPeProgram {
- public:
-  /// `compiled` must be compile(make_heat_spec(options)), shared by
-  /// every PE of the launch.
-  HeatPeProgram(Coord2 coord, Coord2 fabric_size, i32 nz,
-                std::shared_ptr<const CompiledSpec> compiled,
-                HeatKernelOptions options, std::vector<f32> column,
-                dataflow::HaloReliabilityOptions reliability = {});
-
-  /// The u column after the final completed step.
-  [[nodiscard]] std::span<const f32> field() const noexcept;
-  [[nodiscard]] i32 steps_completed() const noexcept;
-
- private:
-  HeatKernel* physics_;  ///< borrowed from the engine-owned kernel
-};
-
 /// Launch options.
 struct DataflowHeatOptions : dataflow::HarnessOptions {
   HeatKernelOptions kernel{};
@@ -80,12 +56,9 @@ struct DataflowHeatResult : dataflow::RunInfo {
   i32 steps_completed = 0;
 };
 
-/// A loaded-but-not-run heat launch (see core/launcher.hpp::TpfaLoad).
-/// The referenced field array must outlive the load.
-struct HeatLoad {
-  std::unique_ptr<dataflow::FabricHarness> harness;
-  dataflow::ProgramGrid<HeatPeProgram> grid;
-};
+/// A loaded-but-not-run heat launch. The referenced field array must
+/// outlive the load.
+using HeatLoad = Load<>;
 
 /// Claims the heat colors and loads the per-PE programs without running
 /// the event engine — the fvf_lint entry point, and the first half of

@@ -3,6 +3,8 @@
 #include <mutex>
 #include <unordered_set>
 
+#include "common/hash.hpp"
+
 namespace fvf::spec {
 
 namespace {
@@ -10,20 +12,17 @@ namespace {
 u64 shape_key(const CompiledSpec& compiled, Coord2 extents, i32 nz,
               const dataflow::HarnessOptions& options,
               bool reliability_enabled) {
-  // FNV-style mix over everything that changes what the linter sees.
+  // Everything that changes what the linter sees, chained onto the
+  // spec's structural digest.
   u64 h = compiled.shape_digest();
-  const auto mix = [&h](u64 v) {
-    h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  };
-  mix(static_cast<u64>(extents.x));
-  mix(static_cast<u64>(extents.y));
-  mix(static_cast<u64>(nz));
-  mix(options.pe_memory_budget);
+  h = fnv1a_mix(h, static_cast<u64>(extents.x));
+  h = fnv1a_mix(h, static_cast<u64>(extents.y));
+  h = fnv1a_mix(h, static_cast<u64>(nz));
+  h = fnv1a_mix(h, options.pe_memory_budget);
   // The buffer-bound verdict compares against the router depth: a pass at
   // depth 64 says nothing about depth 1.
-  mix(options.execution.router_buffer_depth);
-  mix(reliability_enabled ? 1u : 0u);
-  return h;
+  h = fnv1a_mix(h, options.execution.router_buffer_depth);
+  return fnv1a_mix(h, reliability_enabled ? 1u : 0u);
 }
 
 std::mutex& memo_mutex() {

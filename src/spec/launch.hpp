@@ -1,26 +1,47 @@
 /// \file launch.hpp
-/// \brief The mandatory verification gate for compiled programs.
+/// \brief The one launch path of every spec kernel, and its mandatory
+///        verification gate.
+///
+/// `spec::load` is the whole sequence a kernel's launcher used to write
+/// out by hand: reliability under bit flips, `spec::compile`, the strict
+/// lint gate, the FabricHarness with its color claims, the per-PE load,
+/// and the record of the passed gate. Launchers only say which spec,
+/// which fabric, and how to build one PE's program.
 ///
 /// Every spec-compiled launch must pass `fvf::lint` in strict mode
 /// before the FabricHarness hands the fabric to the event engine. The
 /// harness runs the linter during load, but its lint level is fixed at
-/// construction — so the launchers ask `verified_options` for the
-/// effective HarnessOptions *before* constructing the harness, and call
+/// construction — so `load` asks `verified_options` for the effective
+/// HarnessOptions *before* constructing the harness, and calls
 /// `record_verified` once the load (and therefore the strict lint pass)
 /// succeeded.
 ///
 /// To keep repeated launches cheap (the scenario service replays the
 /// same shapes thousands of times), passes are memoized process-wide by
 /// the spec's structural digest + fabric extents + column depth + memory
-/// budget + reliability: two launches with equal keys lower to identical
-/// colors, routes, handlers, and memory reservations, so one strict pass
-/// proves both.
+/// budget + router depth + reliability: two launches with equal keys
+/// lower to identical colors, routes, handlers, and memory reservations,
+/// so one strict pass proves both.
 #pragma once
 
+#include <memory>
+
+#include "dataflow/fabric_harness.hpp"
 #include "dataflow/run_info.hpp"
 #include "spec/compile.hpp"
+#include "spec/program.hpp"
 
 namespace fvf::spec {
+
+/// A loaded-but-not-run launch: the harness (for static lint or an
+/// actual run) plus the typed program grid for gathering results.
+/// Whatever the program factory references must outlive the load: the
+/// lint probe factory builds programs from it on demand.
+template <typename Program = SpecPeProgram>
+struct Load {
+  std::unique_ptr<dataflow::FabricHarness> harness;
+  dataflow::ProgramGrid<Program> grid;
+};
 
 /// `base` with lint raised to Strict unless this exact program shape
 /// already passed strict lint in this process (a stricter base level is
@@ -34,5 +55,42 @@ namespace fvf::spec {
 void record_verified(const CompiledSpec& compiled, Coord2 extents, i32 nz,
                      const dataflow::HarnessOptions& effective,
                      bool reliability_enabled);
+
+/// Compiles `spec` and loads it onto an `extents` fabric of column depth
+/// `nz` without running the event engine — the fvf_lint entry point, and
+/// the first half of every kernel's run. A StaticHalo launch under bit
+/// flips turns `reliability` on: corrupted blocks are dropped, and the
+/// implicit-FIFO halo protocol cannot survive a drop. Every PE's program
+/// is `make(coord, fabric_size, compiled, bindings)`, with the one
+/// compile of the launch and the colors claimed for it; `make` must be
+/// copyable and callable concurrently (see FabricHarness::load).
+template <typename Program = SpecPeProgram, typename MakeFn>
+[[nodiscard]] Load<Program> load(StencilSpec spec, Coord2 extents, i32 nz,
+                                 const dataflow::HarnessOptions& options,
+                                 dataflow::HaloReliabilityOptions reliability,
+                                 MakeFn make) {
+  if (spec.exchange == ExchangeKind::StaticHalo &&
+      options.execution.fault.bit_flip_rate > 0.0) {
+    reliability.enabled = true;
+  }
+  const auto compiled =
+      std::make_shared<const CompiledSpec>(compile(std::move(spec)));
+  const dataflow::HarnessOptions effective = verified_options(
+      *compiled, extents, nz, options, reliability.enabled);
+
+  Load<Program> load;
+  load.harness = std::make_unique<dataflow::FabricHarness>(extents, effective);
+  const SpecPeProgram::LaunchBindings bindings{
+      compiled->claim_colors(load.harness->colors(), reliability.enabled)
+          .reduce,
+      reliability};
+  load.grid = load.harness->template load<Program>(
+      [make = std::move(make), compiled, bindings](Coord2 coord,
+                                                   Coord2 fabric_size) {
+        return make(coord, fabric_size, compiled, bindings);
+      });
+  record_verified(*compiled, extents, nz, effective, reliability.enabled);
+  return load;
+}
 
 }  // namespace fvf::spec

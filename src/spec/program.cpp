@@ -47,6 +47,9 @@ void StencilKernel::process_block(PeApi&, mesh::Face, Dsd) {
 void StencilKernel::finalize_round(PeApi&, const FaceBlocks&) {
   FVF_REQUIRE_MSG(false, "StencilKernel::finalize_round not implemented");
 }
+RoundOutcome StencilKernel::start(PeApi&) {
+  return RoundOutcome{RoundAction::Continue};
+}
 std::span<const f32> StencilKernel::begin_round(PeApi&) {
   FVF_REQUIRE_MSG(false, "StencilKernel::begin_round not implemented");
 }
@@ -57,7 +60,7 @@ RoundOutcome StencilKernel::on_round_complete(PeApi&) {
   FVF_REQUIRE_MSG(false,
                   "StencilKernel::on_round_complete not implemented");
 }
-RoundAction StencilKernel::on_reduced(PeApi&, f32) {
+RoundOutcome StencilKernel::on_reduced(PeApi&, f32) {
   FVF_REQUIRE_MSG(false, "StencilKernel::on_reduced not implemented");
 }
 
@@ -312,7 +315,7 @@ void SpecPeProgram::begin(PeApi& api) {
       check_completion(api);
       break;
     case ExchangeKind::StaticHalo:
-      start_round(api);
+      apply(api, require_kernel().start(api));
       break;
   }
 }
@@ -503,32 +506,32 @@ void SpecPeProgram::on_halo_block(PeApi& api, mesh::Face face, Dsd block) {
   require_kernel().on_block(api, face, block);
 }
 
-void SpecPeProgram::apply_action(PeApi& api, RoundAction action) {
-  if (action == RoundAction::Done) {
-    api.signal_done();
-    return;
+void SpecPeProgram::apply(PeApi& api, RoundOutcome outcome) {
+  switch (outcome.action) {
+    case RoundAction::Done:
+      api.signal_done();
+      return;
+    case RoundAction::Continue:
+      start_round(api);
+      return;
+    case RoundAction::Reduce: {
+      FVF_REQUIRE_MSG(compiled_->spec().reduction.has_value(),
+                      "spec '" << compiled_->name()
+                               << "': kernel requested a reduction but the "
+                                  "spec declares no reduction phase");
+      const std::array<f32, 1> contrib{outcome.contribution};
+      allreduce().contribute(api, contrib,
+                             [this](PeApi& a, std::span<const f32> g) {
+                               apply(a, require_kernel().on_reduced(a, g[0]));
+                             });
+      return;
+    }
   }
-  FVF_REQUIRE(action == RoundAction::Continue);
-  ++round_;
-  start_round(api);
 }
 
 void SpecPeProgram::on_halo_complete(PeApi& api) {
-  const RoundOutcome outcome = require_kernel().on_round_complete(api);
-  if (outcome.action == RoundAction::Reduce) {
-    FVF_REQUIRE_MSG(compiled_->spec().reduction.has_value(),
-                    "spec '" << compiled_->name()
-                             << "': kernel requested a reduction but the "
-                                "spec declares no reduction phase");
-    const std::array<f32, 1> contrib{outcome.contribution};
-    allreduce().contribute(api, contrib,
-                           [this](PeApi& a, std::span<const f32> g) {
-                             apply_action(a, require_kernel().on_reduced(
-                                                 a, g[0]));
-                           });
-    return;
-  }
-  apply_action(api, outcome.action);
+  ++round_;
+  apply(api, require_kernel().on_round_complete(api));
 }
 
 std::string SpecPeProgram::debug_state() const {

@@ -9,8 +9,9 @@
 /// control-triggered phase-2 sends, and the completion gating on the
 /// send obligation) — the golden traces prove the lowering is faithful.
 /// The StaticHalo mode drives the shared HaloExchange component plus the
-/// optional reduction tree, mirroring the transport program's event
-/// order exactly.
+/// optional reduction tree, running reductions back to back for as long
+/// as the kernel answers Reduce; the CG and wave golden traces pin its
+/// event order.
 #pragma once
 
 #include <memory>
@@ -41,14 +42,19 @@ class SpecPeProgram : public dataflow::IterativeKernelProgram {
   }
   [[nodiscard]] i32 completed_rounds() const noexcept { return round_; }
 
+  /// The engine-owned kernel as the concrete type the launch built, for
+  /// reading results back after a run.
+  template <typename Kernel>
+  [[nodiscard]] const Kernel& kernel_as() const {
+    const auto* kernel = dynamic_cast<const Kernel*>(&require_kernel());
+    FVF_REQUIRE_MSG(kernel != nullptr, "spec '" << compiled_->name()
+                                                << "': kernel type mismatch");
+    return *kernel;
+  }
+
   /// One-line diagnostic of the engine's communication state (per-color
   /// send/receive/control counters); used by deadlock reports and tests.
   [[nodiscard]] std::string debug_state() const;
-
- protected:
-  [[nodiscard]] StencilKernel* kernel() const noexcept {
-    return kernel_.get();
-  }
 
  private:
   struct CardinalState {
@@ -105,7 +111,9 @@ class SpecPeProgram : public dataflow::IterativeKernelProgram {
 
   // Static-halo machinery (HaloExchange + reduction driver).
   void start_round(wse::PeApi& api);
-  void apply_action(wse::PeApi& api, RoundAction action);
+  /// Carries out a kernel's answer: the next round, completion, or a
+  /// reduction whose result goes back to the kernel.
+  void apply(wse::PeApi& api, RoundOutcome outcome);
 
   [[nodiscard]] StencilKernel& require_kernel() const;
 

@@ -19,8 +19,6 @@
 #pragma once
 
 #include <array>
-#include <functional>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -100,14 +98,6 @@ struct DefectInjection {
   bool drop_east_data_handler = false;
 };
 
-class StencilKernel;
-
-/// Creates the per-PE physics kernel at load time. May be empty for
-/// kernel-less fixtures (the program then must never be run).
-using KernelFactory =
-    std::function<std::unique_ptr<StencilKernel>(Coord2 coord,
-                                                 Coord2 fabric_size)>;
-
 /// The declarative program description `spec::compile` lowers.
 struct StencilSpec {
   std::string name;
@@ -122,11 +112,11 @@ struct StencilSpec {
   std::vector<FieldSpec> fields;
   ClaimLabels claims;
   std::optional<ReductionSpec> reduction;
-  KernelFactory make_kernel;
   DefectInjection defects;
 };
 
-/// What a StaticHalo kernel wants after a completed round.
+/// What a StaticHalo kernel wants next: at start, after a completed
+/// round, or after a completed reduction.
 enum class RoundAction : u8 {
   Continue,  ///< start the next exchange round
   Done,      ///< signal completion to the runtime
@@ -144,6 +134,13 @@ struct RoundOutcome {
 /// DSD views and supplies the arithmetic. Hooks are grouped by the
 /// exchange kind that invokes them; the defaults reject calls so a
 /// kernel wired to the wrong exchange fails loudly.
+///
+/// A StaticHalo kernel steers the engine with RoundOutcomes. `start`
+/// answers once before the first round, `on_round_complete` after every
+/// round and `on_reduced` after every reduction, so reductions chain: a
+/// Reduce answered with another Reduce runs a second tree pass before
+/// the next round. CG is the canonical use — r'r before the first
+/// exchange, then d'q followed by r'r after every round.
 class StencilKernel {
  public:
   StencilKernel() = default;
@@ -178,14 +175,18 @@ class StencilKernel {
   virtual void finalize_round(wse::PeApi& api, const FaceBlocks& blocks);
 
   // --- StaticHalo hooks -------------------------------------------------
+  /// Runs once before the first round. The default, Continue, starts the
+  /// first exchange round at once.
+  [[nodiscard]] virtual RoundOutcome start(wse::PeApi& api);
   /// Stage and return the outgoing halo block for the next round.
   [[nodiscard]] virtual std::span<const f32> begin_round(wse::PeApi& api);
   /// One halo block arrived; the view stays valid until the next round.
   virtual void on_block(wse::PeApi& api, mesh::Face face, wse::Dsd block);
   /// Every expected block arrived: run the round's arithmetic.
   [[nodiscard]] virtual RoundOutcome on_round_complete(wse::PeApi& api);
-  /// The reduction completed with `value`; decide Continue or Done.
-  [[nodiscard]] virtual RoundAction on_reduced(wse::PeApi& api, f32 value);
+  /// The reduction completed with `value`: Continue, Done, or Reduce
+  /// again.
+  [[nodiscard]] virtual RoundOutcome on_reduced(wse::PeApi& api, f32 value);
 };
 
 }  // namespace fvf::spec

@@ -1,4 +1,4 @@
-// Tests of the dataflow CG solver (core::CgPeProgram): operator
+// Tests of the dataflow CG solver (the "cg" spec kernel): operator
 // correctness, convergence on manufactured solutions, agreement with the
 // host Krylov stack, and determinism.
 #include <gtest/gtest.h>

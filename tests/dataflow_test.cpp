@@ -5,12 +5,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "baseline/baseline.hpp"
 #include "common/assert.hpp"
+#include "core/cg_program.hpp"
 #include "core/launcher.hpp"
+#include "core/linear_stencil.hpp"
 #include "core/perf_model.hpp"
+#include "core/wave_program.hpp"
 #include "physics/problem.hpp"
 #include "physics/residual.hpp"
 
@@ -343,12 +350,43 @@ TEST(DataflowMemoryTest, NoReuseReducesMaxDepth) {
 }
 
 TEST(DataflowMemoryTest, BudgetOverflowIsAnError) {
-  // A deliberately tiny PE memory cannot hold the program.
-  const physics::FlowProblem problem = make_problem(2, 2, 8, 53);
-  DataflowOptions options;
-  options.iterations = 1;
-  options.pe_memory_budget = 1024;
-  EXPECT_THROW((void)run_dataflow_tpfa(problem, options), ContractViolation);
+  // A deliberately tiny PE memory cannot hold any of the fabric kernels:
+  // the mandatory strict lint of the first launch rejects each at load,
+  // naming the memory check, before the fabric starts.
+  const physics::FlowProblem problem = make_problem(4, 4, 64, 53);
+  const LinearStencil stencil = build_linear_stencil(problem, 86400.0);
+  const Array3<f32> field = gaussian_pulse(problem.extents(), 1.0, 2.0);
+  const auto tiny = [](auto& options) { options.pe_memory_budget = 8192; };
+  const std::vector<std::pair<const char*, std::function<void()>>> runs = {
+      {"tpfa",
+       [&] {
+         DataflowOptions options;
+         tiny(options);
+         (void)run_dataflow_tpfa(problem, options);
+       }},
+      {"cg",
+       [&] {
+         DataflowCgOptions options;
+         tiny(options);
+         (void)run_dataflow_cg(stencil, field, options);
+       }},
+      {"wave",
+       [&] {
+         DataflowWaveOptions options;
+         tiny(options);
+         (void)run_dataflow_wave(stencil, field, options);
+       }},
+  };
+  for (const auto& [name, run] : runs) {
+    try {
+      run();
+      ADD_FAILURE() << name << ": launch over the memory budget succeeded";
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find("[memory-over-budget]"),
+                std::string::npos)
+          << name << ": " << e.what();
+    }
+  }
 }
 
 // --- weak scaling shape ----------------------------------------------------------

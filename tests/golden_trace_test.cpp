@@ -1,4 +1,4 @@
-// Golden-trace regressions for the TPFA and CG communication patterns,
+// Golden-trace regressions for the TPFA, CG and wave communication patterns,
 // plus regression coverage for the RunReport accounting paths (trace
 // records dropped at recorder capacity, errors suppressed past the
 // recording cap). Each golden file pins the exact event stream — kind,
@@ -17,6 +17,7 @@
 #include "core/cg_program.hpp"
 #include "core/launcher.hpp"
 #include "core/linear_stencil.hpp"
+#include "core/wave_program.hpp"
 #include "physics/problem.hpp"
 #include "wse/fabric.hpp"
 #include "wse/trace.hpp"
@@ -28,6 +29,8 @@ constexpr const char* kGoldenPath =
     FVF_TEST_DATA_DIR "/tpfa_trace_3x3x2.golden";
 constexpr const char* kCgGoldenPath =
     FVF_TEST_DATA_DIR "/cg_trace_3x3x2.golden";
+constexpr const char* kWaveGoldenPath =
+    FVF_TEST_DATA_DIR "/wave_trace_3x3x2.golden";
 
 physics::FlowProblem golden_problem() {
   physics::ProblemSpec spec;
@@ -75,6 +78,26 @@ std::string record_cg_trace(i32 threads, wse::TraceRecorder& recorder,
   EXPECT_TRUE(result.ok());
   EXPECT_EQ(result.hazards_total, 0u);
   EXPECT_EQ(result.iterations, 2);
+  EXPECT_EQ(result.trace_events_emitted, recorder.events().size());
+  EXPECT_EQ(result.trace_records_dropped, 0u);
+  return recorder.render(recorder.events().size());
+}
+
+/// Two leapfrog steps on the same 3x3x2 mesh from a Gaussian pulse:
+/// back-to-back cardinal + diagonal halo rounds with no reduction.
+std::string record_wave_trace(i32 threads, wse::TraceRecorder& recorder) {
+  const LinearStencil stencil =
+      build_linear_stencil(golden_problem(), 86400.0);
+  const ScaledSystem scaled = jacobi_scale(stencil);
+
+  DataflowWaveOptions options;
+  options.kernel.timesteps = 2;
+  options.kernel.kappa = 0.4f;
+  options.execution.threads = threads;
+  options.trace = &recorder;
+  const DataflowWaveResult result = run_dataflow_wave(
+      scaled.stencil, gaussian_pulse(stencil.extents, 1.0, 2.0), options);
+  EXPECT_TRUE(result.ok());
   EXPECT_EQ(result.trace_events_emitted, recorder.events().size());
   EXPECT_EQ(result.trace_records_dropped, 0u);
   return recorder.render(recorder.events().size());
@@ -196,6 +219,24 @@ TEST(GoldenTraceTest, CgGoldenUnchangedWithHazardCheckAcrossThreads) {
         record_cg_trace(threads, recorder, /*hazard_check=*/true);
     ASSERT_GT(recorder.events().size(), 0u);
     check_against_golden(kCgGoldenPath, actual);
+  }
+}
+
+TEST(GoldenTraceTest, WaveCommPatternMatchesGolden) {
+  wse::TraceRecorder recorder(1u << 20);
+  const std::string actual = record_wave_trace(1, recorder);
+  ASSERT_GT(recorder.events().size(), 0u);
+  check_against_golden(kWaveGoldenPath, actual);
+}
+
+TEST(GoldenTraceTest, WaveTraceIdenticalAcrossThreadCounts) {
+  wse::TraceRecorder serial(1u << 20);
+  wse::TraceRecorder tiled(1u << 20);
+  const std::string a = record_wave_trace(1, serial);
+  const std::string b = record_wave_trace(4, tiled);
+  ASSERT_GT(serial.events().size(), 0u);
+  if (a != b) {
+    report_first_difference(a, b);
   }
 }
 

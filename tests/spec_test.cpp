@@ -21,6 +21,7 @@
 #include "physics/problem.hpp"
 #include "serve/cache.hpp"
 #include "spec/compile.hpp"
+#include "api/kernels.hpp"
 #include "spec/heat.hpp"
 #include "spec/program.hpp"
 #include "tools/fvf_spec_cli.hpp"
@@ -312,8 +313,8 @@ TEST(SpecCliTest, ListKernelsShowsTheFullInventory) {
                            "heat"}) {
     EXPECT_NE(run.out.find(name), std::string::npos) << run.out;
   }
-  EXPECT_NE(run.out.find("[spec]"), std::string::npos);
-  EXPECT_NE(run.out.find("[legacy]"), std::string::npos);
+  // Each kernel's specs follow its name; IMPES launches two.
+  EXPECT_NE(run.out.find("cg+transport"), std::string::npos) << run.out;
 }
 
 TEST(SpecCliTest, DumpPlanPrintsTheLoweringSummary) {
@@ -325,8 +326,9 @@ TEST(SpecCliTest, DumpPlanPrintsTheLoweringSummary) {
 }
 
 TEST(SpecCliTest, LintExitsZeroOnEverySpecKernel) {
-  for (const char* name : {"tpfa", "transport", "heat"}) {
-    const CliRun run = run_spec_cli({"--lint", "--program", name});
+  for (const api::Kernel& kernel : api::kernels()) {
+    const std::string name(kernel.name);
+    const CliRun run = run_spec_cli({"--lint", "--program", name.c_str()});
     EXPECT_EQ(run.code, 0) << name << ": " << run.out << run.err;
     EXPECT_NE(run.out.find("clean"), std::string::npos) << run.out;
   }
@@ -339,12 +341,6 @@ TEST(SpecCliTest, UnknownProgramIsRejectedWithTheInventory) {
       << run.err;
   EXPECT_NE(run.err.find("heat"), std::string::npos)
       << "rejection must list the registered kernels: " << run.err;
-}
-
-TEST(SpecCliTest, LegacyKernelHasNoPlanToDump) {
-  const CliRun run = run_spec_cli({"--dump-plan", "--program", "wave"});
-  EXPECT_EQ(run.code, 2);
-  EXPECT_NE(run.err.find("legacy"), std::string::npos) << run.err;
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "tools/fvf_spec_cli.hpp"
 
+#include <algorithm>
 #include <iomanip>
 #include <memory>
 #include <ostream>
@@ -12,6 +13,7 @@
 #include "dataflow/color_plan.hpp"
 #include "dataflow/harness_cli.hpp"
 #include "lint/lint.hpp"
+#include "spec/compile.hpp"
 #include "spec/program.hpp"
 #include "wse/fabric.hpp"
 #include "wse/memory.hpp"
@@ -26,43 +28,37 @@ constexpr const char* kUsage =
     "       fvf_spec --lint --program <kernel> [--nx N --ny N --nz N]\n"
     "                [--reliability]\n";
 
+/// The names of the specs `kernel` launches, joined with '+'.
+[[nodiscard]] std::string spec_names(const api::Kernel& kernel) {
+  std::string names;
+  for (const api::SpecFactory make : kernel.specs) {
+    if (!names.empty()) {
+      names += '+';
+    }
+    names += make().name;
+  }
+  return names;
+}
+
 int list_kernels(std::ostream& out) {
   out << "registered kernels:\n";
   for (const api::Kernel& kernel : api::kernels()) {
-    out << "  " << std::left << std::setw(10) << kernel.name
-        << (kernel.compile_spec != nullptr ? "[spec]   " : "[legacy] ")
-        << kernel.summary << "\n";
+    out << "  " << std::left << std::setw(10) << kernel.name << std::setw(14)
+        << spec_names(kernel) << kernel.summary << "\n";
   }
   return 0;
 }
 
-/// Resolves --program against the kernel table; null (after reporting to
-/// `err`) when the kernel has no spec to lower.
-[[nodiscard]] const api::Kernel* require_compiled(const CliParser& cli,
-                                                  std::ostream& err) {
+/// Resolves --program against the kernel table.
+[[nodiscard]] const api::Kernel& require_kernel(const CliParser& cli) {
   std::vector<std::string> known;
   for (const api::Kernel& kernel : api::kernels()) {
     known.emplace_back(kernel.name);
   }
-  const std::string name = dataflow::parse_program_flag(cli, "", known);
-  const api::Kernel* kernel = api::find_kernel(name);
-  if (kernel->compile_spec == nullptr) {
-    err << "fvf_spec: '" << name
-        << "' uses the legacy hand-written path; no spec to lower "
-           "(spec kernels:";
-    for (const api::Kernel& k : api::kernels()) {
-      if (k.compile_spec != nullptr) {
-        err << ' ' << k.name;
-      }
-    }
-    err << ")\n";
-    return nullptr;
-  }
-  return kernel;
+  return *api::find_kernel(dataflow::parse_program_flag(cli, "", known));
 }
 
-int dump_plan(const api::Kernel& kernel, std::ostream& out) {
-  const spec::CompiledSpec compiled = kernel.compile_spec();
+int dump_plan(const spec::CompiledSpec& compiled, std::ostream& out) {
   out << compiled.describe();
 
   dataflow::ColorPlan plan;
@@ -82,10 +78,8 @@ int dump_plan(const api::Kernel& kernel, std::ostream& out) {
 /// Static verification from the spec alone: claims the colors on a fresh
 /// plan, loads a kernel-less generated program onto a small fabric, and
 /// runs the full linter (claim audit, routing, handlers, memory).
-int lint_spec(const api::Kernel& kernel, const CliParser& cli,
-              std::ostream& out) {
-  const auto compiled =
-      std::make_shared<const spec::CompiledSpec>(kernel.compile_spec());
+int lint_spec(std::shared_ptr<const spec::CompiledSpec> compiled,
+              const CliParser& cli, std::ostream& out) {
   const bool reliability = cli.has("reliability");
   const i32 nx = static_cast<i32>(cli.get_int("nx", 4));
   const i32 ny = static_cast<i32>(cli.get_int("ny", 3));
@@ -142,12 +136,17 @@ int fvf_spec_cli(int argc, const char* const* argv, std::ostream& out,
       return list_kernels(out);
     }
     if (cli.has("dump-plan") || cli.has("lint")) {
-      const api::Kernel* kernel = require_compiled(cli, err);
-      if (kernel == nullptr) {
-        return 2;
+      // Every spec the kernel launches, in launch order; the worst exit
+      // code wins.
+      int code = 0;
+      for (const api::SpecFactory make : require_kernel(cli).specs) {
+        auto compiled =
+            std::make_shared<const spec::CompiledSpec>(spec::compile(make()));
+        code = std::max(code, cli.has("dump-plan")
+                                  ? dump_plan(*compiled, out)
+                                  : lint_spec(std::move(compiled), cli, out));
       }
-      return cli.has("dump-plan") ? dump_plan(*kernel, out)
-                                  : lint_spec(*kernel, cli, out);
+      return code;
     }
     err << kUsage;
     return 2;
