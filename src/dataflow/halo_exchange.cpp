@@ -273,12 +273,10 @@ void HaloExchange::on_data_reliable(PeApi& api, Color color,
   if (tag <= s.processed) {
     // A retransmit raced the (stalled) original, or a spurious NACK was
     // answered: already consumed, drop.
-    ++duplicates_dropped_;
     return;
   }
   for (const Buffered& entry : s.pending) {
     if (entry.tag == tag) {
-      ++duplicates_dropped_;
       return;
     }
   }
@@ -360,7 +358,6 @@ void HaloExchange::send_nack(PeApi& api, Color data_color, i32 tag) {
   const std::array<f32, 2> request{static_cast<f32>(data_color.id()),
                                    static_cast<f32>(tag)};
   api.send(nack, request);
-  ++nacks_sent_;
 }
 
 void HaloExchange::on_nack(PeApi& api, Color color, Dir from,

@@ -3,10 +3,9 @@
 ///        static routes (no Figure 6 switch protocol): every PE sends one
 ///        fixed-length block per round on each cardinal color and
 ///        forwards received cardinal blocks to the rotated diagonal
-///        target (Figure 5). Used by the fabric CG solver, the transport
-///        kernel and the acoustic-wave kernel; the TPFA flux program
-///        keeps its own exchange because it implements the switch-based
-///        protocol.
+///        target (Figure 5). The StaticHalo exchange of
+///        spec::SpecPeProgram (CG, transport, wave, heat); the TPFA flux
+///        program keeps the engine's own Figure 6 switch protocol.
 ///
 /// Round semantics: blocks are tagged implicitly by per-link FIFO order.
 /// A neighbor may run at most one round ahead; such early blocks wait in
@@ -122,16 +121,6 @@ class HaloExchange {
   [[nodiscard]] i32 expected_blocks() const noexcept {
     return expected_cards_ + expected_diags_;
   }
-  [[nodiscard]] i32 block_length() const noexcept { return block_length_; }
-  [[nodiscard]] const HaloReliabilityOptions& reliability() const noexcept {
-    return reliability_;
-  }
-  /// Retransmit requests this PE sent (reliable mode).
-  [[nodiscard]] u64 nacks_sent() const noexcept { return nacks_sent_; }
-  /// Duplicate blocks suppressed by the tag check (reliable mode).
-  [[nodiscard]] u64 duplicates_dropped() const noexcept {
-    return duplicates_dropped_;
-  }
 
  private:
   /// A received-but-unprocessed block (reliable mode). At most two per
@@ -199,8 +188,6 @@ class HaloExchange {
   std::array<std::array<i32, 2>, 4> diag_tag_{};
   i32 retries_ = 0;
   bool retries_exhausted_ = false;
-  u64 nacks_sent_ = 0;
-  u64 duplicates_dropped_ = 0;
 };
 
 }  // namespace fvf::dataflow

@@ -68,7 +68,7 @@ SpecPeProgram::SpecPeProgram(Coord2 coord, Coord2 fabric_size, i32 nz,
                              std::shared_ptr<const CompiledSpec> compiled,
                              LaunchBindings bindings,
                              std::unique_ptr<StencilKernel> kernel)
-    : IterativeKernelProgram(coord, fabric_size),
+    : coord_(coord),
       compiled_(std::move(compiled)),
       kernel_(std::move(kernel)),
       nz_(nz) {
@@ -110,36 +110,28 @@ SpecPeProgram::SpecPeProgram(Coord2 coord, Coord2 fabric_size, i32 nz,
           ++expected_diags_;
         }
       }
-
-      // Declarative dispatch: the cardinal exchange plus its control
-      // wavelets, and the diagonal forwards when the shape has corners.
-      // All of it is halo traffic for the profiler; the handlers retag
-      // themselves when they hand a drained block to the kernel.
-      for (const Color c : kCardinalColors) {
-        if (!(spec.defects.drop_east_data_handler && c == kEastData)) {
-          bind_data(c, obs::Phase::Halo);
-        }
-        bind_control(c, obs::Phase::Halo);
-      }
-      if (nine_point_) {
-        for (const Color c : kDiagonalColors) {
-          bind_data(c, obs::Phase::Halo);
-        }
-      }
       break;
     }
 
     case ExchangeKind::StaticHalo: {
       reliability_enabled_ = bindings.reliability.enabled;
-      use_halo_exchange(block_len_, bindings.reliability);
+      exchange_ = std::make_unique<HaloExchange>(coord, fabric_size,
+                                                 block_len_,
+                                                 bindings.reliability);
+      exchange_->set_handlers(
+          [this](PeApi& api, mesh::Face face, Dsd block) {
+            require_kernel().on_block(api, face, block);
+          },
+          [this](PeApi& api) { on_halo_complete(api); });
       if (spec.reduction) {
         reduce_colors_ = bindings.reduce;
         FVF_REQUIRE_MSG(bindings.reduce.has_value(),
                         "spec '" << spec.name
                                  << "' declares a reduction phase but the "
                                     "launch supplied no AllReduce colors");
-        use_allreduce(*bindings.reduce, spec.reduction->length,
-                      spec.reduction->op);
+        allreduce_ = std::make_unique<wse::AllReduceSum>(
+            *bindings.reduce, coord, fabric_size, spec.reduction->length,
+            spec.reduction->op);
       }
       break;
     }
@@ -164,17 +156,118 @@ std::span<f32> SpecPeProgram::diag_buf(Color color) noexcept {
   return std::span<f32>(recv_).subspan((4 + diagonal_index(color)) * len, len);
 }
 
-void SpecPeProgram::on_bound_data(PeApi& api, Color color, Dir from,
-                                  std::span<const u32> data) {
+bool SpecPeProgram::switch_handles_data(Color color) const noexcept {
   if (is_cardinal_color(color)) {
-    handle_cardinal(api, color, from, data);
-  } else {
-    handle_diagonal(api, color, from, data);
+    return !(compiled_->spec().defects.drop_east_data_handler &&
+             color == kEastData);
   }
+  return nine_point_ && is_diagonal_color(color);
 }
 
-void SpecPeProgram::on_bound_control(PeApi& api, Color color, Dir) {
+// --- wse::PeProgram dispatch ----------------------------------------------
+
+void SpecPeProgram::on_data(PeApi& api, Color color, Dir from,
+                            std::span<const u32> data) {
+  switch (compiled_->spec().exchange) {
+    case ExchangeKind::None:
+      break;
+    case ExchangeKind::SwitchProtocol:
+      if (switch_handles_data(color)) {
+        if (is_cardinal_color(color)) {
+          handle_cardinal(api, color, from, data);
+        } else {
+          handle_diagonal(api, color, from, data);
+        }
+        return;
+      }
+      break;
+    case ExchangeKind::StaticHalo:
+      if (allreduce_ != nullptr && allreduce_->owns(color)) {
+        allreduce_->on_data(api, color, from, data);
+        return;
+      }
+      if (is_nack_color(color)) {
+        exchange_->on_nack(api, color, from, data);
+        return;
+      }
+      if (HaloExchange::owns(color)) {
+        exchange_->on_data(api, color, from, data);
+        return;
+      }
+      break;
+  }
+  FVF_REQUIRE_MSG(false, "PE(" << coord_.x << ',' << coord_.y
+                               << ") received data on color "
+                               << static_cast<int>(color.id())
+                               << " with no handler, exchange or allreduce "
+                                  "bound to it");
+}
+
+void SpecPeProgram::on_control(PeApi& api, Color color, Dir) {
+  FVF_REQUIRE_MSG(handles_color(color, /*control=*/true),
+                  "PE(" << coord_.x << ',' << coord_.y
+                        << ") received a control wavelet on color "
+                        << static_cast<int>(color.id())
+                        << " with no handler bound to it");
   handle_control(api, color);
+}
+
+void SpecPeProgram::on_timer(PeApi& api, u32 tag) {
+  FVF_REQUIRE_MSG(exchange_ != nullptr,
+                  "timer fired on a program without a halo exchange");
+  exchange_->on_timer(api, tag);
+}
+
+bool SpecPeProgram::handles_color(Color color, bool control) const {
+  switch (compiled_->spec().exchange) {
+    case ExchangeKind::None:
+      return false;
+    case ExchangeKind::SwitchProtocol:
+      return control ? is_cardinal_color(color) : switch_handles_data(color);
+    case ExchangeKind::StaticHalo:
+      if (control) {
+        return false;
+      }
+      if (allreduce_ != nullptr && allreduce_->owns(color)) {
+        return true;
+      }
+      if (is_nack_color(color)) {
+        return reliability_enabled_;
+      }
+      return HaloExchange::owns(color);
+  }
+  return false;
+}
+
+obs::Phase SpecPeProgram::task_phase(Color color, bool control,
+                                     bool timer) const noexcept {
+  if (timer) {
+    // Timers belong to the halo exchange's retransmit watchdog.
+    return obs::Phase::Reliability;
+  }
+  switch (compiled_->spec().exchange) {
+    case ExchangeKind::None:
+      break;
+    case ExchangeKind::SwitchProtocol:
+      // Cardinal control and every handled block are halo traffic; the
+      // handlers retag themselves when they hand a block to the kernel.
+      if (control ? is_cardinal_color(color) : switch_handles_data(color)) {
+        return obs::Phase::Halo;
+      }
+      break;
+    case ExchangeKind::StaticHalo:
+      if (allreduce_ != nullptr && allreduce_->owns(color)) {
+        return obs::Phase::AllReduce;
+      }
+      if (is_nack_color(color)) {
+        return obs::Phase::Reliability;
+      }
+      if (HaloExchange::owns(color)) {
+        return obs::Phase::Halo;
+      }
+      break;
+  }
+  return obs::Phase::LocalCompute;
 }
 
 void SpecPeProgram::reserve_memory(wse::PeMemory& mem) {
@@ -189,9 +282,18 @@ void SpecPeProgram::reserve_memory(wse::PeMemory& mem) {
   }
 }
 
-void SpecPeProgram::configure_routes(wse::Router& router) {
-  if (compiled_->spec().exchange != ExchangeKind::SwitchProtocol) {
-    return;  // None: no colors; StaticHalo: the component owns its routes.
+void SpecPeProgram::configure_router(wse::Router& router) {
+  switch (compiled_->spec().exchange) {
+    case ExchangeKind::None:
+      return;
+    case ExchangeKind::StaticHalo:
+      exchange_->configure_router(router);
+      if (allreduce_ != nullptr) {
+        allreduce_->configure_router(router);
+      }
+      return;
+    case ExchangeKind::SwitchProtocol:
+      break;
   }
   // Cardinal colors: the Figure 6 two-position switch protocol.
   for (const Color c : kCardinalColors) {
@@ -222,49 +324,95 @@ void SpecPeProgram::configure_routes(wse::Router& router) {
   }
 }
 
-std::vector<wse::SendDeclaration> SpecPeProgram::program_send_declarations()
-    const {
-  if (compiled_->spec().exchange != ExchangeKind::SwitchProtocol) {
-    return {};
-  }
-  // Figure 6: every PE sends one block plus the role-flipping control
-  // wavelet on each cardinal color, and forwards received blocks on the
-  // rotated diagonal color (Figure 5 intermediary role).
-  std::vector<wse::SendDeclaration> sends;
-  for (const Color c : kCardinalColors) {
-    sends.push_back({c, false});
-    sends.push_back({c, true});
-    if (nine_point_ && card_[cardinal_index(c)].has_upstream) {
-      sends.push_back({diagonal_forward_color(c), false});
+std::vector<wse::SendDeclaration> SpecPeProgram::send_declarations() const {
+  switch (compiled_->spec().exchange) {
+    case ExchangeKind::None:
+      return {};
+    case ExchangeKind::SwitchProtocol: {
+      // Figure 6: every PE sends one block plus the role-flipping control
+      // wavelet on each cardinal color, and forwards received blocks on
+      // the rotated diagonal color (Figure 5 intermediary role).
+      std::vector<wse::SendDeclaration> sends;
+      for (const Color c : kCardinalColors) {
+        sends.push_back({c, false});
+        sends.push_back({c, true});
+        if (nine_point_ && card_[cardinal_index(c)].has_upstream) {
+          sends.push_back({diagonal_forward_color(c), false});
+        }
+      }
+      return sends;
+    }
+    case ExchangeKind::StaticHalo: {
+      std::vector<wse::SendDeclaration> sends = exchange_->send_declarations();
+      if (allreduce_ != nullptr) {
+        const std::vector<wse::SendDeclaration> tree =
+            allreduce_->send_declarations();
+        sends.insert(sends.end(), tree.begin(), tree.end());
+      }
+      return sends;
     }
   }
-  return sends;
+  return {};
 }
 
-std::vector<wse::ChannelDependency>
-SpecPeProgram::program_channel_dependencies() const {
-  if (compiled_->spec().exchange != ExchangeKind::SwitchProtocol) {
-    return {};  // StaticHalo orderings come from the attached components.
+std::vector<wse::ChannelDependency> SpecPeProgram::channel_dependencies()
+    const {
+  switch (compiled_->spec().exchange) {
+    case ExchangeKind::None:
+      return {};
+    case ExchangeKind::SwitchProtocol: {
+      std::vector<wse::ChannelDependency> deps;
+      for (const Color c : kCardinalColors) {
+        const CardinalState& cs = card_[cardinal_index(c)];
+        if (!cs.has_upstream) {
+          continue;
+        }
+        if (!cs.phase1_sender) {
+          // Figure 6 phase-2 role: this PE sends only after the
+          // upstream's control wavelet flips the switch (handle_control
+          // gating). The upstream is a phase-1 sender (or edge PE), so
+          // the chain ends.
+          deps.push_back({c, c});
+        }
+        if (nine_point_) {
+          // Figure 5 intermediary: the diagonal forward is sent from
+          // inside handle_cardinal, after the cardinal block arrives.
+          deps.push_back({c, diagonal_forward_color(c)});
+        }
+      }
+      return deps;
+    }
+    case ExchangeKind::StaticHalo: {
+      std::vector<wse::ChannelDependency> deps =
+          exchange_->channel_dependencies();
+      if (allreduce_ == nullptr) {
+        return deps;
+      }
+      const std::vector<wse::ChannelDependency> tree =
+          allreduce_->channel_dependencies();
+      deps.insert(deps.end(), tree.begin(), tree.end());
+      // Phase-structure bridge: the reduction contribution runs from
+      // on_halo_complete (or later compute), so every tree send waits
+      // for each halo arrival of the round. Halo sends of the *next*
+      // round are round-to-round progress and deliberately undeclared.
+      for (const wse::SendDeclaration& send :
+           allreduce_->send_declarations()) {
+        for (const Color halo : exchange_->upstream_colors()) {
+          deps.push_back({halo, send.color});
+        }
+      }
+      return deps;
+    }
   }
-  std::vector<wse::ChannelDependency> deps;
-  for (const Color c : kCardinalColors) {
-    const CardinalState& cs = card_[cardinal_index(c)];
-    if (!cs.has_upstream) {
-      continue;
-    }
-    if (!cs.phase1_sender) {
-      // Figure 6 phase-2 role: this PE sends only after the upstream's
-      // control wavelet flips the switch (handle_control gating). The
-      // upstream is a phase-1 sender (or edge PE), so the chain ends.
-      deps.push_back({c, c});
-    }
-    if (nine_point_) {
-      // Figure 5 intermediary: the diagonal forward is sent from inside
-      // handle_cardinal, after the cardinal block arrives.
-      deps.push_back({c, diagonal_forward_color(c)});
-    }
+  return {};
+}
+
+std::vector<wse::ReductionDeclaration> SpecPeProgram::reduction_declarations()
+    const {
+  if (allreduce_ == nullptr) {
+    return {};
   }
-  return deps;
+  return allreduce_->reduction_declarations();
 }
 
 std::string SpecPeProgram::describe_channel(Color color) const {
@@ -304,7 +452,8 @@ std::string SpecPeProgram::describe_channel(Color color) const {
   return {};
 }
 
-void SpecPeProgram::begin(PeApi& api) {
+void SpecPeProgram::on_start(PeApi& api) {
+  reserve_memory(api.memory());
   switch (compiled_->spec().exchange) {
     case ExchangeKind::None:
       require_kernel().local_compute(api, 0);
@@ -499,11 +648,7 @@ void SpecPeProgram::check_completion(PeApi& api) {
 void SpecPeProgram::start_round(PeApi& api) {
   const std::span<const f32> block = require_kernel().begin_round(api);
   FVF_REQUIRE(static_cast<i32>(block.size()) == block_len_);
-  exchange().begin_round(api, block);
-}
-
-void SpecPeProgram::on_halo_block(PeApi& api, mesh::Face face, Dsd block) {
-  require_kernel().on_block(api, face, block);
+  exchange_->begin_round(api, block);
 }
 
 void SpecPeProgram::apply(PeApi& api, RoundOutcome outcome) {
@@ -520,7 +665,7 @@ void SpecPeProgram::apply(PeApi& api, RoundOutcome outcome) {
                                << "': kernel requested a reduction but the "
                                   "spec declares no reduction phase");
       const std::array<f32, 1> contrib{outcome.contribution};
-      allreduce().contribute(api, contrib,
+      allreduce_->contribute(api, contrib,
                              [this](PeApi& a, std::span<const f32> g) {
                                apply(a, require_kernel().on_reduced(a, g[0]));
                              });
@@ -532,28 +677,6 @@ void SpecPeProgram::apply(PeApi& api, RoundOutcome outcome) {
 void SpecPeProgram::on_halo_complete(PeApi& api) {
   ++round_;
   apply(api, require_kernel().on_round_complete(api));
-}
-
-std::string SpecPeProgram::debug_state() const {
-  std::ostringstream os;
-  os << "PE(" << coord().x << ',' << coord().y << ") iter=" << round_
-     << " cards=" << cards_processed_this_round_ << '/' << expected_cards_
-     << " diags=" << diags_processed_this_round_ << '/' << expected_diags_;
-  for (const Color c : kCardinalColors) {
-    const CardinalState& cs = card_[cardinal_index(c)];
-    os << " | c" << static_cast<int>(c.id())
-       << (cs.phase1_sender ? " p1" : " p2") << " rx=" << cs.received
-       << " proc=" << cs.processed << " ctl=" << cs.controls
-       << " tx=" << cs.sends << (cs.buffered ? " buf" : "");
-  }
-  for (const Color c : kDiagonalColors) {
-    const DiagonalState& ds = diag_[diagonal_index(c)];
-    if (ds.expected) {
-      os << " | d" << static_cast<int>(c.id()) << " rx=" << ds.received
-         << " proc=" << ds.processed << (ds.buffered ? " buf" : "");
-    }
-  }
-  return os.str();
 }
 
 }  // namespace fvf::spec

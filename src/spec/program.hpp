@@ -1,28 +1,48 @@
 /// \file program.hpp
-/// \brief SpecPeProgram — the `IterativeKernelProgram` subclass that
-///        `spec::compile` generates (one engine, parameterized by the
-///        CompiledSpec; the physics arrives as a StencilKernel).
+/// \brief SpecPeProgram — the one PE engine: the `wse::PeProgram` that
+///        `spec::compile` generates (parameterized by the CompiledSpec;
+///        the physics arrives as a StencilKernel).
 ///
-/// The SwitchProtocol mode is an operation-for-operation port of the
-/// hand-written TPFA exchange (Figure 6 roles and routes, Figure 5
-/// diagonal forwarding, the <=1-iteration-ahead receive buffers, the
-/// control-triggered phase-2 sends, and the completion gating on the
-/// send obligation) — the golden traces prove the lowering is faithful.
-/// The StaticHalo mode drives the shared HaloExchange component plus the
-/// optional reduction tree, running reductions back to back for as long
-/// as the kernel answers Reduce; the CG and wave golden traces pin its
-/// event order.
+/// Every fabric kernel runs as this class. Each PE is one color-triggered
+/// task machine, and every entry point (routes, dispatch, profiler
+/// phases, the lint declarations) is a `switch` on the spec's exchange
+/// kind:
+///
+///   - SwitchProtocol is an operation-for-operation port of the
+///     hand-written TPFA exchange (Figure 6 roles and routes, Figure 5
+///     diagonal forwarding, the <=1-iteration-ahead receive buffers, the
+///     control-triggered phase-2 sends, and the completion gating on the
+///     send obligation) — the golden traces prove the lowering is
+///     faithful. The engine handles the cardinal data and control colors
+///     and, for the nine-point shape, the diagonal forwards itself.
+///   - StaticHalo drives the shared HaloExchange component (cardinal and
+///     diagonal blocks, NACKs and watchdog timers under reliability)
+///     plus the optional reduction tree, running reductions back to back
+///     for as long as the kernel answers Reduce; the CG and wave golden
+///     traces pin its event order. Both components sit behind pointers,
+///     so switch-protocol PEs pay two null pointers for them.
+///   - None has no colors at all.
+///
+/// A delivery no branch claims is a contract violation naming the PE and
+/// the color.
 #pragma once
 
+#include <array>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
+#include <vector>
 
-#include "dataflow/iterative_kernel.hpp"
+#include "common/assert.hpp"
+#include "dataflow/halo_exchange.hpp"
 #include "spec/compile.hpp"
+#include "wse/collectives.hpp"
+#include "wse/program.hpp"
 
 namespace fvf::spec {
 
-class SpecPeProgram : public dataflow::IterativeKernelProgram {
+class SpecPeProgram : public wse::PeProgram {
  public:
   /// Launch-time inputs the ColorPlan hands back after claiming.
   struct LaunchBindings {
@@ -36,10 +56,10 @@ class SpecPeProgram : public dataflow::IterativeKernelProgram {
   SpecPeProgram(Coord2 coord, Coord2 fabric_size, i32 nz,
                 std::shared_ptr<const CompiledSpec> compiled,
                 LaunchBindings bindings, std::unique_ptr<StencilKernel> kernel);
+  /// The halo exchange's handlers hold `this`.
+  SpecPeProgram(const SpecPeProgram&) = delete;
+  SpecPeProgram& operator=(const SpecPeProgram&) = delete;
 
-  [[nodiscard]] const CompiledSpec& compiled() const noexcept {
-    return *compiled_;
-  }
   [[nodiscard]] i32 completed_rounds() const noexcept { return round_; }
 
   /// The engine-owned kernel as the concrete type the launch built, for
@@ -52,9 +72,42 @@ class SpecPeProgram : public dataflow::IterativeKernelProgram {
     return *kernel;
   }
 
-  /// One-line diagnostic of the engine's communication state (per-color
-  /// send/receive/control counters); used by deadlock reports and tests.
-  [[nodiscard]] std::string debug_state() const;
+  // --- wse::PeProgram ----------------------------------------------------
+  void configure_router(wse::Router& router) final;
+  /// The spec's ordered memory layout, verbatim.
+  void reserve_memory(wse::PeMemory& mem) final;
+  /// Reserves the footprint, then starts the first round.
+  void on_start(wse::PeApi& api) final;
+  void on_data(wse::PeApi& api, wse::Color color, wse::Dir from,
+               std::span<const u32> data) final;
+  void on_control(wse::PeApi& api, wse::Color color, wse::Dir from) final;
+  /// The halo exchange's retransmit watchdog.
+  void on_timer(wse::PeApi& api, u32 tag) final;
+
+  /// Mirrors the dispatch of on_data / on_control exactly: a delivery is
+  /// handled iff dispatch would find a handler for it.
+  [[nodiscard]] bool handles_color(wse::Color color, bool control) const final;
+  /// Profiler phase of a delivery: exchange colors are Halo, reduction
+  /// colors AllReduce, NACK blocks and watchdog timers Reliability, and
+  /// anything else LocalCompute. The handlers retag themselves when they
+  /// hand a block to the kernel.
+  [[nodiscard]] obs::Phase task_phase(wse::Color color, bool control,
+                                      bool timer) const noexcept final;
+  [[nodiscard]] std::vector<wse::SendDeclaration> send_declarations()
+      const final;
+  /// The exchange's and the reduction tree's blocking orderings, plus the
+  /// phase-structure bridge when both exist: every reduction send waits
+  /// for the halo round (the contribution runs from round completion or
+  /// later).
+  [[nodiscard]] std::vector<wse::ChannelDependency> channel_dependencies()
+      const final;
+  [[nodiscard]] std::vector<wse::ReductionDeclaration>
+  reduction_declarations() const final;
+  /// Origin note for fvf::lint flow diagnostics: maps a color back to the
+  /// StencilSpec field that generates its traffic (exchange, shape,
+  /// reduction, reliability binding), so a finding points at the spec
+  /// declaration to fix rather than the lowered routing artifact.
+  [[nodiscard]] std::string describe_channel(wse::Color color) const final;
 
  private:
   struct CardinalState {
@@ -73,28 +126,10 @@ class SpecPeProgram : public dataflow::IterativeKernelProgram {
     bool buffered = false;
   };
 
-  // wse::PeProgram / IterativeKernelProgram phase hooks.
-  void reserve_memory(wse::PeMemory& mem) override;
-  void begin(wse::PeApi& api) override;
-  void configure_routes(wse::Router& router) override;
-  [[nodiscard]] std::vector<wse::SendDeclaration> program_send_declarations()
-      const override;
-  [[nodiscard]] std::vector<wse::ChannelDependency>
-  program_channel_dependencies() const override;
-  /// Origin note for fvf::lint flow diagnostics: maps a color back to the
-  /// StencilSpec field that generates its traffic (exchange, shape,
-  /// reduction, reliability binding), so a finding points at the spec
-  /// declaration to fix rather than the lowered routing artifact.
-  [[nodiscard]] std::string describe_channel(wse::Color color) const override;
-  void on_halo_block(wse::PeApi& api, mesh::Face face,
-                     wse::Dsd block) override;
-  void on_halo_complete(wse::PeApi& api) override;
-  /// Switch-protocol dispatch: cardinal and diagonal data blocks, and the
-  /// cardinal control wavelets.
-  void on_bound_data(wse::PeApi& api, wse::Color color, wse::Dir from,
-                     std::span<const u32> data) override;
-  void on_bound_control(wse::PeApi& api, wse::Color color,
-                        wse::Dir from) override;
+  /// Switch protocol: the data colors the engine handles (every cardinal
+  /// color unless a defect drops one, and the diagonal forwards of the
+  /// nine-point shape).
+  [[nodiscard]] bool switch_handles_data(wse::Color color) const noexcept;
 
   // Switch-protocol machinery (Figure 6 port).
   void handle_cardinal(wse::PeApi& api, wse::Color color, wse::Dir from,
@@ -111,6 +146,8 @@ class SpecPeProgram : public dataflow::IterativeKernelProgram {
 
   // Static-halo machinery (HaloExchange + reduction driver).
   void start_round(wse::PeApi& api);
+  /// Every expected halo block of the round was processed.
+  void on_halo_complete(wse::PeApi& api);
   /// Carries out a kernel's answer: the next round, completion, or a
   /// reduction whose result goes back to the kernel.
   void apply(wse::PeApi& api, RoundOutcome outcome);
@@ -121,8 +158,13 @@ class SpecPeProgram : public dataflow::IterativeKernelProgram {
   [[nodiscard]] std::span<f32> card_buf(wse::Color color) noexcept;
   [[nodiscard]] std::span<f32> diag_buf(wse::Color color) noexcept;
 
+  Coord2 coord_;
   std::shared_ptr<const CompiledSpec> compiled_;
   std::unique_ptr<StencilKernel> kernel_;
+  /// StaticHalo components, held by pointer: null for the other exchange
+  /// kinds (the reduction tree also when the spec declares none).
+  std::unique_ptr<dataflow::HaloExchange> exchange_;
+  std::unique_ptr<wse::AllReduceSum> allreduce_;
   /// Launch-time color/reliability bindings kept for describe_channel.
   std::optional<wse::AllReduceColors> reduce_colors_;
   bool reliability_enabled_ = false;

@@ -7,9 +7,8 @@
 /// the shared HaloExchange component), the complete ordered per-PE memory
 /// layout, the color-plan claim labels, and an optional fabric-wide
 /// reduction. `spec::compile` validates the spec and lowers it to a
-/// CompiledSpec; `spec::SpecPeProgram` is the generated
-/// `dataflow::IterativeKernelProgram` that executes it, invoking a
-/// StencilKernel for the physics only.
+/// CompiledSpec; `spec::SpecPeProgram` is the one PE engine that
+/// executes it, invoking a StencilKernel for the physics only.
 ///
 /// The split is deliberate: everything that fvf::lint can verify
 /// statically (colors, routes, sends, handlers, memory) is produced by
@@ -93,7 +92,7 @@ struct ReductionSpec {
 /// Deliberate spec defects, used only by the lint defect corpus to
 /// produce programs that each trip exactly one diagnostic class.
 struct DefectInjection {
-  /// Skip binding the data handler for the East cardinal color while
+  /// Leave the East cardinal color's data deliveries unhandled while
   /// still routing and declaring its traffic (unhandled-delivery).
   bool drop_east_data_handler = false;
 };

@@ -1,7 +1,8 @@
 // Tests of the event-engine execution semantics added with the slab-pool
 // engine: thread-count-identical budget exhaustion (checkpoint-cut
 // enforcement), graceful router input-buffer overflow with a configurable
-// depth, and wafer-scale construction smoke.
+// depth, and wafer-scale smoke: construct-and-step at 200x200, and a
+// full TPFA run on the paper's 750x994 fabric (gated).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -226,13 +227,32 @@ TEST(WaferScaleTest, MidScaleFabricConstructsAndSteps) {
   EXPECT_GT(run_wafer_smoke(200, 200, 500'000), 100'000u);
 }
 
+/// Makespan of a 2-iteration, 12-deep TPFA run on an nx x ny fabric
+/// through the full launch path (strict lint, load, run to completion,
+/// gather) on 4 engine threads.
+f64 tpfa_makespan(i32 nx, i32 ny) {
+  const physics::FlowProblem problem =
+      physics::make_benchmark_problem(Extents3{nx, ny, 12}, 2023);
+  core::DataflowOptions options;
+  options.iterations = 2;
+  options.execution.threads = 4;
+  const core::DataflowResult result = core::run_dataflow_tpfa(problem, options);
+  EXPECT_TRUE(result.ok()) << nx << 'x' << ny;
+  return result.makespan_cycles;
+}
+
 TEST(WaferScaleTest, PaperScaleFabricConstructsAndSteps) {
-  // The paper's 750x994 fabric (~745k PEs). Minutes of wall clock, so
-  // gated behind FVF_WAFER_SMOKE=1 (the CI wafer-smoke leg sets it).
+  // The paper's 750x994 fabric (~745k PEs) run to completion: ~23 s of
+  // wall clock and 6.4 GB, so gated behind FVF_WAFER_SMOKE=1 (the CI
+  // wafer-smoke leg sets it). A PE's work does not depend on the
+  // fabric's size, so the wafer's makespan must equal a 10x10 run's bit
+  // for bit (the weak scaling of Table 2).
   if (std::getenv("FVF_WAFER_SMOKE") == nullptr) {
     GTEST_SKIP() << "set FVF_WAFER_SMOKE=1 to run the 750x994 smoke";
   }
-  EXPECT_GT(run_wafer_smoke(750, 994, 4'000'000), 1'000'000u);
+  const f64 small = tpfa_makespan(10, 10);
+  EXPECT_GT(small, 0.0);
+  EXPECT_EQ(tpfa_makespan(750, 994), small);
 }
 
 }  // namespace

@@ -9,21 +9,22 @@
 //   FVF_UPDATE_GOLDEN=1 ./build/tests/golden_trace_test
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "core/cg_program.hpp"
 #include "core/launcher.hpp"
 #include "core/linear_stencil.hpp"
 #include "core/wave_program.hpp"
+#include "golden_file.hpp"
 #include "physics/problem.hpp"
 #include "wse/fabric.hpp"
 #include "wse/trace.hpp"
 
 namespace fvf::core {
 namespace {
+
+using golden::check_against_golden;
+using golden::report_first_difference;
 
 constexpr const char* kGoldenPath =
     FVF_TEST_DATA_DIR "/tpfa_trace_3x3x2.golden";
@@ -101,55 +102,6 @@ std::string record_wave_trace(i32 threads, wse::TraceRecorder& recorder) {
   EXPECT_EQ(result.trace_events_emitted, recorder.events().size());
   EXPECT_EQ(result.trace_records_dropped, 0u);
   return recorder.render(recorder.events().size());
-}
-
-std::string read_file(const char* path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
-
-void report_first_difference(const std::string& expected,
-                             const std::string& actual) {
-  std::istringstream a(expected);
-  std::istringstream b(actual);
-  std::string la;
-  std::string lb;
-  usize line = 0;
-  while (true) {
-    ++line;
-    const bool ga = static_cast<bool>(std::getline(a, la));
-    const bool gb = static_cast<bool>(std::getline(b, lb));
-    if (!ga && !gb) {
-      return;
-    }
-    if (la != lb || ga != gb) {
-      ADD_FAILURE() << "trace diverges from golden at line " << line
-                    << "\n  golden: " << (ga ? la : "<end of file>")
-                    << "\n  actual: " << (gb ? lb : "<end of file>");
-      return;
-    }
-  }
-}
-
-/// Compares `actual` to the golden file at `path`, or rewrites the
-/// golden when FVF_UPDATE_GOLDEN is set.
-void check_against_golden(const char* path, const std::string& actual) {
-  if (std::getenv("FVF_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out(path, std::ios::binary);
-    ASSERT_TRUE(out.good()) << "cannot write " << path;
-    out << actual;
-    GTEST_SKIP() << "golden regenerated at " << path;
-  }
-
-  const std::string expected = read_file(path);
-  ASSERT_FALSE(expected.empty())
-      << "missing golden file " << path
-      << " — run with FVF_UPDATE_GOLDEN=1 to create it";
-  if (actual != expected) {
-    report_first_difference(expected, actual);
-  }
 }
 
 TEST(GoldenTraceTest, TpfaCommPatternMatchesGolden) {

@@ -3,8 +3,12 @@
 // accounting and the compiled spec, bit-identity of the migrated
 // programs across event-engine thread counts, the heat kernel's
 // serial-oracle differential, strict-lint rejection of defective
-// compiled programs, the bounded LRU executor caches, and the fvf_spec
-// CLI (in-process).
+// compiled programs, the bounded LRU executor caches, the fvf_spec CLI
+// (in-process), and a golden of the generated program's static
+// declaration surface (the input fvf::lint trusts).
+//
+// Regenerate the declaration golden after an *intentional* change with
+//   FVF_UPDATE_GOLDEN=1 ./build/tests/spec_test
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -14,10 +18,15 @@
 #include <vector>
 
 #include "common/assert.hpp"
+#include "core/cg_program.hpp"
 #include "core/launcher.hpp"
 #include "core/tpfa_program.hpp"
 #include "core/transport_program.hpp"
+#include "core/wave_program.hpp"
+#include "dataflow/color_plan.hpp"
 #include "dataflow/fabric_harness.hpp"
+#include "golden_file.hpp"
+#include "obs/phase.hpp"
 #include "physics/problem.hpp"
 #include "serve/cache.hpp"
 #include "spec/compile.hpp"
@@ -245,6 +254,104 @@ TEST(SpecLintGateTest, MemoizedPassDoesNotCoverAShallowerRouterBuffer) {
               std::string::npos)
         << e.what();
   }
+}
+
+// --- the generated program's static declaration surface ---------------------
+
+constexpr const char* kDeclarationGoldenPath =
+    FVF_TEST_DATA_DIR "/spec_declarations_3x3.golden";
+
+std::string color_name(wse::Color color) {
+  return "c" + std::to_string(static_cast<int>(color.id()));
+}
+
+/// Renders every declaration a kernel-less generated program of `spec`
+/// makes on each PE of a 3x3 fabric (nz=2): sends, channel dependencies,
+/// reductions, channel notes, and per managed color the handler coverage
+/// and profiler phase of data and control deliveries, plus the timer
+/// phase.
+std::string render_declarations(const std::string& label,
+                                spec::StencilSpec spec, bool reliability) {
+  const auto compiled = std::make_shared<const spec::CompiledSpec>(
+      spec::compile(std::move(spec)));
+  dataflow::ColorPlan plan;
+  spec::SpecPeProgram::LaunchBindings bindings;
+  bindings.reduce = compiled->claim_colors(plan, reliability).reduce;
+  bindings.reliability.enabled = reliability;
+
+  constexpr Coord2 kFabric{3, 3};
+  std::ostringstream os;
+  os << "== " << label << " reliability=" << (reliability ? "on" : "off")
+     << '\n';
+  for (i32 y = 0; y < kFabric.y; ++y) {
+    for (i32 x = 0; x < kFabric.x; ++x) {
+      const spec::SpecPeProgram generated(Coord2{x, y}, kFabric, 2, compiled,
+                                          bindings, nullptr);
+      const wse::PeProgram& program = generated;
+      os << "PE(" << x << ',' << y << ")\n";
+      for (const wse::SendDeclaration& send : program.send_declarations()) {
+        os << "  send " << color_name(send.color)
+           << (send.control ? " control" : " data")
+           << " in_flight=" << send.in_flight << '\n';
+      }
+      for (const wse::ChannelDependency& dep :
+           program.channel_dependencies()) {
+        os << "  dep " << color_name(dep.prerequisite) << " -> "
+           << color_name(dep.dependent) << '\n';
+      }
+      for (const wse::ReductionDeclaration& reduction :
+           program.reduction_declarations()) {
+        os << "  reduction '" << reduction.label << "' arrival_order="
+           << reduction.folds_in_arrival_order << " colors";
+        for (const wse::Color c : reduction.colors) {
+          os << ' ' << color_name(c);
+        }
+        os << '\n';
+      }
+      for (u8 id = 0; id < dataflow::ColorSpace::kManagedColors; ++id) {
+        const wse::Color c(id);
+        os << "  " << color_name(c) << " data="
+           << (program.handles_color(c, false) ? "handled" : "unhandled")
+           << '/' << obs::phase_name(program.task_phase(c, false, false))
+           << " control="
+           << (program.handles_color(c, true) ? "handled" : "unhandled")
+           << '/' << obs::phase_name(program.task_phase(c, true, false));
+        const std::string note = program.describe_channel(c);
+        if (!note.empty()) {
+          os << " note=\"" << note << '"';
+        }
+        os << '\n';
+      }
+      os << "  timer="
+         << obs::phase_name(program.task_phase(wse::Color(0), false, true))
+         << '\n';
+    }
+  }
+  return os.str();
+}
+
+TEST(SpecDeclarationGoldenTest, StaticSurfaceMatchesGolden) {
+  std::string actual;
+  core::TpfaKernelOptions five_point;
+  five_point.diagonals_enabled = false;
+  actual += render_declarations("tpfa-9pt", core::make_tpfa_spec({}), false);
+  actual += render_declarations("tpfa-5pt", core::make_tpfa_spec(five_point),
+                                false);
+  spec::StencilSpec defective = valid_switch_spec();
+  defective.name = "defective";
+  defective.defects.drop_east_data_handler = true;
+  actual += render_declarations("drop-east-data-handler",
+                                std::move(defective), false);
+  for (const bool reliability : {false, true}) {
+    actual += render_declarations("cg", core::make_cg_spec(), reliability);
+    actual += render_declarations("wave", core::make_wave_spec(), reliability);
+    actual += render_declarations("transport", core::make_transport_spec({}),
+                                  reliability);
+    actual += render_declarations("heat", spec::make_heat_spec({}),
+                                  reliability);
+  }
+
+  golden::check_against_golden(kDeclarationGoldenPath, actual);
 }
 
 // --- serve executor: bounded LRU caches --------------------------------------
