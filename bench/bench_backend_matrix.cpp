@@ -4,11 +4,14 @@
 // TPFA-only WSE-vs-GPU row.
 //
 // For each program the sidecar records one `<kernel>_wse` and one
-// `<kernel>_gpusim` case (simulated device seconds, work counts) plus
-// the cross-backend parity metrics: the order-insensitive kernels
-// (tpfa, transport, heat) must agree bitwise, the f32-sum-reduction
-// kernels (cg, wave, impes) to reduction tolerance. Both simulators are
-// deterministic, so the bench_compare gate holds these numbers tight.
+// `<kernel>_gpusim` case (simulated device seconds, counters, work
+// counts) plus the cross-backend parity metrics. Both backends run the
+// kernel's one per-PE body; the canonical-order kernels (tpfa,
+// transport, heat) must agree bitwise, the kernels that fold faces in
+// the fabric's arrival order (cg, wave, impes) to f32 tolerance. The
+// counters the kernels charge are the same on both rows; the wse row
+// adds the fabric-only work. Both simulators are deterministic, so the
+// bench_compare gate holds these numbers tight.
 #include <cmath>
 
 #include "api/api.hpp"
@@ -60,10 +63,9 @@ int run(int argc, const char** argv) {
 
     const f64 rel = max_rel_diff(wse.field, gpu.field);
     const bool bitwise = wse.result_digest == gpu.result_digest;
-    // The fabric accumulates per-face fmacs in arrival order and reduces
-    // dots over trees; the gpusim backend applies faces in a fixed order
-    // and reduces in raster order. Order-insensitive kernels match
-    // exactly, the rest to f32 reduction tolerance.
+    // The fabric accumulates CG/wave per-face fmacs in arrival order,
+    // the executor in mesh::kAllFaces order; both reduce in tree order.
+    // Canonical-order kernels match exactly, the rest to f32 tolerance.
     const bool ok = bitwise || rel < 1e-3;
     failures += ok ? 0 : 1;
 
@@ -77,6 +79,7 @@ int run(int argc, const char** argv) {
     json.add_metric("work", static_cast<f64>(wse.work));
     BenchJsonCase& gpu_case = json.add_case(name + "_gpusim");
     gpu_case.device_seconds = gpu.device_seconds;
+    gpu_case.counters = gpu.gpu.counters;
     json.add_metric("work", static_cast<f64>(gpu.work));
     json.add_metric("gpu_kernels_launched",
                     static_cast<f64>(gpu.gpu.kernels_launched));

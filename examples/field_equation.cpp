@@ -82,8 +82,8 @@ int main(int argc, const char** argv) {
               << (wse.result_digest == gpu.result_digest ? "  (bitwise)"
                                                          : "")
               << "\n";
-    // The order-insensitive kernels agree bitwise; the f32-sum kernels
-    // (cg/wave/impes) to reduction tolerance.
+    // The canonical-order kernels agree bitwise; cg/wave/impes fold faces
+    // in the fabric's arrival order and agree to f32 tolerance.
     FVF_REQUIRE_MSG(max_rel < 1e-3, "backends disagree: " << max_rel);
     return 0;
   } catch (const std::exception& e) {

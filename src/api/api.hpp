@@ -6,13 +6,12 @@
 /// `run_field_equation` runs the *canonical scenario* of the named
 /// kernel through its table entry — the same entry fvf::serve runs for a
 /// request with the same (extents, seed, iterations, dt, tol) — on the
-/// simulated wafer-scale engine (core::/spec:: dataflow programs) or the
-/// executing simulated GPU (gpusim:: kernels, baseline:: for TPFA).
-/// Because both backends consume identical inputs and share the physics
-/// (core::transport_face, spec::heat_face_weight,
-/// core::build_impes_pressure_system), their results agree bitwise for the
-/// order-insensitive kernels (tpfa, transport, heat) and to reduction
-/// tolerance for the f32-sum kernels (cg, wave, impes).
+/// simulated wafer-scale engine (spec::load) or the simulated GPU
+/// (spec::execute). Both drivers run the kernel's one per-PE body on
+/// identical inputs and reduce in the all-reduce trees' order, so the
+/// kernels that fold neighbor data in canonical order (tpfa, transport,
+/// heat) agree bitwise; cg, wave and impes sum neighbor faces in the
+/// fabric's arrival order and agree to f32 tolerance.
 #pragma once
 
 #include <string>
@@ -23,7 +22,7 @@
 #include "api/kernels.hpp"
 #include "common/array3d.hpp"
 #include "dataflow/run_info.hpp"
-#include "gpusim/kernels.hpp"
+#include "gpusim/run_info.hpp"
 
 namespace fvf::api {
 
@@ -57,7 +56,7 @@ struct FieldEquationResult {
   Backend backend = Backend::Wse;
   std::string kernel;
   /// Simulated device time: fabric clock (wse) or the analytic GPU
-  /// timeline of kernels + PCIe copies (gpusim).
+  /// timeline of the executor's kernel launches (gpusim).
   f64 device_seconds = 0.0;
   /// Wall-clock of the functional execution on this host.
   f64 host_seconds = 0.0;

@@ -1,10 +1,10 @@
 /// \file backend.hpp
 /// \brief The backend inventory of the field-equation API: the simulated
-///        wafer-scale engine (wse::) and the executing simulated GPU
-///        (gpusim::). Every CLI that accepts --backend resolves the
-///        value here, so an unknown spelling is rejected loudly with the
-///        real inventory — the same contract dataflow::parse_program_flag
-///        enforces for --program.
+///        wafer-scale engine (wse::) and the simulated GPU (gpusim::, run
+///        by spec::execute). Every CLI that accepts --backend resolves
+///        the value here, so an unknown spelling is rejected loudly with
+///        the real inventory — the same contract
+///        dataflow::parse_program_flag enforces for --program.
 #pragma once
 
 #include <string>

@@ -2,9 +2,9 @@
 
 #include <bit>
 #include <sstream>
+#include <type_traits>
 
 #include "api/api.hpp"
-#include "baseline/baseline.hpp"
 #include "common/assert.hpp"
 #include "common/hash.hpp"
 #include "common/timer.hpp"
@@ -14,7 +14,6 @@
 #include "core/tpfa_program.hpp"
 #include "core/transport_program.hpp"
 #include "core/wave_program.hpp"
-#include "gpusim/occupancy.hpp"
 #include "spec/heat.hpp"
 
 namespace fvf::api {
@@ -44,26 +43,24 @@ template <typename Options>
   return options;
 }
 
-[[nodiscard]] FieldEquationResult fabric_result(const FieldEquationSpec& spec,
-                                                const dataflow::RunInfo& info,
-                                                f64 host_seconds) {
+/// The shared result surface of a finished run. `run` is a launcher's
+/// result: dataflow::RunInfo-based on wse, gpusim::GpuRunInfo-based on
+/// gpusim.
+template <typename Run>
+[[nodiscard]] FieldEquationResult backend_result(const FieldEquationSpec& spec,
+                                                 const Run& run,
+                                                 const WallTimer& timer) {
   FieldEquationResult result;
-  result.backend = Backend::Wse;
   result.kernel = spec.kernel;
-  result.fabric = info;
-  result.device_seconds = info.device_seconds;
-  result.host_seconds = host_seconds;
-  return result;
-}
-
-[[nodiscard]] FieldEquationResult gpu_result(const FieldEquationSpec& spec,
-                                             const gpusim::GpuRunInfo& info) {
-  FieldEquationResult result;
-  result.backend = Backend::Gpusim;
-  result.kernel = spec.kernel;
-  result.gpu = info;
-  result.device_seconds = info.device_seconds;
-  result.host_seconds = info.host_seconds;
+  result.device_seconds = run.device_seconds;
+  result.host_seconds = timer.seconds();
+  if constexpr (std::is_base_of_v<dataflow::RunInfo, Run>) {
+    result.backend = Backend::Wse;
+    result.fabric = run;
+  } else {
+    result.backend = Backend::Gpusim;
+    result.gpu = run;
+  }
   return result;
 }
 
@@ -71,43 +68,33 @@ template <typename Options>
   return Extents3{spec.nx, spec.ny, spec.nz};
 }
 
+// Each run below calls its launcher on the fabric (run_dataflow_*) or on
+// the fabric-free executor (execute_*), then maps either result the same
+// way.
+
 // ---------------------------------------------------------------- tpfa --
 
 FieldEquationResult run_tpfa(const FieldEquationSpec& spec, Backend backend,
                              const RunContext& context) {
   const std::shared_ptr<const physics::FlowProblem> problem =
       context.problem();
-  FieldEquationResult result;
+  const WallTimer timer;
+  const auto finish = [&](const auto& run) {
+    FieldEquationResult result = backend_result(spec, run, timer);
+    result.field = run.residual;
+    result.result_digest = digest_field(kFnv1aSeed, run.residual);
+    result.result_digest = digest_field(result.result_digest, run.pressure);
+    result.work = spec.iterations;
+    return result;
+  };
   if (backend == Backend::Wse) {
     auto options = fabric_options<core::DataflowOptions>(context);
     options.iterations = spec.iterations;
-    const WallTimer timer;
-    const core::DataflowResult run = core::run_dataflow_tpfa(*problem, options);
-    result = fabric_result(spec, run, timer.seconds());
-    result.field = run.residual;
-    result.result_digest = digest_field(kFnv1aSeed, run.residual);
-    result.result_digest = digest_field(result.result_digest, run.pressure);
-  } else {
-    // TPFA on the GPU is the paper's hand-written CUDA baseline, which
-    // shares its per-cell flux arithmetic with the serial oracle.
-    baseline::BaselineOptions options;
-    options.iterations = spec.iterations;
-    const baseline::BaselineResult run =
-        baseline::run_cuda_baseline(*problem, options);
-    gpusim::GpuRunInfo info;
-    info.device_seconds = run.device_seconds;
-    info.host_seconds = run.host_seconds;
-    info.kernels_launched = run.kernels_launched;
-    info.cells_processed = run.cells_processed;
-    info.occupancy =
-        gpusim::estimate_occupancy(gpusim::BlockDim{}).theoretical_occupancy;
-    result = gpu_result(spec, info);
-    result.field = run.residual;
-    result.result_digest = digest_field(kFnv1aSeed, run.residual);
-    result.result_digest = digest_field(result.result_digest, run.pressure);
+    return finish(core::run_dataflow_tpfa(*problem, options));
   }
-  result.work = spec.iterations;
-  return result;
+  core::TpfaKernelOptions kernel;
+  kernel.iterations = spec.iterations;
+  return finish(core::execute_tpfa(*problem, kernel));
 }
 
 // ------------------------------------------------------------------ cg --
@@ -118,41 +105,27 @@ FieldEquationResult run_cg(const FieldEquationSpec& spec, Backend backend,
   core::CgKernelOptions kernel;
   kernel.max_iterations = spec.iterations;
   kernel.relative_tolerance = static_cast<f32>(spec.tol);
-  FieldEquationResult result;
-  Array3<f32> scaled_solution;
-  f64 initial_norm = 0.0;
-  f64 final_norm = 0.0;
+  const WallTimer timer;
+  const auto finish = [&](const auto& run) {
+    FieldEquationResult result = backend_result(spec, run, timer);
+    result.field = core::unscale_solution(system->scaled, run.solution);
+    result.result_digest = digest_field(kFnv1aSeed, result.field);
+    result.work = run.iterations;
+    result.converged = run.converged;
+    result.summary = {{"iterations", static_cast<f64>(run.iterations)},
+                      {"converged", run.converged ? 1.0 : 0.0},
+                      {"initial_residual_norm", run.initial_residual_norm},
+                      {"final_residual_norm", run.final_residual_norm}};
+    return result;
+  };
   if (backend == Backend::Wse) {
     auto options = fabric_options<core::DataflowCgOptions>(context);
     options.kernel = kernel;
-    const WallTimer timer;
-    core::DataflowCgResult run = core::run_dataflow_cg(
-        system->scaled.stencil, system->scaled_rhs, options);
-    result = fabric_result(spec, run, timer.seconds());
-    scaled_solution = std::move(run.solution);
-    result.work = run.iterations;
-    result.converged = run.converged;
-    initial_norm = run.initial_residual_norm;
-    final_norm = run.final_residual_norm;
-  } else {
-    gpusim::GpuCgOptions options;
-    options.kernel = kernel;
-    gpusim::GpuCgResult run = gpusim::run_gpu_cg(
-        system->scaled.stencil, system->scaled_rhs, options);
-    result = gpu_result(spec, run.info);
-    scaled_solution = std::move(run.solution);
-    result.work = run.iterations;
-    result.converged = run.converged;
-    initial_norm = run.initial_residual_norm;
-    final_norm = run.final_residual_norm;
+    return finish(core::run_dataflow_cg(system->scaled.stencil,
+                                        system->scaled_rhs, options));
   }
-  result.field = core::unscale_solution(system->scaled, scaled_solution);
-  result.result_digest = digest_field(kFnv1aSeed, result.field);
-  result.summary = {{"iterations", static_cast<f64>(result.work)},
-                    {"converged", result.converged ? 1.0 : 0.0},
-                    {"initial_residual_norm", initial_norm},
-                    {"final_residual_norm", final_norm}};
-  return result;
+  return finish(
+      core::execute_cg(system->scaled.stencil, system->scaled_rhs, kernel));
 }
 
 // ----------------------------------------------------------- transport --
@@ -167,32 +140,24 @@ FieldEquationResult run_transport(const FieldEquationSpec& spec,
   core::TransportKernelOptions kernel;
   kernel.window_seconds = spec.dt;
   kernel.pore_volume = static_cast<f32>(problem->mesh().cell_volume() * 0.2);
-  FieldEquationResult result;
-  f64 advanced_seconds = 0.0;
+  const WallTimer timer;
+  const auto finish = [&](const auto& run) {
+    FieldEquationResult result = backend_result(spec, run, timer);
+    result.field = run.saturation;
+    result.result_digest = digest_field(kFnv1aSeed, result.field);
+    result.work = run.substeps;
+    result.summary = {{"substeps", static_cast<f64>(run.substeps)},
+                      {"advanced_seconds", run.advanced_seconds}};
+    return result;
+  };
   if (backend == Backend::Wse) {
     auto options = fabric_options<core::DataflowTransportOptions>(context);
     options.kernel = kernel;
-    const WallTimer timer;
-    core::DataflowTransportResult run = core::run_dataflow_transport(
-        *problem, saturation, problem->initial_pressure(), wells, options);
-    result = fabric_result(spec, run, timer.seconds());
-    result.field = std::move(run.saturation);
-    result.work = run.substeps;
-    advanced_seconds = run.advanced_seconds;
-  } else {
-    gpusim::GpuTransportOptions options;
-    options.kernel = kernel;
-    gpusim::GpuTransportResult run = gpusim::run_gpu_transport(
-        *problem, saturation, problem->initial_pressure(), wells, options);
-    result = gpu_result(spec, run.info);
-    result.field = std::move(run.saturation);
-    result.work = run.substeps;
-    advanced_seconds = run.advanced_seconds;
+    return finish(core::run_dataflow_transport(
+        *problem, saturation, problem->initial_pressure(), wells, options));
   }
-  result.result_digest = digest_field(kFnv1aSeed, result.field);
-  result.summary = {{"substeps", static_cast<f64>(result.work)},
-                    {"advanced_seconds", advanced_seconds}};
-  return result;
+  return finish(core::execute_transport(
+      *problem, saturation, problem->initial_pressure(), wells, kernel));
 }
 
 // ---------------------------------------------------------------- wave --
@@ -204,96 +169,70 @@ FieldEquationResult run_wave(const FieldEquationSpec& spec, Backend backend,
   core::WaveKernelOptions kernel;
   kernel.timesteps = spec.iterations;
   kernel.kappa = 0.4f;
-  FieldEquationResult result;
+  const WallTimer timer;
+  const auto finish = [&](const auto& run) {
+    FieldEquationResult result = backend_result(spec, run, timer);
+    result.field = run.field;
+    result.result_digest = digest_field(kFnv1aSeed, result.field);
+    result.work = spec.iterations;
+    return result;
+  };
   if (backend == Backend::Wse) {
     auto options = fabric_options<core::DataflowWaveOptions>(context);
     options.kernel = kernel;
-    const WallTimer timer;
-    core::DataflowWaveResult run =
-        core::run_dataflow_wave(system->scaled.stencil, pulse, options);
-    result = fabric_result(spec, run, timer.seconds());
-    result.field = std::move(run.field);
-  } else {
-    gpusim::GpuWaveOptions options;
-    options.kernel = kernel;
-    gpusim::GpuWaveResult run =
-        gpusim::run_gpu_wave(system->scaled.stencil, pulse, options);
-    result = gpu_result(spec, run.info);
-    result.field = std::move(run.field);
+    return finish(
+        core::run_dataflow_wave(system->scaled.stencil, pulse, options));
   }
-  result.work = spec.iterations;
-  result.result_digest = digest_field(kFnv1aSeed, result.field);
-  return result;
+  return finish(core::execute_wave(system->scaled.stencil, pulse, kernel));
 }
 
 // --------------------------------------------------------------- impes --
 
+/// One IMPES loop for both backends: the simulator advances each window
+/// on the fabric or on the executor.
 FieldEquationResult run_impes(const FieldEquationSpec& spec, Backend backend,
                               const RunContext& context) {
   const std::shared_ptr<const physics::FlowProblem> problem =
       context.problem();
-  const Coord3 well{spec.nx / 2, spec.ny / 2, 0};
-  constexpr f64 kWellRate = 2e-4;
-  FieldEquationResult result;
-  i64 cg_iterations = 0;
-  i64 substeps = 0;
+  core::FabricImpesOptions options;
+  options.execution = context.harness.execution;
+  options.lint = context.harness.lint;
+  const WallTimer timer;
+  core::FabricImpesSimulator sim(*problem, options);
+  sim.add_well(Coord3{spec.nx / 2, spec.ny / 2, 0}, 2e-4);
+  ImpesWindowState state{sim};
+  gpusim::GpuRunInfo gpu;
   bool converged = true;
-  Array3<f32> pressure;
-  f64 co2_in_place = 0.0;
-  if (backend == Backend::Wse) {
-    core::FabricImpesOptions options;
-    options.execution = context.harness.execution;
-    options.lint = context.harness.lint;
-    const WallTimer timer;
-    core::FabricImpesSimulator sim(*problem, options);
-    sim.add_well(well, kWellRate);
-    ImpesWindowState state{sim};
-    while (!context.impes_window || context.impes_window(state)) {
-      if (state.windows_done == spec.iterations) {
-        break;
-      }
-      const core::FabricImpesWindow report = sim.advance_window(spec.dt);
-      dataflow::accumulate(state.fabric, report.fabric);
-      state.cg_iterations += report.cg_iterations;
-      state.transport_substeps += report.transport_substeps;
-      converged = converged && report.cg_converged;
-      ++state.windows_done;
+  while (!context.impes_window || context.impes_window(state)) {
+    if (state.windows_done == spec.iterations) {
+      break;
     }
-    result = fabric_result(spec, state.fabric, timer.seconds());
-    if (state.windows_done < spec.iterations) {
-      result.work = state.windows_done;
-      return result;  // stopped by the hook; the caller reports it
-    }
-    cg_iterations = state.cg_iterations;
-    substeps = state.transport_substeps;
-    result.field = sim.saturation();
-    pressure = sim.pressure();
-    co2_in_place = sim.co2_in_place();
-  } else {
-    Array3<f32> wells(problem->extents(), 0.0f);
-    wells(well.x, well.y, well.z) = static_cast<f32>(kWellRate);
-    const gpusim::GpuImpesOptions options;
-    gpusim::GpuImpesResult run = gpusim::run_gpu_impes(
-        *problem, wells, spec.dt, spec.iterations, options);
-    result = gpu_result(spec, run.info);
-    for (const gpusim::GpuImpesWindow& window : run.windows) {
-      cg_iterations += window.cg_iterations;
-      substeps += window.transport_substeps;
-      converged = converged && window.cg_converged;
-    }
-    co2_in_place =
-        core::co2_in_place(*problem, options.porosity, run.saturation);
-    result.field = std::move(run.saturation);
-    pressure = std::move(run.pressure);
+    const core::FabricImpesWindow report = backend == Backend::Wse
+                                               ? sim.advance_window(spec.dt)
+                                               : sim.execute_window(spec.dt);
+    dataflow::accumulate(state.fabric, report.fabric);
+    gpusim::accumulate(gpu, report.gpu);
+    state.cg_iterations += report.cg_iterations;
+    state.transport_substeps += report.transport_substeps;
+    converged = converged && report.cg_converged;
+    ++state.windows_done;
   }
-  result.work = spec.iterations;
+  FieldEquationResult result = backend == Backend::Wse
+                                   ? backend_result(spec, state.fabric, timer)
+                                   : backend_result(spec, gpu, timer);
+  result.work = state.windows_done;
+  if (state.windows_done < spec.iterations) {
+    return result;  // stopped by the hook; the caller reports it
+  }
   result.converged = converged;
+  result.field = sim.saturation();
   result.result_digest = digest_field(kFnv1aSeed, result.field);
-  result.result_digest = digest_field(result.result_digest, pressure);
-  result.summary = {{"windows", static_cast<f64>(spec.iterations)},
-                    {"cg_iterations", static_cast<f64>(cg_iterations)},
-                    {"transport_substeps", static_cast<f64>(substeps)},
-                    {"co2_in_place", co2_in_place}};
+  result.result_digest = digest_field(result.result_digest, sim.pressure());
+  result.summary = {
+      {"windows", static_cast<f64>(spec.iterations)},
+      {"cg_iterations", static_cast<f64>(state.cg_iterations)},
+      {"transport_substeps", static_cast<f64>(state.transport_substeps)},
+      {"co2_in_place", sim.co2_in_place()}};
   return result;
 }
 
@@ -305,26 +244,23 @@ FieldEquationResult run_heat(const FieldEquationSpec& spec, Backend backend,
   // function of (extents, seed).
   const Array3<f32> initial =
       spec::heat_initial_field(extents_of(spec), spec.seed);
-  FieldEquationResult result;
+  spec::HeatKernelOptions kernel;
+  kernel.steps = spec.iterations;
+  const WallTimer timer;
+  const auto finish = [&](const auto& run) {
+    FieldEquationResult result = backend_result(spec, run, timer);
+    result.field = run.field;
+    result.result_digest = digest_field(kFnv1aSeed, result.field);
+    result.work = run.steps_completed;
+    result.summary = {{"steps", static_cast<f64>(run.steps_completed)}};
+    return result;
+  };
   if (backend == Backend::Wse) {
     auto options = fabric_options<spec::DataflowHeatOptions>(context);
-    options.kernel.steps = spec.iterations;
-    const WallTimer timer;
-    spec::DataflowHeatResult run = spec::run_dataflow_heat(initial, options);
-    result = fabric_result(spec, run, timer.seconds());
-    result.field = std::move(run.field);
-    result.work = run.steps_completed;
-  } else {
-    gpusim::GpuHeatOptions options;
-    options.kernel.steps = spec.iterations;
-    gpusim::GpuHeatResult run = gpusim::run_gpu_heat(initial, options);
-    result = gpu_result(spec, run.info);
-    result.field = std::move(run.field);
-    result.work = run.steps_completed;
+    options.kernel = kernel;
+    return finish(spec::run_dataflow_heat(initial, options));
   }
-  result.result_digest = digest_field(kFnv1aSeed, result.field);
-  result.summary = {{"steps", static_cast<f64>(result.work)}};
-  return result;
+  return finish(spec::execute_heat(initial, kernel));
 }
 
 // --------------------------------------------------------------- table --

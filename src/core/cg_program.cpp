@@ -13,7 +13,7 @@ namespace {
 using spec::RoundAction;
 using spec::RoundOutcome;
 using wse::Dsd;
-using wse::PeApi;
+using wse::PeCompute;
 
 /// The physics half of the CG program: the operator apply around each
 /// halo round, and the vector updates between the chained reductions.
@@ -36,7 +36,7 @@ class CgKernel final : public spec::StencilKernel {
   [[nodiscard]] f64 initial_residual_norm2() const noexcept { return rho0_; }
   [[nodiscard]] f64 final_residual_norm2() const noexcept { return rho_last_; }
 
-  [[nodiscard]] RoundOutcome start(PeApi& api) override {
+  [[nodiscard]] RoundOutcome start(PeCompute& api) override {
     // x = 0, r = b, d = r; then reduce r'r before the first exchange.
     r_ = b_;
     d_ = r_;
@@ -44,23 +44,23 @@ class CgKernel final : public spec::StencilKernel {
     return RoundOutcome{RoundAction::Reduce, local_dot(api, r_, r_)};
   }
 
-  [[nodiscard]] std::span<const f32> begin_round(PeApi& api) override {
+  [[nodiscard]] std::span<const f32> begin_round(PeCompute& api) override {
     // q = diag .* d plus the vertical couplings; the neighbor terms
     // arrive as the search-direction column is exchanged.
     stencil_.apply_local(api, q_, d_);
     return d_;
   }
 
-  void on_block(PeApi& api, mesh::Face face, Dsd d_nb) override {
+  void on_block(PeCompute& api, mesh::Face face, Dsd d_nb) override {
     stencil_.apply_face(api, q_, face, d_nb);
   }
 
-  [[nodiscard]] RoundOutcome on_round_complete(PeApi& api) override {
+  [[nodiscard]] RoundOutcome on_round_complete(PeCompute& api) override {
     pending_ = Pending::DotDq;
     return RoundOutcome{RoundAction::Reduce, local_dot(api, d_, q_)};
   }
 
-  [[nodiscard]] RoundOutcome on_reduced(PeApi& api, f32 global) override {
+  [[nodiscard]] RoundOutcome on_reduced(PeCompute& api, f32 global) override {
     switch (pending_) {
       case Pending::InitialRho:
         rho_ = global;
@@ -83,7 +83,7 @@ class CgKernel final : public spec::StencilKernel {
   /// Which reduction the next on_reduced answers.
   enum class Pending : u8 { InitialRho, DotDq, Rho };
 
-  [[nodiscard]] RoundOutcome after_dot_dq(PeApi& api, f32 global) {
+  [[nodiscard]] RoundOutcome after_dot_dq(PeCompute& api, f32 global) {
     FVF_REQUIRE_MSG(global != 0.0f, "CG breakdown: d'Ad == 0");
     const f32 alpha = rho_ / global;
     // x += alpha d ; r -= alpha q
@@ -95,7 +95,7 @@ class CgKernel final : public spec::StencilKernel {
     return RoundOutcome{RoundAction::Reduce, local_dot(api, r_, r_)};
   }
 
-  [[nodiscard]] RoundOutcome after_rho(PeApi& api, f32 global) {
+  [[nodiscard]] RoundOutcome after_rho(PeCompute& api, f32 global) {
     ++iterations_;
     rho_last_ = global;
     const f32 tol2 = options_.relative_tolerance * options_.relative_tolerance;
@@ -113,7 +113,7 @@ class CgKernel final : public spec::StencilKernel {
     return RoundOutcome{RoundAction::Continue};
   }
 
-  [[nodiscard]] static f32 local_dot(PeApi& api, std::span<const f32> a,
+  [[nodiscard]] static f32 local_dot(PeCompute& api, std::span<const f32> a,
                                      std::span<const f32> b) {
     f32 sum = 0.0f;
     for (usize i = 0; i < a.size(); ++i) {
@@ -164,47 +164,65 @@ spec::StencilSpec make_cg_spec() {
   return s;
 }
 
+namespace {
+
+/// The per-PE kernels of a CG solve, for either driver. Locals are
+/// captured by value: the probe factory the harness keeps must stay
+/// valid after the launcher returns.
+spec::KernelFactory cg_kernels(const LinearStencil& stencil,
+                               const Array3<f32>& rhs,
+                               const CgKernelOptions& kernel) {
+  FVF_REQUIRE(rhs.extents() == stencil.extents);
+  return [&stencil, &rhs, kernel](Coord2 coord) {
+    std::vector<f32> b(static_cast<usize>(rhs.extents().nz));
+    for (usize z = 0; z < b.size(); ++z) {
+      b[z] = rhs(coord.x, coord.y, static_cast<i32>(z));
+    }
+    return std::make_unique<CgKernel>(kernel, std::move(b),
+                                      PeStencil(stencil, coord));
+  };
+}
+
+template <typename Info, typename Run>
+CgRun<Info> gather_cg(const Run& run, Info info, Extents3 ext) {
+  CgRun<Info> result;
+  static_cast<Info&>(result) = std::move(info);
+  result.solution = Array3<f32>(ext);
+  spec::gather<CgKernel>(run, result.solution,
+                         [](const CgKernel& k) { return k.solution(); });
+  const CgKernel& probe = run.template kernel_as<CgKernel>(Coord2{0, 0});
+  result.iterations = probe.iterations();
+  result.converged = probe.converged();
+  result.initial_residual_norm = std::sqrt(probe.initial_residual_norm2());
+  result.final_residual_norm = std::sqrt(probe.final_residual_norm2());
+  return result;
+}
+
+}  // namespace
+
 CgLoad load_dataflow_cg(const LinearStencil& stencil, const Array3<f32>& rhs,
                         const DataflowCgOptions& options) {
   const Extents3 ext = stencil.extents;
-  FVF_REQUIRE(rhs.extents() == ext);
-  // Locals are captured by value: the probe factory the harness keeps
-  // must stay valid after this function returns.
-  const CgKernelOptions kernel = options.kernel;
-  return spec::load(
-      make_cg_spec(), Coord2{ext.nx, ext.ny}, ext.nz, options,
-      options.reliability,
-      [&stencil, &rhs, ext, kernel](Coord2 coord, Coord2 fabric_size,
-                                    const auto& compiled,
-                                    const auto& bindings) {
-        std::vector<f32> b(static_cast<usize>(ext.nz));
-        for (i32 z = 0; z < ext.nz; ++z) {
-          b[static_cast<usize>(z)] = rhs(coord.x, coord.y, z);
-        }
-        return std::make_unique<spec::SpecPeProgram>(
-            coord, fabric_size, ext.nz, compiled, bindings,
-            std::make_unique<CgKernel>(kernel, std::move(b),
-                                       PeStencil(stencil, coord)));
-      });
+  return spec::load(make_cg_spec(), Coord2{ext.nx, ext.ny}, ext.nz, options,
+                    options.reliability,
+                    cg_kernels(stencil, rhs, options.kernel));
 }
 
 DataflowCgResult run_dataflow_cg(const LinearStencil& stencil,
                                  const Array3<f32>& rhs,
                                  const DataflowCgOptions& options) {
   const CgLoad load = load_dataflow_cg(stencil, rhs, options);
+  return gather_cg(load, load.harness->run(), stencil.extents);
+}
 
-  DataflowCgResult result;
-  static_cast<dataflow::RunInfo&>(result) = load.harness->run();
-  result.solution = Array3<f32>(stencil.extents);
-  load.grid.gather(result.solution, [](const spec::SpecPeProgram& p) {
-    return p.kernel_as<CgKernel>().solution();
-  });
-  const CgKernel& probe = load.grid.at(0, 0).kernel_as<CgKernel>();
-  result.iterations = probe.iterations();
-  result.converged = probe.converged();
-  result.initial_residual_norm = std::sqrt(probe.initial_residual_norm2());
-  result.final_residual_norm = std::sqrt(probe.final_residual_norm2());
-  return result;
+CgRun<gpusim::GpuRunInfo> execute_cg(const LinearStencil& stencil,
+                                     const Array3<f32>& rhs,
+                                     const CgKernelOptions& kernel) {
+  const Extents3 ext = stencil.extents;
+  const spec::Execution run =
+      spec::execute(make_cg_spec(), Coord2{ext.nx, ext.ny}, ext.nz,
+                    cg_kernels(stencil, rhs, kernel));
+  return gather_cg(run, run.info, ext);
 }
 
 }  // namespace fvf::core

@@ -47,14 +47,17 @@ struct DataflowCgOptions : dataflow::HarnessOptions {
   dataflow::HaloReliabilityOptions reliability{};
 };
 
-/// Result of a fabric CG solve: full fabric accounting plus the solve.
-struct DataflowCgResult : dataflow::RunInfo {
+/// Result of a CG solve: the driver's accounting (dataflow::RunInfo on
+/// the fabric, gpusim::GpuRunInfo on the executor) plus the solve.
+template <typename Info>
+struct CgRun : Info {
   Array3<f32> solution;
   i32 iterations = 0;
   bool converged = false;
   f64 initial_residual_norm = 0.0;
   f64 final_residual_norm = 0.0;
 };
+using DataflowCgResult = CgRun<dataflow::RunInfo>;
 
 /// A loaded-but-not-run CG launch. The referenced stencil and rhs must
 /// outlive the load.
@@ -71,5 +74,11 @@ using CgLoad = spec::Load<>;
 [[nodiscard]] DataflowCgResult run_dataflow_cg(const LinearStencil& stencil,
                                                const Array3<f32>& rhs,
                                                const DataflowCgOptions& options);
+
+/// Solves A x = rhs with the same per-PE kernels on the fabric-free
+/// executor (the gpusim backend).
+[[nodiscard]] CgRun<gpusim::GpuRunInfo> execute_cg(
+    const LinearStencil& stencil, const Array3<f32>& rhs,
+    const CgKernelOptions& kernel);
 
 }  // namespace fvf::core

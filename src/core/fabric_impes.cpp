@@ -38,38 +38,33 @@ void FabricImpesSimulator::restore_state(const Array3<f32>& saturation,
 }
 
 f64 FabricImpesSimulator::co2_in_place() const {
-  return core::co2_in_place(problem_, options_.porosity, saturation_);
-}
-
-f64 co2_in_place(const physics::FlowProblem& problem, f64 porosity,
-                 const Array3<f32>& saturation) {
-  const f64 pore_volume = problem.mesh().cell_volume() * porosity;
+  const f64 pore_volume = problem_.mesh().cell_volume() * options_.porosity;
   f64 total = 0.0;
-  for (i64 i = 0; i < saturation.size(); ++i) {
-    total += static_cast<f64>(saturation[i]) * pore_volume;
+  for (i64 i = 0; i < saturation_.size(); ++i) {
+    total += static_cast<f64>(saturation_[i]) * pore_volume;
   }
   return total;
 }
 
-void build_impes_pressure_system(const physics::FlowProblem& problem,
-                                 const TransportFluid& fluid,
-                                 const Array3<f32>& saturation,
-                                 const Array3<f32>& pressure,
-                                 const Array3<f32>& well_rate,
-                                 Coord3 anchor_cell, f64 anchor_pressure,
-                                 LinearStencil& stencil, Array3<f32>& rhs) {
+ScaledSystem FabricImpesSimulator::pressure_system(
+    Array3<f32>& scaled_rhs) const {
+  const physics::FlowProblem& problem = problem_;
+  const Array3<f32>& saturation = saturation_;
+  const Array3<f32>& pressure = pressure_;
+  const Coord3 anchor = options_.anchor_cell;
   const Extents3 ext = problem.extents();
   const mesh::CartesianMesh& m = problem.mesh();
-  const TransportFluid& fl = fluid;
+  const TransportFluid& fl = options_.fluid;
   const f64 g = fl.gravity;
   const Array3<f32> elev = physics::cell_elevations(m);
 
+  LinearStencil stencil;
   stencil.extents = ext;
   stencil.diag = Array3<f32>(ext);
   for (auto& c : stencil.offdiag) {
     c = Array3<f32>(ext);
   }
-  rhs = Array3<f32>(ext);
+  Array3<f32> rhs(ext);
 
   const auto kr = [&](f64 s) {
     return std::pow(std::clamp(s, 0.0, 1.0),
@@ -113,7 +108,7 @@ void build_impes_pressure_system(const physics::FlowProblem& problem,
               t * g * dz * (mob_n * fl.density_nonwetting +
                             mob_w * fl.density_wetting));
         }
-        rhs(x, y, z) += well_rate(x, y, z);
+        rhs(x, y, z) += well_rate_(x, y, z);
         stencil.diag(x, y, z) = static_cast<f32>(diag);
         diag_sum += diag;
       }
@@ -123,17 +118,24 @@ void build_impes_pressure_system(const physics::FlowProblem& problem,
   // Anchor penalty pins the incompressible system's pressure level.
   const f64 penalty =
       std::max(diag_sum / static_cast<f64>(ext.cell_count()), 1e-30) * 1e3;
-  stencil.diag(anchor_cell.x, anchor_cell.y, anchor_cell.z) +=
-      static_cast<f32>(penalty);
-  rhs(anchor_cell.x, anchor_cell.y, anchor_cell.z) +=
-      static_cast<f32>(penalty * anchor_pressure);
+  stencil.diag(anchor.x, anchor.y, anchor.z) += static_cast<f32>(penalty);
+  rhs(anchor.x, anchor.y, anchor.z) +=
+      static_cast<f32>(penalty * options_.anchor_pressure);
+  ScaledSystem scaled = jacobi_scale(stencil);
+  scaled_rhs = scale_rhs(scaled, rhs);
+  return scaled;
 }
 
-void FabricImpesSimulator::build_pressure_system(LinearStencil& stencil,
-                                                 Array3<f32>& rhs) const {
-  build_impes_pressure_system(problem_, options_.fluid, saturation_,
-                              pressure_, well_rate_, options_.anchor_cell,
-                              options_.anchor_pressure, stencil, rhs);
+TransportKernelOptions FabricImpesSimulator::transport_kernel(
+    f64 seconds) const {
+  TransportKernelOptions kernel;
+  kernel.fluid = options_.fluid;
+  kernel.cfl = options_.cfl;
+  kernel.window_seconds = seconds;
+  kernel.max_substeps = options_.max_substeps_per_window;
+  kernel.pore_volume =
+      static_cast<f32>(problem_.mesh().cell_volume() * options_.porosity);
+  return kernel;
 }
 
 FabricImpesWindow FabricImpesSimulator::advance_window(f64 seconds) {
@@ -141,18 +143,14 @@ FabricImpesWindow FabricImpesSimulator::advance_window(f64 seconds) {
   FabricImpesWindow window;
 
   // --- pressure on the fabric ------------------------------------------------
-  LinearStencil stencil;
   Array3<f32> rhs;
-  build_pressure_system(stencil, rhs);
-  const ScaledSystem scaled = jacobi_scale(stencil);
-
+  const ScaledSystem scaled = pressure_system(rhs);
   DataflowCgOptions cg_options;
   cg_options.kernel = options_.cg;
   cg_options.timings = options_.timings;
   cg_options.execution = options_.execution;
   cg_options.lint = options_.lint;
-  const DataflowCgResult cg =
-      run_dataflow_cg(scaled.stencil, scale_rhs(scaled, rhs), cg_options);
+  const DataflowCgResult cg = run_dataflow_cg(scaled.stencil, rhs, cg_options);
   FVF_REQUIRE_MSG(cg.ok(), "fabric CG failed: " << cg.errors.front());
   FVF_REQUIRE_MSG(cg.converged, "fabric pressure solve did not converge ("
                                     << cg.iterations << " iterations, ||r|| "
@@ -166,12 +164,7 @@ FabricImpesWindow FabricImpesSimulator::advance_window(f64 seconds) {
 
   // --- transport on the fabric --------------------------------------------------
   DataflowTransportOptions transport_options;
-  transport_options.kernel.fluid = options_.fluid;
-  transport_options.kernel.cfl = options_.cfl;
-  transport_options.kernel.window_seconds = seconds;
-  transport_options.kernel.max_substeps = options_.max_substeps_per_window;
-  transport_options.kernel.pore_volume = static_cast<f32>(
-      problem_.mesh().cell_volume() * options_.porosity);
+  transport_options.kernel = transport_kernel(seconds);
   transport_options.timings = options_.timings;
   transport_options.execution = options_.execution;
   transport_options.lint = options_.lint;
@@ -184,6 +177,31 @@ FabricImpesWindow FabricImpesSimulator::advance_window(f64 seconds) {
   window.device_seconds += transport.device_seconds;
   window.hazards += transport.hazards_total;
   dataflow::accumulate(window.fabric, transport);
+  return window;
+}
+
+FabricImpesWindow FabricImpesSimulator::execute_window(f64 seconds) {
+  FVF_REQUIRE(seconds > 0.0);
+  FabricImpesWindow window;
+
+  Array3<f32> rhs;
+  const ScaledSystem scaled = pressure_system(rhs);
+  const CgRun<gpusim::GpuRunInfo> cg =
+      execute_cg(scaled.stencil, rhs, options_.cg);
+  FVF_REQUIRE_MSG(cg.converged, "executed pressure solve did not converge ("
+                                    << cg.iterations << " iterations, ||r|| "
+                                    << cg.final_residual_norm << ")");
+  pressure_ = unscale_solution(scaled, cg.solution);
+  window.cg_iterations = cg.iterations;
+  window.cg_converged = cg.converged;
+  gpusim::accumulate(window.gpu, cg);
+
+  const TransportRun<gpusim::GpuRunInfo> transport = execute_transport(
+      problem_, saturation_, pressure_, well_rate_, transport_kernel(seconds));
+  saturation_ = transport.saturation;
+  window.transport_substeps = transport.substeps;
+  gpusim::accumulate(window.gpu, transport);
+  window.device_seconds = window.gpu.device_seconds;
   return window;
 }
 

@@ -6,7 +6,8 @@
 ///        (transport_program.hpp). The host only re-assembles the lagged
 ///        coefficients between windows — the same role the paper's host
 ///        machine plays ("only used to schedule the workload",
-///        Section 7.1).
+///        Section 7.1). The same driver runs the same two kernels on the
+///        fabric-free executor for the gpusim backend.
 ///
 /// This realizes the paper's Section 9 future work end to end:
 /// "developing nonlinear and linear solvers on a dataflow architecture
@@ -21,20 +22,6 @@
 #include "physics/problem.hpp"
 
 namespace fvf::core {
-
-/// Builds the lagged-mobility SPD IMPES pressure system (stencil + rhs)
-/// from the current saturations, with phase-potential upwinding on the
-/// previous pressure, gravity source terms, and an anchor penalty that
-/// pins the incompressible system's pressure level. Shared by the fabric
-/// IMPES driver and the gpusim backend so both solve the identical
-/// system.
-void build_impes_pressure_system(const physics::FlowProblem& problem,
-                                 const TransportFluid& fluid,
-                                 const Array3<f32>& saturation,
-                                 const Array3<f32>& pressure,
-                                 const Array3<f32>& well_rate,
-                                 Coord3 anchor_cell, f64 anchor_pressure,
-                                 LinearStencil& stencil, Array3<f32>& rhs);
 
 struct FabricImpesOptions {
   TransportFluid fluid{};
@@ -65,10 +52,15 @@ struct FabricImpesWindow {
   u64 hazards = 0;  ///< memory hazards flagged (CG + transport), when on
   /// Full fabric accounting of the window, accumulated over both
   /// launches (dataflow::accumulate: CG solve + transport advance).
+  /// Empty for an executed window.
   dataflow::RunInfo fabric{};
+  /// GPU accounting of an executed window (CG solve + transport
+  /// advance); empty for a fabric window.
+  gpusim::GpuRunInfo gpu{};
 };
 
-/// IMPES driver: pressure on the fabric, transport on the fabric.
+/// IMPES driver: pressure and transport both on the fabric, or both on
+/// the fabric-free executor.
 class FabricImpesSimulator {
  public:
   FabricImpesSimulator(const physics::FlowProblem& problem,
@@ -80,6 +72,11 @@ class FabricImpesSimulator {
   /// Advances one IMPES window: one pressure solve + explicit transport
   /// to `seconds` of simulated time.
   [[nodiscard]] FabricImpesWindow advance_window(f64 seconds);
+
+  /// The same window with the same kernels on the fabric-free executor
+  /// (the gpusim backend); `timings`, `execution` and `lint` do not
+  /// apply.
+  [[nodiscard]] FabricImpesWindow execute_window(f64 seconds);
 
   /// Replaces the simulator state with checkpointed fields (both on the
   /// problem's extents). The host carries no other per-window state, so
@@ -99,10 +96,13 @@ class FabricImpesSimulator {
   [[nodiscard]] f64 co2_in_place() const;
 
  private:
-  /// Builds the lagged-mobility SPD pressure system (stencil + rhs) from
-  /// the current saturations, with phase-potential upwinding on the
-  /// previous pressure and an anchor penalty.
-  void build_pressure_system(LinearStencil& stencil, Array3<f32>& rhs) const;
+  /// The lagged-mobility SPD pressure system of the current state,
+  /// Jacobi-scaled, with its scaled rhs: phase-potential upwinding on the
+  /// previous pressure, gravity source terms, and an anchor penalty that
+  /// pins the incompressible system's pressure level.
+  [[nodiscard]] ScaledSystem pressure_system(Array3<f32>& scaled_rhs) const;
+  /// The transport kernel of a window of `seconds`.
+  [[nodiscard]] TransportKernelOptions transport_kernel(f64 seconds) const;
 
   const physics::FlowProblem& problem_;
   FabricImpesOptions options_;
@@ -110,10 +110,5 @@ class FabricImpesSimulator {
   Array3<f32> pressure_;
   Array3<f32> well_rate_;
 };
-
-/// Non-wetting phase volume in place [m^3] of `saturation` on `problem`'s
-/// mesh — shared by the fabric and gpusim IMPES drivers' reports.
-[[nodiscard]] f64 co2_in_place(const physics::FlowProblem& problem,
-                               f64 porosity, const Array3<f32>& saturation);
 
 }  // namespace fvf::core

@@ -60,41 +60,57 @@ PeColumnData extract_column(const physics::FlowProblem& problem, i32 x,
   return data;
 }
 
+namespace {
+
+/// The per-PE kernels of a TPFA launch, for either driver. Everything
+/// local is captured by value: the probe factory the harness keeps must
+/// stay valid after the launcher returns.
+spec::KernelFactory tpfa_kernels(const physics::FlowProblem& problem,
+                                 const TpfaKernelOptions& kernel) {
+  return [&problem, kernel, fluid = problem.fluid()](Coord2 coord) {
+    return make_tpfa_kernel(coord, problem.extents(), kernel, fluid,
+                            extract_column(problem, coord.x, coord.y));
+  };
+}
+
+template <typename Info, typename Run>
+TpfaRun<Info> gather_tpfa(const Run& run, Info info, Extents3 ext) {
+  TpfaRun<Info> result;
+  static_cast<Info&>(result) = std::move(info);
+  result.residual = Array3<f32>(ext);
+  result.pressure = Array3<f32>(ext);
+  spec::gather<spec::StencilKernel>(run, result.residual, tpfa_residual);
+  spec::gather<spec::StencilKernel>(run, result.pressure, tpfa_pressure);
+  return result;
+}
+
+}  // namespace
+
 TpfaLoad load_dataflow_tpfa(const physics::FlowProblem& problem,
                             const DataflowOptions& options) {
   const Extents3 ext = problem.extents();
   FVF_REQUIRE(options.iterations >= 1);
-
   TpfaKernelOptions kernel = options.kernel;
   kernel.iterations = options.iterations;
-  const physics::FluidProperties fluid = problem.fluid();
-
-  // Everything local is captured by value: the probe factory the harness
-  // keeps must stay valid after this function returns.
-  return spec::load<TpfaPeProgram>(
-      make_tpfa_spec(kernel), Coord2{ext.nx, ext.ny}, ext.nz, options, {},
-      [&problem, ext, kernel, fluid](Coord2 coord, Coord2 fabric_size,
-                                     const auto& compiled, const auto&) {
-        return std::make_unique<TpfaPeProgram>(
-            coord, fabric_size, ext, kernel, fluid,
-            extract_column(problem, coord.x, coord.y), compiled);
-      });
+  return spec::load<TpfaPeProgram>(make_tpfa_spec(kernel),
+                                   Coord2{ext.nx, ext.ny}, ext.nz, options,
+                                   {}, tpfa_kernels(problem, kernel));
 }
 
 DataflowResult run_dataflow_tpfa(const physics::FlowProblem& problem,
                                  const DataflowOptions& options) {
   const TpfaLoad load = load_dataflow_tpfa(problem, options);
+  return gather_tpfa(load, load.harness->run(), problem.extents());
+}
 
-  DataflowResult result;
-  static_cast<RunInfo&>(result) = load.harness->run();
+TpfaRun<gpusim::GpuRunInfo> execute_tpfa(const physics::FlowProblem& problem,
+                                         const TpfaKernelOptions& kernel) {
   const Extents3 ext = problem.extents();
-  result.residual = Array3<f32>(ext);
-  result.pressure = Array3<f32>(ext);
-  load.grid.gather(result.residual,
-                   [](const TpfaPeProgram& p) { return p.residual(); });
-  load.grid.gather(result.pressure,
-                   [](const TpfaPeProgram& p) { return p.pressure(); });
-  return result;
+  FVF_REQUIRE(kernel.iterations >= 1);
+  const spec::Execution run =
+      spec::execute(make_tpfa_spec(kernel), Coord2{ext.nx, ext.ny}, ext.nz,
+                    tpfa_kernels(problem, kernel));
+  return gather_tpfa(run, run.info, ext);
 }
 
 }  // namespace fvf::core

@@ -1,7 +1,8 @@
 /// \file launcher.hpp
-/// \brief Builds a simulated wafer-scale fabric from a FlowProblem, loads
-///        the TPFA dataflow program onto every PE, runs it, and gathers
-///        the results back to host arrays.
+/// \brief Runs the TPFA kernel of a FlowProblem on either driver: loads
+///        it onto a simulated wafer-scale fabric (one PE per mesh column)
+///        or executes it without one (gpusim), and gathers the results
+///        back to host arrays.
 #pragma once
 
 #include <memory>
@@ -19,14 +20,17 @@ struct DataflowOptions : dataflow::HarnessOptions {
   TpfaKernelOptions kernel{};
 };
 
-/// Result of a dataflow TPFA run: full fabric accounting plus the
-/// gathered fields.
-struct DataflowResult : dataflow::RunInfo {
+/// Result of a TPFA run: the driver's accounting (dataflow::RunInfo on
+/// the fabric, gpusim::GpuRunInfo on the executor) plus the gathered
+/// fields.
+template <typename Info>
+struct TpfaRun : Info {
   /// Flux residual gathered from all PEs after the final iteration.
   Array3<f32> residual;
   /// Final pressure (after iterations-1 advance steps).
   Array3<f32> pressure;
 };
+using DataflowResult = TpfaRun<dataflow::RunInfo>;
 
 /// Extracts the per-PE column data for PE (x, y) from the global problem
 /// (the "host memcpy" phase: initial pressure, static geometry, and
@@ -50,5 +54,10 @@ using TpfaLoad = spec::Load<TpfaPeProgram>;
 /// fabric (one PE per mesh column) and gathers residual + pressure.
 [[nodiscard]] DataflowResult run_dataflow_tpfa(
     const physics::FlowProblem& problem, const DataflowOptions& options);
+
+/// Runs `kernel.iterations` applications of the same per-PE kernels on
+/// the fabric-free executor (the gpusim backend).
+[[nodiscard]] TpfaRun<gpusim::GpuRunInfo> execute_tpfa(
+    const physics::FlowProblem& problem, const TpfaKernelOptions& kernel);
 
 }  // namespace fvf::core

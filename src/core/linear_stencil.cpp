@@ -23,7 +23,7 @@ PeStencil::PeStencil(const LinearStencil& stencil, Coord2 coord) {
   }
 }
 
-void PeStencil::apply_local(wse::PeApi& api, std::span<f32> q,
+void PeStencil::apply_local(wse::PeCompute& api, std::span<f32> q,
                             std::span<f32> x) {
   using wse::Dsd;
   api.fmuls(Dsd::of(q), Dsd::of(diag_), Dsd::of(x));
@@ -45,8 +45,8 @@ void PeStencil::apply_local(wse::PeApi& api, std::span<f32> q,
   }
 }
 
-void PeStencil::apply_face(wse::PeApi& api, std::span<f32> q, mesh::Face face,
-                           wse::Dsd x_nb) {
+void PeStencil::apply_face(wse::PeCompute& api, std::span<f32> q,
+                           mesh::Face face, wse::Dsd x_nb) {
   using wse::Dsd;
   api.fmacs(Dsd::of(q), Dsd::of(offdiag_[static_cast<usize>(face)]), x_nb,
             Dsd::of(q));

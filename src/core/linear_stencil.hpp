@@ -24,7 +24,7 @@
 #include "wse/dsd.hpp"
 
 namespace fvf::wse {
-class PeApi;
+class PeCompute;
 }  // namespace fvf::wse
 
 namespace fvf::core {
@@ -57,9 +57,11 @@ class PeStencil {
 
   /// q = diag .* x plus the two vertical couplings: the part of A x that
   /// needs no neighbor column.
-  void apply_local(wse::PeApi& api, std::span<f32> q, std::span<f32> x);
-  /// q += C_face .* x_nb for one arrived neighbor column.
-  void apply_face(wse::PeApi& api, std::span<f32> q, mesh::Face face,
+  void apply_local(wse::PeCompute& api, std::span<f32> q, std::span<f32> x);
+  /// q += C_face .* x_nb for one arrived neighbor column. The fabric
+  /// calls it in arrival order, so the f32 sum of the faces follows the
+  /// fabric's timing; spec::execute calls it in mesh::kAllFaces order.
+  void apply_face(wse::PeCompute& api, std::span<f32> q, mesh::Face face,
                   wse::Dsd x_nb);
 
  private:

@@ -14,7 +14,7 @@ using namespace dataflow;
 namespace {
 
 using wse::Dsd;
-using wse::PeApi;
+using wse::PeCompute;
 
 }  // namespace
 
@@ -65,7 +65,7 @@ class TpfaKernel final : public spec::StencilKernel {
     return column(PeColumnData::kPressure);
   }
 
-  void local_compute(PeApi& api, i32 round) override {
+  void local_compute(PeCompute& api, i32 round) override {
     if (!options_.compute_enabled) {
       return;
     }
@@ -101,7 +101,7 @@ class TpfaKernel final : public spec::StencilKernel {
     return {column(PeColumnData::kPressure), column(kDensity)};
   }
 
-  void process_block(PeApi& api, mesh::Face face, Dsd block) override {
+  void process_block(PeCompute& api, mesh::Face face, Dsd block) override {
     if (!options_.compute_enabled) {
       return;
     }
@@ -118,7 +118,7 @@ class TpfaKernel final : public spec::StencilKernel {
                       dsd(PeColumnData::kElevation), p_nb);
   }
 
-  void finalize_round(PeApi& api, const FaceBlocks& blocks) override {
+  void finalize_round(PeCompute& api, const FaceBlocks& blocks) override {
     if (!options_.compute_enabled) {
       return;
     }
@@ -186,7 +186,7 @@ class TpfaKernel final : public spec::StencilKernel {
   /// into `flux_out` (12 DSD ops). Every implementation-visible FP
   /// instruction is a DSD op charged to the PE's counters. `flux_out`
   /// may alias `p_nb`, which is dead by the time the flux is written.
-  void compute_face_flux(PeApi& api, Dsd p_nb, Dsd rho_nb, Dsd z_nb,
+  void compute_face_flux(PeCompute& api, Dsd p_nb, Dsd rho_nb, Dsd z_nb,
                          Dsd trans, Dsd p_self, Dsd rho_self, Dsd z_self,
                          Dsd flux_out) {
     const i32 n = p_nb.length;
@@ -229,7 +229,7 @@ class TpfaKernel final : public spec::StencilKernel {
   }
 
   /// r -= (-flux): the FNEG + FSUB accumulation pair of the face budget.
-  void accumulate_flux(PeApi& api, Dsd flux, Dsd r) {
+  void accumulate_flux(PeCompute& api, Dsd flux, Dsd r) {
     Dsd neg = scratch(0, flux.length);
     api.fnegs(neg, flux);  // FNEG
     api.fsubs(r, r, neg);  // FSUB: r -= (-F)
@@ -314,15 +314,29 @@ std::shared_ptr<const spec::CompiledSpec> tpfa_spec_for(
 
 }  // namespace
 
+std::unique_ptr<spec::StencilKernel> make_tpfa_kernel(
+    Coord2 coord, Extents3 mesh_extents, TpfaKernelOptions options,
+    physics::FluidProperties fluid, PeColumnData data) {
+  return std::make_unique<TpfaKernel>(coord, mesh_extents, options, fluid,
+                                      std::move(data));
+}
+
+std::span<const f32> tpfa_residual(const spec::StencilKernel& kernel) {
+  return dynamic_cast<const TpfaKernel&>(kernel).residual();
+}
+
+std::span<const f32> tpfa_pressure(const spec::StencilKernel& kernel) {
+  return dynamic_cast<const TpfaKernel&>(kernel).pressure();
+}
+
 TpfaPeProgram::TpfaPeProgram(Coord2 coord, Coord2 fabric_size,
                              Extents3 mesh_extents, TpfaKernelOptions options,
                              physics::FluidProperties fluid, PeColumnData data,
                              std::shared_ptr<const spec::CompiledSpec> compiled)
     : SpecPeProgram(coord, fabric_size, mesh_extents.nz, std::move(compiled),
                     {},
-                    std::make_unique<TpfaKernel>(coord, mesh_extents, options,
-                                                 fluid, std::move(data))),
-      physics_(&kernel_as<TpfaKernel>()) {}
+                    make_tpfa_kernel(coord, mesh_extents, options, fluid,
+                                     std::move(data))) {}
 
 TpfaPeProgram::TpfaPeProgram(Coord2 coord, Coord2 fabric_size,
                              Extents3 mesh_extents, TpfaKernelOptions options,
@@ -330,12 +344,12 @@ TpfaPeProgram::TpfaPeProgram(Coord2 coord, Coord2 fabric_size,
     : TpfaPeProgram(coord, fabric_size, mesh_extents, options, fluid,
                     std::move(data), tpfa_spec_for(options)) {}
 
-std::span<const f32> TpfaPeProgram::residual() const noexcept {
-  return physics_->residual();
+std::span<const f32> TpfaPeProgram::residual() const {
+  return kernel_as<TpfaKernel>().residual();
 }
 
-std::span<const f32> TpfaPeProgram::pressure() const noexcept {
-  return physics_->pressure();
+std::span<const f32> TpfaPeProgram::pressure() const {
+  return kernel_as<TpfaKernel>().pressure();
 }
 
 usize TpfaPeProgram::data_footprint_bytes(i32 nz, bool reuse_buffers) {

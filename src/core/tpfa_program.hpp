@@ -112,13 +112,27 @@ class PeColumnData {
 [[nodiscard]] spec::StencilSpec make_tpfa_spec(
     const TpfaKernelOptions& options);
 
-class TpfaKernel;
+/// PE `coord`'s TPFA kernel: the physics both drivers run (spec::load on
+/// the fabric, spec::execute for gpusim).
+[[nodiscard]] std::unique_ptr<spec::StencilKernel> make_tpfa_kernel(
+    Coord2 coord, Extents3 mesh_extents, TpfaKernelOptions options,
+    physics::FluidProperties fluid, PeColumnData data);
 
-/// The per-PE program. Instantiated once per PE by the launcher — a thin
-/// facade over the compiled-spec engine that keeps the historical
-/// constructor and accessors (tests and benches construct it directly).
+/// Residual and pressure columns of a finished TPFA kernel (made by
+/// make_tpfa_kernel) after its final completed iteration.
+[[nodiscard]] std::span<const f32> tpfa_residual(
+    const spec::StencilKernel& kernel);
+[[nodiscard]] std::span<const f32> tpfa_pressure(
+    const spec::StencilKernel& kernel);
+
+/// The per-PE program on the fabric: the compiled-spec engine around a
+/// TPFA kernel, with the historical constructors and accessors (tests
+/// and benches construct it directly).
 class TpfaPeProgram final : public spec::SpecPeProgram {
  public:
+  /// The launch path: spec::load builds the engine around a kernel from
+  /// make_tpfa_kernel.
+  using spec::SpecPeProgram::SpecPeProgram;
   /// `compiled` must be spec::compile(make_tpfa_spec(options)); a launch
   /// compiles it once and shares it with every PE.
   TpfaPeProgram(Coord2 coord, Coord2 fabric_size, Extents3 mesh_extents,
@@ -133,9 +147,9 @@ class TpfaPeProgram final : public spec::SpecPeProgram {
                 PeColumnData data);
 
   /// Residual column after the final completed iteration.
-  [[nodiscard]] std::span<const f32> residual() const noexcept;
+  [[nodiscard]] std::span<const f32> residual() const;
   /// Pressure column after the final completed iteration.
-  [[nodiscard]] std::span<const f32> pressure() const noexcept;
+  [[nodiscard]] std::span<const f32> pressure() const;
   [[nodiscard]] i32 completed_iterations() const noexcept {
     return completed_rounds();
   }
@@ -149,9 +163,6 @@ class TpfaPeProgram final : public spec::SpecPeProgram {
   /// that, with buffer reuse enabled, the deepest column fitting in the
   /// default 48 KiB PE memory is Nz = 246 — the paper's maximum.
   static constexpr usize kCodeFootprintBytes = 6800;
-
- private:
-  const TpfaKernel* physics_;  ///< borrowed from the engine-owned kernel
 };
 
 }  // namespace fvf::core

@@ -19,7 +19,7 @@ using namespace dataflow;
 namespace {
 
 using wse::Dsd;
-using wse::PeApi;
+using wse::PeCompute;
 
 /// Per-PE column data.
 struct PeTransportData {
@@ -79,7 +79,7 @@ class TransportKernel final : public spec::StencilKernel {
   [[nodiscard]] i32 substeps() const noexcept { return substeps_; }
   [[nodiscard]] f64 advanced_seconds() const noexcept { return time_; }
 
-  [[nodiscard]] std::span<const f32> begin_round(PeApi& api) override {
+  [[nodiscard]] std::span<const f32> begin_round(PeCompute& api) override {
     for (auto& view : neighbor_block_) {
       view.reset();
     }
@@ -92,7 +92,7 @@ class TransportKernel final : public spec::StencilKernel {
     return send_buf_;
   }
 
-  void on_block(PeApi& api, mesh::Face face, Dsd block) override {
+  void on_block(PeCompute& api, mesh::Face face, Dsd block) override {
     // Keep a view into the halo buffer; it stays valid until the next
     // begin_round. Mark it live for the hazard detector: a receive
     // overwriting it before the flux loop below reads it would be a bug
@@ -101,7 +101,7 @@ class TransportKernel final : public spec::StencilKernel {
     neighbor_block_[static_cast<usize>(face)] = block;
   }
 
-  [[nodiscard]] spec::RoundOutcome on_round_complete(PeApi& api) override {
+  [[nodiscard]] spec::RoundOutcome on_round_complete(PeCompute& api) override {
     const TransportFluid& fl = options_.fluid;
     const i32 nz = nz_;
 
@@ -158,7 +158,7 @@ class TransportKernel final : public spec::StencilKernel {
     return spec::RoundOutcome{spec::RoundAction::Reduce, dt_local};
   }
 
-  [[nodiscard]] spec::RoundOutcome on_reduced(PeApi& api,
+  [[nodiscard]] spec::RoundOutcome on_reduced(PeCompute& api,
                                               f32 global_dt) override {
     const f32 remaining =
         static_cast<f32>(options_.window_seconds - time_);
@@ -231,56 +231,77 @@ spec::StencilSpec make_transport_spec(const TransportKernelOptions&) {
   return s;
 }
 
+namespace {
+
+/// The per-PE kernels of a transport window, for either driver. Locals
+/// are captured by value: the probe factory the harness keeps must stay
+/// valid after the launcher returns.
+spec::KernelFactory transport_kernels(const physics::FlowProblem& problem,
+                                      const Array3<f32>& saturation,
+                                      const Array3<f32>& pressure,
+                                      const Array3<f32>& well_rate,
+                                      const TransportKernelOptions& kernel) {
+  const Extents3 ext = problem.extents();
+  FVF_REQUIRE(saturation.extents() == ext);
+  FVF_REQUIRE(pressure.extents() == ext);
+  FVF_REQUIRE(well_rate.extents() == ext);
+  return [&problem, &saturation, &pressure, &well_rate, ext,
+          kernel](Coord2 coord) {
+    // Geometry via the shared column extractor, dynamic fields by hand.
+    const PeColumnData geometry = extract_column(problem, coord.x, coord.y);
+    const auto copy = [](std::span<const f32> column) {
+      return std::vector<f32>(column.begin(), column.end());
+    };
+    PeTransportData data;
+    data.elevation = copy(geometry.elevation());
+    for (usize i = 0; i < 4; ++i) {
+      data.elevation_cardinal[i] = copy(geometry.elevation_cardinal(i));
+      data.elevation_diagonal[i] = copy(geometry.elevation_diagonal(i));
+    }
+    for (const mesh::Face face : mesh::kAllFaces) {
+      data.trans[static_cast<usize>(face)] = copy(geometry.trans(face));
+    }
+    const usize n = static_cast<usize>(ext.nz);
+    data.saturation.resize(n);
+    data.pressure.resize(n);
+    data.well_rate.resize(n);
+    for (i32 z = 0; z < ext.nz; ++z) {
+      data.saturation[static_cast<usize>(z)] = saturation(coord.x, coord.y, z);
+      data.pressure[static_cast<usize>(z)] = pressure(coord.x, coord.y, z);
+      data.well_rate[static_cast<usize>(z)] = well_rate(coord.x, coord.y, z);
+    }
+    return std::make_unique<TransportKernel>(ext.nz, kernel, std::move(data));
+  };
+}
+
+template <typename Info, typename Run>
+TransportRun<Info> gather_transport(const Run& run, Info info, Extents3 ext) {
+  TransportRun<Info> result;
+  static_cast<Info&>(result) = std::move(info);
+  result.saturation = Array3<f32>(ext);
+  spec::gather<TransportKernel>(
+      run, result.saturation,
+      [](const TransportKernel& k) { return k.saturation(); });
+  const TransportKernel& probe =
+      run.template kernel_as<TransportKernel>(Coord2{0, 0});
+  result.substeps = probe.substeps();
+  result.advanced_seconds = probe.advanced_seconds();
+  return result;
+}
+
+}  // namespace
+
 TransportLoad load_dataflow_transport(const physics::FlowProblem& problem,
                                       const Array3<f32>& saturation,
                                       const Array3<f32>& pressure,
                                       const Array3<f32>& well_rate,
                                       const DataflowTransportOptions& options) {
   const Extents3 ext = problem.extents();
-  FVF_REQUIRE(saturation.extents() == ext);
-  FVF_REQUIRE(pressure.extents() == ext);
-  FVF_REQUIRE(well_rate.extents() == ext);
-
-  // Locals are captured by value: the probe factory the harness keeps
-  // must stay valid after this function returns.
-  const TransportKernelOptions kernel = options.kernel;
-  return spec::load(
-      make_transport_spec(kernel), Coord2{ext.nx, ext.ny}, ext.nz, options,
-      options.reliability,
-      [&problem, &saturation, &pressure, &well_rate, ext, kernel](
-          Coord2 coord, Coord2 fabric_size, const auto& compiled,
-          const auto& bindings) {
-        // Geometry via the shared column extractor, dynamic fields by hand.
-        const PeColumnData geometry =
-            extract_column(problem, coord.x, coord.y);
-        const auto copy = [](std::span<const f32> column) {
-          return std::vector<f32>(column.begin(), column.end());
-        };
-        PeTransportData data;
-        data.elevation = copy(geometry.elevation());
-        for (usize i = 0; i < 4; ++i) {
-          data.elevation_cardinal[i] = copy(geometry.elevation_cardinal(i));
-          data.elevation_diagonal[i] = copy(geometry.elevation_diagonal(i));
-        }
-        for (const mesh::Face face : mesh::kAllFaces) {
-          data.trans[static_cast<usize>(face)] = copy(geometry.trans(face));
-        }
-        const usize n = static_cast<usize>(ext.nz);
-        data.saturation.resize(n);
-        data.pressure.resize(n);
-        data.well_rate.resize(n);
-        for (i32 z = 0; z < ext.nz; ++z) {
-          data.saturation[static_cast<usize>(z)] =
-              saturation(coord.x, coord.y, z);
-          data.pressure[static_cast<usize>(z)] = pressure(coord.x, coord.y, z);
-          data.well_rate[static_cast<usize>(z)] =
-              well_rate(coord.x, coord.y, z);
-        }
-        return std::make_unique<spec::SpecPeProgram>(
-            coord, fabric_size, ext.nz, compiled, bindings,
-            std::make_unique<TransportKernel>(ext.nz, kernel,
-                                              std::move(data)));
-      });
+  return spec::load(make_transport_spec(options.kernel),
+                    Coord2{ext.nx, ext.ny}, ext.nz, options,
+                    options.reliability,
+                    transport_kernels(problem, saturation, pressure,
+                                      well_rate, options.kernel));
 }
 
 DataflowTransportResult run_dataflow_transport(
@@ -289,18 +310,18 @@ DataflowTransportResult run_dataflow_transport(
     const DataflowTransportOptions& options) {
   const TransportLoad load = load_dataflow_transport(
       problem, saturation, pressure, well_rate, options);
+  return gather_transport(load, load.harness->run(), problem.extents());
+}
 
-  DataflowTransportResult result;
-  static_cast<RunInfo&>(result) = load.harness->run();
-  result.saturation = Array3<f32>(problem.extents());
-  load.grid.gather(result.saturation, [](const spec::SpecPeProgram& p) {
-    return p.kernel_as<TransportKernel>().saturation();
-  });
-  const TransportKernel& probe =
-      load.grid.at(0, 0).kernel_as<TransportKernel>();
-  result.substeps = probe.substeps();
-  result.advanced_seconds = probe.advanced_seconds();
-  return result;
+TransportRun<gpusim::GpuRunInfo> execute_transport(
+    const physics::FlowProblem& problem, const Array3<f32>& saturation,
+    const Array3<f32>& pressure, const Array3<f32>& well_rate,
+    const TransportKernelOptions& kernel) {
+  const Extents3 ext = problem.extents();
+  const spec::Execution run = spec::execute(
+      make_transport_spec(kernel), Coord2{ext.nx, ext.ny}, ext.nz,
+      transport_kernels(problem, saturation, pressure, well_rate, kernel));
+  return gather_transport(run, run.info, ext);
 }
 
 Array3<f32> transport_reference_host(const physics::FlowProblem& problem,

@@ -45,8 +45,7 @@ struct TransportFluid {
 };
 
 /// The per-face two-phase flux in f32 — shared verbatim by the PE
-/// kernel, the host mirror, and the gpusim backend so all three agree
-/// bit-for-bit.
+/// kernel and the host mirror so the two agree bit-for-bit.
 struct TransportFaceFlux {
   f32 nonwetting = 0.0f;
   f32 magnitude = 0.0f;  ///< |F_n| + |F_w| for the CFL bound
@@ -100,13 +99,16 @@ struct DataflowTransportOptions : dataflow::HarnessOptions {
   dataflow::HaloReliabilityOptions reliability{};
 };
 
-/// Result of a transport window on the fabric: full fabric accounting
+/// Result of a transport window: the driver's accounting
+/// (dataflow::RunInfo on the fabric, gpusim::GpuRunInfo on the executor)
 /// plus the advanced state.
-struct DataflowTransportResult : dataflow::RunInfo {
+template <typename Info>
+struct TransportRun : Info {
   Array3<f32> saturation;
   i32 substeps = 0;
   f64 advanced_seconds = 0.0;
 };
+using DataflowTransportResult = TransportRun<dataflow::RunInfo>;
 
 /// A loaded-but-not-run transport launch. The referenced problem and
 /// field arrays must outlive the load.
@@ -126,6 +128,13 @@ using TransportLoad = spec::Load<>;
     const physics::FlowProblem& problem, const Array3<f32>& saturation,
     const Array3<f32>& pressure, const Array3<f32>& well_rate,
     const DataflowTransportOptions& options);
+
+/// The same window with the same per-PE kernels on the fabric-free
+/// executor (the gpusim backend).
+[[nodiscard]] TransportRun<gpusim::GpuRunInfo> execute_transport(
+    const physics::FlowProblem& problem, const Array3<f32>& saturation,
+    const Array3<f32>& pressure, const Array3<f32>& well_rate,
+    const TransportKernelOptions& kernel);
 
 /// Host mirror of the fabric transport window: identical f32 arithmetic
 /// and face order, for bitwise validation.

@@ -14,7 +14,7 @@ namespace {
 using spec::RoundAction;
 using spec::RoundOutcome;
 using wse::Dsd;
-using wse::PeApi;
+using wse::PeCompute;
 
 /// The physics half of the wave program: the operator apply around each
 /// halo round and the leapfrog update after it.
@@ -33,17 +33,17 @@ class WaveKernel final : public spec::StencilKernel {
 
   [[nodiscard]] std::span<const f32> field() const noexcept { return u_cur_; }
 
-  [[nodiscard]] std::span<const f32> begin_round(PeApi& api) override {
+  [[nodiscard]] std::span<const f32> begin_round(PeCompute& api) override {
     // q = diag .* u + vertical couplings (all local memory).
     stencil_.apply_local(api, q_, u_cur_);
     return u_cur_;
   }
 
-  void on_block(PeApi& api, mesh::Face face, Dsd u_nb) override {
+  void on_block(PeCompute& api, mesh::Face face, Dsd u_nb) override {
     stencil_.apply_face(api, q_, face, u_nb);
   }
 
-  [[nodiscard]] RoundOutcome on_round_complete(PeApi& api) override {
+  [[nodiscard]] RoundOutcome on_round_complete(PeCompute& api) override {
     // Leapfrog update: u_next = 2 u - u_prev - kappa q, written into the
     // (dead) u_prev column, then rotate the time levels.
     const Dsd u = Dsd::of(u_cur_);
@@ -89,44 +89,62 @@ spec::StencilSpec make_wave_spec() {
   return s;
 }
 
+namespace {
+
+/// The per-PE kernels of a wave run, for either driver. Locals are
+/// captured by value: the probe factory the harness keeps must stay
+/// valid after the launcher returns.
+spec::KernelFactory wave_kernels(const LinearStencil& stencil,
+                                 const Array3<f32>& initial,
+                                 const WaveKernelOptions& kernel) {
+  FVF_REQUIRE(initial.extents() == stencil.extents);
+  return [&stencil, &initial, kernel](Coord2 coord) {
+    // A standing start: u at t-1 equals the initial field.
+    std::vector<f32> u0(static_cast<usize>(initial.extents().nz));
+    for (usize z = 0; z < u0.size(); ++z) {
+      u0[z] = initial(coord.x, coord.y, static_cast<i32>(z));
+    }
+    return std::make_unique<WaveKernel>(kernel, std::move(u0),
+                                        PeStencil(stencil, coord));
+  };
+}
+
+template <typename Info, typename Run>
+WaveRun<Info> gather_wave(const Run& run, Info info, Extents3 ext) {
+  WaveRun<Info> result;
+  static_cast<Info&>(result) = std::move(info);
+  result.field = Array3<f32>(ext);
+  spec::gather<WaveKernel>(run, result.field,
+                           [](const WaveKernel& k) { return k.field(); });
+  return result;
+}
+
+}  // namespace
+
 WaveLoad load_dataflow_wave(const LinearStencil& stencil,
                             const Array3<f32>& initial,
                             const DataflowWaveOptions& options) {
   const Extents3 ext = stencil.extents;
-  FVF_REQUIRE(initial.extents() == ext);
-  // Locals are captured by value: the probe factory the harness keeps
-  // must stay valid after this function returns.
-  const WaveKernelOptions kernel = options.kernel;
-  return spec::load(
-      make_wave_spec(), Coord2{ext.nx, ext.ny}, ext.nz, options,
-      options.reliability,
-      [&stencil, &initial, ext, kernel](Coord2 coord, Coord2 fabric_size,
-                                        const auto& compiled,
-                                        const auto& bindings) {
-        // A standing start: u at t-1 equals the initial field.
-        std::vector<f32> u0(static_cast<usize>(ext.nz));
-        for (i32 z = 0; z < ext.nz; ++z) {
-          u0[static_cast<usize>(z)] = initial(coord.x, coord.y, z);
-        }
-        return std::make_unique<spec::SpecPeProgram>(
-            coord, fabric_size, ext.nz, compiled, bindings,
-            std::make_unique<WaveKernel>(kernel, std::move(u0),
-                                         PeStencil(stencil, coord)));
-      });
+  return spec::load(make_wave_spec(), Coord2{ext.nx, ext.ny}, ext.nz, options,
+                    options.reliability,
+                    wave_kernels(stencil, initial, options.kernel));
 }
 
 DataflowWaveResult run_dataflow_wave(const LinearStencil& stencil,
                                      const Array3<f32>& initial,
                                      const DataflowWaveOptions& options) {
   const WaveLoad load = load_dataflow_wave(stencil, initial, options);
+  return gather_wave(load, load.harness->run(), stencil.extents);
+}
 
-  DataflowWaveResult result;
-  static_cast<dataflow::RunInfo&>(result) = load.harness->run();
-  result.field = Array3<f32>(stencil.extents);
-  load.grid.gather(result.field, [](const spec::SpecPeProgram& p) {
-    return p.kernel_as<WaveKernel>().field();
-  });
-  return result;
+WaveRun<gpusim::GpuRunInfo> execute_wave(const LinearStencil& stencil,
+                                         const Array3<f32>& initial,
+                                         const WaveKernelOptions& kernel) {
+  const Extents3 ext = stencil.extents;
+  const spec::Execution run =
+      spec::execute(make_wave_spec(), Coord2{ext.nx, ext.ny}, ext.nz,
+                    wave_kernels(stencil, initial, kernel));
+  return gather_wave(run, run.info, ext);
 }
 
 Array3<f32> wave_reference_host(const LinearStencil& stencil,

@@ -46,10 +46,13 @@ struct DataflowWaveOptions : dataflow::HarnessOptions {
   dataflow::HaloReliabilityOptions reliability{};
 };
 
-/// Result of a fabric wave run: full fabric accounting plus the field.
-struct DataflowWaveResult : dataflow::RunInfo {
+/// Result of a wave run: the driver's accounting (dataflow::RunInfo on
+/// the fabric, gpusim::GpuRunInfo on the executor) plus the field.
+template <typename Info>
+struct WaveRun : Info {
   Array3<f32> field;  ///< u at the final timestep
 };
+using DataflowWaveResult = WaveRun<dataflow::RunInfo>;
 
 /// A loaded-but-not-run wave launch. The referenced stencil and initial
 /// field must outlive the load.
@@ -66,6 +69,12 @@ using WaveLoad = spec::Load<>;
 [[nodiscard]] DataflowWaveResult run_dataflow_wave(
     const LinearStencil& stencil, const Array3<f32>& initial,
     const DataflowWaveOptions& options);
+
+/// The same steps with the same per-PE kernels on the fabric-free
+/// executor (the gpusim backend).
+[[nodiscard]] WaveRun<gpusim::GpuRunInfo> execute_wave(
+    const LinearStencil& stencil, const Array3<f32>& initial,
+    const WaveKernelOptions& kernel);
 
 /// Host f64 reference of the same leapfrog iteration.
 [[nodiscard]] Array3<f32> wave_reference_host(const LinearStencil& stencil,

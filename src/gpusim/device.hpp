@@ -3,11 +3,16 @@
 ///        Section 6): explicit host/device memory spaces, kernel launches,
 ///        and cudaEvent-style timers driven by an analytic timing model.
 ///
-/// Kernels execute *functionally* on the host (deterministically, in
-/// GPU-like block/thread order) so their numerical output is real; the
-/// *device time* they would take is computed from a bandwidth/compute
-/// roofline model calibrated to the paper's published A100 measurements
-/// (see EXPERIMENTS.md for the calibration).
+/// Kernels execute *functionally* on the host so their numerical output
+/// is real; the *device time* they would take is computed from a
+/// bandwidth/compute roofline model calibrated to the paper's published
+/// A100 measurements (see EXPERIMENTS.md for the calibration).
+///
+/// One kernel body, two drivers: spec::execute runs every field-equation
+/// kernel's own per-PE StencilKernel — the body the fabric runs — and
+/// records one launch per hook sweep with the flops and bytes the kernel
+/// charged; baseline:: runs the paper's hand-written RAJA/CUDA TPFA
+/// through launch_3d for Table 1's calibrated comparison.
 #pragma once
 
 #include <span>

@@ -4,6 +4,7 @@
 #include <array>
 #include <exception>
 #include <iterator>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -375,12 +376,25 @@ class Linter {
     }
   }
 
+  /// One PE's memory finding before aggregation: `text` is the message
+  /// after the "PE(x,y) " it opens with.
+  struct MemoryFinding {
+    Check check{};
+    Severity severity = Severity::Error;
+    Coord2 pe{};
+    std::string text;
+  };
+
   /// Probes every PE's reserve_memory declaration, one fabric row per pool
   /// task. A throwing probe factory fails the run with the first failure
-  /// in raster order, as a serial sweep would.
+  /// in raster order, as a serial sweep would. Identical near-limit
+  /// warnings (same footprint and budget) are reported once, at the first
+  /// PE in raster order, with the count of PEs they stand for: a uniform
+  /// program near its limit is one warning, not one per PE. Over-budget
+  /// errors stay one per PE.
   void lint_memory(ThreadPool& pool) {
     const auto rows = static_cast<usize>(fabric_.height());
-    std::vector<std::vector<Diagnostic>> per_row(rows);
+    std::vector<std::vector<MemoryFinding>> per_row(rows);
     std::vector<std::exception_ptr> failures(rows);
     pool.run_indexed(fabric_.height(), [&](i64 row) {
       const auto r = static_cast<usize>(row);
@@ -390,15 +404,44 @@ class Linter {
         failures[r] = std::current_exception();
       }
     });
+    std::vector<MemoryFinding> unique;
+    std::vector<u64> counts;
+    std::map<std::string, usize> seen;
     for (usize r = 0; r < rows; ++r) {
       if (failures[r] != nullptr) {
         std::rethrow_exception(failures[r]);
       }
-      append(per_row[r]);
+      for (MemoryFinding& finding : per_row[r]) {
+        if (finding.check == Check::MemoryNearLimit) {
+          const auto [it, inserted] =
+              seen.try_emplace(finding.text, unique.size());
+          if (!inserted) {
+            ++counts[it->second];
+            continue;
+          }
+        }
+        unique.push_back(std::move(finding));
+        counts.push_back(1);
+      }
     }
+    std::vector<Diagnostic> found;
+    for (usize i = 0; i < unique.size(); ++i) {
+      MemoryFinding& finding = unique[i];
+      std::ostringstream os;
+      os << "PE(" << finding.pe.x << ',' << finding.pe.y << ") "
+         << finding.text;
+      if (counts[i] > 1) {
+        os << " (and " << counts[i] - 1 << " more PEs with the same "
+           << "declaration)";
+      }
+      add(found, finding.check, finding.severity, finding.pe, std::nullopt,
+          os.str());
+      found.back().count = counts[i];
+    }
+    append(found);
   }
 
-  void probe_row(i32 y, std::vector<Diagnostic>& found) const {
+  void probe_row(i32 y, std::vector<MemoryFinding>& found) const {
     const Coord2 size{fabric_.width(), fabric_.height()};
     for (i32 x = 0; x < fabric_.width(); ++x) {
       // Probe arena with an effectively unlimited budget: the point is
@@ -417,7 +460,7 @@ class Linter {
                                : fabric_.pe(x, y).memory().budget();
       if (used > budget) {
         std::ostringstream os;
-        os << "PE(" << x << ',' << y << ") declares " << used
+        os << "declares " << used
            << " bytes of static PE memory, exceeding the " << budget
            << "-byte budget by " << used - budget << " bytes (";
         bool first = true;
@@ -427,18 +470,17 @@ class Linter {
           first = false;
         }
         os << ')';
-        add(found, Check::MemoryOverBudget, Severity::Error, Coord2{x, y},
-            std::nullopt, os.str());
+        found.push_back({Check::MemoryOverBudget, Severity::Error,
+                         Coord2{x, y}, os.str()});
       } else if (static_cast<f64>(used) >=
                  options_.memory_warn_fraction * static_cast<f64>(budget)) {
         std::ostringstream os;
-        os << "PE(" << x << ',' << y << ") declares " << used
-           << " bytes of static PE memory, "
+        os << "declares " << used << " bytes of static PE memory, "
            << static_cast<int>(100.0 * static_cast<f64>(used) /
                                static_cast<f64>(budget))
            << "% of the " << budget << "-byte budget";
-        add(found, Check::MemoryNearLimit, Severity::Warning, Coord2{x, y},
-            std::nullopt, os.str());
+        found.push_back({Check::MemoryNearLimit, Severity::Warning,
+                         Coord2{x, y}, os.str()});
       }
     }
   }

@@ -106,7 +106,10 @@ struct Diagnostic {
   std::string message;
   /// Computed quantity where the check has one — today the minimal
   /// sufficient router_buffer_depth on buffer-overflow-possible.
-  std::optional<u64> bound;
+  std::optional<u64> bound{};
+  /// PEs the finding stands for: identical per-PE memory findings are
+  /// reported once, at the first PE in raster order (`pe`).
+  u64 count = 1;
 };
 
 /// Lint configuration. The callbacks decouple fvf::lint from the dataflow

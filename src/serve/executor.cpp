@@ -226,9 +226,11 @@ ScenarioResponse ScenarioExecutor::execute(const ScenarioRequest& raw,
     if (wse) {
       response.info = result.fabric;
     } else {
-      // The shared timing surface: the analytic GPU timeline stands in
-      // for the fabric clock in the response's RunInfo.
+      // The shared surface: the analytic GPU timeline stands in for the
+      // fabric clock in the response's RunInfo, and the counters the
+      // kernels charged for the fabric's.
       response.info.device_seconds = result.device_seconds;
+      response.info.counters = result.gpu.counters;
       response.summary.emplace_back("work", static_cast<f64>(result.work));
       response.summary.emplace_back(
           "gpu_kernels_launched",

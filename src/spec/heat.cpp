@@ -9,7 +9,7 @@ namespace fvf::spec {
 namespace {
 
 using wse::Dsd;
-using wse::PeApi;
+using wse::PeCompute;
 
 inline u64 hash_cell(u64 seed, u64 index) {
   // splitmix64-style finalizer: deterministic, no libm, no global RNG.
@@ -38,7 +38,7 @@ class HeatKernel final : public StencilKernel {
   [[nodiscard]] std::span<const f32> field() const noexcept { return u_; }
   [[nodiscard]] i32 steps_completed() const noexcept { return steps_done_; }
 
-  [[nodiscard]] std::span<const f32> begin_round(PeApi& api) override {
+  [[nodiscard]] std::span<const f32> begin_round(PeCompute& api) override {
     for (auto& view : neighbor_block_) {
       view.reset();
     }
@@ -47,12 +47,12 @@ class HeatKernel final : public StencilKernel {
     return send_buf_;
   }
 
-  void on_block(PeApi& api, mesh::Face face, Dsd block) override {
+  void on_block(PeCompute& api, mesh::Face face, Dsd block) override {
     api.hazard_mark_live(block, "heat neighbor view");
     neighbor_block_[static_cast<usize>(face)] = block;
   }
 
-  [[nodiscard]] RoundOutcome on_round_complete(PeApi& api) override {
+  [[nodiscard]] RoundOutcome on_round_complete(PeCompute& api) override {
     for (i32 z = 0; z < nz_; ++z) {
       const usize uz = static_cast<usize>(z);
       const f32 u_self = u_[uz];
@@ -113,39 +113,57 @@ StencilSpec make_heat_spec(const HeatKernelOptions&) {
   return s;
 }
 
+namespace {
+
+/// The per-PE kernels of a heat run, for either driver. Locals are
+/// captured by value: the probe factory the harness keeps must stay
+/// valid after the launcher returns.
+KernelFactory heat_kernels(const Array3<f32>& field,
+                           const HeatKernelOptions& kernel) {
+  return [&field, kernel](Coord2 coord) {
+    const i32 nz = field.extents().nz;
+    std::vector<f32> column(static_cast<usize>(nz));
+    for (i32 z = 0; z < nz; ++z) {
+      column[static_cast<usize>(z)] = field(coord.x, coord.y, z);
+    }
+    return std::make_unique<HeatKernel>(nz, kernel, std::move(column));
+  };
+}
+
+template <typename Info, typename Run>
+HeatRun<Info> gather_heat(const Run& run, Info info, Extents3 ext) {
+  HeatRun<Info> result;
+  static_cast<Info&>(result) = std::move(info);
+  result.field = Array3<f32>(ext);
+  gather<HeatKernel>(run, result.field,
+                     [](const HeatKernel& k) { return k.field(); });
+  result.steps_completed =
+      run.template kernel_as<HeatKernel>(Coord2{0, 0}).steps_completed();
+  return result;
+}
+
+}  // namespace
+
 HeatLoad load_dataflow_heat(const Array3<f32>& field,
                             const DataflowHeatOptions& options) {
   const Extents3 ext = field.extents();
-  const HeatKernelOptions kernel = options.kernel;
-  return load(make_heat_spec(kernel), Coord2{ext.nx, ext.ny}, ext.nz, options,
-              options.reliability,
-              [&field, ext, kernel](Coord2 coord, Coord2 fabric_size,
-                                    const auto& compiled,
-                                    const auto& bindings) {
-                std::vector<f32> column(static_cast<usize>(ext.nz));
-                for (i32 z = 0; z < ext.nz; ++z) {
-                  column[static_cast<usize>(z)] = field(coord.x, coord.y, z);
-                }
-                return std::make_unique<SpecPeProgram>(
-                    coord, fabric_size, ext.nz, compiled, bindings,
-                    std::make_unique<HeatKernel>(ext.nz, kernel,
-                                                 std::move(column)));
-              });
+  return load(make_heat_spec(options.kernel), Coord2{ext.nx, ext.ny}, ext.nz,
+              options, options.reliability,
+              heat_kernels(field, options.kernel));
 }
 
 DataflowHeatResult run_dataflow_heat(const Array3<f32>& field,
                                      const DataflowHeatOptions& options) {
   const HeatLoad load = load_dataflow_heat(field, options);
+  return gather_heat(load, load.harness->run(), field.extents());
+}
 
-  DataflowHeatResult result;
-  static_cast<dataflow::RunInfo&>(result) = load.harness->run();
-  result.field = Array3<f32>(field.extents());
-  load.grid.gather(result.field, [](const SpecPeProgram& p) {
-    return p.kernel_as<HeatKernel>().field();
-  });
-  result.steps_completed =
-      load.grid.at(0, 0).kernel_as<HeatKernel>().steps_completed();
-  return result;
+HeatRun<gpusim::GpuRunInfo> execute_heat(const Array3<f32>& field,
+                                         const HeatKernelOptions& kernel) {
+  const Extents3 ext = field.extents();
+  const Execution run = execute(make_heat_spec(kernel), Coord2{ext.nx, ext.ny},
+                                ext.nz, heat_kernels(field, kernel));
+  return gather_heat(run, run.info, ext);
 }
 
 Array3<f32> heat_reference_host(const Array3<f32>& field,

@@ -28,9 +28,8 @@ struct HeatKernelOptions {
 };
 
 /// Classical 9-point Laplacian weights (cardinal:diagonal ratio 4:1,
-/// normalized so the eight weights sum to 4). Shared by the PE kernel,
-/// the host mirror, and the gpusim backend so all three agree
-/// bit-for-bit.
+/// normalized so the eight weights sum to 4). Shared by the PE kernel
+/// and the host mirror so the two agree bit-for-bit.
 inline constexpr f32 kHeatCardinalWeight = 4.0f / 6.0f;
 inline constexpr f32 kHeatDiagonalWeight = 1.0f / 6.0f;
 
@@ -49,12 +48,15 @@ struct DataflowHeatOptions : dataflow::HarnessOptions {
   dataflow::HaloReliabilityOptions reliability{};
 };
 
-/// Result of a heat run on the fabric: full fabric accounting plus the
-/// diffused field.
-struct DataflowHeatResult : dataflow::RunInfo {
+/// Result of a heat run: the driver's accounting (dataflow::RunInfo on
+/// the fabric, gpusim::GpuRunInfo on the executor) plus the diffused
+/// field.
+template <typename Info>
+struct HeatRun : Info {
   Array3<f32> field;
   i32 steps_completed = 0;
 };
+using DataflowHeatResult = HeatRun<dataflow::RunInfo>;
 
 /// A loaded-but-not-run heat launch. The referenced field array must
 /// outlive the load.
@@ -70,6 +72,11 @@ using HeatLoad = Load<>;
 /// (one PE per column) and gathers the diffused field.
 [[nodiscard]] DataflowHeatResult run_dataflow_heat(
     const Array3<f32>& field, const DataflowHeatOptions& options);
+
+/// The same steps with the same per-PE kernels on the fabric-free
+/// executor (the gpusim backend).
+[[nodiscard]] HeatRun<gpusim::GpuRunInfo> execute_heat(
+    const Array3<f32>& field, const HeatKernelOptions& kernel);
 
 /// Host mirror of the fabric heat run: identical f32 arithmetic and face
 /// order, for bitwise validation.

@@ -6,7 +6,8 @@
 /// out by hand: reliability under bit flips, `spec::compile`, the strict
 /// lint gate, the FabricHarness with its color claims, the per-PE load,
 /// and the record of the passed gate. Launchers only say which spec,
-/// which fabric, and how to build one PE's program.
+/// which fabric, and how to build one PE's kernel — the same kernel
+/// factory `spec::execute` runs without a fabric.
 ///
 /// Every spec-compiled launch must pass `fvf::lint` in strict mode
 /// before the FabricHarness hands the fabric to the event engine. The
@@ -29,6 +30,7 @@
 #include "dataflow/fabric_harness.hpp"
 #include "dataflow/run_info.hpp"
 #include "spec/compile.hpp"
+#include "spec/execute.hpp"
 #include "spec/program.hpp"
 
 namespace fvf::spec {
@@ -41,6 +43,13 @@ template <typename Program = SpecPeProgram>
 struct Load {
   std::unique_ptr<dataflow::FabricHarness> harness;
   dataflow::ProgramGrid<Program> grid;
+
+  /// PE `coord`'s kernel as the concrete type the factory built (for
+  /// spec::gather).
+  template <typename Kernel>
+  [[nodiscard]] const Kernel& kernel_as(Coord2 coord) const {
+    return grid.at(coord.x, coord.y).template kernel_as<Kernel>();
+  }
 };
 
 /// `base` with lint raised to Strict unless this exact program shape
@@ -60,15 +69,16 @@ void record_verified(const CompiledSpec& compiled, Coord2 extents, i32 nz,
 /// `nz` without running the event engine — the fvf_lint entry point, and
 /// the first half of every kernel's run. A StaticHalo launch under bit
 /// flips turns `reliability` on: corrupted blocks are dropped, and the
-/// implicit-FIFO halo protocol cannot survive a drop. Every PE's program
-/// is `make(coord, fabric_size, compiled, bindings)`, with the one
-/// compile of the launch and the colors claimed for it; `make` must be
-/// copyable and callable concurrently (see FabricHarness::load).
-template <typename Program = SpecPeProgram, typename MakeFn>
+/// implicit-FIFO halo protocol cannot survive a drop. Every PE runs a
+/// `Program` (SpecPeProgram or a facade with its constructor) around
+/// `make_kernel(coord)`, with the one compile of the launch and the
+/// colors claimed for it; `make_kernel` must be copyable and callable
+/// concurrently (see FabricHarness::load).
+template <typename Program = SpecPeProgram, typename MakeKernel>
 [[nodiscard]] Load<Program> load(StencilSpec spec, Coord2 extents, i32 nz,
                                  const dataflow::HarnessOptions& options,
                                  dataflow::HaloReliabilityOptions reliability,
-                                 MakeFn make) {
+                                 MakeKernel make_kernel) {
   if (spec.exchange == ExchangeKind::StaticHalo &&
       options.execution.fault.bit_flip_rate > 0.0) {
     reliability.enabled = true;
@@ -85,9 +95,10 @@ template <typename Program = SpecPeProgram, typename MakeFn>
           .reduce,
       reliability};
   load.grid = load.harness->template load<Program>(
-      [make = std::move(make), compiled, bindings](Coord2 coord,
-                                                   Coord2 fabric_size) {
-        return make(coord, fabric_size, compiled, bindings);
+      [make_kernel = std::move(make_kernel), compiled, bindings, nz](
+          Coord2 coord, Coord2 fabric_size) {
+        return std::make_unique<Program>(coord, fabric_size, nz, compiled,
+                                         bindings, make_kernel(coord));
       });
   record_verified(*compiled, extents, nz, effective, reliability.enabled);
   return load;

@@ -16,6 +16,7 @@ using wse::Dir;
 using wse::Dsd;
 using wse::FabricDsd;
 using wse::PeApi;
+using wse::PeCompute;
 using wse::RouteRule;
 
 /// Coordinate of this PE along the movement axis of a cardinal color.
@@ -35,32 +36,32 @@ bool neighbor_exists(Coord2 coord, Coord2 fabric, Dir d) {
 
 // Default StencilKernel hooks: reject calls so a kernel wired to the
 // wrong exchange kind fails with a named hook, not a silent no-op.
-void StencilKernel::local_compute(PeApi&, i32) {
+void StencilKernel::local_compute(PeCompute&, i32) {
   FVF_REQUIRE_MSG(false, "StencilKernel::local_compute not implemented");
 }
 StencilKernel::SendHalves StencilKernel::send_halves() const {
   FVF_REQUIRE_MSG(false, "StencilKernel::send_halves not implemented");
 }
-void StencilKernel::process_block(PeApi&, mesh::Face, Dsd) {
+void StencilKernel::process_block(PeCompute&, mesh::Face, Dsd) {
   FVF_REQUIRE_MSG(false, "StencilKernel::process_block not implemented");
 }
-void StencilKernel::finalize_round(PeApi&, const FaceBlocks&) {
+void StencilKernel::finalize_round(PeCompute&, const FaceBlocks&) {
   FVF_REQUIRE_MSG(false, "StencilKernel::finalize_round not implemented");
 }
-RoundOutcome StencilKernel::start(PeApi&) {
+RoundOutcome StencilKernel::start(PeCompute&) {
   return RoundOutcome{RoundAction::Continue};
 }
-std::span<const f32> StencilKernel::begin_round(PeApi&) {
+std::span<const f32> StencilKernel::begin_round(PeCompute&) {
   FVF_REQUIRE_MSG(false, "StencilKernel::begin_round not implemented");
 }
-void StencilKernel::on_block(PeApi&, mesh::Face, Dsd) {
+void StencilKernel::on_block(PeCompute&, mesh::Face, Dsd) {
   FVF_REQUIRE_MSG(false, "StencilKernel::on_block not implemented");
 }
-RoundOutcome StencilKernel::on_round_complete(PeApi&) {
+RoundOutcome StencilKernel::on_round_complete(PeCompute&) {
   FVF_REQUIRE_MSG(false,
                   "StencilKernel::on_round_complete not implemented");
 }
-RoundOutcome StencilKernel::on_reduced(PeApi&, f32) {
+RoundOutcome StencilKernel::on_reduced(PeCompute&, f32) {
   FVF_REQUIRE_MSG(false, "StencilKernel::on_reduced not implemented");
 }
 

@@ -161,31 +161,31 @@ class StencilKernel {
   // --- SwitchProtocol hooks ---------------------------------------------
   /// Local work at the start of round `round` (pressure advance, EOS,
   /// residual reset for TPFA). Charged phases are the kernel's business.
-  virtual void local_compute(wse::PeApi& api, i32 round);
+  virtual void local_compute(wse::PeCompute& api, i32 round);
   /// The block this PE injects on every cardinal color this round.
   [[nodiscard]] virtual SendHalves send_halves() const;
   /// A neighbor block is current: compute with it now (overlap). `block`
   /// views the engine's receive buffer (block_words_per_cell * Nz); the
   /// kernel may overwrite dead halves (TPFA parks the flux column there).
-  virtual void process_block(wse::PeApi& api, mesh::Face face,
+  virtual void process_block(wse::PeCompute& api, mesh::Face face,
                              wse::Dsd block);
   /// All faces of round `round` are in: fold them into the result in
   /// canonical face order.
-  virtual void finalize_round(wse::PeApi& api, const FaceBlocks& blocks);
+  virtual void finalize_round(wse::PeCompute& api, const FaceBlocks& blocks);
 
   // --- StaticHalo hooks -------------------------------------------------
   /// Runs once before the first round. The default, Continue, starts the
   /// first exchange round at once.
-  [[nodiscard]] virtual RoundOutcome start(wse::PeApi& api);
+  [[nodiscard]] virtual RoundOutcome start(wse::PeCompute& api);
   /// Stage and return the outgoing halo block for the next round.
-  [[nodiscard]] virtual std::span<const f32> begin_round(wse::PeApi& api);
+  [[nodiscard]] virtual std::span<const f32> begin_round(wse::PeCompute& api);
   /// One halo block arrived; the view stays valid until the next round.
-  virtual void on_block(wse::PeApi& api, mesh::Face face, wse::Dsd block);
+  virtual void on_block(wse::PeCompute& api, mesh::Face face, wse::Dsd block);
   /// Every expected block arrived: run the round's arithmetic.
-  [[nodiscard]] virtual RoundOutcome on_round_complete(wse::PeApi& api);
+  [[nodiscard]] virtual RoundOutcome on_round_complete(wse::PeCompute& api);
   /// The reduction completed with `value`: Continue, Done, or Reduce
   /// again.
-  [[nodiscard]] virtual RoundOutcome on_reduced(wse::PeApi& api, f32 value);
+  [[nodiscard]] virtual RoundOutcome on_reduced(wse::PeCompute& api, f32 value);
 };
 
 }  // namespace fvf::spec

@@ -128,6 +128,39 @@ void AllReduceSum::unpack(PeApi& api, std::span<const u32> data,
   api.fmovs(Dsd::of(out), FabricDsd::of(data));
 }
 
+namespace {
+
+/// One combine of the trees, on scalars: the arithmetic add_into charges
+/// as DSD ops.
+f32 combine(ReduceOp op, f32 acc, f32 v) {
+  if (op == ReduceOp::Sum) {
+    return acc + v;
+  }
+  const f32 cmp = acc - v;
+  if (op == ReduceOp::Min) {
+    return cmp > 0.0f ? v : acc;
+  }
+  return cmp > 0.0f ? acc : v;
+}
+
+}  // namespace
+
+f32 tree_reduce(ReduceOp op, Coord2 fabric_size, std::span<const f32> local) {
+  FVF_REQUIRE(fabric_size.x > 0 && fabric_size.y > 0);
+  FVF_REQUIRE(static_cast<i64>(local.size()) ==
+              static_cast<i64>(fabric_size.x) * fabric_size.y);
+  f32 column = 0.0f;
+  for (i32 y = fabric_size.y - 1; y >= 0; --y) {
+    const usize row = static_cast<usize>(y) * static_cast<usize>(fabric_size.x);
+    f32 partial = local[row + static_cast<usize>(fabric_size.x - 1)];
+    for (i32 x = fabric_size.x - 2; x >= 0; --x) {
+      partial = combine(op, local[row + static_cast<usize>(x)], partial);
+    }
+    column = y == fabric_size.y - 1 ? partial : combine(op, partial, column);
+  }
+  return column;
+}
+
 void AllReduceSum::add_into(PeApi& api, std::vector<f32>& acc,
                             std::span<const f32> v) {
   FVF_REQUIRE(acc.size() == v.size());

@@ -42,6 +42,15 @@ struct AllReduceColors {
 /// Element-wise combiner of the reduction.
 enum class ReduceOp { Sum, Min, Max };
 
+/// The result AllReduceSum delivers for one scalar per PE, computed on
+/// the host in the trees' fixed order: `local` is row-major (y * width +
+/// x); along each row s(x) = local(x) + s(x+1) from x = width-1 down to
+/// 0, then down column 0 t(y) = row(y) + t(y+1). Min and Max use the
+/// trees' subtract-and-select combine (cmp = acc - v, then select by
+/// sign). This is how spec::execute reduces without a fabric.
+[[nodiscard]] f32 tree_reduce(ReduceOp op, Coord2 fabric_size,
+                              std::span<const f32> local);
+
 /// A reusable all-reduce over fixed-length f32 vectors. One instance
 /// lives inside each PE's program; all instances must be constructed with
 /// the same colors, length, and operation. (Named for its original

@@ -103,8 +103,173 @@ struct Tile {
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
+// PeCompute
+// ---------------------------------------------------------------------------
+
+void PeCompute::hazard_mark_live(Dsd, const char*) {}
+void PeCompute::hazard_release(Dsd) {}
+void PeCompute::hazard_release_all() {}
+void PeCompute::set_phase(obs::Phase) noexcept {}
+void PeCompute::check_operand_hazard(const char*, Dsd, Dsd, usize) {}
+
+void PeCompute::check_dsd_hazards(const char* op, Dsd dest, Dsd a) {
+  if (!exec_.hazard_check) {
+    return;
+  }
+  check_operand_hazard(op, dest, a, 1);
+}
+
+void PeCompute::check_dsd_hazards(const char* op, Dsd dest, Dsd a, Dsd b) {
+  if (!exec_.hazard_check) {
+    return;
+  }
+  check_operand_hazard(op, dest, a, 1);
+  check_operand_hazard(op, dest, b, 2);
+}
+
+void PeCompute::check_dsd_hazards(const char* op, Dsd dest, Dsd a, Dsd b,
+                                  Dsd c) {
+  if (!exec_.hazard_check) {
+    return;
+  }
+  check_operand_hazard(op, dest, a, 1);
+  check_operand_hazard(op, dest, b, 2);
+  check_operand_hazard(op, dest, c, 3);
+}
+
+f64 PeCompute::vector_op_cycles(i32 length) const noexcept {
+  const f64 issue = exec_.vectorized
+                        ? timings_.vector_op_issue_cycles
+                        : timings_.vector_op_issue_cycles *
+                              static_cast<f64>(length);
+  return issue + static_cast<f64>(length) * timings_.cycles_per_vector_element;
+}
+
+void PeCompute::charge_vector_op(i32 length, u32 loads_per_element) {
+  FVF_REQUIRE(length >= 0);
+  clock_ += vector_op_cycles(length);
+  counters_.mem_loads += static_cast<u64>(length) * loads_per_element;
+  counters_.mem_stores += static_cast<u64>(length);
+}
+
+void PeCompute::fmuls(Dsd dest, Dsd a, Dsd b) {
+  FVF_REQUIRE(dest.length == a.length && dest.length == b.length);
+  check_dsd_hazards("fmuls", dest, a, b);
+  for (i32 i = 0; i < dest.length; ++i) {
+    dest.at(i) = a.at(i) * b.at(i);
+  }
+  counters_.fmul += static_cast<u64>(dest.length);
+  charge_vector_op(dest.length, 2);
+}
+
+void PeCompute::fmuls(Dsd dest, Dsd a, f32 scalar) {
+  FVF_REQUIRE(dest.length == a.length);
+  check_dsd_hazards("fmuls", dest, a);
+  for (i32 i = 0; i < dest.length; ++i) {
+    dest.at(i) = a.at(i) * scalar;
+  }
+  counters_.fmul += static_cast<u64>(dest.length);
+  charge_vector_op(dest.length, 2);
+}
+
+void PeCompute::fadds(Dsd dest, Dsd a, Dsd b) {
+  FVF_REQUIRE(dest.length == a.length && dest.length == b.length);
+  check_dsd_hazards("fadds", dest, a, b);
+  for (i32 i = 0; i < dest.length; ++i) {
+    dest.at(i) = a.at(i) + b.at(i);
+  }
+  counters_.fadd += static_cast<u64>(dest.length);
+  charge_vector_op(dest.length, 2);
+}
+
+void PeCompute::fsubs(Dsd dest, Dsd a, Dsd b) {
+  FVF_REQUIRE(dest.length == a.length && dest.length == b.length);
+  check_dsd_hazards("fsubs", dest, a, b);
+  for (i32 i = 0; i < dest.length; ++i) {
+    dest.at(i) = a.at(i) - b.at(i);
+  }
+  counters_.fsub += static_cast<u64>(dest.length);
+  charge_vector_op(dest.length, 2);
+}
+
+void PeCompute::fsubs(Dsd dest, Dsd a, f32 scalar) {
+  FVF_REQUIRE(dest.length == a.length);
+  check_dsd_hazards("fsubs", dest, a);
+  for (i32 i = 0; i < dest.length; ++i) {
+    dest.at(i) = a.at(i) - scalar;
+  }
+  counters_.fsub += static_cast<u64>(dest.length);
+  charge_vector_op(dest.length, 2);
+}
+
+void PeCompute::fnegs(Dsd dest, Dsd a) {
+  FVF_REQUIRE(dest.length == a.length);
+  check_dsd_hazards("fnegs", dest, a);
+  for (i32 i = 0; i < dest.length; ++i) {
+    dest.at(i) = -a.at(i);
+  }
+  counters_.fneg += static_cast<u64>(dest.length);
+  charge_vector_op(dest.length, 1);
+}
+
+void PeCompute::fmacs(Dsd dest, Dsd a, Dsd b, Dsd c) {
+  FVF_REQUIRE(dest.length == a.length && dest.length == b.length &&
+              dest.length == c.length);
+  check_dsd_hazards("fmacs", dest, a, b, c);
+  for (i32 i = 0; i < dest.length; ++i) {
+    dest.at(i) = a.at(i) * b.at(i) + c.at(i);
+  }
+  counters_.fma += static_cast<u64>(dest.length);
+  charge_vector_op(dest.length, 3);
+}
+
+void PeCompute::fmacs(Dsd dest, Dsd a, f32 scalar, Dsd c) {
+  FVF_REQUIRE(dest.length == a.length && dest.length == c.length);
+  check_dsd_hazards("fmacs", dest, a, c);
+  for (i32 i = 0; i < dest.length; ++i) {
+    dest.at(i) = a.at(i) * scalar + c.at(i);
+  }
+  counters_.fma += static_cast<u64>(dest.length);
+  charge_vector_op(dest.length, 3);
+}
+
+void PeCompute::selects(Dsd dest, Dsd pred, Dsd a, Dsd b) {
+  FVF_REQUIRE(dest.length == pred.length && dest.length == a.length &&
+              dest.length == b.length);
+  check_dsd_hazards("selects", dest, pred, a, b);
+  for (i32 i = 0; i < dest.length; ++i) {
+    dest.at(i) = pred.at(i) > 0.0f ? a.at(i) : b.at(i);
+  }
+  // Predicated move: cycles, no FP instruction counts, no Table 4 traffic.
+  clock_ += vector_op_cycles(dest.length);
+}
+
+void PeCompute::zeros(Dsd dest) {
+  for (i32 i = 0; i < dest.length; ++i) {
+    dest.at(i) = 0.0f;
+  }
+  clock_ += vector_op_cycles(dest.length);
+}
+
+void PeCompute::scalar_ops(u64 count) {
+  counters_.scalar_misc += count;
+  clock_ += static_cast<f64>(count) * timings_.scalar_op_cycles;
+}
+
+void PeCompute::transcendental_ops(u64 count) {
+  counters_.scalar_misc += count;
+  clock_ += static_cast<f64>(count) * timings_.exp_cycles;
+}
+
+// ---------------------------------------------------------------------------
 // PeApi
 // ---------------------------------------------------------------------------
+
+PeApi::PeApi(Fabric& fabric, Pe& pe, detail::Tile& tile)
+    : PeCompute(fabric.timings_, fabric.exec_, pe.clock_, pe.counters_),
+      fabric_(fabric),
+      pe_(pe),
+      tile_(tile) {}
 
 Coord2 PeApi::fabric_size() const noexcept {
   return Coord2{fabric_.width(), fabric_.height()};
@@ -289,30 +454,6 @@ void PeApi::check_operand_hazard(const char* op, Dsd dest, Dsd source,
   fabric_.emit_hazard(tile_, os.str());
 }
 
-void PeApi::check_dsd_hazards(const char* op, Dsd dest, Dsd a) {
-  if (!fabric_.exec_.hazard_check) {
-    return;
-  }
-  check_operand_hazard(op, dest, a, 1);
-}
-
-void PeApi::check_dsd_hazards(const char* op, Dsd dest, Dsd a, Dsd b) {
-  if (!fabric_.exec_.hazard_check) {
-    return;
-  }
-  check_operand_hazard(op, dest, a, 1);
-  check_operand_hazard(op, dest, b, 2);
-}
-
-void PeApi::check_dsd_hazards(const char* op, Dsd dest, Dsd a, Dsd b, Dsd c) {
-  if (!fabric_.exec_.hazard_check) {
-    return;
-  }
-  check_operand_hazard(op, dest, a, 1);
-  check_operand_hazard(op, dest, b, 2);
-  check_operand_hazard(op, dest, c, 3);
-}
-
 void PeApi::check_receive_hazard(Dsd dest) {
   if (!fabric_.exec_.hazard_check) {
     return;
@@ -342,147 +483,15 @@ void PeApi::set_phase(obs::Phase phase) noexcept {
   pe_.phase_mark_ = pe_.clock_;
 }
 
-void PeApi::charge_vector_op(i32 length, u32 loads_per_element) {
-  FVF_REQUIRE(length >= 0);
-  const FabricTimings& t = fabric_.timings_;
-  const f64 issue = fabric_.exec_.vectorized
-                        ? t.vector_op_issue_cycles
-                        : t.vector_op_issue_cycles * static_cast<f64>(length);
-  pe_.clock_ +=
-      issue + static_cast<f64>(length) * t.cycles_per_vector_element;
-  pe_.counters_.mem_loads += static_cast<u64>(length) * loads_per_element;
-  pe_.counters_.mem_stores += static_cast<u64>(length);
-}
-
-void PeApi::fmuls(Dsd dest, Dsd a, Dsd b) {
-  FVF_REQUIRE(dest.length == a.length && dest.length == b.length);
-  check_dsd_hazards("fmuls", dest, a, b);
-  for (i32 i = 0; i < dest.length; ++i) {
-    dest.at(i) = a.at(i) * b.at(i);
-  }
-  pe_.counters_.fmul += static_cast<u64>(dest.length);
-  charge_vector_op(dest.length, 2);
-}
-
-void PeApi::fmuls(Dsd dest, Dsd a, f32 scalar) {
-  FVF_REQUIRE(dest.length == a.length);
-  check_dsd_hazards("fmuls", dest, a);
-  for (i32 i = 0; i < dest.length; ++i) {
-    dest.at(i) = a.at(i) * scalar;
-  }
-  pe_.counters_.fmul += static_cast<u64>(dest.length);
-  charge_vector_op(dest.length, 2);
-}
-
-void PeApi::fadds(Dsd dest, Dsd a, Dsd b) {
-  FVF_REQUIRE(dest.length == a.length && dest.length == b.length);
-  check_dsd_hazards("fadds", dest, a, b);
-  for (i32 i = 0; i < dest.length; ++i) {
-    dest.at(i) = a.at(i) + b.at(i);
-  }
-  pe_.counters_.fadd += static_cast<u64>(dest.length);
-  charge_vector_op(dest.length, 2);
-}
-
-void PeApi::fsubs(Dsd dest, Dsd a, Dsd b) {
-  FVF_REQUIRE(dest.length == a.length && dest.length == b.length);
-  check_dsd_hazards("fsubs", dest, a, b);
-  for (i32 i = 0; i < dest.length; ++i) {
-    dest.at(i) = a.at(i) - b.at(i);
-  }
-  pe_.counters_.fsub += static_cast<u64>(dest.length);
-  charge_vector_op(dest.length, 2);
-}
-
-void PeApi::fsubs(Dsd dest, Dsd a, f32 scalar) {
-  FVF_REQUIRE(dest.length == a.length);
-  check_dsd_hazards("fsubs", dest, a);
-  for (i32 i = 0; i < dest.length; ++i) {
-    dest.at(i) = a.at(i) - scalar;
-  }
-  pe_.counters_.fsub += static_cast<u64>(dest.length);
-  charge_vector_op(dest.length, 2);
-}
-
-void PeApi::fnegs(Dsd dest, Dsd a) {
-  FVF_REQUIRE(dest.length == a.length);
-  check_dsd_hazards("fnegs", dest, a);
-  for (i32 i = 0; i < dest.length; ++i) {
-    dest.at(i) = -a.at(i);
-  }
-  pe_.counters_.fneg += static_cast<u64>(dest.length);
-  charge_vector_op(dest.length, 1);
-}
-
-void PeApi::fmacs(Dsd dest, Dsd a, Dsd b, Dsd c) {
-  FVF_REQUIRE(dest.length == a.length && dest.length == b.length &&
-              dest.length == c.length);
-  check_dsd_hazards("fmacs", dest, a, b, c);
-  for (i32 i = 0; i < dest.length; ++i) {
-    dest.at(i) = a.at(i) * b.at(i) + c.at(i);
-  }
-  pe_.counters_.fma += static_cast<u64>(dest.length);
-  charge_vector_op(dest.length, 3);
-}
-
-void PeApi::fmacs(Dsd dest, Dsd a, f32 scalar, Dsd c) {
-  FVF_REQUIRE(dest.length == a.length && dest.length == c.length);
-  check_dsd_hazards("fmacs", dest, a, c);
-  for (i32 i = 0; i < dest.length; ++i) {
-    dest.at(i) = a.at(i) * scalar + c.at(i);
-  }
-  pe_.counters_.fma += static_cast<u64>(dest.length);
-  charge_vector_op(dest.length, 3);
-}
-
-void PeApi::selects(Dsd dest, Dsd pred, Dsd a, Dsd b) {
-  FVF_REQUIRE(dest.length == pred.length && dest.length == a.length &&
-              dest.length == b.length);
-  check_dsd_hazards("selects", dest, pred, a, b);
-  for (i32 i = 0; i < dest.length; ++i) {
-    dest.at(i) = pred.at(i) > 0.0f ? a.at(i) : b.at(i);
-  }
-  // Predicated move: cycles, no FP instruction counts, no Table 4 traffic.
-  const FabricTimings& t = fabric_.timings_;
-  const f64 issue = fabric_.exec_.vectorized
-                        ? t.vector_op_issue_cycles
-                        : t.vector_op_issue_cycles * static_cast<f64>(dest.length);
-  pe_.clock_ +=
-      issue + static_cast<f64>(dest.length) * t.cycles_per_vector_element;
-}
-
 void PeApi::fmovs(Dsd dest, FabricDsd src) {
   FVF_REQUIRE(dest.length == src.length);
   check_receive_hazard(dest);
   for (i32 i = 0; i < dest.length; ++i) {
     dest.at(i) = unpack_f32(src.base[i]);
   }
-  pe_.counters_.fmov += static_cast<u64>(dest.length);
-  pe_.counters_.mem_stores += static_cast<u64>(dest.length);
-  pe_.clock_ += static_cast<f64>(dest.length) *
-                fabric_.timings_.ramp_cycles_per_wavelet;
-}
-
-void PeApi::zeros(Dsd dest) {
-  for (i32 i = 0; i < dest.length; ++i) {
-    dest.at(i) = 0.0f;
-  }
-  const FabricTimings& t = fabric_.timings_;
-  const f64 issue = fabric_.exec_.vectorized
-                        ? t.vector_op_issue_cycles
-                        : t.vector_op_issue_cycles * static_cast<f64>(dest.length);
-  pe_.clock_ +=
-      issue + static_cast<f64>(dest.length) * t.cycles_per_vector_element;
-}
-
-void PeApi::scalar_ops(u64 count) {
-  pe_.counters_.scalar_misc += count;
-  pe_.clock_ += static_cast<f64>(count) * fabric_.timings_.scalar_op_cycles;
-}
-
-void PeApi::transcendental_ops(u64 count) {
-  pe_.counters_.scalar_misc += count;
-  pe_.clock_ += static_cast<f64>(count) * fabric_.timings_.exp_cycles;
+  counters_.fmov += static_cast<u64>(dest.length);
+  counters_.mem_stores += static_cast<u64>(dest.length);
+  clock_ += static_cast<f64>(dest.length) * timings_.ramp_cycles_per_wavelet;
 }
 
 // ---------------------------------------------------------------------------

@@ -217,13 +217,105 @@ struct RunReport {
   [[nodiscard]] bool ok() const noexcept { return errors.empty(); }
 };
 
-/// The handle a PE program uses to interact with the machine: memory
-/// allocation, DSD computation, and fabric communication. Valid only for
-/// the duration of a handler invocation.
-class PeApi {
+/// The compute half of a PE handle: DSD vector ops, scalar ops, phase
+/// tags, hazard marks and counters, charged to one PE's clock and
+/// counters under the fabric's timing model. It needs no fabric: a
+/// spec::StencilKernel computes through this handle only, so the same
+/// kernel body runs on the event engine (through PeApi, which adds
+/// sends, receives, timers and fault reporting) and on the fabric-free
+/// spec::execute, where phase tags and hazard marks are no-ops. Valid
+/// only for the duration of a handler invocation.
+class PeCompute {
  public:
-  PeApi(Fabric& fabric, Pe& pe, detail::Tile& tile)
-      : fabric_(fabric), pe_(pe), tile_(tile) {}
+  PeCompute(const FabricTimings& timings, const ExecutionOptions& execution,
+            f64& clock, PeCounters& counters) noexcept
+      : timings_(timings),
+        exec_(execution),
+        clock_(clock),
+        counters_(counters) {}
+  PeCompute(const PeCompute&) = delete;
+  PeCompute& operator=(const PeCompute&) = delete;
+  virtual ~PeCompute() = default;
+
+  // --- DSD vector operations (charge counters + cycles) ------------------
+  void fmuls(Dsd dest, Dsd a, Dsd b);           ///< dest = a * b
+  void fmuls(Dsd dest, Dsd a, f32 scalar);      ///< dest = a * s
+  void fadds(Dsd dest, Dsd a, Dsd b);           ///< dest = a + b
+  void fsubs(Dsd dest, Dsd a, Dsd b);           ///< dest = a - b
+  void fsubs(Dsd dest, Dsd a, f32 scalar);      ///< dest = a - s
+  void fnegs(Dsd dest, Dsd a);                  ///< dest = -a
+  void fmacs(Dsd dest, Dsd a, Dsd b, Dsd c);    ///< dest = a*b + c
+  void fmacs(Dsd dest, Dsd a, f32 scalar, Dsd c);  ///< dest = a*s + c
+  /// Predicated select: dest[i] = pred[i] > 0 ? a[i] : b[i]. Charged as a
+  /// data move (cycles only), not as an FP instruction — matching the
+  /// Table 4 accounting where the upwind select is not FP-counted.
+  void selects(Dsd dest, Dsd pred, Dsd a, Dsd b);
+  /// Clears an array (constant-broadcast move; cycles only, not counted
+  /// as FP work or memory traffic in the Table 4 model).
+  void zeros(Dsd dest);
+
+  // --- scalar ops --------------------------------------------------------
+  /// Charges `count` generic scalar ops (cycles + scalar_misc counter).
+  void scalar_ops(u64 count);
+  /// Charges `count` transcendental evaluations (EOS exponentials).
+  void transcendental_ops(u64 count);
+
+  // --- hazard detection ---------------------------------------------------
+  /// Marks `view` as a live buffer handed out to program code: until
+  /// released, a fabric receive (fmovs) overwriting any part of it is
+  /// reported as a hazard. No-op unless ExecutionOptions::hazard_check.
+  virtual void hazard_mark_live(Dsd view, const char* label);
+  /// Releases the most recent live mark covering exactly `view`'s range.
+  virtual void hazard_release(Dsd view);
+  /// Releases every live mark on this PE.
+  virtual void hazard_release_all();
+
+  // --- observability ------------------------------------------------------
+  /// Retags the cycles this handler accrues from here on (the profiler
+  /// books everything since the last mark under the previous phase
+  /// first). A no-op when phase profiling is off — programs may call it
+  /// unconditionally without perturbing anything observable.
+  virtual void set_phase(obs::Phase phase) noexcept;
+
+  // --- bookkeeping -------------------------------------------------------
+  [[nodiscard]] PeCounters& counters() noexcept { return counters_; }
+  [[nodiscard]] f64 now() const noexcept { return clock_; }
+  /// Advances the PE clock by raw cycles (modeling costs outside the
+  /// provided primitives).
+  void add_cycles(f64 cycles) noexcept { clock_ += cycles; }
+
+ protected:
+  /// Cycles of one vector instruction over `length` elements.
+  [[nodiscard]] f64 vector_op_cycles(i32 length) const noexcept;
+  /// Flags a source operand that partially overlaps the destination.
+  /// Called only under ExecutionOptions::hazard_check; a no-op without a
+  /// fabric to report to.
+  virtual void check_operand_hazard(const char* op, Dsd dest, Dsd source,
+                                    usize operand_index);
+
+  const FabricTimings& timings_;
+  const ExecutionOptions& exec_;
+  f64& clock_;
+  PeCounters& counters_;
+
+ private:
+  /// Shared per-element loop: charges one vector op of length n and the
+  /// Table 4 memory traffic (loads per element, one store per element).
+  void charge_vector_op(i32 length, u32 loads_per_element);
+
+  /// Hazard_check hooks (no-ops when the option is off): flag sources
+  /// that partially overlap the destination.
+  void check_dsd_hazards(const char* op, Dsd dest, Dsd a);
+  void check_dsd_hazards(const char* op, Dsd dest, Dsd a, Dsd b);
+  void check_dsd_hazards(const char* op, Dsd dest, Dsd a, Dsd b, Dsd c);
+};
+
+/// The handle a PE program uses to interact with the machine: the
+/// compute half (PeCompute) plus memory allocation and fabric
+/// communication. Valid only for the duration of a handler invocation.
+class PeApi final : public PeCompute {
+ public:
+  PeApi(Fabric& fabric, Pe& pe, detail::Tile& tile);
 
   // --- identity ---------------------------------------------------------
   [[nodiscard]] Coord2 coord() const noexcept { return pe_.coord(); }
@@ -246,6 +338,10 @@ class PeApi {
   /// advances that color's switch position after routing it.
   void send_control(Color color);
 
+  /// Moves received fabric wavelets into PE memory (FMOV: one fabric load
+  /// + one store per element).
+  void fmovs(Dsd dest, FabricDsd src);
+
   /// Schedules a timer event delivered back to *this* PE's program via
   /// PeProgram::on_timer after `delay_cycles`. Timers never touch the
   /// fabric (born and consumed on the same tile), so they are free to use
@@ -261,73 +357,22 @@ class PeApi {
   /// flagged, never silently wrong.
   void report_protocol_error(std::string message);
 
-  // --- DSD vector operations (charge counters + cycles) ------------------
-  void fmuls(Dsd dest, Dsd a, Dsd b);           ///< dest = a * b
-  void fmuls(Dsd dest, Dsd a, f32 scalar);      ///< dest = a * s
-  void fadds(Dsd dest, Dsd a, Dsd b);           ///< dest = a + b
-  void fsubs(Dsd dest, Dsd a, Dsd b);           ///< dest = a - b
-  void fsubs(Dsd dest, Dsd a, f32 scalar);      ///< dest = a - s
-  void fnegs(Dsd dest, Dsd a);                  ///< dest = -a
-  void fmacs(Dsd dest, Dsd a, Dsd b, Dsd c);    ///< dest = a*b + c
-  void fmacs(Dsd dest, Dsd a, f32 scalar, Dsd c);  ///< dest = a*s + c
-  /// Predicated select: dest[i] = pred[i] > 0 ? a[i] : b[i]. Charged as a
-  /// data move (cycles only), not as an FP instruction — matching the
-  /// Table 4 accounting where the upwind select is not FP-counted.
-  void selects(Dsd dest, Dsd pred, Dsd a, Dsd b);
-  /// Moves received fabric wavelets into PE memory (FMOV: one fabric load
-  /// + one store per element).
-  void fmovs(Dsd dest, FabricDsd src);
-  /// Clears an array (constant-broadcast move; cycles only, not counted
-  /// as FP work or memory traffic in the Table 4 model).
-  void zeros(Dsd dest);
-
-  // --- scalar ops --------------------------------------------------------
-  /// Charges `count` generic scalar ops (cycles + scalar_misc counter).
-  void scalar_ops(u64 count);
-  /// Charges `count` transcendental evaluations (EOS exponentials).
-  void transcendental_ops(u64 count);
-
-  // --- hazard detection ---------------------------------------------------
-  /// Marks `view` as a live buffer handed out to program code: until
-  /// released, a fabric receive (fmovs) overwriting any part of it is
-  /// reported as a hazard. No-op unless ExecutionOptions::hazard_check.
-  void hazard_mark_live(Dsd view, const char* label);
-  /// Releases the most recent live mark covering exactly `view`'s range.
-  void hazard_release(Dsd view);
-  /// Releases every live mark on this PE.
-  void hazard_release_all();
-
-  // --- observability ------------------------------------------------------
-  /// Retags the cycles this handler accrues from here on (the profiler
-  /// books everything since the last mark under the previous phase
-  /// first). A no-op when phase profiling is off — programs may call it
-  /// unconditionally without perturbing anything observable.
-  void set_phase(obs::Phase phase) noexcept;
+  // --- PeCompute: the fabric's phase profiler and hazard detector --------
+  void hazard_mark_live(Dsd view, const char* label) override;
+  void hazard_release(Dsd view) override;
+  void hazard_release_all() override;
+  void set_phase(obs::Phase phase) noexcept override;
 
   // --- bookkeeping -------------------------------------------------------
-  [[nodiscard]] PeCounters& counters() noexcept { return pe_.counters_; }
   /// Marks this PE's program as finished (quiescence check).
   void signal_done() noexcept { pe_.done_ = true; }
-  [[nodiscard]] f64 now() const noexcept { return pe_.clock_; }
-  /// Advances the PE clock by raw cycles (modeling costs outside the
-  /// provided primitives).
-  void add_cycles(f64 cycles) noexcept { pe_.clock_ += cycles; }
 
  private:
   friend class Fabric;
 
-  /// Shared per-element loop: charges one vector op of length n and the
-  /// Table 4 memory traffic (loads per element, one store per element).
-  void charge_vector_op(i32 length, u32 loads_per_element);
-
-  /// Hazard_check hooks (no-ops when the option is off): flags sources
-  /// that partially overlap the destination, and fmovs destinations that
-  /// overwrite a live-marked buffer.
-  void check_dsd_hazards(const char* op, Dsd dest, Dsd a);
-  void check_dsd_hazards(const char* op, Dsd dest, Dsd a, Dsd b);
-  void check_dsd_hazards(const char* op, Dsd dest, Dsd a, Dsd b, Dsd c);
   void check_operand_hazard(const char* op, Dsd dest, Dsd source,
-                            usize operand_index);
+                            usize operand_index) override;
+  /// Flags an fmovs destination that overwrites a live-marked buffer.
   void check_receive_hazard(Dsd dest);
 
   Fabric& fabric_;

@@ -1,4 +1,4 @@
-// Cross-backend parity: the gpusim kernels against the serial oracles
+// Cross-backend parity: the executed kernels against the serial oracles
 // (bitwise), the fvf::api entry point across both backends, the launch
 // and occupancy model invariants, and the serve-layer backend routing
 // and memo isolation.
@@ -12,10 +12,7 @@
 #include "api/api.hpp"
 #include "api/backend.hpp"
 #include "common/assert.hpp"
-#include "core/linear_stencil.hpp"
 #include "core/transport_program.hpp"
-#include "core/wave_program.hpp"
-#include "gpusim/kernels.hpp"
 #include "gpusim/launch.hpp"
 #include "gpusim/occupancy.hpp"
 #include "physics/problem.hpp"
@@ -122,7 +119,7 @@ TEST(LaunchTest, StatsCountFullGridThreadsAndInDomainCells) {
   EXPECT_GT(stats.simulated_seconds, 0.0);
 }
 
-// ------------------------------------- gpusim vs serial oracles ------
+// ----------------------------------- executor vs serial oracles ------
 
 TEST(GpusimOracleTest, TransportMatchesReferenceHostBitwise) {
   const Extents3 ext{6, 6, 4};
@@ -130,17 +127,17 @@ TEST(GpusimOracleTest, TransportMatchesReferenceHostBitwise) {
   const Array3<f32> saturation = api::transport_initial_saturation(ext);
   const Array3<f32> wells = api::transport_well_rate(ext);
 
-  gpusim::GpuTransportOptions options;
-  options.kernel.window_seconds = 900.0;
-  options.kernel.pore_volume =
-      static_cast<f32>(problem.mesh().cell_volume() * 0.2);
+  core::TransportKernelOptions kernel;
+  kernel.window_seconds = 900.0;
+  kernel.pore_volume = static_cast<f32>(problem.mesh().cell_volume() * 0.2);
 
-  const gpusim::GpuTransportResult gpu = gpusim::run_gpu_transport(
-      problem, saturation, problem.initial_pressure(), wells, options);
+  const auto gpu = core::execute_transport(
+      problem, saturation, problem.initial_pressure(), wells, kernel);
   const Array3<f32> reference = core::transport_reference_host(
-      problem, saturation, problem.initial_pressure(), wells, options.kernel);
+      problem, saturation, problem.initial_pressure(), wells, kernel);
 
   EXPECT_GT(gpu.substeps, 0);
+  EXPECT_GT(gpu.kernels_launched, 0u);
   expect_bitwise_equal(gpu.saturation, reference);
 }
 
@@ -148,152 +145,20 @@ TEST(GpusimOracleTest, HeatMatchesReferenceHostBitwise) {
   const Extents3 ext{7, 5, 3};
   const Array3<f32> initial = spec::heat_initial_field(ext, 42);
 
-  gpusim::GpuHeatOptions options;
-  options.kernel.steps = 6;
-  const gpusim::GpuHeatResult gpu = gpusim::run_gpu_heat(initial, options);
-  const Array3<f32> reference =
-      spec::heat_reference_host(initial, options.kernel);
+  spec::HeatKernelOptions kernel;
+  kernel.steps = 6;
+  const auto gpu = spec::execute_heat(initial, kernel);
+  const Array3<f32> reference = spec::heat_reference_host(initial, kernel);
 
   EXPECT_EQ(gpu.steps_completed, 6);
   expect_bitwise_equal(gpu.field, reference);
 }
 
-/// Raster-order f32 dot product; the product rounds to f32 before the
-/// add in both this oracle and the device (fp contraction is off
-/// build-wide), so the sums agree bitwise.
-f32 raster_dot(const Array3<f32>& a, const Array3<f32>& b) {
-  f32 sum = 0.0f;
-  for (i64 i = 0; i < a.size(); ++i) {
-    sum += a[i] * b[i];
-  }
-  return sum;
-}
-
-/// Serial stencil apply in the gpusim face order (diagonal first, then
-/// mesh::kAllFaces with out-of-domain neighbors skipped).
-Array3<f32> raster_apply(const core::LinearStencil& stencil,
-                         const Array3<f32>& u) {
-  const Extents3 ext = stencil.extents;
-  Array3<f32> out(ext);
-  for (i32 z = 0; z < ext.nz; ++z) {
-    for (i32 y = 0; y < ext.ny; ++y) {
-      for (i32 x = 0; x < ext.nx; ++x) {
-        f32 acc = stencil.diag(x, y, z) * u(x, y, z);
-        for (const mesh::Face f : mesh::kAllFaces) {
-          const Coord3 off = mesh::face_offset(f);
-          const i32 nx = x + off.x;
-          const i32 ny = y + off.y;
-          const i32 nz = z + off.z;
-          if (!ext.contains(nx, ny, nz)) {
-            continue;
-          }
-          acc += stencil.offdiag[static_cast<usize>(f)](x, y, z) *
-                 u(nx, ny, nz);
-        }
-        out(x, y, z) = acc;
-      }
-    }
-  }
-  return out;
-}
-
-TEST(GpusimOracleTest, CgMatchesRasterOracleBitwise) {
-  const physics::FlowProblem problem =
-      physics::make_benchmark_problem(Extents3{6, 6, 3}, 42);
-  const core::LinearStencil stencil =
-      core::build_linear_stencil(problem, 3600.0);
-  const core::ScaledSystem scaled = core::jacobi_scale(stencil);
-  const core::ManufacturedSystem manufactured =
-      core::manufacture_solution(scaled.stencil);
-
-  gpusim::GpuCgOptions options;
-  options.kernel.max_iterations = 200;
-  options.kernel.relative_tolerance = 1e-5f;
-  const gpusim::GpuCgResult gpu =
-      gpusim::run_gpu_cg(scaled.stencil, manufactured.rhs, options);
-
-  // Serial oracle: the identical decision sequence with raster-order
-  // f32 dots (the reduction order the simulated device uses).
-  const Extents3 ext = scaled.stencil.extents;
-  Array3<f32> x(ext);
-  Array3<f32> r = manufactured.rhs;
-  Array3<f32> d = manufactured.rhs;
-  i32 iterations = 0;
-  bool converged = false;
-  f32 rho = raster_dot(r, r);
-  const f64 rho0 = static_cast<f64>(rho);
-  if (rho0 <= 0.0) {
-    converged = true;
-  } else {
-    const f32 tol2 = options.kernel.relative_tolerance *
-                     options.kernel.relative_tolerance;
-    while (true) {
-      const Array3<f32> q = raster_apply(scaled.stencil, d);
-      const f32 dot_dq = raster_dot(d, q);
-      ASSERT_NE(dot_dq, 0.0f);
-      const f32 alpha = rho / dot_dq;
-      for (i64 i = 0; i < x.size(); ++i) {
-        x[i] = x[i] + alpha * d[i];
-        r[i] = r[i] - alpha * q[i];
-      }
-      const f32 rr = raster_dot(r, r);
-      ++iterations;
-      if (rr <= tol2 * static_cast<f32>(rho0) ||
-          iterations >= options.kernel.max_iterations) {
-        converged = rr <= tol2 * static_cast<f32>(rho0);
-        break;
-      }
-      const f32 beta = rr / rho;
-      rho = rr;
-      for (i64 i = 0; i < d.size(); ++i) {
-        d[i] = r[i] + beta * d[i];
-      }
-    }
-  }
-
-  EXPECT_TRUE(gpu.converged);
-  EXPECT_EQ(gpu.converged, converged);
-  EXPECT_EQ(gpu.iterations, iterations);
-  expect_bitwise_equal(gpu.solution, x);
-}
-
-TEST(GpusimOracleTest, WaveMatchesRasterOracleBitwise) {
-  const physics::FlowProblem problem =
-      physics::make_benchmark_problem(Extents3{6, 6, 3}, 42);
-  const core::ScaledSystem scaled =
-      core::jacobi_scale(core::build_linear_stencil(problem, 3600.0));
-  const Array3<f32> initial =
-      core::gaussian_pulse(scaled.stencil.extents, 1.0, 2.0);
-  const f32 kappa = 0.4f;
-  const i32 steps = 5;
-
-  gpusim::GpuWaveOptions options;
-  options.kernel.timesteps = steps;
-  options.kernel.kappa = kappa;
-  const gpusim::GpuWaveResult gpu =
-      gpusim::run_gpu_wave(scaled.stencil, initial, options);
-
-  // Leapfrog oracle with the same per-cell update expression. (The f64
-  // wave_reference_host is not bit-comparable; this one is.)
-  Array3<f32> u_prev = initial;
-  Array3<f32> u_cur = initial;
-  for (i32 step = 0; step < steps; ++step) {
-    const Array3<f32> q = raster_apply(scaled.stencil, u_cur);
-    Array3<f32> u_next(scaled.stencil.extents);
-    for (i64 i = 0; i < u_next.size(); ++i) {
-      u_next[i] = 2.0f * u_cur[i] - u_prev[i] - kappa * q[i];
-    }
-    u_prev = u_cur;
-    u_cur = u_next;
-  }
-
-  expect_bitwise_equal(gpu.field, u_cur);
-}
-
 // -------------------------------------------- fvf::api dispatch ------
 
-/// Kernels whose gpusim result must equal the fabric result bitwise
-/// (per-cell-independent updates and order-insensitive reductions).
+/// Kernels whose gpusim result must equal the fabric result bitwise: the
+/// ones that fold neighbor data in canonical order (cg, wave and impes
+/// accumulate faces in the fabric's arrival order).
 bool bitwise_kernel(std::string_view kernel) {
   return kernel == "tpfa" || kernel == "transport" || kernel == "heat";
 }
@@ -329,8 +194,8 @@ TEST(FieldEquationApiTest, EveryRegistryKernelRunsOnBothBackends) {
           << kernel.name << ": order-insensitive kernels must agree bitwise";
       expect_bitwise_equal(wse.field, gpu.field);
     } else {
-      // f32 sum reductions: raster order (gpusim) vs tree / arrival
-      // order (fabric) agree to reduction tolerance only.
+      // The fabric folds CG/wave faces in arrival order, the executor in
+      // mesh::kAllFaces order: the f32 sums agree to tolerance only.
       EXPECT_LT(max_rel_diff(wse.field, gpu.field), 1e-3) << kernel.name;
     }
     ++kernels_checked;
@@ -428,32 +293,37 @@ TEST(ServeBackendTest, MemoNeverCrossesBackendsAndResultsAgree) {
   options.workers = 0;  // deterministic: drain on this thread
   serve::ScenarioService service(options);
 
-  const std::string content = "program=heat nx=6 ny=6 nz=3 iterations=4";
-  auto wse_first = service.submit_line(content + " backend=wse");
-  service.drain();
-  // Replay of the identical wse scenario: answered from the memo. The
-  // gpusim spelling has a different hash, so it must run cold.
-  auto wse_second = service.submit_line(content + " backend=wse");
-  auto gpu_first = service.submit_line(content + " backend=gpusim");
-  service.drain();
+  for (const api::Kernel& kernel : api::kernels()) {
+    const std::string content = "program=" + std::string(kernel.name) +
+                                " nx=6 ny=6 nz=3";
+    auto wse_first = service.submit_line(content + " backend=wse");
+    service.drain();
+    // Replay of the identical wse scenario: answered from the memo. The
+    // gpusim spelling has a different hash, so it must run cold.
+    auto wse_second = service.submit_line(content + " backend=wse");
+    auto gpu_first = service.submit_line(content + " backend=gpusim");
+    service.drain();
 
-  const serve::ScenarioResponse& a = wse_first.get();
-  const serve::ScenarioResponse& b = wse_second.get();
-  const serve::ScenarioResponse& g = gpu_first.get();
-  ASSERT_TRUE(a.ok()) << a.error;
-  ASSERT_TRUE(b.ok()) << b.error;
-  ASSERT_TRUE(g.ok()) << g.error;
+    const serve::ScenarioResponse& a = wse_first.get();
+    const serve::ScenarioResponse& b = wse_second.get();
+    const serve::ScenarioResponse& g = gpu_first.get();
+    ASSERT_TRUE(a.ok()) << content << ": " << a.error;
+    ASSERT_TRUE(b.ok()) << content << ": " << b.error;
+    ASSERT_TRUE(g.ok()) << content << ": " << g.error;
 
-  // Identical wse requests share one scenario; the gpusim request is a
-  // different scenario and must run cold (no cross-backend memo hit).
-  EXPECT_EQ(a.scenario_hash, b.scenario_hash);
-  EXPECT_TRUE(b.cache_hit);
-  EXPECT_NE(g.scenario_hash, a.scenario_hash);
-  EXPECT_FALSE(g.cache_hit);
+    // Identical wse requests share one scenario; the gpusim request is a
+    // different scenario and must run cold (no cross-backend memo hit).
+    EXPECT_EQ(a.scenario_hash, b.scenario_hash) << content;
+    EXPECT_TRUE(b.cache_hit) << content;
+    EXPECT_NE(g.scenario_hash, a.scenario_hash) << content;
+    EXPECT_FALSE(g.cache_hit) << content;
 
-  // Heat is order-insensitive, so the two backends publish the same
-  // result digest even though they are distinct memo entries.
-  EXPECT_EQ(a.result_digest, g.result_digest);
+    // The canonical-order kernels publish the same result digest on both
+    // backends even though they are distinct memo entries.
+    if (bitwise_kernel(kernel.name)) {
+      EXPECT_EQ(a.result_digest, g.result_digest) << content;
+    }
+  }
 }
 
 TEST(ServeBackendTest, ServeAndApiRunTheSameScenario) {

@@ -575,6 +575,36 @@ TEST(LintCliTest, JsonDefectCarriesTypedFields) {
   EXPECT_NE(run.out.find("\"bound\": 96"), std::string::npos) << run.out;
 }
 
+TEST(LintCliTest, IdenticalMemoryFindingsAggregateIntoOne) {
+  // TPFA at the paper's depth declares 49,112 of the 49,152 budget bytes
+  // on every PE: one near-limit warning for the 100 PEs, not 100.
+  const physics::FlowProblem problem =
+      physics::make_benchmark_problem(Extents3{10, 10, 246}, 7);
+  const core::TpfaLoad load =
+      core::load_dataflow_tpfa(problem, core::DataflowOptions{});
+  const Report report = load.harness->lint_report();
+  ASSERT_EQ(report.diagnostics.size(), 1u) << report.describe();
+  const Diagnostic& d = report.diagnostics.front();
+  EXPECT_EQ(d.check, Check::MemoryNearLimit);
+  EXPECT_EQ(d.pe.x, 0);
+  EXPECT_EQ(d.pe.y, 0);
+  EXPECT_EQ(d.count, 100u);
+  EXPECT_EQ(report.describe(),
+            "warning[memory-near-limit] PE(0,0) declares 49112 bytes of "
+            "static PE memory, 99% of the 49152-byte budget (and 99 more "
+            "PEs with the same declaration)\n");
+
+  const CliRun run = run_cli({"--program", "tpfa", "--nx", "10", "--ny",
+                              "10", "--nz", "246", "--json"});
+  EXPECT_NE(run.out.find("\"check\": \"memory-near-limit\""),
+            std::string::npos)
+      << run.out;
+  EXPECT_NE(run.out.find("\"pe\": {\"x\": 0, \"y\": 0}"),
+            std::string::npos)
+      << run.out;
+  EXPECT_NE(run.out.find("\"count\": 100"), std::string::npos) << run.out;
+}
+
 TEST(LintCliTest, JsonProgramModeListsCleanPrograms) {
   const CliRun run = run_cli({"--program", "tpfa", "--nx", "3", "--ny", "3",
                               "--nz", "2", "--json"});

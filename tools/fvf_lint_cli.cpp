@@ -151,8 +151,8 @@ void json_escape(std::ostream& out, std::string_view text) {
 }
 
 /// One diagnostic as a JSON object: typed fields first (check slug,
-/// severity, PE coordinates, color id or null, computed bound or null),
-/// then the rendered message.
+/// severity, PE coordinates, color id or null, computed bound or null,
+/// count of PEs it stands for), then the rendered message.
 void write_diagnostic_json(std::ostream& out, const lint::Diagnostic& d,
                            const char* indent) {
   out << indent << "{\"check\": \"" << lint::check_name(d.check)
@@ -171,7 +171,7 @@ void write_diagnostic_json(std::ostream& out, const lint::Diagnostic& d,
   } else {
     out << "null";
   }
-  out << ", \"message\": \"";
+  out << ", \"count\": " << d.count << ", \"message\": \"";
   json_escape(out, d.message);
   out << "\"}";
 }
