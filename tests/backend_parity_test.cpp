@@ -12,7 +12,10 @@
 #include "api/api.hpp"
 #include "api/backend.hpp"
 #include "common/assert.hpp"
+#include "core/cg_program.hpp"
+#include "core/linear_stencil.hpp"
 #include "core/transport_program.hpp"
+#include "core/wave_program.hpp"
 #include "gpusim/launch.hpp"
 #include "gpusim/occupancy.hpp"
 #include "physics/problem.hpp"
@@ -152,6 +155,162 @@ TEST(GpusimOracleTest, HeatMatchesReferenceHostBitwise) {
 
   EXPECT_EQ(gpu.steps_completed, 6);
   expect_bitwise_equal(gpu.field, reference);
+}
+
+/// Serial dot product in the executor's order: each PE column sums its
+/// cells bottom to top, then the column partials fold in the all-reduce
+/// trees' order (each row from its east end, then column 0 from its
+/// north end). The product rounds to f32 before the add here and on the
+/// device (fp contraction is off build-wide), so the sums agree bitwise.
+f32 raster_dot(const Array3<f32>& a, const Array3<f32>& b) {
+  const Extents3 ext = a.extents();
+  Array3<f32> partial(Extents3{ext.nx, ext.ny, 1});
+  for (i32 y = 0; y < ext.ny; ++y) {
+    for (i32 x = 0; x < ext.nx; ++x) {
+      f32 sum = 0.0f;
+      for (i32 z = 0; z < ext.nz; ++z) {
+        sum += a(x, y, z) * b(x, y, z);
+      }
+      partial(x, y, 0) = sum;
+    }
+  }
+  f32 column = 0.0f;
+  for (i32 y = ext.ny - 1; y >= 0; --y) {
+    f32 row = partial(ext.nx - 1, y, 0);
+    for (i32 x = ext.nx - 2; x >= 0; --x) {
+      row = partial(x, y, 0) + row;
+    }
+    column = y == ext.ny - 1 ? row : row + column;
+  }
+  return column;
+}
+
+/// Serial stencil apply in the executor's face order: the diagonal, then
+/// the vertical couplings (z+ then z-), then every in-domain XY neighbor
+/// in mesh::kAllFaces order, each term accumulated as c * u + acc.
+Array3<f32> raster_apply(const core::LinearStencil& stencil,
+                         const Array3<f32>& u) {
+  const Extents3 ext = stencil.extents;
+  const auto term = [&](mesh::Face f, i32 x, i32 y, i32 z, f32 acc) {
+    const Coord3 off = mesh::face_offset(f);
+    if (!ext.contains(x + off.x, y + off.y, z + off.z)) {
+      return acc;
+    }
+    return stencil.offdiag[static_cast<usize>(f)](x, y, z) *
+               u(x + off.x, y + off.y, z + off.z) +
+           acc;
+  };
+  Array3<f32> out(ext);
+  for (i32 z = 0; z < ext.nz; ++z) {
+    for (i32 y = 0; y < ext.ny; ++y) {
+      for (i32 x = 0; x < ext.nx; ++x) {
+        f32 acc = stencil.diag(x, y, z) * u(x, y, z);
+        acc = term(mesh::Face::ZPlus, x, y, z, acc);
+        acc = term(mesh::Face::ZMinus, x, y, z, acc);
+        for (const mesh::Face f : mesh::kAllFaces) {
+          if (!mesh::is_vertical(f)) {
+            acc = term(f, x, y, z, acc);
+          }
+        }
+        out(x, y, z) = acc;
+      }
+    }
+  }
+  return out;
+}
+
+TEST(GpusimOracleTest, CgMatchesRasterOracleBitwise) {
+  const physics::FlowProblem problem =
+      physics::make_benchmark_problem(Extents3{6, 6, 3}, 42);
+  const core::LinearStencil stencil =
+      core::build_linear_stencil(problem, 3600.0);
+  const core::ScaledSystem scaled = core::jacobi_scale(stencil);
+  const core::ManufacturedSystem manufactured =
+      core::manufacture_solution(scaled.stencil);
+
+  core::CgKernelOptions kernel;
+  kernel.max_iterations = 200;
+  kernel.relative_tolerance = 1e-5f;
+  const auto gpu = core::execute_cg(scaled.stencil, manufactured.rhs, kernel);
+
+  // Serial oracle: the identical decision sequence with the executor's
+  // canonical-order applies and dots, written as the kernel writes its
+  // vector updates.
+  const Extents3 ext = scaled.stencil.extents;
+  Array3<f32> x(ext);
+  Array3<f32> r = manufactured.rhs;
+  Array3<f32> d = manufactured.rhs;
+  i32 iterations = 0;
+  bool converged = false;
+  f32 rho = raster_dot(r, r);
+  const f64 rho0 = static_cast<f64>(rho);
+  if (rho0 <= 0.0) {
+    converged = true;
+  } else {
+    const f32 tol2 = kernel.relative_tolerance * kernel.relative_tolerance;
+    while (true) {
+      const Array3<f32> q = raster_apply(scaled.stencil, d);
+      const f32 dot_dq = raster_dot(d, q);
+      ASSERT_NE(dot_dq, 0.0f);
+      const f32 alpha = rho / dot_dq;
+      for (i64 i = 0; i < x.size(); ++i) {
+        x[i] = x[i] + d[i] * alpha;
+        r[i] = r[i] - q[i] * alpha;
+      }
+      const f32 rr = raster_dot(r, r);
+      ++iterations;
+      if (rr <= tol2 * static_cast<f32>(rho0) ||
+          iterations >= kernel.max_iterations) {
+        converged = rr <= tol2 * static_cast<f32>(rho0);
+        break;
+      }
+      const f32 beta = rr / rho;
+      rho = rr;
+      for (i64 i = 0; i < d.size(); ++i) {
+        d[i] = d[i] * beta + r[i];
+      }
+    }
+  }
+
+  EXPECT_TRUE(gpu.converged);
+  EXPECT_EQ(gpu.converged, converged);
+  EXPECT_EQ(gpu.iterations, iterations);
+  EXPECT_GT(gpu.kernels_launched, 0u);
+  expect_bitwise_equal(gpu.solution, x);
+}
+
+TEST(GpusimOracleTest, WaveMatchesRasterOracleBitwise) {
+  const physics::FlowProblem problem =
+      physics::make_benchmark_problem(Extents3{6, 6, 3}, 42);
+  const core::ScaledSystem scaled =
+      core::jacobi_scale(core::build_linear_stencil(problem, 3600.0));
+  const Array3<f32> initial =
+      core::gaussian_pulse(scaled.stencil.extents, 1.0, 2.0);
+  const f32 kappa = 0.4f;
+  const i32 steps = 5;
+
+  core::WaveKernelOptions kernel;
+  kernel.timesteps = steps;
+  kernel.kappa = kappa;
+  const auto gpu = core::execute_wave(scaled.stencil, initial, kernel);
+
+  // Leapfrog oracle with the kernel's per-cell update order,
+  // 2u + (-u_prev + q (-kappa)). (The f64 wave_reference_host is not
+  // bit-comparable; this one is.)
+  Array3<f32> u_prev = initial;
+  Array3<f32> u_cur = initial;
+  for (i32 step = 0; step < steps; ++step) {
+    const Array3<f32> q = raster_apply(scaled.stencil, u_cur);
+    Array3<f32> u_next(scaled.stencil.extents);
+    for (i64 i = 0; i < u_next.size(); ++i) {
+      u_next[i] = u_cur[i] * 2.0f + (-u_prev[i] + q[i] * -kappa);
+    }
+    u_prev = u_cur;
+    u_cur = u_next;
+  }
+
+  EXPECT_GT(gpu.kernels_launched, 0u);
+  expect_bitwise_equal(gpu.field, u_cur);
 }
 
 // -------------------------------------------- fvf::api dispatch ------
