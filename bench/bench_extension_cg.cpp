@@ -27,14 +27,16 @@ int run(int argc, const char** argv) {
     const core::ManufacturedSystem sys =
         core::manufacture_solution(scaled.stencil);
 
-    core::DataflowCgOptions options;
-    options.kernel.relative_tolerance = tol;
-    options.kernel.max_iterations = 600;
+    core::CgKernelOptions kernel;
+    kernel.relative_tolerance = tol;
+    kernel.max_iterations = 600;
+    dataflow::HarnessOptions options;
     // --threads / --fault-seed / --fault-rate, as for the TPFA benches;
     // a fault scenario auto-enables the halo reliability layer.
     options.execution = scale.execution();
     const core::DataflowCgResult result =
-        core::run_dataflow_cg(scaled.stencil, sys.rhs, options);
+        spec::run(core::cg_launch(scaled.stencil, sys.rhs, kernel), options,
+                  core::gather_cg);
     if (!result.ok()) {
       std::cerr << "fabric CG failed at " << n << ": " << result.errors[0]
                 << '\n';

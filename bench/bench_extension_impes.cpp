@@ -31,7 +31,7 @@ int run(int argc, const char** argv) {
     core::FabricImpesOptions options;
     // --threads / --fault-seed / --fault-rate drive both fabric kernels
     // of every window (reliability auto-enables under faults).
-    options.execution = scale.execution();
+    options.harness.execution = scale.execution();
     core::FabricImpesSimulator sim(problem, options);
     sim.add_well(Coord3{n / 2, n / 2, 0}, rate);
 

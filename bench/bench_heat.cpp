@@ -29,11 +29,12 @@ int run(int argc, const char** argv) {
   const Extents3 extents{scale.fabric, scale.fabric, scale.nz_low};
   const Array3<f32> initial = spec::heat_initial_field(extents, scale.seed);
 
-  spec::DataflowHeatOptions options;
-  options.kernel.steps = static_cast<i32>(scale.iterations);
+  spec::HeatKernelOptions kernel;
+  kernel.steps = static_cast<i32>(scale.iterations);
+  dataflow::HarnessOptions options;
   options.execution = scale.execution();
   const spec::DataflowHeatResult result =
-      spec::run_dataflow_heat(initial, options);
+      spec::run(spec::heat_launch(initial, kernel), options, spec::gather_heat);
   if (!result.ok()) {
     std::cerr << "run failed: " << result.errors[0] << '\n';
     return 1;
@@ -41,7 +42,7 @@ int run(int argc, const char** argv) {
 
   // Correctness guard: the generated program must reproduce the host
   // mirror bit-for-bit before its perf numbers mean anything.
-  const Array3<f32> host = spec::heat_reference_host(initial, options.kernel);
+  const Array3<f32> host = spec::heat_reference_host(initial, kernel);
   i64 mismatches = 0;
   for (i64 i = 0; i < host.size(); ++i) {
     if (result.field[i] != host[i]) {

@@ -109,12 +109,11 @@ void BM_DataflowCgSolve(benchmark::State& state) {
       core::jacobi_scale(core::build_linear_stencil(problem, 3600.0));
   const core::ManufacturedSystem sys =
       core::manufacture_solution(scaled.stencil);
-  core::DataflowCgOptions options;
-  options.kernel.relative_tolerance = 1e-4f;
-  options.kernel.max_iterations = 300;
+  const core::CgKernelOptions kernel{.max_iterations = 300,
+                                     .relative_tolerance = 1e-4f};
   for (auto _ : state) {
-    const auto result =
-        core::run_dataflow_cg(scaled.stencil, sys.rhs, options);
+    const auto result = spec::run(
+        core::cg_launch(scaled.stencil, sys.rhs, kernel), {}, core::gather_cg);
     benchmark::DoNotOptimize(result.iterations);
   }
 }
@@ -127,11 +126,10 @@ void BM_WaveTimestep(benchmark::State& state) {
       core::jacobi_scale(core::build_linear_stencil(problem, 3600.0)).stencil;
   const Array3<f32> pulse =
       core::gaussian_pulse(problem.extents(), 1.0, 2.0);
-  core::DataflowWaveOptions options;
-  options.kernel.timesteps = 4;
-  options.kernel.kappa = 0.4f;
+  const core::WaveKernelOptions kernel{.timesteps = 4, .kappa = 0.4f};
   for (auto _ : state) {
-    const auto result = core::run_dataflow_wave(stencil, pulse, options);
+    const auto result = spec::run(core::wave_launch(stencil, pulse, kernel),
+                                  {}, core::gather_wave);
     benchmark::DoNotOptimize(result.field.flat().data());
   }
   state.SetItemsProcessed(state.iterations() * problem.cell_count() * 4);
@@ -151,13 +149,13 @@ void BM_FabricTransportWindow(benchmark::State& state) {
   saturation(n / 2, n / 2, 0) = 0.5f;
   Array3<f32> wells(ext, 0.0f);
   wells(n / 2, n / 2, 0) = 1e-4f;
-  core::DataflowTransportOptions options;
-  options.kernel.window_seconds = 600.0;
-  options.kernel.pore_volume =
-      static_cast<f32>(problem.mesh().cell_volume() * 0.2);
+  core::TransportKernelOptions kernel;
+  kernel.window_seconds = 600.0;
+  kernel.pore_volume = static_cast<f32>(problem.mesh().cell_volume() * 0.2);
   for (auto _ : state) {
-    const auto result = core::run_dataflow_transport(problem, saturation,
-                                                     pressure, wells, options);
+    const auto result = spec::run(
+        core::transport_launch(problem, saturation, pressure, wells, kernel),
+        {}, core::gather_transport);
     benchmark::DoNotOptimize(result.substeps);
   }
 }

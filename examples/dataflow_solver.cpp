@@ -55,10 +55,10 @@ int main(int argc, const char** argv) {
   const Array3<f32> scaled_rhs = core::scale_rhs(scaled, sys.rhs);
 
   // --- fabric CG ------------------------------------------------------------
-  core::DataflowCgOptions options;
-  options.kernel.relative_tolerance = tol;
-  options.kernel.max_iterations =
-      static_cast<i32>(cli.get_int("max-iterations", 500));
+  core::CgKernelOptions kernel;
+  kernel.relative_tolerance = tol;
+  kernel.max_iterations = static_cast<i32>(cli.get_int("max-iterations", 500));
+  dataflow::HarnessOptions options;
   // Tiled parallel event engine; every value produces bit-identical
   // results (the default stays serial).
   options.execution.threads = static_cast<i32>(cli.get_int("threads", 1));
@@ -77,7 +77,8 @@ int main(int argc, const char** argv) {
   // the detector never changes results, only diagnoses).
   dataflow::apply_verification_flags(options, cli);
   const core::DataflowCgResult fabric =
-      core::run_dataflow_cg(scaled.stencil, scaled_rhs, options);
+      spec::run(core::cg_launch(scaled.stencil, scaled_rhs, kernel), options,
+                core::gather_cg);
   dataflow::print_hazard_summary(fabric, options.execution.hazard_check,
                                  std::cout);
   if (fault_rate > 0.0) {
@@ -103,7 +104,7 @@ int main(int argc, const char** argv) {
   }
   solver::KrylovOptions host_options;
   host_options.relative_tolerance = tol;
-  host_options.max_iterations = options.kernel.max_iterations;
+  host_options.max_iterations = kernel.max_iterations;
   const solver::KrylovResult host = solver::conjugate_gradient(
       [&stencil](std::span<const f64> u, std::span<f64> out) {
         stencil.apply_f64(u, out);

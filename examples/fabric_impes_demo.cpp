@@ -40,19 +40,17 @@ int main(int argc, const char** argv) {
   core::FabricImpesOptions options;
   // Tiled parallel event engine + seeded fault scenario, as for the
   // single-kernel demos; bit-for-bit reproducible across --threads.
-  options.execution.threads = static_cast<i32>(cli.get_int("threads", 1));
-  options.execution.fault = wse::FaultConfig::uniform(
+  wse::ExecutionOptions& execution = options.harness.execution;
+  execution.threads = static_cast<i32>(cli.get_int("threads", 1));
+  execution.fault = wse::FaultConfig::uniform(
       static_cast<u64>(cli.get_int("fault-seed", 1)),
       cli.get_double("fault-rate", 0.0));
   // Restrict bit flips to the halo colors the retransmit layer protects.
-  options.execution.fault.flip_color_mask = 0x00FFu;
+  execution.fault.flip_color_mask = 0x00FFu;
   // Static lint level and dynamic hazard detector, applied to both fabric
-  // launches of every window (parsed via the shared flag plumbing so the
-  // flag names and defaults match the single-kernel demos).
-  dataflow::HarnessOptions verification;
-  dataflow::apply_verification_flags(verification, cli);
-  options.lint = verification.lint;
-  options.execution.hazard_check = verification.execution.hazard_check;
+  // launches of every window (the shared flag plumbing of the
+  // single-kernel demos).
+  dataflow::apply_verification_flags(options.harness, cli);
   core::FabricImpesSimulator sim(problem, options);
   const Coord3 well{nx / 2, ny / 2, 0};
   sim.add_well(well, rate);
@@ -81,7 +79,7 @@ int main(int argc, const char** argv) {
                    format_fixed(report.device_seconds * 1e6, 1)});
   }
   std::cout << table.render();
-  if (options.execution.hazard_check) {
+  if (execution.hazard_check) {
     std::cout << "hazard check: "
               << (hazards == 0 ? "clean" : std::to_string(hazards) +
                                                " finding(s)")

@@ -30,18 +30,19 @@ int main(int argc, const char** argv) {
   const Array3<f32> initial =
       spec::heat_initial_field(extents, static_cast<u64>(cli.get_int("seed", 42)));
 
-  spec::DataflowHeatOptions options;
-  options.kernel.steps = static_cast<i32>(cli.get_int("steps", 10));
-  options.kernel.alpha = static_cast<f32>(cli.get_double("alpha", 0.125));
+  spec::HeatKernelOptions kernel;
+  kernel.steps = static_cast<i32>(cli.get_int("steps", 10));
+  kernel.alpha = static_cast<f32>(cli.get_double("alpha", 0.125));
+  dataflow::HarnessOptions options;
   options.execution.threads = static_cast<i32>(cli.get_int("threads", 1));
   dataflow::apply_verification_flags(options, cli);
 
   std::cout << "9-point heat diffusion on a " << nx << "x" << ny
             << " fabric (" << nz << " independent layers), "
-            << options.kernel.steps << " Jacobi steps, alpha "
-            << options.kernel.alpha << "\n";
+            << kernel.steps << " Jacobi steps, alpha " << kernel.alpha
+            << "\n";
   const spec::DataflowHeatResult result =
-      spec::run_dataflow_heat(initial, options);
+      spec::run(spec::heat_launch(initial, kernel), options, spec::gather_heat);
   dataflow::print_hazard_summary(result, options.execution.hazard_check,
                                  std::cout);
   if (!result.ok()) {
@@ -51,7 +52,7 @@ int main(int argc, const char** argv) {
 
   // Bitwise differential against the host mirror — the spec-generated
   // program must reproduce the serial arithmetic exactly.
-  const Array3<f32> host = spec::heat_reference_host(initial, options.kernel);
+  const Array3<f32> host = spec::heat_reference_host(initial, kernel);
   i64 mismatches = 0;
   f64 mean = 0.0;
   for (i64 i = 0; i < host.size(); ++i) {

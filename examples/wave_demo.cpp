@@ -43,9 +43,10 @@ int main(int argc, const char** argv) {
   const Array3<f32> pulse =
       core::gaussian_pulse(spec.extents, 1.0, 2.0);
 
-  core::DataflowWaveOptions options;
-  options.kernel.timesteps = steps;
-  options.kernel.kappa = static_cast<f32>(cli.get_double("kappa", 0.4));
+  core::WaveKernelOptions kernel;
+  kernel.timesteps = steps;
+  kernel.kappa = static_cast<f32>(cli.get_double("kappa", 0.4));
+  dataflow::HarnessOptions options;
   // Tiled parallel event engine; every value produces bit-identical
   // results (the default stays serial).
   options.execution.threads = static_cast<i32>(cli.get_int("threads", 1));
@@ -62,8 +63,8 @@ int main(int argc, const char** argv) {
   std::cout << "Leapfrog acoustic wave on a " << nx << "x" << ny
             << " fabric, " << steps << " timesteps, 11-point operator "
             << "(4 diagonal couplings per layer)\n";
-  const core::DataflowWaveResult result =
-      core::run_dataflow_wave(stencil, pulse, options);
+  const core::DataflowWaveResult result = spec::run(
+      core::wave_launch(stencil, pulse, kernel), options, core::gather_wave);
   if (fault_rate > 0.0) {
     const wse::FaultStats& fs = result.faults;
     std::cout << "Fault injection: " << fs.injected() << " injected ("
@@ -80,7 +81,7 @@ int main(int argc, const char** argv) {
   }
 
   const Array3<f32> host = core::wave_reference_host(
-      stencil, pulse, options.kernel.kappa, steps);
+      stencil, pulse, kernel.kappa, steps);
   f64 err = 0.0, scale = 0.0, energy = 0.0;
   for (i64 i = 0; i < host.size(); ++i) {
     err = std::max(err,

@@ -11,11 +11,13 @@
 #include <string_view>
 
 #include "common/types.hpp"
+#include "spec/execute.hpp"
 
 namespace fvf::api {
 
-/// An execution backend every table kernel runs on end to end.
-enum class Backend : u8 { Wse = 0, Gpusim = 1 };
+/// An execution backend every table kernel runs on end to end: the two
+/// drivers of a spec::Launch.
+using spec::Backend;
 
 inline constexpr usize kBackendCount = 2;
 

@@ -34,18 +34,8 @@ namespace {
   return hash;
 }
 
-/// Copies the caller's fabric launch options into a program's
-/// HarnessOptions-derived options struct.
-template <typename Options>
-[[nodiscard]] Options fabric_options(const RunContext& context) {
-  Options options;
-  static_cast<dataflow::HarnessOptions&>(options) = context.harness;
-  return options;
-}
-
-/// The shared result surface of a finished run. `run` is a launcher's
-/// result: dataflow::RunInfo-based on wse, gpusim::GpuRunInfo-based on
-/// gpusim.
+/// The shared result surface of a finished run. `run` is a spec::Result:
+/// dataflow::RunInfo-based on wse, gpusim::GpuRunInfo-based on gpusim.
 template <typename Run>
 [[nodiscard]] FieldEquationResult backend_result(const FieldEquationSpec& spec,
                                                  const Run& run,
@@ -68,9 +58,8 @@ template <typename Run>
   return Extents3{spec.nx, spec.ny, spec.nz};
 }
 
-// Each run below calls its launcher on the fabric (run_dataflow_*) or on
-// the fabric-free executor (execute_*), then maps either result the same
-// way.
+// Each run below builds its kernel's launch once and hands it to the
+// chosen backend under the caller's launch options.
 
 // ---------------------------------------------------------------- tpfa --
 
@@ -87,14 +76,10 @@ FieldEquationResult run_tpfa(const FieldEquationSpec& spec, Backend backend,
     result.work = spec.iterations;
     return result;
   };
-  if (backend == Backend::Wse) {
-    auto options = fabric_options<core::DataflowOptions>(context);
-    options.iterations = spec.iterations;
-    return finish(core::run_dataflow_tpfa(*problem, options));
-  }
   core::TpfaKernelOptions kernel;
   kernel.iterations = spec.iterations;
-  return finish(core::execute_tpfa(*problem, kernel));
+  return spec::run_on(backend, core::tpfa_launch(*problem, kernel),
+                      context.harness, core::gather_tpfa, finish);
 }
 
 // ------------------------------------------------------------------ cg --
@@ -118,14 +103,10 @@ FieldEquationResult run_cg(const FieldEquationSpec& spec, Backend backend,
                       {"final_residual_norm", run.final_residual_norm}};
     return result;
   };
-  if (backend == Backend::Wse) {
-    auto options = fabric_options<core::DataflowCgOptions>(context);
-    options.kernel = kernel;
-    return finish(core::run_dataflow_cg(system->scaled.stencil,
-                                        system->scaled_rhs, options));
-  }
-  return finish(
-      core::execute_cg(system->scaled.stencil, system->scaled_rhs, kernel));
+  return spec::run_on(
+      backend,
+      core::cg_launch(system->scaled.stencil, system->scaled_rhs, kernel),
+      context.harness, core::gather_cg, finish);
 }
 
 // ----------------------------------------------------------- transport --
@@ -150,14 +131,11 @@ FieldEquationResult run_transport(const FieldEquationSpec& spec,
                       {"advanced_seconds", run.advanced_seconds}};
     return result;
   };
-  if (backend == Backend::Wse) {
-    auto options = fabric_options<core::DataflowTransportOptions>(context);
-    options.kernel = kernel;
-    return finish(core::run_dataflow_transport(
-        *problem, saturation, problem->initial_pressure(), wells, options));
-  }
-  return finish(core::execute_transport(
-      *problem, saturation, problem->initial_pressure(), wells, kernel));
+  return spec::run_on(backend,
+                      core::transport_launch(*problem, saturation,
+                                             problem->initial_pressure(),
+                                             wells, kernel),
+                      context.harness, core::gather_transport, finish);
 }
 
 // ---------------------------------------------------------------- wave --
@@ -177,26 +155,21 @@ FieldEquationResult run_wave(const FieldEquationSpec& spec, Backend backend,
     result.work = spec.iterations;
     return result;
   };
-  if (backend == Backend::Wse) {
-    auto options = fabric_options<core::DataflowWaveOptions>(context);
-    options.kernel = kernel;
-    return finish(
-        core::run_dataflow_wave(system->scaled.stencil, pulse, options));
-  }
-  return finish(core::execute_wave(system->scaled.stencil, pulse, kernel));
+  return spec::run_on(
+      backend, core::wave_launch(system->scaled.stencil, pulse, kernel),
+      context.harness, core::gather_wave, finish);
 }
 
 // --------------------------------------------------------------- impes --
 
 /// One IMPES loop for both backends: the simulator advances each window
-/// on the fabric or on the executor.
+/// on the chosen one.
 FieldEquationResult run_impes(const FieldEquationSpec& spec, Backend backend,
                               const RunContext& context) {
   const std::shared_ptr<const physics::FlowProblem> problem =
       context.problem();
   core::FabricImpesOptions options;
-  options.execution = context.harness.execution;
-  options.lint = context.harness.lint;
+  options.harness = context.harness;
   const WallTimer timer;
   core::FabricImpesSimulator sim(*problem, options);
   sim.add_well(Coord3{spec.nx / 2, spec.ny / 2, 0}, 2e-4);
@@ -207,9 +180,8 @@ FieldEquationResult run_impes(const FieldEquationSpec& spec, Backend backend,
     if (state.windows_done == spec.iterations) {
       break;
     }
-    const core::FabricImpesWindow report = backend == Backend::Wse
-                                               ? sim.advance_window(spec.dt)
-                                               : sim.execute_window(spec.dt);
+    const core::FabricImpesWindow report =
+        sim.advance_window(spec.dt, backend);
     dataflow::accumulate(state.fabric, report.fabric);
     gpusim::accumulate(gpu, report.gpu);
     state.cg_iterations += report.cg_iterations;
@@ -255,12 +227,8 @@ FieldEquationResult run_heat(const FieldEquationSpec& spec, Backend backend,
     result.summary = {{"steps", static_cast<f64>(run.steps_completed)}};
     return result;
   };
-  if (backend == Backend::Wse) {
-    auto options = fabric_options<spec::DataflowHeatOptions>(context);
-    options.kernel = kernel;
-    return finish(spec::run_dataflow_heat(initial, options));
-  }
-  return finish(spec::execute_heat(initial, kernel));
+  return spec::run_on(backend, spec::heat_launch(initial, kernel),
+                      context.harness, spec::gather_heat, finish);
 }
 
 // --------------------------------------------------------------- table --

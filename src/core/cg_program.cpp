@@ -164,65 +164,32 @@ spec::StencilSpec make_cg_spec() {
   return s;
 }
 
-namespace {
-
-/// The per-PE kernels of a CG solve, for either driver. Locals are
-/// captured by value: the probe factory the harness keeps must stay
-/// valid after the launcher returns.
-spec::KernelFactory cg_kernels(const LinearStencil& stencil,
-                               const Array3<f32>& rhs,
-                               const CgKernelOptions& kernel) {
+spec::Launch cg_launch(const LinearStencil& stencil, const Array3<f32>& rhs,
+                       const CgKernelOptions& kernel) {
   FVF_REQUIRE(rhs.extents() == stencil.extents);
-  return [&stencil, &rhs, kernel](Coord2 coord) {
-    std::vector<f32> b(static_cast<usize>(rhs.extents().nz));
-    for (usize z = 0; z < b.size(); ++z) {
-      b[z] = rhs(coord.x, coord.y, static_cast<i32>(z));
-    }
-    return std::make_unique<CgKernel>(kernel, std::move(b),
-                                      PeStencil(stencil, coord));
-  };
+  // Locals are captured by value: the probe factory the harness keeps
+  // must stay valid after the caller's frame returns.
+  return {make_cg_spec(), stencil.extents,
+          [&stencil, &rhs, kernel](Coord2 coord) {
+            std::vector<f32> b(static_cast<usize>(rhs.extents().nz));
+            for (usize z = 0; z < b.size(); ++z) {
+              b[z] = rhs(coord.x, coord.y, static_cast<i32>(z));
+            }
+            return std::make_unique<CgKernel>(kernel, std::move(b),
+                                              PeStencil(stencil, coord));
+          }};
 }
 
-template <typename Info, typename Run>
-CgRun<Info> gather_cg(const Run& run, Info info, Extents3 ext) {
-  CgRun<Info> result;
-  static_cast<Info&>(result) = std::move(info);
-  result.solution = Array3<f32>(ext);
-  spec::gather<CgKernel>(run, result.solution,
-                         [](const CgKernel& k) { return k.solution(); });
-  const CgKernel& probe = run.template kernel_as<CgKernel>(Coord2{0, 0});
+CgFields gather_cg(const spec::KernelGrid& run) {
+  CgFields result;
+  result.solution = spec::gather<CgKernel>(
+      run, [](const CgKernel& k) { return k.solution(); });
+  const CgKernel& probe = run.kernel_as<CgKernel>(Coord2{0, 0});
   result.iterations = probe.iterations();
   result.converged = probe.converged();
   result.initial_residual_norm = std::sqrt(probe.initial_residual_norm2());
   result.final_residual_norm = std::sqrt(probe.final_residual_norm2());
   return result;
-}
-
-}  // namespace
-
-CgLoad load_dataflow_cg(const LinearStencil& stencil, const Array3<f32>& rhs,
-                        const DataflowCgOptions& options) {
-  const Extents3 ext = stencil.extents;
-  return spec::load(make_cg_spec(), Coord2{ext.nx, ext.ny}, ext.nz, options,
-                    options.reliability,
-                    cg_kernels(stencil, rhs, options.kernel));
-}
-
-DataflowCgResult run_dataflow_cg(const LinearStencil& stencil,
-                                 const Array3<f32>& rhs,
-                                 const DataflowCgOptions& options) {
-  const CgLoad load = load_dataflow_cg(stencil, rhs, options);
-  return gather_cg(load, load.harness->run(), stencil.extents);
-}
-
-CgRun<gpusim::GpuRunInfo> execute_cg(const LinearStencil& stencil,
-                                     const Array3<f32>& rhs,
-                                     const CgKernelOptions& kernel) {
-  const Extents3 ext = stencil.extents;
-  const spec::Execution run =
-      spec::execute(make_cg_spec(), Coord2{ext.nx, ext.ny}, ext.nz,
-                    cg_kernels(stencil, rhs, kernel));
-  return gather_cg(run, run.info, ext);
 }
 
 }  // namespace fvf::core

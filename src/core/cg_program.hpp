@@ -38,47 +38,24 @@ struct CgKernelOptions {
 /// the complete ordered per-PE memory layout.
 [[nodiscard]] spec::StencilSpec make_cg_spec();
 
-/// Launch options for a fabric CG solve.
-struct DataflowCgOptions : dataflow::HarnessOptions {
-  CgKernelOptions kernel{};
-  /// Halo ack/retransmit layer. Auto-enabled when the fault scenario can
-  /// drop blocks (bit_flip_rate > 0), since the implicit-FIFO protocol
-  /// cannot survive drops.
-  dataflow::HaloReliabilityOptions reliability{};
-};
-
-/// Result of a CG solve: the driver's accounting (dataflow::RunInfo on
-/// the fabric, gpusim::GpuRunInfo on the executor) plus the solve.
-template <typename Info>
-struct CgRun : Info {
+/// The solve of a CG run, from either driver.
+struct CgFields {
   Array3<f32> solution;
   i32 iterations = 0;
   bool converged = false;
   f64 initial_residual_norm = 0.0;
   f64 final_residual_norm = 0.0;
 };
-using DataflowCgResult = CgRun<dataflow::RunInfo>;
+/// A fabric CG solve: the run's accounting plus the solve.
+using DataflowCgResult = spec::Result<CgFields, dataflow::RunInfo>;
 
-/// A loaded-but-not-run CG launch. The referenced stencil and rhs must
-/// outlive the load.
-using CgLoad = spec::Load<>;
+/// The launch that solves A x = rhs, one PE per mesh column. The
+/// referenced stencil and rhs must outlive every driver call.
+[[nodiscard]] spec::Launch cg_launch(const LinearStencil& stencil,
+                                     const Array3<f32>& rhs,
+                                     const CgKernelOptions& kernel);
 
-/// Claims the CG colors and loads the per-PE programs without running the
-/// event engine — the fvf_lint entry point, and the first half of
-/// run_dataflow_cg.
-[[nodiscard]] CgLoad load_dataflow_cg(const LinearStencil& stencil,
-                                      const Array3<f32>& rhs,
-                                      const DataflowCgOptions& options);
-
-/// Solves A x = rhs on the simulated fabric, one PE per mesh column.
-[[nodiscard]] DataflowCgResult run_dataflow_cg(const LinearStencil& stencil,
-                                               const Array3<f32>& rhs,
-                                               const DataflowCgOptions& options);
-
-/// Solves A x = rhs with the same per-PE kernels on the fabric-free
-/// executor (the gpusim backend).
-[[nodiscard]] CgRun<gpusim::GpuRunInfo> execute_cg(
-    const LinearStencil& stencil, const Array3<f32>& rhs,
-    const CgKernelOptions& kernel);
+/// The solve of a finished cg_launch run of either driver.
+[[nodiscard]] CgFields gather_cg(const spec::KernelGrid& run);
 
 }  // namespace fvf::core

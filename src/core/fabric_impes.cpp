@@ -138,70 +138,59 @@ TransportKernelOptions FabricImpesSimulator::transport_kernel(
   return kernel;
 }
 
-FabricImpesWindow FabricImpesSimulator::advance_window(f64 seconds) {
-  FVF_REQUIRE(seconds > 0.0);
-  FabricImpesWindow window;
+namespace {
 
-  // --- pressure on the fabric ------------------------------------------------
-  Array3<f32> rhs;
-  const ScaledSystem scaled = pressure_system(rhs);
-  DataflowCgOptions cg_options;
-  cg_options.kernel = options_.cg;
-  cg_options.timings = options_.timings;
-  cg_options.execution = options_.execution;
-  cg_options.lint = options_.lint;
-  const DataflowCgResult cg = run_dataflow_cg(scaled.stencil, rhs, cg_options);
-  FVF_REQUIRE_MSG(cg.ok(), "fabric CG failed: " << cg.errors.front());
-  FVF_REQUIRE_MSG(cg.converged, "fabric pressure solve did not converge ("
-                                    << cg.iterations << " iterations, ||r|| "
-                                    << cg.final_residual_norm << ")");
-  pressure_ = unscale_solution(scaled, cg.solution);
-  window.cg_iterations = cg.iterations;
-  window.cg_converged = cg.converged;
-  window.device_seconds += cg.device_seconds;
-  window.hazards += cg.hazards_total;
-  dataflow::accumulate(window.fabric, cg);
-
-  // --- transport on the fabric --------------------------------------------------
-  DataflowTransportOptions transport_options;
-  transport_options.kernel = transport_kernel(seconds);
-  transport_options.timings = options_.timings;
-  transport_options.execution = options_.execution;
-  transport_options.lint = options_.lint;
-  const DataflowTransportResult transport = run_dataflow_transport(
-      problem_, saturation_, pressure_, well_rate_, transport_options);
-  FVF_REQUIRE_MSG(transport.ok(),
-                  "fabric transport failed: " << transport.errors.front());
-  saturation_ = transport.saturation;
-  window.transport_substeps = transport.substeps;
-  window.device_seconds += transport.device_seconds;
-  window.hazards += transport.hazards_total;
-  dataflow::accumulate(window.fabric, transport);
-  return window;
+/// Adds a finished fabric launch's accounting to `window` and hands back
+/// its fields.
+template <typename Fields>
+Fields account(FabricImpesWindow& window,
+               spec::Result<Fields, dataflow::RunInfo> done) {
+  FVF_REQUIRE_MSG(done.ok(), "fabric launch failed: " << done.errors.front());
+  window.device_seconds += done.device_seconds;
+  window.hazards += done.hazards_total;
+  dataflow::accumulate(window.fabric, done);
+  return std::move(static_cast<Fields&>(done));
 }
 
-FabricImpesWindow FabricImpesSimulator::execute_window(f64 seconds) {
+/// The same for a gpusim launch.
+template <typename Fields>
+Fields account(FabricImpesWindow& window,
+               spec::Result<Fields, gpusim::GpuRunInfo> done) {
+  gpusim::accumulate(window.gpu, done);
+  window.device_seconds += done.device_seconds;
+  return std::move(static_cast<Fields&>(done));
+}
+
+}  // namespace
+
+FabricImpesWindow FabricImpesSimulator::advance_window(f64 seconds,
+                                                       spec::Backend backend) {
   FVF_REQUIRE(seconds > 0.0);
   FabricImpesWindow window;
 
+  const auto into_window = [&window](auto done) {
+    return account(window, std::move(done));
+  };
+
   Array3<f32> rhs;
   const ScaledSystem scaled = pressure_system(rhs);
-  const CgRun<gpusim::GpuRunInfo> cg =
-      execute_cg(scaled.stencil, rhs, options_.cg);
-  FVF_REQUIRE_MSG(cg.converged, "executed pressure solve did not converge ("
+  const CgFields cg =
+      spec::run_on(backend, cg_launch(scaled.stencil, rhs, options_.cg),
+                   options_.harness, gather_cg, into_window);
+  FVF_REQUIRE_MSG(cg.converged, "pressure solve did not converge ("
                                     << cg.iterations << " iterations, ||r|| "
                                     << cg.final_residual_norm << ")");
   pressure_ = unscale_solution(scaled, cg.solution);
   window.cg_iterations = cg.iterations;
   window.cg_converged = cg.converged;
-  gpusim::accumulate(window.gpu, cg);
 
-  const TransportRun<gpusim::GpuRunInfo> transport = execute_transport(
-      problem_, saturation_, pressure_, well_rate_, transport_kernel(seconds));
+  const TransportFields transport = spec::run_on(
+      backend,
+      transport_launch(problem_, saturation_, pressure_, well_rate_,
+                       transport_kernel(seconds)),
+      options_.harness, gather_transport, into_window);
   saturation_ = transport.saturation;
   window.transport_substeps = transport.substeps;
-  gpusim::accumulate(window.gpu, transport);
-  window.device_seconds = window.gpu.device_seconds;
   return window;
 }
 

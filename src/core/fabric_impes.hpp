@@ -31,16 +31,9 @@ struct FabricImpesOptions {
   f64 anchor_pressure = 20.0e6;
   CgKernelOptions cg{.max_iterations = 1500, .relative_tolerance = 1e-5f};
   i32 max_substeps_per_window = 5000;
-  wse::FabricTimings timings{};
-  /// Execution model for both fabric launches of a window (threading and
-  /// fault injection; the CG and transport pipelines auto-enable the halo
-  /// reliability layer when the fault scenario can drop blocks).
-  /// `execution.hazard_check` turns the dynamic memory-hazard detector on
-  /// for both launches.
-  wse::ExecutionOptions execution{};
-  /// Static verification level (fvf::lint) applied to both fabric loads
-  /// of every window.
-  lint::Level lint = lint::Level::Off;
+  /// Launch options of both fabric launches of every window (the gpusim
+  /// backend ignores them).
+  dataflow::HarnessOptions harness{};
 };
 
 /// Per-window statistics.
@@ -52,10 +45,10 @@ struct FabricImpesWindow {
   u64 hazards = 0;  ///< memory hazards flagged (CG + transport), when on
   /// Full fabric accounting of the window, accumulated over both
   /// launches (dataflow::accumulate: CG solve + transport advance).
-  /// Empty for an executed window.
+  /// Empty for a gpusim window.
   dataflow::RunInfo fabric{};
-  /// GPU accounting of an executed window (CG solve + transport
-  /// advance); empty for a fabric window.
+  /// GPU accounting of a gpusim window (CG solve + transport advance);
+  /// empty for a fabric window.
   gpusim::GpuRunInfo gpu{};
 };
 
@@ -69,14 +62,10 @@ class FabricImpesSimulator {
   /// Registers a constant-rate injection of the non-wetting phase.
   void add_well(Coord3 cell, f64 volume_rate);
 
-  /// Advances one IMPES window: one pressure solve + explicit transport
-  /// to `seconds` of simulated time.
-  [[nodiscard]] FabricImpesWindow advance_window(f64 seconds);
-
-  /// The same window with the same kernels on the fabric-free executor
-  /// (the gpusim backend); `timings`, `execution` and `lint` do not
-  /// apply.
-  [[nodiscard]] FabricImpesWindow execute_window(f64 seconds);
+  /// Advances one IMPES window on `backend`: one pressure solve +
+  /// explicit transport to `seconds` of simulated time.
+  [[nodiscard]] FabricImpesWindow advance_window(
+      f64 seconds, spec::Backend backend = spec::Backend::Wse);
 
   /// Replaces the simulator state with checkpointed fields (both on the
   /// problem's extents). The host carries no other per-window state, so

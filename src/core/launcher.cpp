@@ -60,57 +60,43 @@ PeColumnData extract_column(const physics::FlowProblem& problem, i32 x,
   return data;
 }
 
-namespace {
-
-/// The per-PE kernels of a TPFA launch, for either driver. Everything
-/// local is captured by value: the probe factory the harness keeps must
-/// stay valid after the launcher returns.
-spec::KernelFactory tpfa_kernels(const physics::FlowProblem& problem,
-                                 const TpfaKernelOptions& kernel) {
-  return [&problem, kernel, fluid = problem.fluid()](Coord2 coord) {
-    return make_tpfa_kernel(coord, problem.extents(), kernel, fluid,
-                            extract_column(problem, coord.x, coord.y));
-  };
+spec::Launch tpfa_launch(const physics::FlowProblem& problem,
+                         const TpfaKernelOptions& kernel) {
+  FVF_REQUIRE(kernel.iterations >= 1);
+  // Locals are captured by value: the probe factory the harness keeps
+  // must stay valid after the caller's frame returns.
+  return {make_tpfa_spec(kernel), problem.extents(),
+          [&problem, kernel, fluid = problem.fluid()](Coord2 coord) {
+            return make_tpfa_kernel(coord, problem.extents(), kernel, fluid,
+                                    extract_column(problem, coord.x, coord.y));
+          }};
 }
 
-template <typename Info, typename Run>
-TpfaRun<Info> gather_tpfa(const Run& run, Info info, Extents3 ext) {
-  TpfaRun<Info> result;
-  static_cast<Info&>(result) = std::move(info);
-  result.residual = Array3<f32>(ext);
-  result.pressure = Array3<f32>(ext);
-  spec::gather<spec::StencilKernel>(run, result.residual, tpfa_residual);
-  spec::gather<spec::StencilKernel>(run, result.pressure, tpfa_pressure);
-  return result;
+TpfaFields gather_tpfa(const spec::KernelGrid& run) {
+  return {spec::gather<spec::StencilKernel>(run, tpfa_residual),
+          spec::gather<spec::StencilKernel>(run, tpfa_pressure)};
+}
+
+namespace {
+
+[[nodiscard]] TpfaKernelOptions kernel_of(const DataflowOptions& options) {
+  TpfaKernelOptions kernel = options.kernel;
+  kernel.iterations = options.iterations;
+  return kernel;
 }
 
 }  // namespace
 
 TpfaLoad load_dataflow_tpfa(const physics::FlowProblem& problem,
                             const DataflowOptions& options) {
-  const Extents3 ext = problem.extents();
-  FVF_REQUIRE(options.iterations >= 1);
-  TpfaKernelOptions kernel = options.kernel;
-  kernel.iterations = options.iterations;
-  return spec::load<TpfaPeProgram>(make_tpfa_spec(kernel),
-                                   Coord2{ext.nx, ext.ny}, ext.nz, options,
-                                   {}, tpfa_kernels(problem, kernel));
+  return spec::load<TpfaPeProgram>(tpfa_launch(problem, kernel_of(options)),
+                                   options);
 }
 
 DataflowResult run_dataflow_tpfa(const physics::FlowProblem& problem,
                                  const DataflowOptions& options) {
-  const TpfaLoad load = load_dataflow_tpfa(problem, options);
-  return gather_tpfa(load, load.harness->run(), problem.extents());
-}
-
-TpfaRun<gpusim::GpuRunInfo> execute_tpfa(const physics::FlowProblem& problem,
-                                         const TpfaKernelOptions& kernel) {
-  const Extents3 ext = problem.extents();
-  FVF_REQUIRE(kernel.iterations >= 1);
-  const spec::Execution run =
-      spec::execute(make_tpfa_spec(kernel), Coord2{ext.nx, ext.ny}, ext.nz,
-                    tpfa_kernels(problem, kernel));
-  return gather_tpfa(run, run.info, ext);
+  return spec::run(tpfa_launch(problem, kernel_of(options)), options,
+                   gather_tpfa);
 }
 
 }  // namespace fvf::core

@@ -1,8 +1,9 @@
 /// \file launcher.hpp
-/// \brief Runs the TPFA kernel of a FlowProblem on either driver: loads
-///        it onto a simulated wafer-scale fabric (one PE per mesh column)
-///        or executes it without one (gpusim), and gathers the results
-///        back to host arrays.
+/// \brief The TPFA launch of a FlowProblem and its gather, for either
+///        driver: spec::run loads it onto a simulated wafer-scale fabric
+///        (one PE per mesh column), spec::execute runs it without one
+///        (gpusim). The named fabric entry points below are one call of
+///        that generic path each.
 #pragma once
 
 #include <memory>
@@ -20,17 +21,15 @@ struct DataflowOptions : dataflow::HarnessOptions {
   TpfaKernelOptions kernel{};
 };
 
-/// Result of a TPFA run: the driver's accounting (dataflow::RunInfo on
-/// the fabric, gpusim::GpuRunInfo on the executor) plus the gathered
-/// fields.
-template <typename Info>
-struct TpfaRun : Info {
+/// The gathered fields of a TPFA run, from either driver.
+struct TpfaFields {
   /// Flux residual gathered from all PEs after the final iteration.
   Array3<f32> residual;
   /// Final pressure (after iterations-1 advance steps).
   Array3<f32> pressure;
 };
-using DataflowResult = TpfaRun<dataflow::RunInfo>;
+/// A fabric TPFA run: the run's accounting plus the fields.
+using DataflowResult = spec::Result<TpfaFields, dataflow::RunInfo>;
 
 /// Extracts the per-PE column data for PE (x, y) from the global problem
 /// (the "host memcpy" phase: initial pressure, static geometry, and
@@ -38,26 +37,24 @@ using DataflowResult = TpfaRun<dataflow::RunInfo>;
 [[nodiscard]] PeColumnData extract_column(const physics::FlowProblem& problem,
                                           i32 x, i32 y);
 
-/// A loaded-but-not-run TPFA launch: the harness (for static lint or an
-/// actual run) plus the typed program grid for gathering results. The
-/// referenced FlowProblem must outlive the load (the lint probe factory
-/// extracts columns from it on demand).
+/// The launch of `kernel.iterations` applications of Algorithm 1 on
+/// `problem`. The referenced FlowProblem must outlive every driver call
+/// (the lint probe factory extracts columns from it on demand).
+[[nodiscard]] spec::Launch tpfa_launch(const physics::FlowProblem& problem,
+                                       const TpfaKernelOptions& kernel);
+
+/// Residual and pressure of a finished tpfa_launch run of either driver.
+[[nodiscard]] TpfaFields gather_tpfa(const spec::KernelGrid& run);
+
+/// A loaded-but-not-run TPFA launch, with the historical program type.
 using TpfaLoad = spec::Load<TpfaPeProgram>;
 
-/// Claims the TPFA colors and loads the per-PE programs without running
-/// the event engine — the fvf_lint entry point, and the first half of
-/// run_dataflow_tpfa.
+/// spec::load of the TPFA launch with `options.iterations`.
 [[nodiscard]] TpfaLoad load_dataflow_tpfa(const physics::FlowProblem& problem,
                                           const DataflowOptions& options);
 
-/// Runs `options.iterations` applications of Algorithm 1 on the simulated
-/// fabric (one PE per mesh column) and gathers residual + pressure.
+/// spec::run of the TPFA launch with `options.iterations`.
 [[nodiscard]] DataflowResult run_dataflow_tpfa(
     const physics::FlowProblem& problem, const DataflowOptions& options);
-
-/// Runs `kernel.iterations` applications of the same per-PE kernels on
-/// the fabric-free executor (the gpusim backend).
-[[nodiscard]] TpfaRun<gpusim::GpuRunInfo> execute_tpfa(
-    const physics::FlowProblem& problem, const TpfaKernelOptions& kernel);
 
 }  // namespace fvf::core

@@ -345,11 +345,11 @@ TpfaPeProgram::TpfaPeProgram(Coord2 coord, Coord2 fabric_size,
                     std::move(data), tpfa_spec_for(options)) {}
 
 std::span<const f32> TpfaPeProgram::residual() const {
-  return kernel_as<TpfaKernel>().residual();
+  return tpfa_residual(kernel());
 }
 
 std::span<const f32> TpfaPeProgram::pressure() const {
-  return kernel_as<TpfaKernel>().pressure();
+  return tpfa_pressure(kernel());
 }
 
 usize TpfaPeProgram::data_footprint_bytes(i32 nz, bool reuse_buffers) {

@@ -231,97 +231,59 @@ spec::StencilSpec make_transport_spec(const TransportKernelOptions&) {
   return s;
 }
 
-namespace {
-
-/// The per-PE kernels of a transport window, for either driver. Locals
-/// are captured by value: the probe factory the harness keeps must stay
-/// valid after the launcher returns.
-spec::KernelFactory transport_kernels(const physics::FlowProblem& problem,
-                                      const Array3<f32>& saturation,
-                                      const Array3<f32>& pressure,
-                                      const Array3<f32>& well_rate,
-                                      const TransportKernelOptions& kernel) {
+spec::Launch transport_launch(const physics::FlowProblem& problem,
+                              const Array3<f32>& saturation,
+                              const Array3<f32>& pressure,
+                              const Array3<f32>& well_rate,
+                              const TransportKernelOptions& kernel) {
   const Extents3 ext = problem.extents();
   FVF_REQUIRE(saturation.extents() == ext);
   FVF_REQUIRE(pressure.extents() == ext);
   FVF_REQUIRE(well_rate.extents() == ext);
-  return [&problem, &saturation, &pressure, &well_rate, ext,
-          kernel](Coord2 coord) {
-    // Geometry via the shared column extractor, dynamic fields by hand.
-    const PeColumnData geometry = extract_column(problem, coord.x, coord.y);
-    const auto copy = [](std::span<const f32> column) {
-      return std::vector<f32>(column.begin(), column.end());
-    };
-    PeTransportData data;
-    data.elevation = copy(geometry.elevation());
-    for (usize i = 0; i < 4; ++i) {
-      data.elevation_cardinal[i] = copy(geometry.elevation_cardinal(i));
-      data.elevation_diagonal[i] = copy(geometry.elevation_diagonal(i));
-    }
-    for (const mesh::Face face : mesh::kAllFaces) {
-      data.trans[static_cast<usize>(face)] = copy(geometry.trans(face));
-    }
-    const usize n = static_cast<usize>(ext.nz);
-    data.saturation.resize(n);
-    data.pressure.resize(n);
-    data.well_rate.resize(n);
-    for (i32 z = 0; z < ext.nz; ++z) {
-      data.saturation[static_cast<usize>(z)] = saturation(coord.x, coord.y, z);
-      data.pressure[static_cast<usize>(z)] = pressure(coord.x, coord.y, z);
-      data.well_rate[static_cast<usize>(z)] = well_rate(coord.x, coord.y, z);
-    }
-    return std::make_unique<TransportKernel>(ext.nz, kernel, std::move(data));
-  };
+  // Locals are captured by value: the probe factory the harness keeps
+  // must stay valid after the caller's frame returns.
+  return {make_transport_spec(kernel), ext,
+          [&problem, &saturation, &pressure, &well_rate, ext,
+           kernel](Coord2 coord) {
+            // Geometry via the shared column extractor, dynamic fields by
+            // hand.
+            const PeColumnData geometry =
+                extract_column(problem, coord.x, coord.y);
+            const auto copy = [](std::span<const f32> column) {
+              return std::vector<f32>(column.begin(), column.end());
+            };
+            PeTransportData data;
+            data.elevation = copy(geometry.elevation());
+            for (usize i = 0; i < 4; ++i) {
+              data.elevation_cardinal[i] = copy(geometry.elevation_cardinal(i));
+              data.elevation_diagonal[i] = copy(geometry.elevation_diagonal(i));
+            }
+            for (const mesh::Face face : mesh::kAllFaces) {
+              data.trans[static_cast<usize>(face)] = copy(geometry.trans(face));
+            }
+            const usize n = static_cast<usize>(ext.nz);
+            data.saturation.resize(n);
+            data.pressure.resize(n);
+            data.well_rate.resize(n);
+            for (i32 z = 0; z < ext.nz; ++z) {
+              const auto i = static_cast<usize>(z);
+              data.saturation[i] = saturation(coord.x, coord.y, z);
+              data.pressure[i] = pressure(coord.x, coord.y, z);
+              data.well_rate[i] = well_rate(coord.x, coord.y, z);
+            }
+            return std::make_unique<TransportKernel>(ext.nz, kernel,
+                                                     std::move(data));
+          }};
 }
 
-template <typename Info, typename Run>
-TransportRun<Info> gather_transport(const Run& run, Info info, Extents3 ext) {
-  TransportRun<Info> result;
-  static_cast<Info&>(result) = std::move(info);
-  result.saturation = Array3<f32>(ext);
-  spec::gather<TransportKernel>(
-      run, result.saturation,
-      [](const TransportKernel& k) { return k.saturation(); });
-  const TransportKernel& probe =
-      run.template kernel_as<TransportKernel>(Coord2{0, 0});
+TransportFields gather_transport(const spec::KernelGrid& run) {
+  TransportFields result;
+  result.saturation = spec::gather<TransportKernel>(
+      run, [](const TransportKernel& k) { return k.saturation(); });
+  const TransportKernel& probe = run.kernel_as<TransportKernel>(Coord2{0, 0});
   result.substeps = probe.substeps();
   result.advanced_seconds = probe.advanced_seconds();
   return result;
-}
-
-}  // namespace
-
-TransportLoad load_dataflow_transport(const physics::FlowProblem& problem,
-                                      const Array3<f32>& saturation,
-                                      const Array3<f32>& pressure,
-                                      const Array3<f32>& well_rate,
-                                      const DataflowTransportOptions& options) {
-  const Extents3 ext = problem.extents();
-  return spec::load(make_transport_spec(options.kernel),
-                    Coord2{ext.nx, ext.ny}, ext.nz, options,
-                    options.reliability,
-                    transport_kernels(problem, saturation, pressure,
-                                      well_rate, options.kernel));
-}
-
-DataflowTransportResult run_dataflow_transport(
-    const physics::FlowProblem& problem, const Array3<f32>& saturation,
-    const Array3<f32>& pressure, const Array3<f32>& well_rate,
-    const DataflowTransportOptions& options) {
-  const TransportLoad load = load_dataflow_transport(
-      problem, saturation, pressure, well_rate, options);
-  return gather_transport(load, load.harness->run(), problem.extents());
-}
-
-TransportRun<gpusim::GpuRunInfo> execute_transport(
-    const physics::FlowProblem& problem, const Array3<f32>& saturation,
-    const Array3<f32>& pressure, const Array3<f32>& well_rate,
-    const TransportKernelOptions& kernel) {
-  const Extents3 ext = problem.extents();
-  const spec::Execution run = spec::execute(
-      make_transport_spec(kernel), Coord2{ext.nx, ext.ny}, ext.nz,
-      transport_kernels(problem, saturation, pressure, well_rate, kernel));
-  return gather_transport(run, run.info, ext);
 }
 
 Array3<f32> transport_reference_host(const physics::FlowProblem& problem,

@@ -91,50 +91,26 @@ struct TransportKernelOptions {
 [[nodiscard]] spec::StencilSpec make_transport_spec(
     const TransportKernelOptions& options);
 
-/// Launch options.
-struct DataflowTransportOptions : dataflow::HarnessOptions {
-  TransportKernelOptions kernel{};
-  /// Halo ack/retransmit layer. Auto-enabled when the fault scenario can
-  /// drop blocks (bit_flip_rate > 0).
-  dataflow::HaloReliabilityOptions reliability{};
-};
-
-/// Result of a transport window: the driver's accounting
-/// (dataflow::RunInfo on the fabric, gpusim::GpuRunInfo on the executor)
-/// plus the advanced state.
-template <typename Info>
-struct TransportRun : Info {
+/// The advanced state of a transport window, from either driver.
+struct TransportFields {
   Array3<f32> saturation;
   i32 substeps = 0;
   f64 advanced_seconds = 0.0;
 };
-using DataflowTransportResult = TransportRun<dataflow::RunInfo>;
+/// A fabric transport window: the run's accounting plus the state.
+using DataflowTransportResult =
+    spec::Result<TransportFields, dataflow::RunInfo>;
 
-/// A loaded-but-not-run transport launch. The referenced problem and
-/// field arrays must outlive the load.
-using TransportLoad = spec::Load<>;
-
-/// Claims the transport colors and loads the per-PE programs without
-/// running the event engine — the fvf_lint entry point, and the first
-/// half of run_dataflow_transport.
-[[nodiscard]] TransportLoad load_dataflow_transport(
-    const physics::FlowProblem& problem, const Array3<f32>& saturation,
-    const Array3<f32>& pressure, const Array3<f32>& well_rate,
-    const DataflowTransportOptions& options);
-
-/// Advances saturations by `options.kernel.window_seconds` on the fabric,
-/// holding `pressure` fixed (one IMPES transport window).
-[[nodiscard]] DataflowTransportResult run_dataflow_transport(
-    const physics::FlowProblem& problem, const Array3<f32>& saturation,
-    const Array3<f32>& pressure, const Array3<f32>& well_rate,
-    const DataflowTransportOptions& options);
-
-/// The same window with the same per-PE kernels on the fabric-free
-/// executor (the gpusim backend).
-[[nodiscard]] TransportRun<gpusim::GpuRunInfo> execute_transport(
+/// The launch that advances saturations by `kernel.window_seconds`,
+/// holding `pressure` fixed (one IMPES transport window). The referenced
+/// problem and field arrays must outlive every driver call.
+[[nodiscard]] spec::Launch transport_launch(
     const physics::FlowProblem& problem, const Array3<f32>& saturation,
     const Array3<f32>& pressure, const Array3<f32>& well_rate,
     const TransportKernelOptions& kernel);
+
+/// The state of a finished transport_launch run of either driver.
+[[nodiscard]] TransportFields gather_transport(const spec::KernelGrid& run);
 
 /// Host mirror of the fabric transport window: identical f32 arithmetic
 /// and face order, for bitwise validation.

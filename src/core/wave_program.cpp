@@ -89,62 +89,27 @@ spec::StencilSpec make_wave_spec() {
   return s;
 }
 
-namespace {
-
-/// The per-PE kernels of a wave run, for either driver. Locals are
-/// captured by value: the probe factory the harness keeps must stay
-/// valid after the launcher returns.
-spec::KernelFactory wave_kernels(const LinearStencil& stencil,
-                                 const Array3<f32>& initial,
-                                 const WaveKernelOptions& kernel) {
+spec::Launch wave_launch(const LinearStencil& stencil,
+                         const Array3<f32>& initial,
+                         const WaveKernelOptions& kernel) {
   FVF_REQUIRE(initial.extents() == stencil.extents);
-  return [&stencil, &initial, kernel](Coord2 coord) {
-    // A standing start: u at t-1 equals the initial field.
-    std::vector<f32> u0(static_cast<usize>(initial.extents().nz));
-    for (usize z = 0; z < u0.size(); ++z) {
-      u0[z] = initial(coord.x, coord.y, static_cast<i32>(z));
-    }
-    return std::make_unique<WaveKernel>(kernel, std::move(u0),
-                                        PeStencil(stencil, coord));
-  };
+  // Locals are captured by value: the probe factory the harness keeps
+  // must stay valid after the caller's frame returns.
+  return {make_wave_spec(), stencil.extents,
+          [&stencil, &initial, kernel](Coord2 coord) {
+            // A standing start: u at t-1 equals the initial field.
+            std::vector<f32> u0(static_cast<usize>(initial.extents().nz));
+            for (usize z = 0; z < u0.size(); ++z) {
+              u0[z] = initial(coord.x, coord.y, static_cast<i32>(z));
+            }
+            return std::make_unique<WaveKernel>(kernel, std::move(u0),
+                                                PeStencil(stencil, coord));
+          }};
 }
 
-template <typename Info, typename Run>
-WaveRun<Info> gather_wave(const Run& run, Info info, Extents3 ext) {
-  WaveRun<Info> result;
-  static_cast<Info&>(result) = std::move(info);
-  result.field = Array3<f32>(ext);
-  spec::gather<WaveKernel>(run, result.field,
-                           [](const WaveKernel& k) { return k.field(); });
-  return result;
-}
-
-}  // namespace
-
-WaveLoad load_dataflow_wave(const LinearStencil& stencil,
-                            const Array3<f32>& initial,
-                            const DataflowWaveOptions& options) {
-  const Extents3 ext = stencil.extents;
-  return spec::load(make_wave_spec(), Coord2{ext.nx, ext.ny}, ext.nz, options,
-                    options.reliability,
-                    wave_kernels(stencil, initial, options.kernel));
-}
-
-DataflowWaveResult run_dataflow_wave(const LinearStencil& stencil,
-                                     const Array3<f32>& initial,
-                                     const DataflowWaveOptions& options) {
-  const WaveLoad load = load_dataflow_wave(stencil, initial, options);
-  return gather_wave(load, load.harness->run(), stencil.extents);
-}
-
-WaveRun<gpusim::GpuRunInfo> execute_wave(const LinearStencil& stencil,
-                                         const Array3<f32>& initial,
-                                         const WaveKernelOptions& kernel) {
-  const Extents3 ext = stencil.extents;
-  const spec::Execution run =
-      spec::execute(make_wave_spec(), Coord2{ext.nx, ext.ny}, ext.nz,
-                    wave_kernels(stencil, initial, kernel));
-  return gather_wave(run, run.info, ext);
+WaveFields gather_wave(const spec::KernelGrid& run) {
+  return {spec::gather<WaveKernel>(
+      run, [](const WaveKernel& k) { return k.field(); })};
 }
 
 Array3<f32> wave_reference_host(const LinearStencil& stencil,

@@ -38,43 +38,21 @@ struct WaveKernelOptions {
 /// layout.
 [[nodiscard]] spec::StencilSpec make_wave_spec();
 
-/// Launch options.
-struct DataflowWaveOptions : dataflow::HarnessOptions {
-  WaveKernelOptions kernel{};
-  /// Halo ack/retransmit layer. Auto-enabled when the fault scenario can
-  /// drop blocks (bit_flip_rate > 0).
-  dataflow::HaloReliabilityOptions reliability{};
-};
-
-/// Result of a wave run: the driver's accounting (dataflow::RunInfo on
-/// the fabric, gpusim::GpuRunInfo on the executor) plus the field.
-template <typename Info>
-struct WaveRun : Info {
+/// The field of a wave run, from either driver.
+struct WaveFields {
   Array3<f32> field;  ///< u at the final timestep
 };
-using DataflowWaveResult = WaveRun<dataflow::RunInfo>;
+/// A fabric wave run: the run's accounting plus the field.
+using DataflowWaveResult = spec::Result<WaveFields, dataflow::RunInfo>;
 
-/// A loaded-but-not-run wave launch. The referenced stencil and initial
-/// field must outlive the load.
-using WaveLoad = spec::Load<>;
+/// The launch of `kernel.timesteps` leapfrog steps from `initial`. The
+/// referenced stencil and initial field must outlive every driver call.
+[[nodiscard]] spec::Launch wave_launch(const LinearStencil& stencil,
+                                       const Array3<f32>& initial,
+                                       const WaveKernelOptions& kernel);
 
-/// Claims the wave colors and loads the per-PE programs without running
-/// the event engine — the fvf_lint entry point, and the first half of
-/// run_dataflow_wave.
-[[nodiscard]] WaveLoad load_dataflow_wave(const LinearStencil& stencil,
-                                          const Array3<f32>& initial,
-                                          const DataflowWaveOptions& options);
-
-/// Runs `options.kernel.timesteps` leapfrog steps on the fabric.
-[[nodiscard]] DataflowWaveResult run_dataflow_wave(
-    const LinearStencil& stencil, const Array3<f32>& initial,
-    const DataflowWaveOptions& options);
-
-/// The same steps with the same per-PE kernels on the fabric-free
-/// executor (the gpusim backend).
-[[nodiscard]] WaveRun<gpusim::GpuRunInfo> execute_wave(
-    const LinearStencil& stencil, const Array3<f32>& initial,
-    const WaveKernelOptions& kernel);
+/// The field of a finished wave_launch run of either driver.
+[[nodiscard]] WaveFields gather_wave(const spec::KernelGrid& run);
 
 /// Host f64 reference of the same leapfrog iteration.
 [[nodiscard]] Array3<f32> wave_reference_host(const LinearStencil& stencil,

@@ -33,27 +33,6 @@ ColorBlock ColorPlan::claim(std::string_view owner, u8 base, u8 count) {
   return ColorBlock{base, count};
 }
 
-ColorBlock ColorPlan::allocate(std::string_view owner, u8 count) {
-  FVF_REQUIRE(count > 0 && count <= kManagedColors);
-  for (u8 base = 0; base + count <= kManagedColors; ++base) {
-    bool free = true;
-    for (u8 c = base; c < base + count; ++c) {
-      if (!owners_[c].empty()) {
-        free = false;
-        break;
-      }
-    }
-    if (free) {
-      return claim(owner, base, count);
-    }
-  }
-  std::ostringstream os;
-  os << "color space exhausted: no room for " << static_cast<int>(count)
-     << " consecutive colors requested by '" << owner << "'\n"
-     << describe();
-  throw ContractViolation(os.str());
-}
-
 ColorBlock ColorPlan::claim_cardinal(std::string_view owner) {
   return claim(owner, ColorSpace::kCardinalBase, ColorSpace::kBlockSize);
 }

@@ -48,11 +48,6 @@ class ColorPlan {
   /// ContractViolation naming both claimants if any color is taken.
   ColorBlock claim(std::string_view owner, u8 base, u8 count);
 
-  /// First-fit allocation of `count` consecutive free colors. Throws
-  /// ContractViolation with the full color map when the space is
-  /// exhausted.
-  ColorBlock allocate(std::string_view owner, u8 count);
-
   // --- canonical blocks (values fixed by dataflow/colors.hpp) -----------
   /// Cardinal data colors (kEastData..kSouthData).
   ColorBlock claim_cardinal(std::string_view owner);

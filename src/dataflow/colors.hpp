@@ -116,7 +116,7 @@ inline constexpr wse::Color kAllReduceColBcast =
 /// travel direction, used by the halo-exchange reliability layer (a
 /// receiver missing a block NACKs its upstream neighbor, which resends
 /// from a bounded resend buffer). Configured and used only when
-/// HaloReliabilityOptions::enabled is set.
+/// HarnessOptions::reliability is set.
 inline constexpr wse::Color kNackEast =
     detail::block_color(ColorSpace::kNackBase, 0);
 inline constexpr wse::Color kNackWest =

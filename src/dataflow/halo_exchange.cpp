@@ -25,14 +25,12 @@ using wse::unpack_f32;
 }  // namespace
 
 HaloExchange::HaloExchange(Coord2 coord, Coord2 fabric_size, i32 block_length,
-                           HaloReliabilityOptions reliability)
+                           bool reliable)
     : coord_(coord),
       fabric_(fabric_size),
       block_length_(block_length),
-      reliability_(reliability) {
+      reliable_(reliable) {
   FVF_REQUIRE(block_length > 0);
-  FVF_REQUIRE(reliability.watchdog_cycles > 0.0);
-  FVF_REQUIRE(reliability.max_retries > 0);
   const usize n = static_cast<usize>(block_length);
   for (auto& buf : card_buf_) {
     buf.assign(n, 0.0f);
@@ -69,7 +67,7 @@ void HaloExchange::configure_router(wse::Router& router) const {
                             {RouteRule{Dir::Ramp, {movement_dir(c)}},
                              RouteRule{upstream_dir(c), {Dir::Ramp}}})}));
   }
-  if (reliability_.enabled) {
+  if (reliable_) {
     // NACKs travel one hop against the data flow: same static
     // pass-through shape as the halo colors.
     for (const Color c : kNackColors) {
@@ -90,12 +88,12 @@ std::vector<wse::SendDeclaration> HaloExchange::send_declarations() const {
     sends.push_back({c, false});
     if (card_[cardinal_index(c)].has_upstream) {
       sends.push_back({diagonal_forward_color(c), false});
-      if (reliability_.enabled) {
+      if (reliable_) {
         sends.push_back({nack_color_toward(upstream_dir(c)), false});
       }
     }
   }
-  if (reliability_.enabled) {
+  if (reliable_) {
     for (const Color c : kDiagonalColors) {
       if (diag_[diagonal_index(c)].has_upstream) {
         sends.push_back({nack_color_toward(upstream_dir(c)), false});
@@ -120,7 +118,7 @@ std::vector<wse::ChannelDependency> HaloExchange::channel_dependencies()
       // the cardinal block's handler.
       deps.push_back({c, diagonal_forward_color(c)});
     }
-    if (reliability_.enabled && downstream_exists(movement_dir(c))) {
+    if (reliable_ && downstream_exists(movement_dir(c))) {
       // Origin retransmit of the cardinal payload waits for the
       // downstream receiver's NACK. The NACK itself is watchdog-timer
       // triggered and therefore has no prerequisite: the wait chain ends
@@ -128,7 +126,7 @@ std::vector<wse::ChannelDependency> HaloExchange::channel_dependencies()
       deps.push_back({nack_color_toward(upstream_dir(c)), c});
     }
   }
-  if (reliability_.enabled) {
+  if (reliable_) {
     for (const Color c : kDiagonalColors) {
       const Color source = diagonal_source_color(c);
       if (card_[cardinal_index(source)].has_upstream &&
@@ -170,7 +168,7 @@ void HaloExchange::begin_round(PeApi& api, std::span<const f32> payload) {
   done_this_round_ = 0;
   round_open_ = true;
 
-  if (reliability_.enabled) {
+  if (reliable_) {
     retries_ = 0;
     retries_exhausted_ = false;
     // Keep the payload for cardinal retransmits (two-slot buffer indexed
@@ -234,7 +232,7 @@ void HaloExchange::on_data(PeApi& api, Color color, Dir from,
                            std::span<const u32> data) {
   FVF_REQUIRE(owns(color));
   FVF_REQUIRE(from == upstream_dir(color));
-  if (reliability_.enabled) {
+  if (reliable_) {
     on_data_reliable(api, color, data);
     return;
   }
@@ -362,7 +360,7 @@ void HaloExchange::send_nack(PeApi& api, Color data_color, i32 tag) {
 
 void HaloExchange::on_nack(PeApi& api, Color color, Dir from,
                            std::span<const u32> data) {
-  FVF_REQUIRE(reliability_.enabled);
+  FVF_REQUIRE(reliable_);
   FVF_REQUIRE(is_nack_color(color));
   FVF_REQUIRE(from == wse::opposite(nack_movement_dir(color)));
   FVF_REQUIRE(data.size() == 2);
@@ -387,13 +385,13 @@ void HaloExchange::on_nack(PeApi& api, Color color, Dir from,
 }
 
 void HaloExchange::on_timer(PeApi& api, u32 tag) {
-  if (!reliability_.enabled || retries_exhausted_) {
+  if (!reliable_ || retries_exhausted_) {
     return;
   }
   if (!round_open_ || static_cast<i32>(tag) != round_) {
     return;  // stale watchdog from an already-completed round
   }
-  if (retries_ >= reliability_.max_retries) {
+  if (retries_ >= kMaxRetries) {
     retries_exhausted_ = true;
     std::ostringstream os;
     os << "halo retransmit retries exhausted at PE(" << coord_.x << ','
@@ -421,8 +419,7 @@ void HaloExchange::on_timer(PeApi& api, u32 tag) {
 }
 
 void HaloExchange::arm_watchdog(PeApi& api) {
-  api.schedule_timer(reliability_.watchdog_cycles,
-                     static_cast<u32>(round_));
+  api.schedule_timer(kWatchdogCycles, static_cast<u32>(round_));
 }
 
 void HaloExchange::check_round_complete(PeApi& api) {

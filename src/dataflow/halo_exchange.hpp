@@ -14,7 +14,7 @@
 /// round. Handler block views stay valid until the next begin_round (in
 /// both modes), so owners may stash them for deferred processing.
 ///
-/// Reliability layer (HaloReliabilityOptions::enabled): under fault
+/// Reliability layer (HarnessOptions::reliability): under fault
 /// injection the fabric *drops* corrupted blocks at the parity check, so
 /// FIFO tagging is no longer sound. The reliable mode prepends an
 /// explicit round tag to every block, keeps a bounded resend buffer at
@@ -37,21 +37,6 @@
 
 namespace fvf::dataflow {
 
-/// Ack/retransmit configuration for the halo exchange. Disabled (the
-/// default) runs the implicit-FIFO protocol untouched: no tag word on the
-/// wire, no timers, no NACK routes — bit-identical to the historic
-/// behavior.
-struct HaloReliabilityOptions {
-  bool enabled = false;
-  /// Cycles the per-round watchdog waits before NACKing missing blocks.
-  /// Must comfortably exceed a healthy round's latency or spurious NACKs
-  /// cost bandwidth (they are suppressed as duplicates, never corrupt).
-  f64 watchdog_cycles = 4096.0;
-  /// Watchdog firings per round before the PE declares the round
-  /// unrecoverable and raises a protocol error.
-  i32 max_retries = 8;
-};
-
 class HaloExchange {
  public:
   /// Invoked for every processed block of the *current* round with the
@@ -63,8 +48,20 @@ class HaloExchange {
   /// round were processed. May start the next round.
   using RoundHandler = std::function<void(wse::PeApi&)>;
 
+  /// Cycles the per-round watchdog of the reliable mode waits before
+  /// NACKing missing blocks. Must comfortably exceed a healthy round's
+  /// latency or spurious NACKs cost bandwidth (they are suppressed as
+  /// duplicates, never corrupt).
+  static constexpr f64 kWatchdogCycles = 4096.0;
+  /// Watchdog firings per round before the PE declares the round
+  /// unrecoverable and raises a protocol error.
+  static constexpr i32 kMaxRetries = 8;
+
+  /// `reliable` turns the ack/retransmit layer on. Off runs the
+  /// implicit-FIFO protocol untouched: no tag word on the wire, no
+  /// timers, no NACK routes.
   HaloExchange(Coord2 coord, Coord2 fabric_size, i32 block_length,
-               HaloReliabilityOptions reliability = {});
+               bool reliable = false);
 
   /// Installs the static routes for the cardinal + diagonal colors (plus
   /// the NACK colors when the reliability layer is enabled); call from
@@ -162,7 +159,7 @@ class HaloExchange {
   Coord2 coord_;
   Coord2 fabric_;
   i32 block_length_ = 0;
-  HaloReliabilityOptions reliability_;
+  bool reliable_ = false;
   BlockHandler on_block_;
   RoundHandler on_round_complete_;
 

@@ -5,8 +5,8 @@
 /// Every program pipeline used to re-plumb timings/execution/trace/memory
 /// options into the fabric by hand and copy a drifting subset of the
 /// RunReport into its own result struct. HarnessOptions and RunInfo are
-/// the single definitions both sides embed: program option structs
-/// inherit HarnessOptions, program result structs inherit RunInfo, and
+/// the single definitions both sides share: every launch takes one
+/// HarnessOptions, every fabric result embeds RunInfo, and
 /// FabricHarness::run fills the whole RunInfo for every program alike.
 #pragma once
 
@@ -32,6 +32,11 @@ struct HarnessOptions {
   /// error-severity finding. Unclaimed colors fail the load at every
   /// level — that contract predates the linter.
   lint::Level lint = lint::Level::Off;
+  /// The halo ack/retransmit layer (dataflow::HaloExchange) of
+  /// static-halo launches; switch-protocol launches ignore it. Bit flips
+  /// force it on: the fabric drops corrupted blocks, and the
+  /// implicit-FIFO halo protocol cannot survive a drop.
+  bool reliability = false;
   /// Optional event recorder (communication-pattern capture). Installed
   /// via Fabric::set_tracer(TraceRecorder&) so the run report also
   /// carries the recorder's capacity-drop count. Must outlive the run.

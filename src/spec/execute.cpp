@@ -257,24 +257,35 @@ class Executor {
 
 }  // namespace
 
-Execution execute(StencilSpec spec, Coord2 extents, i32 nz,
-                  const KernelFactory& make_kernel) {
-  FVF_REQUIRE(extents.x > 0 && extents.y > 0 && nz >= 1);
-  const CompiledSpec compiled = compile(std::move(spec));
-  Execution run;
-  run.extents = extents;
-  run.kernels.reserve(static_cast<usize>(extents.x) *
-                      static_cast<usize>(extents.y));
-  for (i32 y = 0; y < extents.y; ++y) {
-    for (i32 x = 0; x < extents.x; ++x) {
-      run.kernels.push_back(make_kernel(Coord2{x, y}));
-      FVF_REQUIRE(run.kernels.back() != nullptr);
+Execution::Execution(Extents3 extents,
+                     std::vector<std::unique_ptr<StencilKernel>> kernels,
+                     gpusim::GpuRunInfo accounting)
+    : info(accounting), extents_(extents), kernels_(std::move(kernels)) {}
+
+const StencilKernel& Execution::kernel(Coord2 coord) const {
+  FVF_REQUIRE(coord.x >= 0 && coord.x < extents_.nx && coord.y >= 0 &&
+              coord.y < extents_.ny);
+  return *kernels_[static_cast<usize>(coord.y) *
+                       static_cast<usize>(extents_.nx) +
+                   static_cast<usize>(coord.x)];
+}
+
+Execution execute(const Launch& launch) {
+  const Extents3 ext = launch.extents;
+  FVF_REQUIRE(ext.nx > 0 && ext.ny > 0 && ext.nz >= 1);
+  const CompiledSpec compiled = compile(launch.spec);
+  std::vector<std::unique_ptr<StencilKernel>> kernels;
+  kernels.reserve(static_cast<usize>(ext.nx) * static_cast<usize>(ext.ny));
+  for (i32 y = 0; y < ext.ny; ++y) {
+    for (i32 x = 0; x < ext.nx; ++x) {
+      kernels.push_back(launch.make_kernel(Coord2{x, y}));
+      FVF_REQUIRE(kernels.back() != nullptr);
     }
   }
-  Executor executor(compiled, extents, nz, run.kernels);
+  Executor executor(compiled, Coord2{ext.nx, ext.ny}, ext.nz, kernels);
   executor.run();
-  run.info = executor.info();
-  return run;
+  const gpusim::GpuRunInfo info = executor.info();
+  return Execution(ext, std::move(kernels), info);
 }
 
 }  // namespace fvf::spec

@@ -1,11 +1,14 @@
 /// \file execute.hpp
-/// \brief `spec::execute` — the fabric-free driver of a spec kernel, and
-///        the gpusim backend.
+/// \brief `spec::Launch` — a kernel's launch, described once for both
+///        drivers — and `spec::execute`, its fabric-free driver (the
+///        gpusim backend).
 ///
-/// One kernel body, two drivers. A launcher writes one per-PE kernel
-/// factory and one gather; `spec::load` runs them on the simulated
-/// fabric (wse), `spec::execute` runs the same kernels bulk-synchronously
-/// over every PE column with no fabric at all (gpusim). The executor
+/// One kernel body, two drivers. A kernel module writes one launch
+/// builder (spec, extents and per-PE kernel factory) and one gather;
+/// `spec::load` / `spec::run` run the launch on the simulated fabric
+/// (wse), `spec::execute` runs the same kernels bulk-synchronously over
+/// every PE column with no fabric at all (gpusim), and the gather reads
+/// the result fields from either through a KernelGrid. The executor
 /// calls the kernel's own hooks in a canonical order:
 ///
 ///   - SwitchProtocol, per round: local_compute on every PE, then each
@@ -46,45 +49,101 @@
 
 namespace fvf::spec {
 
-/// Builds PE `coord`'s kernel. A launcher's one factory serves both
-/// spec::load and spec::execute; it must be copyable and callable
+/// The two drivers of a launch: the simulated wafer-scale engine
+/// (spec::run) and the simulated GPU (spec::execute).
+enum class Backend : u8 { Wse = 0, Gpusim = 1 };
+
+/// Builds PE `coord`'s kernel. It must be copyable and callable
 /// concurrently (see dataflow::FabricHarness::load).
 using KernelFactory =
     std::function<std::unique_ptr<StencilKernel>(Coord2 coord)>;
 
-/// A finished executor run: the device accounting and every PE column's
-/// kernel, for gathering results.
-struct Execution {
-  gpusim::GpuRunInfo info;
-  Coord2 extents{};
-  /// Row-major: y * extents.x + x.
-  std::vector<std::unique_ptr<StencilKernel>> kernels;
+/// A kernel's launch, described once for both drivers: the spec, the
+/// extents (an nx x ny PE grid, one PE per mesh column, of column depth
+/// nz) and the per-PE kernel factory. Whatever the factory references
+/// must outlive every driver call, and a fabric load as a whole (the
+/// lint probe factory builds kernels from it on demand).
+struct Launch {
+  StencilSpec spec;
+  Extents3 extents{};
+  KernelFactory make_kernel;
+};
+
+/// Every PE's kernel of a finished run, from either driver: a spec::Load
+/// (wse) or a spec::Execution (gpusim). A kernel's one gather reads its
+/// result fields through this.
+class KernelGrid {
+ public:
+  KernelGrid(const KernelGrid&) = delete;
+  KernelGrid& operator=(const KernelGrid&) = delete;
+  virtual ~KernelGrid() = default;
+
+  /// The launch's extents: the PE grid and the column depth.
+  [[nodiscard]] virtual Extents3 extents() const = 0;
+  [[nodiscard]] virtual const StencilKernel& kernel(Coord2 coord) const = 0;
 
   /// PE `coord`'s kernel as the concrete type the factory built.
   template <typename Kernel>
   [[nodiscard]] const Kernel& kernel_as(Coord2 coord) const {
-    FVF_REQUIRE(coord.x >= 0 && coord.x < extents.x && coord.y >= 0 &&
-                coord.y < extents.y);
-    const auto* kernel = dynamic_cast<const Kernel*>(
-        kernels[static_cast<usize>(coord.y) * static_cast<usize>(extents.x) +
-                static_cast<usize>(coord.x)]
-            .get());
-    FVF_REQUIRE_MSG(kernel != nullptr, "executed kernel type mismatch");
+    const auto* kernel = dynamic_cast<const Kernel*>(&this->kernel(coord));
+    FVF_REQUIRE_MSG(kernel != nullptr, "launched kernel type mismatch");
     return *kernel;
   }
+
+ protected:
+  KernelGrid() = default;
+  KernelGrid(KernelGrid&&) = default;
+  KernelGrid& operator=(KernelGrid&&) = default;
 };
 
-/// Runs `spec` over an `extents` grid of PE columns of depth `nz`, every
-/// column's kernel from `make_kernel`. The spec is compiled (validated)
-/// first; nothing is routed, claimed, linted or reserved.
-[[nodiscard]] Execution execute(StencilSpec spec, Coord2 extents, i32 nz,
-                                const KernelFactory& make_kernel);
+/// A kernel's gathered result fields on one driver's accounting
+/// (dataflow::RunInfo on wse, gpusim::GpuRunInfo on gpusim).
+template <typename Fields, typename Info>
+struct Result : Info, Fields {};
 
-/// Gathers one f32 column per PE into `out` from a finished run — a
-/// spec::Load (wse) or a spec::Execution (gpusim), so one gather serves
-/// both backends. `column(kernel)` returns PE (x, y)'s Nz values.
-template <typename Kernel, typename Run, typename ColumnFn>
-void gather(const Run& run, Array3<f32>& out, ColumnFn&& column) {
+/// A kernel's one gather: its result fields from a finished run of
+/// either driver.
+template <typename Fields>
+using Gather = Fields (*)(const KernelGrid& run);
+
+/// A finished executor run: the device accounting and every PE column's
+/// kernel.
+class Execution final : public KernelGrid {
+ public:
+  Execution(Extents3 extents,
+            std::vector<std::unique_ptr<StencilKernel>> kernels,
+            gpusim::GpuRunInfo accounting);
+
+  gpusim::GpuRunInfo info;
+
+  [[nodiscard]] Extents3 extents() const override { return extents_; }
+  [[nodiscard]] const StencilKernel& kernel(Coord2 coord) const override;
+
+ private:
+  Extents3 extents_;
+  /// Row-major: y * nx + x.
+  std::vector<std::unique_ptr<StencilKernel>> kernels_;
+};
+
+/// Runs `launch` over its grid of PE columns with no fabric. The spec is
+/// compiled (validated) first; nothing is routed, claimed, linted or
+/// reserved.
+[[nodiscard]] Execution execute(const Launch& launch);
+
+/// Executes `launch` and gathers its result fields — the gpusim half of
+/// every kernel's run.
+template <typename Fields>
+[[nodiscard]] Result<Fields, gpusim::GpuRunInfo> execute(
+    const Launch& launch, Gather<Fields> gather) {
+  const Execution run = execute(launch);
+  return {run.info, gather(run)};
+}
+
+/// Gathers one f32 column per PE of a finished run into an array of the
+/// launch's extents. `column(kernel)` returns PE (x, y)'s nz values.
+template <typename Kernel, typename ColumnFn>
+[[nodiscard]] Array3<f32> gather(const KernelGrid& run, ColumnFn&& column) {
+  Array3<f32> out(run.extents());
   const Extents3 ext = out.extents();
   for (i32 y = 0; y < ext.ny; ++y) {
     for (i32 x = 0; x < ext.nx; ++x) {
@@ -96,6 +155,7 @@ void gather(const Run& run, Array3<f32>& out, ColumnFn&& column) {
       }
     }
   }
+  return out;
 }
 
 }  // namespace fvf::spec

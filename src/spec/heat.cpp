@@ -113,57 +113,27 @@ StencilSpec make_heat_spec(const HeatKernelOptions&) {
   return s;
 }
 
-namespace {
-
-/// The per-PE kernels of a heat run, for either driver. Locals are
-/// captured by value: the probe factory the harness keeps must stay
-/// valid after the launcher returns.
-KernelFactory heat_kernels(const Array3<f32>& field,
-                           const HeatKernelOptions& kernel) {
-  return [&field, kernel](Coord2 coord) {
-    const i32 nz = field.extents().nz;
-    std::vector<f32> column(static_cast<usize>(nz));
-    for (i32 z = 0; z < nz; ++z) {
-      column[static_cast<usize>(z)] = field(coord.x, coord.y, z);
-    }
-    return std::make_unique<HeatKernel>(nz, kernel, std::move(column));
-  };
+Launch heat_launch(const Array3<f32>& field, const HeatKernelOptions& kernel) {
+  // Locals are captured by value: the probe factory the harness keeps
+  // must stay valid after the caller's frame returns.
+  return {make_heat_spec(kernel), field.extents(),
+          [&field, kernel](Coord2 coord) {
+            const i32 nz = field.extents().nz;
+            std::vector<f32> column(static_cast<usize>(nz));
+            for (i32 z = 0; z < nz; ++z) {
+              column[static_cast<usize>(z)] = field(coord.x, coord.y, z);
+            }
+            return std::make_unique<HeatKernel>(nz, kernel, std::move(column));
+          }};
 }
 
-template <typename Info, typename Run>
-HeatRun<Info> gather_heat(const Run& run, Info info, Extents3 ext) {
-  HeatRun<Info> result;
-  static_cast<Info&>(result) = std::move(info);
-  result.field = Array3<f32>(ext);
-  gather<HeatKernel>(run, result.field,
-                     [](const HeatKernel& k) { return k.field(); });
+HeatFields gather_heat(const KernelGrid& run) {
+  HeatFields result;
+  result.field =
+      gather<HeatKernel>(run, [](const HeatKernel& k) { return k.field(); });
   result.steps_completed =
-      run.template kernel_as<HeatKernel>(Coord2{0, 0}).steps_completed();
+      run.kernel_as<HeatKernel>(Coord2{0, 0}).steps_completed();
   return result;
-}
-
-}  // namespace
-
-HeatLoad load_dataflow_heat(const Array3<f32>& field,
-                            const DataflowHeatOptions& options) {
-  const Extents3 ext = field.extents();
-  return load(make_heat_spec(options.kernel), Coord2{ext.nx, ext.ny}, ext.nz,
-              options, options.reliability,
-              heat_kernels(field, options.kernel));
-}
-
-DataflowHeatResult run_dataflow_heat(const Array3<f32>& field,
-                                     const DataflowHeatOptions& options) {
-  const HeatLoad load = load_dataflow_heat(field, options);
-  return gather_heat(load, load.harness->run(), field.extents());
-}
-
-HeatRun<gpusim::GpuRunInfo> execute_heat(const Array3<f32>& field,
-                                         const HeatKernelOptions& kernel) {
-  const Extents3 ext = field.extents();
-  const Execution run = execute(make_heat_spec(kernel), Coord2{ext.nx, ext.ny},
-                                ext.nz, heat_kernels(field, kernel));
-  return gather_heat(run, run.info, ext);
 }
 
 Array3<f32> heat_reference_host(const Array3<f32>& field,

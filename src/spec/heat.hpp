@@ -42,41 +42,21 @@ inline constexpr f32 kHeatDiagonalWeight = 1.0f / 6.0f;
 /// The declarative description of the heat program.
 [[nodiscard]] StencilSpec make_heat_spec(const HeatKernelOptions& options);
 
-/// Launch options.
-struct DataflowHeatOptions : dataflow::HarnessOptions {
-  HeatKernelOptions kernel{};
-  dataflow::HaloReliabilityOptions reliability{};
-};
-
-/// Result of a heat run: the driver's accounting (dataflow::RunInfo on
-/// the fabric, gpusim::GpuRunInfo on the executor) plus the diffused
-/// field.
-template <typename Info>
-struct HeatRun : Info {
+/// The diffused field of a heat run, from either driver.
+struct HeatFields {
   Array3<f32> field;
   i32 steps_completed = 0;
 };
-using DataflowHeatResult = HeatRun<dataflow::RunInfo>;
+/// A fabric heat run: the run's accounting plus the field.
+using DataflowHeatResult = Result<HeatFields, dataflow::RunInfo>;
 
-/// A loaded-but-not-run heat launch. The referenced field array must
-/// outlive the load.
-using HeatLoad = Load<>;
+/// The launch of `kernel.steps` Jacobi steps on `field`, one PE per
+/// column. The referenced field must outlive every driver call.
+[[nodiscard]] Launch heat_launch(const Array3<f32>& field,
+                                 const HeatKernelOptions& kernel);
 
-/// Claims the heat colors and loads the per-PE programs without running
-/// the event engine — the fvf_lint entry point, and the first half of
-/// run_dataflow_heat.
-[[nodiscard]] HeatLoad load_dataflow_heat(const Array3<f32>& field,
-                                          const DataflowHeatOptions& options);
-
-/// Runs `options.kernel.steps` Jacobi steps on the simulated fabric
-/// (one PE per column) and gathers the diffused field.
-[[nodiscard]] DataflowHeatResult run_dataflow_heat(
-    const Array3<f32>& field, const DataflowHeatOptions& options);
-
-/// The same steps with the same per-PE kernels on the fabric-free
-/// executor (the gpusim backend).
-[[nodiscard]] HeatRun<gpusim::GpuRunInfo> execute_heat(
-    const Array3<f32>& field, const HeatKernelOptions& kernel);
+/// The field of a finished heat_launch run of either driver.
+[[nodiscard]] HeatFields gather_heat(const KernelGrid& run);
 
 /// Host mirror of the fabric heat run: identical f32 arithmetic and face
 /// order, for bitwise validation.

@@ -9,20 +9,19 @@ namespace fvf::spec {
 
 namespace {
 
-u64 shape_key(const CompiledSpec& compiled, Coord2 extents, i32 nz,
-              const dataflow::HarnessOptions& options,
-              bool reliability_enabled) {
+u64 shape_key(const CompiledSpec& compiled, Extents3 extents,
+              const dataflow::HarnessOptions& options, bool reliable) {
   // Everything that changes what the linter sees, chained onto the
   // spec's structural digest.
   u64 h = compiled.shape_digest();
-  h = fnv1a_mix(h, static_cast<u64>(extents.x));
-  h = fnv1a_mix(h, static_cast<u64>(extents.y));
-  h = fnv1a_mix(h, static_cast<u64>(nz));
+  h = fnv1a_mix(h, static_cast<u64>(extents.nx));
+  h = fnv1a_mix(h, static_cast<u64>(extents.ny));
+  h = fnv1a_mix(h, static_cast<u64>(extents.nz));
   h = fnv1a_mix(h, options.pe_memory_budget);
   // The buffer-bound verdict compares against the router depth: a pass at
   // depth 64 says nothing about depth 1.
   h = fnv1a_mix(h, options.execution.router_buffer_depth);
-  return fnv1a_mix(h, reliability_enabled ? 1u : 0u);
+  return fnv1a_mix(h, reliable ? 1u : 0u);
 }
 
 std::mutex& memo_mutex() {
@@ -38,15 +37,14 @@ std::unordered_set<u64>& memo() {
 }  // namespace
 
 dataflow::HarnessOptions verified_options(const CompiledSpec& compiled,
-                                          Coord2 extents, i32 nz,
+                                          Extents3 extents,
                                           const dataflow::HarnessOptions& base,
-                                          bool reliability_enabled) {
+                                          bool reliable) {
   dataflow::HarnessOptions options = base;
   if (options.lint == lint::Level::Strict) {
     return options;
   }
-  const u64 key =
-      shape_key(compiled, extents, nz, base, reliability_enabled);
+  const u64 key = shape_key(compiled, extents, base, reliable);
   const std::lock_guard<std::mutex> lock(memo_mutex());
   if (memo().count(key) == 0) {
     options.lint = lint::Level::Strict;
@@ -54,14 +52,12 @@ dataflow::HarnessOptions verified_options(const CompiledSpec& compiled,
   return options;
 }
 
-void record_verified(const CompiledSpec& compiled, Coord2 extents, i32 nz,
-                     const dataflow::HarnessOptions& effective,
-                     bool reliability_enabled) {
+void record_verified(const CompiledSpec& compiled, Extents3 extents,
+                     const dataflow::HarnessOptions& effective, bool reliable) {
   if (effective.lint != lint::Level::Strict) {
     return;
   }
-  const u64 key =
-      shape_key(compiled, extents, nz, effective, reliability_enabled);
+  const u64 key = shape_key(compiled, extents, effective, reliable);
   const std::lock_guard<std::mutex> lock(memo_mutex());
   memo().insert(key);
 }

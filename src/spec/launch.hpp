@@ -1,13 +1,14 @@
 /// \file launch.hpp
-/// \brief The one launch path of every spec kernel, and its mandatory
+/// \brief The fabric driver of every spec kernel — `spec::load` and
+///        `spec::run` over a spec::Launch — and its mandatory
 ///        verification gate.
 ///
 /// `spec::load` is the whole sequence a kernel's launcher used to write
 /// out by hand: reliability under bit flips, `spec::compile`, the strict
 /// lint gate, the FabricHarness with its color claims, the per-PE load,
-/// and the record of the passed gate. Launchers only say which spec,
-/// which fabric, and how to build one PE's kernel — the same kernel
-/// factory `spec::execute` runs without a fabric.
+/// and the record of the passed gate. A kernel module only describes its
+/// launch (which spec, which extents, how to build one PE's kernel — the
+/// same Launch `spec::execute` runs without a fabric) and gathers.
 ///
 /// Every spec-compiled launch must pass `fvf::lint` in strict mode
 /// before the FabricHarness hands the fabric to the event engine. The
@@ -26,6 +27,7 @@
 #pragma once
 
 #include <memory>
+#include <utility>
 
 #include "dataflow/fabric_harness.hpp"
 #include "dataflow/run_info.hpp"
@@ -36,19 +38,21 @@
 namespace fvf::spec {
 
 /// A loaded-but-not-run launch: the harness (for static lint or an
-/// actual run) plus the typed program grid for gathering results.
-/// Whatever the program factory references must outlive the load: the
-/// lint probe factory builds programs from it on demand.
+/// actual run) plus the typed program grid. Whatever the launch's kernel
+/// factory references must outlive the load: the lint probe factory
+/// builds programs from it on demand.
 template <typename Program = SpecPeProgram>
-struct Load {
+struct Load final : KernelGrid {
   std::unique_ptr<dataflow::FabricHarness> harness;
   dataflow::ProgramGrid<Program> grid;
+  i32 nz = 0;
 
-  /// PE `coord`'s kernel as the concrete type the factory built (for
-  /// spec::gather).
-  template <typename Kernel>
-  [[nodiscard]] const Kernel& kernel_as(Coord2 coord) const {
-    return grid.at(coord.x, coord.y).template kernel_as<Kernel>();
+  [[nodiscard]] Extents3 extents() const override {
+    const Coord2 xy = harness->extents();
+    return Extents3{xy.x, xy.y, nz};
+  }
+  [[nodiscard]] const StencilKernel& kernel(Coord2 coord) const override {
+    return grid.at(coord.x, coord.y).kernel();
   }
 };
 
@@ -56,52 +60,73 @@ struct Load {
 /// already passed strict lint in this process (a stricter base level is
 /// never lowered).
 [[nodiscard]] dataflow::HarnessOptions verified_options(
-    const CompiledSpec& compiled, Coord2 extents, i32 nz,
-    const dataflow::HarnessOptions& base, bool reliability_enabled);
+    const CompiledSpec& compiled, Extents3 extents,
+    const dataflow::HarnessOptions& base, bool reliable);
 
 /// Records a successful strict-lint pass for the shape. Call after the
 /// harness load succeeded with options returned by verified_options.
-void record_verified(const CompiledSpec& compiled, Coord2 extents, i32 nz,
-                     const dataflow::HarnessOptions& effective,
-                     bool reliability_enabled);
+void record_verified(const CompiledSpec& compiled, Extents3 extents,
+                     const dataflow::HarnessOptions& effective, bool reliable);
 
-/// Compiles `spec` and loads it onto an `extents` fabric of column depth
-/// `nz` without running the event engine — the fvf_lint entry point, and
-/// the first half of every kernel's run. A StaticHalo launch under bit
-/// flips turns `reliability` on: corrupted blocks are dropped, and the
-/// implicit-FIFO halo protocol cannot survive a drop. Every PE runs a
-/// `Program` (SpecPeProgram or a facade with its constructor) around
-/// `make_kernel(coord)`, with the one compile of the launch and the
-/// colors claimed for it; `make_kernel` must be copyable and callable
-/// concurrently (see FabricHarness::load).
-template <typename Program = SpecPeProgram, typename MakeKernel>
-[[nodiscard]] Load<Program> load(StencilSpec spec, Coord2 extents, i32 nz,
-                                 const dataflow::HarnessOptions& options,
-                                 dataflow::HaloReliabilityOptions reliability,
-                                 MakeKernel make_kernel) {
-  if (spec.exchange == ExchangeKind::StaticHalo &&
-      options.execution.fault.bit_flip_rate > 0.0) {
-    reliability.enabled = true;
-  }
+/// Compiles the launch's spec and loads it onto its fabric without
+/// running the event engine — the fvf_lint entry point, and the first
+/// half of spec::run. The halo reliability layer of a StaticHalo launch
+/// is HarnessOptions::reliability, forced on under bit flips: corrupted
+/// blocks are dropped, and the implicit-FIFO halo protocol cannot survive
+/// a drop. Every PE runs a `Program` (SpecPeProgram or a facade with its
+/// constructor) around the launch's kernel, with the one compile of the
+/// launch and the colors claimed for it.
+template <typename Program = SpecPeProgram>
+[[nodiscard]] Load<Program> load(Launch launch,
+                                 const dataflow::HarnessOptions& options) {
+  const bool reliable =
+      launch.spec.exchange == ExchangeKind::StaticHalo &&
+      (options.reliability || options.execution.fault.bit_flip_rate > 0.0);
+  const Extents3 ext = launch.extents;
   const auto compiled =
-      std::make_shared<const CompiledSpec>(compile(std::move(spec)));
-  const dataflow::HarnessOptions effective = verified_options(
-      *compiled, extents, nz, options, reliability.enabled);
+      std::make_shared<const CompiledSpec>(compile(std::move(launch.spec)));
+  const dataflow::HarnessOptions effective =
+      verified_options(*compiled, ext, options, reliable);
 
   Load<Program> load;
-  load.harness = std::make_unique<dataflow::FabricHarness>(extents, effective);
+  load.nz = ext.nz;
+  load.harness = std::make_unique<dataflow::FabricHarness>(
+      Coord2{ext.nx, ext.ny}, effective);
   const SpecPeProgram::LaunchBindings bindings{
-      compiled->claim_colors(load.harness->colors(), reliability.enabled)
-          .reduce,
-      reliability};
+      compiled->claim_colors(load.harness->colors(), reliable).reduce,
+      reliable};
   load.grid = load.harness->template load<Program>(
-      [make_kernel = std::move(make_kernel), compiled, bindings, nz](
-          Coord2 coord, Coord2 fabric_size) {
+      [make_kernel = std::move(launch.make_kernel), compiled, bindings,
+       nz = ext.nz](Coord2 coord, Coord2 fabric_size) {
         return std::make_unique<Program>(coord, fabric_size, nz, compiled,
                                          bindings, make_kernel(coord));
       });
-  record_verified(*compiled, extents, nz, effective, reliability.enabled);
+  record_verified(*compiled, ext, effective, reliable);
   return load;
+}
+
+/// Loads `launch` onto the fabric, runs the event engine to quiescence
+/// and gathers its result fields — the wse half of every kernel's run.
+template <typename Fields>
+[[nodiscard]] Result<Fields, dataflow::RunInfo> run(
+    Launch launch, const dataflow::HarnessOptions& options,
+    Gather<Fields> gather) {
+  const Load<> load = spec::load(std::move(launch), options);
+  dataflow::RunInfo info = load.harness->run();
+  return {std::move(info), gather(load)};
+}
+
+/// Runs `launch` on `backend` — spec::run under `options`, or
+/// spec::execute, which ignores them — and hands the finished
+/// spec::Result to `finish`, which must return the same type for both.
+template <typename Fields, typename Finish>
+[[nodiscard]] auto run_on(Backend backend, Launch launch,
+                          const dataflow::HarnessOptions& options,
+                          Gather<Fields> gather, Finish&& finish) {
+  if (backend == Backend::Gpusim) {
+    return finish(execute(launch, gather));
+  }
+  return finish(run(std::move(launch), options, gather));
 }
 
 }  // namespace fvf::spec

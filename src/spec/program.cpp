@@ -115,7 +115,7 @@ SpecPeProgram::SpecPeProgram(Coord2 coord, Coord2 fabric_size, i32 nz,
     }
 
     case ExchangeKind::StaticHalo: {
-      reliability_enabled_ = bindings.reliability.enabled;
+      reliability_enabled_ = bindings.reliability;
       exchange_ = std::make_unique<HaloExchange>(coord, fabric_size,
                                                  block_len_,
                                                  bindings.reliability);

@@ -47,7 +47,8 @@ class SpecPeProgram : public wse::PeProgram {
   /// Launch-time inputs the ColorPlan hands back after claiming.
   struct LaunchBindings {
     std::optional<wse::AllReduceColors> reduce;
-    dataflow::HaloReliabilityOptions reliability{};
+    /// The halo ack/retransmit layer (StaticHalo only).
+    bool reliability = false;
   };
 
   /// `compiled` is shared by every PE of a load (one compile per
@@ -62,15 +63,8 @@ class SpecPeProgram : public wse::PeProgram {
 
   [[nodiscard]] i32 completed_rounds() const noexcept { return round_; }
 
-  /// The engine-owned kernel as the concrete type the launch built, for
-  /// reading results back after a run.
-  template <typename Kernel>
-  [[nodiscard]] const Kernel& kernel_as() const {
-    const auto* kernel = dynamic_cast<const Kernel*>(&require_kernel());
-    FVF_REQUIRE_MSG(kernel != nullptr, "spec '" << compiled_->name()
-                                                << "': kernel type mismatch");
-    return *kernel;
-  }
+  /// The engine-owned kernel, for reading results back after a run.
+  [[nodiscard]] const StencilKernel& kernel() const { return require_kernel(); }
 
   // --- wse::PeProgram ----------------------------------------------------
   void configure_router(wse::Router& router) final;

@@ -1059,10 +1059,7 @@ void Fabric::build_route_table() {
 }
 
 f64 Fabric::checkpoint_cycles() const noexcept {
-  if (exec_.budget_check_cycles > 0.0) {
-    return exec_.budget_check_cycles;
-  }
-  // Auto: frequent enough that a budget overshoot stays small relative to
+  // Frequent enough that a budget overshoot stays small relative to
   // the budget, coarse enough that checkpoint barriers never dominate.
   return 256.0 * std::max(timings_.hop_latency_cycles, 1.0);
 }

@@ -174,12 +174,6 @@ struct ExecutionOptions {
   /// other diagnostic). Deep-column wafer-scale programs can legitimately
   /// exceed the historical depth of 64.
   u32 router_buffer_depth = 64;
-  /// Simulated-cycle spacing of the event-budget checkpoints: `max_events`
-  /// is evaluated whenever global simulated time crosses a multiple of
-  /// this value, which makes the budget decision a pure function of the
-  /// simulation (identical for every `threads` value). 0 (the default)
-  /// derives a spacing of 256 × max(hop_latency_cycles, 1).
-  f64 budget_check_cycles = 0.0;
 };
 
 /// Outcome of a fabric run.
@@ -436,7 +430,7 @@ class Fabric {
   /// Runs the event loop until quiescence (or until `max_events`).
   /// on_start fires on every PE at cycle 0, in PE order. The budget is
   /// evaluated at deterministic simulated-time checkpoints (see
-  /// ExecutionOptions::budget_check_cycles): every thread count processes
+  /// checkpoint_cycles): every thread count processes
   /// exactly the events below the tripping checkpoint, so an exhausted
   /// run — count, error report, and all observable state — is bit-
   /// identical for every `threads` value. A run that completes at or
@@ -526,7 +520,11 @@ class Fabric {
   void rebuild_route_entry(usize at, Color color);
   void build_route_table();
 
-  /// Checkpoint spacing actually in effect (resolves the auto default).
+  /// Simulated-cycle spacing of the event-budget checkpoints: `max_events`
+  /// is evaluated whenever global simulated time crosses a multiple of
+  /// this value, which makes the budget decision a pure function of the
+  /// simulation (identical for every `threads` value). 256 hop latencies
+  /// (at least 256 cycles).
   [[nodiscard]] f64 checkpoint_cycles() const noexcept;
   /// Row-strip tile count for this fabric's execution options (stable
   /// across run() calls, so payload arenas persist between runs).

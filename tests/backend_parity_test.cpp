@@ -134,8 +134,10 @@ TEST(GpusimOracleTest, TransportMatchesReferenceHostBitwise) {
   kernel.window_seconds = 900.0;
   kernel.pore_volume = static_cast<f32>(problem.mesh().cell_volume() * 0.2);
 
-  const auto gpu = core::execute_transport(
-      problem, saturation, problem.initial_pressure(), wells, kernel);
+  const auto gpu = spec::execute(
+      core::transport_launch(
+          problem, saturation, problem.initial_pressure(), wells, kernel),
+      core::gather_transport);
   const Array3<f32> reference = core::transport_reference_host(
       problem, saturation, problem.initial_pressure(), wells, kernel);
 
@@ -150,7 +152,8 @@ TEST(GpusimOracleTest, HeatMatchesReferenceHostBitwise) {
 
   spec::HeatKernelOptions kernel;
   kernel.steps = 6;
-  const auto gpu = spec::execute_heat(initial, kernel);
+  const auto gpu =
+      spec::execute(spec::heat_launch(initial, kernel), spec::gather_heat);
   const Array3<f32> reference = spec::heat_reference_host(initial, kernel);
 
   EXPECT_EQ(gpu.steps_completed, 6);
@@ -231,7 +234,9 @@ TEST(GpusimOracleTest, CgMatchesRasterOracleBitwise) {
   core::CgKernelOptions kernel;
   kernel.max_iterations = 200;
   kernel.relative_tolerance = 1e-5f;
-  const auto gpu = core::execute_cg(scaled.stencil, manufactured.rhs, kernel);
+  const auto gpu = spec::execute(
+      core::cg_launch(scaled.stencil, manufactured.rhs, kernel),
+      core::gather_cg);
 
   // Serial oracle: the identical decision sequence with the executor's
   // canonical-order applies and dots, written as the kernel writes its
@@ -292,7 +297,8 @@ TEST(GpusimOracleTest, WaveMatchesRasterOracleBitwise) {
   core::WaveKernelOptions kernel;
   kernel.timesteps = steps;
   kernel.kappa = kappa;
-  const auto gpu = core::execute_wave(scaled.stencil, initial, kernel);
+  const auto gpu = spec::execute(
+      core::wave_launch(scaled.stencil, initial, kernel), core::gather_wave);
 
   // Leapfrog oracle with the kernel's per-cell update order,
   // 2u + (-u_prev + q (-kappa)). (The f64 wave_reference_host is not
@@ -377,6 +383,27 @@ TEST(FieldEquationApiTest, ResultsAreDeterministicPerBackend) {
         api::run_field_equation(spec, backend);
     EXPECT_EQ(first.result_digest, second.result_digest);
     EXPECT_DOUBLE_EQ(first.device_seconds, second.device_seconds);
+  }
+}
+
+TEST(FieldEquationApiTest, EveryKernelTakesTheCallersLaunchOptions) {
+  // A wse run launches under the caller's HarnessOptions whole: at half
+  // the clock rate the same cycles take exactly twice the simulated time.
+  for (const api::Kernel& kernel : api::kernels()) {
+    api::FieldEquationSpec raw;
+    raw.kernel = kernel.name;
+    raw.nx = 4;
+    raw.ny = 4;
+    raw.nz = 2;
+    const api::FieldEquationSpec spec = api::resolve_spec(raw);
+    api::RunContext context = api::fresh_context(kernel, spec);
+    const api::FieldEquationResult base =
+        kernel.run(spec, api::Backend::Wse, context);
+    context.harness.timings.clock_hz /= 2.0;
+    const api::FieldEquationResult slow =
+        kernel.run(spec, api::Backend::Wse, context);
+    ASSERT_GT(base.device_seconds, 0.0) << kernel.name;
+    EXPECT_EQ(slow.device_seconds, 2.0 * base.device_seconds) << kernel.name;
   }
 }
 

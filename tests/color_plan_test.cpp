@@ -1,7 +1,7 @@
 // Tests of the dataflow::ColorPlan registry (layer 1 of the dataflow
 // runtime): canonical block positions pinned to the pre-refactor color
-// constants, conflict diagnostics naming both claimants, first-fit
-// allocation, and 16-color exhaustion.
+// constants, conflict diagnostics naming both claimants, and claims
+// beyond the 16 managed colors.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -109,47 +109,6 @@ TEST(ColorPlanTest, ClaimBeyondManagedSpaceIsRejected) {
   EXPECT_THROW(plan.claim("too high", ColorPlan::kManagedColors, 1),
                ContractViolation);
   EXPECT_THROW(plan.claim("straddles the end", 14, 4), ContractViolation);
-}
-
-// --- allocation and exhaustion ------------------------------------------------
-
-TEST(ColorPlanTest, AllocateIsFirstFit) {
-  ColorPlan plan;
-  plan.claim("fixed", 2, 2);  // occupy 2..3
-  const ColorBlock a = plan.allocate("a", 2);  // fits before the hole
-  EXPECT_EQ(a.base, 0);
-  const ColorBlock b = plan.allocate("b", 3);  // must skip past 2..3
-  EXPECT_EQ(b.base, 4);
-}
-
-TEST(ColorPlanTest, SixteenColorExhaustion) {
-  // The managed space holds exactly 16 colors; the seventeenth request
-  // must fail with the full color map in the diagnostic.
-  ColorPlan plan;
-  for (int i = 0; i < 4; ++i) {
-    plan.allocate("block " + std::to_string(i), 4);
-  }
-  try {
-    plan.allocate("one too many", 1);
-    FAIL() << "expected ContractViolation";
-  } catch (const ContractViolation& e) {
-    const std::string message = e.what();
-    EXPECT_NE(message.find("one too many"), std::string::npos) << message;
-    // The diagnostic embeds the color map naming current owners.
-    EXPECT_NE(message.find("block 0"), std::string::npos) << message;
-    EXPECT_NE(message.find("block 3"), std::string::npos) << message;
-  }
-}
-
-TEST(ColorPlanTest, ExhaustionByFragmentation) {
-  // 8 free colors remain but no 4-wide contiguous run: first-fit must
-  // report exhaustion rather than splitting the request.
-  ColorPlan plan;
-  for (u8 base = 0; base < ColorPlan::kManagedColors; base += 4) {
-    plan.claim("comb " + std::to_string(base), base, 2);  // 2 of every 4
-  }
-  EXPECT_NO_THROW(plan.allocate("fits", 2));
-  EXPECT_THROW(plan.allocate("too wide", 3), ContractViolation);
 }
 
 }  // namespace

@@ -152,11 +152,12 @@ TEST_P(DataflowCgShapeTest, SolvesManufacturedSystem) {
   // exactly as a host Krylov solver would precondition.
   const ScaledSystem scaled = jacobi_scale(stencil);
 
-  DataflowCgOptions options;
-  options.kernel.relative_tolerance = 1e-6f;
-  options.kernel.max_iterations = 400;
-  const DataflowCgResult result =
-      run_dataflow_cg(scaled.stencil, scale_rhs(scaled, sys.rhs), options);
+  CgKernelOptions kernel;
+  kernel.relative_tolerance = 1e-6f;
+  kernel.max_iterations = 400;
+  const DataflowCgResult result = spec::run(
+      cg_launch(scaled.stencil, scale_rhs(scaled, sys.rhs), kernel), {},
+      gather_cg);
   ASSERT_TRUE(result.ok()) << result.errors[0];
   EXPECT_TRUE(result.converged)
       << "CG did not converge in " << result.iterations << " iterations ("
@@ -204,11 +205,12 @@ TEST(DataflowCgTest, MatchesHostKrylovSolution) {
   ASSERT_TRUE(host.converged);
 
   const ScaledSystem scaled = jacobi_scale(stencil);
-  DataflowCgOptions options;
-  options.kernel.relative_tolerance = 1e-6f;
-  options.kernel.max_iterations = 400;
-  const DataflowCgResult fabric =
-      run_dataflow_cg(scaled.stencil, scale_rhs(scaled, sys.rhs), options);
+  CgKernelOptions kernel;
+  kernel.relative_tolerance = 1e-6f;
+  kernel.max_iterations = 400;
+  const DataflowCgResult fabric = spec::run(
+      cg_launch(scaled.stencil, scale_rhs(scaled, sys.rhs), kernel), {},
+      gather_cg);
   ASSERT_TRUE(fabric.ok() && fabric.converged);
   const Array3<f32> x_fabric = unscale_solution(scaled, fabric.solution);
 
@@ -226,10 +228,12 @@ TEST(DataflowCgTest, DeterministicAcrossRuns) {
   const auto problem = make_problem(4, 4, 3, 13);
   const LinearStencil stencil = build_linear_stencil(problem, kDt);
   const ManufacturedSystem sys = manufacture_solution(stencil);
-  DataflowCgOptions options;
-  options.kernel.max_iterations = 100;
-  const DataflowCgResult a = run_dataflow_cg(stencil, sys.rhs, options);
-  const DataflowCgResult b = run_dataflow_cg(stencil, sys.rhs, options);
+  CgKernelOptions kernel;
+  kernel.max_iterations = 100;
+  const DataflowCgResult a =
+      spec::run(cg_launch(stencil, sys.rhs, kernel), {}, gather_cg);
+  const DataflowCgResult b =
+      spec::run(cg_launch(stencil, sys.rhs, kernel), {}, gather_cg);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a.iterations, b.iterations);
   EXPECT_EQ(a.makespan_cycles, b.makespan_cycles);
@@ -242,10 +246,11 @@ TEST(DataflowCgTest, IterationCapRespected) {
   const auto problem = make_problem(5, 5, 3, 17);
   const LinearStencil stencil = build_linear_stencil(problem, kDt);
   const ManufacturedSystem sys = manufacture_solution(stencil);
-  DataflowCgOptions options;
-  options.kernel.max_iterations = 3;
-  options.kernel.relative_tolerance = 1e-12f;  // unreachable
-  const DataflowCgResult result = run_dataflow_cg(stencil, sys.rhs, options);
+  CgKernelOptions kernel;
+  kernel.max_iterations = 3;
+  kernel.relative_tolerance = 1e-12f;  // unreachable
+  const DataflowCgResult result =
+      spec::run(cg_launch(stencil, sys.rhs, kernel), {}, gather_cg);
   ASSERT_TRUE(result.ok()) << result.errors[0];
   EXPECT_FALSE(result.converged);
   EXPECT_EQ(result.iterations, 3);
@@ -255,8 +260,8 @@ TEST(DataflowCgTest, ZeroRhsConvergesInstantly) {
   const auto problem = make_problem(3, 3, 2, 19);
   const LinearStencil stencil = build_linear_stencil(problem, kDt);
   Array3<f32> rhs(stencil.extents, 0.0f);
-  DataflowCgOptions options;
-  const DataflowCgResult result = run_dataflow_cg(stencil, rhs, options);
+  const DataflowCgResult result =
+      spec::run(cg_launch(stencil, rhs, {}), {}, gather_cg);
   ASSERT_TRUE(result.ok()) << result.errors[0];
   EXPECT_TRUE(result.converged);
   EXPECT_EQ(result.iterations, 0);
@@ -270,10 +275,10 @@ TEST(DataflowCgTest, ResidualNormsDecrease) {
   const ScaledSystem scaled =
       jacobi_scale(build_linear_stencil(problem, kDt));
   const ManufacturedSystem sys = manufacture_solution(scaled.stencil);
-  DataflowCgOptions options;
-  options.kernel.relative_tolerance = 1e-6f;
+  CgKernelOptions kernel;
+  kernel.relative_tolerance = 1e-6f;
   const DataflowCgResult result =
-      run_dataflow_cg(scaled.stencil, sys.rhs, options);
+      spec::run(cg_launch(scaled.stencil, sys.rhs, kernel), {}, gather_cg);
   ASSERT_TRUE(result.ok());
   EXPECT_LT(result.final_residual_norm, result.initial_residual_norm * 1e-5);
 }
@@ -282,9 +287,10 @@ TEST(DataflowCgTest, UsesFabricCommunication) {
   const auto problem = make_problem(4, 4, 3, 29);
   const LinearStencil stencil = build_linear_stencil(problem, kDt);
   const ManufacturedSystem sys = manufacture_solution(stencil);
-  DataflowCgOptions options;
-  options.kernel.max_iterations = 10;
-  const DataflowCgResult result = run_dataflow_cg(stencil, sys.rhs, options);
+  CgKernelOptions kernel;
+  kernel.max_iterations = 10;
+  const DataflowCgResult result =
+      spec::run(cg_launch(stencil, sys.rhs, kernel), {}, gather_cg);
   ASSERT_TRUE(result.ok());
   // Halo exchange + reductions + broadcasts all move wavelets.
   EXPECT_GT(result.counters.wavelets_sent, 100u);

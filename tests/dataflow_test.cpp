@@ -366,15 +366,15 @@ TEST(DataflowMemoryTest, BudgetOverflowIsAnError) {
        }},
       {"cg",
        [&] {
-         DataflowCgOptions options;
+         dataflow::HarnessOptions options;
          tiny(options);
-         (void)run_dataflow_cg(stencil, field, options);
+         (void)spec::run(cg_launch(stencil, field, {}), options, gather_cg);
        }},
       {"wave",
        [&] {
-         DataflowWaveOptions options;
+         dataflow::HarnessOptions options;
          tiny(options);
-         (void)run_dataflow_wave(stencil, field, options);
+         (void)spec::run(wave_launch(stencil, field, {}), options, gather_wave);
        }},
   };
   for (const auto& [name, run] : runs) {

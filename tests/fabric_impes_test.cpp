@@ -50,15 +50,15 @@ TEST(FabricTransportTest, MatchesHostMirrorBitwise) {
   Array3<f32> wells(ext, 0.0f);
   wells(1, 1, 0) = 1e-4f;
 
-  DataflowTransportOptions options;
-  options.kernel = transport_options(problem, 1800.0);
-  const DataflowTransportResult fabric = run_dataflow_transport(
-      problem, saturation, pressure, wells, options);
+  TransportKernelOptions kernel = transport_options(problem, 1800.0);
+  const DataflowTransportResult fabric = spec::run(
+      transport_launch(problem, saturation, pressure, wells, kernel), {},
+      gather_transport);
   ASSERT_TRUE(fabric.ok()) << fabric.errors[0];
   EXPECT_GT(fabric.substeps, 0);
 
   const Array3<f32> host = transport_reference_host(
-      problem, saturation, pressure, wells, options.kernel);
+      problem, saturation, pressure, wells, kernel);
   for (i64 i = 0; i < host.size(); ++i) {
     ASSERT_EQ(fabric.saturation[i], host[i]) << "at " << i;
   }
@@ -74,11 +74,11 @@ TEST(FabricTransportTest, ConservesVolumeWithoutWells) {
   saturation(2, 1, 1) = 0.4f;
   Array3<f32> wells(ext, 0.0f);
 
-  DataflowTransportOptions options;
-  options.kernel = transport_options(problem, 3600.0);
-  options.kernel.fluid.gravity = 0.0f;
-  const DataflowTransportResult result = run_dataflow_transport(
-      problem, saturation, pressure, wells, options);
+  TransportKernelOptions kernel = transport_options(problem, 3600.0);
+  kernel.fluid.gravity = 0.0f;
+  const DataflowTransportResult result = spec::run(
+      transport_launch(problem, saturation, pressure, wells, kernel), {},
+      gather_transport);
   ASSERT_TRUE(result.ok()) << result.errors[0];
 
   f64 before = 0.0, after = 0.0;
@@ -108,10 +108,10 @@ TEST(FabricTransportTest, GravitySegregatesOnFabric) {
   saturation(0, 0, 0) = 0.8f;
   Array3<f32> wells(ext, 0.0f);
 
-  DataflowTransportOptions options;
-  options.kernel = transport_options(problem, 4.0 * 3600.0);
-  const DataflowTransportResult result = run_dataflow_transport(
-      problem, saturation, pressure, wells, options);
+  TransportKernelOptions kernel = transport_options(problem, 4.0 * 3600.0);
+  const DataflowTransportResult result = spec::run(
+      transport_launch(problem, saturation, pressure, wells, kernel), {},
+      gather_transport);
   ASSERT_TRUE(result.ok()) << result.errors[0];
   f32 above = 0.0f;
   for (i32 z = 1; z < ext.nz; ++z) {
@@ -129,12 +129,13 @@ TEST(FabricTransportTest, DeterministicAcrossRuns) {
   Array3<f32> wells(ext, 0.0f);
   wells(2, 1, 1) = 5e-5f;
 
-  DataflowTransportOptions options;
-  options.kernel = transport_options(problem, 900.0);
-  const DataflowTransportResult a = run_dataflow_transport(
-      problem, saturation, pressure, wells, options);
-  const DataflowTransportResult b = run_dataflow_transport(
-      problem, saturation, pressure, wells, options);
+  TransportKernelOptions kernel = transport_options(problem, 900.0);
+  const DataflowTransportResult a = spec::run(
+      transport_launch(problem, saturation, pressure, wells, kernel), {},
+      gather_transport);
+  const DataflowTransportResult b = spec::run(
+      transport_launch(problem, saturation, pressure, wells, kernel), {},
+      gather_transport);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a.substeps, b.substeps);
   EXPECT_EQ(a.makespan_cycles, b.makespan_cycles);
@@ -201,9 +202,9 @@ TEST(FabricImpesTest, TracksHostImpesQualitatively) {
   host.add_well(solver::InjectionWell{{2, 2, 0}, rate});
   ASSERT_TRUE(host.advance(horizon, 600.0).completed);
 
-  FabricImpesOptions fabric_options;
-  fabric_options.fluid.gravity = 0.0f;
-  FabricImpesSimulator fabric(problem, fabric_options);
+  FabricImpesOptions impes_options;
+  impes_options.fluid.gravity = 0.0f;
+  FabricImpesSimulator fabric(problem, impes_options);
   fabric.add_well(Coord3{2, 2, 0}, rate);
   for (int w = 0; w < 6; ++w) {
     (void)fabric.advance_window(600.0);

@@ -184,14 +184,17 @@ CgFaultRuns run_cg_pair(wse::FaultConfig fault, i32 threads) {
   const ManufacturedSystem sys = manufacture_solution(stencil);
   const Array3<f32> rhs = scale_rhs(scaled, sys.rhs);
 
-  DataflowCgOptions options;
-  options.kernel.relative_tolerance = 1e-6f;
-  options.kernel.max_iterations = 400;
+  CgKernelOptions kernel;
+  dataflow::HarnessOptions options;
+  kernel.relative_tolerance = 1e-6f;
+  kernel.max_iterations = 400;
   options.execution.threads = threads;
   CgFaultRuns runs;
-  runs.clean = run_dataflow_cg(scaled.stencil, rhs, options);
+  runs.clean =
+      spec::run(cg_launch(scaled.stencil, rhs, kernel), options, gather_cg);
   options.execution.fault = fault;
-  runs.faulty = run_dataflow_cg(scaled.stencil, rhs, options);
+  runs.faulty =
+      spec::run(cg_launch(scaled.stencil, rhs, kernel), options, gather_cg);
   runs.extents = stencil.extents;
   return runs;
 }

@@ -203,10 +203,10 @@ TEST(FlowAnalysisTest, HeatWithReliabilityLintsClean) {
   // The reliability binding adds the NACK colors and their declared
   // ordering (nack -> halo resend) — the wait-for analysis must see the
   // chain terminate at the watchdog timer, not report a cycle.
-  spec::DataflowHeatOptions options;
-  options.reliability.enabled = true;
+  dataflow::HarnessOptions options;
+  options.reliability = true;
   const Array3<f32> field = spec::heat_initial_field(Extents3{4, 3, 2}, 7);
-  const spec::HeatLoad load = spec::load_dataflow_heat(field, options);
+  const spec::Load<> load = spec::load(spec::heat_launch(field, {}), options);
   const Report report = load.harness->lint_report();
   EXPECT_TRUE(report.clean()) << report.describe();
 }

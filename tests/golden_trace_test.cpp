@@ -69,13 +69,14 @@ std::string record_cg_trace(i32 threads, wse::TraceRecorder& recorder,
   const ScaledSystem scaled = jacobi_scale(stencil);
   const ManufacturedSystem sys = manufacture_solution(scaled.stencil);
 
-  DataflowCgOptions options;
-  options.kernel.max_iterations = 2;
+  CgKernelOptions kernel;
+  dataflow::HarnessOptions options;
+  kernel.max_iterations = 2;
   options.execution.threads = threads;
   options.execution.hazard_check = hazard_check;
   options.trace = &recorder;
   const DataflowCgResult result =
-      run_dataflow_cg(scaled.stencil, sys.rhs, options);
+      spec::run(cg_launch(scaled.stencil, sys.rhs, kernel), options, gather_cg);
   EXPECT_TRUE(result.ok());
   EXPECT_EQ(result.hazards_total, 0u);
   EXPECT_EQ(result.iterations, 2);
@@ -91,13 +92,16 @@ std::string record_wave_trace(i32 threads, wse::TraceRecorder& recorder) {
       build_linear_stencil(golden_problem(), 86400.0);
   const ScaledSystem scaled = jacobi_scale(stencil);
 
-  DataflowWaveOptions options;
-  options.kernel.timesteps = 2;
-  options.kernel.kappa = 0.4f;
+  WaveKernelOptions kernel;
+  dataflow::HarnessOptions options;
+  kernel.timesteps = 2;
+  kernel.kappa = 0.4f;
   options.execution.threads = threads;
   options.trace = &recorder;
-  const DataflowWaveResult result = run_dataflow_wave(
-      scaled.stencil, gaussian_pulse(stencil.extents, 1.0, 2.0), options);
+  const DataflowWaveResult result = spec::run(
+      wave_launch(
+          scaled.stencil, gaussian_pulse(stencil.extents, 1.0, 2.0), kernel),
+      options, gather_wave);
   EXPECT_TRUE(result.ok());
   EXPECT_EQ(result.trace_events_emitted, recorder.events().size());
   EXPECT_EQ(result.trace_records_dropped, 0u);

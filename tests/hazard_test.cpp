@@ -251,13 +251,15 @@ TEST(HazardDetectorTest, TransportKernelRunsCleanAndBitIdentical) {
   well_rate(0, 0, 0) = 1e-4f;
 
   auto run = [&](bool hazard_check) {
-    core::DataflowTransportOptions options;
-    options.kernel.window_seconds = 600.0;
-    options.kernel.pore_volume = 1.0f;
+    core::TransportKernelOptions kernel;
+    dataflow::HarnessOptions options;
+    kernel.window_seconds = 600.0;
+    kernel.pore_volume = 1.0f;
     options.execution.hazard_check = hazard_check;
-    return core::run_dataflow_transport(problem, saturation,
-                                        problem.initial_pressure(),
-                                        well_rate, options);
+    return spec::run(
+        core::transport_launch(
+            problem, saturation, problem.initial_pressure(), well_rate, kernel),
+        options, core::gather_transport);
   };
   const core::DataflowTransportResult unchecked = run(false);
   const core::DataflowTransportResult checked_run = run(true);

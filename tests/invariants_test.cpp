@@ -130,10 +130,10 @@ TEST(ConservationInvariantTest, CgResidualIdentityHolds) {
       core::jacobi_scale(core::build_linear_stencil(problem, 3600.0));
   const core::ManufacturedSystem sys =
       core::manufacture_solution(scaled.stencil);
-  core::DataflowCgOptions options;
-  options.kernel.relative_tolerance = 1e-5f;
-  const core::DataflowCgResult result =
-      core::run_dataflow_cg(scaled.stencil, sys.rhs, options);
+  core::CgKernelOptions kernel;
+  kernel.relative_tolerance = 1e-5f;
+  const core::DataflowCgResult result = spec::run(
+      core::cg_launch(scaled.stencil, sys.rhs, kernel), {}, core::gather_cg);
   ASSERT_TRUE(result.ok() && result.converged);
 
   const usize n = static_cast<usize>(problem.cell_count());

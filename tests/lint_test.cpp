@@ -227,9 +227,10 @@ TEST(LintShippedProgramsTest, CgLintsCleanWithAndWithoutReliability) {
   Array3<f32> rhs(problem.extents());
   rhs.fill(1.0f);
   for (const bool reliability : {false, true}) {
-    core::DataflowCgOptions options;
-    options.reliability.enabled = reliability;
-    const core::CgLoad load = core::load_dataflow_cg(stencil, rhs, options);
+    dataflow::HarnessOptions options;
+    options.reliability = reliability;
+    const spec::Load<> load =
+        spec::load(core::cg_launch(stencil, rhs, {}), options);
     const Report report = load.harness->lint_report();
     EXPECT_TRUE(report.clean())
         << "reliability=" << reliability << "\n" << report.describe();
@@ -243,11 +244,13 @@ TEST(LintShippedProgramsTest, TransportLintsClean) {
   saturation.fill(0.0f);
   Array3<f32> well_rate(ext);
   well_rate.fill(0.0f);
-  core::DataflowTransportOptions options;
-  options.kernel.window_seconds = 60.0;
-  options.kernel.pore_volume = 1.0f;
-  const core::TransportLoad load = core::load_dataflow_transport(
-      problem, saturation, problem.initial_pressure(), well_rate, options);
+  core::TransportKernelOptions kernel;
+  kernel.window_seconds = 60.0;
+  kernel.pore_volume = 1.0f;
+  const spec::Load<> load = spec::load(
+      core::transport_launch(
+          problem, saturation, problem.initial_pressure(), well_rate, kernel),
+      {});
   const Report report = load.harness->lint_report();
   EXPECT_TRUE(report.clean()) << report.describe();
 }
@@ -258,8 +261,8 @@ TEST(LintShippedProgramsTest, WaveLintsClean) {
       core::build_linear_stencil(problem, 3600.0);
   const Array3<f32> pulse =
       core::gaussian_pulse(problem.extents(), 1.0, 2.0);
-  const core::WaveLoad load =
-      core::load_dataflow_wave(stencil, pulse, core::DataflowWaveOptions{});
+  const spec::Load<> load =
+      spec::load(core::wave_launch(stencil, pulse, {}), {});
   const Report report = load.harness->lint_report();
   EXPECT_TRUE(report.clean()) << report.describe();
 }
@@ -362,30 +365,37 @@ TEST(LintIndexTest, WordsMatchADirectWalkOfTheSwitchPositions) {
   // IMPES launches the cg and transport programs below on its fabric.
   for (const bool reliability : {false, true}) {
     const std::string suffix = reliability ? " with reliability" : "";
-    core::DataflowCgOptions cg;
-    cg.reliability.enabled = reliability;
-    const core::CgLoad cg_load = core::load_dataflow_cg(stencil, ones, cg);
+    dataflow::HarnessOptions cg;
+    cg.reliability = reliability;
+    const spec::Load<> cg_load =
+        spec::load(core::cg_launch(stencil, ones, {}), cg);
     expect_index_matches(cg_load.harness->fabric(), "cg" + suffix);
 
-    core::DataflowTransportOptions transport;
-    transport.kernel.window_seconds = 60.0;
-    transport.kernel.pore_volume = 1.0f;
-    transport.reliability.enabled = reliability;
-    const core::TransportLoad transport_load = core::load_dataflow_transport(
-        problem, zeros, problem.initial_pressure(), zeros, transport);
+    core::TransportKernelOptions transport_kernel;
+    dataflow::HarnessOptions transport;
+    transport_kernel.window_seconds = 60.0;
+    transport_kernel.pore_volume = 1.0f;
+    transport.reliability = reliability;
+    const spec::Load<> transport_load =
+        spec::load(core::transport_launch(problem, zeros,
+                                          problem.initial_pressure(), zeros,
+                                          transport_kernel),
+                   transport);
     expect_index_matches(transport_load.harness->fabric(),
                          "transport" + suffix);
 
-    core::DataflowWaveOptions wave;
-    wave.reliability.enabled = reliability;
-    const core::WaveLoad wave_load = core::load_dataflow_wave(
-        stencil, core::gaussian_pulse(ext, 1.0, 2.0), wave);
+    dataflow::HarnessOptions wave;
+    wave.reliability = reliability;
+    const Array3<f32> pulse = core::gaussian_pulse(ext, 1.0, 2.0);
+    const spec::Load<> wave_load =
+        spec::load(core::wave_launch(stencil, pulse, {}), wave);
     expect_index_matches(wave_load.harness->fabric(), "wave" + suffix);
 
-    spec::DataflowHeatOptions heat;
-    heat.reliability.enabled = reliability;
+    dataflow::HarnessOptions heat;
+    heat.reliability = reliability;
     const Array3<f32> field = spec::heat_initial_field(ext, 7);
-    const spec::HeatLoad heat_load = spec::load_dataflow_heat(field, heat);
+    const spec::Load<> heat_load =
+        spec::load(spec::heat_launch(field, {}), heat);
     expect_index_matches(heat_load.harness->fabric(), "heat" + suffix);
   }
   for (const Defect& defect : defect_corpus()) {
@@ -480,10 +490,10 @@ TEST(LintParallelTest, ReportIsIdenticalForEveryThreadCount) {
     EXPECT_EQ(tight_report.error_count(), 1u + kSide * kSide);
     tight.push_back(rendered(tight_report));
 
-    core::DataflowCgOptions cg_options;
+    dataflow::HarnessOptions cg_options;
     cg_options.execution.threads = threads;
-    const core::CgLoad cg_load =
-        core::load_dataflow_cg(stencil, ones, cg_options);
+    const spec::Load<> cg_load =
+        spec::load(core::cg_launch(stencil, ones, {}), cg_options);
     const Report cg_report = cg_load.harness->lint_report();
     EXPECT_TRUE(cg_report.clean()) << cg_report.describe();
     cg.push_back(rendered(cg_report));

@@ -112,22 +112,24 @@ TEST(PhaseProfilerTest, AllFabricProgramsReportAttribution) {
   const core::LinearStencil stencil =
       core::jacobi_scale(core::build_linear_stencil(problem, 3600.0)).stencil;
   const core::ManufacturedSystem sys = core::manufacture_solution(stencil);
-  core::DataflowCgOptions cg;
-  cg.kernel.max_iterations = 8;
-  cg.kernel.relative_tolerance = 0.0f;  // run all 8 iterations
+  core::CgKernelOptions cg;
+  cg.max_iterations = 8;
+  cg.relative_tolerance = 0.0f;  // run all 8 iterations
   const core::DataflowCgResult cg_run =
-      core::run_dataflow_cg(stencil, sys.rhs, cg);
+      spec::run(core::cg_launch(stencil, sys.rhs, cg), {}, core::gather_cg);
   ASSERT_TRUE(cg_run.ok()) << cg_run.errors[0];
   EXPECT_GT(cg_run.phase_cycles[obs::Phase::LocalCompute], 0.0);
   EXPECT_GT(cg_run.phase_cycles[obs::Phase::Halo], 0.0);
   EXPECT_GT(cg_run.phase_cycles[obs::Phase::AllReduce], 0.0);
 
   // Wave: leapfrog halo pattern.
-  core::DataflowWaveOptions wave;
-  wave.kernel.timesteps = 3;
-  wave.kernel.kappa = 0.4f;
-  const core::DataflowWaveResult wave_run = core::run_dataflow_wave(
-      stencil, core::gaussian_pulse(problem.extents(), 1.0, 2.0), wave);
+  core::WaveKernelOptions wave;
+  wave.timesteps = 3;
+  wave.kappa = 0.4f;
+  const core::DataflowWaveResult wave_run = spec::run(
+      core::wave_launch(
+          stencil, core::gaussian_pulse(problem.extents(), 1.0, 2.0), wave), {},
+      core::gather_wave);
   ASSERT_TRUE(wave_run.ok()) << wave_run.errors[0];
   EXPECT_GT(wave_run.phase_cycles[obs::Phase::LocalCompute], 0.0);
   EXPECT_GT(wave_run.phase_cycles[obs::Phase::Halo], 0.0);
@@ -138,13 +140,13 @@ TEST(PhaseProfilerTest, AllFabricProgramsReportAttribution) {
   Array3<f32> saturation(ext, 0.0f);
   saturation(1, 1, 1) = 0.5f;
   Array3<f32> wells(ext, 0.0f);
-  core::DataflowTransportOptions transport;
-  transport.kernel.window_seconds = 600.0;
-  transport.kernel.pore_volume =
+  core::TransportKernelOptions transport;
+  transport.window_seconds = 600.0;
+  transport.pore_volume =
       static_cast<f32>(problem.mesh().cell_volume() * 0.2);
-  const core::DataflowTransportResult transport_run =
-      core::run_dataflow_transport(problem, saturation, pressure, wells,
-                                   transport);
+  const core::DataflowTransportResult transport_run = spec::run(
+      core::transport_launch(problem, saturation, pressure, wells, transport),
+      {}, core::gather_transport);
   ASSERT_TRUE(transport_run.ok()) << transport_run.errors[0];
   EXPECT_GT(transport_run.phase_cycles[obs::Phase::LocalCompute], 0.0);
   EXPECT_GT(transport_run.phase_cycles[obs::Phase::Halo], 0.0);
@@ -158,12 +160,13 @@ TEST(PhaseProfilerTest, ReliabilityPhaseAppearsUnderFaultInjection) {
   const core::LinearStencil stencil =
       core::jacobi_scale(core::build_linear_stencil(problem, 3600.0)).stencil;
   const core::ManufacturedSystem sys = core::manufacture_solution(stencil);
-  core::DataflowCgOptions options;
-  options.kernel.max_iterations = 30;
+  core::CgKernelOptions kernel;
+  dataflow::HarnessOptions options;
+  kernel.max_iterations = 30;
   options.execution.fault = wse::FaultConfig::uniform(7, 0.01);
   options.execution.fault.flip_color_mask = 0x00FFu;
-  const core::DataflowCgResult run =
-      core::run_dataflow_cg(stencil, sys.rhs, options);
+  const core::DataflowCgResult run = spec::run(
+      core::cg_launch(stencil, sys.rhs, kernel), options, core::gather_cg);
   ASSERT_TRUE(run.ok()) << run.errors[0];
   ASSERT_GT(run.faults.injected(), 0u);
   EXPECT_GT(run.phase_cycles[obs::Phase::Reliability], 0.0)

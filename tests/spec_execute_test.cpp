@@ -137,7 +137,8 @@ TEST(SpecExecuteTest, SwitchProtocolShapesMatchTheFabricBitwise) {
           core::run_dataflow_tpfa(problem, options);
       core::TpfaKernelOptions kernel = options.kernel;
       kernel.iterations = options.iterations;
-      const auto gpu = core::execute_tpfa(problem, kernel);
+      const auto gpu =
+          spec::execute(core::tpfa_launch(problem, kernel), core::gather_tpfa);
       for (i64 i = 0; i < wse.residual.size(); ++i) {
         ASSERT_EQ(std::bit_cast<u32>(wse.residual[i]),
                   std::bit_cast<u32>(gpu.residual[i]))
@@ -158,7 +159,8 @@ TEST(SpecExecuteTest, LaunchesOneKernelPerChargingHookSweep) {
   const Array3<f32> initial = spec::heat_initial_field(Extents3{4, 3, 2}, 7);
   spec::HeatKernelOptions kernel;
   kernel.steps = 5;
-  const auto run = spec::execute_heat(initial, kernel);
+  const auto run =
+      spec::execute(spec::heat_launch(initial, kernel), spec::gather_heat);
   EXPECT_EQ(run.kernels_launched, 2u * 5u);
   EXPECT_GT(run.device_seconds, 0.0);
   EXPECT_EQ(run.counters.flops(), 0u);  // heat charges scalar ops only
@@ -252,9 +254,10 @@ TEST(SpecExecuteTest, KernelsThatDisagreeFailLoudly) {
               {"halo buffers", spec::FieldRole::HaloRecv, 8, 0},
               {"code", spec::FieldRole::Code, 0, 1024}};
   try {
-    (void)spec::execute(s, Coord2{2, 2}, 2, [](Coord2 coord) {
-      return std::make_unique<SplitKernel>(coord.x == 0 && coord.y == 0);
-    });
+    (void)spec::execute({s, Extents3{2, 2, 2}, [](Coord2 coord) {
+                           return std::make_unique<SplitKernel>(
+                               coord.x == 0 && coord.y == 0);
+                         }});
     FAIL() << "disagreeing kernels must throw";
   } catch (const ContractViolation& e) {
     const std::string message = e.what();

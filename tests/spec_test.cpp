@@ -170,18 +170,23 @@ TEST(SpecThreadIdentityTest, CompiledTransportBitIdenticalAcrossThreads) {
   well_rate.fill(0.0f);
   well_rate(0, 0, 0) = 1e-4f;
 
-  core::DataflowTransportOptions options;
-  options.kernel.window_seconds = 120.0;
-  options.kernel.pore_volume = 1.0f;
+  core::TransportKernelOptions kernel;
+  dataflow::HarnessOptions options;
+  kernel.window_seconds = 120.0;
+  kernel.pore_volume = 1.0f;
 
   options.execution.threads = 1;
-  const core::DataflowTransportResult serial = core::run_dataflow_transport(
-      problem, saturation, problem.initial_pressure(), well_rate, options);
+  const core::DataflowTransportResult serial = spec::run(
+      core::transport_launch(
+          problem, saturation, problem.initial_pressure(), well_rate, kernel),
+      options, core::gather_transport);
   ASSERT_TRUE(serial.ok());
   for (const i32 threads : {2, 4}) {
     options.execution.threads = threads;
-    const core::DataflowTransportResult tiled = core::run_dataflow_transport(
-        problem, saturation, problem.initial_pressure(), well_rate, options);
+    const core::DataflowTransportResult tiled = spec::run(
+        core::transport_launch(
+            problem, saturation, problem.initial_pressure(), well_rate, kernel),
+        options, core::gather_transport);
     ASSERT_TRUE(tiled.ok());
     EXPECT_EQ(serial.substeps, tiled.substeps);
     expect_bitwise_equal(serial.saturation, tiled.saturation, "saturation");
@@ -193,25 +198,26 @@ TEST(SpecThreadIdentityTest, CompiledTransportBitIdenticalAcrossThreads) {
 TEST(HeatSpecTest, MatchesHostMirrorBitwiseAcrossThreads) {
   const Extents3 extents{7, 6, 3};
   const Array3<f32> initial = spec::heat_initial_field(extents, 42);
-  spec::DataflowHeatOptions options;
-  options.kernel.steps = 6;
-  const Array3<f32> host = spec::heat_reference_host(initial, options.kernel);
+  spec::HeatKernelOptions kernel;
+  dataflow::HarnessOptions options;
+  kernel.steps = 6;
+  const Array3<f32> host = spec::heat_reference_host(initial, kernel);
 
   for (const i32 threads : {1, 2, 4}) {
     options.execution.threads = threads;
-    const spec::DataflowHeatResult result =
-        spec::run_dataflow_heat(initial, options);
+    const spec::DataflowHeatResult result = spec::run(
+        spec::heat_launch(initial, kernel), options, spec::gather_heat);
     ASSERT_TRUE(result.ok());
-    EXPECT_EQ(result.steps_completed, options.kernel.steps);
+    EXPECT_EQ(result.steps_completed, kernel.steps);
     expect_bitwise_equal(host, result.field, "heat field");
   }
 }
 
 TEST(HeatSpecTest, StrictLintPassesOnTheGeneratedProgram) {
   const Array3<f32> initial = spec::heat_initial_field(Extents3{4, 3, 2}, 1);
-  spec::DataflowHeatOptions options;
+  dataflow::HarnessOptions options;
   options.lint = lint::Level::Strict;  // the launch gate raises it anyway
-  const spec::HeatLoad load = spec::load_dataflow_heat(initial, options);
+  const spec::Load<> load = spec::load(spec::heat_launch(initial, {}), options);
   EXPECT_TRUE(load.harness->lint_report().clean());
 }
 
@@ -277,7 +283,7 @@ std::string render_declarations(const std::string& label,
   dataflow::ColorPlan plan;
   spec::SpecPeProgram::LaunchBindings bindings;
   bindings.reduce = compiled->claim_colors(plan, reliability).reduce;
-  bindings.reliability.enabled = reliability;
+  bindings.reliability = reliability;
 
   constexpr Coord2 kFabric{3, 3};
   std::ostringstream os;

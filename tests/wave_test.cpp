@@ -42,11 +42,11 @@ TEST(WaveProgramTest, GaussianPulseShape) {
 
 TEST(WaveProgramTest, MatchesHostReference) {
   const WaveSetup setup = make_setup(6, 5, 4);
-  DataflowWaveOptions options;
-  options.kernel.timesteps = 8;
-  options.kernel.kappa = setup.kappa;
-  const DataflowWaveResult fabric =
-      run_dataflow_wave(setup.stencil, setup.initial, options);
+  WaveKernelOptions kernel;
+  kernel.timesteps = 8;
+  kernel.kappa = setup.kappa;
+  const DataflowWaveResult fabric = spec::run(
+      wave_launch(setup.stencil, setup.initial, kernel), {}, gather_wave);
   ASSERT_TRUE(fabric.ok()) << fabric.errors[0];
 
   const Array3<f32> host = wave_reference_host(setup.stencil, setup.initial,
@@ -62,11 +62,11 @@ TEST(WaveProgramTest, MatchesHostReference) {
 
 TEST(WaveProgramTest, ZeroStepsRejectedOneStepWorks) {
   const WaveSetup setup = make_setup(3, 3, 3);
-  DataflowWaveOptions options;
-  options.kernel.timesteps = 1;
-  options.kernel.kappa = setup.kappa;
-  const DataflowWaveResult result =
-      run_dataflow_wave(setup.stencil, setup.initial, options);
+  WaveKernelOptions kernel;
+  kernel.timesteps = 1;
+  kernel.kappa = setup.kappa;
+  const DataflowWaveResult result = spec::run(
+      wave_launch(setup.stencil, setup.initial, kernel), {}, gather_wave);
   ASSERT_TRUE(result.ok()) << result.errors[0];
   const Array3<f32> host =
       wave_reference_host(setup.stencil, setup.initial, setup.kappa, 1);
@@ -79,11 +79,11 @@ TEST(WaveProgramTest, PulseSpreadsLaterally) {
   // After some steps, the corner (initially ~0) must have received
   // energy that could only arrive through the halo exchange.
   const WaveSetup setup = make_setup(7, 7, 3, 9);
-  DataflowWaveOptions options;
-  options.kernel.timesteps = 12;
-  options.kernel.kappa = setup.kappa;
-  const DataflowWaveResult result =
-      run_dataflow_wave(setup.stencil, setup.initial, options);
+  WaveKernelOptions kernel;
+  kernel.timesteps = 12;
+  kernel.kappa = setup.kappa;
+  const DataflowWaveResult result = spec::run(
+      wave_launch(setup.stencil, setup.initial, kernel), {}, gather_wave);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(std::abs(result.field(0, 0, 1)),
             std::abs(setup.initial(0, 0, 1)) + 1e-6f)
@@ -93,11 +93,11 @@ TEST(WaveProgramTest, PulseSpreadsLaterally) {
 TEST(WaveProgramTest, StationaryFieldStaysStationaryWithoutOperator) {
   // kappa = 0: u^{t+1} = 2u - u_prev with u_prev = u -> field constant.
   const WaveSetup setup = make_setup(4, 4, 3, 11);
-  DataflowWaveOptions options;
-  options.kernel.timesteps = 5;
-  options.kernel.kappa = 0.0f;
-  const DataflowWaveResult result =
-      run_dataflow_wave(setup.stencil, setup.initial, options);
+  WaveKernelOptions kernel;
+  kernel.timesteps = 5;
+  kernel.kappa = 0.0f;
+  const DataflowWaveResult result = spec::run(
+      wave_launch(setup.stencil, setup.initial, kernel), {}, gather_wave);
   ASSERT_TRUE(result.ok());
   for (i64 i = 0; i < result.field.size(); ++i) {
     EXPECT_EQ(result.field[i], setup.initial[i]);
@@ -106,13 +106,13 @@ TEST(WaveProgramTest, StationaryFieldStaysStationaryWithoutOperator) {
 
 TEST(WaveProgramTest, DeterministicAcrossRuns) {
   const WaveSetup setup = make_setup(5, 4, 3, 13);
-  DataflowWaveOptions options;
-  options.kernel.timesteps = 6;
-  options.kernel.kappa = setup.kappa;
-  const DataflowWaveResult a =
-      run_dataflow_wave(setup.stencil, setup.initial, options);
-  const DataflowWaveResult b =
-      run_dataflow_wave(setup.stencil, setup.initial, options);
+  WaveKernelOptions kernel;
+  kernel.timesteps = 6;
+  kernel.kappa = setup.kappa;
+  const DataflowWaveResult a = spec::run(
+      wave_launch(setup.stencil, setup.initial, kernel), {}, gather_wave);
+  const DataflowWaveResult b = spec::run(
+      wave_launch(setup.stencil, setup.initial, kernel), {}, gather_wave);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a.makespan_cycles, b.makespan_cycles);
   for (i64 i = 0; i < a.field.size(); ++i) {
@@ -122,11 +122,11 @@ TEST(WaveProgramTest, DeterministicAcrossRuns) {
 
 TEST(WaveProgramTest, UsesDiagonalTraffic) {
   const WaveSetup setup = make_setup(5, 5, 2, 17);
-  DataflowWaveOptions options;
-  options.kernel.timesteps = 3;
-  options.kernel.kappa = setup.kappa;
-  const DataflowWaveResult result =
-      run_dataflow_wave(setup.stencil, setup.initial, options);
+  WaveKernelOptions kernel;
+  kernel.timesteps = 3;
+  kernel.kappa = setup.kappa;
+  const DataflowWaveResult result = spec::run(
+      wave_launch(setup.stencil, setup.initial, kernel), {}, gather_wave);
   ASSERT_TRUE(result.ok());
   // 4 cardinal sends + 4 diagonal forwards per PE per step (interior).
   EXPECT_GT(result.counters.wavelets_sent,

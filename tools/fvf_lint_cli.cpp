@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "api/kernels.hpp"
@@ -35,13 +36,14 @@ struct LintJob {
   lint::Report report;
 };
 
-/// What the CLI lints for each shipped program: the load half of the
-/// launch pipeline (colors claimed, routers configured, programs bound),
-/// then the full static verifier via FabricHarness::lint_report.
+/// The inputs the CLI's kernel launches read; they outlive every load.
 struct Fixture {
   physics::FlowProblem problem;
   core::LinearStencil stencil;
   Array3<f32> ones;
+  Array3<f32> zeros;
+  Array3<f32> pulse;
+  Array3<f32> heat;
 
   Fixture(Extents3 extents, u64 seed)
       : problem([&] {
@@ -53,71 +55,60 @@ struct Fixture {
           return physics::FlowProblem(spec);
         }()),
         stencil(core::build_linear_stencil(problem, 86400.0)),
-        ones(extents) {
-    ones.fill(1.0f);
-  }
+        ones(extents, 1.0f),
+        zeros(extents, 0.0f),
+        pulse(core::gaussian_pulse(extents, 1.0, 2.0)),
+        heat(spec::heat_initial_field(extents, 7)) {}
 };
 
-[[nodiscard]] lint::Report lint_tpfa(const Fixture& fx) {
-  const core::DataflowOptions options;
-  const core::TpfaLoad load = core::load_dataflow_tpfa(fx.problem, options);
-  return load.harness->lint_report();
+/// The launches each shipped kernel makes, in launch order (IMPES: the CG
+/// pressure solve, then the transport window on the same fabric).
+[[nodiscard]] std::vector<spec::Launch> kernel_launches(const Fixture& fx,
+                                                        std::string_view name) {
+  const auto transport = [&] {
+    return core::transport_launch(
+        fx.problem, fx.zeros, fx.problem.initial_pressure(), fx.zeros,
+        {.window_seconds = 60.0, .pore_volume = 1.0f});
+  };
+  if (name == "tpfa") {
+    return {core::tpfa_launch(fx.problem, {})};
+  }
+  if (name == "cg") {
+    return {core::cg_launch(fx.stencil, fx.ones, {})};
+  }
+  if (name == "transport") {
+    return {transport()};
+  }
+  if (name == "wave") {
+    return {core::wave_launch(fx.stencil, fx.pulse, {})};
+  }
+  if (name == "impes") {
+    return {core::cg_launch(fx.stencil, fx.ones, {}), transport()};
+  }
+  if (name == "heat") {
+    return {spec::heat_launch(fx.heat, {})};
+  }
+  FVF_REQUIRE_MSG(false, "kernel '" << name << "' has no lint fixture");
+  return {};
 }
 
-[[nodiscard]] lint::Report lint_cg(const Fixture& fx, bool reliability) {
-  core::DataflowCgOptions options;
-  options.reliability.enabled = reliability;
-  const core::CgLoad load = core::load_dataflow_cg(fx.stencil, fx.ones,
-                                                   options);
-  return load.harness->lint_report();
-}
-
-[[nodiscard]] lint::Report lint_transport(const Fixture& fx,
-                                          bool reliability) {
-  core::DataflowTransportOptions options;
-  options.kernel.window_seconds = 60.0;
-  options.kernel.pore_volume = 1.0f;
-  options.reliability.enabled = reliability;
-  const Extents3 ext = fx.problem.extents();
-  Array3<f32> saturation(ext);
-  saturation.fill(0.0f);
-  Array3<f32> well_rate(ext);
-  well_rate.fill(0.0f);
-  const core::TransportLoad load = core::load_dataflow_transport(
-      fx.problem, saturation, fx.problem.initial_pressure(), well_rate,
-      options);
-  return load.harness->lint_report();
-}
-
-[[nodiscard]] lint::Report lint_wave(const Fixture& fx, bool reliability) {
-  core::DataflowWaveOptions options;
-  options.reliability.enabled = reliability;
-  const Array3<f32> initial =
-      core::gaussian_pulse(fx.problem.extents(), 1.0, 2.0);
-  const core::WaveLoad load =
-      core::load_dataflow_wave(fx.stencil, initial, options);
-  return load.harness->lint_report();
-}
-
-[[nodiscard]] lint::Report lint_heat(const Fixture& fx, bool reliability) {
-  spec::DataflowHeatOptions options;
-  options.reliability.enabled = reliability;
-  const Array3<f32> field =
-      spec::heat_initial_field(fx.problem.extents(), 7);
-  const spec::HeatLoad load = spec::load_dataflow_heat(field, options);
-  return load.harness->lint_report();
-}
-
-/// The IMPES loop is the CG pressure solve plus the transport window on
-/// the same fabric geometry; its static verification is the union of
-/// both launches (with the IMPES solver settings).
-[[nodiscard]] lint::Report lint_impes(const Fixture& fx, bool reliability) {
-  lint::Report combined = lint_cg(fx, reliability);
-  lint::Report transport = lint_transport(fx, reliability);
-  combined.diagnostics.insert(
-      combined.diagnostics.end(),
-      std::make_move_iterator(transport.diagnostics.begin()),
-      std::make_move_iterator(transport.diagnostics.end()));
+/// The load half of the launch pipeline (colors claimed, routers
+/// configured, programs bound) for each of a kernel's launches, then the
+/// full static verifier via FabricHarness::lint_report, in one report.
+[[nodiscard]] lint::Report lint_kernel(const Fixture& fx,
+                                       std::string_view name,
+                                       bool reliability) {
+  dataflow::HarnessOptions options;
+  options.reliability = reliability;
+  lint::Report combined;
+  for (spec::Launch& launch : kernel_launches(fx, name)) {
+    lint::Report report =
+        spec::load(std::move(launch), options).harness->lint_report();
+    combined.diagnostics.insert(
+        combined.diagnostics.end(),
+        std::make_move_iterator(report.diagnostics.begin()),
+        std::make_move_iterator(report.diagnostics.end()));
+  }
   return combined;
 }
 
@@ -305,24 +296,7 @@ int fvf_lint_cli(int argc, const char* const* argv, std::ostream& out,
 
     std::vector<LintJob> jobs;
     for (const std::string& name : selected) {
-      LintJob job;
-      job.name = name;
-      if (name == "tpfa") {
-        job.report = lint_tpfa(fx);
-      } else if (name == "cg") {
-        job.report = lint_cg(fx, reliability);
-      } else if (name == "transport") {
-        job.report = lint_transport(fx, reliability);
-      } else if (name == "wave") {
-        job.report = lint_wave(fx, reliability);
-      } else if (name == "impes") {
-        job.report = lint_impes(fx, reliability);
-      } else if (name == "heat") {
-        job.report = lint_heat(fx, reliability);
-      } else {
-        FVF_REQUIRE_MSG(false, "kernel '" << name << "' has no lint fixture");
-      }
-      jobs.push_back(std::move(job));
+      jobs.push_back(LintJob{name, lint_kernel(fx, name, reliability)});
     }
 
     usize errors = 0;

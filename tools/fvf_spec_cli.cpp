@@ -92,7 +92,7 @@ int lint_spec(std::shared_ptr<const spec::CompiledSpec> compiled,
       compiled->claim_colors(*plan, reliability);
   spec::SpecPeProgram::LaunchBindings bindings;
   bindings.reduce = claims.reduce;
-  bindings.reliability.enabled = reliability;
+  bindings.reliability = reliability;
 
   wse::Fabric fabric(nx, ny);
   const wse::ProgramFactory factory =
