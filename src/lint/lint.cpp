@@ -106,7 +106,7 @@ class Linter {
         const wse::Router& router = fabric_.router(x, y);
         for (u8 c = 0; c < Color::kMaxColors; ++c) {
           const Color color{c};
-          if (!router.config(color).configured() ||
+          if (!router.configured(color) ||
               options_.color_claimed(color)) {
             continue;
           }

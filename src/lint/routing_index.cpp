@@ -64,7 +64,7 @@ RoutingIndex::RoutingIndex(const wse::Fabric& fabric, ThreadPool& pool)
       const wse::Router& router = fabric.router(x, y);
       u32 mask = 0;
       for (u8 c = 0; c < Color::kMaxColors; ++c) {
-        if (router.config(Color{c}).configured()) {
+        if (router.configured(Color{c})) {
           mask |= color_bit(Color{c});
         }
       }

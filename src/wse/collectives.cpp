@@ -19,21 +19,24 @@ AllReduceSum::AllReduceSum(AllReduceColors colors, Coord2 coord,
 void AllReduceSum::configure_router(Router& router) const {
   // Chain reductions: accept from the upstream side, inject toward the
   // downstream side. Broadcasts fan out (deliver + forward); traffic
-  // leaving the fabric is absorbed by the boundary.
-  router.configure(colors_.row_reduce,
-                   ColorConfig({position({RouteRule{Dir::Ramp, {Dir::West}},
-                                          RouteRule{Dir::East, {Dir::Ramp}}})}));
-  router.configure(colors_.col_reduce,
-                   ColorConfig({position({RouteRule{Dir::Ramp, {Dir::South}},
-                                          RouteRule{Dir::North, {Dir::Ramp}}})}));
-  router.configure(
-      colors_.row_bcast,
-      ColorConfig({position({RouteRule{Dir::Ramp, {Dir::East}},
-                             RouteRule{Dir::West, {Dir::Ramp, Dir::East}}})}));
-  router.configure(
-      colors_.col_bcast,
-      ColorConfig({position({RouteRule{Dir::Ramp, {Dir::North}},
-                             RouteRule{Dir::South, {Dir::Ramp, Dir::North}}})}));
+  // leaving the fabric is absorbed by the boundary. The tables are the
+  // same on every PE, so they are packed once.
+  static const ColorConfig row_reduce(
+      {position({RouteRule{Dir::Ramp, {Dir::West}},
+                 RouteRule{Dir::East, {Dir::Ramp}}})});
+  static const ColorConfig col_reduce(
+      {position({RouteRule{Dir::Ramp, {Dir::South}},
+                 RouteRule{Dir::North, {Dir::Ramp}}})});
+  static const ColorConfig row_bcast(
+      {position({RouteRule{Dir::Ramp, {Dir::East}},
+                 RouteRule{Dir::West, {Dir::Ramp, Dir::East}}})});
+  static const ColorConfig col_bcast(
+      {position({RouteRule{Dir::Ramp, {Dir::North}},
+                 RouteRule{Dir::South, {Dir::Ramp, Dir::North}}})});
+  router.configure(colors_.row_reduce, row_reduce);
+  router.configure(colors_.col_reduce, col_reduce);
+  router.configure(colors_.row_bcast, row_bcast);
+  router.configure(colors_.col_bcast, col_bcast);
 }
 
 bool AllReduceSum::owns(Color color) const noexcept {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <exception>
 #include <iterator>
 #include <limits>
@@ -505,10 +504,11 @@ Fabric::Fabric(i32 width, i32 height, FabricTimings timings,
       timings_(timings),
       exec_(exec),
       memory_budget_(pe_memory_budget),
+      route_pool_(std::make_unique<RoutePool>()),
       fault_model_(exec.fault) {
   FVF_REQUIRE(width > 0 && height > 0);
   pes_.reserve(static_cast<usize>(pe_count()));
-  routers_.resize(static_cast<usize>(pe_count()));
+  routers_.assign(static_cast<usize>(pe_count()), Router(*route_pool_));
   pending_.resize(static_cast<usize>(pe_count()));
   if (fault_model_.enabled()) {
     // Per-link next-free times backing the FIFO-preserving stall model.
@@ -758,14 +758,13 @@ void Fabric::process_event(detail::Tile& tile, Event& event) {
     event.stalled = false;
   }
 
-  // Resolve the route from the flat mirror (one load) instead of chasing
-  // the Router's config/position/rule vectors; see build_route_table.
-  const u32 packed =
-      route_table_[at * Color::kMaxColors + event.color.id()]
-                  [static_cast<usize>(event.from)];
+  // Resolve the route from the router's first cache line (prefetched by
+  // run_tile) and the fabric's switch table, which every router of the
+  // color shares and so stays cached.
+  Router& rt = routers_[at];
+  const u32 packed = rt.route(event.color, event.from);
   if (packed == 0) {
-    Router& rt = routers_[at];
-    if (!rt.config(event.color).configured()) {
+    if (!rt.configured(event.color)) {
       std::ostringstream os;
       os << "wavelet on unconfigured color "
          << static_cast<int>(event.color.id()) << " entering PE (" << event.x
@@ -822,7 +821,6 @@ void Fabric::process_event(detail::Tile& tile, Event& event) {
   }
 
   // Route first (using the pre-advance configuration)...
-  Router& rt = routers_[at];
   const bool faults = fault_model_.enabled();
   // Exactly-once drop accounting for corrupted blocks: the token travels
   // with one surviving forwarded copy (fan-out duplicates are not
@@ -967,11 +965,10 @@ void Fabric::process_event(detail::Tile& tile, Event& event) {
   // ...then advance the switch if this was a control wavelet, releasing
   // any wavelets the old position was holding back.
   if (event.control) {
-    // Advancing a single-position switch is a no-op, so the Router and
-    // the mirror only need touching when the color actually alternates.
+    // Advancing a single-position switch is a no-op, so the route word
+    // only needs touching when the color actually alternates.
     if (packed & kRouteMultiPositionBit) {
       rt.advance_switch(event.color);
-      rebuild_route_entry(at, event.color);
     }
     release_pending(tile, event.x, event.y, event.color, event.time);
   }
@@ -1013,13 +1010,11 @@ void Fabric::run_tile(detail::Tile& tile, f64 window_end, u64 event_cap) {
     Event event = tile.queue.pop();
     if (!tile.queue.empty()) {
       // Overlap the next event's cache misses with this event's work:
-      // the queue minimum is already known, and its PE/router/route rows
+      // the queue minimum is already known, and its PE and router rows
       // are scattered across arrays far larger than the LLC at wafer
       // scale, so the engine is otherwise bound by these fetch stalls.
       const Event& next = tile.queue.top();
       const usize next_at = static_cast<usize>(index(next.x, next.y));
-      __builtin_prefetch(
-          &route_table_[next_at * Color::kMaxColors + next.color.id()]);
       __builtin_prefetch(&pes_[next_at]);
       __builtin_prefetch(&routers_[next_at]);
     }
@@ -1030,30 +1025,6 @@ void Fabric::run_tile(detail::Tile& tile, f64 window_end, u64 event_cap) {
       // Ownership not transferred to a forward or a pending buffer: the
       // payload's last reader was this event.
       tile.arena->free(event.payload);
-    }
-  }
-}
-
-void Fabric::rebuild_route_entry(usize at, Color color) {
-  std::array<u32, kLinkCount>& entry =
-      route_table_[at * Color::kMaxColors + color.id()];
-  const ColorConfig& config = routers_[at].config(color);
-  if (!config.configured()) {
-    entry.fill(0);
-    return;
-  }
-  // ColorConfig packed every position at configure time (see route.hpp),
-  // so refreshing the mirror — including on the control-wavelet hot path
-  // — is one kLinkCount-word copy.
-  std::memcpy(entry.data(), config.packed_row(), sizeof(entry));
-}
-
-void Fabric::build_route_table() {
-  const usize n = static_cast<usize>(width_) * static_cast<usize>(height_);
-  route_table_.assign(n * Color::kMaxColors, {});
-  for (usize at = 0; at < n; ++at) {
-    for (u8 c = 0; c < Color::kMaxColors; ++c) {
-      rebuild_route_entry(at, Color{c});
     }
   }
 }
@@ -1075,7 +1046,6 @@ i32 Fabric::tile_count() const noexcept {
 
 RunReport Fabric::run(u64 max_events) {
   const i32 tile_count = this->tile_count();
-  build_route_table();
 
   tile_of_row_.assign(static_cast<usize>(height_), 0);
   if (arenas_.empty()) {
@@ -1404,7 +1374,7 @@ RunReport Fabric::finish_run(std::vector<detail::Tile>& tiles,
                << static_cast<int>(e.color.id()) << " from "
                << dir_name(e.from) << (e.control ? " ctrl" : " data")
                << " pos "
-               << router(x, y).config(e.color).current_position() << "]";
+               << router(x, y).current_position(e.color) << "]";
             if (++shown >= 8) {
               break;
             }

@@ -507,19 +507,6 @@ class Fabric {
     return static_cast<i64>(y) * width_ + x;
   }
 
-  /// Flat mirror of every router's *current* switch position, one packed
-  /// u32 per (location, color, input link): bit 0 = rule exists, bits 1-3
-  /// = output count, then 3 bits per output Dir in configuration order.
-  /// Route resolution through the Router object chases four dependent
-  /// cache lines (configs array -> positions vector -> rules vector ->
-  /// outputs vector) per event, which dominates the hot path once the
-  /// fabric outgrows the LLC; the mirror answers in a single contiguous
-  /// load. Rebuilt from the routers at run() entry and re-resolved for
-  /// one (location, color) whenever a control wavelet advances that
-  /// switch — the Router stays authoritative.
-  void rebuild_route_entry(usize at, Color color);
-  void build_route_table();
-
   /// Simulated-cycle spacing of the event-budget checkpoints: `max_events`
   /// is evaluated whenever global simulated time crosses a multiple of
   /// this value, which makes the budget decision a pure function of the
@@ -538,10 +525,10 @@ class Fabric {
   /// Contiguous PE state (SoA-adjacent arrays below index the same way):
   /// sized once in the constructor, never reallocated.
   std::vector<Pe> pes_;
+  /// Every distinct switch table of the fabric, once; routers hold ids
+  /// into it. Heap-held so the routers' pointers to it stay valid.
+  std::unique_ptr<RoutePool> route_pool_;
   std::vector<Router> routers_;
-  /// See build_route_table: kLinkCount packed rules per (location, color),
-  /// laid out [at * kMaxColors + color][input].
-  std::vector<std::array<u32, kLinkCount>> route_table_;
   /// Backpressure queues: wavelets whose color's current switch position
   /// does not accept their input link wait here until a control wavelet
   /// advances the switch (models the router's input buffering).

@@ -10,6 +10,8 @@
 #pragma once
 
 #include <array>
+#include <atomic>
+#include <mutex>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -24,8 +26,8 @@ struct RouteRule {
   std::vector<Dir> outputs;
 };
 
-/// Packed route-entry format used by the engine's flat route table (one
-/// u32 per (location, color, input link)):
+/// Packed route-entry format of a switch position (one u32 per input
+/// link):
 ///   bit 0        rule exists (0 means "no rule for this input")
 ///   bits 1..3    output fan-out count
 ///   bits 4..18   outputs, 3 bits per Dir
@@ -57,21 +59,21 @@ struct SwitchPosition {
   }
 };
 
-/// Full per-color configuration: up to kMaxPositions switch positions and
-/// the index of the current one. The positions are kept only in the
-/// packed route-entry format above, kLinkCount words per position, inline:
-/// the engine's route mirror copies a position's words, and fvf::lint
-/// reads them directly, so a configured color costs no heap at all.
+/// Full per-color configuration: up to kMaxPositions switch positions.
+/// The positions are kept only in the packed route-entry format above,
+/// kLinkCount words per position, inline. A ColorConfig is an immutable
+/// value: routers hold an id into their fabric's RoutePool, which stores
+/// each distinct configuration once, and keep the current position
+/// themselves (see Router).
 class ColorConfig {
  public:
   static constexpr usize kMaxPositions = 4;
 
   ColorConfig() = default;
 
-  /// Packs `positions` once, at configure time: a control wavelet
-  /// advancing the switch then refreshes the engine's flat route table
-  /// with a kLinkCount-word copy instead of re-walking rule vectors (the
-  /// advance is on the event hot path for multi-position colors).
+  /// Packs `positions` once, at configure time: the engine then resolves
+  /// a route with one load from the packed row of the current position
+  /// instead of re-walking rule vectors.
   explicit ColorConfig(const std::vector<SwitchPosition>& positions) {
     FVF_REQUIRE(!positions.empty());
     FVF_REQUIRE(positions.size() <= kMaxPositions);
@@ -98,35 +100,14 @@ class ColorConfig {
   [[nodiscard]] bool configured() const noexcept { return count_ != 0; }
 
   [[nodiscard]] usize position_count() const noexcept { return count_; }
-  [[nodiscard]] usize current_position() const noexcept { return current_; }
-
-  /// Packed routing rule for wavelets entering through `input` under the
-  /// current position; 0 if the color does not accept that input now.
-  [[nodiscard]] u32 route(Dir input) const noexcept {
-    return packed_row()[static_cast<usize>(input)];
-  }
-
-  /// Advances the switch to the next position (wraps around). Invoked by
-  /// control wavelets as they traverse the router.
-  void advance() noexcept {
-    if (count_ != 0) {
-      current_ = static_cast<u8>((current_ + 1) % count_);
-    }
-  }
-
-  void reset_position() noexcept { current_ = 0; }
 
   /// Packed route entries of switch position `position` (kLinkCount
-  /// words, one per input link). fvf::lint's routing graph is the union
-  /// over every position: the switch state at an arbitrary run point is
-  /// dynamic, so the conservative reachability model considers each
-  /// position's rules.
+  /// words, one per input link; 0 = the position does not accept that
+  /// input). fvf::lint's routing graph is the union over every position:
+  /// the switch state at an arbitrary run point is dynamic, so the
+  /// conservative reachability model considers each position's rules.
   [[nodiscard]] const u32* packed_row(usize position) const noexcept {
     return packed_.data() + position * kLinkCount;
-  }
-  /// The current position's packed route entries.
-  [[nodiscard]] const u32* packed_row() const noexcept {
-    return packed_row(current_);
   }
 
   /// The switch positions unpacked again, for inspection: each position's
@@ -149,10 +130,68 @@ class ColorConfig {
     return positions;
   }
 
+  [[nodiscard]] bool operator==(const ColorConfig&) const noexcept = default;
+
  private:
   std::array<u32, kMaxPositions * kLinkCount> packed_{};
   u8 count_ = 0;
-  u8 current_ = 0;
+};
+
+/// A fabric's switch tables, each distinct ColorConfig stored once. A
+/// wafer's routers configure only a handful of distinct tables (every
+/// interior PE of a stencil program routes alike), so a router keeps a
+/// 14-bit id per color instead of the table itself.
+///
+/// Fabric::load configures routers row-parallel, so intern() is safe to
+/// call concurrently: published entries are immutable and found by hash
+/// without a lock; only inserting a new table takes the mutex. Ids depend
+/// on insertion order (and thus on thread timing) and are never
+/// observable in a run's results.
+class RoutePool {
+ public:
+  /// Width of a table id in a router's route word.
+  static constexpr u32 kIdBits = 14;
+  /// Id 0 is the unconfigured (all-zero) table; configured tables take
+  /// ids 1 .. kMaxTables.
+  static constexpr usize kMaxTables = (usize{1} << kIdBits) - 1;
+
+  RoutePool();
+  ~RoutePool();
+  RoutePool(const RoutePool&) = delete;
+  RoutePool& operator=(const RoutePool&) = delete;
+
+  /// Id of the table equal to `config`, inserted on first sight.
+  [[nodiscard]] u16 intern(const ColorConfig& config);
+
+  /// The table with id `id`: 0, or a value intern() returned.
+  [[nodiscard]] const ColorConfig& table(u16 id) const noexcept {
+    return chunks_[id >> kChunkBits].load(std::memory_order_acquire)
+        [id & kChunkMask].config;
+  }
+
+ private:
+  static constexpr u32 kChunkBits = 6;
+  static constexpr usize kChunkSize = usize{1} << kChunkBits;
+  static constexpr usize kChunkMask = kChunkSize - 1;
+  static constexpr usize kChunkCount = (kMaxTables + 1) / kChunkSize;
+  static constexpr u32 kBucketBits = 8;
+
+  struct Entry {
+    ColorConfig config;
+    /// Next id in this entry's hash bucket (0 ends the chain).
+    u16 next = 0;
+  };
+
+  /// Id of the entry equal to `config` in bucket `bucket`, or 0.
+  [[nodiscard]] u16 find(usize bucket, const ColorConfig& config) const noexcept;
+
+  /// Entries live in fixed-size chunks that never move; a chunk pointer
+  /// and a bucket head are published with release stores after the
+  /// entries they reach are written.
+  std::array<std::atomic<Entry*>, kChunkCount> chunks_{};
+  std::array<std::atomic<u16>, usize{1} << kBucketBits> buckets_{};
+  std::mutex insert_mutex_;
+  usize size_ = 1;  ///< next free id; guarded by insert_mutex_
 };
 
 /// Convenience builders for the common single-rule configurations.

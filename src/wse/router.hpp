@@ -1,5 +1,5 @@
 /// \file router.hpp
-/// \brief A fabric router: per-color switch-position configurations plus
+/// \brief A fabric router: per-color switch-table ids and positions plus
 ///        traversal statistics.
 #pragma once
 
@@ -9,13 +9,17 @@
 
 namespace fvf::wse {
 
-/// Router attached to one PE. Owns the routing configuration for every
-/// color and counts traffic through each link.
-class Router {
+/// Router attached to one PE. Holds one route word per color — the id of
+/// the color's switch table in the fabric's RoutePool plus the current
+/// switch position — and counts traffic through each link.
+class alignas(64) Router {
  public:
-  /// Installs (replaces) the configuration of a color.
-  void configure(Color color, ColorConfig config) {
-    configs_[color.id()] = std::move(config);
+  explicit Router(RoutePool& pool) noexcept : pool_(&pool) {}
+
+  /// Installs (replaces) the configuration of a color, at position 0.
+  void configure(Color color, const ColorConfig& config) {
+    routes_[color.id()] =
+        static_cast<u16>(pool_->intern(config) << kPositionBits);
     ++configure_count_[color.id()];
   }
 
@@ -28,21 +32,35 @@ class Router {
     return configure_count_[color.id()];
   }
 
+  /// The color's switch table (unconfigured when never configured).
   [[nodiscard]] const ColorConfig& config(Color color) const noexcept {
-    return configs_[color.id()];
+    return pool_->table(routes_[color.id()] >> kPositionBits);
   }
-  [[nodiscard]] ColorConfig& config(Color color) noexcept {
-    return configs_[color.id()];
+  [[nodiscard]] bool configured(Color color) const noexcept {
+    return routes_[color.id()] != 0;
+  }
+  [[nodiscard]] usize current_position(Color color) const noexcept {
+    return routes_[color.id()] & kPositionMask;
   }
 
   /// Resolves the packed routing rule for a wavelet of `color` entering
   /// through `input` under the color's current switch position (0 = none).
   [[nodiscard]] u32 route(Color color, Dir input) const noexcept {
-    return configs_[color.id()].route(input);
+    const u16 word = routes_[color.id()];
+    return pool_->table(word >> kPositionBits)
+        .packed_row(word & kPositionMask)[static_cast<usize>(input)];
   }
 
-  /// Advances the switch position of a color (control wavelet semantics).
-  void advance_switch(Color color) noexcept { configs_[color.id()].advance(); }
+  /// Advances the switch position of a color (control wavelet semantics),
+  /// wrapping around; a no-op on an unconfigured color.
+  void advance_switch(Color color) noexcept {
+    u16& word = routes_[color.id()];
+    const usize count = config(color).position_count();
+    if (count != 0) {
+      const usize next = ((word & kPositionMask) + 1) % count;
+      word = static_cast<u16>((word & ~kPositionMask) | next);
+    }
+  }
 
   /// Traffic counters (wavelets through each output link / per color).
   void count_output(Dir d, u64 wavelets) noexcept {
@@ -75,15 +93,23 @@ class Router {
   }
 
  private:
-  // Traffic counters first: the event hot path bumps count_output and
-  // count_color on every routed block, and with the low-id data colors
-  // both land in the object's first cache line. The packed configs are
-  // only read on the cold paths (table build, backpressure, errors).
+  /// A route word: table id in the high kIdBits bits, current position in
+  /// the low kPositionBits.
+  static constexpr u32 kPositionBits = 2;
+  static constexpr u16 kPositionMask = (1u << kPositionBits) - 1;
+  static_assert((usize{1} << kPositionBits) == ColorConfig::kMaxPositions);
+  static_assert(kPositionBits + RoutePool::kIdBits == 16);
+
+  // The route words, the pool pointer and the birth counter fill the
+  // first cache line: the event hot path resolves every block from it
+  // (the engine prefetches it for the next event). The traffic counters
+  // it bumps next follow.
+  std::array<u16, Color::kMaxColors> routes_{};
+  RoutePool* pool_;
+  u64 birth_seq_ = 0;
   std::array<u64, kLinkCount> traffic_out_{};
   u64 blocks_dropped_ = 0;
-  u64 birth_seq_ = 0;
   std::array<u64, Color::kMaxColors> traffic_color_{};
-  std::array<ColorConfig, Color::kMaxColors> configs_{};
   std::array<u32, Color::kMaxColors> configure_count_{};
 };
 

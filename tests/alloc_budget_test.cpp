@@ -1,11 +1,14 @@
 // Host-state budget of a loaded fabric. A counting global operator
-// new/delete tracks live heap blocks, so a change that gives every PE a
-// few more allocations fails here deterministically instead of showing
-// up later as resident-memory drift at wafer scale.
+// new/delete tracks live heap blocks and bytes, so a change that gives
+// every PE a few more allocations or a fatter object fails here
+// deterministically instead of showing up later as resident-memory drift
+// at wafer scale.
 //
 // Sanitizer runtimes (ASan, TSan) install their own operator new, so
 // under them the counters are not replaced and the test skips.
 #include <gtest/gtest.h>
+
+#include <malloc.h>
 
 #include <atomic>
 #include <cstdlib>
@@ -13,6 +16,7 @@
 
 #include "core/launcher.hpp"
 #include "physics/problem.hpp"
+#include "wse/router.hpp"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define FVF_SANITIZED_ALLOCATOR 1
@@ -27,13 +31,22 @@
 namespace {
 
 std::atomic<long long> g_live_blocks{0};
+/// Usable size of every live block (malloc_usable_size: what the
+/// allocator really holds, so alloc and free book the same figure).
+std::atomic<long long> g_live_bytes{0};
+
+void count_alloc(void* p) noexcept {
+  g_live_blocks.fetch_add(1, std::memory_order_relaxed);
+  g_live_bytes.fetch_add(static_cast<long long>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+}
 
 void* counted_alloc(std::size_t size) {
   void* p = std::malloc(size == 0 ? 1 : size);
   if (p == nullptr) {
     throw std::bad_alloc();
   }
-  g_live_blocks.fetch_add(1, std::memory_order_relaxed);
+  count_alloc(p);
   return p;
 }
 
@@ -44,13 +57,15 @@ void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
   if (p == nullptr) {
     throw std::bad_alloc();
   }
-  g_live_blocks.fetch_add(1, std::memory_order_relaxed);
+  count_alloc(p);
   return p;
 }
 
 void counted_free(void* p) noexcept {
   if (p != nullptr) {
     g_live_blocks.fetch_sub(1, std::memory_order_relaxed);
+    g_live_bytes.fetch_sub(static_cast<long long>(malloc_usable_size(p)),
+                           std::memory_order_relaxed);
     std::free(p);
   }
 }
@@ -85,12 +100,20 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace fvf {
 namespace {
 
+// A router's host state is its 24 route words, traffic counters and
+// configure counts; switch tables live once per fabric (wse::RoutePool).
+static_assert(sizeof(wse::Router) <= 512);
+
 TEST(AllocBudgetTest, MemoizedTpfaLoadHoldsAHandfulOfBlocksPerPe) {
 #ifdef FVF_SANITIZED_ALLOCATOR
   GTEST_SKIP() << "the sanitizer runtime owns operator new";
 #else
   constexpr i32 kSide = 32;
   constexpr f64 kBlocksPerPe = 8.0;
+  // Measured 3,027 live bytes per PE (4,931 before switch tables were
+  // interned per fabric, when every Router held its 24 ColorConfigs
+  // inline); the bound leaves 9% headroom.
+  constexpr f64 kBytesPerPe = 3300.0;
   const physics::FlowProblem problem =
       physics::make_benchmark_problem(Extents3{kSide, kSide, 8}, 2023);
   const core::DataflowOptions options;
@@ -100,8 +123,10 @@ TEST(AllocBudgetTest, MemoizedTpfaLoadHoldsAHandfulOfBlocksPerPe) {
     const core::TpfaLoad first = core::load_dataflow_tpfa(problem, options);
   }
   const long long before = g_live_blocks.load();
+  const long long bytes_before = g_live_bytes.load();
   const core::TpfaLoad load = core::load_dataflow_tpfa(problem, options);
   const long long after = g_live_blocks.load();
+  const long long bytes_after = g_live_bytes.load();
   ASSERT_NE(load.harness, nullptr);
 
   const f64 per_pe =
@@ -110,6 +135,11 @@ TEST(AllocBudgetTest, MemoizedTpfaLoadHoldsAHandfulOfBlocksPerPe) {
   EXPECT_LE(per_pe, kBlocksPerPe)
       << (after - before) << " live heap blocks for " << kSide * kSide
       << " PEs";
+  const f64 bytes_per_pe = static_cast<f64>(bytes_after - bytes_before) /
+                           static_cast<f64>(kSide * kSide);
+  EXPECT_LE(bytes_per_pe, kBytesPerPe)
+      << (bytes_after - bytes_before) << " live heap bytes for "
+      << kSide * kSide << " PEs";
 #endif
 }
 

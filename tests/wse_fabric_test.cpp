@@ -62,23 +62,27 @@ TEST(FabricTypesTest, PackUnpackF32RoundTrip) {
 }
 
 TEST(ColorConfigTest, AdvanceWrapsAround) {
-  ColorConfig config({position(Dir::Ramp, {Dir::East}),
-                      position(Dir::West, {Dir::Ramp})});
-  EXPECT_EQ(config.current_position(), 0u);
-  config.advance();
-  EXPECT_EQ(config.current_position(), 1u);
-  config.advance();
-  EXPECT_EQ(config.current_position(), 0u);
+  RoutePool pool;
+  Router router(pool);
+  router.configure(kC0, ColorConfig({position(Dir::Ramp, {Dir::East}),
+                                     position(Dir::West, {Dir::Ramp})}));
+  EXPECT_EQ(router.current_position(kC0), 0u);
+  router.advance_switch(kC0);
+  EXPECT_EQ(router.current_position(kC0), 1u);
+  router.advance_switch(kC0);
+  EXPECT_EQ(router.current_position(kC0), 0u);
 }
 
 TEST(ColorConfigTest, RouteResolvesCurrentPositionOnly) {
-  ColorConfig config({position(Dir::Ramp, {Dir::East}),
-                      position(Dir::West, {Dir::Ramp})});
-  EXPECT_NE(config.route(Dir::Ramp), 0u);
-  EXPECT_EQ(config.route(Dir::West), 0u);
-  config.advance();
-  EXPECT_EQ(config.route(Dir::Ramp), 0u);
-  EXPECT_NE(config.route(Dir::West), 0u);
+  RoutePool pool;
+  Router router(pool);
+  router.configure(kC0, ColorConfig({position(Dir::Ramp, {Dir::East}),
+                                     position(Dir::West, {Dir::Ramp})}));
+  EXPECT_NE(router.route(kC0, Dir::Ramp), 0u);
+  EXPECT_EQ(router.route(kC0, Dir::West), 0u);
+  router.advance_switch(kC0);
+  EXPECT_EQ(router.route(kC0, Dir::Ramp), 0u);
+  EXPECT_NE(router.route(kC0, Dir::West), 0u);
 }
 
 bool same_positions(const std::vector<SwitchPosition>& a,
@@ -125,6 +129,92 @@ TEST(ColorConfigTest, RejectsDuplicateInputs) {
   EXPECT_THROW(ColorConfig({position({RouteRule{Dir::Ramp, {Dir::East}},
                                       RouteRule{Dir::Ramp, {Dir::West}}})}),
                ContractViolation);
+}
+
+// --- interned switch tables ---------------------------------------------------
+
+ColorConfig two_position_table() {
+  return ColorConfig({position(Dir::Ramp, {Dir::East}),
+                      position(Dir::West, {Dir::Ramp})});
+}
+
+TEST(RoutePoolTest, EqualConfigsShareOneTable) {
+  Fabric fabric(2, 1);
+  Router& a = fabric.router(0, 0);
+  Router& b = fabric.router(1, 0);
+  a.configure(kC0, two_position_table());
+  b.configure(kC0, two_position_table());
+  b.configure(kC1, two_position_table());
+  EXPECT_EQ(&a.config(kC0), &b.config(kC0));
+  EXPECT_EQ(&b.config(kC0), &b.config(kC1));
+  a.configure(kC1, ColorConfig({position(Dir::Ramp, {Dir::West})}));
+  EXPECT_NE(&a.config(kC1), &a.config(kC0));
+  EXPECT_EQ(&a.config(Color{5}), &b.config(Color{7}))
+      << "unconfigured colors share the empty table";
+  EXPECT_FALSE(a.configured(Color{5}));
+}
+
+TEST(RoutePoolTest, AdvancingOneRouterLeavesTheOtherAlone) {
+  Fabric fabric(2, 1);
+  Router& a = fabric.router(0, 0);
+  Router& b = fabric.router(1, 0);
+  a.configure(kC0, two_position_table());
+  b.configure(kC0, two_position_table());
+  const u32 b_ramp = b.route(kC0, Dir::Ramp);
+  ASSERT_NE(b_ramp, 0u);
+  a.advance_switch(kC0);
+  EXPECT_EQ(a.current_position(kC0), 1u);
+  EXPECT_EQ(b.current_position(kC0), 0u);
+  EXPECT_EQ(a.route(kC0, Dir::Ramp), 0u);
+  EXPECT_EQ(b.route(kC0, Dir::Ramp), b_ramp);
+  EXPECT_EQ(b.route(kC0, Dir::West), 0u);
+}
+
+TEST(RoutePoolTest, ReconfiguringOneRouterLeavesTheOtherAlone) {
+  Fabric fabric(2, 1);
+  Router& a = fabric.router(0, 0);
+  Router& b = fabric.router(1, 0);
+  a.configure(kC0, two_position_table());
+  b.configure(kC0, two_position_table());
+  b.advance_switch(kC0);
+  a.configure(kC0, ColorConfig({position(Dir::North, {Dir::Ramp})}));
+  EXPECT_EQ(a.config(kC0).position_count(), 1u);
+  EXPECT_NE(a.route(kC0, Dir::North), 0u);
+  EXPECT_EQ(b.config(kC0), two_position_table());
+  EXPECT_EQ(b.current_position(kC0), 1u);
+  EXPECT_EQ(b.route(kC0, Dir::North), 0u);
+  EXPECT_EQ(a.configure_count(kC0), 2u);
+  EXPECT_EQ(b.configure_count(kC0), 1u);
+}
+
+TEST(RoutePoolTest, RunningOutOfIdsIsANamedFailure) {
+  // Distinct single-position tables: the Ramp and North rules' outputs
+  // spell the index in base 5 (Dir values 0..4), five digits each.
+  auto table = [](usize i) {
+    auto digits = [](usize value) {
+      std::vector<Dir> outputs;
+      for (int d = 0; d < 5; ++d, value /= 5) {
+        outputs.push_back(static_cast<Dir>(value % 5));
+      }
+      return outputs;
+    };
+    return ColorConfig({position({RouteRule{Dir::Ramp, digits(i % 3125)},
+                                  RouteRule{Dir::North, digits(i / 3125)}})});
+  };
+  RoutePool pool;
+  for (usize i = 0; i < RoutePool::kMaxTables; ++i) {
+    ASSERT_EQ(pool.table(pool.intern(table(i))), table(i)) << "table " << i;
+  }
+  // A table already interned still resolves; a new one has no id left.
+  EXPECT_EQ(pool.table(pool.intern(table(0))), table(0));
+  try {
+    (void)pool.intern(table(RoutePool::kMaxTables));
+    ADD_FAILURE() << "interning past the id space must fail";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("route pool exhausted"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(PeMemoryTest, BudgetEnforced) {
@@ -337,8 +427,8 @@ TEST(FabricTest, ControlAdvancesTraversedRouters) {
   EXPECT_EQ(pe0_got[0], 20.0f);
   // Both routers advanced twice (their own control + none) -> the test's
   // protocol flips each router exactly once per control traversal.
-  EXPECT_EQ(fabric.router(0, 0).config(kC0).current_position(), 1u);
-  EXPECT_EQ(fabric.router(1, 0).config(kC0).current_position(), 1u);
+  EXPECT_EQ(fabric.router(0, 0).current_position(kC0), 1u);
+  EXPECT_EQ(fabric.router(1, 0).current_position(kC0), 1u);
 }
 
 TEST(FabricTest, BackpressureHoldsDataUntilSwitchAdvances) {

@@ -231,6 +231,53 @@ TEST(ParallelFabricTest, ErrorOverflowIsSummarisedIdenticallyAcrossThreads) {
   EXPECT_EQ(serial.errors, parallel.errors);
 }
 
+TEST(ParallelFabricTest, RowParallelLoadInternsTheSameSwitchTables) {
+  // From kParallelMinPes PEs up, Fabric::load configures rows on several
+  // threads that intern switch tables into one shared pool concurrently
+  // (the TSan build race-checks this). Pool ids may differ between the
+  // loads; what every router decodes, and the run, may not.
+  constexpr i32 kSide = 64;
+  static_assert(i64{kSide} * kSide >= wse::kParallelMinPes);
+  const physics::FlowProblem problem = make_problem(kSide, kSide, 4, 64);
+  core::DataflowOptions serial_options;
+  serial_options.iterations = 2;
+  core::DataflowOptions parallel_options = serial_options;
+  parallel_options.execution.threads = 4;
+  const core::TpfaLoad serial = core::load_dataflow_tpfa(problem, serial_options);
+  const core::TpfaLoad parallel =
+      core::load_dataflow_tpfa(problem, parallel_options);
+  ASSERT_EQ(parallel.harness->fabric().host_threads(), 4);
+
+  const wse::Fabric& a = serial.harness->fabric();
+  const wse::Fabric& b = parallel.harness->fabric();
+  for (i32 y = 0; y < kSide; ++y) {
+    for (i32 x = 0; x < kSide; ++x) {
+      for (u8 c = 0; c < wse::Color::kMaxColors; ++c) {
+        const wse::Color color{c};
+        const wse::Router& ra = a.router(x, y);
+        const wse::Router& rb = b.router(x, y);
+        ASSERT_EQ(ra.config(color), rb.config(color))
+            << "PE (" << x << ',' << y << ") color " << int{c};
+        ASSERT_EQ(ra.current_position(color), rb.current_position(color));
+        ASSERT_EQ(ra.configure_count(color), rb.configure_count(color));
+      }
+    }
+  }
+
+  const dataflow::RunInfo serial_run = serial.harness->run();
+  const dataflow::RunInfo parallel_run = parallel.harness->run();
+  ASSERT_TRUE(serial_run.ok()) << serial_run.errors[0];
+  ASSERT_TRUE(parallel_run.ok()) << parallel_run.errors[0];
+  const core::TpfaFields serial_fields = core::gather_tpfa(serial);
+  const core::TpfaFields parallel_fields = core::gather_tpfa(parallel);
+  expect_bitwise_equal(serial_fields.residual, parallel_fields.residual);
+  expect_bitwise_equal(serial_fields.pressure, parallel_fields.pressure);
+  expect_counters_equal(serial_run.counters, parallel_run.counters);
+  EXPECT_EQ(serial_run.color_traffic, parallel_run.color_traffic);
+  EXPECT_EQ(serial_run.events_processed, parallel_run.events_processed);
+  EXPECT_EQ(serial_run.makespan_cycles, parallel_run.makespan_cycles);
+}
+
 TEST(ParallelFabricTest, TraceSequenceIsIdenticalAcrossThreadCounts) {
   auto trace_run = [](i32 threads) {
     const physics::FlowProblem problem = make_problem(8, 8, 4, 99);

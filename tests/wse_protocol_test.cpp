@@ -200,7 +200,7 @@ TEST(ProtocolTest, FourPositionSwitchCycles) {
   EXPECT_EQ(router.config(kC1).position_count(), 4u);
   for (usize expected : {1u, 2u, 3u, 0u, 1u}) {
     router.advance_switch(kC1);
-    EXPECT_EQ(router.config(kC1).current_position(), expected);
+    EXPECT_EQ(router.current_position(kC1), expected);
   }
 }
 
