@@ -40,6 +40,7 @@
 #include <string>
 #include <vector>
 
+#include "common/mapped_allocator.hpp"
 #include "obs/phase.hpp"
 #include "wse/counters.hpp"
 #include "wse/dsd.hpp"
@@ -528,7 +529,11 @@ class Fabric {
   /// Every distinct switch table of the fabric, once; routers hold ids
   /// into it. Heap-held so the routers' pointers to it stay valid.
   std::unique_ptr<RoutePool> route_pool_;
-  std::vector<Router> routers_;
+  /// Mapped rather than heap-allocated: at 750x96 PEs the array is just
+  /// under malloc's 32 MiB dynamic mmap-threshold cap (see
+  /// mapped_allocator.hpp), and freeing it from the heap would make peak
+  /// RSS depend on thread timing.
+  std::vector<Router, MappedAllocator<Router>> routers_;
   /// Backpressure queues: wavelets whose color's current switch position
   /// does not accept their input link wait here until a control wavelet
   /// advances the switch (models the router's input buffering).

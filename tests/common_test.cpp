@@ -2,12 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
 #include "common/array3d.hpp"
 #include "common/assert.hpp"
 #include "common/cli.hpp"
+#include "common/mapped_allocator.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -344,6 +346,23 @@ TEST(ContractTest, RequireThrowsWithMessage) {
     EXPECT_NE(std::string(e.what()).find("math is broken: 42"),
               std::string::npos);
   }
+}
+
+// --- MappedAllocator --------------------------------------------------------
+
+TEST(MappedAllocatorTest, VectorStorageIsPageAlignedAndUsable) {
+  std::vector<u64, MappedAllocator<u64>> words;
+  words.reserve(100'000);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(words.data()) % 4096, 0u);
+  words.resize(100'000);
+  for (usize i = 0; i < words.size(); ++i) {
+    ASSERT_EQ(words[i], 0u);
+    words[i] = i * i;
+  }
+  // Growing moves the elements into a fresh mapping.
+  words.resize(300'000, 7);
+  EXPECT_EQ(words[99'999], u64{99'999} * 99'999);
+  EXPECT_EQ(words.back(), 7u);
 }
 
 }  // namespace
