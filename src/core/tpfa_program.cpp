@@ -43,9 +43,10 @@ class TpfaKernel final : public spec::StencilKernel {
     inv_mu_f32_ = constants.inv_mu;
 
     const usize scratch_count = options_.reuse_buffers ? 4 : 13;
+    const usize size = (kScratch + scratch_count) * static_cast<usize>(nz_);
     columns_ = std::move(data).release();
-    columns_.resize((kScratch + scratch_count) * static_cast<usize>(nz_),
-                    0.0f);
+    columns_.reserve(size);  // exact: resize alone would leave growth slack
+    columns_.resize(size, 0.0f);
 
     // Face -> neighbor-elevation column lookup (static geometry).
     for (const wse::Color c : kCardinalColors) {

@@ -7,6 +7,7 @@
 #include <map>
 #include <optional>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -31,6 +32,29 @@ void add(std::vector<Diagnostic>& found, Check check, Severity severity,
          Coord2 pe, std::optional<Color> color, std::string message) {
   found.push_back(Diagnostic{check, severity, pe, color, std::move(message)});
 }
+
+/// Budget of a probe ledger: large enough never to throw, so the probe
+/// measures the whole declaration.
+constexpr usize kProbeBudget = usize{1} << 40;
+
+/// A probe ledger that also writes each reservation as "'tag' bytes",
+/// comma-separated, for the over-budget diagnostic. Only the memory check
+/// builds one, and only for a PE already found over its budget.
+class RecordingLedger final : public wse::PeMemory {
+ public:
+  RecordingLedger() : PeMemory(kProbeBudget) {}
+
+  [[nodiscard]] std::string text() const { return text_.str(); }
+
+ private:
+  void record(std::string_view tag, usize bytes) override {
+    text_ << (first_ ? "" : ", ") << '\'' << tag << "' " << bytes;
+    first_ = false;
+  }
+
+  std::ostringstream text_;
+  bool first_ = true;
+};
 
 class Linter {
  public:
@@ -444,10 +468,10 @@ class Linter {
   void probe_row(i32 y, std::vector<MemoryFinding>& found) const {
     const Coord2 size{fabric_.width(), fabric_.height()};
     for (i32 x = 0; x < fabric_.width(); ++x) {
-      // Probe arena with an effectively unlimited budget: the point is
+      // Probe ledger with an effectively unlimited budget: the point is
       // to *measure* the declaration, not to fail at the first excess
       // reserve (PeMemory throws on its own budget).
-      wse::PeMemory probe(usize{1} << 40);
+      wse::PeMemory probe(kProbeBudget);
       const std::unique_ptr<wse::PeProgram> program =
           options_.probe_factory(Coord2{x, y}, size);
       FVF_REQUIRE_MSG(program != nullptr,
@@ -463,13 +487,10 @@ class Linter {
         os << "declares " << used
            << " bytes of static PE memory, exceeding the " << budget
            << "-byte budget by " << used - budget << " bytes (";
-        bool first = true;
-        for (const wse::AllocationRecord& record : probe.records()) {
-          os << (first ? "" : ", ") << '\'' << record.tag << "' "
-             << record.bytes;
-          first = false;
-        }
-        os << ')';
+        // Declare again, this time keeping the per-tag breakdown.
+        RecordingLedger breakdown;
+        program->reserve_memory(breakdown);
+        os << breakdown.text() << ')';
         found.push_back({Check::MemoryOverBudget, Severity::Error,
                          Coord2{x, y}, os.str()});
       } else if (static_cast<f64>(used) >=

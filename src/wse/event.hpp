@@ -4,8 +4,9 @@
 ///
 /// An Event is trivially copyable: payload bytes live in a tile-local
 /// PayloadArena (see wse/payload.hpp) and the event carries only a 32-bit
-/// handle plus the word count. Moving an event between queues, outboxes,
-/// and pending buffers is a 64-byte struct copy with no heap traffic.
+/// handle plus the word count. Moving an event between outboxes and
+/// pending buffers is a 56-byte struct copy with no heap traffic; the
+/// queue stores it as a 24-byte key plus a 32-byte EventBody (EventQueue).
 #pragma once
 
 #include <algorithm>
@@ -16,16 +17,9 @@
 
 namespace fvf::wse {
 
-/// One simulation event: a wavelet block arriving at a router, a control
-/// wavelet, or a synthetic program-start / PE-timer activation.
-struct Event {
-  f64 time = 0.0;
-  /// Birth key: `src` is the linear index of the location (PE/router)
-  /// that created the event; `seq` counts creations at that location.
-  /// (time, src, seq) is the engine's total processing order, and is
-  /// identical for every `threads` value.
-  i64 src = 0;
-  u64 seq = 0;
+/// Everything of an Event but its ordering key: what EventQueue keeps in
+/// a slot while the key sits in its heap.
+struct EventBody {
   i32 x = 0;
   i32 y = 0;
   /// Payload handle into the owning tile's arena (PayloadArena::kNull when
@@ -49,6 +43,18 @@ struct Event {
   bool fault_token = false;
 };
 
+/// One simulation event: a wavelet block arriving at a router, a control
+/// wavelet, or a synthetic program-start / PE-timer activation.
+struct Event : EventBody {
+  f64 time = 0.0;
+  /// Birth key: `src` is the linear index of the location (PE/router)
+  /// that created the event; `seq` counts creations at that location.
+  /// (time, src, seq) is the engine's total processing order, and is
+  /// identical for every `threads` value.
+  i64 src = 0;
+  u64 seq = 0;
+};
+
 /// The engine's strict total processing order.
 [[nodiscard]] inline bool event_before(const Event& a,
                                        const Event& b) noexcept {
@@ -61,23 +67,26 @@ struct Event {
   return a.seq < b.seq;
 }
 
-/// Min-queue of events under event_before. Events rest in a slot pool;
-/// the heap itself holds 24-byte keys {time, seq, src, slot}, so every
-/// sift moves a third of a cache line instead of the full 64-byte Event.
-/// A 4-ary array heap on top: shallower than a binary heap, `pop` moves
-/// the winning slot out instead of copying it, and `push_batch` drains a
-/// barrier outbox in one call. `src` fits u32 because it is a linear
-/// location index (y * width + x) of an i32-sized fabric.
+/// Min-queue of events under event_before. The heap holds 24-byte keys
+/// {time, seq, src, slot}; the rest of each event rests in a slot pool
+/// as a 32-byte EventBody, so the ordering key is stored once and every sift
+/// moves a third of a cache line instead of the full 56-byte Event.
+/// `pop` rebuilds the Event from its key and slot. A 4-ary array heap on
+/// top: shallower than a binary heap, and `push_batch` drains a barrier
+/// outbox in one call. `src` fits u32 because it is a linear location
+/// index (y * width + x) of an i32-sized fabric.
 class EventQueue {
  public:
   [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
   [[nodiscard]] usize size() const noexcept { return heap_.size(); }
-  [[nodiscard]] const Event& top() const noexcept {
-    return slots_[heap_.front().slot];
-  }
   /// Timestamp of the minimum event without touching its slot (the
   /// window-loop bound check stays inside the key array).
   [[nodiscard]] f64 top_time() const noexcept { return heap_.front().time; }
+  /// Location of the minimum event, for prefetching its PE and router.
+  [[nodiscard]] Coord2 top_location() const noexcept {
+    const EventBody& body = slots_[heap_.front().slot];
+    return {body.x, body.y};
+  }
 
   void reserve(usize n) {
     heap_.reserve(n);
@@ -85,14 +94,15 @@ class EventQueue {
   }
 
   void push(const Event& event) {
+    const EventBody& body = event;
     u32 slot;
     if (!free_slots_.empty()) {
       slot = free_slots_.back();
       free_slots_.pop_back();
-      slots_[slot] = event;
+      slots_[slot] = body;
     } else {
       slot = static_cast<u32>(slots_.size());
-      slots_.push_back(event);
+      slots_.push_back(body);
     }
     heap_.push_back(Key{event.time, event.seq,
                         static_cast<u32>(event.src), slot});
@@ -108,9 +118,13 @@ class EventQueue {
   }
 
   [[nodiscard]] Event pop() noexcept {
-    const u32 slot = heap_.front().slot;
-    Event out = slots_[slot];
-    free_slots_.push_back(slot);
+    const Key key = heap_.front();
+    Event out;
+    static_cast<EventBody&>(out) = slots_[key.slot];
+    out.time = key.time;
+    out.src = static_cast<i64>(key.src);
+    out.seq = key.seq;
+    free_slots_.push_back(key.slot);
     heap_.front() = heap_.back();
     heap_.pop_back();
     if (!heap_.empty()) {
@@ -179,7 +193,7 @@ class EventQueue {
   }
 
   std::vector<Key> heap_;
-  std::vector<Event> slots_;
+  std::vector<EventBody> slots_;
   std::vector<u32> free_slots_;
 };
 

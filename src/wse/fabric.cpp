@@ -532,7 +532,6 @@ Fabric::~Fabric() {
     for (i32 x = 0; x < width_; ++x) {
       Pe& p = pes_[static_cast<usize>(index(x, y))];
       p.program_.reset();
-      p.memory_ = PeMemory(p.memory_.budget());
     }
   });
 }
@@ -1013,7 +1012,7 @@ void Fabric::run_tile(detail::Tile& tile, f64 window_end, u64 event_cap) {
       // the queue minimum is already known, and its PE and router rows
       // are scattered across arrays far larger than the LLC at wafer
       // scale, so the engine is otherwise bound by these fetch stalls.
-      const Event& next = tile.queue.top();
+      const Coord2 next = tile.queue.top_location();
       const usize next_at = static_cast<usize>(index(next.x, next.y));
       __builtin_prefetch(&pes_[next_at]);
       __builtin_prefetch(&routers_[next_at]);
@@ -1070,11 +1069,15 @@ RunReport Fabric::run(u64 max_events) {
     tiles[static_cast<usize>(t)].outbox.resize(static_cast<usize>(tile_count));
   }
 
-  // Program-start events, one per PE, in deterministic PE order.
+  // Program-start events, one per PE, in deterministic PE order. Each
+  // start declares the program's footprint again, so the ledgers are
+  // cleared first: a load run many times counts its memory once.
   for (i32 y = 0; y < height_; ++y) {
     for (i32 x = 0; x < width_; ++x) {
-      FVF_REQUIRE_MSG(pe(x, y).program_ != nullptr,
+      Pe& p = pe(x, y);
+      FVF_REQUIRE_MSG(p.program_ != nullptr,
                       "Fabric::run called before load()");
+      p.memory_.clear();
       Event start;
       start.time = 0.0;
       start.x = x;

@@ -1,33 +1,28 @@
 /// \file memory.hpp
-/// \brief Per-PE private memory arena with a hard byte budget.
+/// \brief Per-PE private memory ledger with a hard byte budget.
 ///
 /// Each WSE-2 PE owns 48 KiB of single-level local SRAM holding code,
 /// data, and communication buffers. Section 5.3.1 of the paper stresses
 /// that minimising per-PE memory is what lets the largest problems fit;
-/// this arena enforces the budget and records a tagged breakdown so the
-/// memory-reuse ablation can report exactly what was saved.
+/// this ledger enforces the budget. A fabric PE's ledger holds only its
+/// budget and used-byte count: the simulator keeps program data in host
+/// buffers, so a reservation is pure accounting and stores nothing. A
+/// caller that wants the tagged breakdown (fvf::lint's memory report)
+/// derives a ledger that overrides `record`.
 #pragma once
 
-#include <cstddef>
-#include <span>
-#include <string>
-#include <vector>
+#include <string_view>
 
 #include "common/assert.hpp"
 #include "common/types.hpp"
 
 namespace fvf::wse {
 
-/// One tagged allocation record.
-struct AllocationRecord {
-  std::string tag;
-  usize bytes = 0;
-};
-
-/// Bump allocator over a fixed-size private memory. Allocations are
-/// permanent for the lifetime of a program (matching the static buffer
-/// allocation style of CSL kernels); the *reuse* optimisation is expressed
-/// by allocating one buffer and using it for several purposes.
+/// Budget plus used-byte counter over a fixed-size private memory.
+/// Reservations are permanent for the lifetime of a load (matching the
+/// static buffer allocation style of CSL kernels); the *reuse*
+/// optimisation is expressed by reserving one buffer and using it for
+/// several purposes.
 class PeMemory {
  public:
   /// WSE-2 PEs have 48 KiB of local memory.
@@ -35,53 +30,39 @@ class PeMemory {
 
   explicit PeMemory(usize budget_bytes = kDefaultBudget)
       : budget_(budget_bytes) {}
+  PeMemory(const PeMemory&) = default;
+  PeMemory(PeMemory&&) = default;
+  PeMemory& operator=(const PeMemory&) = default;
+  PeMemory& operator=(PeMemory&&) = default;
+  virtual ~PeMemory() = default;
 
-  /// Allocates `count` f32 words, 4-byte aligned, tagged for reporting.
-  [[nodiscard]] std::span<f32> alloc_f32(usize count, std::string tag) {
-    return std::span<f32>(
-        static_cast<f32*>(alloc_raw(count * sizeof(f32), std::move(tag))),
-        count);
-  }
-
-  [[nodiscard]] std::span<u32> alloc_u32(usize count, std::string tag) {
-    return std::span<u32>(
-        static_cast<u32*>(alloc_raw(count * sizeof(u32), std::move(tag))),
-        count);
-  }
-
-  /// Reserves bytes without handing out a pointer (models the footprint
-  /// of code/runtime structures).
-  void reserve(usize bytes, std::string tag) {
+  /// Reserves bytes of the footprint under `tag` (code, runtime
+  /// structures or data buffers). Throws, naming the tag, when the
+  /// budget would be exceeded.
+  void reserve(usize bytes, std::string_view tag) {
     FVF_REQUIRE_MSG(used_ + bytes <= budget_,
                     "PE memory budget exceeded reserving '"
                         << tag << "': " << used_ + bytes << " > " << budget_);
     used_ += bytes;
-    records_.push_back(AllocationRecord{std::move(tag), bytes});
+    record(tag, bytes);
   }
+
+  /// Drops every reservation (a program declares its footprint anew
+  /// each time it starts).
+  void clear() noexcept { used_ = 0; }
 
   [[nodiscard]] usize budget() const noexcept { return budget_; }
   [[nodiscard]] usize used() const noexcept { return used_; }
   [[nodiscard]] usize available() const noexcept { return budget_ - used_; }
-  [[nodiscard]] const std::vector<AllocationRecord>& records() const noexcept {
-    return records_;
-  }
+
+ protected:
+  /// Called after each successful reservation; the fabric's ledger
+  /// keeps nothing.
+  virtual void record(std::string_view /*tag*/, usize /*bytes*/) {}
 
  private:
-  [[nodiscard]] void* alloc_raw(usize bytes, std::string tag) {
-    FVF_REQUIRE_MSG(used_ + bytes <= budget_,
-                    "PE memory budget exceeded allocating '"
-                        << tag << "': " << used_ + bytes << " > " << budget_);
-    used_ += bytes;
-    records_.push_back(AllocationRecord{std::move(tag), bytes});
-    // Backing storage: one chunk per allocation keeps pointers stable.
-    chunks_.emplace_back(bytes, std::byte{0});
-    return chunks_.back().data();
-  }
-
   usize budget_;
   usize used_ = 0;
-  std::vector<AllocationRecord> records_;
-  std::vector<std::vector<std::byte>> chunks_;
 };
 
 }  // namespace fvf::wse

@@ -72,10 +72,12 @@ class PeProgram {
   virtual void configure_router(Router& router) = 0;
 
   /// Declares the program's static PE memory footprint into `mem`.
-  /// The runtime calls it once per PE before the first handler runs;
+  /// A program calls it from on_start (Fabric::run clears the PE's
+  /// ledger before the start events, so every run counts it once);
   /// fvf::lint calls it on constructed-but-not-executed probe instances
   /// to verify the footprint against the byte budget. Must not touch
-  /// fabric state (it only sees the memory arena).
+  /// fabric state (it only sees the memory ledger) and must declare the
+  /// same reservations each time it is called.
   virtual void reserve_memory(PeMemory& mem);
 
   /// Whether a wavelet of `color` delivered to this PE's Ramp would find

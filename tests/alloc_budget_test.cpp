@@ -1,101 +1,18 @@
-// Host-state budget of a loaded fabric. A counting global operator
-// new/delete tracks live heap blocks and bytes, so a change that gives
-// every PE a few more allocations or a fatter object fails here
-// deterministically instead of showing up later as resident-memory drift
-// at wafer scale.
+// Host-state budget of a loaded fabric and of its run. A counting global
+// operator new/delete tracks live heap blocks and bytes and their
+// high-water mark, so a change that gives every PE a few more
+// allocations or a fatter object fails here deterministically instead of
+// showing up later as resident-memory drift at wafer scale.
 //
 // Sanitizer runtimes (ASan, TSan) install their own operator new, so
-// under them the counters are not replaced and the test skips.
+// under them the counters are not replaced and the tests skip.
 #include <gtest/gtest.h>
 
-#include <malloc.h>
-
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
+#include "bench/counting_new.hpp"
 #include "core/launcher.hpp"
 #include "physics/problem.hpp"
+#include "wse/event.hpp"
 #include "wse/router.hpp"
-
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define FVF_SANITIZED_ALLOCATOR 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define FVF_SANITIZED_ALLOCATOR 1
-#endif
-#endif
-
-#ifndef FVF_SANITIZED_ALLOCATOR
-
-namespace {
-
-std::atomic<long long> g_live_blocks{0};
-/// Usable size of every live block (malloc_usable_size: what the
-/// allocator really holds, so alloc and free book the same figure).
-std::atomic<long long> g_live_bytes{0};
-
-void count_alloc(void* p) noexcept {
-  g_live_blocks.fetch_add(1, std::memory_order_relaxed);
-  g_live_bytes.fetch_add(static_cast<long long>(malloc_usable_size(p)),
-                         std::memory_order_relaxed);
-}
-
-void* counted_alloc(std::size_t size) {
-  void* p = std::malloc(size == 0 ? 1 : size);
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  count_alloc(p);
-  return p;
-}
-
-void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
-  const auto a = static_cast<std::size_t>(align);
-  // aligned_alloc wants a size that is a multiple of the alignment.
-  void* p = std::aligned_alloc(a, ((size == 0 ? 1 : size) + a - 1) / a * a);
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  count_alloc(p);
-  return p;
-}
-
-void counted_free(void* p) noexcept {
-  if (p != nullptr) {
-    g_live_blocks.fetch_sub(1, std::memory_order_relaxed);
-    g_live_bytes.fetch_sub(static_cast<long long>(malloc_usable_size(p)),
-                           std::memory_order_relaxed);
-    std::free(p);
-  }
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  return counted_aligned_alloc(size, align);
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return counted_aligned_alloc(size, align);
-}
-void operator delete(void* p) noexcept { counted_free(p); }
-void operator delete[](void* p) noexcept { counted_free(p); }
-void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
-void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { counted_free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept {
-  counted_free(p);
-}
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  counted_free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  counted_free(p);
-}
-
-#endif  // FVF_SANITIZED_ALLOCATOR
 
 namespace fvf {
 namespace {
@@ -103,45 +20,85 @@ namespace {
 // A router's host state is its 24 route words, traffic counters and
 // configure counts; switch tables live once per fabric (wse::RoutePool).
 static_assert(sizeof(wse::Router) <= 512);
+// A queued event's ordering key lives in the heap alone; its slot holds
+// the rest (wse::EventQueue).
+static_assert(sizeof(wse::EventBody) <= 32);
+
+constexpr i32 kSide = 32;
+constexpr f64 kPes = static_cast<f64>(kSide * kSide);
+
+[[nodiscard]] physics::FlowProblem budget_problem() {
+  return physics::make_benchmark_problem(Extents3{kSide, kSide, 8}, 2023);
+}
+
+/// The first load of a shape runs strict lint and memoizes the pass; the
+/// budgets are for the steady state every later launch sees.
+void memoize_lint(const physics::FlowProblem& problem,
+                  const core::DataflowOptions& options) {
+  const core::TpfaLoad first = core::load_dataflow_tpfa(problem, options);
+}
 
 TEST(AllocBudgetTest, MemoizedTpfaLoadHoldsAHandfulOfBlocksPerPe) {
 #ifdef FVF_SANITIZED_ALLOCATOR
   GTEST_SKIP() << "the sanitizer runtime owns operator new";
 #else
-  constexpr i32 kSide = 32;
   constexpr f64 kBlocksPerPe = 8.0;
-  // Measured 3,027 live bytes per PE (4,931 before switch tables were
-  // interned per fabric, when every Router held its 24 ColorConfigs
-  // inline); the bound leaves 9% headroom.
-  constexpr f64 kBytesPerPe = 3300.0;
-  const physics::FlowProblem problem =
-      physics::make_benchmark_problem(Extents3{kSide, kSide, 8}, 2023);
+  // Measured 2,571 live bytes per PE (3,027 before the kernel's column
+  // buffer was regrown to its exact size and a PE's memory ledger
+  // stopped keeping allocation records; 4,931 before switch tables were
+  // interned per fabric); the bound leaves 9% headroom.
+  constexpr f64 kBytesPerPe = 2800.0;
+  const physics::FlowProblem problem = budget_problem();
   const core::DataflowOptions options;
-  {
-    // The first load of a shape runs strict lint and memoizes the pass;
-    // the budget is for the steady state every later launch sees.
-    const core::TpfaLoad first = core::load_dataflow_tpfa(problem, options);
-  }
-  const long long before = g_live_blocks.load();
-  const long long bytes_before = g_live_bytes.load();
+  memoize_lint(problem, options);
+  const long long before = counting::live_blocks();
+  const long long bytes_before = counting::live_bytes();
   const core::TpfaLoad load = core::load_dataflow_tpfa(problem, options);
-  const long long after = g_live_blocks.load();
-  const long long bytes_after = g_live_bytes.load();
+  const long long after = counting::live_blocks();
+  const long long bytes_after = counting::live_bytes();
   ASSERT_NE(load.harness, nullptr);
 
-  const f64 per_pe =
-      static_cast<f64>(after - before) / static_cast<f64>(kSide * kSide);
+  const f64 per_pe = static_cast<f64>(after - before) / kPes;
   EXPECT_GT(per_pe, 0.0) << "the counting operator new is not in use";
   EXPECT_LE(per_pe, kBlocksPerPe)
       << (after - before) << " live heap blocks for " << kSide * kSide
       << " PEs";
   // The router array is mapped outside the heap (MappedAllocator), so
   // operator new never sees it; its bytes are added back per PE.
-  const f64 bytes_per_pe = static_cast<f64>(bytes_after - bytes_before) /
-                               static_cast<f64>(kSide * kSide) +
-                           static_cast<f64>(sizeof(wse::Router));
+  const f64 bytes_per_pe =
+      static_cast<f64>(bytes_after - bytes_before) / kPes +
+      static_cast<f64>(sizeof(wse::Router));
   EXPECT_LE(bytes_per_pe, kBytesPerPe)
       << (bytes_after - bytes_before) << " live heap bytes for "
+      << kSide * kSide << " PEs";
+#endif
+}
+
+TEST(AllocBudgetTest, RunOfAMemoizedTpfaLoadPeaksUnderItsBytesPerPe) {
+#ifdef FVF_SANITIZED_ALLOCATOR
+  GTEST_SKIP() << "the sanitizer runtime owns operator new";
+#else
+  // Peak live heap bytes above the load during run(), per PE: the event
+  // queue, payload arenas and pending buffers. Measured 809 (1,769
+  // before queue slots dropped the ordering key and PE memory ledgers
+  // stopped keeping the records every start wrote); the bound leaves 9%
+  // headroom.
+  constexpr f64 kRunBytesPerPe = 880.0;
+  const physics::FlowProblem problem = budget_problem();
+  const core::DataflowOptions options;
+  memoize_lint(problem, options);
+  const core::TpfaLoad load = core::load_dataflow_tpfa(problem, options);
+  ASSERT_NE(load.harness, nullptr);
+  const long long loaded = counting::live_bytes();
+  counting::reset_peak();
+  const dataflow::RunInfo info = load.harness->run();
+  const long long peak = counting::peak_bytes();
+  ASSERT_TRUE(info.ok());
+
+  const f64 per_pe = static_cast<f64>(peak - loaded) / kPes;
+  EXPECT_GT(per_pe, 0.0) << "the counting operator new is not in use";
+  EXPECT_LE(per_pe, kRunBytesPerPe)
+      << peak - loaded << " peak heap bytes above the load for "
       << kSide * kSide << " PEs";
 #endif
 }

@@ -243,7 +243,7 @@ f64 tpfa_makespan(i32 nx, i32 ny) {
 
 TEST(WaferScaleTest, PaperScaleFabricConstructsAndSteps) {
   // The paper's 750x994 fabric (~745k PEs) run to completion: ~23 s of
-  // wall clock and 4.6 GB, so gated behind FVF_WAFER_SMOKE=1 (the CI
+  // wall clock and 3.3 GB, so gated behind FVF_WAFER_SMOKE=1 (the CI
   // wafer-smoke leg sets it). A PE's work does not depend on the
   // fabric's size, so the wafer's makespan must equal a 10x10 run's bit
   // for bit (the weak scaling of Table 2).

@@ -488,6 +488,21 @@ TEST(LintParallelTest, ReportIsIdenticalForEveryThreadCount) {
     const Report tight_report =
         run(tpfa_load.harness->fabric(), tight_options);
     EXPECT_EQ(tight_report.error_count(), 1u + kSide * kSide);
+    // The per-tag breakdown, pinned literally: every field of the TPFA
+    // spec's memory layout at nz = 2, in declaration order.
+    const auto over = std::find_if(
+        tight_report.diagnostics.begin(), tight_report.diagnostics.end(),
+        [](const Diagnostic& d) {
+          return d.check == Check::MemoryOverBudget;
+        });
+    ASSERT_NE(over, tight_report.diagnostics.end());
+    EXPECT_EQ(over->message,
+              "PE(0,0) declares 7144 bytes of static PE memory, exceeding "
+              "the 1024-byte budget by 6120 bytes ('code+runtime' 6800, "
+              "'p/rho/r columns' 24, 'own elevations' 8, 'neighbor "
+              "elevations' 64, 'transmissibilities' 80, 'cardinal recv "
+              "buffers' 64, 'diagonal recv buffers' 64, 'scratch columns' "
+              "32, 'vertical flux column' 8)");
     tight.push_back(rendered(tight_report));
 
     dataflow::HarnessOptions cg_options;

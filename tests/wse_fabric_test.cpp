@@ -3,6 +3,9 @@
 // and the timing model.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -219,21 +222,71 @@ TEST(RoutePoolTest, RunningOutOfIdsIsANamedFailure) {
 
 TEST(PeMemoryTest, BudgetEnforced) {
   PeMemory mem(1024);
-  (void)mem.alloc_f32(128, "half");  // 512 B
+  mem.reserve(512, "half");
   EXPECT_EQ(mem.used(), 512u);
   EXPECT_EQ(mem.available(), 512u);
-  EXPECT_THROW((void)mem.alloc_f32(256, "too much"), ContractViolation);
+  try {
+    mem.reserve(1024, "too much");
+    ADD_FAILURE() << "reserving past the budget must fail";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "budget exceeded reserving 'too much': 1536 > 1024"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(mem.used(), 512u);
   mem.reserve(512, "rest");
   EXPECT_EQ(mem.available(), 0u);
+  mem.clear();
+  EXPECT_EQ(mem.used(), 0u);
+  EXPECT_EQ(mem.budget(), 1024u);
 }
 
 TEST(PeMemoryTest, RecordsTaggedAllocations) {
-  PeMemory mem(4096);
-  (void)mem.alloc_f32(16, "a");
+  // The ledger itself keeps no records; a derived ledger sees each
+  // successful reservation's tag and size through the record hook.
+  class Recording final : public PeMemory {
+   public:
+    using PeMemory::PeMemory;
+    std::vector<std::pair<std::string, usize>> records;
+
+   private:
+    void record(std::string_view tag, usize bytes) override {
+      records.emplace_back(std::string(tag), bytes);
+    }
+  };
+  Recording mem(4096);
+  mem.reserve(64, "a");
   mem.reserve(100, "b");
-  ASSERT_EQ(mem.records().size(), 2u);
-  EXPECT_EQ(mem.records()[0].tag, "a");
-  EXPECT_EQ(mem.records()[1].bytes, 100u);
+  EXPECT_THROW(mem.reserve(4096, "c"), ContractViolation);
+  ASSERT_EQ(mem.records.size(), 2u);
+  EXPECT_EQ(mem.records[0].first, "a");
+  EXPECT_EQ(mem.records[0].second, 64u);
+  EXPECT_EQ(mem.records[1].first, "b");
+  EXPECT_EQ(mem.records[1].second, 100u);
+  EXPECT_EQ(mem.used(), 164u);
+}
+
+TEST(PeMemoryTest, RerunningALoadCountsItsFootprintOnce) {
+  // A program that declares its footprint at start, as the spec engine
+  // does: 40 KiB of a 48 KiB budget, so a second count would throw.
+  Fabric fabric(2, 2);
+  fabric.load([](Coord2 coord, Coord2) {
+    auto prog = std::make_unique<ScriptProgram>();
+    prog->coord = coord;
+    prog->start = [](PeApi& api) {
+      api.memory().reserve(32 * 1024, "code+runtime");
+      api.memory().reserve(8 * 1024, "columns");
+      api.signal_done();
+    };
+    return prog;
+  });
+  for (int run = 0; run < 6; ++run) {
+    RunReport report;
+    ASSERT_NO_THROW(report = fabric.run()) << "run " << run;
+    EXPECT_TRUE(report.ok()) << "run " << run;
+    EXPECT_EQ(fabric.max_memory_used(), 40u * 1024u) << "run " << run;
+  }
 }
 
 // --- point-to-point data delivery ------------------------------------------
