@@ -55,7 +55,8 @@ class CgKernel final : public spec::StencilKernel {
     stencil_.apply_face(api, q_, face, d_nb);
   }
 
-  [[nodiscard]] RoundOutcome on_round_complete(PeCompute& api) override {
+  [[nodiscard]] RoundOutcome on_round_complete(PeCompute& api,
+                                               const FaceBlocks&) override {
     pending_ = Pending::DotDq;
     return RoundOutcome{RoundAction::Reduce, local_dot(api, d_, q_)};
   }

@@ -36,6 +36,7 @@ class TpfaKernel final : public spec::StencilKernel {
         fluid_(fluid),
         nz_(mesh_extents.nz) {
     FVF_REQUIRE(data.nz() == nz_);
+    FVF_REQUIRE(options_.iterations >= 1);
 
     const physics::KernelConstants constants =
         physics::make_kernel_constants(fluid_);
@@ -66,22 +67,26 @@ class TpfaKernel final : public spec::StencilKernel {
     return column(PeColumnData::kPressure);
   }
 
-  void local_compute(PeCompute& api, i32 round) override {
+  [[nodiscard]] std::span<const f32> begin_round(PeCompute& api) override {
+    const usize n = static_cast<usize>(nz_);
+    // [p | rho]: the density column directly follows the pressure column.
+    const std::span<const f32> block =
+        std::span<const f32>(columns_).subspan(PeColumnData::kPressure * n,
+                                               2 * n);
     if (!options_.compute_enabled) {
-      return;
+      return block;
     }
     api.set_phase(obs::Phase::LocalCompute);
-    const usize n = static_cast<usize>(nz_);
     const std::span<f32> p = column(PeColumnData::kPressure);
     const std::span<f32> rho = column(kDensity);
 
     // Pressure advance between applications of Algorithm 1 (matches
     // mesh::advance_pressure on the global array element-for-element).
-    if (round > 0) {
+    if (round_ > 0) {
       for (usize z = 0; z < n; ++z) {
         const i64 linear =
             mesh_extents_.linear(coord_.x, coord_.y, static_cast<i32>(z));
-        p[z] += mesh::pressure_bump(linear, round - 1);
+        p[z] += mesh::pressure_bump(linear, round_ - 1);
       }
       api.transcendental_ops(n);
       api.scalar_ops(2 * n);
@@ -96,13 +101,10 @@ class TpfaKernel final : public spec::StencilKernel {
     api.scalar_ops(3 * n);
 
     api.zeros(dsd(kResidual));
+    return block;
   }
 
-  [[nodiscard]] SendHalves send_halves() const override {
-    return {column(PeColumnData::kPressure), column(kDensity)};
-  }
-
-  void process_block(PeCompute& api, mesh::Face face, Dsd block) override {
+  void on_block(PeCompute& api, mesh::Face face, Dsd block) override {
     if (!options_.compute_enabled) {
       return;
     }
@@ -119,10 +121,24 @@ class TpfaKernel final : public spec::StencilKernel {
                       dsd(PeColumnData::kElevation), p_nb);
   }
 
-  void finalize_round(PeCompute& api, const FaceBlocks& blocks) override {
-    if (!options_.compute_enabled) {
-      return;
+  [[nodiscard]] spec::RoundOutcome on_round_complete(
+      PeCompute& api, const FaceBlocks& blocks) override {
+    ++round_;
+    if (options_.compute_enabled) {
+      accumulate_faces(api, blocks);
     }
+    return {round_ == options_.iterations ? spec::RoundAction::Done
+                                          : spec::RoundAction::Continue};
+  }
+
+ private:
+  // Working columns, after the PeColumnData::kColumns extracted ones.
+  static constexpr usize kDensity = PeColumnData::kColumns;
+  static constexpr usize kResidual = kDensity + 1;
+  static constexpr usize kVerticalFlux = kResidual + 1;
+  static constexpr usize kScratch = kVerticalFlux + 1;
+
+  void accumulate_faces(PeCompute& api, const FaceBlocks& blocks) {
     api.set_phase(obs::Phase::LocalCompute);
     // Accumulate the ten faces in the canonical stencil order, exactly as
     // the serial reference's inner loop does, so the residual is
@@ -161,13 +177,6 @@ class TpfaKernel final : public spec::StencilKernel {
       }
     }
   }
-
- private:
-  // Working columns, after the PeColumnData::kColumns extracted ones.
-  static constexpr usize kDensity = PeColumnData::kColumns;
-  static constexpr usize kResidual = kDensity + 1;
-  static constexpr usize kVerticalFlux = kResidual + 1;
-  static constexpr usize kScratch = kVerticalFlux + 1;
 
   [[nodiscard]] std::span<f32> column(usize index) noexcept {
     const auto n = static_cast<usize>(nz_);
@@ -243,6 +252,7 @@ class TpfaKernel final : public spec::StencilKernel {
   f32 gravity_f32_ = 0.0f;
   f32 inv_mu_f32_ = 0.0f;
   i32 nz_ = 0;
+  i32 round_ = 0;  ///< completed rounds
 
   std::vector<f32> columns_;
   /// Face -> neighbor elevation column (static geometry lookup).
@@ -256,7 +266,6 @@ spec::StencilSpec make_tpfa_spec(const TpfaKernelOptions& options) {
   s.shape = options.diagonals_enabled ? spec::StencilShape::NinePoint
                                       : spec::StencilShape::FivePoint;
   s.block_words_per_cell = 2;  // [p | rho]
-  s.rounds = options.iterations;
   s.claims.cardinal = "tpfa cardinal exchange";
   s.claims.diagonal = "tpfa diagonal forwards";
   // The complete ordered per-PE memory layout (the engine reserves these

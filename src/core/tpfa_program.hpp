@@ -20,9 +20,8 @@
 ///   6. advances to the next iteration once all ten faces are assembled.
 ///
 /// Communication/computation overlap is intrinsic: partial fluxes are
-/// computed in the kernel's process_block hook as blocks arrive
-/// (Section 5.3.2), and vertical faces are computed while cardinal data
-/// is in flight.
+/// computed in the kernel's on_block hook as blocks arrive (Section
+/// 5.3.2), and on_round_complete folds all ten faces in canonical order.
 #pragma once
 
 #include <array>
@@ -59,17 +58,19 @@ struct TpfaKernelOptions {
 class PeColumnData {
  public:
   /// Column order in the buffer.
-  static constexpr usize kPressure = 0;   ///< initial p
-  static constexpr usize kElevation = 1;  ///< own cell-centre elevations
+  static constexpr usize kElevation = 0;  ///< own cell-centre elevations
   /// Neighbor elevation columns (static geometry loaded at setup), plus
   /// cardinal_index(color) / diagonal_index(color); zero where the
   /// neighbor does not exist.
-  static constexpr usize kElevationCardinal = 2;
-  static constexpr usize kElevationDiagonal = 6;
+  static constexpr usize kElevationCardinal = 1;
+  static constexpr usize kElevationDiagonal = 5;
   /// Per-face transmissibility columns, plus the face index (zero where
   /// no neighbor).
-  static constexpr usize kTrans = 10;
-  static constexpr usize kColumns = kTrans + mesh::kFaceCount;
+  static constexpr usize kTrans = 9;
+  /// Initial p, last: the kernel's density column follows it, so
+  /// [p | rho] is one contiguous block.
+  static constexpr usize kPressure = kTrans + mesh::kFaceCount;
+  static constexpr usize kColumns = kPressure + 1;
 
   /// Zero-filled columns of depth `nz`.
   explicit PeColumnData(i32 nz);

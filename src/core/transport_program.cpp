@@ -5,7 +5,6 @@
 #include <cmath>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -21,99 +20,92 @@ namespace {
 using wse::Dsd;
 using wse::PeCompute;
 
-/// Per-PE column data.
-struct PeTransportData {
-  std::vector<f32> saturation;  ///< S, length Nz (updated)
-  std::vector<f32> pressure;    ///< p, length Nz (fixed for the window)
-  std::vector<f32> elevation;   ///< own cell-centre elevations
-  std::array<std::vector<f32>, 4> elevation_cardinal;
-  std::array<std::vector<f32>, 4> elevation_diagonal;
-  std::array<std::vector<f32>, mesh::kFaceCount> trans;
-  std::vector<f32> well_rate;   ///< injected volume rate per cell [m^3/s]
-};
-
 /// The physics half of the transport program: per-round flux assembly,
 /// CFL bound, and the saturation update. All communication (halo rounds,
 /// completion, the MIN-reduce tree) lives in the spec engine.
+///
+/// All of the kernel's columns live in one buffer: the extracted
+/// PeColumnData geometry columns first (its pressure column holds the
+/// window's fixed p), then the working columns below.
 class TransportKernel final : public spec::StencilKernel {
  public:
-  TransportKernel(i32 nz, TransportKernelOptions options,
-                  PeTransportData data)
-      : nz_(nz), options_(options) {
-    FVF_REQUIRE(nz > 0);
+  /// PE `coord`'s kernel over `geometry`, with its S, p and well-rate
+  /// columns taken from the global fields.
+  TransportKernel(TransportKernelOptions options, PeColumnData geometry,
+                  Coord2 coord, const Array3<f32>& saturation,
+                  const Array3<f32>& pressure, const Array3<f32>& well_rate)
+      : nz_(geometry.nz()), options_(options) {
     FVF_REQUIRE(options.window_seconds > 0.0);
     FVF_REQUIRE(options.pore_volume > 0.0f);
     FVF_REQUIRE(options.cfl > 0.0f && options.cfl <= 1.0f);
 
-    s_ = std::move(data.saturation);
-    p_ = std::move(data.pressure);
-    z_self_ = std::move(data.elevation);
-    z_cardinal_ = std::move(data.elevation_cardinal);
-    z_diagonal_ = std::move(data.elevation_diagonal);
-    trans_ = std::move(data.trans);
-    well_rate_ = std::move(data.well_rate);
-    FVF_REQUIRE(static_cast<i32>(s_.size()) == nz);
-    FVF_REQUIRE(static_cast<i32>(p_.size()) == nz);
-    FVF_REQUIRE(static_cast<i32>(well_rate_.size()) == nz);
-
-    const usize n = static_cast<usize>(nz);
-    send_buf_.assign(2 * n, 0.0f);
-    ds_.assign(n, 0.0f);
-    outflow_.assign(n, 0.0f);
+    const usize size = kColumns * static_cast<usize>(nz_);
+    columns_ = std::move(geometry).release();
+    columns_.reserve(size);  // exact: resize alone would leave growth slack
+    columns_.resize(size, 0.0f);
+    for (i32 z = 0; z < nz_; ++z) {
+      const auto i = static_cast<usize>(z);
+      column(kSaturation)[i] = saturation(coord.x, coord.y, z);
+      column(PeColumnData::kPressure)[i] = pressure(coord.x, coord.y, z);
+      column(kWellRate)[i] = well_rate(coord.x, coord.y, z);
+    }
 
     // Face -> neighbor-elevation column lookup (static geometry).
-    z_nb_of_face_.fill(nullptr);
     for (const wse::Color c : kCardinalColors) {
       z_nb_of_face_[static_cast<usize>(cardinal_face(c))] =
-          &z_cardinal_[cardinal_index(c)];
+          static_cast<u8>(PeColumnData::kElevationCardinal + cardinal_index(c));
     }
     for (const wse::Color c : kDiagonalColors) {
       z_nb_of_face_[static_cast<usize>(diagonal_face(c))] =
-          &z_diagonal_[diagonal_index(c)];
+          static_cast<u8>(PeColumnData::kElevationDiagonal + diagonal_index(c));
     }
   }
 
   [[nodiscard]] std::span<const f32> saturation() const noexcept {
-    return s_;
+    return column(kSaturation);
   }
   [[nodiscard]] i32 substeps() const noexcept { return substeps_; }
   [[nodiscard]] f64 advanced_seconds() const noexcept { return time_; }
 
   [[nodiscard]] std::span<const f32> begin_round(PeCompute& api) override {
-    for (auto& view : neighbor_block_) {
-      view.reset();
-    }
     // Stage [S | p] for the halo block (fabric-output DSDs stream from
     // contiguous memory).
-    std::copy(s_.begin(), s_.end(), send_buf_.begin());
-    std::copy(p_.begin(), p_.end(),
-              send_buf_.begin() + static_cast<std::ptrdiff_t>(nz_));
-    api.scalar_ops(2 * static_cast<usize>(nz_));
-    return send_buf_;
+    const std::span<const f32> s = column(kSaturation);
+    const std::span<const f32> p = column(PeColumnData::kPressure);
+    const auto n = static_cast<usize>(nz_);
+    const std::span<f32> send =
+        std::span<f32>(columns_).subspan(kSend * n, 2 * n);
+    std::copy(p.begin(), p.end(), std::copy(s.begin(), s.end(), send.begin()));
+    api.scalar_ops(2 * n);
+    return send;
   }
 
-  void on_block(PeCompute& api, mesh::Face face, Dsd block) override {
-    // Keep a view into the halo buffer; it stays valid until the next
-    // begin_round. Mark it live for the hazard detector: a receive
-    // overwriting it before the flux loop below reads it would be a bug
-    // (the dt min-reduce barrier is what rules that out).
+  void on_block(PeCompute& api, mesh::Face, Dsd block) override {
+    // The flux loop below reads this block at round completion. Mark it
+    // live for the hazard detector: a receive overwriting it first would
+    // be a bug (the dt min-reduce barrier is what rules that out).
     api.hazard_mark_live(block, "transport neighbor view");
-    neighbor_block_[static_cast<usize>(face)] = block;
   }
 
-  [[nodiscard]] spec::RoundOutcome on_round_complete(PeCompute& api) override {
+  [[nodiscard]] spec::RoundOutcome on_round_complete(
+      PeCompute& api, const FaceBlocks& blocks) override {
     const TransportFluid& fl = options_.fluid;
     const i32 nz = nz_;
+    const std::span<const f32> s = column(kSaturation);
+    const std::span<const f32> p = column(PeColumnData::kPressure);
+    const std::span<const f32> z_self = column(PeColumnData::kElevation);
+    const std::span<f32> ds = column(kDs);
+    const std::span<f32> outflow = column(kOutflow);
 
-    for (i32 z = 0; z < nz; ++z) {
-      ds_[static_cast<usize>(z)] = well_rate_[static_cast<usize>(z)];
-      outflow_[static_cast<usize>(z)] = well_rate_[static_cast<usize>(z)];
-    }
+    const std::span<const f32> well_rate = column(kWellRate);
+    std::copy(well_rate.begin(), well_rate.end(), ds.begin());
+    std::copy(well_rate.begin(), well_rate.end(), outflow.begin());
 
     for (i32 z = 0; z < nz; ++z) {
       const usize uz = static_cast<usize>(z);
       for (const mesh::Face face : mesh::kAllFaces) {
-        const f32 t = trans_[static_cast<usize>(face)][uz];
+        const f32 t =
+            column(PeColumnData::kTrans + static_cast<usize>(face))[uz];
         f32 s_nb, p_nb, z_nb;
         if (mesh::is_vertical(face)) {
           const i32 dz = face == mesh::Face::ZPlus ? 1 : -1;
@@ -121,29 +113,28 @@ class TransportKernel final : public spec::StencilKernel {
           if (znb < 0 || znb >= nz) {
             continue;
           }
-          s_nb = s_[static_cast<usize>(znb)];
-          p_nb = p_[static_cast<usize>(znb)];
-          z_nb = z_self_[static_cast<usize>(znb)];
+          s_nb = s[static_cast<usize>(znb)];
+          p_nb = p[static_cast<usize>(znb)];
+          z_nb = z_self[static_cast<usize>(znb)];
         } else {
-          const auto& view = neighbor_block_[static_cast<usize>(face)];
+          const auto& view = blocks[static_cast<usize>(face)];
           if (!view) {
             continue;  // fabric-edge face
           }
           s_nb = view->at(z);
           p_nb = view->at(nz + z);
-          z_nb = (*z_nb_of_face_[static_cast<usize>(face)])[uz];
+          z_nb = column(z_nb_of_face_[static_cast<usize>(face)])[uz];
         }
-        const TransportFaceFlux flux = transport_face(s_[uz], s_nb, p_[uz], p_nb,
-                                             z_self_[uz], z_nb, t, fl);
-        ds_[uz] -= flux.nonwetting;
-        outflow_[uz] += flux.magnitude;
+        const TransportFaceFlux flux =
+            transport_face(s[uz], s_nb, p[uz], p_nb, z_self[uz], z_nb, t, fl);
+        ds[uz] -= flux.nonwetting;
+        outflow[uz] += flux.magnitude;
       }
     }
     api.scalar_ops(static_cast<usize>(nz) * mesh::kFaceCount * 12);
 
     f32 dt_local = std::numeric_limits<f32>::infinity();
-    for (i32 z = 0; z < nz; ++z) {
-      const f32 out = outflow_[static_cast<usize>(z)];
+    for (const f32 out : outflow) {
       if (out > 0.0f) {
         dt_local =
             std::min(dt_local, options_.cfl * options_.pore_volume / out);
@@ -151,7 +142,7 @@ class TransportKernel final : public spec::StencilKernel {
     }
     api.scalar_ops(static_cast<usize>(nz) * 2);
 
-    // The stashed views are fully consumed; release them before the
+    // The round's views are fully consumed; release them before the
     // reduction so a neighbor's post-barrier round can refill the buffers.
     api.hazard_release_all();
 
@@ -166,10 +157,10 @@ class TransportKernel final : public spec::StencilKernel {
     if (!(dt > 0.0f)) {
       dt = remaining;  // quiescent or rounding: finish the window
     }
-    for (i32 z = 0; z < nz_; ++z) {
-      const usize uz = static_cast<usize>(z);
-      s_[uz] = std::clamp(s_[uz] + dt * ds_[uz] / options_.pore_volume, 0.0f,
-                          1.0f);
+    const std::span<f32> s = column(kSaturation);
+    const std::span<const f32> ds = column(kDs);
+    for (usize z = 0; z < s.size(); ++z) {
+      s[z] = std::clamp(s[z] + dt * ds[z] / options_.pore_volume, 0.0f, 1.0f);
     }
     api.scalar_ops(static_cast<usize>(nz_) * 3);
 
@@ -183,24 +174,28 @@ class TransportKernel final : public spec::StencilKernel {
   }
 
  private:
+  // Working columns, after the PeColumnData::kColumns extracted ones.
+  static constexpr usize kSaturation = PeColumnData::kColumns;
+  static constexpr usize kWellRate = kSaturation + 1;  ///< [m^3/s] per cell
+  static constexpr usize kSend = kWellRate + 1;  ///< [S | p] halo staging
+  static constexpr usize kDs = kSend + 2;        ///< volume rate per cell
+  static constexpr usize kOutflow = kDs + 1;     ///< CFL bookkeeping
+  static constexpr usize kColumns = kOutflow + 1;
+
+  [[nodiscard]] std::span<f32> column(usize index) noexcept {
+    const auto n = static_cast<usize>(nz_);
+    return std::span<f32>(columns_).subspan(index * n, n);
+  }
+  [[nodiscard]] std::span<const f32> column(usize index) const noexcept {
+    const auto n = static_cast<usize>(nz_);
+    return std::span<const f32>(columns_).subspan(index * n, n);
+  }
+
   i32 nz_;
   TransportKernelOptions options_;
-
-  std::vector<f32> s_;
-  std::vector<f32> p_;
-  std::vector<f32> send_buf_;  ///< [S | p] staging for the halo block
-  std::vector<f32> ds_;        ///< accumulated volume rate per cell
-  std::vector<f32> outflow_;   ///< CFL bookkeeping per cell
-  std::vector<f32> z_self_;
-  std::array<std::vector<f32>, 4> z_cardinal_;
-  std::array<std::vector<f32>, 4> z_diagonal_;
-  std::array<std::vector<f32>, mesh::kFaceCount> trans_;
-  std::vector<f32> well_rate_;
-
-  /// Views of the halo buffers, one per XY face, refreshed every round.
-  std::array<std::optional<wse::Dsd>, mesh::kFaceCount> neighbor_block_;
+  std::vector<f32> columns_;
   /// Face -> neighbor elevation column (static geometry lookup).
-  std::array<const std::vector<f32>*, mesh::kFaceCount> z_nb_of_face_{};
+  std::array<u8, mesh::kFaceCount> z_nb_of_face_{};
 
   f64 time_ = 0.0;
   i32 substeps_ = 0;
@@ -243,36 +238,11 @@ spec::Launch transport_launch(const physics::FlowProblem& problem,
   // Locals are captured by value: the probe factory the harness keeps
   // must stay valid after the caller's frame returns.
   return {make_transport_spec(kernel), ext,
-          [&problem, &saturation, &pressure, &well_rate, ext,
+          [&problem, &saturation, &pressure, &well_rate,
            kernel](Coord2 coord) {
-            // Geometry via the shared column extractor, dynamic fields by
-            // hand.
-            const PeColumnData geometry =
-                extract_column(problem, coord.x, coord.y);
-            const auto copy = [](std::span<const f32> column) {
-              return std::vector<f32>(column.begin(), column.end());
-            };
-            PeTransportData data;
-            data.elevation = copy(geometry.elevation());
-            for (usize i = 0; i < 4; ++i) {
-              data.elevation_cardinal[i] = copy(geometry.elevation_cardinal(i));
-              data.elevation_diagonal[i] = copy(geometry.elevation_diagonal(i));
-            }
-            for (const mesh::Face face : mesh::kAllFaces) {
-              data.trans[static_cast<usize>(face)] = copy(geometry.trans(face));
-            }
-            const usize n = static_cast<usize>(ext.nz);
-            data.saturation.resize(n);
-            data.pressure.resize(n);
-            data.well_rate.resize(n);
-            for (i32 z = 0; z < ext.nz; ++z) {
-              const auto i = static_cast<usize>(z);
-              data.saturation[i] = saturation(coord.x, coord.y, z);
-              data.pressure[i] = pressure(coord.x, coord.y, z);
-              data.well_rate[i] = well_rate(coord.x, coord.y, z);
-            }
-            return std::make_unique<TransportKernel>(ext.nz, kernel,
-                                                     std::move(data));
+            return std::make_unique<TransportKernel>(
+                kernel, extract_column(problem, coord.x, coord.y), coord,
+                saturation, pressure, well_rate);
           }};
 }
 

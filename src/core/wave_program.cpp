@@ -43,7 +43,8 @@ class WaveKernel final : public spec::StencilKernel {
     stencil_.apply_face(api, q_, face, u_nb);
   }
 
-  [[nodiscard]] RoundOutcome on_round_complete(PeCompute& api) override {
+  [[nodiscard]] RoundOutcome on_round_complete(PeCompute& api,
+                                               const FaceBlocks&) override {
     // Leapfrog update: u_next = 2 u - u_prev - kappa q, written into the
     // (dead) u_prev column, then rotate the time levels.
     const Dsd u = Dsd::of(u_cur_);

@@ -200,25 +200,27 @@ void HaloExchange::begin_round(PeApi& api, std::span<const f32> payload) {
   for (const Color c : kCardinalColors) {
     LinkState& s = card_[cardinal_index(c)];
     if (s.buffered && s.processed == round_ - 1) {
-      process_block(api, c);
+      consume_block(api, c);
     }
   }
   for (const Color c : kDiagonalColors) {
     LinkState& s = diag_[diagonal_index(c)];
     if (s.buffered && s.processed == round_ - 1) {
-      process_block(api, c);
+      consume_block(api, c);
     }
   }
   check_round_complete(api);
 }
 
-void HaloExchange::process_block(PeApi& api, Color color) {
-  const bool cardinal = is_cardinal_color(color);
-  LinkState& s = cardinal ? card_[cardinal_index(color)]
-                          : diag_[diagonal_index(color)];
+void HaloExchange::consume_block(PeApi& api, Color color) {
+  LinkState& s = link(color);
   FVF_ASSERT(s.buffered);
-  std::vector<f32>& buf = cardinal ? card_buf_[cardinal_index(color)]
-                                   : diag_buf_[diagonal_index(color)];
+  std::vector<f32>& buf = buffer(color);
+  if (!s.pending.empty()) {
+    // An early block: the previous round's view may die now.
+    std::swap(buf, s.pending.front().data);
+    s.pending.clear();
+  }
   // The block handler is the program's physics: its cycles are compute,
   // not halo traffic (profiler retag; no observable effect on the run).
   api.set_phase(obs::Phase::LocalCompute);
@@ -226,6 +228,18 @@ void HaloExchange::process_block(PeApi& api, Color color) {
   ++s.processed;
   s.buffered = false;
   ++done_this_round_;
+}
+
+std::array<std::optional<Dsd>, mesh::kFaceCount> HaloExchange::round_blocks() {
+  std::array<std::optional<Dsd>, mesh::kFaceCount> blocks;
+  for (const auto& colors : {kCardinalColors, kDiagonalColors}) {
+    for (const Color c : colors) {
+      if (link(c).has_upstream) {
+        blocks[static_cast<usize>(face_of(c))] = Dsd::of(buffer(c));
+      }
+    }
+  }
+  return blocks;
 }
 
 void HaloExchange::on_data(PeApi& api, Color color, Dir from,
@@ -238,25 +252,30 @@ void HaloExchange::on_data(PeApi& api, Color color, Dir from,
   }
   FVF_REQUIRE(static_cast<i32>(data.size()) == block_length_);
 
-  const bool cardinal = is_cardinal_color(color);
-  LinkState& s = cardinal ? card_[cardinal_index(color)]
-                          : diag_[diagonal_index(color)];
+  LinkState& s = link(color);
   FVF_REQUIRE_MSG(s.has_upstream, "halo block from a nonexistent neighbor");
   const i32 tag = s.received;
   ++s.received;
   FVF_REQUIRE_MSG(!s.buffered, "halo receive buffer overrun");
   FVF_REQUIRE_MSG(tag <= round_, "neighbor ran more than 1 round ahead");
 
-  std::vector<f32>& buf = cardinal ? card_buf_[cardinal_index(color)]
-                                   : diag_buf_[diagonal_index(color)];
-  api.fmovs(Dsd::of(buf), FabricDsd::of(data));
+  // A block of the next round (the neighbor ran one round ahead) waits
+  // outside the per-face buffer, whose view stays valid until the next
+  // begin_round; consume_block moves it in.
+  std::vector<f32>* buf = &buffer(color);
+  if (tag == round_) {
+    s.pending.push_back(
+        {tag, std::vector<f32>(static_cast<usize>(block_length_))});
+    buf = &s.pending.back().data;
+  }
+  api.fmovs(Dsd::of(*buf), FabricDsd::of(data));
   s.buffered = true;
-  if (cardinal) {
+  if (is_cardinal_color(color)) {
     // Intermediary role (Figure 5): forward for the diagonal second hop.
-    api.send(diagonal_forward_color(color), buf);
+    api.send(diagonal_forward_color(color), *buf);
   }
   if (round_open_ && tag == round_ - 1) {
-    process_block(api, color);
+    consume_block(api, color);
     check_round_complete(api);
   }
 }
@@ -330,9 +349,7 @@ void HaloExchange::try_process_reliable(PeApi& api, Color color) {
     // Move the block into the stable per-face buffer before notifying:
     // handler views must survive until the next begin_round (owners may
     // stash them), while the pending entry dies below.
-    std::vector<f32>& buf = is_cardinal_color(color)
-                                ? card_buf_[cardinal_index(color)]
-                                : diag_buf_[diagonal_index(color)];
+    std::vector<f32>& buf = buffer(color);
     std::swap(buf, it->data);
     s.processed = round_;
     ++done_this_round_;

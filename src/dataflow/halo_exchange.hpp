@@ -8,11 +8,12 @@
 ///        program keeps the engine's own Figure 6 switch protocol.
 ///
 /// Round semantics: blocks are tagged implicitly by per-link FIFO order.
-/// A neighbor may run at most one round ahead; such early blocks wait in
-/// their receive buffer and are delivered at the next begin_round. The
-/// owner is notified once per processed block and once per completed
-/// round. Handler block views stay valid until the next begin_round (in
-/// both modes), so owners may stash them for deferred processing.
+/// A neighbor may run at most one round ahead; such early blocks wait
+/// beside their receive buffer and are delivered at the next begin_round.
+/// The owner is notified once per processed block and once per completed
+/// round. Block views (the handler's and round_blocks') stay valid until
+/// the next begin_round in both modes, so owners may read them at round
+/// completion.
 ///
 /// Reliability layer (HarnessOptions::reliability): under fault
 /// injection the fabric *drops* corrupted blocks at the parity check, so
@@ -29,6 +30,7 @@
 
 #include <array>
 #include <functional>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -113,6 +115,13 @@ class HaloExchange {
   /// Watchdog expiry; forward from PeProgram::on_timer.
   void on_timer(wse::PeApi& api, u32 tag);
 
+  /// Views of the current round's blocks by face: one per cardinal and
+  /// diagonal link with an upstream neighbor, empty elsewhere. They view
+  /// the same buffers the block handler saw and stay valid until the next
+  /// begin_round.
+  [[nodiscard]] std::array<std::optional<wse::Dsd>, mesh::kFaceCount>
+  round_blocks();
+
   [[nodiscard]] i32 rounds_started() const noexcept { return round_; }
   /// Blocks expected per round (existing cardinal + diagonal neighbors).
   [[nodiscard]] i32 expected_blocks() const noexcept {
@@ -120,9 +129,10 @@ class HaloExchange {
   }
 
  private:
-  /// A received-but-unprocessed block (reliable mode). At most two per
+  /// A received-but-unprocessed block. In reliable mode at most two per
   /// link can be pending: the retransmitted current round and the next
-  /// round sent by a neighbor that already completed the current one.
+  /// round sent by a neighbor that already completed the current one. The
+  /// FIFO mode keeps only a block of the next round here.
   struct Buffered {
     i32 tag = 0;
     std::vector<f32> data;
@@ -133,8 +143,8 @@ class HaloExchange {
     i32 received = 0;
     i32 processed = 0;
     bool buffered = false;
-    /// Reliable mode: pending tagged blocks + the tag last NACKed (0 =
-    /// none; a matching arrival counts as a protocol-level recovery).
+    /// Pending tagged blocks, plus (reliable mode) the tag last NACKed
+    /// (0 = none; a matching arrival counts as a protocol-level recovery).
     std::vector<Buffered> pending;
     i32 nacked_tag = 0;
   };
@@ -143,8 +153,13 @@ class HaloExchange {
     return is_cardinal_color(color) ? card_[cardinal_index(color)]
                                     : diag_[diagonal_index(color)];
   }
+  /// The per-face receive buffer of a link.
+  [[nodiscard]] std::vector<f32>& buffer(wse::Color color) noexcept {
+    return is_cardinal_color(color) ? card_buf_[cardinal_index(color)]
+                                    : diag_buf_[diagonal_index(color)];
+  }
 
-  void process_block(wse::PeApi& api, wse::Color color);
+  void consume_block(wse::PeApi& api, wse::Color color);
   void check_round_complete(wse::PeApi& api);
 
   // Reliable-mode internals.

@@ -51,17 +51,6 @@ void validate(const StencilSpec& spec) {
       spec.exchange != ExchangeKind::None) {
     compile_error(spec, "block_words_per_cell must be >= 1");
   }
-  if (spec.exchange == ExchangeKind::SwitchProtocol) {
-    if (spec.rounds < 1) {
-      compile_error(spec,
-                    "rounds must be >= 1 for the switch-protocol exchange");
-    }
-    if (spec.block_words_per_cell % 2 != 0) {
-      compile_error(spec,
-                    "block_words_per_cell must be even: switch-protocol "
-                    "blocks are injected as two half-column spans");
-    }
-  }
   if (spec.exchange == ExchangeKind::StaticHalo &&
       spec.shape != StencilShape::NinePoint) {
     compile_error(spec,
@@ -227,9 +216,6 @@ std::string CompiledSpec::describe() const {
   os << "spec '" << spec_.name << "': exchange=" << exchange_name(spec_.exchange)
      << " shape=" << (nine_point() ? "9-point" : "5-point")
      << " block=" << spec_.block_words_per_cell << " words/cell";
-  if (spec_.exchange == ExchangeKind::SwitchProtocol) {
-    os << " rounds=" << spec_.rounds;
-  }
   if (spec_.reduction) {
     os << " reduction="
        << (spec_.reduction->op == wse::ReduceOp::Min   ? "min"
@@ -259,12 +245,6 @@ CompiledSpec compile(StencilSpec spec) {
   digest = fnv1a_mix(digest, static_cast<u64>(spec.exchange));
   digest = fnv1a_mix(digest, static_cast<u64>(spec.shape));
   digest = fnv1a_mix(digest, static_cast<u64>(spec.block_words_per_cell));
-  // Rounds stay excluded deliberately (pinned by spec_test): they steer
-  // the engine, not the lowering — and the flow analyses' verdict is
-  // rounds-independent too, because the declared in-flight bound (the
-  // one-round-ahead skew guard) caps occupancy per send regardless of
-  // how many rounds run. A future check whose verdict does scale with
-  // rounds must mix them in here.
   digest = fnv1a_mix(digest, spec.reduction ? 1u : 0u);
   digest = fnv1a_mix(digest, spec.defects.drop_east_data_handler ? 1u : 0u);
   for (const FieldSpec& field : spec.fields) {

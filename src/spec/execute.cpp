@@ -43,24 +43,25 @@ class Executor {
     }
   }
 
+  /// start, then per answer of the kernels either a round or a
+  /// reduction. ExchangeKind::None runs no hook at all.
   void run() {
-    switch (compiled_.spec().exchange) {
-      case ExchangeKind::None: {
-        Sweep local(*this);
-        for_each_pe([&](StencilKernel& k, usize) {
-          k.local_compute(local.api, 0);
-        });
-        launch(local);
-        break;
+    if (compiled_.spec().exchange == ExchangeKind::None) {
+      return;
+    }
+    outcomes_.resize(kernels_.size());
+    Sweep start(*this);
+    for_each_pe([&](StencilKernel& k, usize i) {
+      outcomes_[i] = k.start(start.api);
+    });
+    launch(start);
+    for (RoundAction action = agreed_action(); action != RoundAction::Done;
+         action = agreed_action()) {
+      if (action == RoundAction::Continue) {
+        halo_round();
+      } else {
+        reduce();
       }
-      case ExchangeKind::SwitchProtocol:
-        for (i32 round = 0; round < compiled_.spec().rounds; ++round) {
-          switch_round(round);
-        }
-        break;
-      case ExchangeKind::StaticHalo:
-        static_halo();
-        break;
     }
   }
 
@@ -134,37 +135,6 @@ class Executor {
     return wse::Dsd::of(slot);
   }
 
-  void switch_round(i32 round) {
-    Sweep local(*this);
-    for_each_pe([&](StencilKernel& k, usize) {
-      k.local_compute(local.api, round);
-    });
-    launch(local);
-    for_each_pe([&](StencilKernel& k, usize i) {
-      const StencilKernel::SendHalves halves = k.send_halves();
-      FVF_REQUIRE(halves.first.size() + halves.second.size() == block_len_);
-      const std::span<f32> out = staged(i);
-      std::copy(halves.second.begin(), halves.second.end(),
-                std::copy(halves.first.begin(), halves.first.end(),
-                          out.begin()));
-    });
-    Sweep blocks(*this);
-    Sweep finalize(*this);
-    for_each_pe([&](StencilKernel& k, usize i) {
-      StencilKernel::FaceBlocks arrived;
-      for (const mesh::Face face : mesh::kAllFaces) {
-        const std::optional<wse::Dsd> block = receive(i, face);
-        if (block) {
-          k.process_block(blocks.api, face, *block);
-          arrived[static_cast<usize>(face)] = block;
-        }
-      }
-      k.finalize_round(finalize.api, arrived);
-    });
-    launch(blocks);
-    launch(finalize);
-  }
-
   /// The action every PE answered; the executor has no way to run PEs
   /// that disagree.
   [[nodiscard]] RoundAction agreed_action() const {
@@ -180,23 +150,8 @@ class Executor {
     return action;
   }
 
-  void static_halo() {
-    outcomes_.resize(kernels_.size());
-    Sweep start(*this);
-    for_each_pe([&](StencilKernel& k, usize i) {
-      outcomes_[i] = k.start(start.api);
-    });
-    launch(start);
-    for (RoundAction action = agreed_action(); action != RoundAction::Done;
-         action = agreed_action()) {
-      if (action == RoundAction::Continue) {
-        halo_round();
-      } else {
-        reduce();
-      }
-    }
-  }
-
+  /// begin_round on every PE, then per PE on_block for every neighbor
+  /// block in kAllFaces order and on_round_complete with those blocks.
   void halo_round() {
     Sweep begin(*this);
     for_each_pe([&](StencilKernel& k, usize i) {
@@ -208,12 +163,15 @@ class Executor {
     Sweep blocks(*this);
     Sweep complete(*this);
     for_each_pe([&](StencilKernel& k, usize i) {
+      StencilKernel::FaceBlocks arrived;
       for (const mesh::Face face : mesh::kAllFaces) {
-        if (const std::optional<wse::Dsd> block = receive(i, face)) {
+        std::optional<wse::Dsd>& block = arrived[static_cast<usize>(face)];
+        block = receive(i, face);
+        if (block) {
           k.on_block(blocks.api, face, *block);
         }
       }
-      outcomes_[i] = k.on_round_complete(complete.api);
+      outcomes_[i] = k.on_round_complete(complete.api, arrived);
     });
     launch(blocks);
     launch(complete);

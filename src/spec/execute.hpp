@@ -9,25 +9,21 @@
 /// (wse), `spec::execute` runs the same kernels bulk-synchronously over
 /// every PE column with no fabric at all (gpusim), and the gather reads
 /// the result fields from either through a KernelGrid. The executor
-/// calls the kernel's own hooks in a canonical order:
-///
-///   - SwitchProtocol, per round: local_compute on every PE, then each
-///     PE's send_halves are staged, then per PE process_block for every
-///     existing neighbor in mesh::kAllFaces order and finalize_round.
-///   - StaticHalo: start; then per answer of the kernels (which must
-///     agree across PEs) either a round — begin_round on every PE, then
-///     per PE on_block for every XY neighbor in mesh::kAllFaces order and
-///     on_round_complete — or a reduction of the contributions in
-///     wse::tree_reduce order followed by on_reduced.
-///   - None: local_compute once.
+/// calls the kernel's hooks in a canonical order, the same for every
+/// exchange kind: start; then per answer of the kernels (which must agree
+/// across PEs) either a round — begin_round on every PE, then per PE
+/// on_block for every neighbor block in mesh::kAllFaces order and
+/// on_round_complete with those blocks — or a reduction of the
+/// contributions in wse::tree_reduce order followed by on_reduced.
+/// ExchangeKind::None calls no hook.
 ///
 /// Blocks are copies of the neighbor's staged send, exactly what the
 /// fabric delivers. A view a hook receives stays valid until that PE's
-/// finalize_round / on_round_complete returns. The reduction follows the
-/// trees' order, so a kernel that folds neighbor data in canonical order
-/// computes the fabric's bits; one that folds in delivery order (CG and
-/// wave through core::PeStencil) sees kAllFaces order here and the
-/// fabric's arrival order there.
+/// on_round_complete returns. The reduction follows the trees' order, so
+/// a kernel that folds neighbor data in canonical order computes the
+/// fabric's bits; one that folds in delivery order (CG and wave through
+/// core::PeStencil) sees kAllFaces order here and the fabric's arrival
+/// order there.
 ///
 /// Kernels charge a wse::PeCompute handle. Each hook sweep is one
 /// gpusim::Device::record_kernel, with the flops it counted and 4 B x

@@ -39,20 +39,19 @@ class HeatKernel final : public StencilKernel {
   [[nodiscard]] i32 steps_completed() const noexcept { return steps_done_; }
 
   [[nodiscard]] std::span<const f32> begin_round(PeCompute& api) override {
-    for (auto& view : neighbor_block_) {
-      view.reset();
-    }
     std::copy(u_.begin(), u_.end(), send_buf_.begin());
     api.scalar_ops(static_cast<usize>(nz_));
     return send_buf_;
   }
 
-  void on_block(PeCompute& api, mesh::Face face, Dsd block) override {
+  void on_block(PeCompute& api, mesh::Face, Dsd block) override {
+    // Read at round completion: a receive overwriting it first would be
+    // a bug the hazard detector reports.
     api.hazard_mark_live(block, "heat neighbor view");
-    neighbor_block_[static_cast<usize>(face)] = block;
   }
 
-  [[nodiscard]] RoundOutcome on_round_complete(PeCompute& api) override {
+  [[nodiscard]] RoundOutcome on_round_complete(
+      PeCompute& api, const FaceBlocks& blocks) override {
     for (i32 z = 0; z < nz_; ++z) {
       const usize uz = static_cast<usize>(z);
       const f32 u_self = u_[uz];
@@ -62,7 +61,7 @@ class HeatKernel final : public StencilKernel {
         if (mesh::is_vertical(face)) {
           continue;  // Z layers are independent
         }
-        const auto& view = neighbor_block_[static_cast<usize>(face)];
+        const auto& view = blocks[static_cast<usize>(face)];
         if (!view) {
           continue;  // fabric-edge face: no-flux boundary
         }
@@ -89,8 +88,6 @@ class HeatKernel final : public StencilKernel {
   std::vector<f32> u_;
   std::vector<f32> u_next_;
   std::vector<f32> send_buf_;
-  /// Views of the halo buffers, one per XY face, refreshed every round.
-  std::array<std::optional<Dsd>, mesh::kFaceCount> neighbor_block_;
   i32 steps_done_ = 0;
 };
 

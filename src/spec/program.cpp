@@ -1,5 +1,6 @@
 #include "spec/program.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/assert.hpp"
@@ -34,20 +35,8 @@ bool neighbor_exists(Coord2 coord, Coord2 fabric, Dir d) {
 
 }  // namespace
 
-// Default StencilKernel hooks: reject calls so a kernel wired to the
-// wrong exchange kind fails with a named hook, not a silent no-op.
-void StencilKernel::local_compute(PeCompute&, i32) {
-  FVF_REQUIRE_MSG(false, "StencilKernel::local_compute not implemented");
-}
-StencilKernel::SendHalves StencilKernel::send_halves() const {
-  FVF_REQUIRE_MSG(false, "StencilKernel::send_halves not implemented");
-}
-void StencilKernel::process_block(PeCompute&, mesh::Face, Dsd) {
-  FVF_REQUIRE_MSG(false, "StencilKernel::process_block not implemented");
-}
-void StencilKernel::finalize_round(PeCompute&, const FaceBlocks&) {
-  FVF_REQUIRE_MSG(false, "StencilKernel::finalize_round not implemented");
-}
+// Default StencilKernel hooks: reject calls so a kernel that misses a
+// hook it is driven through fails with a named hook, not a silent no-op.
 RoundOutcome StencilKernel::start(PeCompute&) {
   return RoundOutcome{RoundAction::Continue};
 }
@@ -57,7 +46,8 @@ std::span<const f32> StencilKernel::begin_round(PeCompute&) {
 void StencilKernel::on_block(PeCompute&, mesh::Face, Dsd) {
   FVF_REQUIRE_MSG(false, "StencilKernel::on_block not implemented");
 }
-RoundOutcome StencilKernel::on_round_complete(PeCompute&) {
+RoundOutcome StencilKernel::on_round_complete(PeCompute&,
+                                              const FaceBlocks&) {
   FVF_REQUIRE_MSG(false,
                   "StencilKernel::on_round_complete not implemented");
 }
@@ -84,7 +74,7 @@ SpecPeProgram::SpecPeProgram(Coord2 coord, Coord2 fabric_size, i32 nz,
       break;
 
     case ExchangeKind::SwitchProtocol: {
-      recv_.assign(8 * static_cast<usize>(block_len_), 0.0f);
+      recv_ = std::make_unique<f32[]>(8 * static_cast<usize>(block_len_));
 
       // Communication roles (Figure 6): even PEs along a color's movement
       // axis — and edge PEs with no upstream — send in phase 1; the rest
@@ -123,7 +113,9 @@ SpecPeProgram::SpecPeProgram(Coord2 coord, Coord2 fabric_size, i32 nz,
           [this](PeApi& api, mesh::Face face, Dsd block) {
             require_kernel().on_block(api, face, block);
           },
-          [this](PeApi& api) { on_halo_complete(api); });
+          [this](PeApi& api) {
+            complete_round(api, exchange_->round_blocks());
+          });
       if (spec.reduction) {
         reduce_colors_ = bindings.reduce;
         FVF_REQUIRE_MSG(bindings.reduce.has_value(),
@@ -149,12 +141,20 @@ StencilKernel& SpecPeProgram::require_kernel() const {
 
 std::span<f32> SpecPeProgram::card_buf(Color color) noexcept {
   const auto len = static_cast<usize>(block_len_);
-  return std::span<f32>(recv_).subspan(cardinal_index(color) * len, len);
+  return {recv_.get() + cardinal_index(color) * len, len};
 }
 
 std::span<f32> SpecPeProgram::diag_buf(Color color) noexcept {
   const auto len = static_cast<usize>(block_len_);
-  return std::span<f32>(recv_).subspan((4 + diagonal_index(color)) * len, len);
+  return {recv_.get() + (4 + diagonal_index(color)) * len, len};
+}
+
+std::span<f32> SpecPeProgram::early_buf(usize slot) {
+  const auto len = static_cast<usize>(block_len_);
+  if (early_ == nullptr) {
+    early_ = std::make_unique<f32[]>(8 * len);
+  }
+  return {early_.get() + slot * len, len};
 }
 
 bool SpecPeProgram::switch_handles_data(Color color) const noexcept {
@@ -427,11 +427,7 @@ std::string SpecPeProgram::describe_channel(Color color) const {
     os << " (exchange="
        << (spec.exchange == ExchangeKind::SwitchProtocol ? "switch-protocol"
                                                          : "static-halo")
-       << ", block_words_per_cell=" << spec.block_words_per_cell;
-    if (spec.exchange == ExchangeKind::SwitchProtocol) {
-      os << ", rounds=" << spec.rounds;
-    }
-    os << ')';
+       << ", block_words_per_cell=" << spec.block_words_per_cell << ')';
     return os.str();
   }
   if (is_diagonal_color(color) && nine_point_) {
@@ -455,19 +451,11 @@ std::string SpecPeProgram::describe_channel(Color color) const {
 
 void SpecPeProgram::on_start(PeApi& api) {
   reserve_memory(api.memory());
-  switch (compiled_->spec().exchange) {
-    case ExchangeKind::None:
-      require_kernel().local_compute(api, 0);
-      api.signal_done();
-      break;
-    case ExchangeKind::SwitchProtocol:
-      begin_iteration(api);
-      check_completion(api);
-      break;
-    case ExchangeKind::StaticHalo:
-      apply(api, require_kernel().start(api));
-      break;
+  if (compiled_->spec().exchange == ExchangeKind::None) {
+    api.signal_done();
+    return;
   }
+  apply(api, require_kernel().start(api));
 }
 
 // --- switch-protocol machinery ------------------------------------------
@@ -477,46 +465,16 @@ void SpecPeProgram::send_block(PeApi& api, Color color) {
   // Injection is halo traffic (it only costs PE cycles in the blocking-
   // send ablation, where the stall should not be booked as compute).
   api.set_phase(obs::Phase::Halo);
-  const StencilKernel::SendHalves halves = require_kernel().send_halves();
-  api.send(color, halves.first, halves.second);
+  api.send(color, std::span<const f32>(block_, static_cast<usize>(block_len_)));
   api.send_control(color);
   ++cs.sends;
-}
-
-void SpecPeProgram::begin_iteration(PeApi& api) {
-  cards_processed_this_round_ = 0;
-  diags_processed_this_round_ = 0;
-
-  require_kernel().local_compute(api, round_);
-
-  // Phase-1 sends, plus phase-2 sends whose trigger control arrived early.
-  for (const Color c : kCardinalColors) {
-    CardinalState& cs = card_[cardinal_index(c)];
-    if (cs.sends == round_ && (cs.phase1_sender || cs.controls > cs.sends)) {
-      send_block(api, c);
-    }
-  }
-
-  // Blocks that arrived one iteration early are now current: consume them.
-  for (const Color c : kCardinalColors) {
-    CardinalState& cs = card_[cardinal_index(c)];
-    if (cs.buffered && cs.processed == round_) {
-      process_cardinal(api, c);
-    }
-  }
-  for (const Color c : kDiagonalColors) {
-    DiagonalState& ds = diag_[diagonal_index(c)];
-    if (ds.buffered && ds.processed == round_) {
-      process_diagonal(api, c);
-    }
-  }
 }
 
 void SpecPeProgram::process_cardinal(PeApi& api, Color color) {
   CardinalState& cs = card_[cardinal_index(color)];
   FVF_ASSERT(cs.buffered && cs.processed == round_);
-  require_kernel().process_block(api, cardinal_face(color),
-                                 Dsd::of(card_buf(color)));
+  require_kernel().on_block(api, cardinal_face(color),
+                            Dsd::of(card_buf(color)));
   ++cs.processed;
   cs.buffered = false;
   ++cards_processed_this_round_;
@@ -525,26 +483,11 @@ void SpecPeProgram::process_cardinal(PeApi& api, Color color) {
 void SpecPeProgram::process_diagonal(PeApi& api, Color color) {
   DiagonalState& ds = diag_[diagonal_index(color)];
   FVF_ASSERT(ds.buffered && ds.processed == round_);
-  require_kernel().process_block(api, diagonal_face(color),
-                                 Dsd::of(diag_buf(color)));
+  require_kernel().on_block(api, diagonal_face(color),
+                            Dsd::of(diag_buf(color)));
   ++ds.processed;
   ds.buffered = false;
   ++diags_processed_this_round_;
-}
-
-void SpecPeProgram::finalize_round(PeApi& api) {
-  StencilKernel::FaceBlocks blocks;
-  for (const Color c : kCardinalColors) {
-    if (card_[cardinal_index(c)].has_upstream) {
-      blocks[static_cast<usize>(cardinal_face(c))] = Dsd::of(card_buf(c));
-    }
-  }
-  for (const Color c : kDiagonalColors) {
-    if (diag_[diagonal_index(c)].expected) {
-      blocks[static_cast<usize>(diagonal_face(c))] = Dsd::of(diag_buf(c));
-    }
-  }
-  require_kernel().finalize_round(api, blocks);
 }
 
 void SpecPeProgram::handle_cardinal(PeApi& api, Color color, Dir from,
@@ -559,18 +502,19 @@ void SpecPeProgram::handle_cardinal(PeApi& api, Color color, Dir from,
   FVF_REQUIRE_MSG(tag <= round_ + 1,
                   "neighbor ran more than 1 iteration ahead");
 
-  // Drain the wavelets into PE memory (the FMOVs/cell of Table 4).
-  const std::span<f32> buf = card_buf(color);
+  // Drain the wavelets into PE memory (the FMOVs/cell of Table 4). A
+  // block of the next round (the neighbor ran one round ahead) lands in
+  // its early slot: this round's block stays in the receive buffer,
+  // where the kernel may read it until the round completes.
+  const std::span<f32> buf =
+      tag == round_ ? card_buf(color) : early_buf(cardinal_index(color));
   api.fmovs(Dsd::of(buf), FabricDsd::of(data));
   cs.buffered = true;
 
   // Intermediary role (Figure 5): forward the block to the rotated
   // diagonal target immediately, overlapping our own partial flux.
   if (nine_point_) {
-    const usize half = static_cast<usize>(block_len_) / 2;
-    api.send(diagonal_forward_color(color),
-             std::span<const f32>(buf.data(), half),
-             std::span<const f32>(buf.data() + half, half));
+    api.send(diagonal_forward_color(color), buf);
   }
 
   if (tag == round_) {
@@ -592,7 +536,8 @@ void SpecPeProgram::handle_diagonal(PeApi& api, Color color, Dir from,
   FVF_REQUIRE_MSG(tag <= round_ + 1,
                   "corner ran more than 1 iteration ahead");
 
-  const std::span<f32> buf = diag_buf(color);
+  const std::span<f32> buf =
+      tag == round_ ? diag_buf(color) : early_buf(4 + diagonal_index(color));
   api.fmovs(Dsd::of(buf), FabricDsd::of(data));
   ds.buffered = true;
 
@@ -608,7 +553,7 @@ void SpecPeProgram::handle_control(PeApi& api, Color color) {
   // Phase-2 senders transmit when their upstream's command arrives and
   // their column state is current; early commands (the upstream running
   // one iteration ahead) are honored at the next iteration boundary in
-  // begin_iteration. Completing an iteration is gated on having sent
+  // start_round. Completing an iteration is gated on having sent
   // (check_completion), so the column state can never advance past an
   // unsent block.
   if (!cs.phase1_sender && cs.sends == round_ && cs.controls > cs.sends) {
@@ -630,26 +575,71 @@ void SpecPeProgram::check_completion(PeApi& api) {
     }
     return true;
   };
-  while (round_ < compiled_->spec().rounds &&
-         cards_processed_this_round_ == expected_cards_ &&
-         diags_processed_this_round_ == expected_diags_ &&
-         all_sends_done()) {
-    finalize_round(api);
-    ++round_;
-    if (round_ == compiled_->spec().rounds) {
-      api.signal_done();
-      return;
-    }
-    begin_iteration(api);
+  if (cards_processed_this_round_ != expected_cards_ ||
+      diags_processed_this_round_ != expected_diags_ || !all_sends_done()) {
+    return;
   }
+  StencilKernel::FaceBlocks blocks;
+  for (const Color c : kCardinalColors) {
+    if (card_[cardinal_index(c)].has_upstream) {
+      blocks[static_cast<usize>(cardinal_face(c))] = Dsd::of(card_buf(c));
+    }
+  }
+  for (const Color c : kDiagonalColors) {
+    if (diag_[diagonal_index(c)].expected) {
+      blocks[static_cast<usize>(diagonal_face(c))] = Dsd::of(diag_buf(c));
+    }
+  }
+  complete_round(api, blocks);
 }
 
-// --- static-halo machinery ----------------------------------------------
+// --- round driver (both exchange kinds) ---------------------------------
 
 void SpecPeProgram::start_round(PeApi& api) {
   const std::span<const f32> block = require_kernel().begin_round(api);
   FVF_REQUIRE(static_cast<i32>(block.size()) == block_len_);
-  exchange_->begin_round(api, block);
+  if (exchange_ != nullptr) {
+    exchange_->begin_round(api, block);
+    return;
+  }
+  block_ = block.data();
+  cards_processed_this_round_ = 0;
+  diags_processed_this_round_ = 0;
+
+  // Phase-1 sends, plus phase-2 sends whose trigger control arrived early.
+  for (const Color c : kCardinalColors) {
+    CardinalState& cs = card_[cardinal_index(c)];
+    if (cs.sends == round_ && (cs.phase1_sender || cs.controls > cs.sends)) {
+      send_block(api, c);
+    }
+  }
+
+  // Blocks that arrived one iteration early are now current: move them
+  // into their receive buffers (their FMOVs were charged on arrival) and
+  // consume them.
+  for (const Color c : kCardinalColors) {
+    CardinalState& cs = card_[cardinal_index(c)];
+    if (cs.buffered && cs.processed == round_) {
+      const std::span<const f32> early = early_buf(cardinal_index(c));
+      std::copy(early.begin(), early.end(), card_buf(c).begin());
+      process_cardinal(api, c);
+    }
+  }
+  for (const Color c : kDiagonalColors) {
+    DiagonalState& ds = diag_[diagonal_index(c)];
+    if (ds.buffered && ds.processed == round_) {
+      const std::span<const f32> early = early_buf(4 + diagonal_index(c));
+      std::copy(early.begin(), early.end(), diag_buf(c).begin());
+      process_diagonal(api, c);
+    }
+  }
+  check_completion(api);
+}
+
+void SpecPeProgram::complete_round(PeApi& api,
+                                   const StencilKernel::FaceBlocks& blocks) {
+  ++round_;
+  apply(api, require_kernel().on_round_complete(api, blocks));
 }
 
 void SpecPeProgram::apply(PeApi& api, RoundOutcome outcome) {
@@ -673,11 +663,6 @@ void SpecPeProgram::apply(PeApi& api, RoundOutcome outcome) {
       return;
     }
   }
-}
-
-void SpecPeProgram::on_halo_complete(PeApi& api) {
-  ++round_;
-  apply(api, require_kernel().on_round_complete(api));
 }
 
 }  // namespace fvf::spec

@@ -4,7 +4,9 @@
 ///        the physics arrives as a StencilKernel).
 ///
 /// Every fabric kernel runs as this class. Each PE is one color-triggered
-/// task machine, and every entry point (routes, dispatch, profiler
+/// task machine that drives its kernel through the one hook protocol
+/// (start, begin_round, on_block, on_round_complete, on_reduced) whatever
+/// the exchange; every other entry point (routes, dispatch, profiler
 /// phases, the lint declarations) is a `switch` on the spec's exchange
 /// kind:
 ///
@@ -14,14 +16,16 @@
 ///     control-triggered phase-2 sends, and the completion gating on the
 ///     send obligation) — the golden traces prove the lowering is
 ///     faithful. The engine handles the cardinal data and control colors
-///     and, for the nine-point shape, the diagonal forwards itself.
+///     and, for the nine-point shape, the diagonal forwards itself. A
+///     block of the next round waits in an early slot, so the kernel's
+///     views of this round's blocks hold until the round completes.
 ///   - StaticHalo drives the shared HaloExchange component (cardinal and
 ///     diagonal blocks, NACKs and watchdog timers under reliability)
 ///     plus the optional reduction tree, running reductions back to back
 ///     for as long as the kernel answers Reduce; the CG and wave golden
 ///     traces pin its event order. Both components sit behind pointers,
 ///     so switch-protocol PEs pay two null pointers for them.
-///   - None has no colors at all.
+///   - None has no colors and runs no kernel hook.
 ///
 /// A delivery no branch claims is a contract violation naming the PE and
 /// the color.
@@ -111,7 +115,7 @@ class SpecPeProgram : public wse::PeProgram {
     i32 processed = 0;           ///< total blocks consumed by the kernel
     i32 controls = 0;            ///< total control wavelets delivered
     i32 sends = 0;               ///< total blocks sent
-    bool buffered = false;       ///< unconsumed block in the recv buffer
+    bool buffered = false;       ///< an unconsumed (early) block
   };
   struct DiagonalState {
     bool expected = false;  ///< the corner neighbor exists
@@ -131,17 +135,19 @@ class SpecPeProgram : public wse::PeProgram {
   void handle_diagonal(wse::PeApi& api, wse::Color color, wse::Dir from,
                        std::span<const u32> data);
   void handle_control(wse::PeApi& api, wse::Color color);
-  void begin_iteration(wse::PeApi& api);
   void send_block(wse::PeApi& api, wse::Color color);
   void process_cardinal(wse::PeApi& api, wse::Color color);
   void process_diagonal(wse::PeApi& api, wse::Color color);
+  /// Completes the round once every expected block was consumed and
+  /// every cardinal send went out.
   void check_completion(wse::PeApi& api);
-  void finalize_round(wse::PeApi& api);
 
-  // Static-halo machinery (HaloExchange + reduction driver).
+  // Round driver (both exchange kinds).
+  /// The kernel's begin_round, then this round's sends and early blocks.
   void start_round(wse::PeApi& api);
-  /// Every expected halo block of the round was processed.
-  void on_halo_complete(wse::PeApi& api);
+  /// Every expected block of the round was processed: the kernel's
+  /// on_round_complete with the round's views.
+  void complete_round(wse::PeApi& api, const StencilKernel::FaceBlocks& blocks);
   /// Carries out a kernel's answer: the next round, completion, or a
   /// reduction whose result goes back to the kernel.
   void apply(wse::PeApi& api, RoundOutcome outcome);
@@ -151,6 +157,9 @@ class SpecPeProgram : public wse::PeProgram {
   /// Switch-protocol receive buffer of a cardinal or diagonal color.
   [[nodiscard]] std::span<f32> card_buf(wse::Color color) noexcept;
   [[nodiscard]] std::span<f32> diag_buf(wse::Color color) noexcept;
+  /// Where a block of the next round waits, by receive-buffer slot
+  /// (cardinal_index, or 4 + diagonal_index); allocated on first use.
+  [[nodiscard]] std::span<f32> early_buf(usize slot);
 
   Coord2 coord_;
   std::shared_ptr<const CompiledSpec> compiled_;
@@ -167,8 +176,12 @@ class SpecPeProgram : public wse::PeProgram {
   bool nine_point_ = false;
 
   // Switch-protocol receive buffers (four cardinal, then four diagonal
-  // blocks in one allocation) and per-color state.
-  std::vector<f32> recv_;
+  // blocks in one allocation), their early slots (null until a neighbor
+  // runs a round ahead), the kernel's block of the current round
+  // (block_len_ words, sent on every cardinal color), and per-color state.
+  std::unique_ptr<f32[]> recv_;
+  std::unique_ptr<f32[]> early_;
+  const f32* block_ = nullptr;
   i32 round_ = 0;
   i32 cards_processed_this_round_ = 0;
   i32 diags_processed_this_round_ = 0;

@@ -34,15 +34,14 @@ namespace fvf::spec {
 
 /// How neighbor columns move between PEs.
 enum class ExchangeKind : u8 {
-  /// No neighbor traffic at all (reduction-free local kernels and the
-  /// lint defect fixtures).
+  /// No neighbor traffic and no kernel hooks: programs that reserve
+  /// memory and finish (the kernel-less lint defect fixtures).
   None,
   /// The paper's Figure 6 two-step switch protocol with explicit
-  /// per-color handlers and diagonal forwarding (Figure 5). Supports
-  /// overlap: the kernel processes each block the moment it arrives.
+  /// per-color handlers and diagonal forwarding (Figure 5).
   SwitchProtocol,
   /// The shared dataflow::HaloExchange component: one [fields...] block
-  /// per round to all ten neighbors, kernel runs at round completion.
+  /// per round to all ten neighbors, with an optional reduction.
   StaticHalo,
 };
 
@@ -104,9 +103,6 @@ struct StencilSpec {
   StencilShape shape = StencilShape::NinePoint;
   /// f32 words per column cell in one halo block (e.g. [p | rho] = 2).
   i32 block_words_per_cell = 2;
-  /// Outer rounds the switch-protocol engine runs (SwitchProtocol only;
-  /// StaticHalo kernels decide termination themselves).
-  i32 rounds = 1;
   /// Complete ordered per-PE memory layout.
   std::vector<FieldSpec> fields;
   ClaimLabels claims;
@@ -114,8 +110,8 @@ struct StencilSpec {
   DefectInjection defects;
 };
 
-/// What a StaticHalo kernel wants next: at start, after a completed
-/// round, or after a completed reduction.
+/// What a kernel wants next: at start, after a completed round, or after
+/// a completed reduction.
 enum class RoundAction : u8 {
   Continue,  ///< start the next exchange round
   Done,      ///< signal completion to the runtime
@@ -130,16 +126,20 @@ struct RoundOutcome {
 
 /// The physics half of a compiled program. The engine owns every color,
 /// route, buffer, and counter; the kernel sees arrivals as face-tagged
-/// DSD views and supplies the arithmetic. Hooks are grouped by the
-/// exchange kind that invokes them; the defaults reject calls so a
-/// kernel wired to the wrong exchange fails loudly.
+/// DSD views and supplies the arithmetic. Every exchange kind drives the
+/// same hooks: `start` once, then per round `begin_round`, `on_block` for
+/// each neighbor block as it becomes current (compute with it now, to
+/// overlap the exchange), and `on_round_complete` with all of the
+/// round's blocks (fold them in canonical face order). Hooks a kernel
+/// does not override reject calls, so a kernel that, say, answers Reduce
+/// without handling the result fails loudly.
 ///
-/// A StaticHalo kernel steers the engine with RoundOutcomes. `start`
-/// answers once before the first round, `on_round_complete` after every
-/// round and `on_reduced` after every reduction, so reductions chain: a
-/// Reduce answered with another Reduce runs a second tree pass before
-/// the next round. CG is the canonical use — r'r before the first
-/// exchange, then d'q followed by r'r after every round.
+/// A kernel steers the engine with RoundOutcomes. `start` answers once
+/// before the first round, `on_round_complete` after every round and
+/// `on_reduced` after every reduction, so reductions chain: a Reduce
+/// answered with another Reduce runs a second tree pass before the next
+/// round (StaticHalo only). CG is the canonical use — r'r before the
+/// first exchange, then d'q followed by r'r after every round.
 class StencilKernel {
  public:
   StencilKernel() = default;
@@ -147,42 +147,26 @@ class StencilKernel {
   StencilKernel& operator=(const StencilKernel&) = delete;
   virtual ~StencilKernel() = default;
 
-  /// The two halves of the outgoing block ([p | rho] for TPFA).
-  struct SendHalves {
-    std::span<const f32> first;
-    std::span<const f32> second;
-  };
-
-  /// Per-face receive-buffer views for the canonical-order accumulation;
-  /// empty optionals mark fabric-edge faces (and the vertical faces,
-  /// which are always local).
+  /// Per-face views of the round's received blocks; empty optionals mark
+  /// fabric-edge faces, faces outside the shape, and the vertical faces,
+  /// which are always local.
   using FaceBlocks = std::array<std::optional<wse::Dsd>, mesh::kFaceCount>;
 
-  // --- SwitchProtocol hooks ---------------------------------------------
-  /// Local work at the start of round `round` (pressure advance, EOS,
-  /// residual reset for TPFA). Charged phases are the kernel's business.
-  virtual void local_compute(wse::PeCompute& api, i32 round);
-  /// The block this PE injects on every cardinal color this round.
-  [[nodiscard]] virtual SendHalves send_halves() const;
-  /// A neighbor block is current: compute with it now (overlap). `block`
-  /// views the engine's receive buffer (block_words_per_cell * Nz); the
-  /// kernel may overwrite dead halves (TPFA parks the flux column there).
-  virtual void process_block(wse::PeCompute& api, mesh::Face face,
-                             wse::Dsd block);
-  /// All faces of round `round` are in: fold them into the result in
-  /// canonical face order.
-  virtual void finalize_round(wse::PeCompute& api, const FaceBlocks& blocks);
-
-  // --- StaticHalo hooks -------------------------------------------------
   /// Runs once before the first round. The default, Continue, starts the
   /// first exchange round at once.
   [[nodiscard]] virtual RoundOutcome start(wse::PeCompute& api);
-  /// Stage and return the outgoing halo block for the next round.
+  /// The round's local work; returns the outgoing block
+  /// (block_words_per_cell * Nz), which must stay unchanged until the
+  /// round completes.
   [[nodiscard]] virtual std::span<const f32> begin_round(wse::PeCompute& api);
-  /// One halo block arrived; the view stays valid until the next round.
+  /// A neighbor block of the current round arrived. The view stays valid
+  /// until this round's on_round_complete returns; the kernel may
+  /// overwrite it (TPFA parks the face's flux there).
   virtual void on_block(wse::PeCompute& api, mesh::Face face, wse::Dsd block);
-  /// Every expected block arrived: run the round's arithmetic.
-  [[nodiscard]] virtual RoundOutcome on_round_complete(wse::PeCompute& api);
+  /// Every expected block of the round arrived; `blocks` views exactly
+  /// the blocks on_block saw this round.
+  [[nodiscard]] virtual RoundOutcome on_round_complete(
+      wse::PeCompute& api, const FaceBlocks& blocks);
   /// The reduction completed with `value`: Continue, Done, or Reduce
   /// again.
   [[nodiscard]] virtual RoundOutcome on_reduced(wse::PeCompute& api, f32 value);

@@ -282,40 +282,7 @@ bool PeApi::has_neighbor(Dir d) const noexcept {
 }
 
 void PeApi::send(Color color, std::span<const f32> values) {
-  FVF_REQUIRE(!values.empty());
-  const f64 serialization =
-      static_cast<f64>(values.size()) * fabric_.timings_.cycles_per_wavelet_link;
-
-  Event event;
-  event.x = pe_.coord().x;
-  event.y = pe_.coord().y;
-  event.from = Dir::Ramp;
-  event.color = color;
-  event.payload_words = static_cast<u32>(values.size());
-  event.payload = tile_.arena->alloc(event.payload_words);
-  u32* words = tile_.arena->data(event.payload);
-  for (usize i = 0; i < values.size(); ++i) {
-    words[i] = pack_f32(values[i]);
-  }
-  // Parity stamped at injection, checked at Ramp delivery when fault
-  // injection is enabled (bit-flip detection; see wse/fault.hpp). The
-  // stamp is skipped entirely on fault-free runs: nothing reads it.
-  if (fabric_.fault_model_.enabled()) {
-    event.parity =
-        block_parity(tile_.arena->view(event.payload, event.payload_words));
-  }
-  // Wormhole model: the event time is when the last wavelet has entered
-  // the local router. Injection serializes on the Ramp link.
-  const f64 start = std::max(pe_.clock_, pe_.ramp_free_);
-  event.time = start + serialization;
-  pe_.ramp_free_ = event.time;
-  pe_.counters_.wavelets_sent += values.size();
-
-  if (!fabric_.exec_.async_sends) {
-    // Blocking-send ablation: the PE stalls for the injection time.
-    pe_.clock_ = event.time;
-  }
-  fabric_.push_event(tile_, fabric_.index(event.x, event.y), event);
+  send(color, values, {});
 }
 
 void PeApi::send(Color color, std::span<const f32> a, std::span<const f32> b) {
@@ -339,15 +306,21 @@ void PeApi::send(Color color, std::span<const f32> a, std::span<const f32> b) {
   for (const f32 v : b) {
     words[at++] = pack_f32(v);
   }
+  // Parity stamped at injection, checked at Ramp delivery when fault
+  // injection is enabled (bit-flip detection; see wse/fault.hpp). The
+  // stamp is skipped entirely on fault-free runs: nothing reads it.
   if (fabric_.fault_model_.enabled()) {
     event.parity =
         block_parity(tile_.arena->view(event.payload, event.payload_words));
   }
+  // Wormhole model: the event time is when the last wavelet has entered
+  // the local router. Injection serializes on the Ramp link.
   const f64 start = std::max(pe_.clock_, pe_.ramp_free_);
   event.time = start + serialization;
   pe_.ramp_free_ = event.time;
   pe_.counters_.wavelets_sent += n;
   if (!fabric_.exec_.async_sends) {
+    // Blocking-send ablation: the PE stalls for the injection time.
     pe_.clock_ = event.time;
   }
   fabric_.push_event(tile_, fabric_.index(event.x, event.y), event);

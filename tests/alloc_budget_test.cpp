@@ -11,6 +11,7 @@
 #include "bench/counting_new.hpp"
 #include "core/launcher.hpp"
 #include "physics/problem.hpp"
+#include "spec/program.hpp"
 #include "wse/event.hpp"
 #include "wse/router.hpp"
 
@@ -23,6 +24,9 @@ static_assert(sizeof(wse::Router) <= 512);
 // A queued event's ordering key lives in the heap alone; its slot holds
 // the rest (wse::EventQueue).
 static_assert(sizeof(wse::EventBody) <= 32);
+// A PE's engine, kernel block pointer included, stays in one 304-byte
+// malloc chunk (a 256x256 load holds 65,536 of them).
+static_assert(sizeof(spec::SpecPeProgram) <= 296);
 
 constexpr i32 kSide = 32;
 constexpr f64 kPes = static_cast<f64>(kSide * kSide);

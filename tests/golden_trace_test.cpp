@@ -87,7 +87,8 @@ std::string record_cg_trace(i32 threads, wse::TraceRecorder& recorder,
 
 /// Two leapfrog steps on the same 3x3x2 mesh from a Gaussian pulse:
 /// back-to-back cardinal + diagonal halo rounds with no reduction.
-std::string record_wave_trace(i32 threads, wse::TraceRecorder& recorder) {
+std::string record_wave_trace(i32 threads, wse::TraceRecorder& recorder,
+                              bool hazard_check = false) {
   const LinearStencil stencil =
       build_linear_stencil(golden_problem(), 86400.0);
   const ScaledSystem scaled = jacobi_scale(stencil);
@@ -97,12 +98,14 @@ std::string record_wave_trace(i32 threads, wse::TraceRecorder& recorder) {
   kernel.timesteps = 2;
   kernel.kappa = 0.4f;
   options.execution.threads = threads;
+  options.execution.hazard_check = hazard_check;
   options.trace = &recorder;
   const DataflowWaveResult result = spec::run(
       wave_launch(
           scaled.stencil, gaussian_pulse(stencil.extents, 1.0, 2.0), kernel),
       options, gather_wave);
   EXPECT_TRUE(result.ok());
+  EXPECT_EQ(result.hazards_total, 0u);
   EXPECT_EQ(result.trace_events_emitted, recorder.events().size());
   EXPECT_EQ(result.trace_records_dropped, 0u);
   return recorder.render(recorder.events().size());
@@ -179,10 +182,13 @@ TEST(GoldenTraceTest, CgGoldenUnchangedWithHazardCheckAcrossThreads) {
 }
 
 TEST(GoldenTraceTest, WaveCommPatternMatchesGolden) {
-  wse::TraceRecorder recorder(1u << 20);
-  const std::string actual = record_wave_trace(1, recorder);
-  ASSERT_GT(recorder.events().size(), 0u);
-  check_against_golden(kWaveGoldenPath, actual);
+  // With the hazard detector on too, which only observes.
+  for (const bool hazard_check : {false, true}) {
+    wse::TraceRecorder recorder(1u << 20);
+    const std::string actual = record_wave_trace(1, recorder, hazard_check);
+    ASSERT_GT(recorder.events().size(), 0u);
+    check_against_golden(kWaveGoldenPath, actual);
+  }
 }
 
 TEST(GoldenTraceTest, WaveTraceIdenticalAcrossThreadCounts) {

@@ -13,6 +13,7 @@
 
 #include "core/transport_program.hpp"
 #include "physics/problem.hpp"
+#include "spec/heat.hpp"
 #include "wse/fabric.hpp"
 #include "wse/hazard.hpp"
 #include "wse/program.hpp"
@@ -233,7 +234,7 @@ TEST(HazardDetectorTest, ReportsIdenticallyAcrossThreadCountsPastTheCap) {
 // --- shipped kernels under the detector -------------------------------------
 
 TEST(HazardDetectorTest, TransportKernelRunsCleanAndBitIdentical) {
-  // The transport program stashes halo views across tasks (the very
+  // The transport program reads halo views across tasks (the very
   // pattern the receive check guards), so it is the sharpest clean-bill
   // fixture; and because the detector is pure observation, the checked
   // run's saturations must be bit-identical to the unchecked run's.
@@ -274,6 +275,30 @@ TEST(HazardDetectorTest, TransportKernelRunsCleanAndBitIdentical) {
   for (i64 i = 0; i < ext.cell_count(); ++i) {
     ASSERT_EQ(checked_run.saturation[i], unchecked.saturation[i])
         << "cell " << i;
+  }
+
+  // Heat reads the engine-held views at round completion too, with no
+  // reduction barrier between its rounds.
+  const Array3<f32> initial = spec::heat_initial_field(ext, 7);
+  auto run_heat = [&](bool hazard_check) {
+    spec::HeatKernelOptions kernel;
+    kernel.steps = 6;
+    dataflow::HarnessOptions options;
+    options.execution.hazard_check = hazard_check;
+    return spec::run(spec::heat_launch(initial, kernel), options,
+                     spec::gather_heat);
+  };
+  const spec::DataflowHeatResult heat_unchecked = run_heat(false);
+  const spec::DataflowHeatResult heat_checked = run_heat(true);
+  ASSERT_TRUE(heat_unchecked.ok());
+  ASSERT_TRUE(heat_checked.ok());
+  EXPECT_EQ(heat_checked.hazards_total, 0u)
+      << (heat_checked.hazards.empty() ? std::string()
+                                       : heat_checked.hazards.front());
+  EXPECT_EQ(heat_checked.steps_completed, 6);
+  EXPECT_EQ(heat_checked.device_seconds, heat_unchecked.device_seconds);
+  for (i64 i = 0; i < ext.cell_count(); ++i) {
+    ASSERT_EQ(heat_checked.field[i], heat_unchecked.field[i]) << "cell " << i;
   }
 }
 

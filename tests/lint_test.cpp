@@ -449,7 +449,6 @@ TEST(LintParallelTest, ReportIsIdenticalForEveryThreadCount) {
   broken.exchange = spec::ExchangeKind::SwitchProtocol;
   broken.shape = spec::StencilShape::FivePoint;
   broken.block_words_per_cell = 2;
-  broken.rounds = 1;
   broken.fields = {
       {"cardinal recv buffers", spec::FieldRole::CardinalRecv, 8, 0},
       {"diagonal recv buffers", spec::FieldRole::DiagonalRecv, 8, 0},

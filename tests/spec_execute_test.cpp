@@ -4,14 +4,18 @@
 // protocol's shapes match the fabric bit for bit; the host tree
 // fold reproduces the fabric's all-reduce trees bit for bit; launches
 // follow the charging hook sweeps; and kernels that disagree on what to
-// do next fail loudly instead of running out of step.
+// do next fail loudly instead of running out of step. Both drivers keep
+// the one hook contract: a round's completion sees exactly its blocks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/api.hpp"
@@ -226,6 +230,173 @@ TEST(SpecExecuteTest, TreeReduceMatchesTheAllReduceTrees) {
             << fabric.x << "x" << fabric.y << " op "
             << static_cast<int>(op);
       }
+    }
+  }
+}
+
+/// Probes the hook contract every exchange kind keeps: on_round_complete
+/// receives exactly the blocks on_block saw that round, unchanged, each
+/// from the neighbor across its face, and empty views everywhere else.
+/// Every PE stamps its block with its coordinates and the round.
+class FaceProbe final : public spec::StencilKernel {
+ public:
+  static constexpr i32 kRounds = 3;
+
+  FaceProbe(Coord2 coord, Extents3 grid, bool nine_point)
+      : coord_(coord),
+        grid_(grid),
+        nine_point_(nine_point),
+        block_(static_cast<usize>(grid.nz)) {}
+
+  i32 rounds_done = 0;
+  i32 blocks_seen = 0;  ///< on_block calls over the run
+  i32 mismatches = 0;   ///< departures from the contract
+
+  [[nodiscard]] std::span<const f32> begin_round(wse::PeCompute&) override {
+    for (usize i = 0; i < block_.size(); ++i) {
+      block_[i] = stamp(coord_, static_cast<i32>(i));
+    }
+    seen_ = {};
+    return block_;
+  }
+
+  void on_block(wse::PeCompute&, mesh::Face face, wse::Dsd block) override {
+    ++blocks_seen;
+    std::optional<std::vector<f32>>& seen = seen_[static_cast<usize>(face)];
+    mismatches += seen.has_value() ? 1 : 0;  // one block per face and round
+    seen.emplace(block.base, block.base + block.length);
+  }
+
+  [[nodiscard]] spec::RoundOutcome on_round_complete(
+      wse::PeCompute&, const FaceBlocks& blocks) override {
+    for (const mesh::Face face : mesh::kAllFaces) {
+      const Coord3 off = mesh::face_offset(face);
+      const Coord2 nb{coord_.x + off.x, coord_.y + off.y};
+      const bool expected = !mesh::is_vertical(face) &&
+                            (nine_point_ || off.x == 0 || off.y == 0) &&
+                            nb.x >= 0 && nb.x < grid_.nx && nb.y >= 0 &&
+                            nb.y < grid_.ny;
+      const std::optional<wse::Dsd>& view = blocks[static_cast<usize>(face)];
+      const std::optional<std::vector<f32>>& seen =
+          seen_[static_cast<usize>(face)];
+      if (view.has_value() != expected || seen.has_value() != expected) {
+        ++mismatches;
+        continue;
+      }
+      if (!expected) {
+        continue;
+      }
+      if (view->length != grid_.nz ||
+          static_cast<i32>(seen->size()) != grid_.nz) {
+        ++mismatches;
+        continue;
+      }
+      for (i32 i = 0; i < grid_.nz; ++i) {
+        if (view->at(i) != (*seen)[static_cast<usize>(i)] ||
+            view->at(i) != stamp(nb, i)) {
+          ++mismatches;
+        }
+      }
+    }
+    ++rounds_done;
+    return {rounds_done == kRounds ? spec::RoundAction::Done
+                              : spec::RoundAction::Continue};
+  }
+
+ private:
+  [[nodiscard]] f32 stamp(Coord2 pe, i32 i) const {
+    return static_cast<f32>(1000 * rounds_done + 100 * pe.y + 10 * pe.x + i);
+  }
+
+  Coord2 coord_;
+  Extents3 grid_;
+  bool nine_point_;
+  std::vector<f32> block_;
+  std::array<std::optional<std::vector<f32>>, mesh::kFaceCount> seen_;
+};
+
+struct ProbeTally {
+  i32 min_rounds = 0;
+  i32 blocks_seen = 0;
+  i32 mismatches = 0;
+};
+
+ProbeTally tally_probes(const spec::KernelGrid& run) {
+  ProbeTally tally{FaceProbe::kRounds, 0, 0};
+  const Extents3 ext = run.extents();
+  for (i32 y = 0; y < ext.ny; ++y) {
+    for (i32 x = 0; x < ext.nx; ++x) {
+      const FaceProbe& probe = run.kernel_as<FaceProbe>(Coord2{x, y});
+      tally.min_rounds = std::min(tally.min_rounds, probe.rounds_done);
+      tally.blocks_seen += probe.blocks_seen;
+      tally.mismatches += probe.mismatches;
+    }
+  }
+  return tally;
+}
+
+spec::Launch probe_launch(Extents3 grid, spec::ExchangeKind exchange,
+                          spec::StencilShape shape) {
+  spec::StencilSpec s;
+  s.name = "face probe";
+  s.exchange = exchange;
+  s.shape = shape;
+  s.block_words_per_cell = 1;
+  s.claims.cardinal = "probe cardinal";
+  s.claims.diagonal = "probe diagonal";
+  s.claims.nack = "probe retransmit";
+  if (exchange == spec::ExchangeKind::SwitchProtocol) {
+    s.fields = {{"cardinal recv buffers", spec::FieldRole::CardinalRecv, 4, 0},
+                {"diagonal recv buffers", spec::FieldRole::DiagonalRecv, 4, 0}};
+  } else {
+    s.fields = {{"halo buffers", spec::FieldRole::HaloRecv, 8, 0}};
+  }
+  s.fields.push_back({"code", spec::FieldRole::Code, 0, 1024});
+  const bool nine_point = shape == spec::StencilShape::NinePoint;
+  return {s, grid, [grid, nine_point](Coord2 coord) {
+            return std::make_unique<FaceProbe>(coord, grid, nine_point);
+          }};
+}
+
+TEST(SpecExecuteTest, RoundCompleteSeesExactlyTheRoundsBlocks) {
+  struct Case {
+    spec::ExchangeKind exchange;
+    spec::StencilShape shape;
+    bool reliability;  ///< the halo ack/retransmit layer (fabric only)
+  };
+  constexpr auto kSwitch = spec::ExchangeKind::SwitchProtocol;
+  constexpr auto kHalo = spec::ExchangeKind::StaticHalo;
+  constexpr auto kNine = spec::StencilShape::NinePoint;
+  constexpr auto kFive = spec::StencilShape::FivePoint;
+  // On 4x4x2 some fabric neighbors run a round ahead of a PE that still
+  // holds its views (the early-block path of both exchanges).
+  for (const Extents3 grid : {Extents3{3, 3, 3}, Extents3{4, 4, 2}}) {
+    for (const Case& c :
+         {Case{kSwitch, kNine, false}, Case{kSwitch, kFive, false},
+          Case{kHalo, kNine, false}, Case{kHalo, kNine, true}}) {
+      const i32 cardinal =
+          2 * (grid.nx - 1) * grid.ny + 2 * grid.nx * (grid.ny - 1);
+      const i32 diagonal = 4 * (grid.nx - 1) * (grid.ny - 1);
+      const i32 per_round = cardinal + (c.shape == kNine ? diagonal : 0);
+      dataflow::HarnessOptions options;
+      options.reliability = c.reliability;
+      const auto wse = spec::run(probe_launch(grid, c.exchange, c.shape),
+                                 options, tally_probes);
+      const auto gpu =
+          spec::execute(probe_launch(grid, c.exchange, c.shape), tally_probes);
+      for (const auto& [backend, tally] :
+           {std::pair<const char*, ProbeTally>{"wse", wse},
+            std::pair<const char*, ProbeTally>{"gpusim", gpu}}) {
+        SCOPED_TRACE(::testing::Message()
+                     << backend << ' ' << grid.nx << 'x' << grid.ny
+                     << " exchange=" << static_cast<int>(c.exchange)
+                     << " shape=" << static_cast<int>(c.shape)
+                     << " reliability=" << c.reliability);
+        EXPECT_EQ(tally.min_rounds, FaceProbe::kRounds);
+        EXPECT_EQ(tally.blocks_seen, per_round * FaceProbe::kRounds);
+        EXPECT_EQ(tally.mismatches, 0);
+      }
+      EXPECT_TRUE(wse.ok());
     }
   }
 }

@@ -47,7 +47,6 @@ spec::StencilSpec valid_switch_spec() {
   s.exchange = spec::ExchangeKind::SwitchProtocol;
   s.shape = spec::StencilShape::FivePoint;
   s.block_words_per_cell = 2;
-  s.rounds = 1;
   s.claims.cardinal = "unit cardinal";
   s.claims.diagonal = "unit diagonal";
   s.fields = {
@@ -102,11 +101,6 @@ TEST(SpecCompileTest, ErrorsNameTheSpecAndTheField) {
 TEST(SpecCompileTest, DigestIsStructuralAndExcludesRounds) {
   const u64 base = spec::compile(valid_switch_spec()).shape_digest();
   EXPECT_EQ(spec::compile(valid_switch_spec()).shape_digest(), base);
-
-  // Rounds steer the engine, not the lowering: same shape, same digest.
-  spec::StencilSpec more_rounds = valid_switch_spec();
-  more_rounds.rounds = 7;
-  EXPECT_EQ(spec::compile(std::move(more_rounds)).shape_digest(), base);
 
   // A renamed field is a different memory layout: different digest.
   spec::StencilSpec renamed = valid_switch_spec();
