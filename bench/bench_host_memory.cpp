@@ -8,8 +8,11 @@
 //   bench_host_memory [--nx 256] [--ny 256] [--nz 12] [--threads 1]
 //                     [--iterations 2] [--seed 2] [--json-dir .]
 //
-// Writes BENCH_host_memory.json: one case per stage. The figures depend on
-// the C library's allocator, so no baseline of them is committed.
+// The run stage drives wse::Fabric::run directly: its report carries the
+// event queue's high-water depth and the payload arenas' reserved bytes,
+// printed under the stage table. Writes BENCH_host_memory.json: one case
+// per stage plus those two figures. They depend on the C library's
+// allocator, so no baseline of them is committed.
 #include <fstream>
 #include <optional>
 #include <stdexcept>
@@ -92,10 +95,10 @@ int run(int argc, const char** argv) {
   load.emplace(core::load_dataflow_tpfa(problem, options));
   end("memoized load");
   begin();
-  const dataflow::RunInfo info = load->harness->run();
+  const wse::RunReport report = load->harness->fabric().run();
   end("run");
-  if (!info.ok()) {
-    std::cerr << "run failed: " << info.errors.front() << '\n';
+  if (!report.ok()) {
+    std::cerr << "run failed: " << report.errors.front() << '\n';
     return 1;
   }
   load.reset();
@@ -116,10 +119,21 @@ int run(int argc, const char** argv) {
     json.add_metric("rss_mb", stage.rss_mb);
     json.add_metric("peak_rss_mb", stage.hwm_mb);
   }
+  json.add_case("run host state");
+  json.add_metric("event_queue_high_water",
+                  static_cast<f64>(report.event_queue_high_water));
+  json.add_metric("payload_arena_bytes",
+                  static_cast<f64>(report.payload_arena_bytes));
   std::cout << table.render();
   std::cout << "Router array (mapped, outside the heap): "
             << sizeof(wse::Router) << " B/PE; device cycles "
-            << format_fixed(info.makespan_cycles, 1) << "\n";
+            << format_fixed(report.makespan_cycles, 1) << "\n"
+            << "Run: event queue high water "
+            << report.event_queue_high_water << " events; payload arenas "
+            << format_fixed(static_cast<f64>(report.payload_arena_bytes) /
+                                (1024.0 * 1024.0),
+                            1)
+            << " MB reserved\n";
   return 0;
 }
 

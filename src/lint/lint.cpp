@@ -178,7 +178,9 @@ class Linter {
         }
         std::ostringstream os;
         os << "router at PE(" << x << ',' << y << ") installed "
-           << label(color) << ' ' << count
+           << label(color) << ' '
+           << (count == wse::Router::kMaxConfigureCount ? "at least " : "")
+           << count
            << " times during load: a later component silently replaced the "
               "switch positions an earlier one planned its traffic on";
         add(found, Check::SwitchReconfigured, Severity::Error, Coord2{x, y},

@@ -96,9 +96,8 @@ PerfettoExportStats write_perfetto_json(std::ostream& os,
 
   for (i32 y = 0; y < fabric.height(); ++y) {
     for (i32 x = 0; x < fabric.width(); ++x) {
-      const wse::Pe& pe = fabric.pe(x, y);
-      stats.spans_dropped += pe.phase_spans_dropped();
-      for (const PhaseSpan& span : pe.phase_spans()) {
+      stats.spans_dropped += fabric.phase_spans_dropped(x, y);
+      for (const PhaseSpan& span : fabric.phase_spans(x, y)) {
         w.slice(y, x, span.begin, span.end - span.begin,
                 phase_name(span.phase));
         ++stats.phase_slices;

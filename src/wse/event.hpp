@@ -79,6 +79,9 @@ class EventQueue {
  public:
   [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
   [[nodiscard]] usize size() const noexcept { return heap_.size(); }
+  /// The most events this queue has held at once: a slot is added only
+  /// when every existing one is occupied.
+  [[nodiscard]] usize high_water() const noexcept { return slots_.size(); }
   /// Timestamp of the minimum event without touching its slot (the
   /// window-loop bound check stays inside the key array).
   [[nodiscard]] f64 top_time() const noexcept { return heap_.front().time; }

@@ -78,6 +78,9 @@ struct Tile {
   PayloadArena* arena = nullptr;
   /// Fault-injection accounting local to this tile; summed in finish_run.
   FaultStats faults;
+  /// Wavelets per color over every output link this tile routed; folded
+  /// into Fabric::color_traffic_ in finish_run.
+  std::array<u64, Color::kMaxColors> color_traffic{};
   /// Trace records handed to the tracer (direct) or buffered (deferred).
   u64 traces_emitted = 0;
   EventQueue queue;
@@ -491,6 +494,9 @@ Fabric::Fabric(i32 width, i32 height, FabricTimings timings,
   if (exec_.hazard_check) {
     hazard_state_.resize(static_cast<usize>(pe_count()));
   }
+  if (exec_.phase_span_capacity > 0) {
+    span_logs_.resize(static_cast<usize>(pe_count()));
+  }
   for (i32 y = 0; y < height_; ++y) {
     for (i32 x = 0; x < width_; ++x) {
       pes_.emplace_back(Coord2{x, y}, memory_budget_);
@@ -704,10 +710,12 @@ void Fabric::attribute_phase(Pe& pe, obs::Phase phase, f64 begin, f64 end) {
   }
   pe.phase_cycles_[phase] += end - begin;
   if (exec_.phase_span_capacity > 0 && phase != obs::Phase::Idle) {
-    if (pe.phase_spans_.size() < exec_.phase_span_capacity) {
-      pe.phase_spans_.push_back(obs::PhaseSpan{phase, begin, end});
+    SpanLog& log =
+        span_logs_[static_cast<usize>(index(pe.coord_.x, pe.coord_.y))];
+    if (log.spans.size() < exec_.phase_span_capacity) {
+      log.spans.push_back(obs::PhaseSpan{phase, begin, end});
     } else {
-      ++pe.phase_spans_dropped_;
+      ++log.dropped;
     }
   }
 }
@@ -801,6 +809,11 @@ void Fabric::process_event(detail::Tile& tile, Event& event) {
   bool token = event.fault_token;
   // Decode the packed rule: output links in configuration order.
   const usize out_count = route_output_count(packed);
+  // Every resolved output link carries the block — including the Ramp,
+  // so router utilization and per-color traffic account for delivery to
+  // the local PE (Table 3's communication accounting).
+  tile.color_traffic[event.color.id()] +=
+      static_cast<u64>(out_count) * event.payload_words;
   Dir outputs[kLinkCount];
   for (usize i = 0; i < out_count; ++i) {
     outputs[i] = route_output(packed, static_cast<u32>(i));
@@ -827,11 +840,7 @@ void Fabric::process_event(detail::Tile& tile, Event& event) {
   }
   for (usize out_idx = 0; out_idx < out_count; ++out_idx) {
     const Dir out = outputs[out_idx];
-    // Every resolved output link carries the block — including the Ramp,
-    // so router utilization and per-color traffic account for delivery
-    // to the local PE (Table 3's communication accounting).
     rt.count_output(out, event.payload_words);
-    rt.count_color(event.color, event.payload_words);
     if (out == Dir::Ramp) {
       if (faults && !event.control &&
           block_parity(tile.arena->view(event.payload, event.payload_words)) !=
@@ -839,7 +848,6 @@ void Fabric::process_event(detail::Tile& tile, Event& event) {
         // Detection: the parity word stamped at injection no longer
         // matches — drop the block at delivery, exactly as a link-level
         // CRC would discard it. Recovery (if any) is protocol-level.
-        rt.count_dropped();
         if (token) {
           ++tile.faults.flips_dropped;
           token = false;
@@ -1256,6 +1264,9 @@ RunReport Fabric::finish_run(std::vector<detail::Tile>& tiles,
     horizon_ = std::max(horizon_, tile.horizon);
     faults += tile.faults;
     traces_emitted += tile.traces_emitted;
+    for (usize c = 0; c < color_traffic_.size(); ++c) {
+      color_traffic_[c] += tile.color_traffic[c];
+    }
   }
 
   // Merge deferred error records (multi-tile runs) in deterministic event
@@ -1315,6 +1326,12 @@ RunReport Fabric::finish_run(std::vector<detail::Tile>& tiles,
   report.faults = faults;
   report.trace_events_emitted = traces_emitted;
   report.trace_records_dropped = recorder_ != nullptr ? recorder_->dropped() : 0;
+  for (const detail::Tile& tile : tiles) {
+    report.event_queue_high_water += tile.queue.high_water();
+  }
+  for (const PayloadArena& arena : arenas_) {
+    report.payload_arena_bytes += arena.reserved_bytes();
+  }
   report.errors = errors_;
   report.errors_total = errors_total_;
   if (errors_total_ > errors_.size()) {
@@ -1387,12 +1404,18 @@ PeCounters Fabric::total_counters() const {
   return total;
 }
 
-u64 Fabric::color_traffic(Color color) const {
-  u64 total = 0;
-  for (const Router& r : routers_) {
-    total += r.traffic_of_color(color);
-  }
-  return total;
+const std::vector<obs::PhaseSpan>& Fabric::phase_spans(i32 x, i32 y) const {
+  FVF_REQUIRE(x >= 0 && x < width_ && y >= 0 && y < height_);
+  static const std::vector<obs::PhaseSpan> kNone;
+  return span_logs_.empty() ? kNone
+                            : span_logs_[static_cast<usize>(index(x, y))].spans;
+}
+
+u64 Fabric::phase_spans_dropped(i32 x, i32 y) const {
+  FVF_REQUIRE(x >= 0 && x < width_ && y >= 0 && y < height_);
+  return span_logs_.empty()
+             ? 0
+             : span_logs_[static_cast<usize>(index(x, y))].dropped;
 }
 
 obs::PhaseCycles Fabric::total_phase_cycles() const {

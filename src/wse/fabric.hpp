@@ -34,6 +34,7 @@
 /// values. See docs/ARCHITECTURE.md "Event engine internals".
 #pragma once
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <span>
@@ -87,17 +88,6 @@ class Pe {
   [[nodiscard]] const obs::PhaseCycles& phase_cycles() const noexcept {
     return phase_cycles_;
   }
-  /// Recorded non-idle phase spans for timeline export (empty unless
-  /// ExecutionOptions::phase_span_capacity > 0).
-  [[nodiscard]] const std::vector<obs::PhaseSpan>& phase_spans()
-      const noexcept {
-    return phase_spans_;
-  }
-  /// Spans not recorded because the per-PE capacity was reached.
-  [[nodiscard]] u64 phase_spans_dropped() const noexcept {
-    return phase_spans_dropped_;
-  }
-
  private:
   friend class Fabric;
   friend class PeApi;
@@ -122,8 +112,6 @@ class Pe {
   /// Only touched by the tile that owns this PE's row, so parallel runs
   /// attribute identically to serial ones.
   obs::PhaseCycles phase_cycles_;
-  std::vector<obs::PhaseSpan> phase_spans_;
-  u64 phase_spans_dropped_ = 0;
 };
 
 /// PE count from which per-PE host set-up work spreads over
@@ -160,7 +148,7 @@ struct ExecutionOptions {
   bool phase_profiling = true;
   /// When > 0, each PE additionally records up to this many non-idle
   /// phase spans for timeline export (obs::write_perfetto_json); excess
-  /// spans are counted in Pe::phase_spans_dropped().
+  /// spans are counted in Fabric::phase_spans_dropped().
   u32 phase_span_capacity = 0;
   /// Dynamic in-PE memory hazard detection (see wse/hazard.hpp): flags
   /// partially-overlapping DSD dest/source operands and fabric receives
@@ -208,6 +196,13 @@ struct RunReport {
   std::vector<std::string> hazards;
   u64 hazards_total = 0;
   u64 hazards_suppressed = 0;
+  /// Host-side figures, not simulated results: the deepest this run's
+  /// event queues grew (summed over the engine's tiles) and the heap bytes
+  /// the fabric's payload arenas reserve after it. Both depend on the
+  /// tiling and the allocator's history, so dataflow::RunInfo and serve
+  /// responses leave them out.
+  u64 event_queue_high_water = 0;
+  u64 payload_arena_bytes = 0;
 
   [[nodiscard]] bool ok() const noexcept { return errors.empty(); }
 };
@@ -442,9 +437,20 @@ class Fabric {
   [[nodiscard]] PeCounters total_counters() const;
 
   /// Total wavelets of one color carried by any router output link,
-  /// summed over all routers: multi-hop blocks count once per hop, and
-  /// Ramp delivery to the destination PE counts like any other link.
-  [[nodiscard]] u64 color_traffic(Color color) const;
+  /// summed over all routers and every run() of this fabric: multi-hop
+  /// blocks count once per hop, and Ramp delivery to the destination PE
+  /// counts like any other link.
+  [[nodiscard]] u64 color_traffic(Color color) const noexcept {
+    return color_traffic_[color.id()];
+  }
+
+  /// Recorded non-idle phase spans of PE (x, y) for timeline export
+  /// (empty unless ExecutionOptions::phase_span_capacity > 0).
+  [[nodiscard]] const std::vector<obs::PhaseSpan>& phase_spans(i32 x,
+                                                               i32 y) const;
+  /// Spans of PE (x, y) not recorded because the per-PE capacity was
+  /// reached.
+  [[nodiscard]] u64 phase_spans_dropped(i32 x, i32 y) const;
 
   /// Largest PE memory usage across the fabric (bytes).
   [[nodiscard]] usize max_memory_used() const;
@@ -529,10 +535,10 @@ class Fabric {
   /// Every distinct switch table of the fabric, once; routers hold ids
   /// into it. Heap-held so the routers' pointers to it stay valid.
   std::unique_ptr<RoutePool> route_pool_;
-  /// Mapped rather than heap-allocated: at 750x96 PEs the array is just
-  /// under malloc's 32 MiB dynamic mmap-threshold cap (see
-  /// mapped_allocator.hpp), and freeing it from the heap would make peak
-  /// RSS depend on thread timing.
+  /// Mapped rather than heap-allocated: freeing an array this large from
+  /// the heap raises malloc's dynamic mmap threshold (see
+  /// mapped_allocator.hpp), which would make peak RSS depend on thread
+  /// timing.
   std::vector<Router, MappedAllocator<Router>> routers_;
   /// Backpressure queues: wavelets whose color's current switch position
   /// does not accept their input link wait here until a control wavelet
@@ -556,6 +562,16 @@ class Fabric {
   /// Per-PE hazard-detector state; sized only when hazard_check is on
   /// (and each entry is only touched by the tile owning its PE's row).
   std::vector<HazardState> hazard_state_;
+  /// Per-PE timeline spans; sized only when phase_span_capacity > 0 (and
+  /// each entry is only touched by the tile owning its PE's row).
+  struct SpanLog {
+    std::vector<obs::PhaseSpan> spans;
+    u64 dropped = 0;
+  };
+  std::vector<SpanLog> span_logs_;
+  /// Wavelets per color over every output link, summed from the tiles'
+  /// counts at the end of each run.
+  std::array<u64, Color::kMaxColors> color_traffic_{};
   std::vector<std::string> hazards_;
   u64 hazards_total_ = 0;
   Tracer tracer_;

@@ -20,7 +20,6 @@
 /// engine's bit-for-bit determinism across thread counts is unaffected.
 #pragma once
 
-#include <array>
 #include <memory>
 #include <span>
 #include <vector>
@@ -33,58 +32,68 @@ namespace fvf::wse {
 /// Chunked slab allocator for u32 payload blocks, addressed by handle.
 ///
 /// Layout: slabs of `kChunkWords` words; an allocation occupies one header
-/// word (its size class) followed by `2^class` data words. The handle
-/// encodes (chunk, offset-of-data) in 32 bits. Freed blocks go on an
-/// intrusive per-size-class free list (the next-handle link is stored in
-/// the block's first data word), so steady-state traffic allocates nothing.
-/// Requests larger than half a chunk get a dedicated exactly-sized slab.
+/// word (its word count) followed by exactly that many data words, so a
+/// 24-word block takes 25 words. The handle encodes (chunk,
+/// offset-of-data) in 32 bits. Freed blocks go on an intrusive free list
+/// per word count (the next-handle link is stored in the block's first
+/// data word) and are reused only by a block of the same size, so
+/// steady-state traffic of a fixed block size allocates nothing. Blocks
+/// larger than a chunk get a dedicated exactly-sized slab.
 class PayloadArena {
  public:
   /// The null handle: "this event carries no payload bytes".
   static constexpr u32 kNull = 0xffffffffu;
 
-  PayloadArena() { free_list_.fill(kNull); }
+  PayloadArena() = default;
 
   PayloadArena(const PayloadArena&) = delete;
   PayloadArena& operator=(const PayloadArena&) = delete;
   PayloadArena(PayloadArena&&) = default;
   PayloadArena& operator=(PayloadArena&&) = default;
 
-  /// Allocates storage for `words` u32s (at least 1). O(1).
+  /// Allocates storage for `words` u32s (at least 1). O(1) amortized.
   [[nodiscard]] u32 alloc(u32 words) {
-    const u32 cls = size_class(words == 0 ? 1 : words);
-    u32 handle = free_list_[cls];
-    if (handle != kNull) {
-      free_list_[cls] = *data(handle);  // intrusive next link
+    const u32 size = words == 0 ? 1 : words;
+    if (size < free_list_.size() && free_list_[size] != kNull) {
+      const u32 handle = free_list_[size];
+      free_list_[size] = *data(handle);  // intrusive next link
       return handle;
     }
-    const u32 block = (1u << cls) + 1;  // header + data
+    FVF_REQUIRE(size < kNull);
+    const u32 block = size + 1;  // header + data
     if (block > kChunkWords) {
       // Oversized: a dedicated slab holding exactly this block.
       chunks_.push_back(std::make_unique<u32[]>(block));
+      reserved_words_ += block;
       const u32 chunk = static_cast<u32>(chunks_.size() - 1);
       FVF_REQUIRE(chunk < kNull >> kOffsetBits);
-      chunks_[chunk][0] = cls;
+      chunks_[chunk][0] = size;
       return (chunk << kOffsetBits) | 1u;
     }
     if (chunks_.empty() || cursor_ + block > kChunkWords) {
       chunks_.push_back(std::make_unique<u32[]>(kChunkWords));
+      reserved_words_ += kChunkWords;
       FVF_REQUIRE(chunks_.size() - 1 < kNull >> kOffsetBits);
       bump_chunk_ = static_cast<u32>(chunks_.size() - 1);
       cursor_ = 0;
     }
     const u32 start = cursor_;
     cursor_ += block;
-    chunks_[bump_chunk_][start] = cls;
+    chunks_[bump_chunk_][start] = size;
     return (bump_chunk_ << kOffsetBits) | (start + 1);
   }
 
-  /// Returns a block to its size-class free list. O(1).
-  void free(u32 handle) noexcept {
+  /// Returns a block to the free list of its word count. O(1) amortized:
+  /// the list heads grow to the largest size freed so far, one word per
+  /// size, never more than that block itself.
+  void free(u32 handle) {
     u32* block = data(handle);
-    const u32 cls = block[-1];
-    block[0] = free_list_[cls];
-    free_list_[cls] = handle;
+    const u32 size = block[-1];
+    if (size >= free_list_.size()) {
+      free_list_.resize(static_cast<usize>(size) + 1, kNull);
+    }
+    block[0] = free_list_[size];
+    free_list_[size] = handle;
   }
 
   /// The block's data words (valid until freed).
@@ -112,29 +121,20 @@ class PayloadArena {
     return moved;
   }
 
-  /// Slab bytes currently reserved from the host heap (oversized slabs
-  /// are counted at the standard chunk size; close enough for stats).
+  /// Slab bytes currently reserved from the host heap.
   [[nodiscard]] usize reserved_bytes() const noexcept {
-    return chunks_.size() * static_cast<usize>(kChunkWords) * sizeof(u32);
+    return reserved_words_ * sizeof(u32);
   }
 
  private:
   static constexpr u32 kOffsetBits = 16;
   static constexpr u32 kOffsetMask = (1u << kOffsetBits) - 1;
   static constexpr u32 kChunkWords = 1u << kOffsetBits;
-  static constexpr u32 kSizeClasses = 32;
-
-  /// Smallest c with 2^c >= need.
-  [[nodiscard]] static u32 size_class(u32 need) noexcept {
-    u32 cls = 0;
-    while ((1u << cls) < need) {
-      ++cls;
-    }
-    return cls;
-  }
 
   std::vector<std::unique_ptr<u32[]>> chunks_;
-  std::array<u32, kSizeClasses> free_list_{};
+  /// Head of each word count's free list, indexed by word count.
+  std::vector<u32> free_list_;
+  usize reserved_words_ = 0;
   u32 bump_chunk_ = 0;
   u32 cursor_ = 0;
 };

@@ -1,9 +1,10 @@
 /// \file router.hpp
 /// \brief A fabric router: per-color switch-table ids and positions plus
-///        traversal statistics.
+///        per-link traffic counters.
 #pragma once
 
 #include <array>
+#include <limits>
 
 #include "wse/route.hpp"
 
@@ -11,23 +12,31 @@ namespace fvf::wse {
 
 /// Router attached to one PE. Holds one route word per color — the id of
 /// the color's switch table in the fabric's RoutePool plus the current
-/// switch position — and counts traffic through each link.
+/// switch position — and counts traffic through each link. Per-color
+/// traffic is counted fabric-wide (Fabric::color_traffic), not here.
 class alignas(64) Router {
  public:
+  /// configure_count() saturates here: a count this high means "at least
+  /// this many".
+  static constexpr u32 kMaxConfigureCount = std::numeric_limits<u8>::max();
+
   explicit Router(RoutePool& pool) noexcept : pool_(&pool) {}
 
   /// Installs (replaces) the configuration of a color, at position 0.
   void configure(Color color, const ColorConfig& config) {
     routes_[color.id()] =
         static_cast<u16>(pool_->intern(config) << kPositionBits);
-    ++configure_count_[color.id()];
+    u8& count = configure_count_[color.id()];
+    if (count < kMaxConfigureCount) {
+      ++count;
+    }
   }
 
-  /// How many times configure() installed a config for `color`. More than
-  /// once means a later component silently replaced an earlier one's
-  /// switch positions — traffic planned against the old position table
-  /// would be routed by the new one. fvf::lint reports this as a
-  /// switch-reconfiguration hazard.
+  /// How many times configure() installed a config for `color`, up to
+  /// kMaxConfigureCount. More than once means a later component silently
+  /// replaced an earlier one's switch positions — traffic planned against
+  /// the old position table would be routed by the new one. fvf::lint
+  /// reports this as a switch-reconfiguration hazard.
   [[nodiscard]] u32 configure_count(Color color) const noexcept {
     return configure_count_[color.id()];
   }
@@ -62,25 +71,15 @@ class alignas(64) Router {
     }
   }
 
-  /// Traffic counters (wavelets through each output link / per color).
+  /// Wavelets through each output link.
   void count_output(Dir d, u64 wavelets) noexcept {
     traffic_out_[static_cast<usize>(d)] += wavelets;
   }
   /// Next value of this location's event birth-sequence counter. Lives
-  /// here (not in a side array) so stamping a birth key touches the same
-  /// cache line as the traffic counters the push site just bumped.
+  /// here (not in a side array) so stamping a birth key touches the
+  /// router line the pushed event's route was just resolved from.
   [[nodiscard]] u64 next_birth_seq() noexcept { return birth_seq_++; }
 
-  /// A block failed the per-wavelet parity check at this router's Ramp
-  /// and was dropped (fault detection; see wse/fault.hpp).
-  void count_dropped() noexcept { ++blocks_dropped_; }
-  [[nodiscard]] u64 blocks_dropped() const noexcept { return blocks_dropped_; }
-  void count_color(Color color, u64 wavelets) noexcept {
-    traffic_color_[color.id()] += wavelets;
-  }
-  [[nodiscard]] u64 traffic_of_color(Color color) const noexcept {
-    return traffic_color_[color.id()];
-  }
   [[nodiscard]] u64 traffic_out(Dir d) const noexcept {
     return traffic_out_[static_cast<usize>(d)];
   }
@@ -102,15 +101,13 @@ class alignas(64) Router {
 
   // The route words, the pool pointer and the birth counter fill the
   // first cache line: the event hot path resolves every block from it
-  // (the engine prefetches it for the next event). The traffic counters
-  // it bumps next follow.
+  // (the engine prefetches it for the next event). The link counters it
+  // bumps next and the load-time configure counts fill the second.
   std::array<u16, Color::kMaxColors> routes_{};
   RoutePool* pool_;
   u64 birth_seq_ = 0;
   std::array<u64, kLinkCount> traffic_out_{};
-  u64 blocks_dropped_ = 0;
-  std::array<u64, Color::kMaxColors> traffic_color_{};
-  std::array<u32, Color::kMaxColors> configure_count_{};
+  std::array<u8, Color::kMaxColors> configure_count_{};
 };
 
 }  // namespace fvf::wse

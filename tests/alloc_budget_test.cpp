@@ -13,14 +13,20 @@
 #include "physics/problem.hpp"
 #include "spec/program.hpp"
 #include "wse/event.hpp"
+#include "wse/fabric.hpp"
 #include "wse/router.hpp"
 
 namespace fvf {
 namespace {
 
-// A router's host state is its 24 route words, traffic counters and
-// configure counts; switch tables live once per fabric (wse::RoutePool).
-static_assert(sizeof(wse::Router) <= 512);
+// A router's host state is its 24 route words, per-link traffic counters
+// and saturating one-byte configure counts, in two cache lines; switch
+// tables live once per fabric (wse::RoutePool) and per-color traffic is
+// counted fabric-wide.
+static_assert(sizeof(wse::Router) == 128);
+// A PE's host state: clocks, program pointer, memory ledger, counters and
+// phase totals. Timeline spans live fabric-side, sized only when asked for.
+static_assert(sizeof(wse::Pe) <= 216);
 // A queued event's ordering key lives in the heap alone; its slot holds
 // the rest (wse::EventQueue).
 static_assert(sizeof(wse::EventBody) <= 32);
@@ -47,11 +53,12 @@ TEST(AllocBudgetTest, MemoizedTpfaLoadHoldsAHandfulOfBlocksPerPe) {
   GTEST_SKIP() << "the sanitizer runtime owns operator new";
 #else
   constexpr f64 kBlocksPerPe = 8.0;
-  // Measured 2,571 live bytes per PE (3,027 before the kernel's column
-  // buffer was regrown to its exact size and a PE's memory ledger
+  // Measured 2,219 live bytes per PE (2,571 before the router shrank to
+  // 128 B and phase spans moved off the Pe; 3,027 before the kernel's
+  // column buffer was regrown to its exact size and a PE's memory ledger
   // stopped keeping allocation records; 4,931 before switch tables were
-  // interned per fabric); the bound leaves 9% headroom.
-  constexpr f64 kBytesPerPe = 2800.0;
+  // interned per fabric); the bound leaves 10% headroom.
+  constexpr f64 kBytesPerPe = 2440.0;
   const physics::FlowProblem problem = budget_problem();
   const core::DataflowOptions options;
   memoize_lint(problem, options);
@@ -85,8 +92,9 @@ TEST(AllocBudgetTest, RunOfAMemoizedTpfaLoadPeaksUnderItsBytesPerPe) {
   // Peak live heap bytes above the load during run(), per PE: the event
   // queue, payload arenas and pending buffers. Measured 809 (1,769
   // before queue slots dropped the ordering key and PE memory ledgers
-  // stopped keeping the records every start wrote); the bound leaves 9%
-  // headroom.
+  // stopped keeping the records every start wrote; exact-size payload
+  // blocks do not move it, since at 32x32 the arena is its one 256 KiB
+  // slab); the bound leaves 9% headroom.
   constexpr f64 kRunBytesPerPe = 880.0;
   const physics::FlowProblem problem = budget_problem();
   const core::DataflowOptions options;

@@ -201,6 +201,46 @@ TEST(LintHarnessTest, WarnReportsButLoadsAndOffSkipsChecks) {
   }
 }
 
+/// Installs the same config for color 0 `count` times during load.
+class RepeatedConfigProgram final : public wse::PeProgram {
+ public:
+  explicit RepeatedConfigProgram(int count) : count_(count) {}
+  void configure_router(wse::Router& router) override {
+    for (int i = 0; i < count_; ++i) {
+      router.configure(wse::Color{0},
+                       wse::ColorConfig({wse::position(wse::Dir::Ramp,
+                                                       {wse::Dir::East})}));
+    }
+  }
+  void on_start(wse::PeApi&) override {}
+  void on_data(wse::PeApi&, wse::Color, wse::Dir,
+               std::span<const u32>) override {}
+
+ private:
+  int count_;
+};
+
+TEST(LintHarnessTest, SaturatedConfigureCountStillReportsReconfiguration) {
+  // A router counts a color's configure() calls in one byte, saturating
+  // at 255: 300 installs must still be flagged, as "at least 255".
+  dataflow::HarnessOptions options;
+  options.lint = Level::Off;
+  dataflow::FabricHarness harness(Coord2{1, 1}, options);
+  harness.colors().claim("lint test color", 0, 1);
+  harness.load<RepeatedConfigProgram>([](Coord2, Coord2) {
+    return std::make_unique<RepeatedConfigProgram>(300);
+  });
+  EXPECT_EQ(harness.fabric().router(0, 0).configure_count(wse::Color{0}),
+            wse::Router::kMaxConfigureCount);
+  const Report report = harness.lint_report();
+  ASSERT_EQ(report.diagnostics.size(), 1u) << report.describe();
+  const Diagnostic& d = report.diagnostics.front();
+  EXPECT_EQ(d.check, Check::SwitchReconfigured);
+  EXPECT_NE(d.message.find(" at least 255 times during load"),
+            std::string::npos)
+      << d.message;
+}
+
 // --- shipped programs lint clean --------------------------------------------
 
 physics::FlowProblem small_problem() {

@@ -544,6 +544,137 @@ TEST(FabricTest, BackpressureHoldsDataUntilSwitchAdvances) {
   EXPECT_TRUE(stranded_reported);
 }
 
+// --- payload arena -----------------------------------------------------------
+
+/// Fills a block with a pattern unique to `seed`.
+void fill_block(PayloadArena& arena, u32 handle, u32 words, u32 seed) {
+  for (u32 i = 0; i < words; ++i) {
+    arena.data(handle)[i] = seed * 100'000u + i;
+  }
+}
+
+bool block_holds(const PayloadArena& arena, u32 handle, u32 words, u32 seed) {
+  for (u32 i = 0; i < words; ++i) {
+    if (arena.data(handle)[i] != seed * 100'000u + i) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(PayloadArenaTest, BlocksOfMixedExactSizesKeepTheirWords) {
+  PayloadArena arena;
+  // One word more than a slab holds: this block gets a slab of its own.
+  constexpr u32 kOversized = (1u << 16) + 1;
+  const std::vector<u32> sizes{1, 8, 24, 25, kOversized};
+  std::vector<u32> handles;
+  for (u32 i = 0; i < sizes.size(); ++i) {
+    handles.push_back(arena.alloc(sizes[i]));
+    fill_block(arena, handles.back(), sizes[i], i + 1);
+  }
+  for (u32 i = 0; i < sizes.size(); ++i) {
+    EXPECT_TRUE(block_holds(arena, handles[i], sizes[i], i + 1))
+        << sizes[i] << "-word block";
+  }
+  // Each block takes its words plus one header word, no rounding: the
+  // four small blocks lie back to back in the first slab.
+  EXPECT_EQ(handles[1] - handles[0], 2u);
+  EXPECT_EQ(handles[2] - handles[1], 9u);
+  EXPECT_EQ(handles[3] - handles[2], 25u);
+  EXPECT_EQ(arena.reserved_bytes(),
+            ((1u << 16) + kOversized + 1) * sizeof(u32));
+}
+
+TEST(PayloadArenaTest, FreedBlockIsReusedOnlyBySameSize) {
+  PayloadArena arena;
+  const u32 block = arena.alloc(24);
+  arena.free(block);
+  const u32 longer = arena.alloc(25);
+  const u32 shorter = arena.alloc(23);
+  EXPECT_NE(longer, block);
+  EXPECT_NE(shorter, block);
+  EXPECT_EQ(arena.alloc(24), block);
+  // A zero-word request is a one-word block.
+  const u32 one = arena.alloc(1);
+  arena.free(one);
+  EXPECT_EQ(arena.alloc(0), one);
+}
+
+TEST(PayloadArenaTest, ParkedPayloadSurvivesASecondRun) {
+  // Run 1: PE1 sends a 24-word block that PE0's switch does not accept
+  // yet, so it is parked in PE0's router and strands. Run 2 pushes other
+  // 24-word blocks through the same arena before PE0's control releases
+  // the parked one, which must arrive with its words intact.
+  constexpr u32 kWords = 24;
+  const auto block = [](f32 base) {
+    std::vector<f32> values(kWords);
+    for (u32 i = 0; i < kWords; ++i) {
+      values[i] = base + static_cast<f32>(i);
+    }
+    return values;
+  };
+  int run = 0;
+  int other_blocks = 0;
+  std::vector<f32> released;
+  Fabric fabric(2, 1);
+  fabric.load([&](Coord2 coord, Coord2) {
+    auto prog = std::make_unique<ScriptProgram>();
+    prog->coord = coord;
+    prog->configure = [](Router& router, Coord2 c) {
+      if (c.x == 0) {
+        router.configure(kC0, ColorConfig({position(Dir::Ramp, {Dir::East}),
+                                           position(Dir::East, {Dir::Ramp})}));
+        router.configure(kC1, ColorConfig({position(Dir::East, {Dir::Ramp})}));
+      } else {
+        router.configure(kC0, ColorConfig({position(
+                                  {RouteRule{Dir::Ramp, {Dir::West}},
+                                   RouteRule{Dir::West, {Dir::Ramp}}})}));
+        router.configure(kC1, ColorConfig({position(Dir::Ramp, {Dir::West})}));
+      }
+    };
+    if (coord.x == 0) {
+      prog->start = [&](PeApi& api) {
+        if (run == 2) {
+          api.add_cycles(10'000.0);  // let the other blocks through first
+          api.send_control(kC0);
+        }
+      };
+      prog->data = [&](PeApi& api, Color color, Dir,
+                       std::span<const u32> payload) {
+        if (color == kC1) {
+          ++other_blocks;
+          return;
+        }
+        for (const u32 word : payload) {
+          released.push_back(unpack_f32(word));
+        }
+        api.signal_done();
+      };
+    } else {
+      prog->start = [&](PeApi& api) {
+        if (run == 1) {
+          api.send(kC0, block(1000.0f));
+        } else {
+          for (int i = 0; i < 3; ++i) {
+            api.send(kC1, block(static_cast<f32>(i)));
+          }
+        }
+        api.signal_done();
+      };
+    }
+    return prog;
+  });
+  run = 1;
+  const RunReport first = fabric.run();
+  ASSERT_FALSE(first.ok());
+  EXPECT_NE(first.errors.back().find("signaled done"), std::string::npos);
+  run = 2;
+  const RunReport second = fabric.run();
+  EXPECT_TRUE(second.ok()) << second.errors.front();
+  EXPECT_EQ(other_blocks, 3);
+  EXPECT_EQ(released, block(1000.0f));
+}
+
 // --- DSD ops, counters, timing ------------------------------------------------
 
 class DsdProbeProgram : public ScriptProgram {};

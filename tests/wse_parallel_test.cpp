@@ -4,6 +4,7 @@
 // errors, and the trace sequence).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <set>
 #include <stdexcept>
@@ -276,6 +277,80 @@ TEST(ParallelFabricTest, RowParallelLoadInternsTheSameSwitchTables) {
   EXPECT_EQ(serial_run.color_traffic, parallel_run.color_traffic);
   EXPECT_EQ(serial_run.events_processed, parallel_run.events_processed);
   EXPECT_EQ(serial_run.makespan_cycles, parallel_run.makespan_cycles);
+}
+
+// Every PE sends a block east on color 0 and a longer one north on color
+// 1, each sized by its coordinates; blocks leaving the fabric are absorbed
+// at the edge. The traffic crosses row-strip tiles, and a second run of
+// one load repeats it exactly.
+class NeighborSendProgram : public wse::PeProgram {
+ public:
+  explicit NeighborSendProgram(Coord2 c) : c_(c) {}
+  void configure_router(wse::Router& router) override {
+    using wse::Dir;
+    using wse::RouteRule;
+    router.configure(wse::Color{0},
+                     wse::ColorConfig({wse::position(
+                         {RouteRule{Dir::Ramp, {Dir::East}},
+                          RouteRule{Dir::West, {Dir::Ramp}}})}));
+    router.configure(wse::Color{1},
+                     wse::ColorConfig({wse::position(
+                         {RouteRule{Dir::Ramp, {Dir::North}},
+                          RouteRule{Dir::South, {Dir::Ramp}}})}));
+  }
+  void on_start(wse::PeApi& api) override {
+    api.send(wse::Color{0},
+             std::vector<f32>(static_cast<usize>(1 + c_.x), 1.0f));
+    api.send(wse::Color{1},
+             std::vector<f32>(static_cast<usize>(2 + c_.x + c_.y), 2.0f));
+    api.signal_done();
+  }
+  void on_data(wse::PeApi&, wse::Color, wse::Dir,
+               std::span<const u32>) override {}
+
+ private:
+  Coord2 c_;
+};
+
+TEST(ParallelFabricTest, ColorTrafficIsIdenticalAcrossThreadsAndAccumulates) {
+  // Per-color traffic is counted by each engine tile and folded into the
+  // fabric when a run finishes: every thread count must give the serial
+  // totals, and a second run of the same load must add its traffic again.
+  using Traffic = std::array<u64, wse::Color::kMaxColors>;
+  const auto traffic_of = [](const wse::Fabric& fabric) {
+    Traffic traffic{};
+    for (u8 c = 0; c < wse::Color::kMaxColors; ++c) {
+      traffic[c] = fabric.color_traffic(wse::Color{c});
+    }
+    return traffic;
+  };
+  Traffic serial{};
+  for (const i32 threads : {1, 2, 4}) {
+    wse::ExecutionOptions exec;
+    exec.threads = threads;
+    wse::Fabric fabric(8, 8, {}, wse::PeMemory::kDefaultBudget, exec);
+    fabric.load([](Coord2 coord, Coord2) {
+      return std::make_unique<NeighborSendProgram>(coord);
+    });
+    ASSERT_TRUE(fabric.run().ok()) << "threads=" << threads;
+    const Traffic once = traffic_of(fabric);
+    ASSERT_TRUE(fabric.run().ok()) << "threads=" << threads;
+    const Traffic twice = traffic_of(fabric);
+    for (u8 c = 0; c < wse::Color::kMaxColors; ++c) {
+      EXPECT_EQ(twice[c], 2 * once[c])
+          << "threads=" << threads << " color " << int{c};
+    }
+    if (threads == 1) {
+      serial = once;
+      // Color 0: 8 rows of blocks of 1..8 words, each counted on the
+      // sender's East link and, but for the last column, on the
+      // receiver's Ramp.
+      EXPECT_EQ(once[0], 8u * (36u + 28u));
+      EXPECT_GT(once[1], 0u);
+    } else {
+      EXPECT_EQ(once, serial) << "threads=" << threads;
+    }
+  }
 }
 
 TEST(ParallelFabricTest, TraceSequenceIsIdenticalAcrossThreadCounts) {

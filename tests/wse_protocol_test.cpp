@@ -468,9 +468,14 @@ TEST(ProtocolTest, PerColorTrafficIsAccounted) {
   // on every link it occupies, including the Ramp).
   EXPECT_EQ(fabric.color_traffic(kC0), 14u);
   EXPECT_EQ(fabric.color_traffic(kC1), 6u);
-  EXPECT_EQ(fabric.router(0, 0).traffic_of_color(kC0), 7u);
-  EXPECT_EQ(fabric.router(1, 0).traffic_of_color(kC0), 7u)
+  // Per link, both colors share the sender's East output and the
+  // receiver's Ramp, and the fabric totals are exactly those two links.
+  EXPECT_EQ(fabric.router(0, 0).traffic_out(Dir::East), 10u);
+  EXPECT_EQ(fabric.router(1, 0).traffic_out(Dir::Ramp), 10u)
       << "delivery to the Ramp counts like any other output link";
+  EXPECT_EQ(fabric.color_traffic(kC0) + fabric.color_traffic(kC1),
+            fabric.router(0, 0).traffic_out(Dir::East) +
+                fabric.router(1, 0).traffic_out(Dir::Ramp));
 }
 
 TEST(ProtocolTest, RouterTrafficCountersTrackOutput) {
