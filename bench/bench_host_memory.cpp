@@ -8,11 +8,11 @@
 //   bench_host_memory [--nx 256] [--ny 256] [--nz 12] [--threads 1]
 //                     [--iterations 2] [--seed 2] [--json-dir .]
 //
-// The run stage drives wse::Fabric::run directly: its report carries the
-// event queue's high-water depth and the payload arenas' reserved bytes,
-// printed under the stage table. Writes BENCH_host_memory.json: one case
-// per stage plus those two figures. They depend on the C library's
-// allocator, so no baseline of them is committed.
+// The run's record carries the event queue's high-water depth and the
+// payload arenas' reserved bytes, printed under the stage table. Writes
+// BENCH_host_memory.json: one case per stage plus those two figures. They
+// depend on the C library's allocator, so no baseline of them is
+// committed.
 #include <fstream>
 #include <optional>
 #include <stdexcept>
@@ -95,7 +95,7 @@ int run(int argc, const char** argv) {
   load.emplace(core::load_dataflow_tpfa(problem, options));
   end("memoized load");
   begin();
-  const wse::RunReport report = load->harness->fabric().run();
+  const dataflow::RunInfo report = load->harness->run();
   end("run");
   if (!report.ok()) {
     std::cerr << "run failed: " << report.errors.front() << '\n';

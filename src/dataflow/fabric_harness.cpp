@@ -95,35 +95,7 @@ lint::Report FabricHarness::lint_report() const {
 }
 
 RunInfo FabricHarness::run(u64 max_events) {
-  const wse::RunReport report = fabric_.run(max_events);
-
-  RunInfo info;
-  info.makespan_cycles = report.makespan_cycles;
-  info.device_seconds = options_.timings.seconds(report.makespan_cycles);
-  info.counters = fabric_.total_counters();
-  for (u8 c = 0; c < ColorPlan::kManagedColors; ++c) {
-    info.color_traffic[c] = fabric_.color_traffic(wse::Color{c});
-  }
-  info.max_pe_memory = fabric_.max_memory_used();
-  info.events_processed = report.events_processed;
-  if (options_.execution.phase_profiling) {
-    info.phase_cycles = fabric_.total_phase_cycles();
-    info.pe_phase_cycles.reserve(static_cast<usize>(fabric_.pe_count()));
-    for (i32 y = 0; y < extents_.y; ++y) {
-      for (i32 x = 0; x < extents_.x; ++x) {
-        info.pe_phase_cycles.push_back(fabric_.pe(x, y).phase_cycles());
-      }
-    }
-  }
-  info.faults = report.faults;
-  info.trace_events_emitted = report.trace_events_emitted;
-  info.trace_records_dropped = report.trace_records_dropped;
-  info.errors_total = report.errors_total;
-  info.errors_suppressed = report.errors_suppressed;
-  info.errors = report.errors;
-  info.hazards = report.hazards;
-  info.hazards_total = report.hazards_total;
-  info.hazards_suppressed = report.hazards_suppressed;
+  RunInfo info = fabric_.run(max_events);
   if (!options_.trace_json_path.empty()) {
     if (!obs::write_perfetto_json(options_.trace_json_path, fabric_,
                                   options_.trace)) {

@@ -119,9 +119,10 @@ class FabricHarness {
   /// still be alive.
   [[nodiscard]] lint::Report lint_report() const;
 
-  /// Runs the event engine to quiescence and returns the full accounting.
-  /// When HarnessOptions::trace_json_path is set, also writes the
-  /// Perfetto timeline of the run before returning.
+  /// Runs the event engine to quiescence, once per load (see
+  /// wse::Fabric::run), and returns the run's record. When
+  /// HarnessOptions::trace_json_path is set, also writes the Perfetto
+  /// timeline of the run before returning.
   [[nodiscard]] RunInfo run(u64 max_events = 500'000'000);
 
  private:

@@ -13,6 +13,7 @@ void accumulate(RunInfo& into, const RunInfo& launch) {
   }
   into.max_pe_memory = std::max(into.max_pe_memory, launch.max_pe_memory);
   into.events_processed += launch.events_processed;
+  into.pes_done += launch.pes_done;
   into.phase_cycles += launch.phase_cycles;
   into.pe_phase_cycles.clear();
   into.faults += launch.faults;
@@ -26,6 +27,10 @@ void accumulate(RunInfo& into, const RunInfo& launch) {
   into.hazards_suppressed += launch.hazards_suppressed;
   into.hazards.insert(into.hazards.end(), launch.hazards.begin(),
                       launch.hazards.end());
+  into.event_queue_high_water =
+      std::max(into.event_queue_high_water, launch.event_queue_high_water);
+  into.payload_arena_bytes =
+      std::max(into.payload_arena_bytes, launch.payload_arena_bytes);
 }
 
 }  // namespace fvf::dataflow

@@ -1,22 +1,18 @@
 /// \file run_info.hpp
-/// \brief Shared launch options and run accounting of the fvf::dataflow
+/// \brief Shared launch options and run record of the fvf::dataflow
 ///        runtime (Layer 2 data types).
 ///
 /// Every program pipeline used to re-plumb timings/execution/trace/memory
 /// options into the fabric by hand and copy a drifting subset of the
-/// RunReport into its own result struct. HarnessOptions and RunInfo are
-/// the single definitions both sides share: every launch takes one
-/// HarnessOptions, every fabric result embeds RunInfo, and
-/// FabricHarness::run fills the whole RunInfo for every program alike.
+/// fabric's run report into its own result struct. HarnessOptions and
+/// RunInfo are the single definitions both sides share: every launch
+/// takes one HarnessOptions, and every fabric result embeds the RunInfo
+/// that wse::Fabric::run fills whole.
 #pragma once
 
-#include <array>
 #include <string>
-#include <vector>
 
-#include "dataflow/color_plan.hpp"
 #include "lint/lint.hpp"
-#include "obs/phase.hpp"
 #include "wse/fabric.hpp"
 
 namespace fvf::dataflow {
@@ -49,53 +45,22 @@ struct HarnessOptions {
   std::string trace_json_path;
 };
 
-/// Accounting of one fabric run, embedded by every program result.
-struct RunInfo {
-  /// Simulated device time for the whole run, from the fabric clock.
-  f64 device_seconds = 0.0;
-  f64 makespan_cycles = 0.0;
-  /// Aggregate instruction/traffic counters over all PEs.
-  wse::PeCounters counters{};
-  /// Fabric-link wavelets per managed communication color (indices follow
-  /// dataflow/colors.hpp: 0-3 cardinal data, 4-7 diagonal forwards, 8-11
-  /// AllReduce trees, 12-15 reliability NACKs).
-  std::array<u64, ColorPlan::kManagedColors> color_traffic{};
-  /// Peak per-PE memory footprint (bytes).
-  usize max_pe_memory = 0;
-  u64 events_processed = 0;
-  /// Measured per-phase cycle attribution summed over all PEs — the
-  /// Table 3-style time split (all zero when
-  /// ExecutionOptions::phase_profiling is off).
-  obs::PhaseCycles phase_cycles{};
-  /// Per-PE attribution, row-major (y * width + x; empty when profiling
-  /// is off). Each entry's total() equals that PE's final clock.
-  std::vector<obs::PhaseCycles> pe_phase_cycles;
-  /// Fault-injection outcome (all zero when injection is disabled).
-  wse::FaultStats faults{};
-  /// Trace accounting when a recorder was attached: records emitted by
-  /// the engine and records the recorder dropped at capacity.
-  u64 trace_events_emitted = 0;
-  u64 trace_records_dropped = 0;
-  /// Total errors raised vs. messages suppressed past the recording cap.
-  u64 errors_total = 0;
-  u64 errors_suppressed = 0;
-  std::vector<std::string> errors;
-  /// Memory hazards flagged by ExecutionOptions::hazard_check (empty, and
-  /// all counters zero, when the detector is off).
-  std::vector<std::string> hazards;
-  u64 hazards_total = 0;
-  u64 hazards_suppressed = 0;
-
-  [[nodiscard]] bool ok() const noexcept { return errors.empty(); }
-};
+/// Accounting of one fabric run, embedded by every program result: the
+/// fabric's own run record (its fields are documented there). In a
+/// dataflow load, color_traffic indices follow dataflow/colors.hpp: 0-3
+/// cardinal data, 4-7 diagonal forwards, 8-11 AllReduce trees, 12-15
+/// reliability NACKs; colors 16-23 are never configured.
+using RunInfo = wse::RunReport;
 
 /// Accumulates the accounting of a second launch into `into`: the
 /// multi-launch jobs (IMPES windows, the scenario service's long jobs)
 /// report one RunInfo covering every fabric run they issued. Scalars and
-/// counters add, max_pe_memory takes the max, error/hazard lists append.
-/// Per-PE phase attribution is per-launch and does not aggregate — the
-/// result's pe_phase_cycles is cleared (the summed phase_cycles split is
-/// kept).
+/// counters add (pes_done counts PE completions over the launches),
+/// max_pe_memory and the host figures event_queue_high_water and
+/// payload_arena_bytes take the max (each launch frees its queues and
+/// arenas when it ends), error/hazard lists append. Per-PE phase
+/// attribution is per-launch and does not aggregate — the result's
+/// pe_phase_cycles is cleared (the summed phase_cycles split is kept).
 void accumulate(RunInfo& into, const RunInfo& launch);
 
 }  // namespace fvf::dataflow

@@ -9,6 +9,7 @@
 
 #include "common/assert.hpp"
 #include "common/hash.hpp"
+#include "dataflow/color_plan.hpp"
 
 namespace fvf::serve {
 
@@ -160,7 +161,9 @@ std::string serialize_run_info(const dataflow::RunInfo& info) {
     os << "counters." << kCounterNames[i] << '=' << *counter_slots(counters, i)
        << '\n';
   }
-  for (usize i = 0; i < info.color_traffic.size(); ++i) {
+  // The managed colors only: a dataflow load fails on any other
+  // configured color, so the rest never carry traffic.
+  for (usize i = 0; i < dataflow::ColorPlan::kManagedColors; ++i) {
     os << "color_traffic." << i << '=' << info.color_traffic[i] << '\n';
   }
   os << "max_pe_memory=" << info.max_pe_memory << '\n';
@@ -210,7 +213,7 @@ dataflow::RunInfo parse_run_info(const std::string& text) {
     *counter_slots(info.counters, i) =
         fields.get_u64(std::string("counters.") + kCounterNames[i]);
   }
-  for (usize i = 0; i < info.color_traffic.size(); ++i) {
+  for (usize i = 0; i < dataflow::ColorPlan::kManagedColors; ++i) {
     info.color_traffic[i] =
         fields.get_u64("color_traffic." + std::to_string(i));
   }

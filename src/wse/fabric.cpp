@@ -33,11 +33,12 @@ namespace detail {
 
 /// One shard of the event engine: a contiguous strip of fabric rows with
 /// its own event queue. A single-tile run (`direct == true`) is the
-/// classic serial loop — tracer and error sinks are live and nothing is
-/// buffered. A multi-tile run steps all tiles in lockstep over
-/// conservative time windows; anything order-sensitive (cross-tile
-/// events, trace records, errors) is buffered per tile and merged on the
-/// coordinating thread in the deterministic (time, src, seq) order.
+/// classic serial loop — the tracer fires live and nothing crosses
+/// tiles. A multi-tile run steps all tiles in lockstep over conservative
+/// time windows; anything order-sensitive (cross-tile events, trace
+/// records) is buffered per tile and merged on the coordinating thread in
+/// the deterministic (time, src, seq) order. Errors and hazards are
+/// buffered the same way on every tiling and merged when the run ends.
 struct Tile {
   /// Sort key tagging a deferred record with the event being processed
   /// when it was emitted, plus an emission index within that event.
@@ -69,17 +70,23 @@ struct Tile {
     RecordKey key;
     std::string message;
   };
+  /// One diagnostic channel (run errors, or hazard_check findings, which
+  /// are diagnostics rather than run failures): every record raised is
+  /// counted, the first kMaxRecordedErrors are kept.
+  struct Channel {
+    std::vector<ErrorRecord> records;
+    u64 total = 0;
+  };
 
   i32 id = 0;
   bool direct = true;
-  /// Payload slab pool for every event this tile owns (see
-  /// wse/payload.hpp). Points into Fabric::arenas_, which outlives the
-  /// run so parked payloads survive between run() calls.
-  PayloadArena* arena = nullptr;
+  /// Payload slab pool for every event this tile owns, parked ones
+  /// included (see wse/payload.hpp). Lives exactly as long as the run.
+  PayloadArena arena;
   /// Fault-injection accounting local to this tile; summed in finish_run.
   FaultStats faults;
-  /// Wavelets per color over every output link this tile routed; folded
-  /// into Fabric::color_traffic_ in finish_run.
+  /// Wavelets per color over every output link this tile routed; summed
+  /// into RunReport::color_traffic in finish_run.
   std::array<u64, Color::kMaxColors> color_traffic{};
   /// Trace records handed to the tracer (direct) or buffered (deferred).
   u64 traces_emitted = 0;
@@ -89,20 +96,69 @@ struct Tile {
   /// arena) at the window barrier.
   std::vector<std::vector<Event>> outbox;
   std::vector<TraceRecord> traces;
-  std::vector<ErrorRecord> errors;
-  u64 errors_total = 0;
-  /// Hazard-check findings, buffered exactly like errors so the merged
-  /// report is identical for every thread count.
-  std::vector<ErrorRecord> hazards;
-  u64 hazards_total = 0;
+  Channel errors;
+  Channel hazards;
   u64 events_processed = 0;
-  u64 tasks_executed = 0;
   f64 horizon = 0.0;
   /// Key of the event currently being processed (tags deferred records).
   RecordKey cursor;
+
+  /// Records `message` into `channel`, tagged with the current event's
+  /// key so finish_run can merge every tile's records in event order.
+  void record(Channel& channel, std::string message) {
+    ++channel.total;
+    if (channel.records.size() < kMaxRecordedErrors) {
+      channel.records.push_back(ErrorRecord{cursor, std::move(message)});
+      ++cursor.idx;
+    }
+  }
 };
 
 }  // namespace detail
+
+namespace {
+
+/// Merges one channel of every tile (`errors` or `hazards`) into `kept`
+/// in deterministic event order, up to the global cap, and returns how
+/// many were raised. Each tile kept at least its first kMaxRecordedErrors
+/// records, so the global first ones are all present.
+u64 merge_records(std::vector<detail::Tile>& tiles,
+                  detail::Tile::Channel detail::Tile::*channel,
+                  std::vector<std::string>& kept) {
+  std::vector<detail::Tile::ErrorRecord> records;
+  u64 total = 0;
+  for (detail::Tile& tile : tiles) {
+    detail::Tile::Channel& from = tile.*channel;
+    total += from.total;
+    std::move(from.records.begin(), from.records.end(),
+              std::back_inserter(records));
+  }
+  std::sort(records.begin(), records.end(),
+            [](const detail::Tile::ErrorRecord& a,
+               const detail::Tile::ErrorRecord& b) { return a.key < b.key; });
+  for (detail::Tile::ErrorRecord& record : records) {
+    if (kept.size() < kMaxRecordedErrors) {
+      kept.push_back(std::move(record.message));
+    }
+  }
+  return total;
+}
+
+/// Appends the "… and N more <what> suppressed" line when `total` exceeds
+/// the messages kept; returns N.
+u64 summarize_suppressed(std::vector<std::string>& kept, u64 total,
+                         const char* what) {
+  if (total <= kept.size()) {
+    return 0;
+  }
+  const u64 suppressed = total - kept.size();
+  std::ostringstream os;
+  os << "… and " << suppressed << " more " << what << " suppressed";
+  kept.push_back(os.str());
+  return suppressed;
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // PeCompute
@@ -300,8 +356,8 @@ void PeApi::send(Color color, std::span<const f32> a, std::span<const f32> b) {
   event.from = Dir::Ramp;
   event.color = color;
   event.payload_words = static_cast<u32>(n);
-  event.payload = tile_.arena->alloc(event.payload_words);
-  u32* words = tile_.arena->data(event.payload);
+  event.payload = tile_.arena.alloc(event.payload_words);
+  u32* words = tile_.arena.data(event.payload);
   usize at = 0;
   for (const f32 v : a) {
     words[at++] = pack_f32(v);
@@ -314,7 +370,7 @@ void PeApi::send(Color color, std::span<const f32> a, std::span<const f32> b) {
   // stamp is skipped entirely on fault-free runs: nothing reads it.
   if (fabric_.fault_model_.enabled()) {
     event.parity =
-        block_parity(tile_.arena->view(event.payload, event.payload_words));
+        block_parity(tile_.arena.view(event.payload, event.payload_words));
   }
   // Wormhole model: the event time is when the last wavelet has entered
   // the local router. Injection serializes on the Ramp link.
@@ -367,7 +423,7 @@ void PeApi::report_fault_recovered(u64 blocks) {
 }
 
 void PeApi::report_protocol_error(std::string message) {
-  fabric_.emit_error(tile_, std::move(message));
+  tile_.record(tile_.errors, std::move(message));
 }
 
 void PeApi::hazard_mark_live(Dsd view, const char* label) {
@@ -426,7 +482,7 @@ void PeApi::check_operand_hazard(const char* op, Dsd dest, Dsd source,
      << ", source offset " << delta
      << " elements) — the element loop reads values the same instruction "
         "already overwrote";
-  fabric_.emit_hazard(tile_, os.str());
+  tile_.record(tile_.hazards, os.str());
 }
 
 void PeApi::check_receive_hazard(Dsd dest) {
@@ -444,7 +500,7 @@ void PeApi::check_receive_hazard(Dsd dest) {
          << ") task #" << state.epoch << ": fmovs receive (length "
          << dest.length << ") overwrites live buffer '" << live.label
          << "' while a handler still holds a view of it";
-      fabric_.emit_hazard(tile_, os.str());
+      tile_.record(tile_.hazards, os.str());
     }
   }
 }
@@ -485,7 +541,6 @@ Fabric::Fabric(i32 width, i32 height, FabricTimings timings,
   FVF_REQUIRE(width > 0 && height > 0);
   pes_.reserve(static_cast<usize>(pe_count()));
   routers_.assign(static_cast<usize>(pe_count()), Router(*route_pool_));
-  pending_.resize(static_cast<usize>(pe_count()));
   if (fault_model_.enabled()) {
     // Per-link next-free times backing the FIFO-preserving stall model.
     link_free_.resize(static_cast<usize>(pe_count()),
@@ -583,42 +638,6 @@ void Fabric::push_event(detail::Tile& tile, i64 birth, Event& event) {
   }
 }
 
-void Fabric::emit_error(detail::Tile& tile, std::string message) {
-  if (tile.direct) {
-    ++errors_total_;
-    if (errors_.size() < kMaxRecordedErrors) {
-      errors_.push_back(std::move(message));
-    }
-    return;
-  }
-  ++tile.errors_total;
-  if (tile.errors.size() < kMaxRecordedErrors) {
-    detail::Tile::ErrorRecord record;
-    record.key = tile.cursor;
-    ++tile.cursor.idx;
-    record.message = std::move(message);
-    tile.errors.push_back(std::move(record));
-  }
-}
-
-void Fabric::emit_hazard(detail::Tile& tile, std::string message) {
-  if (tile.direct) {
-    ++hazards_total_;
-    if (hazards_.size() < kMaxRecordedErrors) {
-      hazards_.push_back(std::move(message));
-    }
-    return;
-  }
-  ++tile.hazards_total;
-  if (tile.hazards.size() < kMaxRecordedErrors) {
-    detail::Tile::ErrorRecord record;
-    record.key = tile.cursor;
-    ++tile.cursor.idx;
-    record.message = std::move(message);
-    tile.hazards.push_back(std::move(record));
-  }
-}
-
 void Fabric::emit_trace(detail::Tile& tile, const TraceEvent& event) {
   ++tile.traces_emitted;
   if (tile.direct) {
@@ -660,7 +679,6 @@ void Fabric::deliver_to_pe(detail::Tile& tile, Pe& target, const Event& event) {
   target.clock_ = std::max(target.clock_, event.time) +
                   timings_.task_dispatch_cycles;
   target.counters_.tasks_executed += 1;
-  ++tile.tasks_executed;
   if (exec_.hazard_check) {
     // Dispatch-epoch counter for hazard messages; only the owning tile
     // touches it, so the numbering is identical for every thread count.
@@ -693,7 +711,7 @@ void Fabric::deliver_to_pe(detail::Tile& tile, Pe& target, const Event& event) {
     target.counters_.wavelets_received += event.payload_words;
     target.program_->on_data(
         api, event.color, event.from,
-        tile.arena->view(event.payload, event.payload_words));
+        tile.arena.view(event.payload, event.payload_words));
   }
   if (exec_.phase_profiling) {
     attribute_phase(target, target.current_phase_, target.phase_mark_,
@@ -749,7 +767,7 @@ void Fabric::process_event(detail::Tile& tile, Event& event) {
       os << "wavelet on unconfigured color "
          << static_cast<int>(event.color.id()) << " entering PE (" << event.x
          << ',' << event.y << ") from " << dir_name(event.from);
-      emit_error(tile, os.str());
+      tile.record(tile.errors, os.str());
       return;
     }
     // Backpressure: the current switch position does not accept this
@@ -773,7 +791,7 @@ void Fabric::process_event(detail::Tile& tile, Event& event) {
          << " blocks waiting, dropped " << (event.control ? "ctrl" : "data")
          << " block on color " << static_cast<int>(event.color.id())
          << " from " << dir_name(event.from);
-      emit_error(tile, os.str());
+      tile.record(tile.errors, os.str());
       return;  // run_tile frees the dropped payload
     }
     PendingBuffer::ColorFifo* fifo = nullptr;
@@ -843,7 +861,7 @@ void Fabric::process_event(detail::Tile& tile, Event& event) {
     rt.count_output(out, event.payload_words);
     if (out == Dir::Ramp) {
       if (faults && !event.control &&
-          block_parity(tile.arena->view(event.payload, event.payload_words)) !=
+          block_parity(tile.arena.view(event.payload, event.payload_words)) !=
               event.parity) {
         // Detection: the parity word stamped at injection no longer
         // matches — drop the block at delivery, exactly as a link-level
@@ -886,7 +904,7 @@ void Fabric::process_event(detail::Tile& tile, Event& event) {
         forwarded.payload = event.payload;  // move: no later output reads it
         event.payload = PayloadArena::kNull;
       } else {
-        forwarded.payload = tile.arena->clone_from(*tile.arena, event.payload,
+        forwarded.payload = tile.arena.clone_from(tile.arena, event.payload,
                                                    event.payload_words);
       }
     }
@@ -916,7 +934,7 @@ void Fabric::process_event(detail::Tile& tile, Event& event) {
           if (fault_model_.flip_bit(event.src, event.seq, out, event.color,
                                     event.payload_words, &word, &bit)) {
             // Single-event upset: one bit of one wavelet of this copy.
-            tile.arena->data(forwarded.payload)[word] ^= (1u << bit);
+            tile.arena.data(forwarded.payload)[word] ^= (1u << bit);
             forwarded.corrupted = true;
             forwarded.fault_token = true;
             ++tile.faults.flips_injected;
@@ -1004,7 +1022,7 @@ void Fabric::run_tile(detail::Tile& tile, f64 window_end, u64 event_cap) {
     if (event.payload != PayloadArena::kNull) {
       // Ownership not transferred to a forward or a pending buffer: the
       // payload's last reader was this event.
-      tile.arena->free(event.payload);
+      tile.arena.free(event.payload);
     }
   }
 }
@@ -1025,16 +1043,12 @@ i32 Fabric::tile_count() const noexcept {
 }
 
 RunReport Fabric::run(u64 max_events) {
+  FVF_REQUIRE_MSG(!ran_, "Fabric::run called a second time: a load runs "
+                         "once; build a new load to run again");
   const i32 tile_count = this->tile_count();
 
   tile_of_row_.assign(static_cast<usize>(height_), 0);
-  if (arenas_.empty()) {
-    // One payload arena per tile, owned by the Fabric: parked events keep
-    // their payload handles alive across run() calls, and tile_count() is
-    // a pure function of construction parameters so the tiling (and thus
-    // handle ownership) is identical every run.
-    arenas_ = std::vector<PayloadArena>(static_cast<usize>(tile_count));
-  }
+  pending_.resize(static_cast<usize>(pe_count()));
   std::vector<detail::Tile> tiles(static_cast<usize>(tile_count));
   for (i32 t = 0; t < tile_count; ++t) {
     const i32 row_begin =
@@ -1046,19 +1060,15 @@ RunReport Fabric::run(u64 max_events) {
     }
     tiles[static_cast<usize>(t)].id = t;
     tiles[static_cast<usize>(t)].direct = tile_count == 1;
-    tiles[static_cast<usize>(t)].arena = &arenas_[static_cast<usize>(t)];
     tiles[static_cast<usize>(t)].outbox.resize(static_cast<usize>(tile_count));
   }
 
-  // Program-start events, one per PE, in deterministic PE order. Each
-  // start declares the program's footprint again, so the ledgers are
-  // cleared first: a load run many times counts its memory once.
+  // Program-start events, one per PE, in deterministic PE order.
   for (i32 y = 0; y < height_; ++y) {
     for (i32 x = 0; x < width_; ++x) {
       Pe& p = pe(x, y);
       FVF_REQUIRE_MSG(p.program_ != nullptr,
                       "Fabric::run called before load()");
-      p.memory_.clear();
       Event start;
       start.time = 0.0;
       start.x = x;
@@ -1071,6 +1081,7 @@ RunReport Fabric::run(u64 max_events) {
           .queue.push(start);
     }
   }
+  ran_ = true;
 
   // Unified windowed loop, serial and parallel alike. Execution proceeds
   // in windows capped at the next budget checkpoint (a fixed simulated-
@@ -1193,9 +1204,9 @@ RunReport Fabric::run(u64 max_events) {
           }
           for (Event& event : box) {
             if (event.payload != PayloadArena::kNull) {
-              const u32 moved = tiles[dest].arena->clone_from(
-                  *src_tile.arena, event.payload, event.payload_words);
-              src_tile.arena->free(event.payload);
+              const u32 moved = tiles[dest].arena.clone_from(
+                  src_tile.arena, event.payload, event.payload_words);
+              src_tile.arena.free(event.payload);
               event.payload = moved;
             }
           }
@@ -1254,100 +1265,44 @@ RunReport Fabric::run(u64 max_events) {
 
 RunReport Fabric::finish_run(std::vector<detail::Tile>& tiles,
                              bool budget_hit, u64 max_events) {
-  FaultStats faults;
-  u64 traces_emitted = 0;
-  u64 run_events = 0;
+  RunReport report;
   for (const detail::Tile& tile : tiles) {
-    events_processed_ += tile.events_processed;
-    run_events += tile.events_processed;
-    tasks_executed_ += tile.tasks_executed;
-    horizon_ = std::max(horizon_, tile.horizon);
-    faults += tile.faults;
-    traces_emitted += tile.traces_emitted;
-    for (usize c = 0; c < color_traffic_.size(); ++c) {
-      color_traffic_[c] += tile.color_traffic[c];
+    report.events_processed += tile.events_processed;
+    report.makespan_cycles = std::max(report.makespan_cycles, tile.horizon);
+    report.faults += tile.faults;
+    report.trace_events_emitted += tile.traces_emitted;
+    for (usize c = 0; c < report.color_traffic.size(); ++c) {
+      report.color_traffic[c] += tile.color_traffic[c];
     }
+    report.event_queue_high_water += tile.queue.high_water();
+    report.payload_arena_bytes += tile.arena.reserved_bytes();
   }
+  report.device_seconds = timings_.seconds(report.makespan_cycles);
+  report.trace_records_dropped =
+      recorder_ != nullptr ? recorder_->dropped() : 0;
 
-  // Merge deferred error records (multi-tile runs) in deterministic event
-  // order, then apply the global cap. Each tile retained at least its
-  // first kMaxRecordedErrors records, so the global first
-  // kMaxRecordedErrors are all present.
-  std::vector<detail::Tile::ErrorRecord> records;
-  for (detail::Tile& tile : tiles) {
-    errors_total_ += tile.errors_total;
-    std::move(tile.errors.begin(), tile.errors.end(),
-              std::back_inserter(records));
-    tile.errors.clear();
-  }
-  std::sort(records.begin(), records.end(),
-            [](const detail::Tile::ErrorRecord& a,
-               const detail::Tile::ErrorRecord& b) { return a.key < b.key; });
-  for (detail::Tile::ErrorRecord& record : records) {
-    if (errors_.size() < kMaxRecordedErrors) {
-      errors_.push_back(std::move(record.message));
-    }
-  }
+  report.errors_total =
+      merge_records(tiles, &detail::Tile::errors, report.errors);
   if (budget_hit) {
-    ++errors_total_;
-    if (errors_.size() < kMaxRecordedErrors) {
+    ++report.errors_total;
+    if (report.errors.size() < kMaxRecordedErrors) {
       // The count is evaluated at a deterministic simulated-time
       // checkpoint, so this message is byte-identical for every thread
       // count (see Fabric::run).
       std::ostringstream os;
-      os << "event budget exhausted (possible livelock): " << run_events
-         << " events processed, budget " << max_events;
-      errors_.push_back(os.str());
+      os << "event budget exhausted (possible livelock): "
+         << report.events_processed << " events processed, budget "
+         << max_events;
+      report.errors.push_back(os.str());
     }
   }
+  report.errors_suppressed =
+      summarize_suppressed(report.errors, report.errors_total, "errors");
+  report.hazards_total =
+      merge_records(tiles, &detail::Tile::hazards, report.hazards);
+  report.hazards_suppressed =
+      summarize_suppressed(report.hazards, report.hazards_total, "hazards");
 
-  // Hazard findings merge exactly like errors: sorted by the emitting
-  // event's key, first kMaxRecordedErrors kept, the rest summarized.
-  std::vector<detail::Tile::ErrorRecord> hazard_records;
-  for (detail::Tile& tile : tiles) {
-    hazards_total_ += tile.hazards_total;
-    std::move(tile.hazards.begin(), tile.hazards.end(),
-              std::back_inserter(hazard_records));
-    tile.hazards.clear();
-  }
-  std::sort(hazard_records.begin(), hazard_records.end(),
-            [](const detail::Tile::ErrorRecord& a,
-               const detail::Tile::ErrorRecord& b) { return a.key < b.key; });
-  for (detail::Tile::ErrorRecord& record : hazard_records) {
-    if (hazards_.size() < kMaxRecordedErrors) {
-      hazards_.push_back(std::move(record.message));
-    }
-  }
-
-  RunReport report;
-  report.makespan_cycles = horizon_;
-  report.events_processed = events_processed_;
-  report.tasks_executed = tasks_executed_;
-  report.faults = faults;
-  report.trace_events_emitted = traces_emitted;
-  report.trace_records_dropped = recorder_ != nullptr ? recorder_->dropped() : 0;
-  for (const detail::Tile& tile : tiles) {
-    report.event_queue_high_water += tile.queue.high_water();
-  }
-  for (const PayloadArena& arena : arenas_) {
-    report.payload_arena_bytes += arena.reserved_bytes();
-  }
-  report.errors = errors_;
-  report.errors_total = errors_total_;
-  if (errors_total_ > errors_.size()) {
-    report.errors_suppressed = errors_total_ - errors_.size();
-    std::ostringstream os;
-    os << "… and " << report.errors_suppressed << " more errors suppressed";
-    report.errors.push_back(os.str());
-  }
-  report.hazards = hazards_;
-  report.hazards_total = hazards_total_;
-  if (hazards_total_ > hazards_.size()) {
-    report.hazards_suppressed = hazards_total_ - hazards_.size();
-    std::ostringstream os;
-    os << "… and " << report.hazards_suppressed << " more hazards suppressed";
-    report.hazards.push_back(os.str());
-  }
   u64 pending_count = 0;
   for (const PendingBuffer& waiting : pending_) {
     pending_count += waiting.total;
@@ -1381,9 +1336,22 @@ RunReport Fabric::finish_run(std::vector<detail::Tile>& tiles,
     report.errors.push_back(os.str());
     ++report.errors_total;
   }
+  // Parked payloads live in the tiles' arenas: both go with the run.
+  pending_ = std::vector<PendingBuffer>();
+  tiles.clear();
+
+  if (exec_.phase_profiling) {
+    report.pe_phase_cycles.reserve(pes_.size());
+  }
   for (const Pe& p : pes_) {
-    if (p.done()) {
+    report.counters += p.counters_;
+    report.max_pe_memory = std::max(report.max_pe_memory, p.memory_.used());
+    if (p.done_) {
       ++report.pes_done;
+    }
+    if (exec_.phase_profiling) {
+      report.phase_cycles += p.phase_cycles_;
+      report.pe_phase_cycles.push_back(p.phase_cycles_);
     }
   }
   if (report.pes_done != pe_count()) {
@@ -1394,14 +1362,6 @@ RunReport Fabric::finish_run(std::vector<detail::Tile>& tiles,
     ++report.errors_total;
   }
   return report;
-}
-
-PeCounters Fabric::total_counters() const {
-  PeCounters total;
-  for (const Pe& p : pes_) {
-    total += p.counters();
-  }
-  return total;
 }
 
 const std::vector<obs::PhaseSpan>& Fabric::phase_spans(i32 x, i32 y) const {
@@ -1416,22 +1376,6 @@ u64 Fabric::phase_spans_dropped(i32 x, i32 y) const {
   return span_logs_.empty()
              ? 0
              : span_logs_[static_cast<usize>(index(x, y))].dropped;
-}
-
-obs::PhaseCycles Fabric::total_phase_cycles() const {
-  obs::PhaseCycles total;
-  for (const Pe& p : pes_) {
-    total += p.phase_cycles_;
-  }
-  return total;
-}
-
-usize Fabric::max_memory_used() const {
-  usize peak = 0;
-  for (const Pe& p : pes_) {
-    peak = std::max(peak, p.memory().used());
-  }
-  return peak;
 }
 
 }  // namespace fvf::wse

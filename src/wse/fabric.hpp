@@ -165,29 +165,45 @@ struct ExecutionOptions {
   u32 router_buffer_depth = 64;
 };
 
-/// Outcome of a fabric run.
+/// The record of a fabric's one run, filled whole by Fabric::run.
+/// dataflow::RunInfo names this struct: every program result embeds it.
 struct RunReport {
+  /// Simulated device time for the whole run, from the fabric clock.
+  f64 device_seconds = 0.0;
   /// Makespan: cycle at which the last PE/wavelet activity finished.
   f64 makespan_cycles = 0.0;
+  /// Aggregate instruction/traffic counters over all PEs.
+  PeCounters counters{};
+  /// Wavelets of each color carried by any router output link, summed
+  /// over all routers: multi-hop blocks count once per hop, and Ramp
+  /// delivery to the destination PE counts like any other link.
+  std::array<u64, Color::kMaxColors> color_traffic{};
+  /// Peak per-PE memory footprint (bytes).
+  usize max_pe_memory = 0;
   u64 events_processed = 0;
-  u64 tasks_executed = 0;
   /// PEs whose program called PeApi::signal_done().
   i64 pes_done = 0;
-  std::vector<std::string> errors;
-  /// Errors raised in total; only the first few are recorded in `errors`,
-  /// the remainder are summarized (`errors_suppressed`) — both counts are
-  /// reported so no failure is silently invisible.
-  u64 errors_total = 0;
-  u64 errors_suppressed = 0;
+  /// Measured per-phase cycle attribution summed over all PEs, and per
+  /// PE, row-major (y * width + x); each entry's total() equals that PE's
+  /// final clock. Zero and empty when ExecutionOptions::phase_profiling
+  /// is off.
+  obs::PhaseCycles phase_cycles{};
+  std::vector<obs::PhaseCycles> pe_phase_cycles;
+  /// Graceful-degradation accounting: faults injected / detected /
+  /// recovered / unrecovered (see FaultStats; the buckets partition
+  /// faults.injected()). All zero when fault injection is disabled.
+  FaultStats faults{};
   /// Trace records emitted by the engine vs. dropped at the recorder's
   /// capacity (populated when the tracer is a TraceRecorder installed via
   /// the Fabric::set_tracer(TraceRecorder&) overload).
   u64 trace_events_emitted = 0;
   u64 trace_records_dropped = 0;
-  /// Graceful-degradation accounting: faults injected / detected /
-  /// recovered / unrecovered (see FaultStats; the buckets partition
-  /// faults.injected()). All zero when fault injection is disabled.
-  FaultStats faults;
+  /// Errors raised in total; only the first few are recorded in `errors`,
+  /// the remainder are summarized (`errors_suppressed`) — both counts are
+  /// reported so no failure is silently invisible.
+  u64 errors_total = 0;
+  u64 errors_suppressed = 0;
+  std::vector<std::string> errors;
   /// Memory hazards flagged by ExecutionOptions::hazard_check, recorded
   /// in the deterministic event order like `errors` and capped the same
   /// way (hazards_total / hazards_suppressed preserve the full count).
@@ -198,9 +214,8 @@ struct RunReport {
   u64 hazards_suppressed = 0;
   /// Host-side figures, not simulated results: the deepest this run's
   /// event queues grew (summed over the engine's tiles) and the heap bytes
-  /// the fabric's payload arenas reserve after it. Both depend on the
-  /// tiling and the allocator's history, so dataflow::RunInfo and serve
-  /// responses leave them out.
+  /// the tiles' payload arenas reserved. Both depend on the tiling and the
+  /// allocator's history, so serve responses leave them out.
   u64 event_queue_high_water = 0;
   u64 payload_arena_bytes = 0;
 
@@ -423,7 +438,10 @@ class Fabric {
     recorder_ = &recorder;
   }
 
-  /// Runs the event loop until quiescence (or until `max_events`).
+  /// Runs the event loop until quiescence (or until `max_events`) and
+  /// returns the run's record. A load runs once, as a launch on the
+  /// wafer does: a second call throws ContractViolation before any event
+  /// is processed; build a new load to run again.
   /// on_start fires on every PE at cycle 0, in PE order. The budget is
   /// evaluated at deterministic simulated-time checkpoints (see
   /// checkpoint_cycles): every thread count processes
@@ -433,17 +451,6 @@ class Fabric {
   /// under the budget is never flagged.
   RunReport run(u64 max_events = 500'000'000);
 
-  /// Aggregate counters over all PEs.
-  [[nodiscard]] PeCounters total_counters() const;
-
-  /// Total wavelets of one color carried by any router output link,
-  /// summed over all routers and every run() of this fabric: multi-hop
-  /// blocks count once per hop, and Ramp delivery to the destination PE
-  /// counts like any other link.
-  [[nodiscard]] u64 color_traffic(Color color) const noexcept {
-    return color_traffic_[color.id()];
-  }
-
   /// Recorded non-idle phase spans of PE (x, y) for timeline export
   /// (empty unless ExecutionOptions::phase_span_capacity > 0).
   [[nodiscard]] const std::vector<obs::PhaseSpan>& phase_spans(i32 x,
@@ -451,13 +458,6 @@ class Fabric {
   /// Spans of PE (x, y) not recorded because the per-PE capacity was
   /// reached.
   [[nodiscard]] u64 phase_spans_dropped(i32 x, i32 y) const;
-
-  /// Largest PE memory usage across the fabric (bytes).
-  [[nodiscard]] usize max_memory_used() const;
-
-  /// Per-phase cycle attribution summed over all PEs (all zero when
-  /// ExecutionOptions::phase_profiling is off).
-  [[nodiscard]] obs::PhaseCycles total_phase_cycles() const;
 
  private:
   friend class PeApi;
@@ -484,12 +484,6 @@ class Fabric {
   void push_event(detail::Tile& tile, i64 birth, Event& event);
   void process_event(detail::Tile& tile, Event& event);
   void deliver_to_pe(detail::Tile& tile, Pe& pe, const Event& event);
-  /// Records a run error in deterministic event order. Only the first 32
-  /// are kept; the rest are counted and reported as one summary line.
-  void emit_error(detail::Tile& tile, std::string message);
-  /// Same channel discipline as emit_error, but into RunReport::hazards
-  /// (hazard_check findings are diagnostics, not run failures).
-  void emit_hazard(detail::Tile& tile, std::string message);
   void emit_trace(detail::Tile& tile, const TraceEvent& event);
   /// Books the PE cycles in [begin, end) under `phase` and, when span
   /// recording is on and the phase is not Idle, appends a timeline span.
@@ -503,6 +497,8 @@ class Fabric {
   /// is the runaway backstop (2× the budget), not the budget itself —
   /// budget enforcement happens at checkpoint cuts in run().
   void run_tile(detail::Tile& tile, f64 window_end, u64 event_cap);
+  /// Merges the tiles' accounting into the run's record, frees the
+  /// tiles and the parked events, then adds the per-PE totals.
   RunReport finish_run(std::vector<detail::Tile>& tiles, bool budget_hit,
                        u64 max_events);
 
@@ -520,8 +516,7 @@ class Fabric {
   /// simulation (identical for every `threads` value). 256 hop latencies
   /// (at least 256 cycles).
   [[nodiscard]] f64 checkpoint_cycles() const noexcept;
-  /// Row-strip tile count for this fabric's execution options (stable
-  /// across run() calls, so payload arenas persist between runs).
+  /// Row-strip tile count for this fabric's execution options.
   [[nodiscard]] i32 tile_count() const noexcept;
 
   i32 width_;
@@ -542,13 +537,10 @@ class Fabric {
   std::vector<Router, MappedAllocator<Router>> routers_;
   /// Backpressure queues: wavelets whose color's current switch position
   /// does not accept their input link wait here until a control wavelet
-  /// advances the switch (models the router's input buffering).
+  /// advances the switch (models the router's input buffering). Sized
+  /// when the run starts and freed when it ends, with the tiles' payload
+  /// arenas its events point into.
   std::vector<PendingBuffer> pending_;
-  /// One payload arena per event-engine tile, owned by the Fabric because
-  /// parked (pending) events keep their payload handles alive across
-  /// run() calls. Sized on first run; the tiling is a pure function of
-  /// construction parameters, so handles stay valid between runs.
-  std::vector<PayloadArena> arenas_;
   /// Per-location birth counters backing the deterministic event keys.
   /// Tile owning each fabric row (filled per run).
   std::vector<i32> tile_of_row_;
@@ -569,18 +561,10 @@ class Fabric {
     u64 dropped = 0;
   };
   std::vector<SpanLog> span_logs_;
-  /// Wavelets per color over every output link, summed from the tiles'
-  /// counts at the end of each run.
-  std::array<u64, Color::kMaxColors> color_traffic_{};
-  std::vector<std::string> hazards_;
-  u64 hazards_total_ = 0;
   Tracer tracer_;
   TraceRecorder* recorder_ = nullptr;
-  u64 events_processed_ = 0;
-  u64 tasks_executed_ = 0;
-  f64 horizon_ = 0.0;  ///< latest time observed anywhere
-  std::vector<std::string> errors_;
-  u64 errors_total_ = 0;
+  /// Set by the one run() this fabric allows.
+  bool ran_ = false;
 };
 
 }  // namespace fvf::wse

@@ -47,10 +47,6 @@ class PeMemory {
     record(tag, bytes);
   }
 
-  /// Drops every reservation (a program declares its footprint anew
-  /// each time it starts).
-  void clear() noexcept { used_ = 0; }
-
   [[nodiscard]] usize budget() const noexcept { return budget_; }
   [[nodiscard]] usize used() const noexcept { return used_; }
   [[nodiscard]] usize available() const noexcept { return budget_ - used_; }

@@ -13,7 +13,7 @@ namespace fvf::wse {
 /// Router attached to one PE. Holds one route word per color — the id of
 /// the color's switch table in the fabric's RoutePool plus the current
 /// switch position — and counts traffic through each link. Per-color
-/// traffic is counted fabric-wide (Fabric::color_traffic), not here.
+/// traffic is counted fabric-wide (RunReport::color_traffic), not here.
 class alignas(64) Router {
  public:
   /// configure_count() saturates here: a count this high means "at least

@@ -199,8 +199,9 @@ TEST(AllReduceTest, ChargesFabricTraffic) {
   fabric.load([&](Coord2 coord, Coord2 fs) {
     return std::make_unique<ReduceProbe>(coord, fs, 4, 1);
   });
-  ASSERT_TRUE(fabric.run().ok());
-  const PeCounters totals = fabric.total_counters();
+  const RunReport report = fabric.run();
+  ASSERT_TRUE(report.ok());
+  const PeCounters& totals = report.counters;
   // Row reduce: 2 sends of 4; bcast: 1 send of 4 (fan-out duplicates on
   // the wire, not at the source). Plus FMOV drains on delivery.
   EXPECT_GT(totals.wavelets_sent, 8u);

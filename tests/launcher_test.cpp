@@ -3,7 +3,11 @@
 // iteration-count sweep against the serial reference.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "baseline/baseline.hpp"
+#include "common/assert.hpp"
 #include "core/launcher.hpp"
 #include "physics/problem.hpp"
 #include "physics/residual.hpp"
@@ -122,6 +126,106 @@ TEST(LauncherTest, EventCountScalesWithIterations) {
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_GT(b.events_processed, 2 * a.events_processed);
   EXPECT_LT(b.events_processed, 4 * a.events_processed);
+}
+
+// --- the run record ------------------------------------------------------------
+
+TEST(RunRecordTest, ATpfaLoadRunsOnce) {
+  // A second run of the same load is refused before any event: it once
+  // stranded blocks at switch position 0 and ran to the event budget.
+  const physics::FlowProblem problem = make_problem(4, 4, 4);
+  DataflowOptions options;
+  options.iterations = 2;
+  TpfaLoad load = load_dataflow_tpfa(problem, options);
+  const RunInfo info = load.harness->run();
+  ASSERT_TRUE(info.ok()) << info.errors.front();
+  EXPECT_EQ(info.pes_done, 16);
+  const wse::Fabric& fabric = load.harness->fabric();
+  const f64 clock = fabric.pe(1, 1).clock();
+  const u64 tasks = fabric.pe(1, 1).counters().tasks_executed;
+  EXPECT_THROW((void)load.harness->fabric().run(), ContractViolation);
+  EXPECT_THROW((void)load.harness->run(), ContractViolation);
+  EXPECT_EQ(fabric.pe(1, 1).clock(), clock);
+  EXPECT_EQ(fabric.pe(1, 1).counters().tasks_executed, tasks);
+}
+
+TEST(RunRecordTest, AccumulateStatesARuleForEveryField) {
+  RunInfo a;
+  a.device_seconds = 1.0;
+  a.makespan_cycles = 10.0;
+  a.counters.fmul = 3;
+  a.counters.tasks_executed = 5;
+  a.color_traffic[0] = 7;
+  a.color_traffic[15] = 1;
+  a.max_pe_memory = 100;
+  a.events_processed = 20;
+  a.pes_done = 4;
+  a.phase_cycles[obs::Phase::Halo] = 2.0;
+  a.pe_phase_cycles.resize(4);
+  a.faults.flips_injected = 1;
+  a.trace_events_emitted = 6;
+  a.trace_records_dropped = 1;
+  a.errors_total = 1;
+  a.errors = {"first"};
+  a.hazards_total = 1;
+  a.hazards = {"hazard one"};
+  a.event_queue_high_water = 50;
+  a.payload_arena_bytes = 4096;
+
+  RunInfo b;
+  b.device_seconds = 0.5;
+  b.makespan_cycles = 5.0;
+  b.counters.fmul = 2;
+  b.counters.tasks_executed = 1;
+  b.color_traffic[0] = 3;
+  b.max_pe_memory = 80;
+  b.events_processed = 9;
+  b.pes_done = 4;
+  b.phase_cycles[obs::Phase::Halo] = 1.5;
+  b.pe_phase_cycles.resize(4);
+  b.faults.flips_injected = 2;
+  b.trace_events_emitted = 4;
+  b.errors_total = 3;
+  b.errors_suppressed = 1;
+  b.errors = {"second", "third", "… and 1 more errors suppressed"};
+  b.hazards_total = 2;
+  b.hazards_suppressed = 0;
+  b.hazards = {"hazard two", "hazard three"};
+  b.event_queue_high_water = 70;
+  b.payload_arena_bytes = 1024;
+
+  accumulate(a, b);
+  // Summed: times, counters, traffic, events, faults, trace and error
+  // counts, and PE completions (one per PE per launch).
+  EXPECT_EQ(a.device_seconds, 1.5);
+  EXPECT_EQ(a.makespan_cycles, 15.0);
+  EXPECT_EQ(a.counters.fmul, 5u);
+  EXPECT_EQ(a.counters.tasks_executed, 6u);
+  EXPECT_EQ(a.color_traffic[0], 10u);
+  EXPECT_EQ(a.color_traffic[15], 1u);
+  EXPECT_EQ(a.events_processed, 29u);
+  EXPECT_EQ(a.pes_done, 8);
+  EXPECT_EQ(a.phase_cycles[obs::Phase::Halo], 3.5);
+  EXPECT_EQ(a.faults.flips_injected, 3u);
+  EXPECT_EQ(a.trace_events_emitted, 10u);
+  EXPECT_EQ(a.trace_records_dropped, 1u);
+  EXPECT_EQ(a.errors_total, 4u);
+  EXPECT_EQ(a.errors_suppressed, 1u);
+  EXPECT_EQ(a.hazards_total, 3u);
+  EXPECT_EQ(a.hazards_suppressed, 0u);
+  // Max: the PE footprint, and the host figures, because each launch
+  // frees its event queues and payload arenas when it ends.
+  EXPECT_EQ(a.max_pe_memory, 100u);
+  EXPECT_EQ(a.event_queue_high_water, 70u);
+  EXPECT_EQ(a.payload_arena_bytes, 4096u);
+  // Appended in launch order.
+  EXPECT_EQ(a.errors, (std::vector<std::string>{
+                          "first", "second", "third",
+                          "… and 1 more errors suppressed"}));
+  EXPECT_EQ(a.hazards, (std::vector<std::string>{"hazard one", "hazard two",
+                                                 "hazard three"}));
+  // Per-PE attribution is per launch: cleared.
+  EXPECT_TRUE(a.pe_phase_cycles.empty());
 }
 
 // --- iteration sweep ---------------------------------------------------------------

@@ -462,18 +462,19 @@ TEST(ProtocolTest, PerColorTrafficIsAccounted) {
     }
     return prog;
   });
-  ASSERT_TRUE(fabric.run().ok());
+  const RunReport report = fabric.run();
+  ASSERT_TRUE(report.ok());
   // Each block crosses two counted links: the East hop at the sender and
   // the Ramp delivery at the receiver (Table 3 counts delivered traffic
   // on every link it occupies, including the Ramp).
-  EXPECT_EQ(fabric.color_traffic(kC0), 14u);
-  EXPECT_EQ(fabric.color_traffic(kC1), 6u);
+  EXPECT_EQ(report.color_traffic[kC0.id()], 14u);
+  EXPECT_EQ(report.color_traffic[kC1.id()], 6u);
   // Per link, both colors share the sender's East output and the
   // receiver's Ramp, and the fabric totals are exactly those two links.
   EXPECT_EQ(fabric.router(0, 0).traffic_out(Dir::East), 10u);
   EXPECT_EQ(fabric.router(1, 0).traffic_out(Dir::Ramp), 10u)
       << "delivery to the Ramp counts like any other output link";
-  EXPECT_EQ(fabric.color_traffic(kC0) + fabric.color_traffic(kC1),
+  EXPECT_EQ(report.color_traffic[kC0.id()] + report.color_traffic[kC1.id()],
             fabric.router(0, 0).traffic_out(Dir::East) +
                 fabric.router(1, 0).traffic_out(Dir::Ramp));
 }
