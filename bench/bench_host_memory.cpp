@@ -124,6 +124,10 @@ int run(int argc, const char** argv) {
                   static_cast<f64>(report.event_queue_high_water));
   json.add_metric("payload_arena_bytes",
                   static_cast<f64>(report.payload_arena_bytes));
+  json.add_metric("windows_stepped",
+                  static_cast<f64>(report.windows_stepped));
+  json.add_metric("payloads_rehomed",
+                  static_cast<f64>(report.payloads_rehomed));
   std::cout << table.render();
   std::cout << "Router array (mapped, outside the heap): "
             << sizeof(wse::Router) << " B/PE; device cycles "
@@ -133,7 +137,9 @@ int run(int argc, const char** argv) {
             << format_fixed(static_cast<f64>(report.payload_arena_bytes) /
                                 (1024.0 * 1024.0),
                             1)
-            << " MB reserved\n";
+            << " MB reserved; " << report.windows_stepped
+            << " windows stepped; " << report.payloads_rehomed
+            << " payloads re-homed\n";
   return 0;
 }
 

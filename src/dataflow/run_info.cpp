@@ -31,6 +31,8 @@ void accumulate(RunInfo& into, const RunInfo& launch) {
       std::max(into.event_queue_high_water, launch.event_queue_high_water);
   into.payload_arena_bytes =
       std::max(into.payload_arena_bytes, launch.payload_arena_bytes);
+  into.windows_stepped += launch.windows_stepped;
+  into.payloads_rehomed += launch.payloads_rehomed;
 }
 
 }  // namespace fvf::dataflow

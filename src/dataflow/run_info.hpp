@@ -55,7 +55,8 @@ using RunInfo = wse::RunReport;
 /// Accumulates the accounting of a second launch into `into`: the
 /// multi-launch jobs (IMPES windows, the scenario service's long jobs)
 /// report one RunInfo covering every fabric run they issued. Scalars and
-/// counters add (pes_done counts PE completions over the launches),
+/// counters add (pes_done counts PE completions over the launches, and
+/// the host counts windows_stepped and payloads_rehomed add too),
 /// max_pe_memory and the host figures event_queue_high_water and
 /// payload_arena_bytes take the max (each launch frees its queues and
 /// arenas when it ends), error/hazard lists append. Per-PE phase

@@ -167,7 +167,7 @@ f32 tree_reduce(ReduceOp op, Coord2 fabric_size, std::span<const f32> local) {
 void AllReduceSum::add_into(PeApi& api, std::vector<f32>& acc,
                             std::span<const f32> v) {
   FVF_REQUIRE(acc.size() == v.size());
-  const Dsd operand{const_cast<f32*>(v.data()), length_, 1};
+  const Dsd operand{const_cast<f32*>(v.data()), length_};
   switch (op_) {
     case ReduceOp::Sum:
       // acc += v, charged as one vector FADD.

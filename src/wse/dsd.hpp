@@ -1,7 +1,7 @@
 /// \file dsd.hpp
 /// \brief Data Structure Descriptors: the WSE's vector registers.
 ///
-/// A DSD describes an array (base address, length, stride) that a single
+/// A DSD describes a contiguous array (base address, length) that a single
 /// vectorized instruction streams through (paper Section 5.3.3). The
 /// simulator executes DSD operations element-wise on the PE's private
 /// memory while charging per-element instruction counts and cycles.
@@ -14,27 +14,25 @@
 
 namespace fvf::wse {
 
-/// A view over f32 elements of a PE's private memory.
+/// A unit-stride view over f32 elements of a PE's private memory.
 struct Dsd {
   f32* base = nullptr;
   i32 length = 0;
-  i32 stride = 1;
 
   [[nodiscard]] static Dsd of(std::span<f32> memory) noexcept {
-    return Dsd{memory.data(), static_cast<i32>(memory.size()), 1};
+    return Dsd{memory.data(), static_cast<i32>(memory.size())};
   }
 
-  /// Sub-view starting at `offset` with `count` elements (unit stride).
+  /// Sub-view starting at `offset` with `count` elements.
   [[nodiscard]] Dsd window(i32 offset, i32 count) const noexcept {
     FVF_ASSERT(offset >= 0 && count >= 0);
-    FVF_ASSERT(stride == 1);
     FVF_ASSERT(offset + count <= length);
-    return Dsd{base + offset, count, 1};
+    return Dsd{base + offset, count};
   }
 
   [[nodiscard]] f32& at(i32 i) const noexcept {
     FVF_ASSERT(i >= 0 && i < length);
-    return base[static_cast<i64>(i) * stride];
+    return base[i];
   }
 };
 

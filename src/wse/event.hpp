@@ -9,9 +9,10 @@
 /// queue stores it as a 24-byte key plus a 32-byte EventBody (EventQueue).
 #pragma once
 
-#include <algorithm>
+#include <bit>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "wse/fabric_types.hpp"
 #include "wse/payload.hpp"
 
@@ -68,15 +69,33 @@ struct Event : EventBody {
 }
 
 /// Min-queue of events under event_before. The heap holds 24-byte keys
-/// {time, seq, src, slot}; the rest of each event rests in a slot pool
-/// as a 32-byte EventBody, so the ordering key is stored once and every sift
+/// {hi, lo, slot}; the rest of each event rests in a slot pool as a
+/// 32-byte EventBody, so the ordering key is stored once and every sift
 /// moves a third of a cache line instead of the full 56-byte Event.
 /// `pop` rebuilds the Event from its key and slot. A 4-ary array heap on
 /// top: shallower than a binary heap, and `push_batch` drains a barrier
-/// outbox in one call. `src` fits u32 because it is a linear location
-/// index (y * width + x) of an i32-sized fabric.
+/// outbox in one call.
+///
+/// The key packs (time, src, seq) into two u64 words that compare in
+/// that order as one unsigned 128-bit number: `hi` is the IEEE-754 bit
+/// pattern of the time, `lo` is `src << 32 | seq`. For non-negative
+/// doubles the bit pattern orders like the value (`-0.0` is stored as
+/// `+0.0`), so the comparison and the pick of the least child are
+/// branch-free integer compares; most events tie on time, and the
+/// branches of a field-by-field compare mispredict on every tie. `push`
+/// therefore requires a non-negative, non-NaN time, and `src` and `seq`
+/// below 2^32: `src` is a linear location index (y * width + x) and
+/// `seq` a location's u32 birth counter (Router::next_birth_seq).
 class EventQueue {
  public:
+  /// Heap element: the two-word ordering key plus the slot of the event
+  /// it stands for.
+  struct Key {
+    u64 hi;  ///< bit pattern of the non-negative time
+    u64 lo;  ///< src << 32 | seq
+    u32 slot;
+  };
+
   [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
   [[nodiscard]] usize size() const noexcept { return heap_.size(); }
   /// The most events this queue has held at once: a slot is added only
@@ -84,7 +103,9 @@ class EventQueue {
   [[nodiscard]] usize high_water() const noexcept { return slots_.size(); }
   /// Timestamp of the minimum event without touching its slot (the
   /// window-loop bound check stays inside the key array).
-  [[nodiscard]] f64 top_time() const noexcept { return heap_.front().time; }
+  [[nodiscard]] f64 top_time() const noexcept {
+    return std::bit_cast<f64>(heap_.front().hi);
+  }
   /// Location of the minimum event, for prefetching its PE and router.
   [[nodiscard]] Coord2 top_location() const noexcept {
     const EventBody& body = slots_[heap_.front().slot];
@@ -97,6 +118,14 @@ class EventQueue {
   }
 
   void push(const Event& event) {
+    FVF_REQUIRE_MSG(event.time >= 0.0,
+                    "EventQueue: event time " << event.time
+                                              << " is negative or NaN");
+    // A negative src converts to a u64 above the limit too.
+    FVF_REQUIRE_MSG((static_cast<u64>(event.src) | event.seq) <= kMaxKeyField,
+                    "EventQueue: birth key (src " << event.src << ", seq "
+                                                  << event.seq
+                                                  << ") exceeds 32 bits");
     const EventBody& body = event;
     u32 slot;
     if (!free_slots_.empty()) {
@@ -107,8 +136,9 @@ class EventQueue {
       slot = static_cast<u32>(slots_.size());
       slots_.push_back(body);
     }
-    heap_.push_back(Key{event.time, event.seq,
-                        static_cast<u32>(event.src), slot});
+    // Adding +0.0 turns -0.0 into +0.0 and leaves every other time as is.
+    heap_.push_back(Key{std::bit_cast<u64>(event.time + 0.0),
+                        static_cast<u64>(event.src) << 32 | event.seq, slot});
     sift_up(heap_.size() - 1);
   }
 
@@ -124,9 +154,9 @@ class EventQueue {
     const Key key = heap_.front();
     Event out;
     static_cast<EventBody&>(out) = slots_[key.slot];
-    out.time = key.time;
-    out.src = static_cast<i64>(key.src);
-    out.seq = key.seq;
+    out.time = std::bit_cast<f64>(key.hi);
+    out.src = static_cast<i64>(key.lo >> 32);
+    out.seq = key.lo & kMaxKeyField;
     free_slots_.push_back(key.slot);
     heap_.front() = heap_.back();
     heap_.pop_back();
@@ -138,24 +168,19 @@ class EventQueue {
 
  private:
   static constexpr usize kArity = 4;
+  static constexpr u64 kMaxKeyField = 0xFFFF'FFFFu;
 
-  /// Heap element: the full (time, src, seq) ordering key plus the slot
-  /// of the event it stands for.
-  struct Key {
-    f64 time;
-    u64 seq;
-    u32 src;
-    u32 slot;
-  };
-
+  /// (a.hi, a.lo) < (b.hi, b.lo) without a branch: the bitwise operators
+  /// evaluate every compare.
   [[nodiscard]] static bool key_before(const Key& a, const Key& b) noexcept {
-    if (a.time != b.time) {
-      return a.time < b.time;
-    }
-    if (a.src != b.src) {
-      return a.src < b.src;
-    }
-    return a.seq < b.seq;
+    return (a.hi < b.hi) | ((a.hi == b.hi) & (a.lo < b.lo));
+  }
+
+  /// The lesser of heap_[i] and heap_[j], as an index, by an arithmetic
+  /// select rather than a branch.
+  [[nodiscard]] usize lesser(usize i, usize j) const noexcept {
+    const usize take_j = static_cast<usize>(key_before(heap_[j], heap_[i]));
+    return i ^ ((i ^ j) & (usize{0} - take_j));
   }
 
   void sift_up(usize i) noexcept {
@@ -179,11 +204,16 @@ class EventQueue {
       if (first >= n) {
         break;
       }
-      usize best = first;
-      const usize last = std::min(first + kArity, n);
-      for (usize child = first + 1; child < last; ++child) {
-        if (key_before(heap_[child], heap_[best])) {
-          best = child;
+      usize best;
+      if (first + kArity <= n) {
+        // A full set of children: a two-round tournament, so the two
+        // first-round compares do not wait on each other.
+        best = lesser(lesser(first, first + 1),
+                      lesser(first + 2, first + 3));
+      } else {
+        best = first;
+        for (usize child = first + 1; child < n; ++child) {
+          best = lesser(best, child);
         }
       }
       if (!key_before(heap_[best], moving)) {

@@ -6,6 +6,7 @@
 #include <iterator>
 #include <limits>
 #include <sstream>
+#include <unordered_map>
 
 #include "common/assert.hpp"
 #include "common/log.hpp"
@@ -77,6 +78,16 @@ struct Tile {
     std::vector<ErrorRecord> records;
     u64 total = 0;
   };
+  /// Backpressured wavelets parked at one router, grouped by color:
+  /// release_pending on a switch advance moves out exactly one color's
+  /// FIFO instead of linearly rescanning every parked event. Arrival
+  /// order within a color is preserved (the re-injection order the
+  /// protocol observes); the router's parked() count spans the colors.
+  struct ColorFifo {
+    Color color{};
+    std::vector<Event> events;
+  };
+  using PendingBuffer = std::vector<ColorFifo>;
 
   i32 id = 0;
   bool direct = true;
@@ -96,9 +107,19 @@ struct Tile {
   /// arena) at the window barrier.
   std::vector<std::vector<Event>> outbox;
   std::vector<TraceRecord> traces;
+  /// Backpressure queues of this tile's routers that hold blocks, keyed
+  /// by router index: wavelets whose color's current switch position does
+  /// not accept their input link wait here until a control wavelet
+  /// advances the switch (models the router's input buffering). Few
+  /// routers park at once, so the tile keeps only those.
+  std::unordered_map<usize, PendingBuffer> parked;
   Channel errors;
   Channel hazards;
   u64 events_processed = 0;
+  /// Host counts: windows this tile was stepped through, and cross-tile
+  /// payloads copied into this tile's arena at a window barrier.
+  u64 windows_stepped = 0;
+  u64 payloads_rehomed = 0;
   f64 horizon = 0.0;
   /// Key of the event currently being processed (tags deferred records).
   RecordKey cursor;
@@ -164,160 +185,11 @@ u64 summarize_suppressed(std::vector<std::string>& kept, u64 total,
 // PeCompute
 // ---------------------------------------------------------------------------
 
-void PeCompute::hazard_mark_live(Dsd, const char*) {}
-void PeCompute::hazard_release(Dsd) {}
-void PeCompute::hazard_release_all() {}
+void PeCompute::on_hazard_mark_live(Dsd, const char*) {}
+void PeCompute::on_hazard_release(Dsd) {}
+void PeCompute::on_hazard_release_all() {}
 void PeCompute::set_phase(obs::Phase) noexcept {}
 void PeCompute::check_operand_hazard(const char*, Dsd, Dsd, usize) {}
-
-void PeCompute::check_dsd_hazards(const char* op, Dsd dest, Dsd a) {
-  if (!exec_.hazard_check) {
-    return;
-  }
-  check_operand_hazard(op, dest, a, 1);
-}
-
-void PeCompute::check_dsd_hazards(const char* op, Dsd dest, Dsd a, Dsd b) {
-  if (!exec_.hazard_check) {
-    return;
-  }
-  check_operand_hazard(op, dest, a, 1);
-  check_operand_hazard(op, dest, b, 2);
-}
-
-void PeCompute::check_dsd_hazards(const char* op, Dsd dest, Dsd a, Dsd b,
-                                  Dsd c) {
-  if (!exec_.hazard_check) {
-    return;
-  }
-  check_operand_hazard(op, dest, a, 1);
-  check_operand_hazard(op, dest, b, 2);
-  check_operand_hazard(op, dest, c, 3);
-}
-
-f64 PeCompute::vector_op_cycles(i32 length) const noexcept {
-  const f64 issue = exec_.vectorized
-                        ? timings_.vector_op_issue_cycles
-                        : timings_.vector_op_issue_cycles *
-                              static_cast<f64>(length);
-  return issue + static_cast<f64>(length) * timings_.cycles_per_vector_element;
-}
-
-void PeCompute::charge_vector_op(i32 length, u32 loads_per_element) {
-  FVF_REQUIRE(length >= 0);
-  clock_ += vector_op_cycles(length);
-  counters_.mem_loads += static_cast<u64>(length) * loads_per_element;
-  counters_.mem_stores += static_cast<u64>(length);
-}
-
-void PeCompute::fmuls(Dsd dest, Dsd a, Dsd b) {
-  FVF_REQUIRE(dest.length == a.length && dest.length == b.length);
-  check_dsd_hazards("fmuls", dest, a, b);
-  for (i32 i = 0; i < dest.length; ++i) {
-    dest.at(i) = a.at(i) * b.at(i);
-  }
-  counters_.fmul += static_cast<u64>(dest.length);
-  charge_vector_op(dest.length, 2);
-}
-
-void PeCompute::fmuls(Dsd dest, Dsd a, f32 scalar) {
-  FVF_REQUIRE(dest.length == a.length);
-  check_dsd_hazards("fmuls", dest, a);
-  for (i32 i = 0; i < dest.length; ++i) {
-    dest.at(i) = a.at(i) * scalar;
-  }
-  counters_.fmul += static_cast<u64>(dest.length);
-  charge_vector_op(dest.length, 2);
-}
-
-void PeCompute::fadds(Dsd dest, Dsd a, Dsd b) {
-  FVF_REQUIRE(dest.length == a.length && dest.length == b.length);
-  check_dsd_hazards("fadds", dest, a, b);
-  for (i32 i = 0; i < dest.length; ++i) {
-    dest.at(i) = a.at(i) + b.at(i);
-  }
-  counters_.fadd += static_cast<u64>(dest.length);
-  charge_vector_op(dest.length, 2);
-}
-
-void PeCompute::fsubs(Dsd dest, Dsd a, Dsd b) {
-  FVF_REQUIRE(dest.length == a.length && dest.length == b.length);
-  check_dsd_hazards("fsubs", dest, a, b);
-  for (i32 i = 0; i < dest.length; ++i) {
-    dest.at(i) = a.at(i) - b.at(i);
-  }
-  counters_.fsub += static_cast<u64>(dest.length);
-  charge_vector_op(dest.length, 2);
-}
-
-void PeCompute::fsubs(Dsd dest, Dsd a, f32 scalar) {
-  FVF_REQUIRE(dest.length == a.length);
-  check_dsd_hazards("fsubs", dest, a);
-  for (i32 i = 0; i < dest.length; ++i) {
-    dest.at(i) = a.at(i) - scalar;
-  }
-  counters_.fsub += static_cast<u64>(dest.length);
-  charge_vector_op(dest.length, 2);
-}
-
-void PeCompute::fnegs(Dsd dest, Dsd a) {
-  FVF_REQUIRE(dest.length == a.length);
-  check_dsd_hazards("fnegs", dest, a);
-  for (i32 i = 0; i < dest.length; ++i) {
-    dest.at(i) = -a.at(i);
-  }
-  counters_.fneg += static_cast<u64>(dest.length);
-  charge_vector_op(dest.length, 1);
-}
-
-void PeCompute::fmacs(Dsd dest, Dsd a, Dsd b, Dsd c) {
-  FVF_REQUIRE(dest.length == a.length && dest.length == b.length &&
-              dest.length == c.length);
-  check_dsd_hazards("fmacs", dest, a, b, c);
-  for (i32 i = 0; i < dest.length; ++i) {
-    dest.at(i) = a.at(i) * b.at(i) + c.at(i);
-  }
-  counters_.fma += static_cast<u64>(dest.length);
-  charge_vector_op(dest.length, 3);
-}
-
-void PeCompute::fmacs(Dsd dest, Dsd a, f32 scalar, Dsd c) {
-  FVF_REQUIRE(dest.length == a.length && dest.length == c.length);
-  check_dsd_hazards("fmacs", dest, a, c);
-  for (i32 i = 0; i < dest.length; ++i) {
-    dest.at(i) = a.at(i) * scalar + c.at(i);
-  }
-  counters_.fma += static_cast<u64>(dest.length);
-  charge_vector_op(dest.length, 3);
-}
-
-void PeCompute::selects(Dsd dest, Dsd pred, Dsd a, Dsd b) {
-  FVF_REQUIRE(dest.length == pred.length && dest.length == a.length &&
-              dest.length == b.length);
-  check_dsd_hazards("selects", dest, pred, a, b);
-  for (i32 i = 0; i < dest.length; ++i) {
-    dest.at(i) = pred.at(i) > 0.0f ? a.at(i) : b.at(i);
-  }
-  // Predicated move: cycles, no FP instruction counts, no Table 4 traffic.
-  clock_ += vector_op_cycles(dest.length);
-}
-
-void PeCompute::zeros(Dsd dest) {
-  for (i32 i = 0; i < dest.length; ++i) {
-    dest.at(i) = 0.0f;
-  }
-  clock_ += vector_op_cycles(dest.length);
-}
-
-void PeCompute::scalar_ops(u64 count) {
-  counters_.scalar_misc += count;
-  clock_ += static_cast<f64>(count) * timings_.scalar_op_cycles;
-}
-
-void PeCompute::transcendental_ops(u64 count) {
-  counters_.scalar_misc += count;
-  clock_ += static_cast<f64>(count) * timings_.exp_cycles;
-}
 
 // ---------------------------------------------------------------------------
 // PeApi
@@ -426,20 +298,14 @@ void PeApi::report_protocol_error(std::string message) {
   tile_.record(tile_.errors, std::move(message));
 }
 
-void PeApi::hazard_mark_live(Dsd view, const char* label) {
-  if (!fabric_.exec_.hazard_check) {
-    return;
-  }
+void PeApi::on_hazard_mark_live(Dsd view, const char* label) {
   HazardState& state =
       fabric_.hazard_state_[static_cast<usize>(fabric_.index(
           pe_.coord().x, pe_.coord().y))];
   state.live.push_back(HazardState::LiveRange{range_of(view), label});
 }
 
-void PeApi::hazard_release(Dsd view) {
-  if (!fabric_.exec_.hazard_check) {
-    return;
-  }
+void PeApi::on_hazard_release(Dsd view) {
   HazardState& state =
       fabric_.hazard_state_[static_cast<usize>(fabric_.index(
           pe_.coord().x, pe_.coord().y))];
@@ -452,10 +318,7 @@ void PeApi::hazard_release(Dsd view) {
   }
 }
 
-void PeApi::hazard_release_all() {
-  if (!fabric_.exec_.hazard_check) {
-    return;
-  }
+void PeApi::on_hazard_release_all() {
   fabric_
       .hazard_state_[static_cast<usize>(
           fabric_.index(pe_.coord().x, pe_.coord().y))]
@@ -486,9 +349,6 @@ void PeApi::check_operand_hazard(const char* op, Dsd dest, Dsd source,
 }
 
 void PeApi::check_receive_hazard(Dsd dest) {
-  if (!fabric_.exec_.hazard_check) {
-    return;
-  }
   const HazardState& state =
       fabric_.hazard_state_[static_cast<usize>(fabric_.index(
           pe_.coord().x, pe_.coord().y))];
@@ -516,9 +376,12 @@ void PeApi::set_phase(obs::Phase phase) noexcept {
 
 void PeApi::fmovs(Dsd dest, FabricDsd src) {
   FVF_REQUIRE(dest.length == src.length);
-  check_receive_hazard(dest);
+  if (exec_.hazard_check) [[unlikely]] {
+    check_receive_hazard(dest);
+  }
+  f32* out = dest.base;
   for (i32 i = 0; i < dest.length; ++i) {
-    dest.at(i) = unpack_f32(src.base[i]);
+    out[i] = unpack_f32(src.base[i]);
   }
   counters_.fmov += static_cast<u64>(dest.length);
   counters_.mem_stores += static_cast<u64>(dest.length);
@@ -778,8 +641,7 @@ void Fabric::process_event(detail::Tile& tile, Event& event) {
                                   event.x, event.y, event.color, event.from,
                                   event.payload_words});
     }
-    PendingBuffer& buf = pending_[at];
-    if (buf.total >= exec_.router_buffer_depth) {
+    if (rt.parked() >= exec_.router_buffer_depth) {
       // A real router would assert backpressure upstream; the model keeps
       // timing simple by dropping the block and recording the overflow as
       // a run error (deterministic across thread counts, like every other
@@ -787,27 +649,28 @@ void Fabric::process_event(detail::Tile& tile, Event& event) {
       // buffer for deep-column programs that legitimately park more.
       std::ostringstream os;
       os << "router input buffer overflow at PE (" << event.x << ','
-         << event.y << "): " << buf.total
+         << event.y << "): " << rt.parked()
          << " blocks waiting, dropped " << (event.control ? "ctrl" : "data")
          << " block on color " << static_cast<int>(event.color.id())
          << " from " << dir_name(event.from);
       tile.record(tile.errors, os.str());
       return;  // run_tile frees the dropped payload
     }
-    PendingBuffer::ColorFifo* fifo = nullptr;
-    for (PendingBuffer::ColorFifo& f : buf.fifos) {
+    detail::Tile::PendingBuffer& buf = tile.parked[at];
+    detail::Tile::ColorFifo* fifo = nullptr;
+    for (detail::Tile::ColorFifo& f : buf) {
       if (f.color == event.color) {
         fifo = &f;
         break;
       }
     }
     if (fifo == nullptr) {
-      buf.fifos.push_back(PendingBuffer::ColorFifo{event.color, {}});
-      fifo = &buf.fifos.back();
+      buf.push_back(detail::Tile::ColorFifo{event.color, {}});
+      fifo = &buf.back();
     }
     fifo->events.push_back(event);
     event.payload = PayloadArena::kNull;  // the parked copy owns it now
-    ++buf.total;
+    rt.add_parked(1);
     return;
   }
 
@@ -968,23 +831,34 @@ void Fabric::process_event(detail::Tile& tile, Event& event) {
     if (packed & kRouteMultiPositionBit) {
       rt.advance_switch(event.color);
     }
-    release_pending(tile, event.x, event.y, event.color, event.time);
+    // The parked count sits on the router line already in hand: most
+    // control wavelets find nothing waiting and skip the lookup.
+    if (rt.parked() != 0) {
+      release_pending(tile, at, event.color, event.time);
+    }
   }
 }
 
-void Fabric::release_pending(detail::Tile& tile, i32 x, i32 y, Color color,
+void Fabric::release_pending(detail::Tile& tile, usize at, Color color,
                              f64 not_before) {
-  PendingBuffer& buf = pending_[static_cast<usize>(index(x, y))];
+  const auto parked = tile.parked.find(at);
+  if (parked == tile.parked.end()) {
+    return;
+  }
+  detail::Tile::PendingBuffer& buf = parked->second;
   // Re-inject (in FIFO order) the waiting wavelets of this color; they
   // re-resolve against the new switch position. The per-color FIFO makes
   // this a single move instead of a scan over every parked event.
-  for (usize f = 0; f < buf.fifos.size(); ++f) {
-    if (buf.fifos[f].color != color) {
+  for (usize f = 0; f < buf.size(); ++f) {
+    if (buf[f].color != color) {
       continue;
     }
-    std::vector<Event> released = std::move(buf.fifos[f].events);
-    buf.fifos.erase(buf.fifos.begin() + static_cast<std::ptrdiff_t>(f));
-    buf.total -= static_cast<u32>(released.size());
+    std::vector<Event> released = std::move(buf[f].events);
+    buf.erase(buf.begin() + static_cast<std::ptrdiff_t>(f));
+    if (buf.empty()) {
+      tile.parked.erase(parked);
+    }
+    routers_[at].remove_parked(static_cast<u32>(released.size()));
     for (Event& event : released) {
       event.time = std::max(event.time, not_before);
       if (tracer_) {
@@ -992,13 +866,14 @@ void Fabric::release_pending(detail::Tile& tile, i32 x, i32 y, Color color,
                                     event.y, event.color, event.from,
                                     event.payload_words});
       }
-      push_event(tile, index(x, y), event);
+      push_event(tile, static_cast<i64>(at), event);
     }
     return;
   }
 }
 
 void Fabric::run_tile(detail::Tile& tile, f64 window_end, u64 event_cap) {
+  ++tile.windows_stepped;
   u64 processed = 0;
   while (!tile.queue.empty() && tile.queue.top_time() < window_end) {
     if (processed >= event_cap) {
@@ -1048,7 +923,6 @@ RunReport Fabric::run(u64 max_events) {
   const i32 tile_count = this->tile_count();
 
   tile_of_row_.assign(static_cast<usize>(height_), 0);
-  pending_.resize(static_cast<usize>(pe_count()));
   std::vector<detail::Tile> tiles(static_cast<usize>(tile_count));
   for (i32 t = 0; t < tile_count; ++t) {
     const i32 row_begin =
@@ -1208,6 +1082,7 @@ RunReport Fabric::run(u64 max_events) {
                   src_tile.arena, event.payload, event.payload_words);
               src_tile.arena.free(event.payload);
               event.payload = moved;
+              ++tiles[dest].payloads_rehomed;
             }
           }
           tiles[dest].queue.push_batch(box);
@@ -1276,6 +1151,8 @@ RunReport Fabric::finish_run(std::vector<detail::Tile>& tiles,
     }
     report.event_queue_high_water += tile.queue.high_water();
     report.payload_arena_bytes += tile.arena.reserved_bytes();
+    report.windows_stepped += tile.windows_stepped;
+    report.payloads_rehomed += tile.payloads_rehomed;
   }
   report.device_seconds = timings_.seconds(report.makespan_cycles);
   report.trace_records_dropped =
@@ -1303,41 +1180,47 @@ RunReport Fabric::finish_run(std::vector<detail::Tile>& tiles,
   report.hazards_suppressed =
       summarize_suppressed(report.hazards, report.hazards_total, "hazards");
 
+  // Blocks still parked when the run ends, reported in PE order: each
+  // router's buffer is held by the one tile that owns its row.
+  std::vector<std::pair<usize, const detail::Tile::PendingBuffer*>> stranded;
   u64 pending_count = 0;
-  for (const PendingBuffer& waiting : pending_) {
-    pending_count += waiting.total;
+  for (const detail::Tile& tile : tiles) {
+    for (const auto& [at, buf] : tile.parked) {
+      stranded.emplace_back(at, &buf);
+      pending_count += routers_[at].parked();
+    }
   }
   if (pending_count > 0) {
+    std::sort(stranded.begin(), stranded.end());
     std::ostringstream os;
     os << pending_count
        << " wavelet block(s) stranded in router input buffers "
           "(switch never advanced to accept them):";
     int shown = 0;
-    for (i32 y = 0; y < height_ && shown < 8; ++y) {
-      for (i32 x = 0; x < width_ && shown < 8; ++x) {
-        const PendingBuffer& buf = pending_[static_cast<usize>(index(x, y))];
-        for (const PendingBuffer::ColorFifo& fifo : buf.fifos) {
-          for (const Event& e : fifo.events) {
-            os << " [PE(" << x << ',' << y << ") color "
-               << static_cast<int>(e.color.id()) << " from "
-               << dir_name(e.from) << (e.control ? " ctrl" : " data")
-               << " pos "
-               << router(x, y).current_position(e.color) << "]";
-            if (++shown >= 8) {
-              break;
-            }
-          }
-          if (shown >= 8) {
+    for (const auto& [at, buf] : stranded) {
+      const Coord2 c = pes_[at].coord_;
+      for (const detail::Tile::ColorFifo& fifo : *buf) {
+        for (const Event& e : fifo.events) {
+          os << " [PE(" << c.x << ',' << c.y << ") color "
+             << static_cast<int>(e.color.id()) << " from " << dir_name(e.from)
+             << (e.control ? " ctrl" : " data") << " pos "
+             << routers_[at].current_position(e.color) << "]";
+          if (++shown >= 8) {
             break;
           }
         }
+        if (shown >= 8) {
+          break;
+        }
+      }
+      if (shown >= 8) {
+        break;
       }
     }
     report.errors.push_back(os.str());
     ++report.errors_total;
   }
   // Parked payloads live in the tiles' arenas: both go with the run.
-  pending_ = std::vector<PendingBuffer>();
   tiles.clear();
 
   if (exec_.phase_profiling) {

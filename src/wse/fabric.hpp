@@ -218,6 +218,12 @@ struct RunReport {
   /// allocator's history, so serve responses leave them out.
   u64 event_queue_high_water = 0;
   u64 payload_arena_bytes = 0;
+  /// Host counts of the engine's window loop, summed over its tiles:
+  /// windows each tile was stepped through between barriers, and
+  /// cross-tile payloads copied into their destination tile's arena at
+  /// a barrier. A serial run steps one tile and re-homes nothing.
+  u64 windows_stepped = 0;
+  u64 payloads_rehomed = 0;
 
   [[nodiscard]] bool ok() const noexcept { return errors.empty(); }
 };
@@ -230,6 +236,11 @@ struct RunReport {
 /// sends, receives, timers and fault reporting) and on the fabric-free
 /// spec::execute, where phase tags and hazard marks are no-ops. Valid
 /// only for the duration of a handler invocation.
+///
+/// The DSD ops are defined inline below the class: each is one element
+/// loop over plain pointers plus its counter and cycle charge, and the
+/// hazard hooks behind them cost one predictable test of
+/// ExecutionOptions::hazard_check when it is off.
 class PeCompute {
  public:
   PeCompute(const FabricTimings& timings, const ExecutionOptions& execution,
@@ -261,19 +272,37 @@ class PeCompute {
 
   // --- scalar ops --------------------------------------------------------
   /// Charges `count` generic scalar ops (cycles + scalar_misc counter).
-  void scalar_ops(u64 count);
+  void scalar_ops(u64 count) noexcept {
+    counters_.scalar_misc += count;
+    clock_ += static_cast<f64>(count) * timings_.scalar_op_cycles;
+  }
   /// Charges `count` transcendental evaluations (EOS exponentials).
-  void transcendental_ops(u64 count);
+  void transcendental_ops(u64 count) noexcept {
+    counters_.scalar_misc += count;
+    clock_ += static_cast<f64>(count) * timings_.exp_cycles;
+  }
 
   // --- hazard detection ---------------------------------------------------
   /// Marks `view` as a live buffer handed out to program code: until
   /// released, a fabric receive (fmovs) overwriting any part of it is
   /// reported as a hazard. No-op unless ExecutionOptions::hazard_check.
-  virtual void hazard_mark_live(Dsd view, const char* label);
+  void hazard_mark_live(Dsd view, const char* label) {
+    if (exec_.hazard_check) [[unlikely]] {
+      on_hazard_mark_live(view, label);
+    }
+  }
   /// Releases the most recent live mark covering exactly `view`'s range.
-  virtual void hazard_release(Dsd view);
+  void hazard_release(Dsd view) {
+    if (exec_.hazard_check) [[unlikely]] {
+      on_hazard_release(view);
+    }
+  }
   /// Releases every live mark on this PE.
-  virtual void hazard_release_all();
+  void hazard_release_all() {
+    if (exec_.hazard_check) [[unlikely]] {
+      on_hazard_release_all();
+    }
+  }
 
   // --- observability ------------------------------------------------------
   /// Retags the cycles this handler accrues from here on (the profiler
@@ -291,10 +320,20 @@ class PeCompute {
 
  protected:
   /// Cycles of one vector instruction over `length` elements.
-  [[nodiscard]] f64 vector_op_cycles(i32 length) const noexcept;
-  /// Flags a source operand that partially overlaps the destination.
-  /// Called only under ExecutionOptions::hazard_check; a no-op without a
-  /// fabric to report to.
+  [[nodiscard]] f64 vector_op_cycles(i32 length) const noexcept {
+    const f64 n = static_cast<f64>(length);
+    const f64 issue = exec_.vectorized ? timings_.vector_op_issue_cycles
+                                       : timings_.vector_op_issue_cycles * n;
+    return issue + n * timings_.cycles_per_vector_element;
+  }
+
+  /// The hazard detector behind the public hooks, called only under
+  /// ExecutionOptions::hazard_check; no-ops without a fabric to report
+  /// to. check_operand_hazard flags a source operand that partially
+  /// overlaps the destination.
+  virtual void on_hazard_mark_live(Dsd view, const char* label);
+  virtual void on_hazard_release(Dsd view);
+  virtual void on_hazard_release_all();
   virtual void check_operand_hazard(const char* op, Dsd dest, Dsd source,
                                     usize operand_index);
 
@@ -304,16 +343,123 @@ class PeCompute {
   PeCounters& counters_;
 
  private:
-  /// Shared per-element loop: charges one vector op of length n and the
-  /// Table 4 memory traffic (loads per element, one store per element).
-  void charge_vector_op(i32 length, u32 loads_per_element);
+  /// Charges one vector op of length n and the Table 4 memory traffic
+  /// (loads per element, one store per element).
+  void charge_vector_op(i32 length, u32 loads_per_element) {
+    FVF_REQUIRE(length >= 0);
+    clock_ += vector_op_cycles(length);
+    counters_.mem_loads += static_cast<u64>(length) * loads_per_element;
+    counters_.mem_stores += static_cast<u64>(length);
+  }
 
-  /// Hazard_check hooks (no-ops when the option is off): flag sources
-  /// that partially overlap the destination.
-  void check_dsd_hazards(const char* op, Dsd dest, Dsd a);
-  void check_dsd_hazards(const char* op, Dsd dest, Dsd a, Dsd b);
-  void check_dsd_hazards(const char* op, Dsd dest, Dsd a, Dsd b, Dsd c);
+  /// Flags sources that partially overlap the destination, numbering
+  /// them from 1 (one test of hazard_check when the option is off).
+  template <typename... Sources>
+  void check_dsd_hazards(const char* op, Dsd dest, Sources... sources) {
+    if (exec_.hazard_check) [[unlikely]] {
+      usize operand_index = 0;
+      (check_operand_hazard(op, dest, sources, ++operand_index), ...);
+    }
+  }
 };
+
+namespace detail {
+
+/// dest[i] = op(sources[i]...) for i in [0, dest.length), in element
+/// order. The compiler may vectorize the loop, but it must still honour
+/// any aliasing between the views, so the result is the element order's
+/// to the bit.
+template <typename Op, typename... Sources>
+inline void dsd_map(Dsd dest, Op op, Sources... sources) {
+  f32* out = dest.base;
+  for (i32 i = 0; i < dest.length; ++i) {
+    out[i] = op(sources.base[i]...);
+  }
+}
+
+}  // namespace detail
+
+inline void PeCompute::fmuls(Dsd dest, Dsd a, Dsd b) {
+  FVF_REQUIRE(dest.length == a.length && dest.length == b.length);
+  check_dsd_hazards("fmuls", dest, a, b);
+  detail::dsd_map(dest, [](f32 x, f32 y) { return x * y; }, a, b);
+  counters_.fmul += static_cast<u64>(dest.length);
+  charge_vector_op(dest.length, 2);
+}
+
+inline void PeCompute::fmuls(Dsd dest, Dsd a, f32 scalar) {
+  FVF_REQUIRE(dest.length == a.length);
+  check_dsd_hazards("fmuls", dest, a);
+  detail::dsd_map(dest, [scalar](f32 x) { return x * scalar; }, a);
+  counters_.fmul += static_cast<u64>(dest.length);
+  charge_vector_op(dest.length, 2);
+}
+
+inline void PeCompute::fadds(Dsd dest, Dsd a, Dsd b) {
+  FVF_REQUIRE(dest.length == a.length && dest.length == b.length);
+  check_dsd_hazards("fadds", dest, a, b);
+  detail::dsd_map(dest, [](f32 x, f32 y) { return x + y; }, a, b);
+  counters_.fadd += static_cast<u64>(dest.length);
+  charge_vector_op(dest.length, 2);
+}
+
+inline void PeCompute::fsubs(Dsd dest, Dsd a, Dsd b) {
+  FVF_REQUIRE(dest.length == a.length && dest.length == b.length);
+  check_dsd_hazards("fsubs", dest, a, b);
+  detail::dsd_map(dest, [](f32 x, f32 y) { return x - y; }, a, b);
+  counters_.fsub += static_cast<u64>(dest.length);
+  charge_vector_op(dest.length, 2);
+}
+
+inline void PeCompute::fsubs(Dsd dest, Dsd a, f32 scalar) {
+  FVF_REQUIRE(dest.length == a.length);
+  check_dsd_hazards("fsubs", dest, a);
+  detail::dsd_map(dest, [scalar](f32 x) { return x - scalar; }, a);
+  counters_.fsub += static_cast<u64>(dest.length);
+  charge_vector_op(dest.length, 2);
+}
+
+inline void PeCompute::fnegs(Dsd dest, Dsd a) {
+  FVF_REQUIRE(dest.length == a.length);
+  check_dsd_hazards("fnegs", dest, a);
+  detail::dsd_map(dest, [](f32 x) { return -x; }, a);
+  counters_.fneg += static_cast<u64>(dest.length);
+  charge_vector_op(dest.length, 1);
+}
+
+inline void PeCompute::fmacs(Dsd dest, Dsd a, Dsd b, Dsd c) {
+  FVF_REQUIRE(dest.length == a.length && dest.length == b.length &&
+              dest.length == c.length);
+  check_dsd_hazards("fmacs", dest, a, b, c);
+  detail::dsd_map(
+      dest, [](f32 x, f32 y, f32 z) { return x * y + z; }, a, b, c);
+  counters_.fma += static_cast<u64>(dest.length);
+  charge_vector_op(dest.length, 3);
+}
+
+inline void PeCompute::fmacs(Dsd dest, Dsd a, f32 scalar, Dsd c) {
+  FVF_REQUIRE(dest.length == a.length && dest.length == c.length);
+  check_dsd_hazards("fmacs", dest, a, c);
+  detail::dsd_map(
+      dest, [scalar](f32 x, f32 z) { return x * scalar + z; }, a, c);
+  counters_.fma += static_cast<u64>(dest.length);
+  charge_vector_op(dest.length, 3);
+}
+
+inline void PeCompute::selects(Dsd dest, Dsd pred, Dsd a, Dsd b) {
+  FVF_REQUIRE(dest.length == pred.length && dest.length == a.length &&
+              dest.length == b.length);
+  check_dsd_hazards("selects", dest, pred, a, b);
+  detail::dsd_map(
+      dest, [](f32 p, f32 x, f32 y) { return p > 0.0f ? x : y; }, pred, a, b);
+  // Predicated move: cycles, no FP instruction counts, no Table 4 traffic.
+  clock_ += vector_op_cycles(dest.length);
+}
+
+inline void PeCompute::zeros(Dsd dest) {
+  detail::dsd_map(dest, [] { return 0.0f; });
+  clock_ += vector_op_cycles(dest.length);
+}
 
 /// The handle a PE program uses to interact with the machine: the
 /// compute half (PeCompute) plus memory allocation and fabric
@@ -362,10 +508,7 @@ class PeApi final : public PeCompute {
   /// flagged, never silently wrong.
   void report_protocol_error(std::string message);
 
-  // --- PeCompute: the fabric's phase profiler and hazard detector --------
-  void hazard_mark_live(Dsd view, const char* label) override;
-  void hazard_release(Dsd view) override;
-  void hazard_release_all() override;
+  // --- PeCompute: the fabric's phase profiler ----------------------------
   void set_phase(obs::Phase phase) noexcept override;
 
   // --- bookkeeping -------------------------------------------------------
@@ -375,6 +518,10 @@ class PeApi final : public PeCompute {
  private:
   friend class Fabric;
 
+  // --- PeCompute: the fabric's hazard detector ---------------------------
+  void on_hazard_mark_live(Dsd view, const char* label) override;
+  void on_hazard_release(Dsd view) override;
+  void on_hazard_release_all() override;
   void check_operand_hazard(const char* op, Dsd dest, Dsd source,
                             usize operand_index) override;
   /// Flags an fmovs destination that overwrites a live-marked buffer.
@@ -463,21 +610,6 @@ class Fabric {
   friend class PeApi;
   friend struct detail::Tile;
 
-  /// Backpressured wavelets parked at one router, grouped by color:
-  /// release_pending on a switch advance moves out exactly one color's
-  /// FIFO instead of linearly rescanning every parked event. Arrival
-  /// order within a color is preserved (the re-injection order the
-  /// protocol observes); `total` counts parked events across colors for
-  /// the overflow check and the stranded-buffer report.
-  struct PendingBuffer {
-    struct ColorFifo {
-      Color color{};
-      std::vector<Event> events;
-    };
-    std::vector<ColorFifo> fifos;
-    u32 total = 0;
-  };
-
   /// Stamps the event's birth key (creation at location `birth`) and
   /// routes it to the destination tile: the local queue when the target
   /// PE is in `tile` (or the run is single-tile), the outbox otherwise.
@@ -489,8 +621,8 @@ class Fabric {
   /// recording is on and the phase is not Idle, appends a timeline span.
   void attribute_phase(Pe& pe, obs::Phase phase, f64 begin, f64 end);
   /// Re-injects wavelets that were waiting (backpressure) on a switch
-  /// position change of `color` at router (x, y).
-  void release_pending(detail::Tile& tile, i32 x, i32 y, Color color,
+  /// position change of `color` at router `at`.
+  void release_pending(detail::Tile& tile, usize at, Color color,
                        f64 not_before);
 
   /// Drains one tile's queue up to `window_end` (exclusive). `event_cap`
@@ -498,7 +630,7 @@ class Fabric {
   /// budget enforcement happens at checkpoint cuts in run().
   void run_tile(detail::Tile& tile, f64 window_end, u64 event_cap);
   /// Merges the tiles' accounting into the run's record, frees the
-  /// tiles and the parked events, then adds the per-PE totals.
+  /// tiles and their parked events, then adds the per-PE totals.
   RunReport finish_run(std::vector<detail::Tile>& tiles, bool budget_hit,
                        u64 max_events);
 
@@ -535,13 +667,6 @@ class Fabric {
   /// mapped_allocator.hpp), which would make peak RSS depend on thread
   /// timing.
   std::vector<Router, MappedAllocator<Router>> routers_;
-  /// Backpressure queues: wavelets whose color's current switch position
-  /// does not accept their input link wait here until a control wavelet
-  /// advances the switch (models the router's input buffering). Sized
-  /// when the run starts and freed when it ends, with the tiles' payload
-  /// arenas its events point into.
-  std::vector<PendingBuffer> pending_;
-  /// Per-location birth counters backing the deterministic event keys.
   /// Tile owning each fabric row (filled per run).
   std::vector<i32> tile_of_row_;
   /// Fault-injection oracle (disabled when all rates are zero) and the

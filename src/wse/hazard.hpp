@@ -40,28 +40,26 @@ struct MemRange {
   [[nodiscard]] bool empty() const noexcept { return begin >= end; }
 };
 
-/// Byte footprint of a DSD view (conservative for stride > 1: the whole
-/// span from the first to the last touched element).
+/// Byte footprint of a DSD view.
 [[nodiscard]] inline MemRange range_of(Dsd d) noexcept {
   const auto base = reinterpret_cast<std::uintptr_t>(d.base);
   if (d.base == nullptr || d.length <= 0) {
     return MemRange{base, base};
   }
-  const auto last = static_cast<std::uintptr_t>(d.length - 1) *
-                    static_cast<std::uintptr_t>(d.stride > 0 ? d.stride : 1);
-  return MemRange{base, base + (last + 1) * sizeof(f32)};
+  const auto bytes = static_cast<std::uintptr_t>(d.length) * sizeof(f32);
+  return MemRange{base, base + bytes};
 }
 
 [[nodiscard]] inline bool ranges_overlap(MemRange a, MemRange b) noexcept {
   return !a.empty() && !b.empty() && a.begin < b.end && b.begin < a.end;
 }
 
-/// Exact aliasing: the two views are the *same* view (base, length,
-/// stride). dest[i] then reads only index i of the source before writing
-/// it — the element-wise loops are well defined, and the shipped kernels
-/// rely on this for in-place updates (e.g. `fadds(acc, acc, operand)`).
+/// Exact aliasing: the two views are the *same* view (base, length).
+/// dest[i] then reads only index i of the source before writing it — the
+/// element-wise loops are well defined, and the shipped kernels rely on
+/// this for in-place updates (e.g. `fadds(acc, acc, operand)`).
 [[nodiscard]] inline bool dsd_identical(Dsd a, Dsd b) noexcept {
-  return a.base == b.base && a.length == b.length && a.stride == b.stride;
+  return a.base == b.base && a.length == b.length;
 }
 
 /// The hazardous case: operands overlap but are not exactly aliased.

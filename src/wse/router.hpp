@@ -6,6 +6,7 @@
 #include <array>
 #include <limits>
 
+#include "common/assert.hpp"
 #include "wse/route.hpp"
 
 namespace fvf::wse {
@@ -77,8 +78,23 @@ class alignas(64) Router {
   }
   /// Next value of this location's event birth-sequence counter. Lives
   /// here (not in a side array) so stamping a birth key touches the
-  /// router line the pushed event's route was just resolved from.
-  [[nodiscard]] u64 next_birth_seq() noexcept { return birth_seq_++; }
+  /// router line the pushed event's route was just resolved from. The
+  /// counter is the low half of an EventQueue key, so it fails rather
+  /// than wraps (a wrapped value would repeat an earlier birth key).
+  [[nodiscard]] u32 next_birth_seq() {
+    FVF_REQUIRE_MSG(birth_seq_ < kMaxBirthSeq,
+                    "Router: event birth counter exhausted after "
+                        << birth_seq_ << " events born at one location");
+    return birth_seq_++;
+  }
+
+  /// Blocks parked in this router's input buffer (backpressure), over
+  /// every color; after the run, the blocks stranded here. Kept on the
+  /// router's first cache line so a control wavelet finds "nothing
+  /// parked here" without a lookup.
+  [[nodiscard]] u32 parked() const noexcept { return parked_; }
+  void add_parked(u32 blocks) noexcept { parked_ += blocks; }
+  void remove_parked(u32 blocks) noexcept { parked_ -= blocks; }
 
   [[nodiscard]] u64 traffic_out(Dir d) const noexcept {
     return traffic_out_[static_cast<usize>(d)];
@@ -99,13 +115,17 @@ class alignas(64) Router {
   static_assert((usize{1} << kPositionBits) == ColorConfig::kMaxPositions);
   static_assert(kPositionBits + RoutePool::kIdBits == 16);
 
-  // The route words, the pool pointer and the birth counter fill the
-  // first cache line: the event hot path resolves every block from it
-  // (the engine prefetches it for the next event). The link counters it
-  // bumps next and the load-time configure counts fill the second.
+  static constexpr u32 kMaxBirthSeq = std::numeric_limits<u32>::max();
+
+  // The route words, the pool pointer, the birth counter and the parked
+  // count fill the first cache line: the event hot path resolves every
+  // block from it (the engine prefetches it for the next event). The
+  // link counters it bumps next and the load-time configure counts fill
+  // the second.
   std::array<u16, Color::kMaxColors> routes_{};
   RoutePool* pool_;
-  u64 birth_seq_ = 0;
+  u32 birth_seq_ = 0;
+  u32 parked_ = 0;
   std::array<u64, kLinkCount> traffic_out_{};
   std::array<u8, Color::kMaxColors> configure_count_{};
 };

@@ -19,16 +19,17 @@
 namespace fvf {
 namespace {
 
-// A router's host state is its 24 route words, per-link traffic counters
-// and saturating one-byte configure counts, in two cache lines; switch
-// tables live once per fabric (wse::RoutePool) and per-color traffic is
-// counted fabric-wide.
+// A router's host state is its 24 route words, u32 birth counter and
+// parked-block count, per-link traffic counters and saturating one-byte
+// configure counts, in two cache lines; switch tables live once per
+// fabric (wse::RoutePool) and per-color traffic is counted fabric-wide.
 static_assert(sizeof(wse::Router) == 128);
 // A PE's host state: clocks, program pointer, memory ledger, counters and
 // phase totals. Timeline spans live fabric-side, sized only when asked for.
 static_assert(sizeof(wse::Pe) <= 216);
-// A queued event's ordering key lives in the heap alone; its slot holds
-// the rest (wse::EventQueue).
+// A queued event's ordering key lives in the heap alone, as two u64 words
+// and a slot index; its slot holds the rest (wse::EventQueue).
+static_assert(sizeof(wse::EventQueue::Key) <= 24);
 static_assert(sizeof(wse::EventBody) <= 32);
 // A PE's engine, kernel block pointer included, stays in one 304-byte
 // malloc chunk (a 256x256 load holds 65,536 of them).

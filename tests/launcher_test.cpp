@@ -171,6 +171,8 @@ TEST(RunRecordTest, AccumulateStatesARuleForEveryField) {
   a.hazards = {"hazard one"};
   a.event_queue_high_water = 50;
   a.payload_arena_bytes = 4096;
+  a.windows_stepped = 12;
+  a.payloads_rehomed = 3;
 
   RunInfo b;
   b.device_seconds = 0.5;
@@ -193,10 +195,13 @@ TEST(RunRecordTest, AccumulateStatesARuleForEveryField) {
   b.hazards = {"hazard two", "hazard three"};
   b.event_queue_high_water = 70;
   b.payload_arena_bytes = 1024;
+  b.windows_stepped = 8;
+  b.payloads_rehomed = 5;
 
   accumulate(a, b);
   // Summed: times, counters, traffic, events, faults, trace and error
-  // counts, and PE completions (one per PE per launch).
+  // counts, PE completions (one per PE per launch) and the engine's
+  // window and re-homing counts.
   EXPECT_EQ(a.device_seconds, 1.5);
   EXPECT_EQ(a.makespan_cycles, 15.0);
   EXPECT_EQ(a.counters.fmul, 5u);
@@ -213,6 +218,8 @@ TEST(RunRecordTest, AccumulateStatesARuleForEveryField) {
   EXPECT_EQ(a.errors_suppressed, 1u);
   EXPECT_EQ(a.hazards_total, 3u);
   EXPECT_EQ(a.hazards_suppressed, 0u);
+  EXPECT_EQ(a.windows_stepped, 20u);
+  EXPECT_EQ(a.payloads_rehomed, 8u);
   // Max: the PE footprint, and the host figures, because each launch
   // frees its event queues and payload arenas when it ends.
   EXPECT_EQ(a.max_pe_memory, 100u);

@@ -3,6 +3,11 @@
 // and the timing model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <random>
+#include <set>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -798,6 +803,199 @@ TEST(FabricTest, DeterministicAcrossRuns) {
   const auto b = run_once();
   EXPECT_EQ(a.first, b.first);
   EXPECT_EQ(a.second, b.second);
+}
+
+// --- stranded and overflowing router buffers --------------------------------
+
+/// Every PE of a 4x3 fabric sends one data block east on each of two
+/// colors. A router accepts only its own Ramp on either color, so every
+/// block that reaches a neighbor parks there for good. With
+/// `buffer_depth` 1 the second color's block overflows instead.
+RunReport run_stranding_fabric(i32 threads, u32 buffer_depth) {
+  ExecutionOptions exec;
+  exec.threads = threads;
+  exec.router_buffer_depth = buffer_depth;
+  Fabric fabric(4, 3, FabricTimings{}, PeMemory::kDefaultBudget, exec);
+  fabric.load([](Coord2 coord, Coord2) {
+    auto prog = std::make_unique<ScriptProgram>();
+    prog->coord = coord;
+    prog->configure = [](Router& router, Coord2) {
+      router.configure(kC0, ColorConfig({position(Dir::Ramp, {Dir::East})}));
+      router.configure(kC1, ColorConfig({position(Dir::Ramp, {Dir::East})}));
+    };
+    prog->start = [coord](PeApi& api) {
+      const std::vector<f32> block{static_cast<f32>(coord.x + 10 * coord.y)};
+      api.send(kC0, block);
+      api.send(kC1, block);
+      api.signal_done();
+    };
+    return prog;
+  });
+  return fabric.run();
+}
+
+TEST(FabricTest, StrandedBlocksAreReportedInPeOrderOnEveryTiling) {
+  const std::string expected =
+      "9 wavelet block(s) stranded in router input buffers (switch never "
+      "advanced to accept them): [PE(1,0) color 0 from W data pos 0] "
+      "[PE(2,0) color 0 from W data pos 0] [PE(3,0) color 0 from W "
+      "data pos 0] [PE(1,1) color 0 from W data pos 0] [PE(2,1) color 0 "
+      "from W data pos 0] [PE(3,1) color 0 from W data pos 0] [PE(1,2) "
+      "color 0 from W data pos 0] [PE(2,2) color 0 from W data pos 0]";
+  for (const i32 threads : {1, 3}) {
+    const RunReport report = run_stranding_fabric(threads, 1);
+    ASSERT_FALSE(report.errors.empty());
+    EXPECT_EQ(report.errors.back(), expected) << "threads " << threads;
+  }
+}
+
+TEST(FabricTest, BufferOverflowMessageIsIdenticalOnEveryTiling) {
+  std::vector<std::string> serial;
+  for (const i32 threads : {1, 3}) {
+    const RunReport report = run_stranding_fabric(threads, 1);
+    if (threads == 1) {
+      serial = report.errors;
+      continue;
+    }
+    EXPECT_EQ(report.errors, serial) << "threads " << threads;
+  }
+  ASSERT_FALSE(serial.empty());
+  EXPECT_EQ(serial.front(),
+            "router input buffer overflow at PE (1,0): 1 blocks waiting, "
+            "dropped data block on color 1 from W");
+  EXPECT_EQ(run_stranding_fabric(1, 2).errors.front().substr(0, 3), "18 ");
+}
+
+// --- event queue ------------------------------------------------------------
+
+/// The order the queue must reproduce: a stable sort by event_before.
+std::vector<Event> sorted_by_event_before(std::vector<Event> events) {
+  std::sort(events.begin(), events.end(), event_before);
+  return events;
+}
+
+/// Events with heavy time ties, `src` up to UINT32_MAX, `seq` up to
+/// 2^32 - 1 and times 0.0 and -0.0; (src, seq) pairs are unique, as the
+/// engine's birth keys are. `timer_tag` numbers each event.
+std::vector<Event> tied_events(usize count, u64 seed) {
+  constexpr u64 kMax32 = std::numeric_limits<u32>::max();
+  const f64 times[] = {0.0, -0.0, 1.0, 1.0 + 1e-9, 64.0, 1e12,
+                       std::numeric_limits<f64>::infinity()};
+  const u64 edge_fields[] = {0, 1, kMax32 - 1, kMax32, u64{1} << 31};
+  std::mt19937_64 rng(seed);
+  const auto field = [&] {
+    return rng() % 2 == 0 ? edge_fields[rng() % std::size(edge_fields)]
+                          : rng() % (kMax32 + 1);
+  };
+  std::set<std::pair<u64, u64>> keys;
+  std::vector<Event> events;
+  while (events.size() < count) {
+    const u64 src = field();
+    const u64 seq = field();
+    if (!keys.emplace(src, seq).second) {
+      continue;
+    }
+    Event e;
+    e.time = times[rng() % std::size(times)];
+    e.src = static_cast<i64>(src);
+    e.seq = seq;
+    e.x = static_cast<i32>(rng() % 1000);
+    e.timer_tag = static_cast<u32>(events.size());
+    events.push_back(e);
+  }
+  return events;
+}
+
+/// Same key and same body (the body travels with its key).
+void expect_same_event(const Event& got, const Event& want, usize at) {
+  EXPECT_EQ(got.time, want.time) << "pop " << at;
+  EXPECT_FALSE(std::signbit(got.time)) << "pop " << at << ": -0.0 kept";
+  EXPECT_EQ(got.src, want.src) << "pop " << at;
+  EXPECT_EQ(got.seq, want.seq) << "pop " << at;
+  EXPECT_EQ(got.timer_tag, want.timer_tag) << "pop " << at;
+  EXPECT_EQ(got.x, want.x) << "pop " << at;
+}
+
+TEST(EventQueueTest, PopsInEventBeforeOrder) {
+  for (const u64 seed : {1u, 2u, 3u}) {
+    const std::vector<Event> events = tied_events(4000, seed);
+    EventQueue queue;
+    for (const Event& e : events) {
+      queue.push(e);
+    }
+    const std::vector<Event> want = sorted_by_event_before(events);
+    for (usize i = 0; i < want.size(); ++i) {
+      ASSERT_FALSE(queue.empty());
+      EXPECT_EQ(queue.top_time(), want[i].time);
+      expect_same_event(queue.pop(), want[i], i);
+    }
+    EXPECT_TRUE(queue.empty());
+    EXPECT_EQ(queue.high_water(), events.size());
+  }
+}
+
+TEST(EventQueueTest, InterleavedPushAndPopMatchTheSortedReference) {
+  const std::vector<Event> events = tied_events(6000, 7);
+  std::mt19937_64 rng(11);
+  EventQueue queue;
+  std::vector<Event> reference;
+  usize next = 0;
+  usize pops = 0;
+  while (next < events.size() || !reference.empty()) {
+    const bool push = next < events.size() &&
+                      (reference.empty() || rng() % 3 != 0);
+    if (push) {
+      queue.push(events[next]);
+      reference.push_back(events[next]);
+      ++next;
+      continue;
+    }
+    const auto least =
+        std::min_element(reference.begin(), reference.end(), event_before);
+    expect_same_event(queue.pop(), *least, pops++);
+    reference.erase(least);
+  }
+  EXPECT_TRUE(queue.empty());
+}
+
+TEST(EventQueueTest, KeysItCannotHoldAreNamedFailures) {
+  const auto push_fails = [](Event e, std::string_view what) {
+    EventQueue queue;
+    try {
+      queue.push(e);
+    } catch (const ContractViolation& error) {
+      return std::string(error.what()).find(what) != std::string::npos;
+    }
+    return false;
+  };
+  Event seq_too_wide;
+  seq_too_wide.seq = u64{1} << 32;
+  EXPECT_TRUE(push_fails(seq_too_wide, "exceeds 32 bits"));
+  Event src_too_wide;
+  src_too_wide.src = i64{1} << 32;
+  EXPECT_TRUE(push_fails(src_too_wide, "exceeds 32 bits"));
+  Event src_negative;
+  src_negative.src = -1;
+  EXPECT_TRUE(push_fails(src_negative, "exceeds 32 bits"));
+  Event time_negative;
+  time_negative.time = -1.0;
+  EXPECT_TRUE(push_fails(time_negative, "negative or NaN"));
+  Event time_nan;
+  time_nan.time = std::numeric_limits<f64>::quiet_NaN();
+  EXPECT_TRUE(push_fails(time_nan, "negative or NaN"));
+
+  // The widest keys it can hold are accepted and round-trip.
+  Event widest;
+  widest.src = std::numeric_limits<u32>::max();
+  widest.seq = std::numeric_limits<u32>::max();
+  widest.time = -0.0;
+  EventQueue queue;
+  queue.push(widest);
+  const Event out = queue.pop();
+  EXPECT_EQ(out.src, widest.src);
+  EXPECT_EQ(out.seq, widest.seq);
+  EXPECT_EQ(out.time, 0.0);
+  EXPECT_FALSE(std::signbit(out.time));
 }
 
 }  // namespace
