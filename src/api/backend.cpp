@@ -32,10 +32,8 @@ Backend parse_backend(std::string_view value) {
       return backend;
     }
   }
-  FVF_REQUIRE_MSG(false, "unknown backend '" << value
-                                             << "' (registered backends: "
-                                             << backend_name_list() << ")");
-  return Backend::Wse;  // unreachable
+  FVF_FAIL("unknown backend '" << value << "' (registered backends: "
+                                << backend_name_list() << ")");
 }
 
 }  // namespace fvf::api

@@ -4,7 +4,7 @@
 ///        by spec::execute). Every CLI that accepts --backend resolves
 ///        the value here, so an unknown spelling is rejected loudly with
 ///        the real inventory — the same contract
-///        dataflow::parse_program_flag enforces for --program.
+///        api::parse_program_flag enforces for --program.
 #pragma once
 
 #include <string>

@@ -6,6 +6,7 @@
 
 #include "api/api.hpp"
 #include "common/assert.hpp"
+#include "common/cli.hpp"
 #include "common/hash.hpp"
 #include "common/timer.hpp"
 #include "core/cg_program.hpp"
@@ -235,12 +236,11 @@ FieldEquationResult run_heat(const FieldEquationSpec& spec, Backend backend,
 
 constexpr SpecFactory kTpfaSpecs[] = {[] { return core::make_tpfa_spec({}); }};
 constexpr SpecFactory kCgSpecs[] = {core::make_cg_spec};
-constexpr SpecFactory kTransportSpecs[] = {
-    [] { return core::make_transport_spec({}); }};
+constexpr SpecFactory kTransportSpecs[] = {core::make_transport_spec};
 constexpr SpecFactory kWaveSpecs[] = {core::make_wave_spec};
-constexpr SpecFactory kImpesSpecs[] = {
-    core::make_cg_spec, [] { return core::make_transport_spec({}); }};
-constexpr SpecFactory kHeatSpecs[] = {[] { return spec::make_heat_spec({}); }};
+constexpr SpecFactory kImpesSpecs[] = {core::make_cg_spec,
+                                       core::make_transport_spec};
+constexpr SpecFactory kHeatSpecs[] = {spec::make_heat_spec};
 
 constexpr Kernel kTable[] = {
     {.name = "tpfa",
@@ -302,6 +302,16 @@ std::string kernel_name_list(std::string_view separator) {
     list += kernel.name;
   }
   return list;
+}
+
+const Kernel& parse_program_flag(const CliParser& cli) {
+  const std::string program = cli.get_string("program", "");
+  const Kernel* kernel = find_kernel(program);
+  if (kernel == nullptr) {
+    FVF_FAIL("unknown --program '" << program << "' (registered kernels: "
+                                   << kernel_name_list(", ") << ")");
+  }
+  return *kernel;
 }
 
 physics::FlowProblem canonical_problem(const Kernel& kernel, Extents3 extents,

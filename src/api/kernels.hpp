@@ -4,8 +4,9 @@
 ///        problem and scenario are written down.
 ///
 /// `api::run_field_equation`, the fvf::serve executor and request parser,
-/// `fvf_spec`, `fvf_lint`, the backend-matrix bench and the tests all
-/// read this table, so a kernel added here shows up everywhere at once.
+/// `fvf_spec`, `fvf_lint` (through `parse_program_flag` and `specs`), the
+/// backend-matrix bench and the tests all read this table, so a kernel
+/// added here shows up everywhere at once.
 /// Each entry's `run` executes the kernel's canonical scenario on either
 /// backend from inputs the caller provides: `run_field_equation` builds
 /// fresh ones, fvf::serve hands over its content-hash caches, its fault
@@ -23,6 +24,10 @@
 #include "dataflow/run_info.hpp"
 #include "physics/problem.hpp"
 #include "spec/stencil_spec.hpp"
+
+namespace fvf {
+class CliParser;
+}  // namespace fvf
 
 namespace fvf::core {
 class FabricImpesSimulator;
@@ -112,6 +117,11 @@ struct Kernel {
 
 /// "tpfa|cg|transport|..." — for usage strings and error messages.
 [[nodiscard]] std::string kernel_name_list(std::string_view separator = "|");
+
+/// The entry a tool's `--program` flag names. Throws ContractViolation
+/// naming the value (empty when the flag is absent) and listing every
+/// kernel of the table — never silently defaults.
+[[nodiscard]] const Kernel& parse_program_flag(const CliParser& cli);
 
 /// Builds `kernel`'s canonical problem (`kernel.problem` != None).
 [[nodiscard]] physics::FlowProblem canonical_problem(const Kernel& kernel,

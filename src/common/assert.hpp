@@ -2,8 +2,9 @@
 /// \brief Contract-checking macros (Core Guidelines I.6 / E.12 style).
 ///
 /// FVF_REQUIRE checks preconditions in every build type and throws
-/// fvf::ContractViolation on failure; FVF_ASSERT checks internal
-/// invariants and is compiled out in NDEBUG builds.
+/// fvf::ContractViolation on failure; FVF_FAIL throws the same failure
+/// unconditionally; FVF_ASSERT checks internal invariants and is
+/// compiled out in NDEBUG builds.
 #pragma once
 
 #include <sstream>
@@ -51,6 +52,16 @@ namespace detail {
       ::fvf::detail::contract_failure("precondition", #expr, __FILE__,        \
                                       __LINE__, fvf_require_os_.str());       \
     }                                                                         \
+  } while (false)
+
+/// The failure FVF_REQUIRE_MSG(false, msg) throws, on a path the compiler
+/// knows does not return.
+#define FVF_FAIL(msg)                                                         \
+  do {                                                                        \
+    std::ostringstream fvf_fail_os_;                                          \
+    fvf_fail_os_ << msg;                                                      \
+    ::fvf::detail::contract_failure("precondition", "false", __FILE__,        \
+                                    __LINE__, fvf_fail_os_.str());            \
   } while (false)
 
 #ifdef NDEBUG

@@ -203,7 +203,7 @@ class TransportKernel final : public spec::StencilKernel {
 
 }  // namespace
 
-spec::StencilSpec make_transport_spec(const TransportKernelOptions&) {
+spec::StencilSpec make_transport_spec() {
   spec::StencilSpec s;
   s.name = "transport";
   s.exchange = spec::ExchangeKind::StaticHalo;
@@ -237,7 +237,7 @@ spec::Launch transport_launch(const physics::FlowProblem& problem,
   FVF_REQUIRE(well_rate.extents() == ext);
   // Locals are captured by value: the probe factory the harness keeps
   // must stay valid after the caller's frame returns.
-  return {make_transport_spec(kernel), ext,
+  return {make_transport_spec(), ext,
           [&problem, &saturation, &pressure, &well_rate,
            kernel](Coord2 coord) {
             return std::make_unique<TransportKernel>(

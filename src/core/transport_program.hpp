@@ -88,8 +88,7 @@ struct TransportKernelOptions {
 /// The declarative description of the transport program: the [S | p]
 /// static-halo exchange, the fabric-wide dt MIN-reduction, and the
 /// complete ordered per-PE memory layout.
-[[nodiscard]] spec::StencilSpec make_transport_spec(
-    const TransportKernelOptions& options);
+[[nodiscard]] spec::StencilSpec make_transport_spec();
 
 /// The advanced state of a transport window, from either driver.
 struct TransportFields {

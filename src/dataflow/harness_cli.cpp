@@ -1,33 +1,12 @@
 #include "dataflow/harness_cli.hpp"
 
-#include <algorithm>
 #include <ostream>
-#include <sstream>
 #include <string>
 
 #include "common/assert.hpp"
 #include "common/cli.hpp"
 
 namespace fvf::dataflow {
-
-std::string parse_program_flag(const CliParser& cli,
-                               std::string_view fallback,
-                               std::span<const std::string> known,
-                               std::span<const std::string_view> extra) {
-  const std::string program =
-      cli.get_string("program", std::string(fallback));
-  if (std::find(known.begin(), known.end(), program) != known.end() ||
-      std::find(extra.begin(), extra.end(), program) != extra.end()) {
-    return program;
-  }
-  std::ostringstream names;
-  for (usize i = 0; i < known.size(); ++i) {
-    names << (i == 0 ? "" : ", ") << known[i];
-  }
-  FVF_REQUIRE_MSG(false, "unknown --program '"
-                             << program << "' (registered kernels: "
-                             << names.str() << ")");
-}
 
 void apply_verification_flags(HarnessOptions& options, const CliParser& cli) {
   options.execution.hazard_check = cli.has("hazard-check");
@@ -39,8 +18,8 @@ void apply_verification_flags(HarnessOptions& options, const CliParser& cli) {
   } else if (level == "strict") {
     options.lint = lint::Level::Strict;
   } else {
-    FVF_REQUIRE_MSG(false, "unknown --lint level '"
-                               << level << "' (expected off|warn|strict)");
+    FVF_FAIL("unknown --lint level '" << level
+                                      << "' (expected off|warn|strict)");
   }
 }
 

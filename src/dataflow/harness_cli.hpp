@@ -16,9 +16,6 @@
 #pragma once
 
 #include <iosfwd>
-#include <span>
-#include <string>
-#include <string_view>
 
 #include "dataflow/run_info.hpp"
 
@@ -31,15 +28,6 @@ namespace fvf::dataflow {
 /// Applies `--lint` and `--hazard-check` to `options`. Throws
 /// ContractViolation when `--lint` names an unknown level.
 void apply_verification_flags(HarnessOptions& options, const CliParser& cli);
-
-/// Reads `--program` (using `fallback` when the flag is absent) and
-/// validates it against `known`. Throws ContractViolation naming the
-/// unknown value and listing every registered kernel — never silently
-/// defaults. `extra` admits tool-specific pseudo-programs ("all").
-[[nodiscard]] std::string parse_program_flag(
-    const CliParser& cli, std::string_view fallback,
-    std::span<const std::string> known,
-    std::span<const std::string_view> extra = {});
 
 /// Prints the run's hazard findings to `out`: one line per recorded
 /// hazard plus a suppression note, or a "clean" line when the detector

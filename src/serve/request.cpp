@@ -120,10 +120,8 @@ Priority parse_priority(const std::string& value) {
   if (value == "background" || value == "low") {
     return Priority::Background;
   }
-  FVF_REQUIRE_MSG(false, "unknown priority '"
-                             << value
-                             << "' (expected interactive|batch|background)");
-  return Priority::Batch;  // unreachable
+  FVF_FAIL("unknown priority '"
+           << value << "' (expected interactive|batch|background)");
 }
 
 BackendChoice parse_backend_choice(const std::string& value) {
@@ -136,10 +134,8 @@ BackendChoice parse_backend_choice(const std::string& value) {
   if (value == api::backend_name(api::Backend::Gpusim)) {
     return BackendChoice::Gpusim;
   }
-  FVF_REQUIRE_MSG(false, "unknown backend '" << value << "' (expected auto|"
-                                             << api::backend_name_list()
-                                             << ")");
-  return BackendChoice::Auto;  // unreachable
+  FVF_FAIL("unknown backend '" << value << "' (expected auto|"
+                                << api::backend_name_list() << ")");
 }
 
 lint::Level parse_lint(const std::string& value) {
@@ -152,9 +148,8 @@ lint::Level parse_lint(const std::string& value) {
   if (value == "strict") {
     return lint::Level::Strict;
   }
-  FVF_REQUIRE_MSG(false, "unknown lint level '" << value
-                                                << "' (expected off|warn|strict)");
-  return lint::Level::Off;  // unreachable
+  FVF_FAIL("unknown lint level '" << value
+                                   << "' (expected off|warn|strict)");
 }
 
 /// Canonical float spelling: shortest round-trippable decimal via %.17g
@@ -267,7 +262,7 @@ ScenarioRequest parse_request(std::string_view line) {
     } else if (key == "checkpoint_every") {
       request.checkpoint_every = parse_i32(key, value);
     } else {
-      FVF_REQUIRE_MSG(false, "unknown request field '" << key << "'");
+      FVF_FAIL("unknown request field '" << key << "'");
     }
   }
   // Defaults resolve only once parsing is complete: the program token

@@ -98,8 +98,7 @@ class FieldMap {
         return v;
       }
     }
-    FVF_REQUIRE_MSG(false, "run-info field '" << key << "' is missing");
-    return fields_.front().second;  // unreachable
+    FVF_FAIL("run-info field '" << key << "' is missing");
   }
 
   [[nodiscard]] u64 get_u64(const std::string& key) const {

@@ -93,7 +93,7 @@ class HeatKernel final : public StencilKernel {
 
 }  // namespace
 
-StencilSpec make_heat_spec(const HeatKernelOptions&) {
+StencilSpec make_heat_spec() {
   StencilSpec s;
   s.name = "heat";
   s.exchange = ExchangeKind::StaticHalo;
@@ -113,7 +113,7 @@ StencilSpec make_heat_spec(const HeatKernelOptions&) {
 Launch heat_launch(const Array3<f32>& field, const HeatKernelOptions& kernel) {
   // Locals are captured by value: the probe factory the harness keeps
   // must stay valid after the caller's frame returns.
-  return {make_heat_spec(kernel), field.extents(),
+  return {make_heat_spec(), field.extents(),
           [&field, kernel](Coord2 coord) {
             const i32 nz = field.extents().nz;
             std::vector<f32> column(static_cast<usize>(nz));

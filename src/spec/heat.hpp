@@ -40,7 +40,7 @@ inline constexpr f32 kHeatDiagonalWeight = 1.0f / 6.0f;
 }
 
 /// The declarative description of the heat program.
-[[nodiscard]] StencilSpec make_heat_spec(const HeatKernelOptions& options);
+[[nodiscard]] StencilSpec make_heat_spec();
 
 /// The diffused field of a heat run, from either driver.
 struct HeatFields {

@@ -62,4 +62,16 @@ void record_verified(const CompiledSpec& compiled, Extents3 extents,
   memo().insert(key);
 }
 
+lint::Report lint_report(StencilSpec spec, Extents3 extents,
+                         const dataflow::HarnessOptions& options) {
+  const bool reliable = detail::reliable(spec, options);
+  dataflow::HarnessOptions unchecked = options;
+  unchecked.lint = lint::Level::Off;
+  const Load<> load = detail::load_compiled<SpecPeProgram>(
+      std::make_shared<const CompiledSpec>(compile(std::move(spec))), extents,
+      [](Coord2) { return std::unique_ptr<StencilKernel>(); }, unchecked,
+      reliable);
+  return load.harness->lint_report();
+}
+
 }  // namespace fvf::spec

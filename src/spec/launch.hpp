@@ -24,6 +24,10 @@
 /// budget + router depth + reliability: two launches with equal keys
 /// lower to identical colors, routes, handlers, and memory reservations,
 /// so one strict pass proves both.
+///
+/// `spec::lint_report` is the other load of a spec: the same lowering
+/// with the gate off and no kernels, returning the full lint report
+/// instead of enforcing it.
 #pragma once
 
 #include <memory>
@@ -68,26 +72,26 @@ struct Load final : KernelGrid {
 void record_verified(const CompiledSpec& compiled, Extents3 extents,
                      const dataflow::HarnessOptions& effective, bool reliable);
 
-/// Compiles the launch's spec and loads it onto its fabric without
-/// running the event engine — the fvf_lint entry point, and the first
-/// half of spec::run. The halo reliability layer of a StaticHalo launch
-/// is HarnessOptions::reliability, forced on under bit flips: corrupted
-/// blocks are dropped, and the implicit-FIFO halo protocol cannot survive
-/// a drop. Every PE runs a `Program` (SpecPeProgram or a facade with its
-/// constructor) around the launch's kernel, with the one compile of the
-/// launch and the colors claimed for it.
-template <typename Program = SpecPeProgram>
-[[nodiscard]] Load<Program> load(Launch launch,
-                                 const dataflow::HarnessOptions& options) {
-  const bool reliable =
-      launch.spec.exchange == ExchangeKind::StaticHalo &&
-      (options.reliability || options.execution.fault.bit_flip_rate > 0.0);
-  const Extents3 ext = launch.extents;
-  const auto compiled =
-      std::make_shared<const CompiledSpec>(compile(std::move(launch.spec)));
-  const dataflow::HarnessOptions effective =
-      verified_options(*compiled, ext, options, reliable);
+namespace detail {
 
+/// Whether a launch of `spec` under `options` runs the halo reliability
+/// layer: HarnessOptions::reliability, forced on under bit flips for a
+/// StaticHalo exchange — corrupted blocks are dropped, and the
+/// implicit-FIFO halo protocol cannot survive a drop.
+[[nodiscard]] inline bool reliable(const StencilSpec& spec,
+                                   const dataflow::HarnessOptions& options) {
+  return spec.exchange == ExchangeKind::StaticHalo &&
+         (options.reliability || options.execution.fault.bit_flip_rate > 0.0);
+}
+
+/// The lowering every load of one compiled spec shares: the harness under
+/// `effective`, the spec's color claims, and a `Program` on every PE
+/// around the kernel `make_kernel` builds for it.
+template <typename Program>
+[[nodiscard]] Load<Program> load_compiled(
+    std::shared_ptr<const CompiledSpec> compiled, Extents3 ext,
+    KernelFactory make_kernel, const dataflow::HarnessOptions& effective,
+    bool reliable) {
   Load<Program> load;
   load.nz = ext.nz;
   load.harness = std::make_unique<dataflow::FabricHarness>(
@@ -96,14 +100,43 @@ template <typename Program = SpecPeProgram>
       compiled->claim_colors(load.harness->colors(), reliable).reduce,
       reliable};
   load.grid = load.harness->template load<Program>(
-      [make_kernel = std::move(launch.make_kernel), compiled, bindings,
+      [make_kernel = std::move(make_kernel), compiled, bindings,
        nz = ext.nz](Coord2 coord, Coord2 fabric_size) {
         return std::make_unique<Program>(coord, fabric_size, nz, compiled,
                                          bindings, make_kernel(coord));
       });
+  return load;
+}
+
+}  // namespace detail
+
+/// Compiles the launch's spec and loads it onto its fabric without
+/// running the event engine — the first half of spec::run. The halo
+/// reliability layer is detail::reliable. Every PE runs a `Program`
+/// (SpecPeProgram or a facade with its constructor) around the launch's
+/// kernel, with the one compile of the launch and the colors claimed for
+/// it.
+template <typename Program = SpecPeProgram>
+[[nodiscard]] Load<Program> load(Launch launch,
+                                 const dataflow::HarnessOptions& options) {
+  const bool reliable = detail::reliable(launch.spec, options);
+  const Extents3 ext = launch.extents;
+  const auto compiled =
+      std::make_shared<const CompiledSpec>(compile(std::move(launch.spec)));
+  const dataflow::HarnessOptions effective =
+      verified_options(*compiled, ext, options, reliable);
+  Load<Program> load = detail::load_compiled<Program>(
+      compiled, ext, std::move(launch.make_kernel), effective, reliable);
   record_verified(*compiled, ext, effective, reliable);
   return load;
 }
+
+/// The full fvf::lint report of `spec` on an `extents` fabric under
+/// `options`, enforcing nothing — the `fvf_lint` entry point. It lowers
+/// the spec as spec::load does, with no lint gate and no kernels: the
+/// linter reads only what the compiled spec declares.
+[[nodiscard]] lint::Report lint_report(StencilSpec spec, Extents3 extents,
+                                       const dataflow::HarnessOptions& options);
 
 /// Loads `launch` onto the fabric, runs the event engine to quiescence
 /// and gathers its result fields — the wse half of every kernel's run.

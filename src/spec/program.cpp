@@ -41,18 +41,17 @@ RoundOutcome StencilKernel::start(PeCompute&) {
   return RoundOutcome{RoundAction::Continue};
 }
 std::span<const f32> StencilKernel::begin_round(PeCompute&) {
-  FVF_REQUIRE_MSG(false, "StencilKernel::begin_round not implemented");
+  FVF_FAIL("StencilKernel::begin_round not implemented");
 }
 void StencilKernel::on_block(PeCompute&, mesh::Face, Dsd) {
-  FVF_REQUIRE_MSG(false, "StencilKernel::on_block not implemented");
+  FVF_FAIL("StencilKernel::on_block not implemented");
 }
 RoundOutcome StencilKernel::on_round_complete(PeCompute&,
                                               const FaceBlocks&) {
-  FVF_REQUIRE_MSG(false,
-                  "StencilKernel::on_round_complete not implemented");
+  FVF_FAIL("StencilKernel::on_round_complete not implemented");
 }
 RoundOutcome StencilKernel::on_reduced(PeCompute&, f32) {
-  FVF_REQUIRE_MSG(false, "StencilKernel::on_reduced not implemented");
+  FVF_FAIL("StencilKernel::on_reduced not implemented");
 }
 
 SpecPeProgram::SpecPeProgram(Coord2 coord, Coord2 fabric_size, i32 nz,
@@ -197,11 +196,9 @@ void SpecPeProgram::on_data(PeApi& api, Color color, Dir from,
       }
       break;
   }
-  FVF_REQUIRE_MSG(false, "PE(" << coord_.x << ',' << coord_.y
-                               << ") received data on color "
-                               << static_cast<int>(color.id())
-                               << " with no handler, exchange or allreduce "
-                                  "bound to it");
+  FVF_FAIL("PE(" << coord_.x << ',' << coord_.y << ") received data on color "
+                 << static_cast<int>(color.id())
+                 << " with no handler, exchange or allreduce bound to it");
 }
 
 void SpecPeProgram::on_control(PeApi& api, Color color, Dir) {

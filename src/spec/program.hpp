@@ -57,7 +57,7 @@ class SpecPeProgram : public wse::PeProgram {
 
   /// `compiled` is shared by every PE of a load (one compile per
   /// launch, not per PE). `kernel` may be null only for programs that are
-  /// linted but never run (the defect corpus fixtures).
+  /// linted but never run (spec::lint_report, the defect corpus fixtures).
   SpecPeProgram(Coord2 coord, Coord2 fabric_size, i32 nz,
                 std::shared_ptr<const CompiledSpec> compiled,
                 LaunchBindings bindings, std::unique_ptr<StencilKernel> kernel);

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "api/kernels.hpp"
 #include "common/assert.hpp"
 #include "common/thread_pool.hpp"
 #include "core/cg_program.hpp"
@@ -29,9 +30,11 @@
 #include "lint/defects.hpp"
 #include "lint/lint.hpp"
 #include "lint/routing_index.hpp"
+#include "obs/json.hpp"
 #include "physics/problem.hpp"
 #include "spec/compile.hpp"
 #include "spec/heat.hpp"
+#include "spec/launch.hpp"
 #include "spec/program.hpp"
 #include "tools/fvf_lint_cli.hpp"
 #include "wse/program.hpp"
@@ -640,23 +643,52 @@ TEST(LintCliTest, JsonDefectCarriesTypedFields) {
 }
 
 TEST(LintCliTest, IdenticalMemoryFindingsAggregateIntoOne) {
-  // TPFA at the paper's depth declares 49,112 of the 49,152 budget bytes
-  // on every PE: one near-limit warning for the 100 PEs, not 100.
+  // At the paper's depth TPFA declares 49,112 and transport 44,440 of the
+  // 49,152 budget bytes on every PE: one near-limit warning for the 100
+  // PEs, not 100. The CLI lints each spec without kernels and must print
+  // exactly the report of the kernel-bearing load.
   const physics::FlowProblem problem =
       physics::make_benchmark_problem(Extents3{10, 10, 246}, 7);
-  const core::TpfaLoad load =
+  const Array3<f32> zeros(problem.extents(), 0.0f);
+  const core::TpfaLoad tpfa =
       core::load_dataflow_tpfa(problem, core::DataflowOptions{});
-  const Report report = load.harness->lint_report();
-  ASSERT_EQ(report.diagnostics.size(), 1u) << report.describe();
-  const Diagnostic& d = report.diagnostics.front();
-  EXPECT_EQ(d.check, Check::MemoryNearLimit);
-  EXPECT_EQ(d.pe.x, 0);
-  EXPECT_EQ(d.pe.y, 0);
-  EXPECT_EQ(d.count, 100u);
-  EXPECT_EQ(report.describe(),
-            "warning[memory-near-limit] PE(0,0) declares 49112 bytes of "
-            "static PE memory, 99% of the 49152-byte budget (and 99 more "
-            "PEs with the same declaration)\n");
+  const spec::Load<> transport = spec::load(
+      core::transport_launch(problem, zeros, problem.initial_pressure(),
+                             zeros,
+                             {.window_seconds = 60.0, .pore_volume = 1.0f}),
+      dataflow::HarnessOptions{});
+  struct Case {
+    std::string name;
+    Report report;
+    std::string message;
+  };
+  const Case cases[] = {
+      {"tpfa", tpfa.harness->lint_report(),
+       "PE(0,0) declares 49112 bytes of static PE memory, 99% of the "
+       "49152-byte budget (and 99 more PEs with the same declaration)"},
+      {"transport", transport.harness->lint_report(),
+       "PE(0,0) declares 44440 bytes of static PE memory, 90% of the "
+       "49152-byte budget (and 99 more PEs with the same declaration)"},
+  };
+  for (const Case& c : cases) {
+    ASSERT_EQ(c.report.diagnostics.size(), 1u)
+        << c.name << "\n" << c.report.describe();
+    const Diagnostic& d = c.report.diagnostics.front();
+    EXPECT_EQ(d.check, Check::MemoryNearLimit) << c.name;
+    EXPECT_EQ(d.pe.x, 0);
+    EXPECT_EQ(d.pe.y, 0);
+    EXPECT_EQ(d.count, 100u) << c.name;
+    EXPECT_EQ(c.report.describe(),
+              "warning[memory-near-limit] " + c.message + "\n");
+
+    const CliRun run = run_cli({"--program", c.name.c_str(), "--nx", "10",
+                                "--ny", "10", "--nz", "246"});
+    EXPECT_EQ(run.code, 1) << c.name;  // a warning fails --lint strict
+    EXPECT_EQ(run.out, "program " + c.name +
+                           " (10x10x246): 0 error(s), 1 warning(s)\n" +
+                           c.report.describe());
+    EXPECT_EQ(run.err, "") << c.name;
+  }
 
   const CliRun run = run_cli({"--program", "tpfa", "--nx", "10", "--ny",
                               "10", "--nz", "246", "--json"});
@@ -667,6 +699,40 @@ TEST(LintCliTest, IdenticalMemoryFindingsAggregateIntoOne) {
             std::string::npos)
       << run.out;
   EXPECT_NE(run.out.find("\"count\": 100"), std::string::npos) << run.out;
+}
+
+TEST(LintCliTest, OverBudgetProgramPrintsItsReportAndExitsOne) {
+  // TPFA at nz=300 declares 58,400 bytes per PE. The strict load gate
+  // refuses such a program, but the CLI must still print the whole
+  // report, in both modes, and leave stderr empty.
+  const std::vector<const char*> args = {"--program", "tpfa", "--nx", "4",
+                                         "--ny", "4", "--nz", "300"};
+  const CliRun text = run_cli(args);
+  EXPECT_EQ(text.code, 1) << text.out << text.err;
+  EXPECT_EQ(text.out.rfind("program tpfa (4x4x300): 16 error(s), 0 "
+                           "warning(s)\n",
+                           0),
+            0u)
+      << text.out;
+  EXPECT_EQ(text.err, "");
+
+  std::vector<const char*> json_args = args;
+  json_args.push_back("--json");
+  const CliRun json = run_cli(json_args);
+  EXPECT_EQ(json.code, 1) << json.out << json.err;
+  EXPECT_EQ(json.err, "");
+  const obs::JsonValue doc = obs::parse_json(json.out);
+  const obs::JsonValue* programs = doc.find("programs");
+  ASSERT_TRUE(programs != nullptr && programs->is_array()) << json.out;
+  ASSERT_EQ(programs->array.size(), 1u);
+  const obs::JsonValue* diagnostics = programs->array[0].find("diagnostics");
+  ASSERT_TRUE(diagnostics != nullptr && diagnostics->is_array());
+  ASSERT_EQ(diagnostics->array.size(), 16u);
+  for (const obs::JsonValue& diagnostic : diagnostics->array) {
+    const obs::JsonValue* check = diagnostic.find("check");
+    ASSERT_NE(check, nullptr);
+    EXPECT_EQ(check->string, "memory-over-budget");
+  }
 }
 
 TEST(LintCliTest, JsonProgramModeListsCleanPrograms) {
@@ -681,18 +747,25 @@ TEST(LintCliTest, JsonProgramModeListsCleanPrograms) {
 }
 
 TEST(LintCliTest, ShippedProgramsExitZero) {
-  const CliRun run = run_cli({"--program", "all", "--nx", "3", "--ny", "3",
-                              "--nz", "2"});
-  EXPECT_EQ(run.code, 0) << run.out << run.err;
-  // All six table kernels must lint clean under the default strict
-  // level — including the flow analyses (buffer bounds, wait-for,
-  // determinism), which run as part of the full report.
-  for (const char* name :
-       {"tpfa", "cg", "transport", "wave", "impes", "heat"}) {
-    EXPECT_NE(run.out.find(std::string("program ") + name +
-                           " (3x3x2): clean"),
-              std::string::npos)
-      << name << "\n" << run.out;
+  // Every table kernel must lint clean under the default strict level —
+  // including the flow analyses (buffer bounds, wait-for, determinism),
+  // which run as part of the full report — with and without the halo
+  // reliability layer's NACK routes.
+  for (const bool reliability : {false, true}) {
+    std::vector<const char*> args = {"--program", "all", "--nx", "3",
+                                     "--ny", "3", "--nz", "2"};
+    if (reliability) {
+      args.push_back("--reliability");
+    }
+    const CliRun run = run_cli(args);
+    EXPECT_EQ(run.code, 0) << run.out << run.err;
+    for (const api::Kernel& kernel : api::kernels()) {
+      EXPECT_NE(run.out.find("program " + std::string(kernel.name) +
+                             " (3x3x2): clean"),
+                std::string::npos)
+          << kernel.name << " reliability=" << reliability << "\n"
+          << run.out;
+    }
   }
 }
 

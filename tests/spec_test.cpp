@@ -30,7 +30,6 @@
 #include "physics/problem.hpp"
 #include "serve/cache.hpp"
 #include "spec/compile.hpp"
-#include "api/kernels.hpp"
 #include "spec/heat.hpp"
 #include "spec/program.hpp"
 #include "tools/fvf_spec_cli.hpp"
@@ -345,9 +344,9 @@ TEST(SpecDeclarationGoldenTest, StaticSurfaceMatchesGolden) {
   for (const bool reliability : {false, true}) {
     actual += render_declarations("cg", core::make_cg_spec(), reliability);
     actual += render_declarations("wave", core::make_wave_spec(), reliability);
-    actual += render_declarations("transport", core::make_transport_spec({}),
+    actual += render_declarations("transport", core::make_transport_spec(),
                                   reliability);
-    actual += render_declarations("heat", spec::make_heat_spec({}),
+    actual += render_declarations("heat", spec::make_heat_spec(),
                                   reliability);
   }
 
@@ -430,15 +429,6 @@ TEST(SpecCliTest, DumpPlanPrintsTheLoweringSummary) {
   EXPECT_NE(run.out.find("spec 'tpfa'"), std::string::npos) << run.out;
   EXPECT_NE(run.out.find("tpfa cardinal exchange"), std::string::npos);
   EXPECT_NE(run.out.find("shape digest"), std::string::npos);
-}
-
-TEST(SpecCliTest, LintExitsZeroOnEverySpecKernel) {
-  for (const api::Kernel& kernel : api::kernels()) {
-    const std::string name(kernel.name);
-    const CliRun run = run_spec_cli({"--lint", "--program", name.c_str()});
-    EXPECT_EQ(run.code, 0) << name << ": " << run.out << run.err;
-    EXPECT_NE(run.out.find("clean"), std::string::npos) << run.out;
-  }
 }
 
 TEST(SpecCliTest, UnknownProgramIsRejectedWithTheInventory) {

@@ -2,108 +2,44 @@
 
 #include <algorithm>
 #include <ostream>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "api/kernels.hpp"
-#include "common/assert.hpp"
 #include "common/cli.hpp"
-#include "core/cg_program.hpp"
-#include "core/launcher.hpp"
-#include "core/linear_stencil.hpp"
-#include "core/transport_program.hpp"
-#include "core/wave_program.hpp"
-#include "dataflow/harness_cli.hpp"
 #include "lint/defects.hpp"
 #include "lint/lint.hpp"
-#include "physics/problem.hpp"
-#include "spec/heat.hpp"
+#include "spec/launch.hpp"
 
 namespace fvf::tools {
 
 namespace {
 
-constexpr const char* kUsage =
-    "usage: fvf_lint [--program all|tpfa|cg|transport|wave|impes|heat]\n"
-    "                [--nx N --ny N --nz N] [--lint warn|strict]\n"
-    "                [--reliability] [--seed S] [--json]\n"
-    "       fvf_lint --defect-corpus\n"
-    "       fvf_lint --defect <name> [--json]\n";
+[[nodiscard]] std::string usage() {
+  return "usage: fvf_lint [--program all|" + api::kernel_name_list() +
+         "]\n"
+         "                [--nx N --ny N --nz N] [--lint warn|strict]\n"
+         "                [--reliability] [--json]\n"
+         "       fvf_lint --defect-corpus\n"
+         "       fvf_lint --defect <name> [--json]\n";
+}
 
 struct LintJob {
-  std::string name;
+  std::string_view name;
   lint::Report report;
 };
 
-/// The inputs the CLI's kernel launches read; they outlive every load.
-struct Fixture {
-  physics::FlowProblem problem;
-  core::LinearStencil stencil;
-  Array3<f32> ones;
-  Array3<f32> zeros;
-  Array3<f32> pulse;
-  Array3<f32> heat;
-
-  Fixture(Extents3 extents, u64 seed)
-      : problem([&] {
-          physics::ProblemSpec spec;
-          spec.extents = extents;
-          spec.spacing = mesh::Spacing3{25.0, 25.0, 4.0};
-          spec.geomodel = physics::GeomodelKind::Lognormal;
-          spec.seed = seed;
-          return physics::FlowProblem(spec);
-        }()),
-        stencil(core::build_linear_stencil(problem, 86400.0)),
-        ones(extents, 1.0f),
-        zeros(extents, 0.0f),
-        pulse(core::gaussian_pulse(extents, 1.0, 2.0)),
-        heat(spec::heat_initial_field(extents, 7)) {}
-};
-
-/// The launches each shipped kernel makes, in launch order (IMPES: the CG
-/// pressure solve, then the transport window on the same fabric).
-[[nodiscard]] std::vector<spec::Launch> kernel_launches(const Fixture& fx,
-                                                        std::string_view name) {
-  const auto transport = [&] {
-    return core::transport_launch(
-        fx.problem, fx.zeros, fx.problem.initial_pressure(), fx.zeros,
-        {.window_seconds = 60.0, .pore_volume = 1.0f});
-  };
-  if (name == "tpfa") {
-    return {core::tpfa_launch(fx.problem, {})};
-  }
-  if (name == "cg") {
-    return {core::cg_launch(fx.stencil, fx.ones, {})};
-  }
-  if (name == "transport") {
-    return {transport()};
-  }
-  if (name == "wave") {
-    return {core::wave_launch(fx.stencil, fx.pulse, {})};
-  }
-  if (name == "impes") {
-    return {core::cg_launch(fx.stencil, fx.ones, {}), transport()};
-  }
-  if (name == "heat") {
-    return {spec::heat_launch(fx.heat, {})};
-  }
-  FVF_REQUIRE_MSG(false, "kernel '" << name << "' has no lint fixture");
-  return {};
-}
-
-/// The load half of the launch pipeline (colors claimed, routers
-/// configured, programs bound) for each of a kernel's launches, then the
-/// full static verifier via FabricHarness::lint_report, in one report.
-[[nodiscard]] lint::Report lint_kernel(const Fixture& fx,
-                                       std::string_view name,
-                                       bool reliability) {
+/// Every spec the kernel launches, in launch order, loaded without
+/// kernels onto an `extents` fabric and linted in full, in one report.
+[[nodiscard]] lint::Report lint_kernel(const api::Kernel& kernel,
+                                       Extents3 extents, bool reliability) {
   dataflow::HarnessOptions options;
   options.reliability = reliability;
   lint::Report combined;
-  for (spec::Launch& launch : kernel_launches(fx, name)) {
-    lint::Report report =
-        spec::load(std::move(launch), options).harness->lint_report();
+  for (const api::SpecFactory make : kernel.specs) {
+    lint::Report report = spec::lint_report(make(), extents, options);
     combined.diagnostics.insert(
         combined.diagnostics.end(),
         std::make_move_iterator(report.diagnostics.begin()),
@@ -252,7 +188,7 @@ int fvf_lint_cli(int argc, const char* const* argv, std::ostream& out,
   try {
     const CliParser cli(argc, argv);
     if (cli.has("help")) {
-      out << kUsage;
+      out << usage();
       return 0;
     }
     if (cli.has("defect-corpus")) {
@@ -269,34 +205,28 @@ int fvf_lint_cli(int argc, const char* const* argv, std::ostream& out,
       level = lint::Level::Warn;
     } else if (level_name != "strict") {
       err << "fvf_lint: unknown --lint level '" << level_name << "'\n"
-          << kUsage;
+          << usage();
       return 2;
     }
 
-    std::vector<std::string> known;
-    for (const api::Kernel& kernel : api::kernels()) {
-      known.emplace_back(kernel.name);
-    }
-    constexpr std::string_view kAll[] = {"all"};
-    const std::string program =
-        dataflow::parse_program_flag(cli, "all", known, kAll);
-    const std::vector<std::string> selected =
-        program == "all" ? known : std::vector<std::string>{program};
+    const std::span<const api::Kernel> selected =
+        cli.get_string("program", "all") == "all"
+            ? api::kernels()
+            : std::span<const api::Kernel>(&api::parse_program_flag(cli), 1);
 
     const Extents3 extents{static_cast<i32>(cli.get_int("nx", 6)),
                            static_cast<i32>(cli.get_int("ny", 5)),
                            static_cast<i32>(cli.get_int("nz", 4))};
     if (extents.nx < 1 || extents.ny < 1 || extents.nz < 1) {
-      err << "fvf_lint: extents must be positive\n" << kUsage;
+      err << "fvf_lint: extents must be positive\n" << usage();
       return 2;
     }
-    const u64 seed = static_cast<u64>(cli.get_int("seed", 42));
     const bool reliability = cli.has("reliability");
-    const Fixture fx(extents, seed);
 
     std::vector<LintJob> jobs;
-    for (const std::string& name : selected) {
-      jobs.push_back(LintJob{name, lint_kernel(fx, name, reliability)});
+    for (const api::Kernel& kernel : selected) {
+      jobs.push_back(
+          LintJob{kernel.name, lint_kernel(kernel, extents, reliability)});
     }
 
     usize errors = 0;

@@ -5,19 +5,19 @@
 ///
 /// Usage:
 ///
-///   fvf_lint [--program all|tpfa|cg|transport|wave|impes]
-///            [--nx N --ny N --nz N] [--lint warn|strict]
-///            [--reliability] [--seed S]
+///   fvf_lint [--program all|<kernel>] [--nx N --ny N --nz N]
+///            [--lint warn|strict] [--reliability] [--json]
 ///   fvf_lint --defect-corpus
-///   fvf_lint --defect <name>
+///   fvf_lint --defect <name> [--json]
 ///
-/// The first form constructs the named shipped dataflow program(s) on a
-/// seeded benchmark problem, loads (but does not run) the fabric, and
-/// lints it. `--reliability` enables the halo ack/retransmit layer so
-/// the NACK color routes are verified too. The second form is the
-/// linter's self-check: every seeded defect fixture must trip exactly
-/// its diagnostic class. The third lints a single corpus fixture with
-/// normal reporting, for exit-code tests.
+/// The first form lints every spec the named kernel(s) of api::kernels()
+/// launch: each is compiled, its colors claimed and its programs loaded
+/// without kernels (spec::lint_report), so what a kernel computes never
+/// changes the report. `--reliability` enables the halo ack/retransmit
+/// layer so the NACK color routes are verified too. The second form is
+/// the linter's self-check: every seeded defect fixture must trip
+/// exactly its diagnostic class. The third lints a single corpus fixture
+/// with normal reporting, for exit-code tests.
 ///
 /// Exit codes (mirroring bench_compare): 0 verification clean (or, for
 /// --defect-corpus, every fixture behaved), 1 findings (with --lint

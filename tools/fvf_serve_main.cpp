@@ -1,7 +1,7 @@
 // fvf_serve — scenario-service front-end of the simulator.
 //
-// Reads scenario request lines (request.hpp grammar: `program=cg nx=8
-// seed=7 threads=4 ...`, one request per line, `#` comments) from
+// Reads scenario request lines (request.hpp grammar: `program=<kernel>
+// nx=8 seed=7 threads=4 ...`, one request per line, `#` comments) from
 // --requests <file> and/or positional arguments, submits all of them to
 // a ScenarioService, waits for every response, and prints one status
 // line per request plus machine-readable service stats.
@@ -99,7 +99,7 @@ int main(int argc, const char** argv) {
                    "       [--backend auto|" << api::backend_name_list()
                 << "]\n"
                    "       [--stats-json out.json] [--print-responses]\n"
-                   "       [\"program=cg nx=8 seed=7\" ...]\n";
+                   "       [\"program=<kernel> nx=8 seed=7\" ...]\n";
       return 2;
     }
 

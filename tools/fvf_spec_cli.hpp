@@ -8,10 +8,9 @@
 
 namespace fvf::tools {
 
-/// Runs the fvf_spec CLI: `--list-kernels`, `--dump-plan --program X`,
-/// `--lint --program X [--nx --ny --nz] [--reliability]`.
-/// Exit codes: 0 ok / lint clean, 1 lint findings, 2 usage error or
-/// unknown kernel.
+/// Runs the fvf_spec CLI: `--list-kernels` or `--dump-plan --program X`.
+/// Exit codes: 0 ok, 2 usage error or unknown kernel. `fvf_lint
+/// --program X` lints the same specs.
 int fvf_spec_cli(int argc, const char* const* argv, std::ostream& out,
                  std::ostream& err);
 
