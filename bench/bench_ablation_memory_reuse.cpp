@@ -5,16 +5,27 @@
 // PE — the paper's "largest possible problem".
 #include "bench/bench_common.hpp"
 #include "core/tpfa_program.hpp"
+#include "spec/compile.hpp"
 
 namespace fvf::bench {
 namespace {
 
-i32 max_depth(bool reuse) {
+/// The TPFA spec with or without buffer reuse.
+spec::CompiledSpec tpfa_spec(bool reuse) {
+  core::TpfaKernelOptions options;
+  options.reuse_buffers = reuse;
+  return spec::compile(core::make_tpfa_spec(options));
+}
+
+/// Bytes the spec declares per PE at depth `nz`, code included.
+usize footprint(const spec::CompiledSpec& tpfa, i32 nz) {
+  return tpfa.data_footprint_bytes(nz) + tpfa.code_footprint_bytes();
+}
+
+i32 max_depth(const spec::CompiledSpec& tpfa) {
   i32 best = 0;
   for (i32 nz = 1; nz <= 512; ++nz) {
-    if (core::TpfaPeProgram::data_footprint_bytes(nz, reuse) +
-            core::TpfaPeProgram::kCodeFootprintBytes <=
-        wse::PeMemory::kDefaultBudget) {
+    if (footprint(tpfa, nz) <= wse::PeMemory::kDefaultBudget) {
       best = nz;
     }
   }
@@ -27,26 +38,24 @@ int run(int argc, const char** argv) {
 
   print_header("Ablation: PE-memory buffer reuse (Section 5.3.1)");
 
-  TextTable footprint({"Nz", "footprint w/ reuse", "footprint w/o reuse",
-                       "fits 48 KiB (reuse / no reuse)"});
+  const spec::CompiledSpec reused = tpfa_spec(true);
+  const spec::CompiledSpec unreused = tpfa_spec(false);
+  TextTable table({"Nz", "footprint w/ reuse", "footprint w/o reuse",
+                   "fits 48 KiB (reuse / no reuse)"});
   for (const i32 nz : {32, 64, 128, 202, 203, 246, 247}) {
-    const usize with =
-        core::TpfaPeProgram::data_footprint_bytes(nz, true) +
-        core::TpfaPeProgram::kCodeFootprintBytes;
-    const usize without =
-        core::TpfaPeProgram::data_footprint_bytes(nz, false) +
-        core::TpfaPeProgram::kCodeFootprintBytes;
+    const usize with = footprint(reused, nz);
+    const usize without = footprint(unreused, nz);
     const auto fits = [](usize b) {
       return b <= wse::PeMemory::kDefaultBudget ? "yes" : "NO";
     };
-    footprint.add_row({std::to_string(nz), format_bytes(with),
-                       format_bytes(without),
-                       std::string(fits(with)) + " / " + fits(without)});
+    table.add_row({std::to_string(nz), format_bytes(with),
+                   format_bytes(without),
+                   std::string(fits(with)) + " / " + fits(without)});
   }
-  std::cout << footprint.render();
+  std::cout << table.render();
 
-  const i32 depth_reuse = max_depth(true);
-  const i32 depth_no_reuse = max_depth(false);
+  const i32 depth_reuse = max_depth(reused);
+  const i32 depth_no_reuse = max_depth(unreused);
   std::cout << "Maximum column depth: " << depth_reuse
             << " with reuse (paper's largest mesh: Nz = 246), "
             << depth_no_reuse << " without ("

@@ -168,8 +168,7 @@ spec::StencilSpec make_cg_spec() {
 spec::Launch cg_launch(const LinearStencil& stencil, const Array3<f32>& rhs,
                        const CgKernelOptions& kernel) {
   FVF_REQUIRE(rhs.extents() == stencil.extents);
-  // Locals are captured by value: the probe factory the harness keeps
-  // must stay valid after the caller's frame returns.
+  // Locals are captured by value: the launch outlives this call.
   return {make_cg_spec(), stencil.extents,
           [&stencil, &rhs, kernel](Coord2 coord) {
             std::vector<f32> b(static_cast<usize>(rhs.extents().nz));

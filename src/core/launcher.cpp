@@ -63,8 +63,7 @@ PeColumnData extract_column(const physics::FlowProblem& problem, i32 x,
 spec::Launch tpfa_launch(const physics::FlowProblem& problem,
                          const TpfaKernelOptions& kernel) {
   FVF_REQUIRE(kernel.iterations >= 1);
-  // Locals are captured by value: the probe factory the harness keeps
-  // must stay valid after the caller's frame returns.
+  // Locals are captured by value: the launch outlives this call.
   return {make_tpfa_spec(kernel), problem.extents(),
           [&problem, kernel, fluid = problem.fluid()](Coord2 coord) {
             return make_tpfa_kernel(coord, problem.extents(), kernel, fluid,

@@ -38,8 +38,7 @@ using DataflowResult = spec::Result<TpfaFields, dataflow::RunInfo>;
                                           i32 x, i32 y);
 
 /// The launch of `kernel.iterations` applications of Algorithm 1 on
-/// `problem`. The referenced FlowProblem must outlive every driver call
-/// (the lint probe factory extracts columns from it on demand).
+/// `problem`. The referenced FlowProblem must outlive every driver call.
 [[nodiscard]] spec::Launch tpfa_launch(const physics::FlowProblem& problem,
                                        const TpfaKernelOptions& kernel);
 

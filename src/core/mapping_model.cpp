@@ -9,7 +9,7 @@ MappingCost cell_based_cost(i32 nx, i32 ny, i32 nz) {
   // The TPFA program's resident data: p/rho/r, own + 8 neighbor
   // elevations, 10 transmissibility columns, 8 receive buffers of 2 Nz,
   // 4 scratch columns, 1 vertical-flux column = 43 Nz words (see
-  // TpfaPeProgram::data_footprint_bytes).
+  // spec::compile(make_tpfa_spec(o)).data_footprint_bytes(nz)).
   cost.words_per_pe = 43 * static_cast<i64>(nz);
   // Each interior PE drains 8 blocks x 2 Nz words per iteration.
   cost.fabric_words_per_iteration = cost.pes * 16 * static_cast<i64>(nz);

@@ -362,18 +362,4 @@ std::span<const f32> TpfaPeProgram::pressure() const {
   return tpfa_pressure(kernel());
 }
 
-usize TpfaPeProgram::data_footprint_bytes(i32 nz, bool reuse_buffers) {
-  const usize n = static_cast<usize>(nz);
-  usize words = 0;
-  words += 3 * n;                      // p, rho, r
-  words += n;                          // own elevations
-  words += 8 * n;                      // 8 neighbor elevation columns
-  words += mesh::kFaceCount * n;       // 10 transmissibility columns
-  words += 4 * 2 * n;                  // 4 cardinal receive buffers
-  words += 4 * 2 * n;                  // 4 diagonal receive buffers
-  words += (reuse_buffers ? 4 : 13) * n;  // scratch columns
-  words += n;                          // vertical-face flux column
-  return words * sizeof(f32);
-}
-
 }  // namespace fvf::core

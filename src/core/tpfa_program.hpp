@@ -155,11 +155,6 @@ class TpfaPeProgram final : public spec::SpecPeProgram {
     return completed_rounds();
   }
 
-  /// Accounting-only footprint of the program's data in PE memory (bytes)
-  /// for a given depth and buffer-reuse mode, excluding the fixed code
-  /// footprint. Equals compile(make_tpfa_spec(...)).data_footprint_bytes.
-  [[nodiscard]] static usize data_footprint_bytes(i32 nz, bool reuse_buffers);
-
   /// Reserved bytes modeling program code + runtime structures. Sized so
   /// that, with buffer reuse enabled, the deepest column fitting in the
   /// default 48 KiB PE memory is Nz = 246 — the paper's maximum.

@@ -235,8 +235,7 @@ spec::Launch transport_launch(const physics::FlowProblem& problem,
   FVF_REQUIRE(saturation.extents() == ext);
   FVF_REQUIRE(pressure.extents() == ext);
   FVF_REQUIRE(well_rate.extents() == ext);
-  // Locals are captured by value: the probe factory the harness keeps
-  // must stay valid after the caller's frame returns.
+  // Locals are captured by value: the launch outlives this call.
   return {make_transport_spec(), ext,
           [&problem, &saturation, &pressure, &well_rate,
            kernel](Coord2 coord) {

@@ -94,8 +94,7 @@ spec::Launch wave_launch(const LinearStencil& stencil,
                          const Array3<f32>& initial,
                          const WaveKernelOptions& kernel) {
   FVF_REQUIRE(initial.extents() == stencil.extents);
-  // Locals are captured by value: the probe factory the harness keeps
-  // must stay valid after the caller's frame returns.
+  // Locals are captured by value: the launch outlives this call.
   return {make_wave_spec(), stencil.extents,
           [&stencil, &initial, kernel](Coord2 coord) {
             // A standing start: u at t-1 equals the initial field.

@@ -42,12 +42,9 @@ lint::Options FabricHarness::lint_options(bool full) const {
   options.check_reconfiguration = full;
   // Flow analyses (buffer bounds, cross-color deadlock, determinism)
   // compare against the loaded fabric's own router_buffer_depth
-  // (router_buffer_depth = 0 in lint::Options).
+  // (router_buffer_depth = 0 in lint::Options), and the memory check
+  // against each PE's own budget (memory_budget = 0).
   options.check_flow = full;
-  options.memory_budget = options_.pe_memory_budget;
-  if (full) {
-    options.probe_factory = probe_factory_;
-  }
   options.color_claimed = [this](wse::Color c) { return colors_.claimed(c); };
   options.color_map = [this] { return colors_.describe(); };
   options.color_label = [this](wse::Color c) {
@@ -89,7 +86,7 @@ void FabricHarness::verify_load() const {
 }
 
 lint::Report FabricHarness::lint_report() const {
-  FVF_REQUIRE_MSG(probe_factory_ != nullptr,
+  FVF_REQUIRE_MSG(fabric_.pe(0, 0).program() != nullptr,
                   "FabricHarness::lint_report requires a prior load()");
   return lint::run(fabric_, lint_options(/*full=*/true));
 }

@@ -87,13 +87,10 @@ class FabricHarness {
   /// color map; Strict additionally fails the load on any other
   /// error-severity finding, and Warn prints findings to stderr.
   ///
-  /// `make` must be copyable: the harness keeps it as the probe factory
-  /// so the lint memory check (and lint_report()) can construct fresh
-  /// program instances and measure their reserve_memory declarations.
-  /// It must also be callable concurrently: on a fabric of at least
-  /// wse::kParallelMinPes PEs with ExecutionOptions::threads > 1, the
-  /// load itself builds PE rows on several threads at once, and so does
-  /// the lint memory check. Every shipped factory reads only const
+  /// `make` is called only during the load, and must be callable
+  /// concurrently: on a fabric of at least wse::kParallelMinPes
+  /// PEs with ExecutionOptions::threads > 1, the load builds PE rows on
+  /// several threads at once. Every shipped factory reads only const
   /// captures.
   template <typename Program, typename MakeFn>
   ProgramGrid<Program> load(MakeFn&& make) {
@@ -107,16 +104,13 @@ class FabricHarness {
                      static_cast<usize>(coord.x)] = program.get();
       return program;
     });
-    probe_factory_ = [make](Coord2 coord, Coord2 fabric_size)
-        -> std::unique_ptr<wse::PeProgram> { return make(coord, fabric_size); };
     verify_load();
     return grid;
   }
 
   /// Runs the full static verifier over the loaded fabric and returns
   /// the report without enforcing it — the `fvf_lint` CLI path. Requires
-  /// a prior load(); the probe factory (and anything it references) must
-  /// still be alive.
+  /// a prior load().
   [[nodiscard]] lint::Report lint_report() const;
 
   /// Runs the event engine to quiescence, once per load (see
@@ -142,9 +136,6 @@ class FabricHarness {
   Coord2 extents_;
   HarnessOptions options_;
   ColorPlan colors_;
-  /// Type-erased copy of the last load()'s make function, used by the
-  /// lint memory check to probe per-PE reserve_memory declarations.
-  wse::ProgramFactory probe_factory_;
   /// Keep-latest recorder the harness attaches for Perfetto export when
   /// the caller asked for trace_json_path but supplied no recorder.
   std::unique_ptr<wse::TraceRecorder> owned_trace_;

@@ -37,6 +37,9 @@ void add(std::vector<Diagnostic>& found, Check check, Severity severity,
 /// measures the whole declaration.
 constexpr usize kProbeBudget = usize{1} << 40;
 
+/// Share of the byte budget at which memory-near-limit fires.
+constexpr f64 kMemoryWarnFraction = 0.9;
+
 /// A probe ledger that also writes each reservation as "'tag' bytes",
 /// comma-separated, for the over-budget diagnostic. Only the memory check
 /// builds one, and only for a PE already found over its budget.
@@ -66,10 +69,8 @@ class Linter {
   /// send findings, then the flow analyses, then memory.
   [[nodiscard]] Report run() {
     audit_claims();
-    const bool check_memory =
-        options_.check_memory && options_.probe_factory != nullptr;
     if (!options_.check_reconfiguration && !options_.check_routing &&
-        !options_.check_flow && !check_memory) {
+        !options_.check_flow && !options_.check_memory) {
       return std::move(report_);  // Level::Off: the claim audit alone
     }
     ThreadPool pool(fabric_.host_threads());
@@ -96,7 +97,7 @@ class Linter {
       flow.skip_colors = cyclic_colors_;
       detail::run_flow_checks(*index, flow, report_.diagnostics, pool);
     }
-    if (check_memory) {
+    if (options_.check_memory) {
       lint_memory(pool);
     }
     return std::move(report_);
@@ -412,8 +413,8 @@ class Linter {
   };
 
   /// Probes every PE's reserve_memory declaration, one fabric row per pool
-  /// task. A throwing probe factory fails the run with the first failure
-  /// in raster order, as a serial sweep would. Identical near-limit
+  /// task. A throwing probe fails the run with the first failure in raster
+  /// order, as a serial sweep would. Identical near-limit
   /// warnings (same footprint and budget) are reported once, at the first
   /// PE in raster order, with the count of PEs they stand for: a uniform
   /// program near its limit is one warning, not one per PE. Over-budget
@@ -470,15 +471,22 @@ class Linter {
   void probe_row(i32 y, std::vector<MemoryFinding>& found) const {
     const Coord2 size{fabric_.width(), fabric_.height()};
     for (i32 x = 0; x < fabric_.width(); ++x) {
+      const wse::PeProgram* program = fabric_.pe(x, y).program();
+      std::unique_ptr<wse::PeProgram> built;
+      if (options_.probe_factory != nullptr) {
+        built = options_.probe_factory(Coord2{x, y}, size);
+        FVF_REQUIRE_MSG(built != nullptr,
+                        "lint probe factory returned no program for PE("
+                            << x << ',' << y << ")");
+        program = built.get();
+      }
+      if (program == nullptr) {
+        continue;  // an unloaded PE declares nothing
+      }
       // Probe ledger with an effectively unlimited budget: the point is
       // to *measure* the declaration, not to fail at the first excess
       // reserve (PeMemory throws on its own budget).
       wse::PeMemory probe(kProbeBudget);
-      const std::unique_ptr<wse::PeProgram> program =
-          options_.probe_factory(Coord2{x, y}, size);
-      FVF_REQUIRE_MSG(program != nullptr,
-                      "lint probe factory returned no program for PE("
-                          << x << ',' << y << ")");
       program->reserve_memory(probe);
       const usize used = probe.used();
       const usize budget = options_.memory_budget != 0
@@ -496,7 +504,7 @@ class Linter {
         found.push_back({Check::MemoryOverBudget, Severity::Error,
                          Coord2{x, y}, os.str()});
       } else if (static_cast<f64>(used) >=
-                 options_.memory_warn_fraction * static_cast<f64>(budget)) {
+                 kMemoryWarnFraction * static_cast<f64>(budget)) {
         std::ostringstream os;
         os << "declares " << used << " bytes of static PE memory, "
            << static_cast<int>(100.0 * static_cast<f64>(used) /

@@ -8,9 +8,9 @@
 /// first allocation, and both only surface mid-run (or never). fvf::lint
 /// walks the loaded-but-unexecuted fabric — router switch configurations,
 /// PeProgram color bindings (handles_color), declared sends
-/// (send_declarations), and declared memory footprints (reserve_memory on
-/// probe instances) — and reports typed diagnostics with PE coordinates and
-/// color names, before a single event runs.
+/// (send_declarations), and declared memory footprints (reserve_memory) —
+/// and reports typed diagnostics with PE coordinates and color names,
+/// before a single event runs.
 ///
 /// Diagnostic catalogue (Check):
 ///
@@ -33,8 +33,8 @@
 ///                       program does not handle the color (handles_color)
 ///   memory-over-budget  the declared static footprint (reserve_memory)
 ///                       exceeds the PE byte budget
-///   memory-near-limit   (warning) the footprint is within the warn
-///                       fraction of the budget
+///   memory-near-limit   (warning) the footprint is at least 90% of the
+///                       budget
 ///
 /// Flow analyses (see lint/flow.hpp for the model):
 ///
@@ -115,7 +115,7 @@ struct Diagnostic {
 /// Lint configuration. The callbacks decouple fvf::lint from the dataflow
 /// layer above it: the ColorPlan supplies claim/naming context without a
 /// library dependency in that direction. lint::run spreads its per-color
-/// checks, flow walks and memory probes over the linted fabric's
+/// checks, flow walks and memory checks over the linted fabric's
 /// host_threads() (ExecutionOptions::threads from wse::kParallelMinPes
 /// PEs up; the report is identical either way), so the callbacks may be
 /// invoked from several threads at once and must be safe to call
@@ -124,7 +124,7 @@ struct Options {
   /// Routing-graph checks: cycles, dead-ends, unrouted sends, unhandled
   /// deliveries.
   bool check_routing = true;
-  /// Per-PE static memory verification (needs probe_factory).
+  /// Per-PE static memory verification.
   bool check_memory = true;
   /// Switch-position reconfiguration hazards.
   bool check_reconfiguration = true;
@@ -135,13 +135,11 @@ struct Options {
   /// against; 0 uses the loaded fabric's configured depth
   /// (ExecutionOptions::router_buffer_depth).
   u32 router_buffer_depth = 0;
-  /// Fraction of the byte budget at which memory-near-limit fires.
-  f64 memory_warn_fraction = 0.9;
   /// Budget override for the memory check; 0 uses each PE's own budget.
   usize memory_budget = 0;
-  /// Constructs a fresh program instance for a PE so its reserve_memory
-  /// declaration can be probed without touching the loaded fabric. The
-  /// memory check is skipped when null.
+  /// Optional override of the programs the memory check probes: when
+  /// set, the check builds a fresh program per PE with it and probes that
+  /// one. When null, it probes the loaded programs.
   wse::ProgramFactory probe_factory;
   /// Claim oracle (ColorPlan::claimed). The unclaimed-color audit is
   /// skipped when null.

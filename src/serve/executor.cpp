@@ -1,9 +1,11 @@
 #include "serve/executor.hpp"
 
 #include <bit>
+#include <charconv>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "api/api.hpp"
@@ -90,10 +92,34 @@ CheckpointPaths checkpoint_paths(const std::string& dir, u64 hash) {
                          base + "_pressure.fvf"};
 }
 
-/// Restores `state` from a complete checkpoint of exactly this scenario;
-/// returns false (leaving `state` untouched) when there is none.
+/// The integer `key` of checkpoint meta `path` (never its first line,
+/// which is the canonical content). A missing or malformed value, or one
+/// outside [lo, hi], fails naming the file and the field.
+i64 meta_integer(const std::string& meta, const std::string& path,
+                 const std::string& key, i64 lo, i64 hi) {
+  const std::string field = "checkpoint meta '" + path + "': field '" + key;
+  const usize at = meta.find('\n' + key + '=');
+  FVF_REQUIRE_MSG(at != std::string::npos, field << "' is missing");
+  const usize begin = at + key.size() + 2;
+  const std::string value = meta.substr(begin, meta.find('\n', begin) - begin);
+  i64 parsed = 0;
+  const char* end = value.data() + value.size();
+  const auto [stop, error] = std::from_chars(value.data(), end, parsed);
+  FVF_REQUIRE_MSG(error == std::errc{} && stop == end,
+                  field << "' has malformed value '" << value << "'");
+  FVF_REQUIRE_MSG(parsed >= lo && parsed <= hi,
+                  field << "' = " << parsed << " is outside [" << lo << ", "
+                        << hi << "]");
+  return parsed;
+}
+
+/// Restores `state` from a complete checkpoint of exactly this scenario
+/// of `windows` windows; returns false (leaving `state` untouched) when
+/// there is none. A checkpoint is saved only between windows, so its
+/// windows_done lies in [1, windows - 1]: any other value fails here
+/// rather than stepping past the last window.
 bool resume(const CheckpointPaths& paths, const std::string& canonical,
-            api::ImpesWindowState& state) {
+            i32 windows, api::ImpesWindowState& state) {
   std::ifstream meta_in(paths.meta);
   if (!meta_in.good()) {
     return false;
@@ -106,21 +132,20 @@ bool resume(const CheckpointPaths& paths, const std::string& canonical,
   if (meta.find("canonical=" + canonical + "\n") == std::string::npos) {
     return false;
   }
+  constexpr i64 kMax = std::numeric_limits<i64>::max();
+  const i64 windows_done =
+      meta_integer(meta, paths.meta, "windows_done", 1, windows - 1);
+  const i64 cg_iterations =
+      meta_integer(meta, paths.meta, "cg_iterations_total", 0, kMax);
+  const i64 transport_substeps =
+      meta_integer(meta, paths.meta, "transport_substeps_total", 0, kMax);
   const dataflow::RunInfo done = parse_run_info(meta);
   state.sim.restore_state(io::load_field(paths.saturation),
                           io::load_field(paths.pressure));
   state.fabric = done;
-  std::istringstream scalars(meta);
-  std::string line;
-  while (std::getline(scalars, line)) {
-    if (line.rfind("windows_done=", 0) == 0) {
-      state.windows_done = static_cast<i32>(std::stol(line.substr(13)));
-    } else if (line.rfind("cg_iterations_total=", 0) == 0) {
-      state.cg_iterations = std::stol(line.substr(20));
-    } else if (line.rfind("transport_substeps_total=", 0) == 0) {
-      state.transport_substeps = std::stol(line.substr(25));
-    }
-  }
+  state.windows_done = static_cast<i32>(windows_done);
+  state.cg_iterations = cg_iterations;
+  state.transport_substeps = transport_substeps;
   return true;
 }
 
@@ -268,7 +293,7 @@ std::function<bool(api::ImpesWindowState&)> ScenarioExecutor::impes_windows(
           &response](api::ImpesWindowState& state) {
     const i32 done = state.windows_done;
     if (done == 0) {
-      if (checkpointing && resume(paths, canonical, state)) {
+      if (checkpointing && resume(paths, canonical, windows, state)) {
         response.resumed = true;
         resumes_.fetch_add(1);
       }

@@ -61,7 +61,7 @@ class FixtureProgram final : public wse::PeProgram {
       spec_.configure(router);
     }
   }
-  void reserve_memory(wse::PeMemory&) override {}
+  void reserve_memory(wse::PeMemory&) const override {}
   [[nodiscard]] bool handles_color(Color, bool) const override {
     return spec_.handles;
   }
@@ -85,21 +85,16 @@ class FixtureProgram final : public wse::PeProgram {
 };
 
 /// Builds a width x height fabric whose PE programs come from `spec_of`,
-/// loads it, and hands it to `visit`. The probe factory re-invokes
-/// `spec_of`, so the memory check sees the same declarations the loaded
-/// programs made.
+/// loads it, and hands it to `visit`.
 [[nodiscard]] Report lint_fixture(
     const FixtureVisitor& visit, i32 width, i32 height,
     const std::function<FixtureSpec(Coord2)>& spec_of,
     const std::function<void(Options&)>& tweak = nullptr) {
   wse::Fabric fabric(width, height);
-  const wse::ProgramFactory factory =
-      [spec_of](Coord2 coord, Coord2) -> std::unique_ptr<wse::PeProgram> {
+  fabric.load([&spec_of](Coord2 coord, Coord2) {
     return std::make_unique<FixtureProgram>(spec_of(coord));
-  };
-  fabric.load(factory);
+  });
   Options options;
-  options.probe_factory = factory;
   if (tweak != nullptr) {
     tweak(options);
   }
@@ -117,16 +112,12 @@ class FixtureProgram final : public wse::PeProgram {
   const auto compiled = std::make_shared<const spec::CompiledSpec>(
       spec::compile(std::move(broken)));
   wse::Fabric fabric(width, height);
-  const wse::ProgramFactory factory =
-      [compiled, nz](Coord2 coord,
-                      Coord2 fabric_size) -> std::unique_ptr<wse::PeProgram> {
+  fabric.load([&compiled, nz](Coord2 coord, Coord2 fabric_size) {
     return std::make_unique<spec::SpecPeProgram>(
         coord, fabric_size, nz, compiled,
         spec::SpecPeProgram::LaunchBindings{}, nullptr);
-  };
-  fabric.load(factory);
+  });
   Options options;
-  options.probe_factory = factory;
   if (tweak != nullptr) {
     tweak(options);
   }

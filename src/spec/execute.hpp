@@ -57,8 +57,7 @@ using KernelFactory =
 /// A kernel's launch, described once for both drivers: the spec, the
 /// extents (an nx x ny PE grid, one PE per mesh column, of column depth
 /// nz) and the per-PE kernel factory. Whatever the factory references
-/// must outlive every driver call, and a fabric load as a whole (the
-/// lint probe factory builds kernels from it on demand).
+/// must outlive every driver call.
 struct Launch {
   StencilSpec spec;
   Extents3 extents{};

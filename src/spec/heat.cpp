@@ -111,8 +111,7 @@ StencilSpec make_heat_spec() {
 }
 
 Launch heat_launch(const Array3<f32>& field, const HeatKernelOptions& kernel) {
-  // Locals are captured by value: the probe factory the harness keeps
-  // must stay valid after the caller's frame returns.
+  // Locals are captured by value: the launch outlives this call.
   return {make_heat_spec(), field.extents(),
           [&field, kernel](Coord2 coord) {
             const i32 nz = field.extents().nz;

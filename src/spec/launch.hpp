@@ -42,9 +42,8 @@
 namespace fvf::spec {
 
 /// A loaded-but-not-run launch: the harness (for static lint or an
-/// actual run) plus the typed program grid. Whatever the launch's kernel
-/// factory references must outlive the load: the lint probe factory
-/// builds programs from it on demand.
+/// actual run) plus the typed program grid. It holds everything its
+/// programs need: the launch's kernel factory is not kept.
 template <typename Program = SpecPeProgram>
 struct Load final : KernelGrid {
   std::unique_ptr<dataflow::FabricHarness> harness;

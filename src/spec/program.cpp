@@ -268,7 +268,7 @@ obs::Phase SpecPeProgram::task_phase(Color color, bool control,
   return obs::Phase::LocalCompute;
 }
 
-void SpecPeProgram::reserve_memory(wse::PeMemory& mem) {
+void SpecPeProgram::reserve_memory(wse::PeMemory& mem) const {
   const usize n = static_cast<usize>(nz_);
   for (const FieldSpec& field : compiled_->spec().fields) {
     if (field.role == FieldRole::Code) {

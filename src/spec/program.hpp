@@ -73,7 +73,7 @@ class SpecPeProgram : public wse::PeProgram {
   // --- wse::PeProgram ----------------------------------------------------
   void configure_router(wse::Router& router) final;
   /// The spec's ordered memory layout, verbatim.
-  void reserve_memory(wse::PeMemory& mem) final;
+  void reserve_memory(wse::PeMemory& mem) const final;
   /// Reserves the footprint, then starts the first round.
   void on_start(wse::PeApi& api) final;
   void on_data(wse::PeApi& api, wse::Color color, wse::Dir from,

@@ -72,13 +72,12 @@ class PeProgram {
   virtual void configure_router(Router& router) = 0;
 
   /// Declares the program's static PE memory footprint into `mem`.
-  /// A program calls it from on_start (Fabric::run clears the PE's
-  /// ledger before the start events, so every run counts it once);
-  /// fvf::lint calls it on constructed-but-not-executed probe instances
-  /// to verify the footprint against the byte budget. Must not touch
-  /// fabric state (it only sees the memory ledger) and must declare the
-  /// same reservations each time it is called.
-  virtual void reserve_memory(PeMemory& mem);
+  /// A program calls it from on_start; fvf::lint calls it on the loaded,
+  /// not yet run programs, with ledgers of its own, to verify the
+  /// footprint against the byte budget. It only sees the ledger it is
+  /// handed and must declare the same reservations each time it is
+  /// called.
+  virtual void reserve_memory(PeMemory& mem) const;
 
   /// Whether a wavelet of `color` delivered to this PE's Ramp would find
   /// a task (data-block handler, or control handler when `control`).
@@ -135,7 +134,7 @@ class PeProgram {
                                               bool timer) const noexcept;
 };
 
-inline void PeProgram::reserve_memory(PeMemory&) {}
+inline void PeProgram::reserve_memory(PeMemory&) const {}
 inline bool PeProgram::handles_color(Color, bool) const { return true; }
 inline std::vector<SendDeclaration> PeProgram::send_declarations() const {
   return {};

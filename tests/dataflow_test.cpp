@@ -20,6 +20,7 @@
 #include "core/wave_program.hpp"
 #include "physics/problem.hpp"
 #include "physics/residual.hpp"
+#include "spec/compile.hpp"
 
 namespace fvf::core {
 
@@ -308,39 +309,37 @@ TEST(DataflowTrafficTest, CommOnlyIsFasterThanFull) {
 
 // --- memory accounting ---------------------------------------------------------
 
+/// Bytes the TPFA spec declares per PE at depth `nz`, code included.
+usize tpfa_footprint(i32 nz, bool reuse) {
+  TpfaKernelOptions options;
+  options.reuse_buffers = reuse;
+  const spec::CompiledSpec tpfa = spec::compile(make_tpfa_spec(options));
+  return tpfa.data_footprint_bytes(nz) + tpfa.code_footprint_bytes();
+}
+
 TEST(DataflowMemoryTest, FootprintFormulaMatchesReservation) {
   const physics::FlowProblem problem = make_problem(2, 2, 8, 47);
   DataflowOptions options;
   options.iterations = 1;
   const DataflowResult result = run_dataflow_tpfa(problem, options);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result.max_pe_memory,
-            TpfaPeProgram::data_footprint_bytes(8, true) +
-                TpfaPeProgram::kCodeFootprintBytes);
+  EXPECT_EQ(result.max_pe_memory, tpfa_footprint(8, true));
 }
 
 TEST(DataflowMemoryTest, MaxDepthWithReuseIs246) {
   // The paper's largest mesh is 750x994x246; with buffer reuse the
   // program must fit Nz=246 in 48 KiB and overflow at 247.
-  EXPECT_LE(TpfaPeProgram::data_footprint_bytes(246, true) +
-                TpfaPeProgram::kCodeFootprintBytes,
-            wse::PeMemory::kDefaultBudget);
-  EXPECT_GT(TpfaPeProgram::data_footprint_bytes(247, true) +
-                TpfaPeProgram::kCodeFootprintBytes,
-            wse::PeMemory::kDefaultBudget);
+  EXPECT_LE(tpfa_footprint(246, true), wse::PeMemory::kDefaultBudget);
+  EXPECT_GT(tpfa_footprint(247, true), wse::PeMemory::kDefaultBudget);
 }
 
 TEST(DataflowMemoryTest, NoReuseReducesMaxDepth) {
   i32 max_reuse = 0, max_no_reuse = 0;
   for (i32 nz = 1; nz < 400; ++nz) {
-    if (TpfaPeProgram::data_footprint_bytes(nz, true) +
-            TpfaPeProgram::kCodeFootprintBytes <=
-        wse::PeMemory::kDefaultBudget) {
+    if (tpfa_footprint(nz, true) <= wse::PeMemory::kDefaultBudget) {
       max_reuse = nz;
     }
-    if (TpfaPeProgram::data_footprint_bytes(nz, false) +
-            TpfaPeProgram::kCodeFootprintBytes <=
-        wse::PeMemory::kDefaultBudget) {
+    if (tpfa_footprint(nz, false) <= wse::PeMemory::kDefaultBudget) {
       max_no_reuse = nz;
     }
   }

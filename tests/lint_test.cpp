@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
@@ -310,6 +311,40 @@ TEST(LintShippedProgramsTest, WaveLintsClean) {
   EXPECT_TRUE(report.clean()) << report.describe();
 }
 
+TEST(LintShippedProgramsTest, StrictTpfaLoadBuildsOneKernelPerPe) {
+  // The memory check reads the loaded programs, so neither the strict
+  // load's lint nor a later lint_report() builds another kernel.
+  const physics::FlowProblem problem = small_problem();
+  spec::Launch launch = core::tpfa_launch(problem, core::TpfaKernelOptions{});
+  auto built = std::make_shared<std::atomic<i64>>(0);
+  launch.make_kernel = [inner = launch.make_kernel, built](Coord2 coord) {
+    built->fetch_add(1);
+    return inner(coord);
+  };
+  dataflow::HarnessOptions options;
+  options.lint = Level::Strict;
+  const core::TpfaLoad load =
+      spec::load<core::TpfaPeProgram>(std::move(launch), options);
+  const Extents3 ext = problem.extents();
+  EXPECT_EQ(built->load(), i64{ext.nx} * ext.ny);
+  const Report report = load.harness->lint_report();
+  EXPECT_TRUE(report.clean()) << report.describe();
+  EXPECT_EQ(built->load(), i64{ext.nx} * ext.ny);
+}
+
+TEST(LintShippedProgramsTest, LintReportOutlivesTheLaunchInputs) {
+  // A load holds everything its programs declare: linting it after the
+  // FlowProblem the launch read is gone gives the same clean report.
+  auto problem = std::make_unique<physics::FlowProblem>(small_problem());
+  const core::TpfaLoad load =
+      core::load_dataflow_tpfa(*problem, core::DataflowOptions{});
+  const std::string before = load.harness->lint_report().describe();
+  problem.reset();
+  const Report after = load.harness->lint_report();
+  EXPECT_TRUE(after.clean()) << after.describe();
+  EXPECT_EQ(after.describe(), before);
+}
+
 // --- the routing index -------------------------------------------------------
 
 /// A configured color's positions, decoded from the packed words, must
@@ -477,14 +512,6 @@ TEST(LintParallelTest, ReportIsIdenticalForEveryThreadCount) {
       core::build_linear_stencil(problem, 86400.0);
   Array3<f32> ones(problem.extents());
   ones.fill(1.0f);
-  const wse::ProgramFactory tpfa_probe =
-      [&problem](Coord2 coord,
-                 Coord2 size) -> std::unique_ptr<wse::PeProgram> {
-    return std::make_unique<core::TpfaPeProgram>(
-        coord, size, problem.extents(), core::TpfaKernelOptions{},
-        problem.fluid(), core::extract_column(problem, coord.x, coord.y));
-  };
-
   // The unhandled-delivery corpus spec, at wafer-like scale: one finding
   // per PE with a West neighbour.
   spec::StencilSpec broken;
@@ -522,11 +549,10 @@ TEST(LintParallelTest, ReportIsIdenticalForEveryThreadCount) {
 
     // The same fabric against a 1-block router buffer and a 1 KiB budget:
     // a buffer-overflow finding, then one memory finding per PE, merged
-    // in raster order.
+    // in raster order. The memory check reads the loaded programs.
     Options tight_options;
     tight_options.router_buffer_depth = 1;
     tight_options.memory_budget = 1024;
-    tight_options.probe_factory = tpfa_probe;
     const Report tight_report =
         run(tpfa_load.harness->fabric(), tight_options);
     EXPECT_EQ(tight_report.error_count(), 1u + kSide * kSide);
@@ -559,9 +585,7 @@ TEST(LintParallelTest, ReportIsIdenticalForEveryThreadCount) {
     exec.threads = threads;
     wse::Fabric fabric(kSide, kSide, {}, wse::PeMemory::kDefaultBudget, exec);
     fabric.load(defective);
-    Options options;
-    options.probe_factory = defective;
-    const Report report = run(fabric, options);
+    const Report report = run(fabric, Options{});
     ASSERT_GT(report.error_count(), 1u);
     EXPECT_EQ(report.diagnostics.front().check, Check::UnhandledDelivery);
     unhandled.push_back(rendered(report));

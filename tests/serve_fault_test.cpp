@@ -9,9 +9,13 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <memory>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -173,6 +177,76 @@ class ServeCheckpointTest : public ::testing::Test {
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
+  /// Runs `scenario` (which checkpoints every 2 of its 4 windows) until
+  /// its deadline expires after the window-2 checkpoint, then rewrites
+  /// that checkpoint's meta line `key=...` to `key=value`, or drops it
+  /// when `value` is empty. Returns the meta file's path.
+  std::string craft_checkpoint(const std::string& scenario,
+                               const std::string& key,
+                               const std::optional<std::string>& value) {
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+    ServiceOptions options = manual_options();
+    options.checkpoint_dir = dir_.string();
+    ScenarioService service(options);
+    const auto seeded = service.submit_line(scenario + " deadline-ms=25");
+    service.drain();
+    EXPECT_EQ(seeded.get().status, RequestStatus::DeadlineExpired);
+    for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+      if (entry.path().extension() != ".meta") {
+        continue;
+      }
+      std::ifstream in(entry.path());
+      std::ostringstream crafted;
+      std::string line;
+      while (std::getline(in, line)) {
+        if (line.rfind(key + "=", 0) != 0) {
+          crafted << line << '\n';
+        } else if (value.has_value()) {
+          crafted << key << '=' << *value << '\n';
+        }
+      }
+      in.close();
+      std::ofstream(entry.path(), std::ios::binary | std::ios::trunc)
+          << crafted.str();
+      return entry.path().string();
+    }
+    ADD_FAILURE() << "no checkpoint meta was written";
+    return {};
+  }
+
+  /// Resubmits `scenario` against the crafted checkpoint and expects a
+  /// failure whose message names the meta file, the field and `says`.
+  /// A resume that never reaches its last window must fail the test, not
+  /// hang it: the request's deadline stops one that steps past the last
+  /// window, and the bounded wait one that re-enters window 0, which
+  /// never looks at the deadline. On a timeout the service is leaked,
+  /// since its worker cannot be joined.
+  void expect_resume_fails(const std::string& scenario,
+                           const std::string& meta, const std::string& key,
+                           const std::string& says) {
+    ServiceOptions options = manual_options();
+    options.workers = 1;
+    options.checkpoint_dir = dir_.string();
+    auto service = std::make_unique<ScenarioService>(options);
+    const auto retry = service->submit_line(scenario + " deadline-ms=500");
+    if (retry.wait_for(std::chrono::seconds(30)) !=
+        std::future_status::ready) {
+      (void)service.release();
+      FAIL() << "the resume did not finish within 30 s";
+    }
+    const ScenarioResponse response = retry.get();
+    EXPECT_EQ(response.status, RequestStatus::Failed) << response.error;
+    EXPECT_NE(response.error.find("checkpoint meta '" + meta + "'"),
+              std::string::npos)
+        << response.error;
+    EXPECT_NE(response.error.find("field '" + key + "'"), std::string::npos)
+        << response.error;
+    EXPECT_NE(response.error.find(says), std::string::npos) << response.error;
+    EXPECT_FALSE(response.resumed);
+    EXPECT_EQ(service->stats().executor.resumes, 0u);
+  }
+
   [[nodiscard]] usize checkpoint_files() const {
     usize count = 0;
     for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
@@ -268,6 +342,45 @@ TEST_F(ServeCheckpointTest, CheckpointOfADifferentScenarioIsNeverResumed) {
   ASSERT_TRUE(response.ok()) << response.error;
   EXPECT_FALSE(response.resumed);
   EXPECT_EQ(service.stats().executor.resumes, 0u);
+}
+
+TEST_F(ServeCheckpointTest, ResumePointOutsideTheRunFailsNamingMetaAndField) {
+  // A saved checkpoint lies between windows, so windows_done is in
+  // [1, 3] for 4 windows. 99 would step past the last window forever;
+  // 0 would resume restored state as if nothing ran; -1 would re-enter
+  // the resume at 0 forever.
+  const std::string scenario =
+      "program=impes nx=4 ny=4 nz=3 seed=7 windows=4 dt=900 "
+      "checkpoint-every=2";
+  for (const char* value : {"99", "0", "-1"}) {
+    SCOPED_TRACE(value);
+    const std::string meta =
+        craft_checkpoint(scenario, "windows_done", value);
+    expect_resume_fails(scenario, meta, "windows_done",
+                        std::string("= ") + value + " is outside [1, 3]");
+  }
+}
+
+TEST_F(ServeCheckpointTest, MalformedCheckpointCounterFailsNamingMetaAndField) {
+  const std::string scenario =
+      "program=impes nx=4 ny=4 nz=3 seed=7 windows=4 dt=900 "
+      "checkpoint-every=2";
+  struct Case {
+    const char* key;
+    std::optional<std::string> value;
+    const char* says;
+  };
+  const Case cases[] = {
+      {"windows_done", "two", "has malformed value 'two'"},
+      {"cg_iterations_total", "12x", "has malformed value '12x'"},
+      {"cg_iterations_total", "-3", "= -3 is outside [0, "},
+      {"transport_substeps_total", std::nullopt, "is missing"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.key);
+    const std::string meta = craft_checkpoint(scenario, c.key, c.value);
+    expect_resume_fails(scenario, meta, c.key, c.says);
+  }
 }
 
 }  // namespace

@@ -107,22 +107,6 @@ TEST(SpecCompileTest, DigestIsStructuralAndExcludesRounds) {
   EXPECT_NE(spec::compile(std::move(renamed)).shape_digest(), base);
 }
 
-TEST(SpecCompileTest, TpfaFootprintMatchesFacadeAccounting) {
-  for (const bool reuse : {false, true}) {
-    core::TpfaKernelOptions options;
-    options.reuse_buffers = reuse;
-    const spec::CompiledSpec compiled =
-        spec::compile(core::make_tpfa_spec(options));
-    for (const i32 nz : {1, 4, 246}) {
-      EXPECT_EQ(core::TpfaPeProgram::data_footprint_bytes(nz, reuse),
-                compiled.data_footprint_bytes(nz))
-          << "nz=" << nz << " reuse=" << reuse;
-    }
-    EXPECT_EQ(core::TpfaPeProgram::kCodeFootprintBytes,
-              compiled.code_footprint_bytes());
-  }
-}
-
 // --- migrated programs: bit-identity across event-engine threads -------------
 
 void expect_bitwise_equal(const Array3<f32>& a, const Array3<f32>& b,
