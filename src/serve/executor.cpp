@@ -113,11 +113,21 @@ i64 meta_integer(const std::string& meta, const std::string& path,
   return parsed;
 }
 
+/// Deletes a checkpoint's three files.
+void remove_checkpoint(const CheckpointPaths& paths) {
+  std::remove(paths.meta.c_str());
+  std::remove(paths.saturation.c_str());
+  std::remove(paths.pressure.c_str());
+}
+
 /// Restores `state` from a complete checkpoint of exactly this scenario
 /// of `windows` windows; returns false (leaving `state` untouched) when
 /// there is none. A checkpoint is saved only between windows, so its
 /// windows_done lies in [1, windows - 1]: any other value fails here
-/// rather than stepping past the last window.
+/// rather than stepping past the last window. A checkpoint of this
+/// scenario that fails to restore is deleted before the failure
+/// propagates, so the next submit runs from window 0 instead of failing
+/// on it again.
 bool resume(const CheckpointPaths& paths, const std::string& canonical,
             i32 windows, api::ImpesWindowState& state) {
   std::ifstream meta_in(paths.meta);
@@ -126,26 +136,33 @@ bool resume(const CheckpointPaths& paths, const std::string& canonical,
   }
   std::ostringstream text;
   text << meta_in.rdbuf();
+  meta_in.close();
   const std::string meta = text.str();
   // The meta file embeds the canonical content so a hash collision (or a
-  // stale directory) can never resume the wrong scenario.
+  // stale directory) can never resume the wrong scenario; another
+  // scenario's checkpoint is left as it is.
   if (meta.find("canonical=" + canonical + "\n") == std::string::npos) {
     return false;
   }
-  constexpr i64 kMax = std::numeric_limits<i64>::max();
-  const i64 windows_done =
-      meta_integer(meta, paths.meta, "windows_done", 1, windows - 1);
-  const i64 cg_iterations =
-      meta_integer(meta, paths.meta, "cg_iterations_total", 0, kMax);
-  const i64 transport_substeps =
-      meta_integer(meta, paths.meta, "transport_substeps_total", 0, kMax);
-  const dataflow::RunInfo done = parse_run_info(meta);
-  state.sim.restore_state(io::load_field(paths.saturation),
-                          io::load_field(paths.pressure));
-  state.fabric = done;
-  state.windows_done = static_cast<i32>(windows_done);
-  state.cg_iterations = cg_iterations;
-  state.transport_substeps = transport_substeps;
+  try {
+    constexpr i64 kMax = std::numeric_limits<i64>::max();
+    const i64 windows_done =
+        meta_integer(meta, paths.meta, "windows_done", 1, windows - 1);
+    const i64 cg_iterations =
+        meta_integer(meta, paths.meta, "cg_iterations_total", 0, kMax);
+    const i64 transport_substeps =
+        meta_integer(meta, paths.meta, "transport_substeps_total", 0, kMax);
+    const dataflow::RunInfo done = parse_run_info(meta);
+    state.sim.restore_state(io::load_field(paths.saturation),
+                            io::load_field(paths.pressure));
+    state.fabric = done;
+    state.windows_done = static_cast<i32>(windows_done);
+    state.cg_iterations = cg_iterations;
+    state.transport_substeps = transport_substeps;
+  } catch (...) {
+    remove_checkpoint(paths);
+    throw;
+  }
   return true;
 }
 
@@ -303,9 +320,7 @@ std::function<bool(api::ImpesWindowState&)> ScenarioExecutor::impes_windows(
       if (checkpointing) {
         // The job is complete; a finished scenario must not leave a
         // stale resume point behind.
-        std::remove(paths.meta.c_str());
-        std::remove(paths.saturation.c_str());
-        std::remove(paths.pressure.c_str());
+        remove_checkpoint(paths);
       }
       return true;
     }

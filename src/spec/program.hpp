@@ -5,33 +5,23 @@
 ///
 /// Every fabric kernel runs as this class. Each PE is one color-triggered
 /// task machine that drives its kernel through the one hook protocol
-/// (start, begin_round, on_block, on_round_complete, on_reduced) whatever
-/// the exchange; every other entry point (routes, dispatch, profiler
-/// phases, the lint declarations) is a `switch` on the spec's exchange
-/// kind:
+/// (start, begin_round, on_block, on_round_complete, on_reduced). Every
+/// other entry point (routes, dispatch, profiler phases, the lint
+/// declarations) is the halo exchange, then the optional reduction tree:
 ///
-///   - SwitchProtocol is an operation-for-operation port of the
-///     hand-written TPFA exchange (Figure 6 roles and routes, Figure 5
-///     diagonal forwarding, the <=1-iteration-ahead receive buffers, the
-///     control-triggered phase-2 sends, and the completion gating on the
-///     send obligation) — the golden traces prove the lowering is
-///     faithful. The engine handles the cardinal data and control colors
-///     and, for the nine-point shape, the diagonal forwards itself. A
-///     block of the next round waits in an early slot, so the kernel's
-///     views of this round's blocks hold until the round completes.
-///   - StaticHalo drives the shared HaloExchange component (cardinal and
-///     diagonal blocks, NACKs and watchdog timers under reliability)
-///     plus the optional reduction tree, running reductions back to back
-///     for as long as the kernel answers Reduce; the CG and wave golden
-///     traces pin its event order. Both components sit behind pointers,
-///     so switch-protocol PEs pay two null pointers for them.
-///   - None has no colors and runs no kernel hook.
+///   - the exchange is a dataflow::HaloExchange held by value, whose
+///     discipline follows the spec: SwitchProtocol runs the paper's
+///     Figure 6 switch protocol (TPFA), StaticHalo static routes, with
+///     the NACK/watchdog layer when the launch binds reliability;
+///   - the reduction tree (StaticHalo only) runs reductions back to back
+///     for as long as the kernel answers Reduce;
+///   - ExchangeKind::None has no exchange: no colors and no kernel hook.
 ///
-/// A delivery no branch claims is a contract violation naming the PE and
-/// the color.
+/// The golden traces pin the event order of both protocols. A delivery
+/// no component claims is a contract violation naming the PE and the
+/// color.
 #pragma once
 
-#include <array>
 #include <memory>
 #include <optional>
 #include <span>
@@ -46,7 +36,8 @@
 
 namespace fvf::spec {
 
-class SpecPeProgram : public wse::PeProgram {
+class SpecPeProgram : public wse::PeProgram,
+                      private dataflow::HaloExchange::Client {
  public:
   /// Launch-time inputs the ColorPlan hands back after claiming.
   struct LaunchBindings {
@@ -61,11 +52,13 @@ class SpecPeProgram : public wse::PeProgram {
   SpecPeProgram(Coord2 coord, Coord2 fabric_size, i32 nz,
                 std::shared_ptr<const CompiledSpec> compiled,
                 LaunchBindings bindings, std::unique_ptr<StencilKernel> kernel);
-  /// The halo exchange's handlers hold `this`.
+  /// The halo exchange holds `this` as its client.
   SpecPeProgram(const SpecPeProgram&) = delete;
   SpecPeProgram& operator=(const SpecPeProgram&) = delete;
 
-  [[nodiscard]] i32 completed_rounds() const noexcept { return round_; }
+  [[nodiscard]] i32 completed_rounds() const noexcept {
+    return exchange_ ? exchange_->completed_rounds() : 0;
+  }
 
   /// The engine-owned kernel, for reading results back after a run.
   [[nodiscard]] const StencilKernel& kernel() const { return require_kernel(); }
@@ -87,8 +80,9 @@ class SpecPeProgram : public wse::PeProgram {
   [[nodiscard]] bool handles_color(wse::Color color, bool control) const final;
   /// Profiler phase of a delivery: exchange colors are Halo, reduction
   /// colors AllReduce, NACK blocks and watchdog timers Reliability, and
-  /// anything else LocalCompute. The handlers retag themselves when they
-  /// hand a block to the kernel.
+  /// anything else LocalCompute. Under the static disciplines the exchange
+  /// retags to LocalCompute when it hands a block or a round to the
+  /// kernel; under Switch the kernel retags itself.
   [[nodiscard]] obs::Phase task_phase(wse::Color color, bool control,
                                       bool timer) const noexcept final;
   [[nodiscard]] std::vector<wse::SendDeclaration> send_declarations()
@@ -108,87 +102,32 @@ class SpecPeProgram : public wse::PeProgram {
   [[nodiscard]] std::string describe_channel(wse::Color color) const final;
 
  private:
-  struct CardinalState {
-    bool phase1_sender = false;  ///< sends at round start
-    bool has_upstream = false;   ///< expects data (+control) arrivals
-    i32 received = 0;            ///< total data blocks delivered
-    i32 processed = 0;           ///< total blocks consumed by the kernel
-    i32 controls = 0;            ///< total control wavelets delivered
-    i32 sends = 0;               ///< total blocks sent
-    bool buffered = false;       ///< an unconsumed (early) block
-  };
-  struct DiagonalState {
-    bool expected = false;  ///< the corner neighbor exists
-    i32 received = 0;
-    i32 processed = 0;
-    bool buffered = false;
-  };
+  // --- dataflow::HaloExchange::Client ------------------------------------
+  void on_block(wse::PeApi& api, mesh::Face face, wse::Dsd data) final;
+  void on_round_complete(
+      wse::PeApi& api,
+      const dataflow::HaloExchange::FaceBlocks& blocks) final;
 
-  /// Switch protocol: the data colors the engine handles (every cardinal
-  /// color unless a defect drops one, and the diagonal forwards of the
-  /// nine-point shape).
-  [[nodiscard]] bool switch_handles_data(wse::Color color) const noexcept;
-
-  // Switch-protocol machinery (Figure 6 port).
-  void handle_cardinal(wse::PeApi& api, wse::Color color, wse::Dir from,
-                       std::span<const u32> data);
-  void handle_diagonal(wse::PeApi& api, wse::Color color, wse::Dir from,
-                       std::span<const u32> data);
-  void handle_control(wse::PeApi& api, wse::Color color);
-  void send_block(wse::PeApi& api, wse::Color color);
-  void process_cardinal(wse::PeApi& api, wse::Color color);
-  void process_diagonal(wse::PeApi& api, wse::Color color);
-  /// Completes the round once every expected block was consumed and
-  /// every cardinal send went out.
-  void check_completion(wse::PeApi& api);
-
-  // Round driver (both exchange kinds).
-  /// The kernel's begin_round, then this round's sends and early blocks.
-  void start_round(wse::PeApi& api);
-  /// Every expected block of the round was processed: the kernel's
-  /// on_round_complete with the round's views.
-  void complete_round(wse::PeApi& api, const StencilKernel::FaceBlocks& blocks);
+  /// DefectInjection::drop_east_data_handler: East data deliveries find
+  /// no handler.
+  [[nodiscard]] bool dropped(wse::Color color, bool control) const noexcept;
+  /// Whether a delivery of `color` goes to the exchange: everything it
+  /// handles, less a dropped handler.
+  [[nodiscard]] bool to_exchange(wse::Color color, bool control) const noexcept;
   /// Carries out a kernel's answer: the next round, completion, or a
   /// reduction whose result goes back to the kernel.
   void apply(wse::PeApi& api, RoundOutcome outcome);
 
   [[nodiscard]] StencilKernel& require_kernel() const;
 
-  /// Switch-protocol receive buffer of a cardinal or diagonal color.
-  [[nodiscard]] std::span<f32> card_buf(wse::Color color) noexcept;
-  [[nodiscard]] std::span<f32> diag_buf(wse::Color color) noexcept;
-  /// Where a block of the next round waits, by receive-buffer slot
-  /// (cardinal_index, or 4 + diagonal_index); allocated on first use.
-  [[nodiscard]] std::span<f32> early_buf(usize slot);
-
   Coord2 coord_;
+  i32 nz_ = 0;
   std::shared_ptr<const CompiledSpec> compiled_;
   std::unique_ptr<StencilKernel> kernel_;
-  /// StaticHalo components, held by pointer: null for the other exchange
-  /// kinds (the reduction tree also when the spec declares none).
-  std::unique_ptr<dataflow::HaloExchange> exchange_;
+  /// Null when the spec declares no reduction.
   std::unique_ptr<wse::AllReduceSum> allreduce_;
-  /// Launch-time color/reliability bindings kept for describe_channel.
-  std::optional<wse::AllReduceColors> reduce_colors_;
-  bool reliability_enabled_ = false;
-  i32 nz_ = 0;
-  i32 block_len_ = 0;  ///< block_words_per_cell * nz
-  bool nine_point_ = false;
-
-  // Switch-protocol receive buffers (four cardinal, then four diagonal
-  // blocks in one allocation), their early slots (null until a neighbor
-  // runs a round ahead), the kernel's block of the current round
-  // (block_len_ words, sent on every cardinal color), and per-color state.
-  std::unique_ptr<f32[]> recv_;
-  std::unique_ptr<f32[]> early_;
-  const f32* block_ = nullptr;
-  i32 round_ = 0;
-  i32 cards_processed_this_round_ = 0;
-  i32 diags_processed_this_round_ = 0;
-  i32 expected_cards_ = 0;
-  i32 expected_diags_ = 0;
-  std::array<CardinalState, 4> card_;
-  std::array<DiagonalState, 4> diag_;
+  /// Empty for ExchangeKind::None.
+  std::optional<dataflow::HaloExchange> exchange_;
 };
 
 }  // namespace fvf::spec

@@ -3,8 +3,8 @@
 ///
 /// A StencilSpec captures everything a fabric program used to hand-write:
 /// the stencil shape (5-point cardinal or 9-point with diagonal corners),
-/// the halo-exchange machinery (the Figure 6 two-step switch protocol or
-/// the shared HaloExchange component), the complete ordered per-PE memory
+/// how the one dataflow::HaloExchange sends (the Figure 6 two-step switch
+/// protocol or static routes), the complete ordered per-PE memory
 /// layout, the color-plan claim labels, and an optional fabric-wide
 /// reduction. `spec::compile` validates the spec and lowers it to a
 /// CompiledSpec; `spec::SpecPeProgram` is the one PE engine that
@@ -37,10 +37,12 @@ enum class ExchangeKind : u8 {
   /// No neighbor traffic and no kernel hooks: programs that reserve
   /// memory and finish (the kernel-less lint defect fixtures).
   None,
-  /// The paper's Figure 6 two-step switch protocol with explicit
-  /// per-color handlers and diagonal forwarding (Figure 5).
+  /// The paper's Figure 6 two-step switch protocol: the HaloExchange's
+  /// Switch discipline, with diagonal forwarding (Figure 5) for the
+  /// nine-point shape.
   SwitchProtocol,
-  /// The shared dataflow::HaloExchange component: one [fields...] block
+  /// The HaloExchange on static routes (its Fifo discipline, or Reliable
+  /// when the launch binds the retransmit layer): one [fields...] block
   /// per round to all ten neighbors, with an optional reduction.
   StaticHalo,
 };
@@ -59,7 +61,7 @@ enum class FieldRole : u8 {
   Code,          ///< fixed code+runtime bytes (independent of Nz)
   CardinalRecv,  ///< the 4 cardinal receive buffers (SwitchProtocol)
   DiagonalRecv,  ///< the 4 diagonal receive buffers (SwitchProtocol)
-  HaloRecv,      ///< the 8 HaloExchange buffers (StaticHalo)
+  HaloRecv,      ///< the 8 receive buffers, as one role (StaticHalo)
 };
 
 /// One record of the ordered per-PE memory declaration.

@@ -1,5 +1,5 @@
-// Direct unit tests of the reusable HaloExchange component (the CG and
-// wave programs test it indirectly at scale).
+// Direct unit tests of the HaloExchange component under each send
+// discipline (the TPFA, CG and wave programs test it indirectly at scale).
 #include <gtest/gtest.h>
 
 #include <map>
@@ -10,25 +10,23 @@
 namespace fvf::dataflow {
 namespace {
 
+/// A send discipline and stencil shape the exchange runs under.
+struct Variant {
+  HaloDiscipline discipline;
+  bool diagonals;
+  const char* name;
+};
+
+void PrintTo(const Variant& v, std::ostream* os) { *os << v.name; }
+
 /// A probe program: every round sends its own coordinate-stamped block
 /// and records which neighbor value arrived for each face.
-class HaloProbe : public wse::PeProgram {
+class HaloProbe : public wse::PeProgram, private HaloExchange::Client {
  public:
-  HaloProbe(Coord2 coord, Coord2 fabric, i32 len, i32 rounds)
-      : coord_(coord), fabric_(fabric), len_(len), rounds_(rounds),
-        exchange_(coord, fabric, len) {
-    exchange_.set_handlers(
-        [this](wse::PeApi&, mesh::Face face, wse::Dsd data) {
-          received_[static_cast<usize>(face)].push_back(data.at(0));
-        },
-        [this](wse::PeApi& api) {
-          if (exchange_.rounds_started() < rounds_) {
-            begin(api);
-          } else {
-            api.signal_done();
-          }
-        });
-  }
+  HaloProbe(Coord2 coord, Coord2 fabric, i32 len, i32 rounds, Variant variant)
+      : coord_(coord), len_(len), rounds_(rounds),
+        exchange_(coord, fabric, len, variant.discipline, variant.diagonals,
+                  this) {}
 
   void configure_router(wse::Router& router) override {
     exchange_.configure_router(router);
@@ -36,44 +34,76 @@ class HaloProbe : public wse::PeProgram {
   void on_start(wse::PeApi& api) override { begin(api); }
   void on_data(wse::PeApi& api, wse::Color color, wse::Dir from,
                std::span<const u32> data) override {
-    ASSERT_TRUE(HaloExchange::owns(color));
+    ASSERT_TRUE(exchange_.handles(color, false));
     exchange_.on_data(api, color, from, data);
   }
-
-  /// Stamp: 100*x + y + round/1000 (round recoverable from fraction).
-  [[nodiscard]] std::vector<f32> payload(i32 round) const {
-    return std::vector<f32>(
-        static_cast<usize>(len_),
-        static_cast<f32>(100 * coord_.x + coord_.y) +
-            static_cast<f32>(round) * 0.001f);
+  void on_control(wse::PeApi& api, wse::Color color, wse::Dir) override {
+    ASSERT_TRUE(exchange_.handles(color, true));
+    exchange_.on_control(api, color);
+  }
+  void on_timer(wse::PeApi& api, u32 tag) override {
+    exchange_.on_timer(api, tag);
   }
 
   std::map<usize, std::vector<f32>> received_;
-  [[nodiscard]] const HaloExchange& exchange() const { return exchange_; }
 
  private:
+  void on_block(wse::PeApi&, mesh::Face face, wse::Dsd data) override {
+    received_[static_cast<usize>(face)].push_back(data.at(0));
+  }
+  void on_round_complete(wse::PeApi& api,
+                         const HaloExchange::FaceBlocks& blocks) override {
+    i32 views = 0;
+    for (const std::optional<wse::Dsd>& block : blocks) {
+      views += block.has_value();
+    }
+    EXPECT_EQ(views, exchange_.expected_blocks())
+        << "the round's views are exactly its expected blocks";
+    if (exchange_.completed_rounds() < rounds_) {
+      begin(api);
+    } else {
+      api.signal_done();
+    }
+  }
+
+  /// Stamp: 100*x + y + round/1000 (round recoverable from fraction). The
+  /// payload outlives the round: Switch phase-2 senders send it late.
   void begin(wse::PeApi& api) {
-    exchange_.begin_round(api, payload(exchange_.rounds_started()));
+    payload_.assign(static_cast<usize>(len_),
+                    static_cast<f32>(100 * coord_.x + coord_.y) +
+                        static_cast<f32>(exchange_.completed_rounds()) *
+                            0.001f);
+    exchange_.begin_round(api, payload_);
   }
 
   Coord2 coord_;
-  Coord2 fabric_;
   i32 len_;
   i32 rounds_;
+  std::vector<f32> payload_;
   HaloExchange exchange_;
 };
 
-TEST(HaloExchangeTest, EveryFaceDeliversTheRightNeighbor) {
-  wse::Fabric fabric(4, 3);
-  std::vector<HaloProbe*> probes;
-  fabric.load([&](Coord2 coord, Coord2 fs) {
-    auto p = std::make_unique<HaloProbe>(coord, fs, 5, 1);
-    probes.push_back(p.get());
-    return p;
-  });
-  const wse::RunReport report = fabric.run();
-  ASSERT_TRUE(report.ok()) << report.errors[0];
+class HaloExchangeTest : public ::testing::TestWithParam<Variant> {
+ protected:
+  /// Runs `rounds` rounds of blocks of `len` words on a `size` fabric.
+  std::vector<HaloProbe*> run(Coord2 size, i32 len, i32 rounds) {
+    fabric_ = std::make_unique<wse::Fabric>(size.x, size.y);
+    std::vector<HaloProbe*> probes;
+    fabric_->load([&](Coord2 coord, Coord2 fs) {
+      auto p = std::make_unique<HaloProbe>(coord, fs, len, rounds, GetParam());
+      probes.push_back(p.get());
+      return p;
+    });
+    const wse::RunReport report = fabric_->run();
+    EXPECT_TRUE(report.ok()) << report.errors[0];
+    return probes;
+  }
 
+  std::unique_ptr<wse::Fabric> fabric_;
+};
+
+TEST_P(HaloExchangeTest, EveryFaceDeliversTheRightNeighbor) {
+  const std::vector<HaloProbe*> probes = run(Coord2{4, 3}, 5, 1);
   usize idx = 0;
   for (i32 y = 0; y < 3; ++y) {
     for (i32 x = 0; x < 4; ++x, ++idx) {
@@ -86,9 +116,12 @@ TEST(HaloExchangeTest, EveryFaceDeliversTheRightNeighbor) {
         const i32 nx = x + off.x;
         const i32 ny = y + off.y;
         const auto it = probe->received_.find(static_cast<usize>(f));
-        if (nx < 0 || nx >= 4 || ny < 0 || ny >= 3) {
+        const bool diagonal = off.x != 0 && off.y != 0;
+        if (nx < 0 || nx >= 4 || ny < 0 || ny >= 3 ||
+            (diagonal && !GetParam().diagonals)) {
           EXPECT_EQ(it, probe->received_.end())
-              << "no block for a missing neighbor";
+              << "no block for a missing neighbor or a face outside the "
+                 "shape";
           continue;
         }
         ASSERT_NE(it, probe->received_.end())
@@ -101,18 +134,12 @@ TEST(HaloExchangeTest, EveryFaceDeliversTheRightNeighbor) {
   }
 }
 
-TEST(HaloExchangeTest, RoundsArriveInOrder) {
+TEST_P(HaloExchangeTest, RoundsArriveInOrder) {
   const i32 rounds = 4;
-  wse::Fabric fabric(3, 3);
-  std::vector<HaloProbe*> probes;
-  fabric.load([&](Coord2 coord, Coord2 fs) {
-    auto p = std::make_unique<HaloProbe>(coord, fs, 2, rounds);
-    probes.push_back(p.get());
-    return p;
-  });
-  ASSERT_TRUE(fabric.run().ok());
+  const std::vector<HaloProbe*> probes = run(Coord2{3, 3}, 2, rounds);
   // Centre PE: every face present with `rounds` blocks in round order.
   const HaloProbe* centre = probes[4];
+  EXPECT_EQ(centre->received_.size(), GetParam().diagonals ? 8u : 4u);
   for (const auto& [face, values] : centre->received_) {
     ASSERT_EQ(values.size(), static_cast<usize>(rounds));
     for (i32 k = 0; k + 1 < rounds; ++k) {
@@ -123,33 +150,49 @@ TEST(HaloExchangeTest, RoundsArriveInOrder) {
   }
 }
 
-TEST(HaloExchangeTest, SinglePeHasNoExpectedBlocks) {
-  wse::Fabric fabric(1, 1);
-  fabric.load([&](Coord2 coord, Coord2 fs) {
-    return std::make_unique<HaloProbe>(coord, fs, 3, 2);
-  });
-  const wse::RunReport report = fabric.run();
-  EXPECT_TRUE(report.ok()) << report.errors[0];
+TEST_P(HaloExchangeTest, SinglePeHasNoExpectedBlocks) {
+  const std::vector<HaloProbe*> probes = run(Coord2{1, 1}, 3, 2);
+  ASSERT_EQ(probes.size(), 1u);
+  EXPECT_TRUE(probes[0]->received_.empty());
 }
+
+TEST_P(HaloExchangeTest, ExpectedBlockCounts) {
+  // Interior of a 3x3: 8 (4 five-point); corner: 3, two cardinals and one
+  // diagonal (2 five-point); middle of a 3x1 row: 2.
+  const Variant s = GetParam();
+  const HaloExchange interior(Coord2{1, 1}, Coord2{3, 3}, 4, s.discipline,
+                              s.diagonals, nullptr);
+  EXPECT_EQ(interior.expected_blocks(), s.diagonals ? 8 : 4);
+  const HaloExchange corner(Coord2{0, 0}, Coord2{3, 3}, 4, s.discipline,
+                            s.diagonals, nullptr);
+  EXPECT_EQ(corner.expected_blocks(), s.diagonals ? 3 : 2);
+  const HaloExchange row(Coord2{1, 0}, Coord2{3, 1}, 4, s.discipline,
+                         s.diagonals, nullptr);
+  EXPECT_EQ(row.expected_blocks(), 2);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Disciplines, HaloExchangeTest,
+    ::testing::Values(
+        Variant{HaloDiscipline::Fifo, true, "Fifo"},
+        Variant{HaloDiscipline::Reliable, true, "Reliable"},
+        Variant{HaloDiscipline::Switch, true, "Switch"},
+        Variant{HaloDiscipline::Switch, false, "SwitchFivePoint"}));
 
 TEST(HaloExchangeTest, DoubleBeginRoundRejected) {
   wse::Fabric fabric(2, 1);
   bool threw = false;
   fabric.load([&](Coord2 coord, Coord2 fs) {
-    class Bad : public wse::PeProgram {
+    class Bad : public wse::PeProgram, private HaloExchange::Client {
      public:
-      Bad(Coord2 c, Coord2 f) : exchange_(c, f, 1) {
-        exchange_.set_handlers(
-            [](wse::PeApi&, mesh::Face, wse::Dsd) {},
-            [](wse::PeApi&) {});
-      }
+      Bad(Coord2 c, Coord2 f)
+          : exchange_(c, f, 1, HaloDiscipline::Fifo, true, this) {}
       void configure_router(wse::Router& r) override {
         exchange_.configure_router(r);
       }
       void on_start(wse::PeApi& api) override {
-        const std::vector<f32> v{1.0f};
-        exchange_.begin_round(api, v);
-        exchange_.begin_round(api, v);  // while round 1 is in flight
+        exchange_.begin_round(api, v_);
+        exchange_.begin_round(api, v_);  // while round 1 is in flight
       }
       void on_data(wse::PeApi& api, wse::Color c, wse::Dir from,
                    std::span<const u32> d) override {
@@ -157,9 +200,13 @@ TEST(HaloExchangeTest, DoubleBeginRoundRejected) {
       }
 
      private:
+      void on_block(wse::PeApi&, mesh::Face, wse::Dsd) override {}
+      void on_round_complete(wse::PeApi&,
+                             const HaloExchange::FaceBlocks&) override {}
+
+      std::vector<f32> v_{1.0f};
       HaloExchange exchange_;
     };
-    (void)coord;
     return std::make_unique<Bad>(coord, fs);
   });
   try {
@@ -169,16 +216,6 @@ TEST(HaloExchangeTest, DoubleBeginRoundRejected) {
             std::string::npos;
   }
   EXPECT_TRUE(threw);
-}
-
-TEST(HaloExchangeTest, ExpectedBlockCounts) {
-  // Interior of a 3x3: 8; corner: 3 (two cardinals + one diagonal).
-  const HaloExchange interior(Coord2{1, 1}, Coord2{3, 3}, 4);
-  EXPECT_EQ(interior.expected_blocks(), 8);
-  const HaloExchange corner(Coord2{0, 0}, Coord2{3, 3}, 4);
-  EXPECT_EQ(corner.expected_blocks(), 3);
-  const HaloExchange row(Coord2{1, 0}, Coord2{3, 1}, 4);
-  EXPECT_EQ(row.expected_blocks(), 2);
 }
 
 }  // namespace

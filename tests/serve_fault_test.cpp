@@ -216,12 +216,13 @@ class ServeCheckpointTest : public ::testing::Test {
   }
 
   /// Resubmits `scenario` against the crafted checkpoint and expects a
-  /// failure whose message names the meta file, the field and `says`.
-  /// A resume that never reaches its last window must fail the test, not
-  /// hang it: the request's deadline stops one that steps past the last
-  /// window, and the bounded wait one that re-enters window 0, which
-  /// never looks at the deadline. On a timeout the service is leaked,
-  /// since its worker cannot be joined.
+  /// failure whose message names the meta file, the field and `says`;
+  /// then that the failure deleted the checkpoint, so the next submit
+  /// runs from window 0 and succeeds. A resume that never reaches its
+  /// last window must fail the test, not hang it: the request's deadline
+  /// stops one that steps past the last window, and the bounded wait one
+  /// that re-enters window 0, which never looks at the deadline. On a
+  /// timeout the service is leaked, since its worker cannot be joined.
   void expect_resume_fails(const std::string& scenario,
                            const std::string& meta, const std::string& key,
                            const std::string& says) {
@@ -229,22 +230,36 @@ class ServeCheckpointTest : public ::testing::Test {
     options.workers = 1;
     options.checkpoint_dir = dir_.string();
     auto service = std::make_unique<ScenarioService>(options);
-    const auto retry = service->submit_line(scenario + " deadline-ms=500");
-    if (retry.wait_for(std::chrono::seconds(30)) !=
-        std::future_status::ready) {
-      (void)service.release();
-      FAIL() << "the resume did not finish within 30 s";
-    }
-    const ScenarioResponse response = retry.get();
-    EXPECT_EQ(response.status, RequestStatus::Failed) << response.error;
-    EXPECT_NE(response.error.find("checkpoint meta '" + meta + "'"),
+    const auto finish = [&service](const std::string& line)
+        -> std::optional<ScenarioResponse> {
+      auto future = service->submit_line(line);
+      if (future.wait_for(std::chrono::seconds(30)) !=
+          std::future_status::ready) {
+        (void)service.release();
+        return std::nullopt;
+      }
+      return future.get();
+    };
+    const std::optional<ScenarioResponse> response =
+        finish(scenario + " deadline-ms=500");
+    ASSERT_TRUE(response.has_value()) << "the resume did not finish in 30 s";
+    EXPECT_EQ(response->status, RequestStatus::Failed) << response->error;
+    EXPECT_NE(response->error.find("checkpoint meta '" + meta + "'"),
               std::string::npos)
-        << response.error;
-    EXPECT_NE(response.error.find("field '" + key + "'"), std::string::npos)
-        << response.error;
-    EXPECT_NE(response.error.find(says), std::string::npos) << response.error;
-    EXPECT_FALSE(response.resumed);
+        << response->error;
+    EXPECT_NE(response->error.find("field '" + key + "'"), std::string::npos)
+        << response->error;
+    EXPECT_NE(response->error.find(says), std::string::npos)
+        << response->error;
+    EXPECT_FALSE(response->resumed);
     EXPECT_EQ(service->stats().executor.resumes, 0u);
+    EXPECT_EQ(checkpoint_files(), 0u)
+        << "a checkpoint that failed to restore must not stay on disk";
+
+    const std::optional<ScenarioResponse> resubmit = finish(scenario);
+    ASSERT_TRUE(resubmit.has_value()) << "the resubmit did not finish in 30 s";
+    EXPECT_TRUE(resubmit->ok()) << resubmit->error;
+    EXPECT_FALSE(resubmit->resumed);
   }
 
   [[nodiscard]] usize checkpoint_files() const {
@@ -326,15 +341,29 @@ TEST_F(ServeCheckpointTest, CheckpointOfADifferentScenarioIsNeverResumed) {
   EXPECT_EQ(seeded.get().status, RequestStatus::DeadlineExpired);
   ASSERT_EQ(service.stats().executor.checkpoints_saved, 1u);
 
+  const std::string foreign =
+      "canonical=dt=900 fault_rate=0 fault_seed=1 iterations=9 nx=4 ny=4 "
+      "nz=3 program=impes seed=7 tol=1.0000000000000001e-05\n"
+      "windows_done=2\n";
+  std::filesystem::path meta;
   for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
     if (entry.path().extension() == ".meta") {
-      std::ofstream meta(entry.path(), std::ios::binary | std::ios::trunc);
-      meta << "canonical=dt=900 fault_rate=0 fault_seed=1 iterations=9 "
-              "nx=4 ny=4 nz=3 program=impes seed=7 tol=1.0000000000000001e-05"
-           << '\n'
-           << "windows_done=2\n";
+      meta = entry.path();
+      std::ofstream(meta, std::ios::binary | std::ios::trunc) << foreign;
     }
   }
+
+  // A resubmit that its deadline stops after window 1, before its own
+  // first save, shows what the resume did: it left the other scenario's
+  // checkpoint as it was (clock walk: deadline at submit + 15, the
+  // window-1 check 20 later).
+  const auto stopped = service.submit_line(scenario + " deadline-ms=15");
+  service.drain();
+  EXPECT_EQ(stopped.get().status, RequestStatus::DeadlineExpired);
+  EXPECT_EQ(checkpoint_files(), 3u);
+  std::ostringstream kept;
+  kept << std::ifstream(meta).rdbuf();
+  EXPECT_EQ(kept.str(), foreign);
 
   const auto retry = service.submit_line(scenario);
   service.drain();
