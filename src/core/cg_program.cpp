@@ -1,7 +1,9 @@
 #include "core/cg_program.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -19,15 +21,14 @@ using wse::PeCompute;
 /// halo round, and the vector updates between the chained reductions.
 class CgKernel final : public spec::StencilKernel {
  public:
-  CgKernel(CgKernelOptions options, std::vector<f32> rhs, PeStencil stencil)
-      : options_(options), b_(std::move(rhs)), stencil_(std::move(stencil)) {
-    FVF_REQUIRE(!b_.empty());
-    const usize n = b_.size();
-    x_.assign(n, 0.0f);
-    r_.assign(n, 0.0f);
-    d_.assign(n, 0.0f);
-    q_.assign(n, 0.0f);
-    scratch_.assign(n, 0.0f);
+  CgKernel(CgKernelOptions options, std::span<const f32> rhs,
+           PeStencil stencil)
+      : options_(options),
+        n_(rhs.size()),
+        columns_(kColumns * n_, 0.0f),
+        stencil_(std::move(stencil)) {
+    FVF_REQUIRE(!rhs.empty());
+    std::copy(rhs.begin(), rhs.end(), b_.begin());
   }
 
   [[nodiscard]] std::span<const f32> solution() const noexcept { return x_; }
@@ -38,9 +39,9 @@ class CgKernel final : public spec::StencilKernel {
 
   [[nodiscard]] RoundOutcome start(PeCompute& api) override {
     // x = 0, r = b, d = r; then reduce r'r before the first exchange.
-    r_ = b_;
-    d_ = r_;
-    api.scalar_ops(2 * b_.size());
+    std::copy(b_.begin(), b_.end(), r_.begin());
+    std::copy(r_.begin(), r_.end(), d_.begin());
+    api.scalar_ops(2 * n_);
     return RoundOutcome{RoundAction::Reduce, local_dot(api, r_, r_)};
   }
 
@@ -124,14 +125,23 @@ class CgKernel final : public spec::StencilKernel {
     return sum;
   }
 
+  /// The kernel's columns, each n_ long, in one block.
+  enum Column : usize { kB, kX, kR, kD, kQ, kScratch, kColumns };
+
+  [[nodiscard]] std::span<f32> column(Column c) noexcept {
+    return std::span<f32>(columns_).subspan(c * n_, n_);
+  }
+
   CgKernelOptions options_;
-  std::vector<f32> b_;
+  usize n_;
+  std::vector<f32> columns_;
+  std::span<f32> b_ = column(kB);
+  std::span<f32> x_ = column(kX);
+  std::span<f32> r_ = column(kR);
+  std::span<f32> d_ = column(kD);
+  std::span<f32> q_ = column(kQ);
+  std::span<f32> scratch_ = column(kScratch);
   PeStencil stencil_;
-  std::vector<f32> x_;
-  std::vector<f32> r_;
-  std::vector<f32> d_;
-  std::vector<f32> q_;
-  std::vector<f32> scratch_;
 
   Pending pending_ = Pending::InitialRho;
   f32 rho_ = 0.0f;
@@ -175,7 +185,7 @@ spec::Launch cg_launch(const LinearStencil& stencil, const Array3<f32>& rhs,
             for (usize z = 0; z < b.size(); ++z) {
               b[z] = rhs(coord.x, coord.y, static_cast<i32>(z));
             }
-            return std::make_unique<CgKernel>(kernel, std::move(b),
+            return std::make_unique<CgKernel>(kernel, b,
                                               PeStencil(stencil, coord));
           }};
 }

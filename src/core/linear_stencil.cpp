@@ -8,48 +8,43 @@
 
 namespace fvf::core {
 
-PeStencil::PeStencil(const LinearStencil& stencil, Coord2 coord) {
-  const auto column = [&](const Array3<f32>& field) {
-    std::vector<f32> col(static_cast<usize>(stencil.extents.nz));
-    for (i32 z = 0; z < stencil.extents.nz; ++z) {
-      col[static_cast<usize>(z)] = field(coord.x, coord.y, z);
+PeStencil::PeStencil(const LinearStencil& stencil, Coord2 coord)
+    : nz_(static_cast<usize>(stencil.extents.nz)),
+      coefficients_((1 + mesh::kFaceCount) * nz_) {
+  const auto copy_column = [&](const Array3<f32>& field, std::span<f32> col) {
+    for (usize z = 0; z < nz_; ++z) {
+      col[z] = field(coord.x, coord.y, static_cast<i32>(z));
     }
-    return col;
   };
-  diag_ = column(stencil.diag);
+  copy_column(stencil.diag, diag());
   for (const mesh::Face f : mesh::kAllFaces) {
-    offdiag_[static_cast<usize>(f)] =
-        column(stencil.offdiag[static_cast<usize>(f)]);
+    copy_column(stencil.offdiag[static_cast<usize>(f)], offdiag(f));
   }
 }
 
 void PeStencil::apply_local(wse::PeCompute& api, std::span<f32> q,
                             std::span<f32> x) {
   using wse::Dsd;
-  api.fmuls(Dsd::of(q), Dsd::of(diag_), Dsd::of(x));
-  const i32 nz = static_cast<i32>(diag_.size());
+  api.fmuls(Dsd::of(q), Dsd::of(diag()), Dsd::of(x));
+  const i32 nz = static_cast<i32>(nz_);
   if (nz > 1) {
     const i32 m = nz - 1;
     const Dsd xd = Dsd::of(x);
     const Dsd qd = Dsd::of(q);
     // z+ term for cells 0..nz-2: q += C_z+ * x_{K+1}.
-    api.fmacs(
-        qd.window(0, m),
-        Dsd::of(offdiag_[static_cast<usize>(mesh::Face::ZPlus)]).window(0, m),
-        xd.window(1, m), qd.window(0, m));
+    api.fmacs(qd.window(0, m), Dsd::of(offdiag(mesh::Face::ZPlus)).window(0, m),
+              xd.window(1, m), qd.window(0, m));
     // z- term for cells 1..nz-1: q += C_z- * x_{K-1}.
-    api.fmacs(
-        qd.window(1, m),
-        Dsd::of(offdiag_[static_cast<usize>(mesh::Face::ZMinus)]).window(1, m),
-        xd.window(0, m), qd.window(1, m));
+    api.fmacs(qd.window(1, m),
+              Dsd::of(offdiag(mesh::Face::ZMinus)).window(1, m),
+              xd.window(0, m), qd.window(1, m));
   }
 }
 
 void PeStencil::apply_face(wse::PeCompute& api, std::span<f32> q,
                            mesh::Face face, wse::Dsd x_nb) {
   using wse::Dsd;
-  api.fmacs(Dsd::of(q), Dsd::of(offdiag_[static_cast<usize>(face)]), x_nb,
-            Dsd::of(q));
+  api.fmacs(Dsd::of(q), Dsd::of(offdiag(face)), x_nb, Dsd::of(q));
 }
 
 void LinearStencil::apply_f64(std::span<const f64> u,

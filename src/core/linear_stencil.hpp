@@ -47,10 +47,10 @@ struct LinearStencil {
   [[nodiscard]] f64 max_asymmetry() const;
 };
 
-/// One PE's column of a LinearStencil — its ten coefficient columns and
-/// its diagonal, as the fabric CG and wave kernels hold them in PE memory
-/// — and the matrix-free apply q = A x they are used for, split at the
-/// halo exchange.
+/// One PE's column of a LinearStencil — its diagonal and its ten
+/// coefficient columns, in one block as the fabric CG and wave kernels
+/// hold them in PE memory — and the matrix-free apply q = A x they are
+/// used for, split at the halo exchange.
 class PeStencil {
  public:
   PeStencil(const LinearStencil& stencil, Coord2 coord);
@@ -65,8 +65,17 @@ class PeStencil {
                   wse::Dsd x_nb);
 
  private:
-  std::array<std::vector<f32>, mesh::kFaceCount> offdiag_;
-  std::vector<f32> diag_;
+  [[nodiscard]] std::span<f32> diag() noexcept {
+    return std::span<f32>(coefficients_).first(nz_);
+  }
+  [[nodiscard]] std::span<f32> offdiag(mesh::Face face) noexcept {
+    return std::span<f32>(coefficients_)
+        .subspan((1 + static_cast<usize>(face)) * nz_, nz_);
+  }
+
+  usize nz_;
+  /// The diagonal column, then one off-diagonal column per mesh::Face.
+  std::vector<f32> coefficients_;
 };
 
 /// Builds the linearized operator from a flow problem.

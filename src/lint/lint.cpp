@@ -12,6 +12,7 @@
 
 #include "common/assert.hpp"
 #include "common/thread_pool.hpp"
+#include "lint/class_certificate.hpp"
 #include "lint/flow.hpp"
 #include "lint/routing_index.hpp"
 #include "wse/memory.hpp"
@@ -61,8 +62,10 @@ class RecordingLedger final : public wse::PeMemory {
 
 class Linter {
  public:
-  Linter(const wse::Fabric& fabric, const Options& options)
-      : fabric_(fabric), options_(options) {}
+  /// `certified`: first try the class certificate, and skip the per-PE
+  /// routing, reconfiguration and flow checks when it holds.
+  Linter(const wse::Fabric& fabric, const Options& options, bool certified)
+      : fabric_(fabric), options_(options), certified_(certified) {}
 
   /// Findings merge in one fixed order whatever the thread count: the
   /// claim audit, then per color its reconfiguration, dead-end, cycle and
@@ -74,6 +77,16 @@ class Linter {
       return std::move(report_);  // Level::Off: the claim audit alone
     }
     ThreadPool pool(fabric_.host_threads());
+    if (certified_ && fabric_.pe_count() >= detail::kCertifyMinPes &&
+        (options_.check_routing || options_.check_flow) &&
+        detail::certify(fabric_, options_, pool).holds) {
+      // Proved once per PE class: no per-PE routing, reconfiguration or
+      // flow check would report anything.
+      if (options_.check_memory) {
+        lint_memory(pool);
+      }
+      return std::move(report_);
+    }
     std::optional<RoutingIndex> index;
     if (options_.check_routing || options_.check_flow) {
       index.emplace(fabric_, pool);
@@ -518,6 +531,7 @@ class Linter {
 
   const wse::Fabric& fabric_;
   const Options& options_;
+  bool certified_;
   Report report_;
   /// Written by each color's task for its own entry only.
   std::array<bool, Color::kMaxColors> cyclic_colors_{};
@@ -564,7 +578,12 @@ std::string Report::describe() const {
 }
 
 Report run(const wse::Fabric& fabric, const Options& options) {
-  Linter linter(fabric, options);
+  Linter linter(fabric, options, /*certified=*/true);
+  return linter.run();
+}
+
+Report detail::run_per_pe(const wse::Fabric& fabric, const Options& options) {
+  Linter linter(fabric, options, /*certified=*/false);
   return linter.run();
 }
 

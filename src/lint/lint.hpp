@@ -54,6 +54,17 @@
 /// Off-fabric traffic is deliberately *not* a finding: every shipped
 /// program injects on all movement colors and lets the wafer edge absorb
 /// boundary traffic, exactly like the real machine.
+///
+/// How it runs (lint/class_certificate.hpp): one pass over the PEs interns
+/// each PE's lint-visible facts (per configured color its switch table,
+/// configure count and handled deliveries; its sends with their in-flight
+/// bounds; its channel dependencies and arrival-order folds) into a PE
+/// class, and records which classes neighbor which. Every per-PE path,
+/// cycle and reachable Ramp maps onto that quotient, so when the quotient
+/// proves the routing, reconfiguration and flow checks clean, run()
+/// returns the claim audit and the per-PE memory check alone. Otherwise
+/// it runs those checks per PE, so every diagnostic, and the report, is
+/// the same either way.
 #pragma once
 
 #include <functional>

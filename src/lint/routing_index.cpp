@@ -8,13 +8,8 @@
 
 namespace fvf::lint::detail {
 
-namespace {
-
 using wse::Color;
 
-/// Packs the kLinkCount node words of one configured (color, PE): the
-/// union over the config's packed switch positions, outputs in
-/// first-occurrence order.
 void pack_words(const wse::ColorConfig& config, u32* words) {
   const usize positions = config.position_count();
   for (usize in = 0; in < wse::kLinkCount; ++in) {
@@ -49,8 +44,6 @@ void pack_words(const wse::ColorConfig& config, u32* words) {
     words[in] = word;
   }
 }
-
-}  // namespace
 
 RoutingIndex::RoutingIndex(const wse::Fabric& fabric, ThreadPool& pool)
     : fabric_(fabric), pe_count_(static_cast<usize>(fabric.pe_count())) {

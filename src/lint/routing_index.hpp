@@ -1,5 +1,6 @@
 /// \file routing_index.hpp
-/// \brief The flattened routing index every fvf::lint analysis reads.
+/// \brief The flattened routing index every per-PE fvf::lint analysis
+///        reads.
 ///
 /// Nodes are (PE, input link) pairs; edges follow the *union* of the
 /// routing rules over all switch positions of a color. The switch state at
@@ -8,7 +9,9 @@
 /// this union — see docs/ARCHITECTURE.md "Static flow analysis" for what
 /// is and is not decidable on it.
 ///
-/// lint::run builds one index per call, in O(PEs × configured colors):
+/// A per-PE lint (lint::run when the class certificate of
+/// lint/class_certificate.hpp does not hold) builds one index, in
+/// O(PEs × configured colors):
 ///   - one packed u32 per (configured color, PE, input) answers every
 ///     accepts / parkable / outputs query with a single load, instead of
 ///     chasing the router's positions -> rules -> outputs vectors;
@@ -33,6 +36,7 @@
 #include "lint/lint.hpp"
 #include "wse/fabric.hpp"
 #include "wse/program.hpp"
+#include "wse/route.hpp"
 
 namespace fvf::lint::detail {
 
@@ -71,6 +75,11 @@ inline constexpr u32 kOutputShift = 6;
 [[nodiscard]] constexpr wse::Dir output(u32 word, u32 i) noexcept {
   return static_cast<wse::Dir>((word >> (kOutputShift + 3 * i)) & 7u);
 }
+
+/// Packs the kLinkCount node words of one configured (color, PE) into
+/// `words`: the union over the config's switch positions, outputs in
+/// first-occurrence order.
+void pack_words(const wse::ColorConfig& config, u32* words);
 
 /// Invokes `fn(output)` for every distinct output link of the node.
 template <typename Fn>

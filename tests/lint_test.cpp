@@ -13,13 +13,16 @@
 #include <atomic>
 #include <cstdlib>
 #include <fstream>
+#include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "api/kernels.hpp"
 #include "common/assert.hpp"
+#include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "core/cg_program.hpp"
 #include "core/launcher.hpp"
@@ -28,6 +31,7 @@
 #include "core/transport_program.hpp"
 #include "core/wave_program.hpp"
 #include "dataflow/fabric_harness.hpp"
+#include "lint/class_certificate.hpp"
 #include "lint/defects.hpp"
 #include "lint/lint.hpp"
 #include "lint/routing_index.hpp"
@@ -493,13 +497,32 @@ std::string rendered(const Report& report) {
     os << check_name(d.check) << ' ' << static_cast<int>(d.severity) << ' '
        << d.pe.x << ',' << d.pe.y << ' '
        << (d.color.has_value() ? static_cast<int>(d.color->id()) : -1) << ' '
-       << (d.bound.has_value() ? std::to_string(*d.bound) : "-") << '\n';
+       << (d.bound.has_value() ? std::to_string(*d.bound) : "-") << ' '
+       << d.count << '\n';
   }
   return os.str();
 }
 
+/// The claim oracle and labels a FabricHarness lints its launch with.
+Options plan_options(const dataflow::ColorPlan& plan) {
+  Options options;
+  options.color_claimed = [&plan](wse::Color c) { return plan.claimed(c); };
+  options.color_map = [&plan] { return plan.describe(); };
+  options.color_label = [&plan](wse::Color c) {
+    std::ostringstream os;
+    os << "color " << static_cast<int>(c.id());
+    if (const std::string_view owner = plan.owner_of(c); !owner.empty()) {
+      os << " ('" << owner << "')";
+    }
+    return os.str();
+  };
+  return options;
+}
+
 TEST(LintParallelTest, ReportIsIdenticalForEveryThreadCount) {
   // 64 x 64 PEs reaches kParallelMinPes, so threads > 1 lint in parallel.
+  // Every report comes from the per-PE checks (detail::run_per_pe): the
+  // class certificate would skip them on the clean fabrics.
   constexpr i32 kSide = 64;
   static_assert(i64{kSide} * kSide >= wse::kParallelMinPes);
   physics::ProblemSpec problem_spec;
@@ -543,7 +566,8 @@ TEST(LintParallelTest, ReportIsIdenticalForEveryThreadCount) {
     tpfa_options.execution.threads = threads;
     const core::TpfaLoad tpfa_load =
         core::load_dataflow_tpfa(problem, tpfa_options);
-    const Report clean = tpfa_load.harness->lint_report();
+    const Report clean = detail::run_per_pe(
+        tpfa_load.harness->fabric(), plan_options(tpfa_load.harness->colors()));
     EXPECT_TRUE(clean.clean()) << clean.describe();
     tpfa.push_back(rendered(clean));
 
@@ -554,7 +578,7 @@ TEST(LintParallelTest, ReportIsIdenticalForEveryThreadCount) {
     tight_options.router_buffer_depth = 1;
     tight_options.memory_budget = 1024;
     const Report tight_report =
-        run(tpfa_load.harness->fabric(), tight_options);
+        detail::run_per_pe(tpfa_load.harness->fabric(), tight_options);
     EXPECT_EQ(tight_report.error_count(), 1u + kSide * kSide);
     // The per-tag breakdown, pinned literally: every field of the TPFA
     // spec's memory layout at nz = 2, in declaration order.
@@ -577,7 +601,8 @@ TEST(LintParallelTest, ReportIsIdenticalForEveryThreadCount) {
     cg_options.execution.threads = threads;
     const spec::Load<> cg_load =
         spec::load(core::cg_launch(stencil, ones, {}), cg_options);
-    const Report cg_report = cg_load.harness->lint_report();
+    const Report cg_report = detail::run_per_pe(
+        cg_load.harness->fabric(), plan_options(cg_load.harness->colors()));
     EXPECT_TRUE(cg_report.clean()) << cg_report.describe();
     cg.push_back(rendered(cg_report));
 
@@ -585,7 +610,7 @@ TEST(LintParallelTest, ReportIsIdenticalForEveryThreadCount) {
     exec.threads = threads;
     wse::Fabric fabric(kSide, kSide, {}, wse::PeMemory::kDefaultBudget, exec);
     fabric.load(defective);
-    const Report report = run(fabric, Options{});
+    const Report report = detail::run_per_pe(fabric, Options{});
     ASSERT_GT(report.error_count(), 1u);
     EXPECT_EQ(report.diagnostics.front().check, Check::UnhandledDelivery);
     unhandled.push_back(rendered(report));
@@ -596,6 +621,314 @@ TEST(LintParallelTest, ReportIsIdenticalForEveryThreadCount) {
     EXPECT_EQ(cg[i], cg[0]);
     EXPECT_EQ(unhandled[i], unhandled[0]);
   }
+}
+
+// --- the class certificate --------------------------------------------------
+
+/// A kernel-less, unlinted load of `compiled`: lint reads no field data.
+spec::Load<> kernel_less_load(
+    const std::shared_ptr<const spec::CompiledSpec>& compiled,
+    Extents3 extents, dataflow::HarnessOptions options) {
+  options.lint = Level::Off;
+  return spec::detail::load_compiled<spec::SpecPeProgram>(
+      compiled, extents,
+      [](Coord2) { return std::unique_ptr<spec::StencilKernel>(); }, options,
+      spec::detail::reliable(compiled->spec(), options));
+}
+
+TEST(LintCertificateTest, HoldsForTheShippedStencilsAtEverySize) {
+  // A silent fallback to the per-PE checks would keep every report right
+  // and lose the gain; this pins the gain. The class count does not grow
+  // with the fabric.
+  struct Case {
+    std::string_view kernel;
+    Extents3 extents;
+  };
+  const Case cases[] = {
+      {"tpfa", {64, 64, 12}},     {"tpfa", {256, 256, 12}},
+      {"tpfa", {750, 96, 12}},    {"transport", {64, 64, 12}},
+      {"wave", {64, 64, 12}},     {"heat", {64, 64, 12}},
+      {"cg", {64, 64, 12}},
+  };
+  for (const Case& c : cases) {
+    const api::Kernel* kernel = api::find_kernel(c.kernel);
+    ASSERT_NE(kernel, nullptr) << c.kernel;
+    for (const api::SpecFactory make : kernel->specs) {
+      dataflow::HarnessOptions harness;
+      harness.execution.threads = 4;
+      const spec::Load<> load = kernel_less_load(
+          std::make_shared<const spec::CompiledSpec>(spec::compile(make())),
+          c.extents, harness);
+      const Options options = plan_options(load.harness->colors());
+      const detail::ClassCertificate certificate =
+          detail::certify(load.harness->fabric(), options);
+      const std::string what = std::string(c.kernel) + " at " +
+                               std::to_string(c.extents.nx) + "x" +
+                               std::to_string(c.extents.ny);
+      EXPECT_TRUE(certificate.holds) << what;
+      EXPECT_LE(certificate.classes, 16u) << what;
+      EXPECT_TRUE(run(load.harness->fabric(), options).clean()) << what;
+    }
+  }
+}
+
+/// One case of the soundness gate: a StencilSpec variant, the launch
+/// options it runs under and the depth it is linted against.
+struct DrawnSpec {
+  spec::StencilSpec spec;
+  bool reliability = false;
+  Extents3 extents;
+  u32 router_buffer_depth = 0;
+};
+
+DrawnSpec draw_spec(Xoshiro256& rng, usize index) {
+  // The extents the gate draws from; 64 x 64 is the smallest fabric lint
+  // spreads over several threads.
+  static constexpr Coord2 kSides[] = {{1, 1}, {1, 5}, {5, 1},   {2, 2},  {3, 3},
+                                      {4, 7}, {9, 6}, {16, 16}, {64, 64}};
+  // Small, near-limit and over-budget code footprints.
+  static constexpr usize kCodeBytes[] = {64, 4096, 46000, 60000};
+  // The fabric's own depth, and depths a parked program overflows.
+  static constexpr u32 kDepths[] = {0, 0, 1, 2};
+  DrawnSpec drawn;
+  spec::StencilSpec& s = drawn.spec;
+  s.name = "drawn " + std::to_string(index);
+  s.exchange = static_cast<spec::ExchangeKind>(rng.below(3));
+  s.shape = rng.below(2) == 0 ? spec::StencilShape::FivePoint
+                              : spec::StencilShape::NinePoint;
+  s.block_words_per_cell = 1 + static_cast<i32>(rng.below(3));
+  if (rng.below(2) == 0) {
+    s.reduction = spec::ReductionSpec{
+        rng.below(2) == 0 ? wse::ReduceOp::Sum : wse::ReduceOp::Min, 1};
+  }
+  drawn.reliability = rng.below(2) == 0;
+  s.defects.drop_east_data_handler = rng.below(2) == 0;
+  const i32 block = s.block_words_per_cell;
+  s.fields.push_back({"state", spec::FieldRole::State,
+                      1 + static_cast<i32>(rng.below(4)), 0});
+  if (s.exchange == spec::ExchangeKind::SwitchProtocol) {
+    s.fields.push_back(
+        {"cardinal recv", spec::FieldRole::CardinalRecv, 4 * block, 0});
+    s.fields.push_back(
+        {"diagonal recv", spec::FieldRole::DiagonalRecv, 4 * block, 0});
+  }
+  if (s.exchange == spec::ExchangeKind::StaticHalo) {
+    s.fields.push_back({"halo recv", spec::FieldRole::HaloRecv, 8 * block, 0});
+  }
+  s.fields.push_back({"code+runtime", spec::FieldRole::Code, 0,
+                      kCodeBytes[rng.below(std::size(kCodeBytes))]});
+  s.claims = {"drawn cardinal", "drawn diagonal", "drawn allreduce",
+              "drawn nack"};
+  const Coord2 side = kSides[rng.below(std::size(kSides))];
+  drawn.extents = Extents3{side.x, side.y, 1 + static_cast<i32>(rng.below(3))};
+  drawn.router_buffer_depth = kDepths[rng.below(std::size(kDepths))];
+  return drawn;
+}
+
+struct GateTally {
+  usize certified = 0;
+  usize fell_back = 0;
+  usize mismatches = 0;
+};
+
+/// lint::run must equal the per-PE report, text and every typed field,
+/// whichever way the certificate decides. Where the certificate holds,
+/// the per-PE checks must find nothing but claim and memory findings,
+/// also on fabrics below kCertifyMinPes, which lint::run lints per PE.
+void expect_certified_equals_per_pe(const wse::Fabric& fabric,
+                                    const Options& options,
+                                    const std::string& what,
+                                    GateTally& tally) {
+  const Report per_pe = detail::run_per_pe(fabric, options);
+  const std::string certified = rendered(run(fabric, options));
+  EXPECT_EQ(certified, rendered(per_pe)) << what;
+  tally.mismatches += certified == rendered(per_pe) ? 0 : 1;
+  if (!detail::certify(fabric, options).holds) {
+    ++tally.fell_back;
+    return;
+  }
+  ++tally.certified;
+  for (const Diagnostic& d : per_pe.diagnostics) {
+    const bool outside = d.check == Check::UnclaimedColor ||
+                         d.check == Check::MemoryOverBudget ||
+                         d.check == Check::MemoryNearLimit;
+    EXPECT_TRUE(outside) << what << ": certified, yet the per-PE checks report "
+                         << check_name(d.check) << ": " << d.message;
+    tally.mismatches += outside ? 0 : 1;
+  }
+}
+
+/// A fabric no program was loaded on, with routers configured by hand on
+/// some PEs: an East chain on every other row (clean: a forwarding chain
+/// never closes), plus a ring or a chain that stops short (a cycle, or
+/// a dead end).
+void lint_unloaded_fabrics(i32 threads, GateTally& tally) {
+  using wse::Dir;
+  constexpr i32 kSide = 64;
+  const Dir down = wse::dir_offset(Dir::South).y > 0 ? Dir::South : Dir::North;
+  const Dir up = wse::opposite(down);
+  const auto config = [](Dir input, std::vector<Dir> outputs) {
+    return wse::ColorConfig({wse::position(input, std::move(outputs))});
+  };
+  for (const std::string_view extra : {"none", "ring", "dead-end"}) {
+    wse::ExecutionOptions exec;
+    exec.threads = threads;
+    wse::Fabric fabric(kSide, kSide, {}, wse::PeMemory::kDefaultBudget, exec);
+    const wse::ColorConfig chain({wse::position(
+        {wse::RouteRule{Dir::Ramp, {Dir::East}},
+         wse::RouteRule{Dir::West, {Dir::Ramp, Dir::East}}})});
+    for (i32 y = 0; y < kSide; y += 2) {
+      for (i32 x = 0; x < kSide; ++x) {
+        fabric.router(x, y).configure(wse::Color{0}, chain);
+      }
+    }
+    if (extra == "ring") {
+      const wse::Color ring{1};
+      fabric.router(0, 0).configure(ring, config(down, {Dir::East}));
+      fabric.router(1, 0).configure(ring, config(Dir::West, {down}));
+      fabric.router(1, 1).configure(ring, config(up, {Dir::West}));
+      fabric.router(0, 1).configure(ring, config(Dir::East, {up}));
+    }
+    if (extra == "dead-end") {
+      for (i32 x = 0; x < kSide / 2; ++x) {
+        fabric.router(x, 1).configure(wse::Color{2},
+                                      config(Dir::West, {Dir::East}));
+      }
+    }
+    expect_certified_equals_per_pe(
+        fabric, Options{},
+        "unloaded fabric, " + std::string(extra) + ", " +
+            std::to_string(threads) + " threads",
+        tally);
+  }
+}
+
+/// A hand-built program: one switch table on color 0, and optionally a
+/// data send and an arrival-order fold on it.
+class ChainProgram final : public wse::PeProgram {
+ public:
+  ChainProgram(std::optional<wse::SwitchPosition> routes, bool sends,
+               bool folds)
+      : routes_(std::move(routes)), sends_(sends), folds_(folds) {}
+
+  void configure_router(wse::Router& router) override {
+    if (routes_.has_value()) {
+      router.configure(wse::Color{0}, wse::ColorConfig({*routes_}));
+    }
+  }
+  [[nodiscard]] std::vector<wse::SendDeclaration> send_declarations()
+      const override {
+    if (!sends_) {
+      return {};
+    }
+    return {{wse::Color{0}, false}};
+  }
+  [[nodiscard]] std::vector<wse::ReductionDeclaration> reduction_declarations()
+      const override {
+    if (!folds_) {
+      return {};
+    }
+    return {{{wse::Color{0}}, true, "chain sum"}};
+  }
+  void on_start(wse::PeApi&) override {}
+  void on_data(wse::PeApi&, wse::Color, wse::Dir,
+               std::span<const u32>) override {}
+
+ private:
+  std::optional<wse::SwitchPosition> routes_;
+  bool sends_;
+  bool folds_;
+};
+
+/// A fold class with two possible West neighbors. On row 0 it folds what
+/// a forwarding sender and the sender behind it inject (two senders: an
+/// order-sensitive-reduction finding); on row 1 a lone sender feeds it.
+/// The bound must take the worse of the two neighbors, not the better.
+void lint_two_upstream_classes(i32 threads, GateTally& tally) {
+  using wse::Dir;
+  using wse::RouteRule;
+  wse::ExecutionOptions exec;
+  exec.threads = threads;
+  wse::Fabric fabric(3, 2, {}, wse::PeMemory::kDefaultBudget, exec);
+  fabric.load([](Coord2 at, Coord2) -> std::unique_ptr<wse::PeProgram> {
+    if (at.x == 2) {
+      return std::make_unique<ChainProgram>(
+          wse::position(Dir::West, {Dir::Ramp}), false, true);
+    }
+    if (at.x == 1 && at.y == 0) {
+      return std::make_unique<ChainProgram>(
+          wse::position({RouteRule{Dir::Ramp, {Dir::East}},
+                         RouteRule{Dir::West, {Dir::East}}}),
+          true, false);
+    }
+    if (at.y == 0 || at.x == 1) {
+      return std::make_unique<ChainProgram>(
+          wse::position(Dir::Ramp, {Dir::East}), true, false);
+    }
+    return std::make_unique<ChainProgram>(std::nullopt, false, false);
+  });
+  expect_certified_equals_per_pe(
+      fabric, Options{},
+      "two upstream classes, " + std::to_string(threads) + " threads", tally);
+}
+
+TEST(LintCertificateTest, CertifiedReportEqualsThePerPeReport) {
+  // The soundness gate: seeded StencilSpec variants, every defect-corpus
+  // fixture and unloaded fabrics, each linted with and without the
+  // certificate at 1 and 4 threads.
+  constexpr usize kDraws = 120;
+  Xoshiro256 rng(31);
+  GateTally tally;
+  usize rejected = 0;
+  for (usize i = 0; i < kDraws; ++i) {
+    const DrawnSpec drawn = draw_spec(rng, i);
+    std::shared_ptr<const spec::CompiledSpec> compiled;
+    try {
+      compiled = std::make_shared<const spec::CompiledSpec>(
+          spec::compile(drawn.spec));
+    } catch (const ContractViolation&) {
+      ++rejected;  // an invalid combination, rejected by name
+      continue;
+    }
+    for (const i32 threads : {1, 4}) {
+      dataflow::HarnessOptions harness;
+      harness.reliability = drawn.reliability;
+      harness.execution.threads = threads;
+      const spec::Load<> load =
+          kernel_less_load(compiled, drawn.extents, harness);
+      Options options = plan_options(load.harness->colors());
+      options.router_buffer_depth = drawn.router_buffer_depth;
+      std::ostringstream what;
+      what << drawn.spec.name << " (exchange "
+           << static_cast<int>(drawn.spec.exchange) << ", shape "
+           << static_cast<int>(drawn.spec.shape) << ", reliability "
+           << drawn.reliability << ", " << drawn.extents.nx << "x"
+           << drawn.extents.ny << "x" << drawn.extents.nz << ", depth "
+           << drawn.router_buffer_depth << ", " << threads << " threads)";
+      expect_certified_equals_per_pe(load.harness->fabric(), options,
+                                     what.str(), tally);
+    }
+  }
+  for (const Defect& defect : defect_corpus()) {
+    (void)defect.load([&](const wse::Fabric& fabric, const Options& options) {
+      expect_certified_equals_per_pe(fabric, options,
+                                     std::string(defect.name), tally);
+      return Report{};
+    });
+  }
+  for (const i32 threads : {1, 4}) {
+    lint_unloaded_fabrics(threads, tally);
+    lint_two_upstream_classes(threads, tally);
+  }
+  std::cout << "class certificate gate: " << tally.certified
+            << " cases certified, " << tally.fell_back
+            << " fell back to the per-PE checks, " << rejected
+            << " drawn specs rejected by spec::compile, " << tally.mismatches
+            << " mismatches\n";
+  EXPECT_EQ(tally.mismatches, 0u);
+  // Both paths must be exercised, or the gate proves nothing.
+  EXPECT_GT(tally.certified, 0u);
+  EXPECT_GT(tally.fell_back, 0u);
 }
 
 // --- the fvf_lint CLI, in-process -------------------------------------------
