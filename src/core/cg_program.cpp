@@ -21,17 +21,23 @@ using wse::PeCompute;
 /// halo round, and the vector updates between the chained reductions.
 class CgKernel final : public spec::StencilKernel {
  public:
-  CgKernel(CgKernelOptions options, std::span<const f32> rhs,
+  /// b is the PE's column of `rhs`.
+  CgKernel(CgKernelOptions options, const Array3<f32>& rhs, Coord2 coord,
            PeStencil stencil)
       : options_(options),
-        n_(rhs.size()),
+        n_(static_cast<usize>(rhs.extents().nz)),
         columns_(kColumns * n_, 0.0f),
         stencil_(std::move(stencil)) {
-    FVF_REQUIRE(!rhs.empty());
-    std::copy(rhs.begin(), rhs.end(), b_.begin());
+    FVF_REQUIRE(n_ > 0);
+    const std::span<f32> b = column(kB);
+    for (usize z = 0; z < n_; ++z) {
+      b[z] = rhs(coord.x, coord.y, static_cast<i32>(z));
+    }
   }
 
-  [[nodiscard]] std::span<const f32> solution() const noexcept { return x_; }
+  [[nodiscard]] std::span<const f32> solution() const noexcept {
+    return column(kX);
+  }
   [[nodiscard]] i32 iterations() const noexcept { return iterations_; }
   [[nodiscard]] bool converged() const noexcept { return converged_; }
   [[nodiscard]] f64 initial_residual_norm2() const noexcept { return rho0_; }
@@ -39,27 +45,30 @@ class CgKernel final : public spec::StencilKernel {
 
   [[nodiscard]] RoundOutcome start(PeCompute& api) override {
     // x = 0, r = b, d = r; then reduce r'r before the first exchange.
-    std::copy(b_.begin(), b_.end(), r_.begin());
-    std::copy(r_.begin(), r_.end(), d_.begin());
+    const std::span<f32> b = column(kB);
+    const std::span<f32> r = column(kR);
+    std::copy(b.begin(), b.end(), r.begin());
+    std::copy(r.begin(), r.end(), column(kD).begin());
     api.scalar_ops(2 * n_);
-    return RoundOutcome{RoundAction::Reduce, local_dot(api, r_, r_)};
+    return RoundOutcome{RoundAction::Reduce, local_dot(api, r, r)};
   }
 
   [[nodiscard]] std::span<const f32> begin_round(PeCompute& api) override {
     // q = diag .* d plus the vertical couplings; the neighbor terms
     // arrive as the search-direction column is exchanged.
-    stencil_.apply_local(api, q_, d_);
-    return d_;
+    stencil_.apply_local(api, column(kQ), column(kD));
+    return column(kD);
   }
 
   void on_block(PeCompute& api, mesh::Face face, Dsd d_nb) override {
-    stencil_.apply_face(api, q_, face, d_nb);
+    stencil_.apply_face(api, column(kQ), face, d_nb);
   }
 
   [[nodiscard]] RoundOutcome on_round_complete(PeCompute& api,
                                                const FaceBlocks&) override {
     pending_ = Pending::DotDq;
-    return RoundOutcome{RoundAction::Reduce, local_dot(api, d_, q_)};
+    return RoundOutcome{RoundAction::Reduce,
+                        local_dot(api, column(kD), column(kQ))};
   }
 
   [[nodiscard]] RoundOutcome on_reduced(PeCompute& api, f32 global) override {
@@ -89,12 +98,16 @@ class CgKernel final : public spec::StencilKernel {
     FVF_REQUIRE_MSG(global != 0.0f, "CG breakdown: d'Ad == 0");
     const f32 alpha = rho_ / global;
     // x += alpha d ; r -= alpha q
-    api.fmuls(Dsd::of(scratch_), Dsd::of(d_), alpha);
-    api.fadds(Dsd::of(x_), Dsd::of(x_), Dsd::of(scratch_));
-    api.fmuls(Dsd::of(scratch_), Dsd::of(q_), alpha);
-    api.fsubs(Dsd::of(r_), Dsd::of(r_), Dsd::of(scratch_));
+    const Dsd x = Dsd::of(column(kX));
+    const Dsd r = Dsd::of(column(kR));
+    const Dsd scratch = Dsd::of(column(kScratch));
+    api.fmuls(scratch, Dsd::of(column(kD)), alpha);
+    api.fadds(x, x, scratch);
+    api.fmuls(scratch, Dsd::of(column(kQ)), alpha);
+    api.fsubs(r, r, scratch);
     pending_ = Pending::Rho;
-    return RoundOutcome{RoundAction::Reduce, local_dot(api, r_, r_)};
+    return RoundOutcome{RoundAction::Reduce,
+                        local_dot(api, column(kR), column(kR))};
   }
 
   [[nodiscard]] RoundOutcome after_rho(PeCompute& api, f32 global) {
@@ -110,8 +123,9 @@ class CgKernel final : public spec::StencilKernel {
     const f32 beta = global / rho_;
     rho_ = global;
     // d = r + beta d
-    api.fmuls(Dsd::of(d_), Dsd::of(d_), beta);
-    api.fadds(Dsd::of(d_), Dsd::of(d_), Dsd::of(r_));
+    const Dsd d = Dsd::of(column(kD));
+    api.fmuls(d, d, beta);
+    api.fadds(d, d, Dsd::of(column(kR)));
     return RoundOutcome{RoundAction::Continue};
   }
 
@@ -131,16 +145,13 @@ class CgKernel final : public spec::StencilKernel {
   [[nodiscard]] std::span<f32> column(Column c) noexcept {
     return std::span<f32>(columns_).subspan(c * n_, n_);
   }
+  [[nodiscard]] std::span<const f32> column(Column c) const noexcept {
+    return std::span<const f32>(columns_).subspan(c * n_, n_);
+  }
 
   CgKernelOptions options_;
   usize n_;
   std::vector<f32> columns_;
-  std::span<f32> b_ = column(kB);
-  std::span<f32> x_ = column(kX);
-  std::span<f32> r_ = column(kR);
-  std::span<f32> d_ = column(kD);
-  std::span<f32> q_ = column(kQ);
-  std::span<f32> scratch_ = column(kScratch);
   PeStencil stencil_;
 
   Pending pending_ = Pending::InitialRho;
@@ -181,11 +192,7 @@ spec::Launch cg_launch(const LinearStencil& stencil, const Array3<f32>& rhs,
   // Locals are captured by value: the launch outlives this call.
   return {make_cg_spec(), stencil.extents,
           [&stencil, &rhs, kernel](Coord2 coord) {
-            std::vector<f32> b(static_cast<usize>(rhs.extents().nz));
-            for (usize z = 0; z < b.size(); ++z) {
-              b[z] = rhs(coord.x, coord.y, static_cast<i32>(z));
-            }
-            return std::make_unique<CgKernel>(kernel, b,
+            return std::make_unique<CgKernel>(kernel, rhs, coord,
                                               PeStencil(stencil, coord));
           }};
 }

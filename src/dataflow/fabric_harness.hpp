@@ -113,6 +113,12 @@ class FabricHarness {
   /// a prior load().
   [[nodiscard]] lint::Report lint_report() const;
 
+  /// The lint::Options this launch lints with: the color plan's claim
+  /// oracle, color map and labels. `full` enables the routing, memory,
+  /// reconfiguration and flow checks; the claim audit always runs. The
+  /// options refer to this harness and are valid while it lives.
+  [[nodiscard]] lint::Options lint_options(bool full) const;
+
   /// Runs the event engine to quiescence, once per load (see
   /// wse::Fabric::run), and returns the run's record. When
   /// HarnessOptions::trace_json_path is set, also writes the Perfetto
@@ -124,10 +130,6 @@ class FabricHarness {
   /// a trace_json_path without an explicit span capacity turns on
   /// phase-span recording so the timeline has slices to show.
   [[nodiscard]] static HarnessOptions effective(HarnessOptions options);
-
-  /// Builds the lint::Options for this launch. `full` enables the
-  /// routing/memory/reconfiguration checks; the claim audit always runs.
-  [[nodiscard]] lint::Options lint_options(bool full) const;
 
   /// Post-load static verification at HarnessOptions::lint level; throws
   /// ContractViolation on enforced findings (see load()).

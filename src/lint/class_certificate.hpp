@@ -38,8 +38,8 @@
 ///     in-flight bounds it bounds a parkable node's occupancy, unweighted
 ///     it bounds a fold's senders.
 /// When the certificate holds, the per-PE routing, reconfiguration and
-/// flow checks would report nothing, and lint::run skips them (from
-/// kCertifyMinPes PEs up). When it does not (a real finding, a component
+/// flow checks would report nothing, and lint::run skips them, on a
+/// fabric of any size. When it does not (a real finding, a component
 /// with hops both ways, a bound above the router buffer depth), lint::run
 /// runs them per PE, unchanged: every diagnostic comes from the per-PE
 /// checks.
@@ -53,11 +53,6 @@
 #include "wse/fabric.hpp"
 
 namespace fvf::lint::detail {
-
-/// lint::run tries the certificate from this many PEs up. On a smaller
-/// fabric walking every PE costs less than interning the classes: for
-/// the shipped programs the two break even near 8×8.
-inline constexpr i64 kCertifyMinPes = 64;
 
 struct ClassCertificate {
   /// The enabled routing, reconfiguration and flow checks are proved to

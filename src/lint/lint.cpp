@@ -77,8 +77,7 @@ class Linter {
       return std::move(report_);  // Level::Off: the claim audit alone
     }
     ThreadPool pool(fabric_.host_threads());
-    if (certified_ && fabric_.pe_count() >= detail::kCertifyMinPes &&
-        (options_.check_routing || options_.check_flow) &&
+    if (certified_ && (options_.check_routing || options_.check_flow) &&
         detail::certify(fabric_, options_, pool).holds) {
       // Proved once per PE class: no per-PE routing, reconfiguration or
       // flow check would report anything.

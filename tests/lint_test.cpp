@@ -503,22 +503,6 @@ std::string rendered(const Report& report) {
   return os.str();
 }
 
-/// The claim oracle and labels a FabricHarness lints its launch with.
-Options plan_options(const dataflow::ColorPlan& plan) {
-  Options options;
-  options.color_claimed = [&plan](wse::Color c) { return plan.claimed(c); };
-  options.color_map = [&plan] { return plan.describe(); };
-  options.color_label = [&plan](wse::Color c) {
-    std::ostringstream os;
-    os << "color " << static_cast<int>(c.id());
-    if (const std::string_view owner = plan.owner_of(c); !owner.empty()) {
-      os << " ('" << owner << "')";
-    }
-    return os.str();
-  };
-  return options;
-}
-
 TEST(LintParallelTest, ReportIsIdenticalForEveryThreadCount) {
   // 64 x 64 PEs reaches kParallelMinPes, so threads > 1 lint in parallel.
   // Every report comes from the per-PE checks (detail::run_per_pe): the
@@ -566,8 +550,9 @@ TEST(LintParallelTest, ReportIsIdenticalForEveryThreadCount) {
     tpfa_options.execution.threads = threads;
     const core::TpfaLoad tpfa_load =
         core::load_dataflow_tpfa(problem, tpfa_options);
-    const Report clean = detail::run_per_pe(
-        tpfa_load.harness->fabric(), plan_options(tpfa_load.harness->colors()));
+    const Report clean =
+        detail::run_per_pe(tpfa_load.harness->fabric(),
+                           tpfa_load.harness->lint_options(/*full=*/true));
     EXPECT_TRUE(clean.clean()) << clean.describe();
     tpfa.push_back(rendered(clean));
 
@@ -601,8 +586,9 @@ TEST(LintParallelTest, ReportIsIdenticalForEveryThreadCount) {
     cg_options.execution.threads = threads;
     const spec::Load<> cg_load =
         spec::load(core::cg_launch(stencil, ones, {}), cg_options);
-    const Report cg_report = detail::run_per_pe(
-        cg_load.harness->fabric(), plan_options(cg_load.harness->colors()));
+    const Report cg_report =
+        detail::run_per_pe(cg_load.harness->fabric(),
+                           cg_load.harness->lint_options(/*full=*/true));
     EXPECT_TRUE(cg_report.clean()) << cg_report.describe();
     cg.push_back(rendered(cg_report));
 
@@ -659,7 +645,7 @@ TEST(LintCertificateTest, HoldsForTheShippedStencilsAtEverySize) {
       const spec::Load<> load = kernel_less_load(
           std::make_shared<const spec::CompiledSpec>(spec::compile(make())),
           c.extents, harness);
-      const Options options = plan_options(load.harness->colors());
+      const Options options = load.harness->lint_options(/*full=*/true);
       const detail::ClassCertificate certificate =
           detail::certify(load.harness->fabric(), options);
       const std::string what = std::string(c.kernel) + " at " +
@@ -733,8 +719,7 @@ struct GateTally {
 
 /// lint::run must equal the per-PE report, text and every typed field,
 /// whichever way the certificate decides. Where the certificate holds,
-/// the per-PE checks must find nothing but claim and memory findings,
-/// also on fabrics below kCertifyMinPes, which lint::run lints per PE.
+/// the per-PE checks must find nothing but claim and memory findings.
 void expect_certified_equals_per_pe(const wse::Fabric& fabric,
                                     const Options& options,
                                     const std::string& what,
@@ -896,7 +881,7 @@ TEST(LintCertificateTest, CertifiedReportEqualsThePerPeReport) {
       harness.execution.threads = threads;
       const spec::Load<> load =
           kernel_less_load(compiled, drawn.extents, harness);
-      Options options = plan_options(load.harness->colors());
+      Options options = load.harness->lint_options(/*full=*/true);
       options.router_buffer_depth = drawn.router_buffer_depth;
       std::ostringstream what;
       what << drawn.spec.name << " (exchange "
