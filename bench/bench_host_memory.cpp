@@ -1,6 +1,7 @@
-// Host memory of a TPFA fabric launch, stage by stage: live heap bytes per
-// PE (a counting operator new) and the process's resident set after the
-// problem build, the strict-lint load, the memoized load and the run.
+// Host memory and time of a TPFA fabric launch, stage by stage: live heap
+// bytes per PE (a counting operator new), the process's resident set and
+// the stage's wall seconds for the problem build, the strict-lint load,
+// the memoized load and the run.
 // Section 5.3.1 of the paper keeps per-PE device memory small; this is the
 // simulator's host-side counterpart, to set against the 43 words per cell
 // the TPFA spec declares.
@@ -11,14 +12,15 @@
 // The run's record carries the event queue's high-water depth and the
 // payload arenas' reserved bytes, printed under the stage table. Writes
 // BENCH_host_memory.json: one case per stage plus those two figures. They
-// depend on the C library's allocator, so no baseline of them is
-// committed.
+// depend on the C library's allocator and the host, so no baseline of
+// them is committed.
 #include <fstream>
 #include <optional>
 #include <stdexcept>
 
 #include "bench/bench_common.hpp"
 #include "bench/counting_new.hpp"
+#include "common/timer.hpp"
 #include "wse/router.hpp"
 
 namespace fvf::bench {
@@ -44,6 +46,7 @@ struct Stage {
   f64 peak_per_pe = 0.0;
   f64 rss_mb = 0.0;
   f64 hwm_mb = 0.0;
+  f64 seconds = 0.0;
 };
 
 int run(int argc, const char** argv) {
@@ -51,8 +54,9 @@ int run(int argc, const char** argv) {
   const Extents3 ext{static_cast<i32>(cli.get_int("nx", 256)),
                      static_cast<i32>(cli.get_int("ny", 256)),
                      static_cast<i32>(cli.get_int("nz", 12))};
-  core::DataflowOptions options;
-  options.iterations = static_cast<i32>(cli.get_int("iterations", 2));
+  core::TpfaKernelOptions kernel;
+  kernel.iterations = static_cast<i32>(cli.get_int("iterations", 2));
+  dataflow::HarnessOptions options;
   options.execution.threads = static_cast<i32>(cli.get_int("threads", 1));
   const u64 seed = static_cast<u64>(cli.get_int("seed", 2));
   const f64 pes = static_cast<f64>(ext.nx) * static_cast<f64>(ext.ny);
@@ -63,16 +67,19 @@ int run(int argc, const char** argv) {
 #endif
   std::vector<Stage> stages;
   long long start = 0;
+  WallTimer timer;
   const auto begin = [&] {
     start = counting::live_bytes();
     counting::reset_peak();
+    timer.reset();
   };
   const auto end = [&](std::string name) {
+    const f64 seconds = timer.seconds();
     stages.push_back(
         {std::move(name),
          static_cast<f64>(counting::live_bytes() - start) / pes,
          static_cast<f64>(counting::peak_bytes() - start) / pes,
-         status_mb("VmRSS"), status_mb("VmHWM")});
+         status_mb("VmRSS"), status_mb("VmHWM"), seconds});
   };
 
   print_header("Host memory of a TPFA launch: " + std::to_string(ext.nx) +
@@ -87,12 +94,13 @@ int run(int argc, const char** argv) {
     // The first load of a shape runs the mandatory strict lint and
     // memoizes the pass.
     begin();
-    const core::TpfaLoad strict = core::load_dataflow_tpfa(problem, options);
+    const spec::Load<> strict =
+        spec::load(core::tpfa_launch(problem, kernel), options);
     end("strict-lint load");
   }
   begin();
-  std::optional<core::TpfaLoad> load;
-  load.emplace(core::load_dataflow_tpfa(problem, options));
+  std::optional<spec::Load<>> load;
+  load.emplace(spec::load(core::tpfa_launch(problem, kernel), options));
   end("memoized load");
   begin();
   const dataflow::RunInfo report = load->harness->run();
@@ -106,18 +114,20 @@ int run(int argc, const char** argv) {
   // The router array is mapped outside the heap (MappedAllocator); its
   // bytes are listed beside the loads' heap figures, not inside them.
   TextTable table({"stage", "held heap B/PE", "peak heap B/PE", "RSS MB",
-                   "peak RSS MB"});
+                   "peak RSS MB", "wall s"});
   BenchJsonWriter json("host_memory", cli);
   for (const Stage& stage : stages) {
     table.add_row({stage.name, format_fixed(stage.held_per_pe, 0),
                    format_fixed(stage.peak_per_pe, 0),
                    format_fixed(stage.rss_mb, 1),
-                   format_fixed(stage.hwm_mb, 1)});
+                   format_fixed(stage.hwm_mb, 1),
+                   format_fixed(stage.seconds, 3)});
     json.add_case(stage.name);
     json.add_metric("held_heap_bytes_per_pe", stage.held_per_pe);
     json.add_metric("peak_heap_bytes_per_pe", stage.peak_per_pe);
     json.add_metric("rss_mb", stage.rss_mb);
     json.add_metric("peak_rss_mb", stage.hwm_mb);
+    json.add_metric("seconds", stage.seconds);
   }
   json.add_case("run host state");
   json.add_metric("event_queue_high_water",

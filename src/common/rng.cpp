@@ -5,14 +5,7 @@
 
 namespace fvf {
 
-f64 Xoshiro256::normal() noexcept {
-  // Box–Muller with rejection of u1 == 0; deterministic because the
-  // underlying stream is deterministic.
-  f64 u1 = uniform();
-  while (u1 <= 0.0) {
-    u1 = uniform();
-  }
-  const f64 u2 = uniform();
+f64 Xoshiro256::box_muller(f64 u1, f64 u2) noexcept {
   return std::sqrt(-2.0 * std::log(u1)) *
          std::cos(2.0 * std::numbers::pi * u2);
 }

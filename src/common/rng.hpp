@@ -60,7 +60,25 @@ class Xoshiro256 {
   f64 uniform(f64 lo, f64 hi) noexcept { return lo + (hi - lo) * uniform(); }
 
   /// Standard normal via Box–Muller (deterministic, no cached spare).
-  f64 normal() noexcept;
+  f64 normal() noexcept {
+    const f64 u1 = normal_uniform();
+    return box_muller(u1, uniform());
+  }
+
+  /// The first of the two uniforms normal() draws: u1 in (0, 1), a zero
+  /// redrawn. Drawing it and then uniform() consumes the stream exactly
+  /// as normal() does, so a caller can draw a sequence's uniforms in
+  /// order and transform them later, in any order.
+  f64 normal_uniform() noexcept {
+    f64 u1 = uniform();
+    while (u1 <= 0.0) {
+      u1 = uniform();
+    }
+    return u1;
+  }
+
+  /// The Box–Muller transform normal() applies to its two uniforms.
+  [[nodiscard]] static f64 box_muller(f64 u1, f64 u2) noexcept;
 
   /// Uniform integer in [0, bound) without modulo bias for small bounds.
   u64 below(u64 bound) noexcept { return bound ? next() % bound : 0; }

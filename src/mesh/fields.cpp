@@ -6,6 +6,7 @@
 
 #include "common/assert.hpp"
 #include "common/units.hpp"
+#include "mesh/row_split.hpp"
 
 namespace fvf::mesh {
 
@@ -36,28 +37,28 @@ Array3<f32> layered_permeability(Extents3 extents, f32 min_value,
 namespace {
 
 /// One pass of a 7-point box filter (self + six cardinal neighbors) with
-/// clamped boundaries; preserves the mean of the field.
-void box_smooth(Array3<f64>& field) {
-  const Extents3 ext = field.extents();
-  Array3<f64> out(ext);
-  const auto clamped = [&](i32 x, i32 y, i32 z) -> f64 {
-    x = std::clamp(x, 0, ext.nx - 1);
-    y = std::clamp(y, 0, ext.ny - 1);
-    z = std::clamp(z, 0, ext.nz - 1);
-    return field(x, y, z);
-  };
-  for (i32 z = 0; z < ext.nz; ++z) {
-    for (i32 y = 0; y < ext.ny; ++y) {
-      for (i32 x = 0; x < ext.nx; ++x) {
-        const f64 sum = clamped(x, y, z) + clamped(x - 1, y, z) +
-                        clamped(x + 1, y, z) + clamped(x, y - 1, z) +
-                        clamped(x, y + 1, z) + clamped(x, y, z - 1) +
-                        clamped(x, y, z + 1);
-        out(x, y, z) = sum / 7.0;
-      }
+/// clamped boundaries into `out`; preserves the mean of the field. Each
+/// row reads only `in`, so the rows split freely.
+void box_smooth(const Array3<f64>& in, Array3<f64>& out, RowSplit& rows) {
+  const Extents3 ext = in.extents();
+  rows.for_each_row([&](i32 y, i32 z) {
+    const auto row = [&](i32 yy, i32 zz) {
+      return &in[ext.linear(0, std::clamp(yy, 0, ext.ny - 1),
+                            std::clamp(zz, 0, ext.nz - 1))];
+    };
+    const f64* self = row(y, z);
+    const f64* south = row(y - 1, z);
+    const f64* north = row(y + 1, z);
+    const f64* below = row(y, z - 1);
+    const f64* above = row(y, z + 1);
+    f64* dst = &out[ext.linear(0, y, z)];
+    for (i32 x = 0; x < ext.nx; ++x) {
+      const f64 sum = self[x] + self[std::max(x - 1, 0)] +
+                      self[std::min(x + 1, ext.nx - 1)] + south[x] +
+                      north[x] + below[x] + above[x];
+      dst[x] = sum / 7.0;
     }
-  }
-  field = std::move(out);
+  });
 }
 
 }  // namespace
@@ -66,13 +67,28 @@ Array3<f32> lognormal_permeability(Extents3 extents,
                                    const LognormalOptions& options) {
   FVF_REQUIRE(options.smoothing_passes >= 0);
   Xoshiro256 rng(options.seed);
+  RowSplit rows(extents);
 
+  // The random stream and the two sums below carry an order, so they
+  // stay on this thread. The Box–Muller transform, the smoothing and the
+  // exponent map are per cell, so they split over the rows.
   Array3<f64> noise(extents);
-  for (i64 i = 0; i < noise.size(); ++i) {
-    noise[i] = rng.normal();
-  }
-  for (int pass = 0; pass < options.smoothing_passes; ++pass) {
-    box_smooth(noise);
+  {
+    Array3<f64> spare(extents);
+    for (i64 i = 0; i < noise.size(); ++i) {
+      noise[i] = rng.normal_uniform();
+      spare[i] = rng.uniform();
+    }
+    rows.for_each_row([&](i32 y, i32 z) {
+      const i64 begin = extents.linear(0, y, z);
+      for (i64 i = begin; i < begin + extents.nx; ++i) {
+        noise[i] = Xoshiro256::box_muller(noise[i], spare[i]);
+      }
+    });
+    for (int pass = 0; pass < options.smoothing_passes; ++pass) {
+      box_smooth(noise, spare, rows);
+      std::swap(noise, spare);
+    }
   }
 
   // Smoothing shrinks the variance; rescale to the requested sigma.
@@ -90,10 +106,13 @@ Array3<f32> lognormal_permeability(Extents3 extents,
   const f64 scale = var > 0.0 ? options.log10_sigma / std::sqrt(var) : 0.0;
 
   Array3<f32> field(extents);
-  for (i64 i = 0; i < field.size(); ++i) {
-    const f64 log10_k = options.log10_mean + scale * (noise[i] - mean);
-    field[i] = static_cast<f32>(std::pow(10.0, log10_k));
-  }
+  rows.for_each_row([&](i32 y, i32 z) {
+    const i64 begin = extents.linear(0, y, z);
+    for (i64 i = begin; i < begin + extents.nx; ++i) {
+      const f64 log10_k = options.log10_mean + scale * (noise[i] - mean);
+      field[i] = static_cast<f32>(std::pow(10.0, log10_k));
+    }
+  });
   return field;
 }
 

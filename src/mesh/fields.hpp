@@ -7,6 +7,18 @@
 /// several orders of magnitude, layered stratigraphy, and smoothly
 /// correlated log-normal variation, plus hydrostatic-plus-perturbation
 /// initial pressure fields.
+///
+/// Every generator is deterministic in its seed, whatever the host's
+/// thread count. lognormal_permeability splits its per-cell steps (the
+/// Box–Muller transform, the smoothing passes and the pow(10, ·) map)
+/// over the host's threads by mesh row from kParallelBuildMinCells cells
+/// up (mesh/row_split.hpp); each of those cells is a fixed expression of
+/// an array no task writes, so the bytes match a one-thread build. What
+/// carries an order stays on the calling thread: the Xoshiro256 stream
+/// (drawn in cell order, two uniforms per cell, before the transform),
+/// the noise mean and variance sums, and the random draws of
+/// layered_permeability, channelized_permeability and
+/// hydrostatic_pressure (those three run on the calling thread alone).
 #pragma once
 
 #include <cmath>

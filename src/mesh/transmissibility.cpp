@@ -1,8 +1,10 @@
 #include "mesh/transmissibility.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/assert.hpp"
+#include "mesh/row_split.hpp"
 
 namespace fvf::mesh {
 
@@ -23,29 +25,51 @@ TransmissibilityField build_transmissibilities(
   const Spacing3 h = mesh.spacing();
   TransmissibilityField trans(ext);
 
+  // Per face: the effective area, the centre distance, and the x range
+  // whose neighbor lies inside the mesh. Faces whose neighbor row leaves
+  // the mesh keep their zero transmissibility.
+  struct FaceGeometry {
+    Coord3 offset;
+    f64 area;
+    f64 dist;
+    i32 x_begin;
+    i32 x_end;
+  };
   const f64 diag_area =
       options.diagonal_weight * h.dz * std::sqrt(h.dx * h.dy);
+  std::array<FaceGeometry, kFaceCount> faces{};
+  for (const Face f : kAllFaces) {
+    const Coord3 off = face_offset(f);
+    faces[static_cast<usize>(f)] = {
+        off, is_diagonal(f) ? diag_area : mesh.face_area(f),
+        mesh.centre_distance(f), std::max(0, -off.x),
+        std::min(ext.nx, ext.nx - off.x)};
+  }
 
-  for (i32 z = 0; z < ext.nz; ++z) {
-    for (i32 y = 0; y < ext.ny; ++y) {
-      for (i32 x = 0; x < ext.nx; ++x) {
-        const f64 k_self = permeability(x, y, z);
-        FVF_ASSERT(k_self > 0.0);
-        for (const Face f : kAllFaces) {
-          const auto nb = mesh.neighbor(x, y, z, f);
-          if (!nb) {
-            continue;  // boundary face: transmissibility stays zero
-          }
-          const f64 k_neib = permeability(nb->x, nb->y, nb->z);
-          const f64 area = is_diagonal(f) ? diag_area : mesh.face_area(f);
-          const f64 dist = mesh.centre_distance(f);
-          const f64 harmonic =
-              2.0 * k_self * k_neib / (dist * (k_self + k_neib));
-          trans.at(x, y, z, f) = static_cast<f32>(area * harmonic);
-        }
+  RowSplit rows(ext);
+  rows.for_each_row([&](i32 y, i32 z) {
+    const f32* k_row = &permeability[ext.linear(0, y, z)];
+    for (i32 x = 0; x < ext.nx; ++x) {
+      FVF_ASSERT(k_row[x] > 0.0f);
+    }
+    for (const Face f : kAllFaces) {
+      const FaceGeometry& g = faces[static_cast<usize>(f)];
+      const i32 y_nb = y + g.offset.y;
+      const i32 z_nb = z + g.offset.z;
+      if (y_nb < 0 || y_nb >= ext.ny || z_nb < 0 || z_nb >= ext.nz) {
+        continue;  // boundary row: transmissibility stays zero
+      }
+      const f32* k_nb = &permeability[ext.linear(0, y_nb, z_nb)];
+      f32* out = &trans.face_array(f)[ext.linear(0, y, z)];
+      for (i32 x = g.x_begin; x < g.x_end; ++x) {
+        const f64 k_self = k_row[x];
+        const f64 k_neib = k_nb[x + g.offset.x];
+        const f64 harmonic =
+            2.0 * k_self * k_neib / (g.dist * (k_self + k_neib));
+        out[x] = static_cast<f32>(g.area * harmonic);
       }
     }
-  }
+  });
   return trans;
 }
 

@@ -4,6 +4,14 @@
 ///        ten-face stencil, including the effective diagonal connections
 ///        the paper adds "to prepare the communication pattern for either
 ///        higher-accuracy schemes or more intricate meshes" (Section 3).
+///
+/// build_transmissibilities writes each face of each cell from the two
+/// permeabilities it joins and the face's hoisted area and distance, so
+/// it splits over the host's threads by mesh row from
+/// kParallelBuildMinCells cells up (mesh/row_split.hpp) with the same
+/// bytes as one thread. Each face's in-mesh neighbors are a row range,
+/// not a per-cell test; the field is allocated, zeroed, on the calling
+/// thread and the rows only fill it.
 #pragma once
 
 #include <array>

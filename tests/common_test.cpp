@@ -226,6 +226,17 @@ TEST(RngTest, NormalHasReasonableMoments) {
   EXPECT_NEAR(stats.stddev(), 1.0, 0.05);
 }
 
+TEST(RngTest, NormalIsBoxMullerOfItsTwoUniforms) {
+  Xoshiro256 whole(17);
+  Xoshiro256 parts(17);
+  for (int i = 0; i < 1000; ++i) {
+    const f64 u1 = parts.normal_uniform();
+    ASSERT_GT(u1, 0.0);
+    ASSERT_EQ(whole.normal(), Xoshiro256::box_muller(u1, parts.uniform()));
+  }
+  EXPECT_EQ(whole.next(), parts.next());
+}
+
 // --- CLI --------------------------------------------------------------------
 
 TEST(CliTest, ParsesKeyValueAndFlags) {

@@ -2,12 +2,16 @@
 // and synthetic property fields.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "common/units.hpp"
 #include "mesh/cartesian_mesh.hpp"
 #include "mesh/fields.hpp"
+#include "mesh/row_split.hpp"
 #include "mesh/stencil.hpp"
 #include "mesh/transmissibility.hpp"
 
@@ -186,6 +190,77 @@ TEST(TransmissibilityTest, DiagonalWeightScalesAndDisables) {
   EXPECT_EQ(off.at(1, 1, 0, Face::DiagPP), 0.0f);
   // Cardinal faces unaffected by the diagonal weight.
   EXPECT_EQ(full.at(1, 1, 0, Face::XPlus), off.at(1, 1, 0, Face::XPlus));
+}
+
+// The face loop bounds each face's rows and x range; it must write what
+// the per-face neighbor formula writes, bit for bit, above and below the
+// row split's threshold.
+TEST(TransmissibilityTest, MatchesThePerFaceNeighborFormula) {
+  for (const Extents3 ext : {Extents3{5, 4, 3}, Extents3{70, 40, 25}}) {
+    SCOPED_TRACE(ext.cell_count());
+    const CartesianMesh m(ext, Spacing3{20.0, 30.0, 4.0});
+    LognormalOptions options;
+    options.seed = 11;
+    const auto perm = lognormal_permeability(ext, options);
+    const TransmissibilityOptions weight{0.75};
+    const auto trans = build_transmissibilities(m, perm, weight);
+    const f64 diag_area = 0.75 * 4.0 * std::sqrt(20.0 * 30.0);
+    i64 mismatches = 0;
+    for (i32 z = 0; z < ext.nz; ++z) {
+      for (i32 y = 0; y < ext.ny; ++y) {
+        for (i32 x = 0; x < ext.nx; ++x) {
+          for (const Face f : kAllFaces) {
+            f32 want = 0.0f;
+            if (const auto nb = m.neighbor(x, y, z, f)) {
+              const f64 k_self = perm(x, y, z);
+              const f64 k_neib = perm(nb->x, nb->y, nb->z);
+              const f64 area = is_diagonal(f) ? diag_area : m.face_area(f);
+              want = static_cast<f32>(
+                  area * (2.0 * k_self * k_neib /
+                          (m.centre_distance(f) * (k_self + k_neib))));
+            }
+            mismatches += trans.at(x, y, z, f) != want;
+          }
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0);
+  }
+}
+
+// --- row split ---------------------------------------------------------------
+
+TEST(RowSplitTest, VisitsEveryRowOnceOnTheHostThreads) {
+  const Extents3 ext{256, 32, 9};
+  ASSERT_GE(ext.cell_count(), kParallelBuildMinCells);
+  RowSplit rows(ext);
+  EXPECT_EQ(rows.threads(), ThreadPool::hardware_threads());
+  std::vector<std::atomic<int>> visits(
+      static_cast<usize>(ext.ny) * static_cast<usize>(ext.nz));
+  rows.for_each_row([&](i32 y, i32 z) {
+    ASSERT_TRUE(ext.contains(0, y, z));
+    visits[static_cast<usize>(z * ext.ny + y)].fetch_add(1);
+  });
+  for (const std::atomic<int>& count : visits) {
+    EXPECT_EQ(count.load(), 1);
+  }
+}
+
+TEST(RowSplitTest, SmallMeshesRunInOrderOnTheCallingThread) {
+  const Extents3 ext{16, 16, 8};
+  ASSERT_LT(ext.cell_count(), kParallelBuildMinCells);
+  RowSplit rows(ext);
+  EXPECT_EQ(rows.threads(), 1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<i64> order;
+  rows.for_each_row([&](i32 y, i32 z) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(ext.linear(0, y, z));
+  });
+  ASSERT_EQ(order.size(), static_cast<usize>(ext.ny * ext.nz));
+  for (usize i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(order[i], static_cast<i64>(i) * ext.nx);
+  }
 }
 
 // --- fields -----------------------------------------------------------------

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string_view>
 
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "mesh/fields.hpp"
+#include "mesh/row_split.hpp"
 #include "physics/flux.hpp"
 #include "physics/opcount.hpp"
 #include "physics/problem.hpp"
@@ -411,6 +414,80 @@ TEST(ProblemTest, DescribeMentionsSizeAndSeed) {
   const std::string d = problem.describe();
   EXPECT_NE(d.find("6x5x4"), std::string::npos);
   EXPECT_NE(d.find("101"), std::string::npos);
+}
+
+// --- problem build ---------------------------------------------------------
+
+/// FNV-1a of an array's bytes.
+u64 digest(const Array3<f32>& a, u64 hash = kFnv1aSeed) {
+  const std::span<const f32> cells = a.flat();
+  return fnv1a(std::string_view(reinterpret_cast<const char*>(cells.data()),
+                                cells.size_bytes()),
+               hash);
+}
+
+/// FNV-1a of the ten face arrays' bytes, chained in stencil order.
+u64 digest(const mesh::TransmissibilityField& trans) {
+  u64 hash = kFnv1aSeed;
+  for (const mesh::Face f : mesh::kAllFaces) {
+    hash = digest(trans.face_array(f), hash);
+  }
+  return hash;
+}
+
+struct BuildDigests {
+  u64 permeability;
+  u64 transmissibility;
+  u64 pressure;
+};
+
+// The digests were taken from the serial build. The problem build splits
+// its per-cell steps over the host's threads from kParallelBuildMinCells
+// cells up; these pin that every split writes the same bytes, both above
+// the threshold and below it.
+TEST(ProblemBuildTest, ArraysMatchTheSerialDigest) {
+  const Extents3 above{96, 80, 12};
+  const Extents3 below{16, 16, 8};
+  ASSERT_GE(above.cell_count(), mesh::kParallelBuildMinCells);
+  ASSERT_LT(below.cell_count(), mesh::kParallelBuildMinCells);
+
+  const auto check = [](const FlowProblem& problem, BuildDigests want) {
+    EXPECT_EQ(digest(problem.permeability()), want.permeability);
+    EXPECT_EQ(digest(problem.transmissibility()), want.transmissibility);
+    EXPECT_EQ(digest(problem.initial_pressure()), want.pressure);
+  };
+  {
+    SCOPED_TRACE("benchmark problem 96x80x12");
+    check(make_benchmark_problem(above, 2),
+          {0xbc0909b0d8e10c90ULL, 0xa662ce17d15e694dULL,
+           0x86c20e74390d25f4ULL});
+  }
+  {
+    SCOPED_TRACE("benchmark problem 16x16x8");
+    check(make_benchmark_problem(below, 2),
+          {0x31d10309eb5f671eULL, 0xf717907338c58d79ULL,
+           0x3a41e31369780541ULL});
+  }
+
+  // The transmissibility loop on fields with zero-width boundaries
+  // between very different permeabilities.
+  const mesh::CartesianMesh mesh(above, {50.0, 50.0, 5.0});
+  {
+    SCOPED_TRACE("layered transmissibilities");
+    EXPECT_EQ(digest(mesh::build_transmissibilities(
+                  mesh, mesh::layered_permeability(above, 1.0e-15f,
+                                                   1.0e-12f, 5))),
+              0xcd7c5df74e7e8ebdULL);
+  }
+  {
+    SCOPED_TRACE("channelized transmissibilities");
+    mesh::ChannelOptions channels;
+    channels.seed = 5;
+    EXPECT_EQ(digest(mesh::build_transmissibilities(
+                  mesh, mesh::channelized_permeability(above, channels),
+                  mesh::TransmissibilityOptions{0.25})),
+              0xa0e01cbdb4284321ULL);
+  }
 }
 
 }  // namespace
