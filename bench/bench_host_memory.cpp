@@ -1,7 +1,7 @@
 // Host memory and time of a TPFA fabric launch, stage by stage: live heap
-// bytes per PE (a counting operator new), the process's resident set and
-// the stage's wall seconds for the problem build, the strict-lint load,
-// the memoized load and the run.
+// bytes and allocation calls per PE (a counting operator new), the
+// process's resident set and the stage's wall seconds for the problem
+// build, the strict-lint load, the memoized load and the run.
 // Section 5.3.1 of the paper keeps per-PE device memory small; this is the
 // simulator's host-side counterpart, to set against the 43 words per cell
 // the TPFA spec declares.
@@ -44,6 +44,8 @@ struct Stage {
   f64 held_per_pe = 0.0;
   /// Peak heap bytes during the stage, per PE, over the stage's start.
   f64 peak_per_pe = 0.0;
+  /// Allocation calls the stage made, per PE, freed or not.
+  f64 allocations_per_pe = 0.0;
   f64 rss_mb = 0.0;
   f64 hwm_mb = 0.0;
   f64 seconds = 0.0;
@@ -67,9 +69,11 @@ int run(int argc, const char** argv) {
 #endif
   std::vector<Stage> stages;
   long long start = 0;
+  long long start_allocations = 0;
   WallTimer timer;
   const auto begin = [&] {
     start = counting::live_bytes();
+    start_allocations = counting::allocations();
     counting::reset_peak();
     timer.reset();
   };
@@ -79,6 +83,7 @@ int run(int argc, const char** argv) {
         {std::move(name),
          static_cast<f64>(counting::live_bytes() - start) / pes,
          static_cast<f64>(counting::peak_bytes() - start) / pes,
+         static_cast<f64>(counting::allocations() - start_allocations) / pes,
          status_mb("VmRSS"), status_mb("VmHWM"), seconds});
   };
 
@@ -113,18 +118,20 @@ int run(int argc, const char** argv) {
 
   // The router array is mapped outside the heap (MappedAllocator); its
   // bytes are listed beside the loads' heap figures, not inside them.
-  TextTable table({"stage", "held heap B/PE", "peak heap B/PE", "RSS MB",
-                   "peak RSS MB", "wall s"});
+  TextTable table({"stage", "held heap B/PE", "peak heap B/PE",
+                   "allocs/PE", "RSS MB", "peak RSS MB", "wall s"});
   BenchJsonWriter json("host_memory", cli);
   for (const Stage& stage : stages) {
     table.add_row({stage.name, format_fixed(stage.held_per_pe, 0),
                    format_fixed(stage.peak_per_pe, 0),
+                   format_fixed(stage.allocations_per_pe, 2),
                    format_fixed(stage.rss_mb, 1),
                    format_fixed(stage.hwm_mb, 1),
                    format_fixed(stage.seconds, 3)});
     json.add_case(stage.name);
     json.add_metric("held_heap_bytes_per_pe", stage.held_per_pe);
     json.add_metric("peak_heap_bytes_per_pe", stage.peak_per_pe);
+    json.add_metric("allocations_per_pe", stage.allocations_per_pe);
     json.add_metric("rss_mb", stage.rss_mb);
     json.add_metric("peak_rss_mb", stage.hwm_mb);
     json.add_metric("seconds", stage.seconds);

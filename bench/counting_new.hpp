@@ -1,7 +1,8 @@
 /// \file counting_new.hpp
 /// \brief A counting replacement for the global operator new/delete:
-///        live heap blocks, live bytes and the high-water mark of live
-///        bytes, for host-memory budgets and measurements.
+///        live heap blocks, live bytes, the high-water mark of live bytes
+///        and the allocation calls made, for host-memory budgets and
+///        measurements.
 ///
 /// Include it from exactly one translation unit of a binary: it defines
 /// the replacement operators. Bytes are malloc_usable_size, what the
@@ -31,8 +32,10 @@ namespace detail {
 inline std::atomic<long long> live_blocks{0};
 inline std::atomic<long long> live_bytes{0};
 inline std::atomic<long long> peak_bytes{0};
+inline std::atomic<long long> allocations{0};
 
 inline void count_alloc(void* p) noexcept {
+  allocations.fetch_add(1, std::memory_order_relaxed);
   live_blocks.fetch_add(1, std::memory_order_relaxed);
   const auto bytes = static_cast<long long>(malloc_usable_size(p));
   const long long live =
@@ -85,6 +88,12 @@ inline void free(void* p) noexcept {
 /// Largest live_bytes() since the last reset_peak().
 [[nodiscard]] inline long long peak_bytes() noexcept {
   return detail::peak_bytes.load(std::memory_order_relaxed);
+}
+/// Allocation calls through operator new since the process started,
+/// freed or not: a load that builds and drops temporaries per PE shows
+/// here even when what it keeps does not grow.
+[[nodiscard]] inline long long allocations() noexcept {
+  return detail::allocations.load(std::memory_order_relaxed);
 }
 /// Restarts the high-water mark at the current live bytes.
 inline void reset_peak() noexcept {

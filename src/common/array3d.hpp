@@ -9,8 +9,11 @@
 /// results can be compared element-by-element.
 #pragma once
 
+#include <memory>
+#include <new>
 #include <span>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -84,7 +87,15 @@ class Span3 {
   Extents3 extents_{};
 };
 
-/// Owning, value-initialised 3-D array.
+/// Tag of the Array3 constructor that allocates without writing the
+/// elements (std::make_unique_for_overwrite's contract): every element
+/// must be written before it is read.
+struct ForOverwrite {
+  explicit ForOverwrite() = default;
+};
+inline constexpr ForOverwrite kForOverwrite{};
+
+/// Owning 3-D array, value-initialised unless made kForOverwrite.
 template <typename T>
 class Array3 {
  public:
@@ -93,6 +104,15 @@ class Array3 {
   explicit Array3(Extents3 extents, T fill = T{})
       : extents_(extents),
         storage_(static_cast<usize>(extents.cell_count()), fill) {
+    FVF_REQUIRE(extents.nx >= 0 && extents.ny >= 0 && extents.nz >= 0);
+  }
+
+  /// Allocates without writing: a build that fills the array from
+  /// several threads leaves each page to the thread that writes it
+  /// instead of zeroing the whole array on the calling thread first.
+  Array3(Extents3 extents, ForOverwrite)
+      : extents_(extents),
+        storage_(static_cast<usize>(extents.cell_count())) {
     FVF_REQUIRE(extents.nx >= 0 && extents.ny >= 0 && extents.nz >= 0);
   }
 
@@ -129,8 +149,27 @@ class Array3 {
   void fill(T value) { storage_.assign(storage_.size(), value); }
 
  private:
+  /// std::allocator whose element construction without arguments
+  /// default-initialises: a kForOverwrite array's trivial elements are
+  /// left unwritten.
+  template <typename U>
+  struct DefaultInitAllocator : std::allocator<U> {
+    template <typename V>
+    struct rebind {
+      using other = DefaultInitAllocator<V>;
+    };
+    template <typename V, typename... Args>
+    void construct(V* p, Args&&... args) {
+      if constexpr (sizeof...(Args) == 0) {
+        ::new (static_cast<void*>(p)) V;
+      } else {
+        ::new (static_cast<void*>(p)) V(std::forward<Args>(args)...);
+      }
+    }
+  };
+
   Extents3 extents_{};
-  std::vector<T> storage_;
+  std::vector<T, DefaultInitAllocator<T>> storage_;
 };
 
 }  // namespace fvf

@@ -10,14 +10,14 @@ namespace fvf::core {
 using namespace dataflow;
 
 PeColumnData extract_column(const physics::FlowProblem& problem, i32 x,
-                            i32 y) {
+                            i32 y, usize columns) {
   const Extents3 ext = problem.extents();
   FVF_REQUIRE(x >= 0 && x < ext.nx && y >= 0 && y < ext.ny);
   const mesh::CartesianMesh& m = problem.mesh();
   const Array3<f32>& p0 = problem.initial_pressure();
   const mesh::TransmissibilityField& trans = problem.transmissibility();
 
-  PeColumnData data(ext.nz);
+  PeColumnData data(ext.nz, columns);
   const std::span<f32> pressure = data.column(PeColumnData::kPressure);
   const std::span<f32> elevation = data.column(PeColumnData::kElevation);
   for (i32 z = 0; z < ext.nz; ++z) {
@@ -65,9 +65,11 @@ spec::Launch tpfa_launch(const physics::FlowProblem& problem,
   FVF_REQUIRE(kernel.iterations >= 1);
   // Locals are captured by value: the launch outlives this call.
   return {make_tpfa_spec(kernel), problem.extents(),
-          [&problem, kernel, fluid = problem.fluid()](Coord2 coord) {
-            return make_tpfa_kernel(coord, problem.extents(), kernel, fluid,
-                                    extract_column(problem, coord.x, coord.y));
+          [&problem, kernel, fluid = problem.fluid(),
+           columns = tpfa_kernel_columns(kernel)](Coord2 coord) {
+            return make_tpfa_kernel(
+                coord, problem.extents(), kernel, fluid,
+                extract_column(problem, coord.x, coord.y, columns));
           }};
 }
 

@@ -33,9 +33,11 @@ using DataflowResult = spec::Result<TpfaFields, dataflow::RunInfo>;
 
 /// Extracts the per-PE column data for PE (x, y) from the global problem
 /// (the "host memcpy" phase: initial pressure, static geometry, and
-/// transmissibility columns).
-[[nodiscard]] PeColumnData extract_column(const physics::FlowProblem& problem,
-                                          i32 x, i32 y);
+/// transmissibility columns) into a buffer of `columns` columns, the
+/// trailing ones zero (see PeColumnData).
+[[nodiscard]] PeColumnData extract_column(
+    const physics::FlowProblem& problem, i32 x, i32 y,
+    usize columns = PeColumnData::kColumns);
 
 /// The launch of `kernel.iterations` applications of Algorithm 1 on
 /// `problem`. The referenced FlowProblem must outlive every driver call.

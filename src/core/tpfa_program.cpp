@@ -43,10 +43,11 @@ class TpfaKernel final : public spec::StencilKernel {
     gravity_f32_ = 2.0f * constants.half_g;
     inv_mu_f32_ = constants.inv_mu;
 
-    const usize scratch_count = options_.reuse_buffers ? 4 : 13;
-    const usize size = (kScratch + scratch_count) * static_cast<usize>(nz_);
+    const usize size = column_count(options_) * static_cast<usize>(nz_);
     columns_ = std::move(data).release();
-    columns_.reserve(size);  // exact: resize alone would leave growth slack
+    // Data extracted with tpfa_kernel_columns is already this size; other
+    // data is regrown, exactly (resize alone would leave growth slack).
+    columns_.reserve(size);
     columns_.resize(size, 0.0f);
 
     // Face -> neighbor-elevation column lookup (static geometry).
@@ -58,6 +59,12 @@ class TpfaKernel final : public spec::StencilKernel {
       z_nb_of_face_[static_cast<usize>(diagonal_face(c))] =
           static_cast<u8>(PeColumnData::kElevationDiagonal + diagonal_index(c));
     }
+  }
+
+  /// Columns of the kernel's buffer (see tpfa_kernel_columns).
+  [[nodiscard]] static usize column_count(
+      const TpfaKernelOptions& options) noexcept {
+    return kScratch + (options.reuse_buffers ? 4 : 13);
   }
 
   [[nodiscard]] std::span<const f32> residual() const noexcept {
@@ -288,9 +295,10 @@ spec::StencilSpec make_tpfa_spec(const TpfaKernelOptions& options) {
   return s;
 }
 
-PeColumnData::PeColumnData(i32 nz)
-    : nz_(nz), columns_(kColumns * static_cast<usize>(nz), 0.0f) {
+PeColumnData::PeColumnData(i32 nz, usize columns)
+    : nz_(nz), columns_(columns * static_cast<usize>(nz), 0.0f) {
   FVF_REQUIRE(nz >= 1);
+  FVF_REQUIRE(columns >= kColumns);
 }
 
 std::span<f32> PeColumnData::column(usize index) noexcept {
@@ -323,6 +331,10 @@ std::shared_ptr<const spec::CompiledSpec> tpfa_spec_for(
 }
 
 }  // namespace
+
+usize tpfa_kernel_columns(const TpfaKernelOptions& options) {
+  return TpfaKernel::column_count(options);
+}
 
 std::unique_ptr<spec::StencilKernel> make_tpfa_kernel(
     Coord2 coord, Extents3 mesh_extents, TpfaKernelOptions options,

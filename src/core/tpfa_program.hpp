@@ -53,8 +53,9 @@ struct TpfaKernelOptions {
 };
 
 /// Host-side per-PE column data extracted from the global problem: twenty
-/// Nz-length columns in one buffer, which the TPFA kernel adopts as the
-/// head of its own column storage.
+/// Nz-length columns in one buffer, which a kernel (TPFA, transport)
+/// adopts as the head of its own column storage. Made with the kernel's
+/// column count, the buffer already has the kernel's final size.
 class PeColumnData {
  public:
   /// Column order in the buffer.
@@ -72,8 +73,9 @@ class PeColumnData {
   static constexpr usize kPressure = kTrans + mesh::kFaceCount;
   static constexpr usize kColumns = kPressure + 1;
 
-  /// Zero-filled columns of depth `nz`.
-  explicit PeColumnData(i32 nz);
+  /// `columns` zero-filled columns of depth `nz`: the kColumns above,
+  /// then the working columns of the kernel that adopts the buffer.
+  explicit PeColumnData(i32 nz, usize columns = kColumns);
 
   [[nodiscard]] i32 nz() const noexcept { return nz_; }
   [[nodiscard]] std::span<f32> column(usize index) noexcept;
@@ -112,6 +114,10 @@ class PeColumnData {
 /// as the (file-local) TpfaKernel.
 [[nodiscard]] spec::StencilSpec make_tpfa_spec(
     const TpfaKernelOptions& options);
+
+/// Columns of a TPFA kernel's one buffer under `options`: the
+/// PeColumnData ones, then its working columns.
+[[nodiscard]] usize tpfa_kernel_columns(const TpfaKernelOptions& options);
 
 /// PE `coord`'s TPFA kernel: the physics both drivers run (spec::load on
 /// the fabric, spec::execute for gpusim).

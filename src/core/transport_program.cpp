@@ -41,8 +41,8 @@ class TransportKernel final : public spec::StencilKernel {
 
     const usize size = kColumns * static_cast<usize>(nz_);
     columns_ = std::move(geometry).release();
-    columns_.reserve(size);  // exact: resize alone would leave growth slack
-    columns_.resize(size, 0.0f);
+    // Geometry extracted with kColumns columns is already this size.
+    FVF_REQUIRE(columns_.size() == size);
     for (i32 z = 0; z < nz_; ++z) {
       const auto i = static_cast<usize>(z);
       column(kSaturation)[i] = saturation(coord.x, coord.y, z);
@@ -60,6 +60,10 @@ class TransportKernel final : public spec::StencilKernel {
           static_cast<u8>(PeColumnData::kElevationDiagonal + diagonal_index(c));
     }
   }
+
+  /// Columns of the kernel's buffer: the PeColumnData geometry ones,
+  /// then the working columns below.
+  static constexpr usize kColumns = PeColumnData::kColumns + 6;
 
   [[nodiscard]] std::span<const f32> saturation() const noexcept {
     return column(kSaturation);
@@ -180,7 +184,7 @@ class TransportKernel final : public spec::StencilKernel {
   static constexpr usize kSend = kWellRate + 1;  ///< [S | p] halo staging
   static constexpr usize kDs = kSend + 2;        ///< volume rate per cell
   static constexpr usize kOutflow = kDs + 1;     ///< CFL bookkeeping
-  static constexpr usize kColumns = kOutflow + 1;
+  static_assert(kOutflow + 1 == kColumns);
 
   [[nodiscard]] std::span<f32> column(usize index) noexcept {
     const auto n = static_cast<usize>(nz_);
@@ -240,8 +244,10 @@ spec::Launch transport_launch(const physics::FlowProblem& problem,
           [&problem, &saturation, &pressure, &well_rate,
            kernel](Coord2 coord) {
             return std::make_unique<TransportKernel>(
-                kernel, extract_column(problem, coord.x, coord.y), coord,
-                saturation, pressure, well_rate);
+                kernel,
+                extract_column(problem, coord.x, coord.y,
+                               TransportKernel::kColumns),
+                coord, saturation, pressure, well_rate);
           }};
 }
 

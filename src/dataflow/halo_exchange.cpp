@@ -23,12 +23,47 @@ using wse::unpack_f32;
   return is_cardinal_color(color) ? cardinal_face(color) : diagonal_face(color);
 }
 
-/// The static pass-through route of a color: Ramp -> movement direction,
-/// upstream -> Ramp.
-[[nodiscard]] ColorConfig pass_through(Dir move) {
-  return ColorConfig({wse::position(
-      {RouteRule{Dir::Ramp, {move}}, RouteRule{wse::opposite(move),
-                                                {Dir::Ramp}}})});
+/// What a color's route does at one PE.
+enum class Role : u8 {
+  /// Static routes (Fifo and Reliable cardinals, diagonal forwards and
+  /// NACKs): Ramp -> movement direction, upstream -> Ramp.
+  PassThrough,
+  /// Figure 6 edge PE with no upstream: nothing ever arrives, so a single
+  /// broadcast-root position suffices (its own control wraps in place).
+  Edge,
+  /// Figure 6 phase-1 sender: send, then receive from upstream.
+  Phase1,
+  /// Figure 6 phase-2 sender: receive from upstream, then send.
+  Phase2,
+};
+constexpr usize kRoles = 4;
+
+/// The switch table of `role` for a color moving toward `move`. Every
+/// table is packed once per process, so every PE of every load configures
+/// its router from these and a load builds no table of its own.
+[[nodiscard]] const ColorConfig& switch_table(Role role, Dir move) {
+  using Tables =
+      std::array<std::array<ColorConfig, wse::kFabricDirCount>, kRoles>;
+  static const Tables tables = [] {
+    Tables t;
+    for (const Dir m : wse::kFabricDirs) {
+      const Dir up = wse::opposite(m);
+      const auto set = [&](Role which,
+                           const std::vector<wse::SwitchPosition>& positions) {
+        t[static_cast<usize>(which)][static_cast<usize>(m)] =
+            ColorConfig(positions);
+      };
+      set(Role::PassThrough, {wse::position({RouteRule{Dir::Ramp, {m}},
+                                             RouteRule{up, {Dir::Ramp}}})});
+      set(Role::Edge, {wse::position(Dir::Ramp, {m})});
+      set(Role::Phase1,
+          {wse::position(Dir::Ramp, {m}), wse::position(up, {Dir::Ramp})});
+      set(Role::Phase2,
+          {wse::position(up, {Dir::Ramp}), wse::position(Dir::Ramp, {m})});
+    }
+    return t;
+  }();
+  return tables[static_cast<usize>(role)][static_cast<usize>(move)];
 }
 
 }  // namespace
@@ -115,32 +150,24 @@ std::span<f32> HaloExchange::early(Color color) {
 
 void HaloExchange::configure_router(wse::Router& router) const {
   for (const Color c : kCardinalColors) {
-    const Dir move = movement_dir(c);
-    const Dir up = upstream_dir(c);
-    if (discipline_ != HaloDiscipline::Switch) {
-      router.configure(c, pass_through(move));
-    } else if (!has_upstream(c)) {
-      // Edge PE on the upstream side: nothing ever arrives, so a single
-      // broadcast-root position suffices (its own control wraps in place).
-      router.configure(c, ColorConfig({wse::position(Dir::Ramp, {move})}));
-    } else if ((phase1_ & bit(cardinal_index(c))) != 0) {
-      router.configure(c, ColorConfig({wse::position(Dir::Ramp, {move}),
-                                       wse::position(up, {Dir::Ramp})}));
-    } else {
-      router.configure(c, ColorConfig({wse::position(up, {Dir::Ramp}),
-                                       wse::position(Dir::Ramp, {move})}));
-    }
+    const Role role = discipline_ != HaloDiscipline::Switch ? Role::PassThrough
+                      : !has_upstream(c)                     ? Role::Edge
+                      : (phase1_ & bit(cardinal_index(c))) != 0
+                          ? Role::Phase1
+                          : Role::Phase2;
+    router.configure(c, switch_table(role, movement_dir(c)));
   }
   if (diagonals_) {
     for (const Color c : kDiagonalColors) {
-      router.configure(c, pass_through(movement_dir(c)));
+      router.configure(c, switch_table(Role::PassThrough, movement_dir(c)));
     }
   }
   if (reliable()) {
     // NACKs travel one hop against the data flow: same static
     // pass-through shape as the halo colors.
     for (const Color c : kNackColors) {
-      router.configure(c, pass_through(nack_movement_dir(c)));
+      router.configure(c,
+                       switch_table(Role::PassThrough, nack_movement_dir(c)));
     }
   }
 }
@@ -175,8 +202,8 @@ std::optional<obs::Phase> HaloExchange::phase(Color color,
   return std::nullopt;
 }
 
-std::vector<wse::SendDeclaration> HaloExchange::send_declarations() const {
-  std::vector<wse::SendDeclaration> sends;
+void HaloExchange::send_declarations(
+    std::vector<wse::SendDeclaration>& sends) const {
   for (const Color c : kCardinalColors) {
     // begin_round injects on every cardinal color unconditionally;
     // boundary traffic is absorbed at the wafer edge by design. Under
@@ -201,12 +228,10 @@ std::vector<wse::SendDeclaration> HaloExchange::send_declarations() const {
       }
     }
   }
-  return sends;
 }
 
-std::vector<wse::ChannelDependency> HaloExchange::channel_dependencies()
-    const {
-  std::vector<wse::ChannelDependency> deps;
+void HaloExchange::channel_dependencies(
+    std::vector<wse::ChannelDependency>& deps) const {
   const auto downstream_exists = [&](Dir move) {
     const Coord2 off = wse::dir_offset(move);
     const i32 nx = coord_.x + off.x;
@@ -245,19 +270,6 @@ std::vector<wse::ChannelDependency> HaloExchange::channel_dependencies()
       }
     }
   }
-  return deps;
-}
-
-std::vector<wse::Color> HaloExchange::upstream_colors() const {
-  std::vector<Color> colors;
-  for (const auto& group : {kCardinalColors, kDiagonalColors}) {
-    for (const Color c : group) {
-      if (has_upstream(c)) {
-        colors.push_back(c);
-      }
-    }
-  }
-  return colors;
 }
 
 void HaloExchange::begin_round(PeApi& api, std::span<const f32> payload) {

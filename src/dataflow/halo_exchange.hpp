@@ -109,27 +109,37 @@ class HaloExchange {
   [[nodiscard]] std::optional<obs::Phase> phase(wse::Color color,
                                                 bool control) const noexcept;
 
-  /// Sends this PE performs per round, for fvf::lint's routing checks:
-  /// the four unconditional cardinal payloads (plus, under Switch, their
-  /// control wavelets), the diagonal forward for every cardinal link with
-  /// an upstream neighbor (Figure 5 intermediary role), and — in reliable
-  /// mode — the NACK toward each upstream.
-  [[nodiscard]] std::vector<wse::SendDeclaration> send_declarations() const;
+  /// Appends the sends this PE performs per round to `sends`, for
+  /// fvf::lint's routing checks: the four unconditional cardinal payloads
+  /// (plus, under Switch, their control wavelets), the diagonal forward
+  /// for every cardinal link with an upstream neighbor (Figure 5
+  /// intermediary role), and — in reliable mode — the NACK toward each
+  /// upstream.
+  void send_declarations(std::vector<wse::SendDeclaration>& sends) const;
 
-  /// Blocking intra-round send orderings for fvf::lint's cross-color
-  /// deadlock analysis: a Switch phase-2 sender waits for its upstream's
-  /// control, the diagonal forward happens inside the cardinal block's
-  /// handler, and — in reliable mode — a retransmit happens only after
-  /// the downstream receiver's NACK arrives.
-  [[nodiscard]] std::vector<wse::ChannelDependency> channel_dependencies()
-      const;
+  /// Appends the blocking intra-round send orderings to `deps`, for
+  /// fvf::lint's cross-color deadlock analysis: a Switch phase-2 sender
+  /// waits for its upstream's control, the diagonal forward happens
+  /// inside the cardinal block's handler, and — in reliable mode — a
+  /// retransmit happens only after the downstream receiver's NACK
+  /// arrives.
+  void channel_dependencies(std::vector<wse::ChannelDependency>& deps) const;
 
-  /// Colors this PE expects halo deliveries on each round (cardinal and
-  /// diagonal links with an existing upstream neighbor): the arrivals
-  /// that gate round completion. Owners use this to declare orderings of
-  /// later phases (e.g. an all-reduce contribution that waits for the
-  /// halo round).
-  [[nodiscard]] std::vector<wse::Color> upstream_colors() const;
+  /// Calls fn(color) for every color this PE expects halo deliveries on
+  /// each round (cardinal, then diagonal links with an existing upstream
+  /// neighbor): the arrivals that gate round completion. Owners use this
+  /// to declare orderings of later phases (e.g. an all-reduce
+  /// contribution that waits for the halo round).
+  template <typename Fn>
+  void each_upstream_color(Fn&& fn) const {
+    for (const auto& group : {kCardinalColors, kDiagonalColors}) {
+      for (const wse::Color c : group) {
+        if (has_upstream(c)) {
+          fn(c);
+        }
+      }
+    }
+  }
 
   /// Starts the next round: sends `payload` on the cardinal colors the
   /// discipline sends on now, and hands over blocks that arrived early.

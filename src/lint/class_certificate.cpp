@@ -48,7 +48,11 @@ struct PeFacts {
   /// Arrival-order folds, each as its color count and then its color ids.
   std::vector<u32> folds;
 
-  void gather(const wse::Router& router, const wse::PeProgram* program) {
+  /// Gathers one PE's facts. `sends` is the caller's scratch buffer:
+  /// reused across a row, like dependencies and folds, so gathering a
+  /// fabric allocates per row, not per PE.
+  void gather(const wse::Router& router, const wse::PeProgram* program,
+              std::vector<wse::SendDeclaration>& sends) {
     loaded = program != nullptr;
     handles_data = 0;
     handles_control = 0;
@@ -71,11 +75,13 @@ struct PeFacts {
     if (!loaded) {
       return;
     }
-    for (const wse::SendDeclaration& send : program->send_declarations()) {
+    sends.clear();
+    program->send_declarations(sends);
+    for (const wse::SendDeclaration& send : sends) {
       (send.control ? control_sends : data_sends) |= color_bit(send.color);
       in_flight[send.color.id()] += send.in_flight;
     }
-    dependencies = program->channel_dependencies();
+    program->channel_dependencies(dependencies);
     for (const wse::ReductionDeclaration& reduction :
          program->reduction_declarations()) {
       if (reduction.folds_in_arrival_order) {
@@ -702,9 +708,10 @@ ClassCertificate certify(const wse::Fabric& fabric, const Options& options,
     classes.local.resize(static_cast<usize>(width));
     std::unordered_map<std::string, u32> ids;
     PeFacts facts;
+    std::vector<wse::SendDeclaration> sends;
     std::string key;
     for (i32 x = 0; x < width; ++x) {
-      facts.gather(fabric.router(x, y), fabric.pe(x, y).program());
+      facts.gather(fabric.router(x, y), fabric.pe(x, y).program(), sends);
       facts.write_key(key);
       const auto [it, inserted] =
           ids.try_emplace(key, static_cast<u32>(classes.keys.size()));

@@ -93,6 +93,7 @@ RoutingIndex::RoutingIndex(const wse::Fabric& fabric, ThreadPool& pool)
     const auto y = static_cast<i32>(row);
     RowDeclarations& declared = rows[static_cast<usize>(row)];
     declared.dependency_counts.assign(width, 0);
+    std::vector<wse::SendDeclaration> sends;  // one PE's, reused
     for (i32 x = 0; x < fabric.width(); ++x) {
       const usize p = pe_index(Coord2{x, y});
       const wse::Router& router = fabric.router(x, y);
@@ -106,7 +107,9 @@ RoutingIndex::RoutingIndex(const wse::Fabric& fabric, ThreadPool& pool)
       if (program == nullptr) {
         continue;
       }
-      for (const wse::SendDeclaration& send : program->send_declarations()) {
+      sends.clear();
+      program->send_declarations(sends);
+      for (const wse::SendDeclaration& send : sends) {
         (send.control ? control_sends_ : data_sends_)[p] |=
             color_bit(send.color);
         const usize slot = slot_of_[send.color.id()];
@@ -114,11 +117,10 @@ RoutingIndex::RoutingIndex(const wse::Fabric& fabric, ThreadPool& pool)
           in_flight_[slot * pe_count_ + p] += send.in_flight;
         }
       }
-      const std::vector<wse::ChannelDependency> deps =
-          program->channel_dependencies();
-      declared.dependency_counts[static_cast<usize>(x)] = deps.size();
-      declared.dependencies.insert(declared.dependencies.end(), deps.begin(),
-                                   deps.end());
+      const usize deps_before = declared.dependencies.size();
+      program->channel_dependencies(declared.dependencies);
+      declared.dependency_counts[static_cast<usize>(x)] =
+          declared.dependencies.size() - deps_before;
       for (wse::ReductionDeclaration& reduction :
            program->reduction_declarations()) {
         if (reduction.folds_in_arrival_order) {

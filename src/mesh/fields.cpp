@@ -72,9 +72,10 @@ Array3<f32> lognormal_permeability(Extents3 extents,
   // The random stream and the two sums below carry an order, so they
   // stay on this thread. The Box–Muller transform, the smoothing and the
   // exponent map are per cell, so they split over the rows.
-  Array3<f64> noise(extents);
+  // Every array below is written in full before it is read.
+  Array3<f64> noise(extents, kForOverwrite);
   {
-    Array3<f64> spare(extents);
+    Array3<f64> spare(extents, kForOverwrite);
     for (i64 i = 0; i < noise.size(); ++i) {
       noise[i] = rng.normal_uniform();
       spare[i] = rng.uniform();
@@ -105,7 +106,7 @@ Array3<f32> lognormal_permeability(Extents3 extents,
   var /= static_cast<f64>(noise.size());
   const f64 scale = var > 0.0 ? options.log10_sigma / std::sqrt(var) : 0.0;
 
-  Array3<f32> field(extents);
+  Array3<f32> field(extents, kForOverwrite);
   rows.for_each_row([&](i32 y, i32 z) {
     const i64 begin = extents.linear(0, y, z);
     for (i64 i = begin; i < begin + extents.nx; ++i) {

@@ -15,6 +15,13 @@ TransmissibilityField::TransmissibilityField(Extents3 extents)
   }
 }
 
+TransmissibilityField::TransmissibilityField(Extents3 extents, ForOverwrite)
+    : extents_(extents) {
+  for (auto& face : faces_) {
+    face = Array3<f32>(extents, kForOverwrite);
+  }
+}
+
 TransmissibilityField build_transmissibilities(
     const CartesianMesh& mesh, const Array3<f32>& permeability,
     const TransmissibilityOptions& options) {
@@ -23,11 +30,11 @@ TransmissibilityField build_transmissibilities(
 
   const Extents3 ext = mesh.extents();
   const Spacing3 h = mesh.spacing();
-  TransmissibilityField trans(ext);
+  TransmissibilityField trans(ext, kForOverwrite);
 
   // Per face: the effective area, the centre distance, and the x range
-  // whose neighbor lies inside the mesh. Faces whose neighbor row leaves
-  // the mesh keep their zero transmissibility.
+  // whose neighbor lies inside the mesh. Faces whose neighbor lies
+  // outside the mesh get a zero transmissibility.
   struct FaceGeometry {
     Coord3 offset;
     f64 area;
@@ -56,11 +63,14 @@ TransmissibilityField build_transmissibilities(
       const FaceGeometry& g = faces[static_cast<usize>(f)];
       const i32 y_nb = y + g.offset.y;
       const i32 z_nb = z + g.offset.z;
-      if (y_nb < 0 || y_nb >= ext.ny || z_nb < 0 || z_nb >= ext.nz) {
-        continue;  // boundary row: transmissibility stays zero
-      }
-      const f32* k_nb = &permeability[ext.linear(0, y_nb, z_nb)];
       f32* out = &trans.face_array(f)[ext.linear(0, y, z)];
+      if (y_nb < 0 || y_nb >= ext.ny || z_nb < 0 || z_nb >= ext.nz) {
+        std::fill(out, out + ext.nx, 0.0f);  // boundary row
+        continue;
+      }
+      std::fill(out, out + g.x_begin, 0.0f);
+      std::fill(out + g.x_end, out + ext.nx, 0.0f);
+      const f32* k_nb = &permeability[ext.linear(0, y_nb, z_nb)];
       for (i32 x = g.x_begin; x < g.x_end; ++x) {
         const f64 k_self = k_row[x];
         const f64 k_neib = k_nb[x + g.offset.x];

@@ -10,8 +10,9 @@
 /// it splits over the host's threads by mesh row from
 /// kParallelBuildMinCells cells up (mesh/row_split.hpp) with the same
 /// bytes as one thread. Each face's in-mesh neighbors are a row range,
-/// not a per-cell test; the field is allocated, zeroed, on the calling
-/// thread and the rows only fill it.
+/// not a per-cell test. The field is allocated on the calling thread
+/// without a fill, and each row writes every element of its rows, the
+/// zeros of boundary faces included.
 #pragma once
 
 #include <array>
@@ -37,7 +38,11 @@ struct TransmissibilityOptions {
 /// mesh are zero, which makes the corresponding flux vanish.
 class TransmissibilityField {
  public:
+  /// Every face zero.
   explicit TransmissibilityField(Extents3 extents);
+  /// Faces allocated, not written: every element must be written before
+  /// it is read.
+  TransmissibilityField(Extents3 extents, ForOverwrite);
 
   [[nodiscard]] Extents3 extents() const noexcept { return extents_; }
 

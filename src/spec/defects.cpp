@@ -65,13 +65,13 @@ class FixtureProgram final : public wse::PeProgram {
   [[nodiscard]] bool handles_color(Color, bool) const override {
     return spec_.handles;
   }
-  [[nodiscard]] std::vector<wse::SendDeclaration> send_declarations()
-      const override {
-    return spec_.sends;
+  void send_declarations(
+      std::vector<wse::SendDeclaration>& sends) const override {
+    sends.insert(sends.end(), spec_.sends.begin(), spec_.sends.end());
   }
-  [[nodiscard]] std::vector<wse::ChannelDependency> channel_dependencies()
-      const override {
-    return spec_.deps;
+  void channel_dependencies(
+      std::vector<wse::ChannelDependency>& deps) const override {
+    deps.insert(deps.end(), spec_.deps.begin(), spec_.deps.end());
   }
   [[nodiscard]] std::vector<wse::ReductionDeclaration> reduction_declarations()
       const override {

@@ -166,41 +166,35 @@ void SpecPeProgram::configure_router(wse::Router& router) {
   }
 }
 
-std::vector<wse::SendDeclaration> SpecPeProgram::send_declarations() const {
+void SpecPeProgram::send_declarations(
+    std::vector<wse::SendDeclaration>& sends) const {
   if (!exchange_) {
-    return {};
+    return;
   }
-  std::vector<wse::SendDeclaration> sends = exchange_->send_declarations();
+  exchange_->send_declarations(sends);
   if (allreduce_ != nullptr) {
-    const std::vector<wse::SendDeclaration> tree =
-        allreduce_->send_declarations();
-    sends.insert(sends.end(), tree.begin(), tree.end());
+    allreduce_->send_declarations(sends);
   }
-  return sends;
 }
 
-std::vector<wse::ChannelDependency> SpecPeProgram::channel_dependencies()
-    const {
+void SpecPeProgram::channel_dependencies(
+    std::vector<wse::ChannelDependency>& deps) const {
   if (!exchange_) {
-    return {};
+    return;
   }
-  std::vector<wse::ChannelDependency> deps = exchange_->channel_dependencies();
+  exchange_->channel_dependencies(deps);
   if (allreduce_ == nullptr) {
-    return deps;
+    return;
   }
-  const std::vector<wse::ChannelDependency> tree =
-      allreduce_->channel_dependencies();
-  deps.insert(deps.end(), tree.begin(), tree.end());
+  allreduce_->channel_dependencies(deps);
   // Phase-structure bridge: the reduction contribution runs from round
   // completion (or later compute), so every tree send waits for each halo
   // arrival of the round. Halo sends of the *next* round are round-to-
   // round progress and deliberately undeclared.
-  for (const wse::SendDeclaration& send : allreduce_->send_declarations()) {
-    for (const Color halo : exchange_->upstream_colors()) {
-      deps.push_back({halo, send.color});
-    }
-  }
-  return deps;
+  allreduce_->each_send_color([&](Color tree) {
+    exchange_->each_upstream_color(
+        [&](Color halo) { deps.push_back({halo, tree}); });
+  });
 }
 
 std::vector<wse::ReductionDeclaration> SpecPeProgram::reduction_declarations()

@@ -85,14 +85,14 @@ class SpecPeProgram : public wse::PeProgram,
   /// kernel; under Switch the kernel retags itself.
   [[nodiscard]] obs::Phase task_phase(wse::Color color, bool control,
                                       bool timer) const noexcept final;
-  [[nodiscard]] std::vector<wse::SendDeclaration> send_declarations()
-      const final;
+  void send_declarations(
+      std::vector<wse::SendDeclaration>& sends) const final;
   /// The exchange's and the reduction tree's blocking orderings, plus the
   /// phase-structure bridge when both exist: every reduction send waits
   /// for the halo round (the contribution runs from round completion or
   /// later).
-  [[nodiscard]] std::vector<wse::ChannelDependency> channel_dependencies()
-      const final;
+  void channel_dependencies(
+      std::vector<wse::ChannelDependency>& deps) const final;
   [[nodiscard]] std::vector<wse::ReductionDeclaration>
   reduction_declarations() const final;
   /// Origin note for fvf::lint flow diagnostics: maps a color back to the

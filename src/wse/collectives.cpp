@@ -44,31 +44,17 @@ bool AllReduceSum::owns(Color color) const noexcept {
          color == colors_.row_bcast || color == colors_.col_bcast;
 }
 
-std::vector<SendDeclaration> AllReduceSum::send_declarations() const {
-  std::vector<SendDeclaration> sends;
-  if (coord_.x > 0) {
-    sends.push_back({colors_.row_reduce, false});
-  }
-  if (coord_.x == 0 && coord_.y > 0) {
-    sends.push_back({colors_.col_reduce, false});
-  }
-  if (coord_.x == 0 && coord_.y == 0 && fabric_.x > 1) {
-    sends.push_back({colors_.row_bcast, false});
-  }
-  if (coord_.y == 0 && fabric_.y > 1) {
-    // PE (0,0) seeds the column broadcasts; every other row-0 PE relays
-    // the row broadcast up its own column.
-    sends.push_back({colors_.col_bcast, false});
-  }
-  return sends;
+void AllReduceSum::send_declarations(
+    std::vector<SendDeclaration>& sends) const {
+  each_send_color([&](Color color) { sends.push_back({color, false}); });
 }
 
-std::vector<ChannelDependency> AllReduceSum::channel_dependencies() const {
+void AllReduceSum::channel_dependencies(
+    std::vector<ChannelDependency>& deps) const {
   // Mirrors the gating in try_advance_row/try_advance_col/on_data: each
   // send below only happens after the listed arrivals of that round.
   // Round-to-round orderings (the handler starting the next round) are
   // deliberately not declared — they are progress, not blocking.
-  std::vector<ChannelDependency> deps;
   const bool need_east = coord_.x < fabric_.x - 1;
   const bool need_north = coord_.y < fabric_.y - 1;
   if (coord_.x > 0) {
@@ -79,30 +65,28 @@ std::vector<ChannelDependency> AllReduceSum::channel_dependencies() const {
       // Relaying the broadcast up the column requires the row broadcast.
       deps.push_back({colors_.row_bcast, colors_.col_bcast});
     }
-    return deps;
+    return;
   }
   // Column head (x == 0): the row total feeds the column chain, and at
   // PE (0,0) the global sum feeds both broadcasts.
-  std::vector<Color> dependents;
-  if (coord_.y > 0) {
-    dependents.push_back(colors_.col_reduce);
-  } else {
-    if (fabric_.x > 1) {
-      dependents.push_back(colors_.row_bcast);
-    }
-    if (fabric_.y > 1) {
-      dependents.push_back(colors_.col_bcast);
-    }
-  }
-  for (const Color dependent : dependents) {
+  const auto waits_for_total = [&](Color dependent) {
     if (fabric_.x > 1) {
       deps.push_back({colors_.row_reduce, dependent});
     }
     if (need_north) {
       deps.push_back({colors_.col_reduce, dependent});
     }
+  };
+  if (coord_.y > 0) {
+    waits_for_total(colors_.col_reduce);
+  } else {
+    if (fabric_.x > 1) {
+      waits_for_total(colors_.row_bcast);
+    }
+    if (fabric_.y > 1) {
+      waits_for_total(colors_.col_bcast);
+    }
   }
-  return deps;
 }
 
 std::vector<ReductionDeclaration> AllReduceSum::reduction_declarations()

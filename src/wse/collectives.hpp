@@ -71,14 +71,35 @@ class AllReduceSum {
   /// Owns this color? (lets the program dispatch on_data to the engine)
   [[nodiscard]] bool owns(Color color) const noexcept;
 
-  /// Sends this PE performs per round, derived from its position in the
-  /// reduction/broadcast trees; for fvf::lint's routing checks.
-  [[nodiscard]] std::vector<SendDeclaration> send_declarations() const;
+  /// Calls fn(color) for every color this PE sends on per round, derived
+  /// from its position in the reduction/broadcast trees.
+  template <typename Fn>
+  void each_send_color(Fn&& fn) const {
+    if (coord_.x > 0) {
+      fn(colors_.row_reduce);
+    }
+    if (coord_.x == 0 && coord_.y > 0) {
+      fn(colors_.col_reduce);
+    }
+    if (coord_.x == 0 && coord_.y == 0 && fabric_.x > 1) {
+      fn(colors_.row_bcast);
+    }
+    if (coord_.y == 0 && fabric_.y > 1) {
+      // PE (0,0) seeds the column broadcasts; every other row-0 PE relays
+      // the row broadcast up its own column.
+      fn(colors_.col_bcast);
+    }
+  }
 
-  /// Blocking intra-round send orderings: every chain send waits for the
-  /// upstream partial(s) it folds in, and the broadcasts wait for the
-  /// global sum. For fvf::lint's cross-color deadlock analysis.
-  [[nodiscard]] std::vector<ChannelDependency> channel_dependencies() const;
+  /// Appends the sends of each_send_color to `sends`; for fvf::lint's
+  /// routing checks.
+  void send_declarations(std::vector<SendDeclaration>& sends) const;
+
+  /// Appends the blocking intra-round send orderings to `deps`: every
+  /// chain send waits for the upstream partial(s) it folds in, and the
+  /// broadcasts wait for the global sum. For fvf::lint's cross-color
+  /// deadlock analysis.
+  void channel_dependencies(std::vector<ChannelDependency>& deps) const;
 
   /// The chain folds this PE performs in arrival order (Sum only —
   /// Min/Max combine through order-insensitive selects). For fvf::lint's

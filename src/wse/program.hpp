@@ -86,15 +86,17 @@ class PeProgram {
   /// without overriding it.
   [[nodiscard]] virtual bool handles_color(Color color, bool control) const;
 
-  /// Colors this program sends on, for fvf::lint's routing checks.
-  /// Default: nothing declared, which exempts the program from the
-  /// unrouted-send and reachability analyses.
-  [[nodiscard]] virtual std::vector<SendDeclaration> send_declarations() const;
+  /// Appends the colors this program sends on to `sends`, for
+  /// fvf::lint's routing checks. Appending lets the linter reuse one
+  /// buffer over a fabric instead of taking a vector per PE. Default:
+  /// nothing declared, which exempts the program from the unrouted-send
+  /// and reachability analyses.
+  virtual void send_declarations(std::vector<SendDeclaration>& sends) const;
 
-  /// Blocking send orderings of this program (see ChannelDependency), for
-  /// fvf::lint's cross-color deadlock analysis. Default: none.
-  [[nodiscard]] virtual std::vector<ChannelDependency> channel_dependencies()
-      const;
+  /// Appends the blocking send orderings of this program (see
+  /// ChannelDependency) to `deps`, for fvf::lint's cross-color deadlock
+  /// analysis. Default: none.
+  virtual void channel_dependencies(std::vector<ChannelDependency>& deps) const;
 
   /// Arrival-order f32 accumulations of this program (see
   /// ReductionDeclaration), for fvf::lint's determinism analysis.
@@ -136,12 +138,9 @@ class PeProgram {
 
 inline void PeProgram::reserve_memory(PeMemory&) const {}
 inline bool PeProgram::handles_color(Color, bool) const { return true; }
-inline std::vector<SendDeclaration> PeProgram::send_declarations() const {
-  return {};
-}
-inline std::vector<ChannelDependency> PeProgram::channel_dependencies() const {
-  return {};
-}
+inline void PeProgram::send_declarations(std::vector<SendDeclaration>&) const {}
+inline void PeProgram::channel_dependencies(
+    std::vector<ChannelDependency>&) const {}
 inline std::vector<ReductionDeclaration> PeProgram::reduction_declarations()
     const {
   return {};

@@ -1,8 +1,9 @@
 // Host-state budget of a loaded fabric and of its run. A counting global
-// operator new/delete tracks live heap blocks and bytes and their
-// high-water mark, so a change that gives every PE a few more
-// allocations or a fatter object fails here deterministically instead of
-// showing up later as resident-memory drift at wafer scale.
+// operator new/delete tracks live heap blocks and bytes, their high-water
+// mark and the allocation calls made, so a change that gives every PE a
+// few more allocations, kept or dropped, or a fatter object fails here
+// deterministically instead of showing up later as resident-memory drift
+// or load time at wafer scale.
 //
 // Sanitizer runtimes (ASan, TSan) install their own operator new, so
 // under them the counters are not replaced and the tests skip.
@@ -153,6 +154,60 @@ TEST(AllocBudgetTest, StrictTpfaLoadPeaksUnderItsLintBytesPerPe) {
 #endif
 }
 
+/// Allocation calls per PE that `make_load` makes, freed or not: a load
+/// that builds and drops a temporary per PE shows here even when what it
+/// keeps does not grow.
+template <typename MakeLoad>
+[[nodiscard]] f64 allocations_per_pe(MakeLoad&& make_load) {
+  const long long before = counting::allocations();
+  {
+    const auto load = make_load();
+    EXPECT_NE(load.harness, nullptr);
+  }
+  return static_cast<f64>(counting::allocations() - before) / kPes;
+}
+
+TEST(AllocBudgetTest, MemoizedTpfaLoadMakesAHandfulOfAllocationsPerPe) {
+#ifdef FVF_SANITIZED_ALLOCATOR
+  GTEST_SKIP() << "the sanitizer runtime owns operator new";
+#else
+  // Measured 4.03 allocation calls per PE: the program, its kernel, the
+  // kernel's one column buffer and the exchange's receive buffers (76.5
+  // while the halo exchange built its switch tables from nested vectors
+  // on every PE and the kernel regrew its extracted columns); the bound
+  // leaves 10% headroom.
+  constexpr f64 kAllocationsPerPe = 4.43;
+  const physics::FlowProblem problem = budget_problem();
+  const core::DataflowOptions options;
+  memoize_lint(problem, options);
+  const f64 per_pe = allocations_per_pe(
+      [&] { return core::load_dataflow_tpfa(problem, options); });
+  EXPECT_GT(per_pe, 0.0) << "the counting operator new is not in use";
+  EXPECT_LE(per_pe, kAllocationsPerPe)
+      << per_pe * kPes << " allocation calls for " << kSide * kSide << " PEs";
+#endif
+}
+
+TEST(AllocBudgetTest, StrictTpfaLoadMakesAHandfulOfAllocationsPerPe) {
+#ifdef FVF_SANITIZED_ALLOCATOR
+  GTEST_SKIP() << "the sanitizer runtime owns operator new";
+#else
+  // Measured 6.07 allocation calls per PE, two more than the memoized
+  // load (87.0 while strict lint's class pass also took a vector per PE
+  // for its send and dependency declarations); the bound leaves 10%
+  // headroom.
+  constexpr f64 kAllocationsPerPe = 6.68;
+  const physics::FlowProblem problem = budget_problem();
+  core::DataflowOptions strict;
+  strict.lint = lint::Level::Strict;
+  const f64 per_pe = allocations_per_pe(
+      [&] { return core::load_dataflow_tpfa(problem, strict); });
+  EXPECT_GT(per_pe, 0.0) << "the counting operator new is not in use";
+  EXPECT_LE(per_pe, kAllocationsPerPe)
+      << per_pe * kPes << " allocation calls for " << kSide * kSide << " PEs";
+#endif
+}
+
 /// The static-halo path: a CG launch on the budget shape, with an rhs of
 /// ones (the solve's values do not change what a PE holds).
 struct CgBudget {
@@ -202,6 +257,23 @@ TEST(AllocBudgetTest, MemoizedCgLoadHoldsAHandfulOfBlocksPerPe) {
   EXPECT_LE(bytes_per_pe, kBytesPerPe)
       << (bytes_after - bytes_before) << " live heap bytes for "
       << kSide * kSide << " PEs";
+#endif
+}
+
+TEST(AllocBudgetTest, MemoizedCgLoadMakesAHandfulOfAllocationsPerPe) {
+#ifdef FVF_SANITIZED_ALLOCATOR
+  GTEST_SKIP() << "the sanitizer runtime owns operator new";
+#else
+  // Measured 7.03 allocation calls per PE, one per block the load keeps
+  // (79.0 while the halo exchange built its switch tables from nested
+  // vectors on every PE); the bound leaves 10% headroom.
+  constexpr f64 kAllocationsPerPe = 7.73;
+  const CgBudget cg;
+  { const spec::Load<> first = cg.load(); }
+  const f64 per_pe = allocations_per_pe([&] { return cg.load(); });
+  EXPECT_GT(per_pe, 0.0) << "the counting operator new is not in use";
+  EXPECT_LE(per_pe, kAllocationsPerPe)
+      << per_pe * kPes << " allocation calls for " << kSide * kSide << " PEs";
 #endif
 }
 

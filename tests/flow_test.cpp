@@ -42,9 +42,9 @@ class BurstSender final : public wse::PeProgram {
   void configure_router(wse::Router& router) override {
     router.configure(kC, ColorConfig({position(Dir::Ramp, {Dir::East})}));
   }
-  [[nodiscard]] std::vector<wse::SendDeclaration> send_declarations()
-      const override {
-    return {{kC, false, kBlocks}};
+  void send_declarations(
+      std::vector<wse::SendDeclaration>& sends) const override {
+    sends.push_back({kC, false, kBlocks});
   }
   void on_start(wse::PeApi& api) override {
     const f32 word = 1.0f;
@@ -84,9 +84,9 @@ class DrainController final : public wse::PeProgram {
   void configure_router(wse::Router& router) override {
     router.configure(kC, ColorConfig({position(Dir::Ramp, {Dir::West})}));
   }
-  [[nodiscard]] std::vector<wse::SendDeclaration> send_declarations()
-      const override {
-    return {{kC, true}};
+  void send_declarations(
+      std::vector<wse::SendDeclaration>& sends) const override {
+    sends.push_back({kC, true});
   }
   void on_start(wse::PeApi& api) override {
     api.schedule_timer(kDrainCycle, 0);

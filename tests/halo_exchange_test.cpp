@@ -2,7 +2,9 @@
 // discipline (the TPFA, CG and wave programs test it indirectly at scale).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
+#include <set>
 
 #include "common/assert.hpp"
 #include "dataflow/halo_exchange.hpp"
@@ -216,6 +218,140 @@ TEST(HaloExchangeTest, DoubleBeginRoundRejected) {
             std::string::npos;
   }
   EXPECT_TRUE(threw);
+}
+
+/// The routes a PE's exchange installed while every PE built its switch
+/// tables from nested vectors (before the exchange packed them once per
+/// process): the oracle of the tests below.
+class VectorBuiltRoutes final : public wse::PeProgram {
+ public:
+  VectorBuiltRoutes(Coord2 coord, Coord2 fabric, Variant variant)
+      : coord_(coord), fabric_(fabric), variant_(variant) {}
+
+  void configure_router(wse::Router& router) override {
+    using wse::ColorConfig;
+    using wse::Dir;
+    using wse::RouteRule;
+    const auto pass_through = [](Dir move) {
+      return ColorConfig({wse::position(
+          {RouteRule{Dir::Ramp, {move}},
+           RouteRule{wse::opposite(move), {Dir::Ramp}}})});
+    };
+    for (const wse::Color c : kCardinalColors) {
+      const Dir move = movement_dir(c);
+      const Dir up = upstream_dir(c);
+      const Coord3 off = mesh::face_offset(cardinal_face(c));
+      const Coord2 nb{coord_.x + off.x, coord_.y + off.y};
+      const bool upstream =
+          nb.x >= 0 && nb.x < fabric_.x && nb.y >= 0 && nb.y < fabric_.y;
+      const i32 axis =
+          (move == Dir::East || move == Dir::West) ? coord_.x : coord_.y;
+      if (variant_.discipline != HaloDiscipline::Switch) {
+        router.configure(c, pass_through(move));
+      } else if (!upstream) {
+        router.configure(c, ColorConfig({wse::position(Dir::Ramp, {move})}));
+      } else if (axis % 2 == 0) {
+        router.configure(c, ColorConfig({wse::position(Dir::Ramp, {move}),
+                                         wse::position(up, {Dir::Ramp})}));
+      } else {
+        router.configure(c, ColorConfig({wse::position(up, {Dir::Ramp}),
+                                         wse::position(Dir::Ramp, {move})}));
+      }
+    }
+    if (variant_.diagonals) {
+      for (const wse::Color c : kDiagonalColors) {
+        router.configure(c, pass_through(movement_dir(c)));
+      }
+    }
+    if (variant_.discipline == HaloDiscipline::Reliable) {
+      for (const wse::Color c : kNackColors) {
+        router.configure(c, pass_through(nack_movement_dir(c)));
+      }
+    }
+  }
+  void on_start(wse::PeApi&) override {}
+  void on_data(wse::PeApi&, wse::Color, wse::Dir,
+               std::span<const u32>) override {}
+
+ private:
+  Coord2 coord_;
+  Coord2 fabric_;
+  Variant variant_;
+};
+
+/// Distinct switch tables over every router and color of `fabric`: its
+/// RoutePool stores each once, so equal tables share one address.
+[[nodiscard]] usize distinct_tables(const wse::Fabric& fabric) {
+  std::set<const wse::ColorConfig*> tables;
+  for (i32 y = 0; y < fabric.height(); ++y) {
+    for (i32 x = 0; x < fabric.width(); ++x) {
+      for (u8 c = 0; c < wse::Color::kMaxColors; ++c) {
+        if (fabric.router(x, y).configured(wse::Color{c})) {
+          tables.insert(&fabric.router(x, y).config(wse::Color{c}));
+        }
+      }
+    }
+  }
+  return tables.size();
+}
+
+/// Loads the exchange and the oracle on two `size` fabrics of `threads`
+/// host threads and expects every router to hold the same routes.
+void expect_oracle_routes(Coord2 size, i32 threads, Variant variant) {
+  SCOPED_TRACE(::testing::Message() << variant.name << " diagonals="
+                                    << variant.diagonals << " on " << size.x
+                                    << 'x' << size.y << ", " << threads
+                                    << " thread(s)");
+  wse::ExecutionOptions exec;
+  exec.threads = threads;
+  wse::Fabric fabric(size.x, size.y, {}, wse::PeMemory::kDefaultBudget, exec);
+  fabric.load([&](Coord2 coord, Coord2 fs) {
+    return std::make_unique<HaloProbe>(coord, fs, 1, 1, variant);
+  });
+  wse::Fabric oracle(size.x, size.y);
+  oracle.load([&](Coord2 coord, Coord2 fs) {
+    return std::make_unique<VectorBuiltRoutes>(coord, fs, variant);
+  });
+  for (i32 y = 0; y < size.y; ++y) {
+    for (i32 x = 0; x < size.x; ++x) {
+      for (u8 id = 0; id < wse::Color::kMaxColors; ++id) {
+        const wse::Color c{id};
+        const wse::Router& got = fabric.router(x, y);
+        const wse::Router& want = oracle.router(x, y);
+        ASSERT_TRUE(got.config(c) == want.config(c))
+            << "PE(" << x << ',' << y << ") color " << int{id};
+        ASSERT_EQ(got.configure_count(c), want.configure_count(c));
+        ASSERT_EQ(got.current_position(c), want.current_position(c));
+      }
+    }
+  }
+  EXPECT_EQ(distinct_tables(fabric), distinct_tables(oracle));
+}
+
+constexpr std::array<Variant, 6> kEveryVariant = {
+    Variant{HaloDiscipline::Switch, true, "Switch"},
+    Variant{HaloDiscipline::Switch, false, "Switch"},
+    Variant{HaloDiscipline::Fifo, true, "Fifo"},
+    Variant{HaloDiscipline::Fifo, false, "Fifo"},
+    Variant{HaloDiscipline::Reliable, true, "Reliable"},
+    Variant{HaloDiscipline::Reliable, false, "Reliable"}};
+
+// First in its suite, so a process that runs the suite alone (as the
+// race check does) builds the switch tables inside the row-parallel load.
+TEST(HaloSwitchTablesTest, RowParallelLoadMatchesTheVectorBuiltOracle) {
+  const Coord2 size{64, 64};
+  static_assert(64 * 64 >= wse::kParallelMinPes);
+  for (const Variant& variant : kEveryVariant) {
+    expect_oracle_routes(size, 4, variant);
+  }
+}
+
+TEST(HaloSwitchTablesTest, EveryRouterMatchesTheVectorBuiltOracle) {
+  for (const Coord2 size : {Coord2{6, 5}, Coord2{7, 4}}) {
+    for (const Variant& variant : kEveryVariant) {
+      expect_oracle_routes(size, 1, variant);
+    }
+  }
 }
 
 }  // namespace

@@ -165,9 +165,9 @@ class UnroutedSendProgram final : public wse::PeProgram {
                      wse::ColorConfig({wse::position(wse::Dir::West,
                                                      {wse::Dir::Ramp})}));
   }
-  [[nodiscard]] std::vector<wse::SendDeclaration> send_declarations()
-      const override {
-    return {{wse::Color{0}, false}};
+  void send_declarations(
+      std::vector<wse::SendDeclaration>& sends) const override {
+    sends.push_back({wse::Color{0}, false});
   }
   void on_start(wse::PeApi&) override {}
   void on_data(wse::PeApi&, wse::Color, wse::Dir,
@@ -801,12 +801,11 @@ class ChainProgram final : public wse::PeProgram {
       router.configure(wse::Color{0}, wse::ColorConfig({*routes_}));
     }
   }
-  [[nodiscard]] std::vector<wse::SendDeclaration> send_declarations()
-      const override {
-    if (!sends_) {
-      return {};
+  void send_declarations(
+      std::vector<wse::SendDeclaration>& sends) const override {
+    if (sends_) {
+      sends.push_back({wse::Color{0}, false});
     }
-    return {{wse::Color{0}, false}};
   }
   [[nodiscard]] std::vector<wse::ReductionDeclaration> reduction_declarations()
       const override {

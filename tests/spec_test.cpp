@@ -272,13 +272,16 @@ std::string render_declarations(const std::string& label,
                                           bindings, nullptr);
       const wse::PeProgram& program = generated;
       os << "PE(" << x << ',' << y << ")\n";
-      for (const wse::SendDeclaration& send : program.send_declarations()) {
+      std::vector<wse::SendDeclaration> sends;
+      program.send_declarations(sends);
+      for (const wse::SendDeclaration& send : sends) {
         os << "  send " << color_name(send.color)
            << (send.control ? " control" : " data")
            << " in_flight=" << send.in_flight << '\n';
       }
-      for (const wse::ChannelDependency& dep :
-           program.channel_dependencies()) {
+      std::vector<wse::ChannelDependency> deps;
+      program.channel_dependencies(deps);
+      for (const wse::ChannelDependency& dep : deps) {
         os << "  dep " << color_name(dep.prerequisite) << " -> "
            << color_name(dep.dependent) << '\n';
       }
