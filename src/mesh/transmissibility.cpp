@@ -8,13 +8,6 @@
 
 namespace fvf::mesh {
 
-TransmissibilityField::TransmissibilityField(Extents3 extents)
-    : extents_(extents) {
-  for (auto& face : faces_) {
-    face = Array3<f32>(extents);
-  }
-}
-
 TransmissibilityField::TransmissibilityField(Extents3 extents, ForOverwrite)
     : extents_(extents) {
   for (auto& face : faces_) {

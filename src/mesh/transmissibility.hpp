@@ -38,10 +38,8 @@ struct TransmissibilityOptions {
 /// mesh are zero, which makes the corresponding flux vanish.
 class TransmissibilityField {
  public:
-  /// Every face zero.
-  explicit TransmissibilityField(Extents3 extents);
   /// Faces allocated, not written: every element must be written before
-  /// it is read.
+  /// it is read (build_transmissibilities writes them all).
   TransmissibilityField(Extents3 extents, ForOverwrite);
 
   [[nodiscard]] Extents3 extents() const noexcept { return extents_; }

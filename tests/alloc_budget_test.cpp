@@ -172,10 +172,9 @@ TEST(AllocBudgetTest, MemoizedTpfaLoadMakesAHandfulOfAllocationsPerPe) {
   GTEST_SKIP() << "the sanitizer runtime owns operator new";
 #else
   // Measured 4.03 allocation calls per PE: the program, its kernel, the
-  // kernel's one column buffer and the exchange's receive buffers (76.5
-  // while the halo exchange built its switch tables from nested vectors
-  // on every PE and the kernel regrew its extracted columns); the bound
-  // leaves 10% headroom.
+  // kernel's one column buffer and the exchange's receive buffers. A
+  // switch table or column buffer built per PE would add calls here. The
+  // bound leaves 10% headroom.
   constexpr f64 kAllocationsPerPe = 4.43;
   const physics::FlowProblem problem = budget_problem();
   const core::DataflowOptions options;
@@ -193,9 +192,8 @@ TEST(AllocBudgetTest, StrictTpfaLoadMakesAHandfulOfAllocationsPerPe) {
   GTEST_SKIP() << "the sanitizer runtime owns operator new";
 #else
   // Measured 6.07 allocation calls per PE, two more than the memoized
-  // load (87.0 while strict lint's class pass also took a vector per PE
-  // for its send and dependency declarations); the bound leaves 10%
-  // headroom.
+  // load; strict lint's class pass reuses its declaration buffers per
+  // row. The bound leaves 10% headroom.
   constexpr f64 kAllocationsPerPe = 6.68;
   const physics::FlowProblem problem = budget_problem();
   core::DataflowOptions strict;
@@ -264,9 +262,8 @@ TEST(AllocBudgetTest, MemoizedCgLoadMakesAHandfulOfAllocationsPerPe) {
 #ifdef FVF_SANITIZED_ALLOCATOR
   GTEST_SKIP() << "the sanitizer runtime owns operator new";
 #else
-  // Measured 7.03 allocation calls per PE, one per block the load keeps
-  // (79.0 while the halo exchange built its switch tables from nested
-  // vectors on every PE); the bound leaves 10% headroom.
+  // Measured 7.03 allocation calls per PE, one per block the load keeps;
+  // the bound leaves 10% headroom.
   constexpr f64 kAllocationsPerPe = 7.73;
   const CgBudget cg;
   { const spec::Load<> first = cg.load(); }

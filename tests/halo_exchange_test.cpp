@@ -220,9 +220,9 @@ TEST(HaloExchangeTest, DoubleBeginRoundRejected) {
   EXPECT_TRUE(threw);
 }
 
-/// The routes a PE's exchange installed while every PE built its switch
-/// tables from nested vectors (before the exchange packed them once per
-/// process): the oracle of the tests below.
+/// The routes a PE's exchange must install, each switch table built
+/// afresh from nested vectors for every PE and color: the oracle of the
+/// tests below.
 class VectorBuiltRoutes final : public wse::PeProgram {
  public:
   VectorBuiltRoutes(Coord2 coord, Coord2 fabric, Variant variant)
